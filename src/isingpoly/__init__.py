@@ -28,7 +28,7 @@ from .graphs import (
     neighborhood,
     two_linked_components,
 )
-from .rationals import format_rational, parse_rational, to_jsonable
+from .rationals import format_rational, parse_rational
 from .model import (
     ModelParams,
     MuHatSampler,
@@ -47,6 +47,7 @@ from .model import (
 from .polymers import (
     DEFAULT_RHO,
     Polymer,
+    PolymerFamily,
     compatible,
     enumerate_polymers,
     make_polymer,

@@ -31,8 +31,8 @@ from .graphs import (
 )
 from .model import ModelParams, exact_Z, ising_weight, nonpolymer_family
 from .polymers import DEFAULT_RHO, enumerate_g_ab, polymer_weight
+from .rationals import LOG_PRECISION_BITS
 
-LOG_PRECISION_BITS = 128
 SLACK = 2.0 ** -64
 DEFAULT_SUBSET_BUDGET = 1 << 20
 

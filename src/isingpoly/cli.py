@@ -569,10 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=None,
                         help=f"cap on sweeps/enumerations "
                              f"(default ${BUDGET_ENV} or module defaults)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="upper cap on worker threads; computations are "
-                             "sequential, the cap is accepted for pipeline "
-                             "compatibility")
 
     graph_arg = _Parser(add_help=False)
     graph_arg.add_argument("--graph", required=True,
@@ -737,9 +733,6 @@ def main(argv=None) -> int:
         except CliError as exc:
             print(f"isingpoly: error: {exc}", file=sys.stderr)
             return 1
-    if args.threads < 1:
-        print("isingpoly: error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         records, ok = args.handler(args)
     except BudgetError as exc:

@@ -11,24 +11,23 @@ so every sum over ordered tuples stays exact without materializing them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .graphs import BipartiteGraph, BudgetError, is_two_linked, popcount
+from .graphs import BipartiteGraph, BudgetError, edge_subset_nbr, reach
 from .polymers import (
     DEFAULT_RHO,
     Polymer,
-    enumerate_polymers,
+    PolymerFamily,
     polymer_weight,
-    validate_rho,
-    xi_brute,
 )
+from .rationals import LOG_PRECISION_BITS
 
 URSELL_VERTEX_CAP = 8
 DEFAULT_CLUSTER_SIZE_CAP = 4
-LOG_PRECISION_BITS = 128
 
 
 def ursell(k: int, edges) -> Fraction:
@@ -55,27 +54,7 @@ def ursell(k: int, edges) -> Fraction:
     full = (1 << k) - 1
     total = 0
     for sub in range(1 << m):
-        nbr = [0] * k
-        s = sub
-        while s:
-            low = s & -s
-            s ^= low
-            u, v = edge_list[low.bit_length() - 1]
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        # spanning connected check from vertex 0
-        seen_mask = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= nbr[low.bit_length() - 1]
-            frontier = nxt & ~seen_mask
-            seen_mask |= frontier
-        if seen_mask == full:
+        if reach(1, full, edge_subset_nbr(k, edge_list, sub)) == full:
             total += -1 if sub.bit_count() % 2 else 1
     return Fraction(total, math.factorial(k))
 
@@ -102,31 +81,81 @@ class Cluster:
         return w
 
 
-def _expanded_ursell(g: BipartiteGraph, entries) -> Fraction:
+def _expanded_ursell(family: PolymerFamily, chosen) -> Fraction:
     """Ursell function of the incompatibility graph on the expanded tuple:
     one vertex per polymer copy, edges between incompatible entries, copies
-    of the same polymer always incompatible."""
+    of the same polymer always incompatible. `chosen` pairs family indices
+    with multiplicities."""
     expanded = []
-    for idx, (_, mult) in enumerate(entries):
+    for idx, mult in chosen:
         expanded.extend([idx] * mult)
     k = len(expanded)
-    incompatible_pair = {}
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = expanded[i], expanded[j]
-            if a == b:
-                edges.append((i, j))
-                continue
-            key = (min(a, b), max(a, b))
-            hit = incompatible_pair.get(key)
-            if hit is None:
-                hit = is_two_linked(
-                    g, entries[a][0].vertices | entries[b][0].vertices)
-                incompatible_pair[key] = hit
-            if hit:
-                edges.append((i, j))
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)
+             if family.incompatible[expanded[i]] >> expanded[j] & 1]
     return ursell(k, edges)
+
+
+def _check_cluster_depth(k_max: int, size_cap: int | None) -> None:
+    cap = DEFAULT_CLUSTER_SIZE_CAP if size_cap is None else size_cap
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if k_max > cap:
+        raise BudgetError(f"cluster size {k_max} exceeds cap {cap}")
+
+
+def _clusters(family: PolymerFamily, k_max: int):
+    """Yield (chosen, Cluster) for every cluster of total size at most k_max
+    over the family's polymers, where chosen pairs family indices with
+    multiplicities. Emission groups clusters by their support polymers in
+    the family order."""
+    polys = family.polymers
+    sizes = [p.size for p in polys]
+    # fitting[r]: indices of the polymers with at most r vertices
+    fitting = [[j for j, s in enumerate(sizes) if s <= r]
+               for r in range(k_max + 1)]
+
+    def support_connected(chosen: list[tuple[int, int]]) -> bool:
+        # copies of one polymer form a clique, so connectivity reduces to
+        # the support graph on distinct polymers
+        t = len(chosen)
+        if t == 1:
+            return True
+        nbr = [sum(1 << b for b, (j, _) in enumerate(chosen)
+                   if family.incompatible[i] >> j & 1)
+               for i, _ in chosen]
+        return reach(1, (1 << t) - 1, nbr) == (1 << t) - 1
+
+    def extend(start: int, chosen: list[tuple[int, int]], size: int):
+        if chosen and support_connected(chosen):
+            copies = sum(m for _, m in chosen)
+            orderings = math.factorial(copies)
+            for _, m in chosen:
+                orderings //= math.factorial(m)
+            yield chosen, Cluster(
+                entries=tuple((polys[i], m) for i, m in chosen), size=size,
+                orderings=orderings,
+                ursell_value=_expanded_ursell(family, chosen))
+        candidates = fitting[k_max - size]
+        for j in candidates[bisect_left(candidates, start):]:
+            mult = 1
+            while size + mult * sizes[j] <= k_max:
+                yield from extend(j + 1, chosen + [(j, mult)],
+                                  size + mult * sizes[j])
+                mult += 1
+
+    return extend(0, [], 0)
+
+
+def _terms_by_size(family: PolymerFamily, k_max: int) -> dict[int, Fraction]:
+    """The exact expansion terms L_1..L_{k_max}: per total size, the sum of
+    orderings * ursell * product of the family's polymer weights."""
+    by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
+    for chosen, cluster in _clusters(family, k_max):
+        w = cluster.orderings * cluster.ursell_value
+        for i, mult in chosen:
+            w *= family.weights[i] ** mult
+        by_size[cluster.size] += w
+    return by_size
 
 
 def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
@@ -138,64 +167,9 @@ def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
     cluster is connected; anything disconnected is silently skipped per the
     definition.
     """
-    cap = DEFAULT_CLUSTER_SIZE_CAP if size_cap is None else size_cap
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if k_max > cap:
-        raise BudgetError(f"cluster size {k_max} exceeds cap {cap}")
-    rho = validate_rho(rho)
-    polys = [p for p in enumerate_polymers(g, side, rho, size_max=k_max)]
-    sizes = [popcount(p.vertices) for p in polys]
-    out: list[Cluster] = []
-
-    def support_connected(chosen: list[tuple[int, int]]) -> bool:
-        # copies of one polymer form a clique, so connectivity reduces to
-        # the support graph on distinct polymers
-        t = len(chosen)
-        if t == 1:
-            return True
-        nbr = [0] * t
-        for i in range(t):
-            for j in range(i + 1, t):
-                if is_two_linked(g, polys[chosen[i][0]].vertices |
-                                 polys[chosen[j][0]].vertices):
-                    nbr[i] |= 1 << j
-                    nbr[j] |= 1 << i
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                nxt |= nbr[low.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << t) - 1
-
-    def emit(chosen: list[tuple[int, int]], size: int) -> None:
-        if not support_connected(chosen):
-            return
-        entries = tuple((polys[i], m) for i, m in chosen)
-        copies = sum(m for _, m in chosen)
-        orderings = math.factorial(copies)
-        for _, m in chosen:
-            orderings //= math.factorial(m)
-        out.append(Cluster(entries=entries, size=size, orderings=orderings,
-                           ursell_value=_expanded_ursell(g, entries)))
-
-    def extend(start: int, chosen: list[tuple[int, int]], size: int) -> None:
-        if chosen:
-            emit(chosen, size)
-        for j in range(start, len(polys)):
-            mult = 1
-            while size + mult * sizes[j] <= k_max:
-                extend(j + 1, chosen + [(j, mult)], size + mult * sizes[j])
-                mult += 1
-
-    extend(0, [], 0)
-    return out
+    _check_cluster_depth(k_max, size_cap)
+    family = PolymerFamily(g, side, params, rho, size_max=k_max)
+    return [cluster for _, cluster in _clusters(family, k_max)]
 
 
 def l_k(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO, k: int = 1,
@@ -203,12 +177,9 @@ def l_k(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO, k: int = 1,
     """The exact degree-k term of the cluster expansion of log Xi: the sum
     of orderings * ursell * product of polymer weights over all clusters of
     total size exactly k."""
-    total = Fraction(0)
-    for cluster in enumerate_clusters(g, side, params, rho, k_max=k,
-                                      size_cap=size_cap):
-        if cluster.size == k:
-            total += cluster.weight(g, params)
-    return total
+    _check_cluster_depth(k, size_cap)
+    family = PolymerFamily(g, side, params, rho, size_max=k)
+    return _terms_by_size(family, k)[k]
 
 
 # -- Kotecky-Preiss condition -------------------------------------------------
@@ -258,21 +229,24 @@ def kp_check(weights, f_values, g_values, incompatible) -> KPReport:
     return KPReport(holds=all(m >= 0 for m in margins), lhs=lhs, margins=margins)
 
 
+def _kp_check_family(family: PolymerFamily, f_of_size, g_of_size) -> KPReport:
+    sizes = [p.size for p in family.polymers]
+
+    def incompatible(i: int, j: int) -> bool:
+        return bool(family.incompatible[i] >> j & 1)
+
+    return kp_check(family.weights, [f_of_size(s) for s in sizes],
+                    [g_of_size(s) for s in sizes], incompatible)
+
+
 def kp_check_polymers(g: BipartiteGraph, side: str, params, f_of_size,
                       g_of_size, rho=DEFAULT_RHO,
                       size_max: int | None = None):
     """Instantiate kp_check on the side's full polymer family with size
     functions f and g. Returns (report, polymers)."""
-    polys = list(enumerate_polymers(g, side, rho, size_max=size_max))
-    weights = [polymer_weight(g, params, p.vertices) for p in polys]
-    sizes = [popcount(p.vertices) for p in polys]
-    f_values = [f_of_size(s) for s in sizes]
-    g_values = [g_of_size(s) for s in sizes]
-
-    def incompatible(i: int, j: int) -> bool:
-        return is_two_linked(g, polys[i].vertices | polys[j].vertices)
-
-    return kp_check(weights, f_values, g_values, incompatible), polys
+    family = PolymerFamily(g, side, params, rho, size_max=size_max)
+    return (_kp_check_family(family, f_of_size, g_of_size),
+            list(family.polymers))
 
 
 def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
@@ -289,12 +263,10 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     derivation needs), the residual at each truncation depth k is asserted
     against the tail bound |side| * f(1) * exp(-g(k)).
     """
-    rho = validate_rho(rho)
-    xi = xi_brute(g, side, params)
-    by_size: dict[int, Fraction] = {k: Fraction(0) for k in range(1, k_max + 1)}
-    for cluster in enumerate_clusters(g, side, params, rho, k_max=k_max,
-                                      size_cap=size_cap):
-        by_size[cluster.size] += cluster.weight(g, params)
+    _check_cluster_depth(k_max, size_cap)
+    family = PolymerFamily(g, side, params, rho)
+    xi = family.xi()
+    by_size = _terms_by_size(family, k_max)
     with mpmath.workprec(LOG_PRECISION_BITS):
         log_xi = mpmath.log(mpmath.mpf(xi.numerator) / xi.denominator)
         terms = []
@@ -315,7 +287,7 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
               "tail_bounds": None}
     if f_of_size is None or g_of_size is None:
         return report
-    kp, _ = kp_check_polymers(g, side, params, f_of_size, g_of_size, rho)
+    kp = _kp_check_family(family, f_of_size, g_of_size)
     half = g.n // 2
     bounds = [half * float(f_of_size(1)) * math.exp(-float(g_of_size(k)))
               for k in range(1, k_max + 1)]
@@ -391,15 +363,13 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
     assertion: at desk-scale degree the asymptotic claim has no obligation
     to hold. The expansion-tail bound shapes are evaluated alongside.
     """
-    rho = validate_rho(rho)
-    polys = list(enumerate_polymers(g, side, rho, size_max=size_max))
+    family = PolymerFamily(g, side, params, rho, size_max=size_max)
     target = g.d ** -(kpf.c5 + 3)
     per_vertex: dict[int, float] = {}
     per_size: dict[int, float] = {}
-    for poly in polys:
-        s = popcount(poly.vertices)
-        term = float(polymer_weight(g, params, poly.vertices)) * \
-            math.exp(kpf.f(s) + kpf.g(s))
+    for poly, weight in zip(family.polymers, family.weights):
+        s = poly.size
+        term = float(weight) * math.exp(kpf.f(s) + kpf.g(s))
         per_size[s] = per_size.get(s, 0.0) + term
         v = poly.vertices
         while v:
@@ -415,7 +385,7 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
         "holds_at_desk_scale": worst <= target,
         "per_size_totals": per_size,
         "size_max": size_max,
-        "polymer_count": len(polys),
+        "polymer_count": len(family.polymers),
         "tail_shapes": [lk_tail_shape(g.n, g.d, kpf.alpha_tilde, kpf.c1,
                                       kpf.c5, k)
                         for k in range(1, tail_depth + 1)],

@@ -19,8 +19,8 @@ import mpmath
 
 from .graphs import BipartiteGraph, codegree, iter_bits, popcount
 from .polymers import DEFAULT_RHO, polymer_is_valid, validate_rho
+from .rationals import LOG_PRECISION_BITS
 
-LOG_PRECISION_BITS = 128
 
 
 class RegimeError(ValueError):

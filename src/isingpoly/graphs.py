@@ -82,7 +82,7 @@ class BipartiteGraph:
         "side_E_mask",
         "side_O_mask",
         "label",
-        "_two_ball",
+        "two_ball",
     )
 
     def __init__(self, n: int, d: int, side_E: Iterable[int],
@@ -139,7 +139,14 @@ class BipartiteGraph:
         self.side_E_mask = e_mask
         self.side_O_mask = o_mask
         self.label = label
-        self._two_ball: list = [None] * n
+        # per vertex, the mask of vertices at distance 1 or 2 (itself excluded)
+        two_ball = []
+        for v in range(n):
+            m = adj_mask[v]
+            for u in adj[v]:
+                m |= adj_mask[u]
+            two_ball.append(m & ~(1 << v))
+        self.two_ball = tuple(two_ball)
 
     # -- basic queries ----------------------------------------------------
 
@@ -172,15 +179,7 @@ class BipartiteGraph:
 
     def two_ball_mask(self, v: int) -> int:
         """Mask of vertices at distance 1 or 2 from v (v itself excluded)."""
-        cached = self._two_ball[v]
-        if cached is not None:
-            return cached
-        m = self.adj_mask[v]
-        for u in self.adj[v]:
-            m |= self.adj_mask[u]
-        m &= ~(1 << v)
-        self._two_ball[v] = m
-        return m
+        return self.two_ball[v]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BipartiteGraph):
@@ -341,16 +340,39 @@ def build_middle_layer(d: int, vertex_cap: int | None = None) -> BipartiteGraph:
                           label=f"midlayer:{d}")
 
 
-def _is_connected(g: BipartiteGraph) -> bool:
-    seen = 1
-    frontier = 1
+def reach(start: int, allowed: int, nbr: Sequence[int]) -> int:
+    """Mask of the vertices reachable from the `start` mask by steps along
+    nbr (nbr[v] is the mask of v's neighbours) that stay inside `allowed`.
+    The start vertices are always included."""
+    seen = start
+    frontier = start
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj_mask[v]
-        frontier = nxt & ~seen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= nbr[low.bit_length() - 1]
+        frontier = nxt & allowed & ~seen
         seen |= frontier
-    return popcount(seen) == g.n
+    return seen
+
+
+def edge_subset_nbr(n: int, edges: Sequence[tuple[int, int]], sub: int) -> list[int]:
+    """Per-vertex neighbour masks of the graph on vertices 0..n-1 whose
+    edges are edges[e] for every bit e of the `sub` mask."""
+    nbr = [0] * n
+    while sub:
+        low = sub & -sub
+        sub ^= low
+        u, v = edges[low.bit_length() - 1]
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
+def _is_connected(g: BipartiteGraph) -> bool:
+    full = (1 << g.n) - 1
+    return reach(1, full, g.adj_mask) == full
 
 
 # -- set operations --------------------------------------------------------
@@ -395,36 +417,53 @@ def is_two_linked(g: BipartiteGraph, a) -> bool:
     a = as_mask(a)
     if a == 0:
         raise ValueError("2-linkedness of the empty set is undefined")
-    start = a & -a
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.two_ball_mask(v)
-        frontier = nxt & a & ~seen
-        seen |= frontier
-    return seen == a
+    return reach(a & -a, a, g.two_ball) == a
 
 
 def two_linked_components(g: BipartiteGraph, x) -> list[int]:
     """Maximal 2-linked components of X, as masks, ordered by smallest vertex."""
-    x = as_mask(x)
+    rest = as_mask(x)
     comps = []
-    rest = x
     while rest:
-        start = rest & -rest
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.two_ball_mask(v)
-            frontier = nxt & rest & ~seen
-            seen |= frontier
-        comps.append(seen)
-        rest &= ~seen
+        comp = reach(rest & -rest, rest, g.two_ball)
+        comps.append(comp)
+        rest &= ~comp
     return comps
+
+
+def two_linked_sets(g: BipartiteGraph, starts: int, allowed: int,
+                    size_max: int, enum_cap: int | None = None) -> list[int]:
+    """Every 2-linked set of at most size_max vertices inside `allowed` that
+    contains a vertex of `starts`, each exactly once, sorted
+    lexicographically by vertex tuple.
+
+    One extend/ban search runs per start vertex v, in increasing order, and
+    never adds v's lower start vertices, so a set is found only from its
+    smallest start vertex. Aborts with BudgetError once more than `enum_cap`
+    sets (default 10^6) have been found.
+    """
+    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    ball = g.two_ball
+    found: list[int] = []
+    below = 0
+    for v in iter_bits(starts):
+        # (set, its size, vertices it may not add, the set's 2-ball)
+        stack = [(1 << v, 1, below, ball[v])]
+        while stack:
+            s_mask, size, banned, near = stack.pop()
+            found.append(s_mask)
+            if len(found) > cap:
+                raise BudgetError(f"2-linked enumeration exceeded {cap} sets "
+                                  f"(size_max={size_max})")
+            if size == size_max:
+                continue
+            for u in iter_bits(near & allowed & ~s_mask & ~banned):
+                stack.append((s_mask | 1 << u, size + 1, banned,
+                              near | ball[u]))
+                banned |= 1 << u
+        below |= 1 << v
+    found.sort(key=bits)
+    return found
 
 
 def enumerate_two_linked(g: BipartiteGraph, v: int, ell_max: int,
@@ -436,28 +475,7 @@ def enumerate_two_linked(g: BipartiteGraph, v: int, ell_max: int,
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
-    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
-    found: list[int] = []
-
-    def extend(s_mask: int, size: int, excluded: int) -> None:
-        found.append(s_mask)
-        if len(found) > cap:
-            raise BudgetError(
-                f"2-linked enumeration exceeded {cap} sets (ell_max={ell_max})")
-        if size == ell_max:
-            return
-        ext = 0
-        for u in iter_bits(s_mask):
-            ext |= g.two_ball_mask(u)
-        ext &= ~s_mask & ~excluded
-        banned = excluded
-        for u in iter_bits(ext):
-            extend(s_mask | (1 << u), size + 1, banned)
-            banned |= 1 << u
-
-    extend(1 << v, 1, 0)
-    found.sort(key=bits)
-    return iter(found)
+    return iter(two_linked_sets(g, 1 << v, (1 << g.n) - 1, ell_max, enum_cap))
 
 
 def codegree(g: BipartiteGraph, u: int, v: int) -> int:

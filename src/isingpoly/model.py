@@ -31,6 +31,7 @@ from .graphs import (
     as_mask,
     bits,
     closure,
+    edge_subset_nbr,
     iter_bits,
     popcount,
     two_linked_components,
@@ -40,8 +41,8 @@ from .polymers import (
     enumerate_compatible_configs,
     validate_rho,
 )
+from .rationals import LOG_PRECISION_BITS
 
-LOG_PRECISION_BITS = 128
 # Monte-Carlo draws are consumed in fixed blocks of this many samples; the
 # block layout is part of the reproducibility contract.
 MC_CHUNK = 4096
@@ -217,11 +218,7 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
     for sub in range(1 << m):
         if prob[sub.bit_count()] == 0:
             continue
-        nbr = [0] * g.n
-        for e in iter_bits(sub):
-            u, v = edges[e]
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+        nbr = edge_subset_nbr(g.n, edges, sub)
         total += prob[sub.bit_count()] * _hardcore_polynomial(nbr, full, lam)
     return total
 
@@ -258,11 +255,7 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
             sub = int(masks[r])
             val = cache.get(sub)
             if val is None:
-                nbr = [0] * g.n
-                for e in iter_bits(sub):
-                    u, v = edges[e]
-                    nbr[u] |= 1 << v
-                    nbr[v] |= 1 << u
+                nbr = edge_subset_nbr(g.n, edges, sub)
                 val = float(_hardcore_polynomial(nbr, full, params.lam))
                 cache[sub] = val
             values[pos + r] = val
@@ -316,17 +309,42 @@ def tv_distance(a: MeasureTable, b: MeasureTable) -> Fraction:
                Fraction(0)) / 2
 
 
+def _captured(g: BipartiteGraph, part: int, side: str, cutoff: Fraction) -> bool:
+    for comp in two_linked_components(g, part):
+        if popcount(closure(g, comp, side=side)) > cutoff:
+            return False
+    return True
+
+
 def captured_on_side(g: BipartiteGraph, i, side: str, rho=DEFAULT_RHO) -> bool:
     """True iff every maximal 2-linked component of I on the side has a
     closure of size at most rho * |side|, i.e. the side's polymer model can
     represent I's trace there."""
     rho = validate_rho(rho)
     i = as_mask(i)
-    cutoff = rho * Fraction(g.n, 2)
-    for comp in two_linked_components(g, i & g.side_mask(side)):
-        if Fraction(popcount(closure(g, comp, side=side))) > cutoff:
-            return False
-    return True
+    return _captured(g, i & g.side_mask(side), side, rho * Fraction(g.n, 2))
+
+
+def capture_sweep(g: BipartiteGraph, rho=DEFAULT_RHO,
+                  sweep_cap: int | None = None):
+    """Yield (mask, captured on O, captured on E) for every subset mask in
+    increasing order, streaming.
+
+    Capture on a side depends only on the subset's trace there, so each
+    trace is tested once. Nonempty O- and E-traces are distinct masks and
+    the empty trace is captured on both sides, so one memo serves both.
+    """
+    _check_sweep(g.n, sweep_cap)
+    cutoff = validate_rho(rho) * Fraction(g.n, 2)
+    memo: dict[int, bool] = {}
+    for i_mask in range(1 << g.n):
+        o_part = i_mask & g.side_O_mask
+        e_part = i_mask & g.side_E_mask
+        if o_part not in memo:
+            memo[o_part] = _captured(g, o_part, "O", cutoff)
+        if e_part not in memo:
+            memo[e_part] = _captured(g, e_part, "E", cutoff)
+        yield i_mask, memo[o_part], memo[e_part]
 
 
 def mu_table(g: BipartiteGraph, params: ModelParams,
@@ -344,14 +362,10 @@ def z_hat_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
                 sweep_cap: int | None = None) -> Fraction:
     """The polymer-approximation normalizer by direct sweep: each subset
     contributes its weight once per side whose capture test it passes."""
-    _check_sweep(g.n, sweep_cap)
-    rho = validate_rho(rho)
     total = Fraction(0)
-    for i_mask in range(1 << g.n):
-        hits = captured_on_side(g, i_mask, "O", rho) + \
-            captured_on_side(g, i_mask, "E", rho)
-        if hits:
-            total += hits * ising_weight(g, params, i_mask)
+    for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
+        if on_o or on_e:
+            total += (on_o + on_e) * ising_weight(g, params, i_mask)
     return total
 
 
@@ -360,13 +374,10 @@ def mu_hat_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     """The polymer-approximation measure on subsets: weight counted once per
     capturing side (a set captured on both sides is deliberately counted
     twice, matching the two-sided normalizer)."""
-    _check_sweep(g.n, sweep_cap)
-    rho = validate_rho(rho)
     weights = {}
     total = Fraction(0)
-    for i_mask in range(1 << g.n):
-        hits = captured_on_side(g, i_mask, "O", rho) + \
-            captured_on_side(g, i_mask, "E", rho)
+    for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
+        hits = on_o + on_e
         w = hits * ising_weight(g, params, i_mask) if hits else Fraction(0)
         weights[i_mask] = w
         total += w
@@ -376,27 +387,22 @@ def mu_hat_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
 def mu_hat_star_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
                       sweep_cap: int | None = None) -> MeasureTable:
     """The two-sided measure on pairs (I, side): P = [captured] * weight / Z-hat."""
-    _check_sweep(g.n, sweep_cap)
-    rho = validate_rho(rho)
     weights = {}
     total = Fraction(0)
-    for i_mask in range(1 << g.n):
+    zero = Fraction(0)
+    for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
         w = ising_weight(g, params, i_mask)
-        for side in ("O", "E"):
-            val = w if captured_on_side(g, i_mask, side, rho) else Fraction(0)
-            weights[(i_mask, side)] = val
-            total += val
+        weights[(i_mask, "O")] = w if on_o else zero
+        weights[(i_mask, "E")] = w if on_e else zero
+        total += (on_o + on_e) * w
     return MeasureTable({k: w / total for k, w in weights.items()}, total)
 
 
 def nonpolymer_family(g: BipartiteGraph, rho=DEFAULT_RHO,
                       sweep_cap: int | None = None):
     """Subsets captured on neither side, in increasing mask order."""
-    _check_sweep(g.n, sweep_cap)
-    rho = validate_rho(rho)
-    for i_mask in range(1 << g.n):
-        if not captured_on_side(g, i_mask, "O", rho) and \
-                not captured_on_side(g, i_mask, "E", rho):
+    for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
+        if not (on_o or on_e):
             yield i_mask
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .graphs import (
     BipartiteGraph,
     BudgetError,
-    DEFAULT_ENUM_CAP,
     as_mask,
     bits,
     closure,
@@ -24,10 +24,14 @@ from .graphs import (
     iter_bits,
     neighborhood,
     popcount,
+    two_linked_sets,
 )
 from .rationals import format_rational
 
 DEFAULT_RHO = Fraction(3, 4)
+# Polymer families with more members than this get no incompatibility
+# masks: at 2^15 polymers the masks alone can take 128 MiB.
+FAMILY_MASK_CAP = 1 << 15
 
 
 def validate_rho(rho) -> Fraction:
@@ -88,37 +92,6 @@ def polymer_is_valid(g: BipartiteGraph, a, side: str | None = None,
     return Fraction(popcount(cl)) <= rho * Fraction(g.n, 2)
 
 
-def _two_linked_side_sets(g: BipartiteGraph, side: str, size_max: int,
-                          enum_cap: int | None):
-    """All 2-linked subsets of a side with at most size_max vertices, in
-    lexicographic order of their sorted vertex tuples, each exactly once."""
-    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
-    side_mask = g.side_mask(side)
-    found: list[int] = []
-
-    def extend(s_mask: int, size: int, excluded: int) -> None:
-        found.append(s_mask)
-        if len(found) > cap:
-            raise BudgetError(f"2-linked enumeration exceeded {cap} sets")
-        if size == size_max:
-            return
-        ext = 0
-        for u in iter_bits(s_mask):
-            ext |= g.two_ball_mask(u)
-        ext &= side_mask & ~s_mask & ~excluded
-        banned = excluded
-        for u in iter_bits(ext):
-            extend(s_mask | (1 << u), size + 1, banned)
-            banned |= 1 << u
-
-    below = 0
-    for v in iter_bits(side_mask):
-        extend(1 << v, 1, below)
-        below |= 1 << v
-    found.sort(key=bits)
-    return found
-
-
 def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
                        size_max: int | None = None,
                        enum_cap: int | None = None):
@@ -135,7 +108,8 @@ def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
         size_max = int(cutoff)
     if size_max < 1:
         raise ValueError(f"size_max must be >= 1, got {size_max}")
-    for a in _two_linked_side_sets(g, side, size_max, enum_cap):
+    side_m = g.side_mask(side)
+    for a in two_linked_sets(g, side_m, side_m, size_max, enum_cap):
         cl = closure(g, a, side=side)
         if Fraction(popcount(cl)) <= cutoff:
             yield Polymer(side=side, vertices=a, closure=cl,
@@ -262,39 +236,86 @@ def compatible(g: BipartiteGraph, a, b) -> bool:
     return not is_two_linked(g, am | bm)
 
 
+class PolymerFamily:
+    """One side's polymer model, built once: the polymers in enumeration
+    order, their exact weights, and the incompatibility relation as
+    bitmasks (bit i of incompatible[j] is set iff polymers i and j are
+    incompatible; every polymer is incompatible with itself).
+
+    Two 2-linked sets have a 2-linked union iff one meets the other's
+    2-ball, so each mask is the OR, over the side vertices within distance
+    2 of the polymer, of the polymers containing that vertex. The masks
+    are built on first use and take up to k^2/8 bytes for k polymers, so
+    they are refused above FAMILY_MASK_CAP polymers.
+    """
+
+    def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
+                 size_max: int | None = None, enum_cap: int | None = None):
+        self.polymers = tuple(enumerate_polymers(g, side, rho, size_max=size_max,
+                                                 enum_cap=enum_cap))
+        self.weights = tuple(polymer_weight(g, params, p.vertices)
+                             for p in self.polymers)
+        self._graph = g
+        self._side_mask = g.side_mask(side)
+
+    @cached_property
+    def incompatible(self) -> tuple[int, ...]:
+        k = len(self.polymers)
+        if k > FAMILY_MASK_CAP:
+            raise BudgetError(f"incompatibility masks for {k} polymers exceed "
+                              f"the cap of {FAMILY_MASK_CAP} polymers")
+        containing = [0] * self._graph.n
+        for i, p in enumerate(self.polymers):
+            for v in iter_bits(p.vertices):
+                containing[v] |= 1 << i
+        ball = self._graph.two_ball
+        incompatible = []
+        for p in self.polymers:
+            near = p.vertices
+            for v in iter_bits(p.vertices):
+                near |= ball[v]
+            m = 0
+            for v in iter_bits(near & self._side_mask):
+                m |= containing[v]
+            incompatible.append(m)
+        return tuple(incompatible)
+
+    def xi(self) -> Fraction:
+        """The polymer partition function: the sum over all sets of pairwise
+        compatible polymers of the product of their weights, the empty set
+        contributing 1.
+
+        Xi(allowed) = Xi(allowed - j) + w_j Xi(allowed - incompatible[j])
+        for the lowest polymer j in `allowed`, evaluated with an explicit
+        stack so the depth does not grow with the polymer count.
+        """
+        weights = self.weights
+        incompatible = self.incompatible
+        full = (1 << len(weights)) - 1
+        memo: dict[int, Fraction] = {0: Fraction(1)}
+        stack = [full]
+        while stack:
+            allowed = stack.pop()
+            if allowed in memo:
+                continue
+            low = allowed & -allowed
+            j = low.bit_length() - 1
+            parts = (allowed & ~low, allowed & ~incompatible[j])
+            missing = [part for part in parts if part not in memo]
+            if missing:
+                stack.append(allowed)
+                stack.extend(missing)
+            else:
+                memo[allowed] = memo[parts[0]] + weights[j] * memo[parts[1]]
+        return memo[full]
+
+
 def xi_brute(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
              enum_cap: int | None = None) -> Fraction:
     """Polymer partition function Xi_D: the sum over all sets of pairwise
     compatible polymers of the product of their weights, including the
     empty configuration (contributing 1)."""
-    polys = [p.vertices for p in enumerate_polymers(g, side, rho,
-                                                    enum_cap=enum_cap)]
-    weights = [polymer_weight(g, params, a) for a in polys]
-    k = len(polys)
-    # bit i of incomp[j]: polymer i conflicts with polymer j
-    incomp = []
-    for j in range(k):
-        m = 1 << j
-        for i in range(k):
-            if i != j and is_two_linked(g, polys[i] | polys[j]):
-                m |= 1 << i
-        incomp.append(m)
-
-    memo: dict[int, Fraction] = {}
-
-    def total(allowed: int) -> Fraction:
-        if allowed == 0:
-            return Fraction(1)
-        cached = memo.get(allowed)
-        if cached is not None:
-            return cached
-        low = allowed & -allowed
-        j = low.bit_length() - 1
-        value = total(allowed & ~low) + weights[j] * total(allowed & ~incomp[j])
-        memo[allowed] = value
-        return value
-
-    return total((1 << k) - 1)
+    return PolymerFamily(g, side, params, rho, enum_cap=enum_cap).xi()
 
 
 def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
@@ -302,16 +323,12 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
     """All sets of pairwise compatible polymers on the side, with their
     weight products: pairs (tuple of Polymer, Fraction). The empty
     configuration comes first with weight 1. Feeds the exact sampler."""
-    polys = list(enumerate_polymers(g, side, rho, enum_cap=enum_cap))
-    weights = [polymer_weight(g, params, p.vertices) for p in polys]
-    k = len(polys)
-    compat = []
-    for j in range(k):
-        m = 0
-        for i in range(j + 1, k):
-            if not is_two_linked(g, polys[i].vertices | polys[j].vertices):
-                m |= 1 << i
-        compat.append(m)
+    family = PolymerFamily(g, side, params, rho, enum_cap=enum_cap)
+    polys = family.polymers
+    weights = family.weights
+    # polymers after j that are compatible with j
+    later_compatible = [~m & ~((2 << j) - 1)
+                        for j, m in enumerate(family.incompatible)]
     out: list[tuple[tuple[Polymer, ...], Fraction]] = []
 
     def extend(chosen: tuple[int, ...], weight: Fraction, allowed: int) -> None:
@@ -321,9 +338,10 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
             low = rest & -rest
             rest ^= low
             j = low.bit_length() - 1
-            extend(chosen + (j,), weight * weights[j], allowed & compat[j])
+            extend(chosen + (j,), weight * weights[j],
+                   allowed & later_compatible[j])
 
-    extend((), Fraction(1), (1 << k) - 1)
+    extend((), Fraction(1), (1 << len(polys)) - 1)
     return out
 
 
@@ -335,7 +353,8 @@ def enumerate_g_ab(g: BipartiteGraph, side: str, a: int, b: int,
         raise ValueError(f"closure size a must be >= 1, got {a}")
     if b < a:
         return
-    for s in _two_linked_side_sets(g, side, a, enum_cap):
+    side_m = g.side_mask(side)
+    for s in two_linked_sets(g, side_m, side_m, a, enum_cap):
         if popcount(closure(g, s, side=side)) == a and \
                 popcount(neighborhood(g, s)) == b:
             yield s

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# Working precision of every log-scale report taken of an exact value.
+LOG_PRECISION_BITS = 128
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "3/4", "2", "0.25", or "-1/3" into an exact Fraction."""
@@ -23,19 +26,3 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def to_jsonable(obj):
-    """Recursively convert Fractions to "p/q" strings for JSON output.
-
-    Dict keys, dataclass-free nested lists/tuples, and plain scalars pass
-    through; floats stay floats (they only appear in report fields that are
-    inherently approximate).
-    """
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj

@@ -134,10 +134,12 @@ class TestExitCodes:
         assert code == 1
         assert "ISINGPOLY_BUDGET" in err
 
-    def test_bad_threads(self, capsys):
-        code, _, err = run(capsys, "zexact", "--graph", "cycle:4",
-                           "--lambda", "1", "--p", "1", "--threads", "0")
-        assert code == 1
+    def test_xi_many_polymers_no_recursion_limit(self, capsys):
+        # about 1,200 polymers: deeper than the interpreter's recursion limit
+        code, out, _ = run(capsys, "xi", "--graph", "cycle:80",
+                           "--lambda", "1/2", "--p", "1")
+        assert code == 0
+        assert json.loads(out)["side"] == "E"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

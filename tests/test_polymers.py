@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from isingpoly import polymers
 from isingpoly.graphs import (
     BipartiteGraph,
+    BudgetError,
     bits,
     build_cycle,
     build_even_torus,
@@ -13,9 +15,11 @@ from isingpoly.graphs import (
 )
 from isingpoly.model import ModelParams
 from isingpoly.polymers import (
+    PolymerFamily,
     approximation_facts,
     compatible,
     decorated_weight,
+    enumerate_compatible_configs,
     enumerate_g_ab,
     enumerate_polymers,
     is_psi_approximation,
@@ -168,6 +172,32 @@ class TestCompatibility:
             compatible(Q3, make_polymer(Q3, {0}), make_polymer(Q3, {1}))
 
 
+class TestPolymerFamily:
+    @pytest.mark.parametrize("g,size_max", [
+        (C6, None), (build_cycle(8), None), (Q3, None), (Q4, None),
+        (build_even_torus(6, 2), 3)])
+    def test_masks_match_pairwise_compatible(self, g, size_max):
+        family = PolymerFamily(g, "E", HALF, size_max=size_max)
+        assert family.polymers == tuple(
+            enumerate_polymers(g, "E", size_max=size_max))
+        for j, b in enumerate(family.polymers):
+            for i, a in enumerate(family.polymers):
+                assert bool(family.incompatible[j] >> i & 1) == \
+                    (not compatible(g, a, b))
+
+    def test_masks_refused_above_cap(self, monkeypatch):
+        monkeypatch.setattr(polymers, "FAMILY_MASK_CAP", 3)
+        family = PolymerFamily(Q3, "E", HALF)  # four singletons
+        assert len(family.weights) == 4
+        with pytest.raises(BudgetError, match="4 polymers"):
+            family.incompatible
+
+    def test_weights_are_polymer_weights(self):
+        family = PolymerFamily(Q4, "O", HALF)
+        assert family.weights == tuple(polymer_weight(Q4, HALF, p)
+                                       for p in family.polymers)
+
+
 class TestXi:
     def test_c6_even_side_hard_core(self):
         assert xi_brute(C6, "E", ModelParams(1, 1)) == Fraction(7, 4)
@@ -217,6 +247,14 @@ class TestXi:
                        for a in group_a for b in group_b)
             assert xi_brute(double, "E", params) == \
                 xi_over(group_a, params) * xi_over(group_b, params)
+
+    @pytest.mark.parametrize("m", [12, 14, 16, 18, 20])
+    def test_xi_equals_configuration_weight_sum(self, m):
+        g = build_cycle(m)
+        for params in (HALF, ModelParams(Fraction(2, 3), 1)):
+            configs = enumerate_compatible_configs(g, "O", params)
+            assert xi_brute(g, "O", params) == \
+                sum((w for _, w in configs), Fraction(0))
 
 
 class TestGab:
