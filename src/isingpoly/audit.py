@@ -434,9 +434,10 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
             "slack": "2^-64 relative",
             "asserted": hyp["holds"],
         }
-    if hyp["holds"]:
-        assert low_ok, "low split bound violated with hypotheses holding"
-        assert high_ok, "high split bound violated with hypotheses holding"
+    for name, bound_ok in (("low", low_ok), ("high", high_ok)):
+        if hyp["holds"] and not bound_ok:
+            raise AssertionError(
+                f"{name} split bound violated with hypotheses holding")
     return report
 
 
@@ -475,8 +476,8 @@ def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
             "slack": "2^-64 relative",
             "asserted": hyp["holds"],
         }
-    if hyp["holds"]:
-        assert ok, "half-ell bound violated with hypotheses holding"
+    if hyp["holds"] and not ok:
+        raise AssertionError("half-ell bound violated with hypotheses holding")
     return report
 
 

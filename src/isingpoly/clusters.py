@@ -301,8 +301,8 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     report["tail_shape_ok"] = monotone and ratio_ok
     if kp.holds and monotone and ratio_ok:
         for k, term in enumerate(terms, start=1):
-            assert float(term["residual_before"]) <= bounds[k - 1] + 1e-12, (
-                f"tail bound violated at k={k}")
+            if float(term["residual_before"]) > bounds[k - 1] + 1e-12:
+                raise AssertionError(f"tail bound violated at k={k}")
     return report
 
 

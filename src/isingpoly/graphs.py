@@ -370,6 +370,39 @@ def edge_subset_nbr(n: int, edges: Sequence[tuple[int, int]], sub: int) -> list[
     return nbr
 
 
+def independent_set_sum(nbr: Sequence[int], weights: Sequence, allowed: int):
+    """The sum, over the subsets I of `allowed` that are independent under
+    nbr (nbr[v] is the mask of v's neighbours, with or without v's own bit),
+    of the product of weights[v] over v in I; the empty set counts 1.
+
+    f(S) = f(S - j) + w_j f(S - j - nbr[j]) for the lowest vertex j of S,
+    evaluated with an explicit stack over one memo so the depth does not
+    grow with the vertex count. A state pushes its missing children one at
+    a time, so a child is never pushed twice: the two children coincide
+    when j has no neighbour left in S.
+    """
+    memo = {0: 1}
+    get = memo.get
+    stack = [allowed] if allowed else []
+    while stack:
+        rem = stack[-1]
+        low = rem & -rem
+        j = low.bit_length() - 1
+        without = rem ^ low
+        a = get(without)
+        if a is None:
+            stack.append(without)
+            continue
+        within = without & ~nbr[j]
+        b = get(within)
+        if b is None:
+            stack.append(within)
+            continue
+        memo[rem] = a + weights[j] * b
+        stack.pop()
+    return memo[allowed]
+
+
 def _is_connected(g: BipartiteGraph) -> bool:
     full = (1 << g.n) - 1
     return reach(1, full, g.adj_mask) == full
@@ -515,15 +548,23 @@ def graph_to_json(g: BipartiteGraph) -> str:
     return json.dumps(payload)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(text: str) -> BipartiteGraph:
     """Parse and fully validate the JSON graph format.
 
-    Violations are rejected with the offending edge or vertex named.
+    Every violation, malformed JSON and wrongly typed fields included, is
+    rejected with a GraphFormatError naming the offending item.
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise GraphFormatError(
+            f"expected a JSON object, got {type(payload).__name__}")
     for key in ("n", "d", "side_O", "side_E", "edges"):
         if key not in payload:
             raise GraphFormatError(f"missing field {key!r}")
@@ -531,8 +572,18 @@ def graph_from_json(text: str) -> BipartiteGraph:
     d = payload["d"]
     side_O = payload["side_O"]
     side_E = payload["side_E"]
-    if not isinstance(n, int) or not isinstance(d, int):
+    if not _is_int(n) or not _is_int(d):
         raise GraphFormatError("n and d must be integers")
+    for key in ("side_O", "side_E", "edges"):
+        if not isinstance(payload[key], list):
+            raise GraphFormatError(f"{key} must be a list, got "
+                                   f"{type(payload[key]).__name__}")
+    for v in side_E + side_O:
+        if not _is_int(v):
+            raise GraphFormatError(f"vertex {v!r} is not an integer")
+    if len(side_E) + len(side_O) != n:
+        raise GraphFormatError(f"sides hold {len(side_E) + len(side_O)} "
+                               f"vertices but n = {n}")
     seen = set(side_E)
     for v in side_O:
         if v in seen:
@@ -549,6 +600,8 @@ def graph_from_json(text: str) -> BipartiteGraph:
         if not (isinstance(e, list) and len(e) == 2):
             raise GraphFormatError(f"malformed edge entry {e!r}")
         u, v = e
+        if not (_is_int(u) and _is_int(v)):
+            raise GraphFormatError(f"edge {e!r} has a non-integer endpoint")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge ({u}, {v}) has an out-of-range endpoint")
         key = (min(u, v), max(u, v))

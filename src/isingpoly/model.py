@@ -32,6 +32,7 @@ from .graphs import (
     bits,
     closure,
     edge_subset_nbr,
+    independent_set_sum,
     iter_bits,
     popcount,
     two_linked_components,
@@ -163,41 +164,11 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
 
 def count_independent_sets(g: BipartiteGraph,
                            sweep_cap: int | None = None) -> int:
-    """i(G) by branch-and-count on the lowest remaining vertex; independent
-    of the partition-function code path."""
+    """i(G): graphs.independent_set_sum with weight 1 on every vertex, the
+    one sum behind Xi and both percolation routes; independent of exact_Z's
+    boundary DP."""
     _check_sweep(g.n, sweep_cap)
-    adj = g.adj_mask
-    memo: dict[int, int] = {0: 1}
-
-    def count(rem: int) -> int:
-        cached = memo.get(rem)
-        if cached is not None:
-            return cached
-        low = rem & -rem
-        v = low.bit_length() - 1
-        value = count(rem & ~low) + count(rem & ~(low | adj[v]))
-        memo[rem] = value
-        return value
-
-    return count((1 << g.n) - 1)
-
-
-def _hardcore_polynomial(nbr: list[int], full: int, lam: Fraction) -> Fraction:
-    """Sum of lambda^|I| over independent sets of the graph given by the
-    per-vertex neighbor masks, restricted to vertices in `full`."""
-    memo: dict[int, Fraction] = {0: Fraction(1)}
-
-    def walk(rem: int) -> Fraction:
-        cached = memo.get(rem)
-        if cached is not None:
-            return cached
-        low = rem & -rem
-        v = low.bit_length() - 1
-        value = walk(rem & ~low) + lam * walk(rem & ~(low | nbr[v]))
-        memo[rem] = value
-        return value
-
-    return walk(full)
+    return independent_set_sum(g.adj_mask, [1] * g.n, (1 << g.n) - 1)
 
 
 def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
@@ -211,7 +182,7 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
     if m > limit:
         raise BudgetError(f"edge sweep over {m} edges exceeds cap {limit}")
     p = params.p
-    lam = params.lam
+    weights = [params.lam] * g.n
     prob = [p ** k * (1 - p) ** (m - k) for k in range(m + 1)]
     full = (1 << g.n) - 1
     total = Fraction(0)
@@ -219,7 +190,8 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
         if prob[sub.bit_count()] == 0:
             continue
         nbr = edge_subset_nbr(g.n, edges, sub)
-        total += prob[sub.bit_count()] * _hardcore_polynomial(nbr, full, lam)
+        total += prob[sub.bit_count()] * independent_set_sum(nbr, weights,
+                                                             full)
     return total
 
 
@@ -239,24 +211,25 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     edges = list(g.edges())
     m = len(edges)
     p_float = params.p.numerator / params.p.denominator
+    weights = [params.lam] * g.n
     full = (1 << g.n) - 1
     cache: dict[int, float] = {}
     values = np.empty(samples, dtype=np.float64)
     pos = 0
     block = 0
-    powers = 1 << np.arange(m, dtype=np.int64)
     while pos < samples:
         rows = min(MC_CHUNK, samples - pos)
         gen = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
         keep = gen.random((rows, m)) < p_float
-        masks = (keep * powers).sum(axis=1)
-        for r in range(rows):
-            sub = int(masks[r])
+        # bit j of row r's mask is keep[r, j]; Python ints, so any |E|
+        packed = np.packbits(keep, axis=1, bitorder="little")
+        for r, row in enumerate(packed):
+            sub = int.from_bytes(row.tobytes(), "little")
             val = cache.get(sub)
             if val is None:
                 nbr = edge_subset_nbr(g.n, edges, sub)
-                val = float(_hardcore_polynomial(nbr, full, params.lam))
+                val = float(independent_set_sum(nbr, weights, full))
                 cache[sub] = val
             values[pos + r] = val
         pos += rows
@@ -264,7 +237,11 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     mean = float(values.mean())
     if samples == 1:
         return mean, 0.0
-    stderr = float(values.std(ddof=1) / math.sqrt(samples))
+    # squared deviations past ~1e154 overflow float64, so scale huge values;
+    # dividing and multiplying by 1.0 leaves every other result bit-identical
+    top = float(values.max())
+    scale = top if top > 1e150 else 1.0
+    stderr = float((values / scale).std(ddof=1) * scale / math.sqrt(samples))
     return mean, stderr
 
 

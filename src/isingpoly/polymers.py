@@ -20,6 +20,7 @@ from .graphs import (
     as_mask,
     bits,
     closure,
+    independent_set_sum,
     is_two_linked,
     iter_bits,
     neighborhood,
@@ -244,19 +245,23 @@ class PolymerFamily:
 
     Two 2-linked sets have a 2-linked union iff one meets the other's
     2-ball, so each mask is the OR, over the side vertices within distance
-    2 of the polymer, of the polymers containing that vertex. The masks
-    are built on first use and take up to k^2/8 bytes for k polymers, so
-    they are refused above FAMILY_MASK_CAP polymers.
+    2 of the polymer, of the polymers containing that vertex. The weights
+    and masks are built on first use; the masks take up to k^2/8 bytes for
+    k polymers, so they are refused above FAMILY_MASK_CAP polymers.
     """
 
     def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
                  size_max: int | None = None, enum_cap: int | None = None):
         self.polymers = tuple(enumerate_polymers(g, side, rho, size_max=size_max,
                                                  enum_cap=enum_cap))
-        self.weights = tuple(polymer_weight(g, params, p.vertices)
-                             for p in self.polymers)
         self._graph = g
+        self._params = params
         self._side_mask = g.side_mask(side)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(polymer_weight(self._graph, self._params, p.vertices)
+                     for p in self.polymers)
 
     @cached_property
     def incompatible(self) -> tuple[int, ...]:
@@ -283,31 +288,12 @@ class PolymerFamily:
     def xi(self) -> Fraction:
         """The polymer partition function: the sum over all sets of pairwise
         compatible polymers of the product of their weights, the empty set
-        contributing 1.
-
-        Xi(allowed) = Xi(allowed - j) + w_j Xi(allowed - incompatible[j])
-        for the lowest polymer j in `allowed`, evaluated with an explicit
-        stack so the depth does not grow with the polymer count.
-        """
-        weights = self.weights
-        incompatible = self.incompatible
-        full = (1 << len(weights)) - 1
-        memo: dict[int, Fraction] = {0: Fraction(1)}
-        stack = [full]
-        while stack:
-            allowed = stack.pop()
-            if allowed in memo:
-                continue
-            low = allowed & -allowed
-            j = low.bit_length() - 1
-            parts = (allowed & ~low, allowed & ~incompatible[j])
-            missing = [part for part in parts if part not in memo]
-            if missing:
-                stack.append(allowed)
-                stack.extend(missing)
-            else:
-                memo[allowed] = memo[parts[0]] + weights[j] * memo[parts[1]]
-        return memo[full]
+        contributing 1. A polymer gas is the independent-set polynomial of
+        its incompatibility graph, so this is graphs.independent_set_sum,
+        the sum behind i(G) and both percolation routes, over the masks."""
+        full = (1 << len(self.polymers)) - 1
+        return Fraction(independent_set_sum(self.incompatible, self.weights,
+                                            full))
 
 
 def xi_brute(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,

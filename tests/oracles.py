@@ -112,6 +112,24 @@ def brute_independent_set_count(g: BipartiteGraph) -> int:
     return count
 
 
+def brute_independent_set_sum(nbr, weights, allowed: int):
+    """Sum over every subset I of `allowed` with no v in I adjacent (under
+    nbr, self bits ignored) to another vertex of I, of prod weights[v]."""
+    total = 0
+    sub = allowed
+    while True:
+        if all(not (nbr[v] & sub & ~(1 << v)) for v in range(len(nbr))
+               if (sub >> v) & 1):
+            term = 1
+            for v in range(len(nbr)):
+                if (sub >> v) & 1:
+                    term *= weights[v]
+            total += term
+        if sub == 0:
+            return total
+        sub = (sub - 1) & allowed
+
+
 def masks_to_tuples(masks) -> list[tuple[int, ...]]:
     return [bits(m) for m in masks]
 

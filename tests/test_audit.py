@@ -1,9 +1,11 @@
 """Checks for the isoperimetry sweeps, coordinate-family partition sums,
 and the container / nonpolymer weight reports."""
 
+import ast
 import math
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -408,6 +410,14 @@ class TestZPsiHalfell:
         assert report["ell_psi"] == 990
         assert report["asserted"] and report["ok"]
 
+    def test_violated_bound_raises_when_asserted(self, monkeypatch):
+        # a partition sum far above the bound must fail the verdict
+        monkeypatch.setattr("isingpoly.audit.z_psi",
+                            lambda fam, params: F(10) ** 400)
+        fam = PsiFamily(1000, tuple(frozenset({i}) for i in range(10)))
+        with pytest.raises(AssertionError, match="half-ell bound violated"):
+            z_psi_halfell_audit(fam, ModelParams(1, 1), 1)
+
     def test_small_d_report_only(self):
         fam = PsiFamily(3, ({0}, {1}))
         report = z_psi_halfell_audit(fam, ModelParams(1, F(1, 2)), 1)
@@ -532,3 +542,13 @@ class TestNonpolymerReport:
                                                          F(1, 2)))
         assert 0 < report["ratio"] < F(1, 10 ** 11)
         assert float(report["exponent"]) > 9
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, and with them any audit verdict
+    src = Path(__file__).resolve().parents[1] / "src" / "isingpoly"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

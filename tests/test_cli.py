@@ -141,6 +141,26 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["side"] == "E"
 
+    @pytest.mark.parametrize("argv", [
+        ("isets", "--graph", "cycle:2000", "--budget", "5000"),
+        ("percolate-mc", "--graph", "cycle:1200", "--lambda", "1", "--p",
+         "1/2", "--samples", "3", "--seed", "1", "--budget", "5000"),
+        ("percolate-mc", "--graph", "kss:8", "--lambda", "1", "--p", "1/2",
+         "--samples", "10", "--seed", "1"),
+    ])
+    def test_deep_sums_and_many_edges(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)
+
+    @pytest.mark.parametrize("stdin", ["5", '{"n": 2, "d": 1, "side_O": [1], '
+                                            '"side_E": [0], "edges": [["a", 1]]}'])
+    def test_malformed_graph_on_stdin(self, capsys, monkeypatch, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, _, err = run(capsys, "gen", "--graph", "-")
+        assert code == 1
+        assert "isingpoly: error:" in err
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

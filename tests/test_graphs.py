@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from isingpoly.graphs import (
     enumerate_two_linked,
     graph_from_json,
     graph_to_json,
+    independent_set_sum,
     is_two_linked,
     max_codegree,
     neighborhood,
@@ -25,6 +29,7 @@ from isingpoly.graphs import (
 )
 from oracles import (
     brute_closure,
+    brute_independent_set_sum,
     brute_is_two_linked,
     brute_neighborhood,
     brute_two_linked_sets,
@@ -289,6 +294,77 @@ class TestSerialization:
     def test_loader_rejects_missing_field(self):
         with pytest.raises(GraphFormatError, match="side_O"):
             graph_from_json('{"n": 2, "d": 1, "side_E": [0], "edges": []}')
+
+    @pytest.mark.parametrize("text,match", [
+        ("5", "expected a JSON object, got int"),
+        ("[0, 1]", "expected a JSON object, got list"),
+        ('{"n": 2, "d": 1, "side_O": 1, "side_E": [0], "edges": []}',
+         "side_O must be a list"),
+        ('{"n": 2, "d": 1, "side_O": [1], "side_E": [0], "edges": {}}',
+         "edges must be a list"),
+        ('{"n": 2, "d": 1, "side_O": ["1"], "side_E": [0], "edges": []}',
+         "vertex '1' is not an integer"),
+        ('{"n": 2, "d": 1, "side_O": [1], "side_E": [0], '
+         '"edges": [["a", 1]]}', r"edge \['a', 1\] has a non-integer"),
+        ('{"n": 2, "d": 1, "side_O": [1], "side_E": [0], '
+         '"edges": [[0, 1.0]]}', "non-integer endpoint"),
+        ('{"n": 10000000000, "d": 1, "side_O": [1], "side_E": [0], '
+         '"edges": [[0, 1]]}', "sides hold 2 vertices but n = 10000000000"),
+        ("[" * 100_000, "invalid JSON"),
+        ("1" * 5000, "invalid JSON"),
+    ])
+    def test_loader_rejects_wrong_types_by_name(self, text, match):
+        with pytest.raises(GraphFormatError, match=match):
+            graph_from_json(text)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=5),
+    max_leaves=20)
+_small_ints = st.integers(-2, 6)
+# payloads with all five keys, mostly well typed, so the later checks run
+_graphish = st.fixed_dictionaries({
+    "n": _small_ints | _json_values,
+    "d": _small_ints | _json_values,
+    "side_E": st.lists(_small_ints, max_size=4) | _json_values,
+    "side_O": st.lists(_small_ints, max_size=4) | _json_values,
+    "edges": st.lists(st.lists(_small_ints | _json_values, min_size=2,
+                               max_size=2), max_size=6) | _json_values,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values | _graphish)
+def test_graph_from_json_raises_only_graph_format_error(payload):
+    try:
+        g = graph_from_json(json.dumps(payload))
+    except GraphFormatError:
+        return
+    assert graph_from_json(graph_to_json(g)) == g
+
+
+class TestIndependentSetSum:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_with_or_without_self_bits(self, data):
+        n = data.draw(st.integers(1, 8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]))
+        nbr = [0] * n
+        for u, v in edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        weights = data.draw(st.lists(
+            st.fractions(min_value=Fraction(1, 9), max_value=9,
+                         max_denominator=9), min_size=n, max_size=n))
+        allowed = data.draw(st.integers(0, (1 << n) - 1))
+        expected = brute_independent_set_sum(nbr, weights, allowed)
+        looped = [m | 1 << v for v, m in enumerate(nbr)]
+        assert independent_set_sum(nbr, weights, allowed) == expected
+        assert independent_set_sum(looped, weights, allowed) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import collections
+import math
 from fractions import Fraction
 
 import mpmath
@@ -101,6 +102,14 @@ class TestWeightsAndZ:
         assert exact_Z(Q3, ModelParams(1, 1)) == 35
         assert brute_independent_set_count(Q3) == 35
 
+    def test_independent_set_count_deeper_than_recursion_limit(self):
+        # i(C_m) is the Lucas number L_m; 2,000 branch levels deep
+        lucas = [2, 1]
+        while len(lucas) <= 2000:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert count_independent_sets(build_cycle(2000),
+                                      sweep_cap=2000) == lucas[2000]
+
 
 class TestPercolation:
     def test_c4_identity_value(self):
@@ -141,6 +150,19 @@ class TestPercolation:
         assert err == 0.0
         again, _ = percolation_mc(C4, HALF, 1, seed=0)
         assert mean == again
+
+    def test_mc_with_64_or_more_edges(self):
+        kss8 = build_complete_bipartite(8)
+        assert kss8.edge_count() == 64
+        mean, err = percolation_mc(kss8, HALF, 2000, seed=1)
+        assert abs(mean - float(exact_Z(kss8, HALF))) < 4 * err
+
+    def test_mc_long_cycle(self):
+        # 1,200 edges and a 1,200-level independent-set sum; E[Z] ~ 1e298
+        mean, err = percolation_mc(build_cycle(1200), HALF, 3, seed=1,
+                                   sweep_cap=1200)
+        assert math.isfinite(mean) and math.isfinite(err)
+        assert mean > 0 and err > 0
 
 
 class TestMeasures:
