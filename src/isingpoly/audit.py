@@ -37,6 +37,14 @@ SLACK = 2.0 ** -64
 DEFAULT_SUBSET_BUDGET = 1 << 20
 
 
+def _log(x: Fraction):
+    """log x of a nonnegative Fraction at the current mpmath precision;
+    -inf at 0."""
+    if x == 0:
+        return mpmath.mpf("-inf")
+    return mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+
+
 @dataclass(frozen=True)
 class PropertyConstants:
     """Constants for the isoperimetry properties. The full set c1..c5 with
@@ -239,6 +247,9 @@ def product_metadata(g: BipartiteGraph):
     if label.startswith("hypercube:"):
         d = int(label.split(":")[1])
         return 2, d
+    if label.startswith("torus:"):
+        m, t = label.split(":")[1].split(",")
+        return int(m), int(t)
     if not label.startswith("product:"):
         return None
     sizes = []
@@ -409,16 +420,11 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
     with mpmath.workprec(LOG_PRECISION_BITS):
         abar = params.alpha_bar()
         ell_f = mpmath.mpf(ell.numerator) / ell.denominator
-        base = d * mpmath.log(mpmath.mpf((1 + lam).numerator) /
-                              (1 + lam).denominator)
+        base = d * _log(1 + lam)
         log_rhs_low = base - abar * ell_f - big_c * mpmath.log(d)
         log_rhs_high = base - abar * ell_f + mpmath.mpf(d) ** (-big_c)
-        def logf(x: Fraction):
-            if x == 0:
-                return mpmath.mpf("-inf")
-            return mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
-        low_ok = logf(z_low) <= log_rhs_low * (1 + SLACK) + SLACK
-        high_ok = logf(z_high) <= log_rhs_high * (1 + SLACK) + SLACK
+        low_ok = _log(z_low) <= log_rhs_low * (1 + SLACK) + SLACK
+        high_ok = _log(z_high) <= log_rhs_high * (1 + SLACK) + SLACK
         report = {
             "s": s,
             "ell": ell,
@@ -427,9 +433,9 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
             "split_identity_ok": (not family.has_empty and
                                   z_low + z_high == z_psi(family, params)),
             "hypotheses": hyp,
-            "low": {"log_lhs": logf(z_low), "log_rhs": log_rhs_low,
+            "low": {"log_lhs": _log(z_low), "log_rhs": log_rhs_low,
                     "ok": bool(low_ok)},
-            "high": {"log_lhs": logf(z_high), "log_rhs": log_rhs_high,
+            "high": {"log_lhs": _log(z_high), "log_rhs": log_rhs_high,
                      "ok": bool(high_ok)},
             "slack": "2^-64 relative",
             "asserted": hyp["holds"],
@@ -457,15 +463,10 @@ def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
     hyp = _hypotheses_hold(d, params, big_c)
     with mpmath.workprec(LOG_PRECISION_BITS):
         abar = params.alpha_bar()
-        base = d * mpmath.log(mpmath.mpf((1 + lam).numerator) /
-                              (1 + lam).denominator)
+        base = d * _log(1 + lam)
         log_rhs = base - abar * ell_psi(family) / 2 + \
             mpmath.mpf(d) ** (-big_c)
-        if total == 0:
-            log_lhs = mpmath.mpf("-inf")
-        else:
-            log_lhs = mpmath.log(mpmath.mpf(total.numerator) /
-                                 total.denominator)
+        log_lhs = _log(total)
         ok = bool(log_lhs <= log_rhs * (1 + SLACK) + SLACK)
         report = {
             "ell_psi": ell_psi(family),
@@ -564,10 +565,6 @@ def nonpolymer_weight_report(g: BipartiteGraph, params: ModelParams,
     z = exact_Z(g, params)
     ratio = total / z
     with mpmath.workprec(LOG_PRECISION_BITS):
-        if ratio == 0:
-            exponent = mpmath.mpf("+inf")
-        else:
-            exponent = -mpmath.log(mpmath.mpf(ratio.numerator) /
-                                   ratio.denominator) * g.d / g.n
+        exponent = -_log(ratio) * g.d / g.n
     return {"count": count, "total": total, "z": z, "ratio": ratio,
             "exponent": exponent}

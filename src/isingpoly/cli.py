@@ -244,18 +244,8 @@ def cmd_clusters(args):
     report = log_xi_truncation_report(g, args.side, _params(args), _rho(args),
                                       k_max=args.k_max,
                                       size_cap=args.size_cap)
-    records = []
-    for term in report["terms"]:
-        records.append({
-            "k": term["k"],
-            "L_k": term["L_k"],
-            "partial": float(term["partial"]),
-            "residual_before": float(term["residual_before"]),
-            "residual": float(term["residual"]),
-            "xi": report["xi"],
-            "log_xi": float(report["log_xi"]),
-        })
-    return records, True
+    return [dict(term, xi=report["xi"], log_xi=report["log_xi"])
+            for term in report["terms"]], True
 
 
 CLOSED_FORM_FAMILIES = ("l1", "torus", "midlayer", "kss", "hypercube")
@@ -440,9 +430,9 @@ def cmd_audit_kp(args):
             "mode": "truncation",
             "k": term["k"],
             "L_k": term["L_k"],
-            "residual_before": float(term["residual_before"]),
-            "residual": float(term["residual"]),
-            "log_xi": float(report["log_xi"]),
+            "residual_before": term["residual_before"],
+            "residual": term["residual"],
+            "log_xi": report["log_xi"],
             "kp_holds": kp_holds,
         }
         if report["tail_bounds"] is not None:
@@ -490,10 +480,10 @@ def cmd_audit_z(args):
             "split_identity_ok": report["split_identity_ok"],
             "low_ok": report["low"]["ok"],
             "high_ok": report["high"]["ok"],
-            "low_log_lhs": float(report["low"]["log_lhs"]),
-            "low_log_rhs": float(report["low"]["log_rhs"]),
-            "high_log_lhs": float(report["high"]["log_lhs"]),
-            "high_log_rhs": float(report["high"]["log_rhs"]),
+            "low_log_lhs": report["low"]["log_lhs"],
+            "low_log_rhs": report["low"]["log_rhs"],
+            "high_log_lhs": report["high"]["log_lhs"],
+            "high_log_rhs": report["high"]["log_rhs"],
             "asserted": report["asserted"],
         }
         ok = not report["asserted"] or (record["low_ok"] and
@@ -505,8 +495,8 @@ def cmd_audit_z(args):
             "ell_psi": report["ell_psi"],
             "hypotheses_hold": report["hypotheses"]["holds"],
             "ok": report["ok"],
-            "log_lhs": float(report["log_lhs"]),
-            "log_rhs": float(report["log_rhs"]),
+            "log_lhs": report["log_lhs"],
+            "log_rhs": report["log_rhs"],
             "asserted": report["asserted"],
         }
         ok = not report["asserted"] or report["ok"]
@@ -518,15 +508,7 @@ def cmd_audit_container(args):
     params = _params(args)
     report = container_sum_report(g, args.side, args.a, args.b, params,
                                   enum_cap=args.budget)
-    record = {
-        "a": report["a"],
-        "b": report["b"],
-        "count": report["count"],
-        "lhs": report["lhs"],
-        "d_size": report["d_size"],
-        "empty": report["empty"],
-        "c_star_implied": report["c_star_implied"],
-    }
+    record = dict(report)
     ok = True
     if args.hypothesis_c2 is not None:
         hyp = container_hypothesis_check(g, args.side, args.hypothesis_c2,
@@ -543,9 +525,7 @@ def cmd_audit_nonpolymer(args):
     g = load_graph(args.graph, args.budget)
     report = nonpolymer_weight_report(g, _params(args), _rho(args),
                                       sweep_cap=args.budget)
-    return [{"count": report["count"], "total": report["total"],
-             "z": report["z"], "ratio": report["ratio"],
-             "exponent": report["exponent"]}], True
+    return [report], True
 
 
 # -- argument wiring -----------------------------------------------------------
@@ -589,6 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     side_arg = _Parser(add_help=False)
     side_arg.add_argument("--side", choices=("E", "O"), default="E")
+
+    constants_arg = _Parser(add_help=False)
+    constants_arg.add_argument("--c1", type=float, default=2.0)
+    constants_arg.add_argument("--c2", type=float, default=10.0)
+    constants_arg.add_argument("--c3", type=float, default=3.0)
+    constants_arg.add_argument("--c4", type=float, default=1.0)
+    constants_arg.add_argument("--c5", type=float, default=0.5)
 
     parser = _Parser(prog="isingpoly",
                      description="Exact enumeration and verification engine "
@@ -658,15 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("audit-iso", cmd_audit_iso, graph_arg,
+    p = add("audit-iso", cmd_audit_iso, graph_arg, constants_arg,
             help="vertex-isoperimetry condition sweeps")
     p.add_argument("--property", choices=("one", "two", "product"),
                    default="one")
-    p.add_argument("--c1", type=float, default=2.0)
-    p.add_argument("--c2", type=float, default=10.0)
-    p.add_argument("--c3", type=float, default=3.0)
-    p.add_argument("--c4", type=float, default=1.0)
-    p.add_argument("--c5", type=float, default=0.5)
     p.add_argument("--size-cap", type=int, default=4)
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
@@ -678,13 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factor count (property product)")
 
     p = add("audit-kp", cmd_audit_kp, graph_arg, model_args, rho_arg,
-            side_arg, help="convergence-condition audits")
+            side_arg, constants_arg, help="convergence-condition audits")
     p.add_argument("--mode", choices=("sum", "truncation"), default="sum")
-    p.add_argument("--c1", type=float, default=2.0)
-    p.add_argument("--c2", type=float, default=10.0)
-    p.add_argument("--c3", type=float, default=3.0)
-    p.add_argument("--c4", type=float, default=1.0)
-    p.add_argument("--c5", type=float, default=0.5)
     p.add_argument("--size-max", type=int, default=3)
     p.add_argument("--tail-depth", type=int, default=3)
     p.add_argument("--k-max", type=int, default=3)

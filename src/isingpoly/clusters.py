@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .graphs import BipartiteGraph, BudgetError, edge_subset_nbr, reach
+from .graphs import (BipartiteGraph, BudgetError, edge_subset_nbr, iter_bits,
+                     reach)
 from .polymers import (
     DEFAULT_RHO,
     Polymer,
@@ -205,12 +206,13 @@ def kp_check(weights, f_values, g_values, incompatible) -> KPReport:
         sum over A' incompatible with A of |w(A')| e^{f(A') + g(A')} <= f(A).
 
     The relation is anti-reflexive: the self term always participates.
-    `incompatible` is a callable on index pairs (never called with i == j).
-    f and g must be nonnegative.
+    `incompatible[i]` is the bitmask of the indices incompatible with i; its
+    own bit i is ignored. f and g must be nonnegative.
     """
     k = len(weights)
-    if len(f_values) != k or len(g_values) != k:
-        raise ValueError("weights, f, g must have equal length")
+    if len(f_values) != k or len(g_values) != k or len(incompatible) != k:
+        raise ValueError("weights, f, g and incompatible must have equal "
+                         "length")
     for name, vals in (("f", f_values), ("g", g_values)):
         for x in vals:
             if x < 0:
@@ -221,9 +223,8 @@ def kp_check(weights, f_values, g_values, incompatible) -> KPReport:
     margins = []
     for i in range(k):
         s = boosted[i]
-        for j in range(k):
-            if j != i and incompatible(i, j):
-                s += boosted[j]
+        for j in iter_bits(incompatible[i] & ~(1 << i)):
+            s += boosted[j]
         lhs.append(s)
         margins.append(float(f_values[i]) - s)
     return KPReport(holds=all(m >= 0 for m in margins), lhs=lhs, margins=margins)
@@ -231,12 +232,8 @@ def kp_check(weights, f_values, g_values, incompatible) -> KPReport:
 
 def _kp_check_family(family: PolymerFamily, f_of_size, g_of_size) -> KPReport:
     sizes = [p.size for p in family.polymers]
-
-    def incompatible(i: int, j: int) -> bool:
-        return bool(family.incompatible[i] >> j & 1)
-
     return kp_check(family.weights, [f_of_size(s) for s in sizes],
-                    [g_of_size(s) for s in sizes], incompatible)
+                    [g_of_size(s) for s in sizes], family.incompatible)
 
 
 def kp_check_polymers(g: BipartiteGraph, side: str, params, f_of_size,

@@ -211,49 +211,31 @@ def build_hypercube(d: int, vertex_cap: int | None = None) -> BipartiteGraph:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
     if d > 20:
         raise BudgetError(f"hypercube dimension capped at 20, got {d}")
-    n = 1 << d
-    _check_vertex_budget(n, vertex_cap)
-    adjacency = [sorted(v ^ (1 << k) for k in range(d)) for v in range(n)]
-    side_E = [v for v in range(n) if v.bit_count() % 2 == 0]
-    return BipartiteGraph(n, d, side_E, adjacency, label=f"hypercube:{d}")
+    g = build_cartesian_product([build_complete_bipartite(1)] * d, vertex_cap)
+    g.label = f"hypercube:{d}"
+    return g
 
 
 def build_even_torus(m: int, t: int, vertex_cap: int | None = None) -> BipartiteGraph:
     """The torus Z_m^t with m even: +-1 mod m in one coordinate, degree 2t."""
-    if m % 2 != 0:
-        raise ValueError(f"torus side length must be even for bipartiteness, got {m}")
-    if m < 4:
-        raise ValueError(f"torus side length must be >= 4, got {m}")
     if t < 1:
         raise ValueError(f"torus dimension must be >= 1, got {t}")
-    n = m ** t
-    _check_vertex_budget(n, vertex_cap)
-    # index = sum of x_i * m^(t-1-i), first coordinate most significant
-    weights = [m ** (t - 1 - i) for i in range(t)]
-    adjacency = []
-    side_E = []
-    for v in range(n):
-        coords = []
-        r = v
-        for w in weights:
-            coords.append(r // w)
-            r %= w
-        if sum(coords) % 2 == 0:
-            side_E.append(v)
-        nbrs = []
-        for i, w in enumerate(weights):
-            x = coords[i]
-            nbrs.append(v + ((x + 1) % m - x) * w)
-            nbrs.append(v + ((x - 1) % m - x) * w)
-        adjacency.append(sorted(set(nbrs)))
-    return BipartiteGraph(n, 2 * t, side_E, adjacency, label=f"torus:{m},{t}")
+    cycle = build_cycle(m, vertex_cap)
+    _check_vertex_budget(m ** t, vertex_cap)  # before t factors are walked
+    g = build_cartesian_product([cycle] * t, vertex_cap)
+    g.label = f"torus:{m},{t}"
+    return g
 
 
 def build_cycle(m: int, vertex_cap: int | None = None) -> BipartiteGraph:
     """The even cycle C_m (m even, m >= 4)."""
-    g = build_even_torus(m, 1, vertex_cap=vertex_cap)
-    g.label = f"cycle:{m}"
-    return g
+    if m % 2 != 0:
+        raise ValueError(f"side length must be even for bipartiteness, got {m}")
+    if m < 4:
+        raise ValueError(f"side length must be >= 4, got {m}")
+    _check_vertex_budget(m, vertex_cap)
+    adjacency = [((v - 1) % m, (v + 1) % m) for v in range(m)]
+    return BipartiteGraph(m, 2, range(0, m, 2), adjacency, label=f"cycle:{m}")
 
 
 def build_complete_bipartite(s: int, vertex_cap: int | None = None) -> BipartiteGraph:

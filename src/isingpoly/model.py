@@ -229,7 +229,11 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
             val = cache.get(sub)
             if val is None:
                 nbr = edge_subset_nbr(g.n, edges, sub)
-                val = float(independent_set_sum(nbr, weights, full))
+                try:
+                    val = float(independent_set_sum(nbr, weights, full))
+                except OverflowError as exc:
+                    raise ValueError("a sample's Z exceeds the float64 "
+                                     "range (max about 1.8e308)") from exc
                 cache[sub] = val
             values[pos + r] = val
         pos += rows

@@ -153,6 +153,14 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)
 
+    def test_percolate_mc_past_the_float_range(self, capsys):
+        code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:1600",
+                             "--lambda", "1", "--p", "1/2", "--samples", "3",
+                             "--seed", "1", "--budget", "5000")
+        assert code == 1
+        assert out == ""
+        assert "float64 range" in err
+
     @pytest.mark.parametrize("stdin", ["5", '{"n": 2, "d": 1, "side_O": [1], '
                                             '"side_E": [0], "edges": [["a", 1]]}'])
     def test_malformed_graph_on_stdin(self, capsys, monkeypatch, stdin):
@@ -357,6 +365,14 @@ class TestAuditCommands:
         assert rows["codegree"]["value"] == 2
         assert rows["near_half"]["holds"] is True
         assert rows["worst_c"]["value"] > 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_iso_product_reads_the_torus_label(self, capsys, fmt):
+        runs = [run(capsys, "audit-iso", "--graph", spec, "--property",
+                    "product", "--size-cap", "3", "--format", fmt)
+                for spec in ("torus:6,2", "product:cycle:6+cycle:6")]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
 
     def test_iso_property_one_passes_on_hypercube(self, capsys):
         code, out, _ = run(capsys, "audit-iso", "--graph", "hypercube:4",

@@ -237,29 +237,34 @@ class TestExpansionTerms:
 
 class TestKPCheck:
     def test_single_small_weight_holds(self):
-        rep = kp_check([F(1, 100)], [0.1], [0.1], lambda i, j: True)
+        rep = kp_check([F(1, 100)], [0.1], [0.1], [0b1])
         assert rep.holds
         assert rep.lhs[0] == pytest.approx(0.01 * math.exp(0.2))
         assert rep.margins[0] == pytest.approx(0.1 - 0.01 * math.exp(0.2))
 
     def test_single_unit_weight_fails(self):
-        rep = kp_check([F(1)], [0.1], [0.1], lambda i, j: True)
+        rep = kp_check([F(1)], [0.1], [0.1], [0b1])
         assert not rep.holds
         assert rep.worst_margin < 0
 
     def test_compatible_pair_only_self_terms(self):
+        # each mask holds only its own bit, which kp_check ignores
         rep = kp_check([F(1, 100), F(1, 100)], [0.1, 0.1], [0.1, 0.1],
-                       lambda i, j: False)
+                       [0b01, 0b10])
         assert rep.holds
         assert rep.lhs[0] == rep.lhs[1] == pytest.approx(0.01 * math.exp(0.2))
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            kp_check([F(1, 100)], [-0.1], [0.1], lambda i, j: True)
+            kp_check([F(1, 100)], [-0.1], [0.1], [0b1])
         with pytest.raises(ValueError):
-            kp_check([F(1, 100)], [0.1], [-0.1], lambda i, j: True)
+            kp_check([F(1, 100)], [0.1], [-0.1], [0b1])
         with pytest.raises(ValueError):
-            kp_check([F(1, 100)], [0.1, 0.1], [0.1], lambda i, j: True)
+            kp_check([F(1, 100)], [0.1, 0.1], [0.1], [0b1])
+
+    def test_mask_list_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            kp_check([F(1, 100)], [0.1], [0.1], [0b1, 0b11])
 
     def test_cycle_six_holds_at_fugacity_one_fortieth(self):
         g = build_cycle(6)

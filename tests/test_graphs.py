@@ -94,6 +94,29 @@ class TestBuilders:
         # vertex (1,2) has index 8; neighbors move one coordinate by +-1
         assert g.adj[8] == (2, 7, 9, 14)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_hypercube_is_the_bit_flip_graph(self, d):
+        g = build_hypercube(d)
+        n = 1 << d
+        assert g.adj == tuple(tuple(sorted(v ^ (1 << k) for k in range(d)))
+                              for v in range(n))
+        assert g.side_E == tuple(v for v in range(n)
+                                 if v.bit_count() % 2 == 0)
+        assert g.label == f"hypercube:{d}"
+
+    @pytest.mark.parametrize("m,t", [(4, 1), (4, 3), (4, 4), (6, 2), (8, 2),
+                                     (10, 2), (6, 3)])
+    def test_torus_moves_one_coordinate_by_one(self, m, t):
+        g = build_even_torus(m, t)
+        place = [m ** (t - 1 - i) for i in range(t)]
+        for v in range(g.n):
+            coords = [v // w % m for w in place]
+            expected = sorted(v + ((x + s) % m - x) * w
+                              for x, w in zip(coords, place) for s in (1, -1))
+            assert g.adj[v] == tuple(expected)
+            assert g.side_of(v) == ("E" if sum(coords) % 2 == 0 else "O")
+        assert g.label == f"torus:{m},{t}"
+
     def test_torus_guards(self):
         with pytest.raises(ValueError):
             build_even_torus(5, 1)
