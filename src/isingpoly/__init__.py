@@ -40,7 +40,6 @@ from .model import (
     mu_table,
     percolation_expectation_exact,
     percolation_mc,
-    sample_mu_hat,
     tv_distance,
     z_hat_sweep,
 )
@@ -50,7 +49,6 @@ from .polymers import (
     PolymerFamily,
     compatible,
     enumerate_polymers,
-    make_polymer,
     polymer_weight,
     polymer_weight_literal,
     weight_bound_check,

@@ -23,7 +23,6 @@ from .graphs import (
     BipartiteGraph,
     BudgetError,
     bits,
-    codegree,
     iter_bits,
     max_codegree,
     neighborhood,
@@ -31,18 +30,10 @@ from .graphs import (
 )
 from .model import ModelParams, exact_Z, ising_weight, nonpolymer_family
 from .polymers import DEFAULT_RHO, enumerate_g_ab, polymer_weight
-from .rationals import LOG_PRECISION_BITS
+from .rationals import LOG_PRECISION_BITS, log_rational, to_mpf
 
 SLACK = 2.0 ** -64
 DEFAULT_SUBSET_BUDGET = 1 << 20
-
-
-def _log(x: Fraction):
-    """log x of a nonnegative Fraction at the current mpmath precision;
-    -inf at 0."""
-    if x == 0:
-        return mpmath.mpf("-inf")
-    return mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
 
 
 @dataclass(frozen=True)
@@ -363,7 +354,6 @@ def ell_psi(family: PsiFamily) -> int:
 def psi_split(family: PsiFamily, s) -> tuple[PsiFamily, PsiFamily]:
     """(members with 1 <= |psi| <= s, members with |psi| > s); the empty
     set belongs to neither part."""
-    s = Fraction(s) if not isinstance(s, Fraction) else s
     low = tuple(ps for ps in family.subsets if 1 <= len(ps) <= s)
     high = tuple(ps for ps in family.subsets if len(ps) > s)
     return PsiFamily(family.d, low), PsiFamily(family.d, high)
@@ -380,7 +370,7 @@ def _hypotheses_hold(d: int, params: ModelParams, big_c) -> dict:
             return {"holds": False, "first_margin": None,
                     "second_margin": None, "note": "beta must be positive"}
         log_d = mpmath.log(d)
-        lam_f = mpmath.mpf(lam.numerator) / lam.denominator
+        lam_f = to_mpf(lam)
         lhs1 = lam_f / (1 + lam_f)
         rhs1 = 64 * big_c * log_d / d + \
             4 * mpmath.log(lam_f * mpmath.mpf(d) ** (big_c + 1)) / (beta * d)
@@ -406,7 +396,7 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
     if big_c <= 0:
         raise ValueError(f"C must be positive, got {big_c}")
     d = family.d
-    ell = Fraction(ell) if not isinstance(ell, Fraction) else ell
+    ell = Fraction(ell)
     limit = min(Fraction(ell_psi(family)), Fraction(d, 2))
     if not 0 <= ell <= limit:
         raise ValueError(f"need 0 <= ell <= min(ell_psi, d/2) = {limit}, "
@@ -419,12 +409,12 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
     hyp = _hypotheses_hold(d, params, big_c)
     with mpmath.workprec(LOG_PRECISION_BITS):
         abar = params.alpha_bar()
-        ell_f = mpmath.mpf(ell.numerator) / ell.denominator
-        base = d * _log(1 + lam)
+        ell_f = to_mpf(ell)
+        base = d * log_rational(1 + lam)
         log_rhs_low = base - abar * ell_f - big_c * mpmath.log(d)
         log_rhs_high = base - abar * ell_f + mpmath.mpf(d) ** (-big_c)
-        low_ok = _log(z_low) <= log_rhs_low * (1 + SLACK) + SLACK
-        high_ok = _log(z_high) <= log_rhs_high * (1 + SLACK) + SLACK
+        low_ok = log_rational(z_low) <= log_rhs_low * (1 + SLACK) + SLACK
+        high_ok = log_rational(z_high) <= log_rhs_high * (1 + SLACK) + SLACK
         report = {
             "s": s,
             "ell": ell,
@@ -433,9 +423,9 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
             "split_identity_ok": (not family.has_empty and
                                   z_low + z_high == z_psi(family, params)),
             "hypotheses": hyp,
-            "low": {"log_lhs": _log(z_low), "log_rhs": log_rhs_low,
+            "low": {"log_lhs": log_rational(z_low), "log_rhs": log_rhs_low,
                     "ok": bool(low_ok)},
-            "high": {"log_lhs": _log(z_high), "log_rhs": log_rhs_high,
+            "high": {"log_lhs": log_rational(z_high), "log_rhs": log_rhs_high,
                      "ok": bool(high_ok)},
             "slack": "2^-64 relative",
             "asserted": hyp["holds"],
@@ -463,10 +453,10 @@ def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
     hyp = _hypotheses_hold(d, params, big_c)
     with mpmath.workprec(LOG_PRECISION_BITS):
         abar = params.alpha_bar()
-        base = d * _log(1 + lam)
+        base = d * log_rational(1 + lam)
         log_rhs = base - abar * ell_psi(family) / 2 + \
             mpmath.mpf(d) ** (-big_c)
-        log_lhs = _log(total)
+        log_lhs = log_rational(total)
         ok = bool(log_lhs <= log_rhs * (1 + SLACK) + SLACK)
         report = {
             "ell_psi": ell_psi(family),
@@ -544,8 +534,8 @@ def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
             if lhs == 0:
                 report["c_star_implied"] = mpmath.mpf("+inf")
             else:
-                ratio = mpmath.mpf(lhs.numerator) / lhs.denominator / half
-                alpha_f = mpmath.mpf(alpha.numerator) / alpha.denominator
+                ratio = to_mpf(lhs) / half
+                alpha_f = to_mpf(alpha)
                 report["c_star_implied"] = -mpmath.log(ratio) * \
                     mpmath.log(g.d) / ((b - a) * alpha_f ** 2)
     return report
@@ -562,9 +552,9 @@ def nonpolymer_weight_report(g: BipartiteGraph, params: ModelParams,
     for mask in nonpolymer_family(g, rho, sweep_cap):
         total += ising_weight(g, params, mask)
         count += 1
-    z = exact_Z(g, params)
+    z = exact_Z(g, params, sweep_cap=sweep_cap)
     ratio = total / z
     with mpmath.workprec(LOG_PRECISION_BITS):
-        exponent = -_log(ratio) * g.d / g.n
+        exponent = -log_rational(ratio) * g.d / g.n
     return {"count": count, "total": total, "z": z, "ratio": ratio,
             "exponent": exponent}

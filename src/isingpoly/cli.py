@@ -5,10 +5,11 @@ machine-readable records. JSON is the canonical format (one object, or an
 array when a run produces several records); CSV is a flat row-per-record
 rendering for plotting pipelines. Rationals travel as "p/q" strings.
 
-No numerical logic lives here: every subcommand parses arguments, calls one
-or two library functions, and formats their output. Exit codes: 0 success,
-2 when a verification or audit found a mismatch, 1 for usage, budget, or
-input errors.
+No numerical logic lives here: main parses the inputs several subcommands
+share (the graph, --lambda with --p, and --rho) once, and each subcommand
+calls one or two library functions and formats their output. Exit codes: 0
+success, 2 when a verification or audit found a mismatch, 1 for usage,
+budget, or input errors.
 """
 
 from __future__ import annotations
@@ -167,162 +168,133 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         writer.writerow({k: _csv_cell(v) for k, v in record.items()})
 
 
-def _params(args) -> ModelParams:
-    return ModelParams(parse_rational(args.lam), parse_rational(args.p))
-
-
-def _rho(args) -> Fraction:
-    return parse_rational(args.rho)
-
-
 # -- subcommand handlers; each returns (records, ok) --------------------------
+# main has already replaced the shared inputs: args.graph is the graph,
+# args.params holds --lambda and --p, and args.rho is a Fraction.
 
 
 def cmd_gen(args):
-    g = load_graph(args.graph, args.budget)
-    return [{"__raw__": graph_to_json(g)}], True
+    return [{"__raw__": graph_to_json(args.graph)}], True
 
 
 def cmd_zexact(args):
-    g = load_graph(args.graph, args.budget)
-    value = exact_Z(g, _params(args), sweep_cap=args.budget)
+    value = exact_Z(args.graph, args.params, sweep_cap=args.budget)
     return [{"value": value}], True
 
 
 def cmd_isets(args):
-    g = load_graph(args.graph, args.budget)
-    count = count_independent_sets(g, sweep_cap=args.budget)
+    count = count_independent_sets(args.graph, sweep_cap=args.budget)
     record = {"count": count}
     ok = True
     if args.verify:
-        z_count = exact_Z(g, ModelParams(1, 1), sweep_cap=args.budget)
+        z_count = exact_Z(args.graph, ModelParams(1, 1), sweep_cap=args.budget)
         record["z_count"] = z_count
         record["match"] = ok = z_count == count
     return [record], ok
 
 
 def cmd_percolate_exact(args):
-    g = load_graph(args.graph, args.budget)
-    params = _params(args)
-    value = percolation_expectation_exact(g, params, edge_cap=args.budget)
+    value = percolation_expectation_exact(args.graph, args.params,
+                                          edge_cap=args.budget)
     record = {"value": value}
     ok = True
     if args.verify:
-        z = exact_Z(g, params, sweep_cap=args.budget)
+        z = exact_Z(args.graph, args.params, sweep_cap=args.budget)
         record["z_value"] = z
         record["match"] = ok = z == value
     return [record], ok
 
 
 def cmd_percolate_mc(args):
-    g = load_graph(args.graph, args.budget)
-    mean, stderr = percolation_mc(g, _params(args), args.samples, args.seed,
-                                  sweep_cap=args.budget)
+    mean, stderr = percolation_mc(args.graph, args.params, args.samples,
+                                  args.seed, sweep_cap=args.budget)
     return [{"mean": mean, "stderr": stderr, "samples": args.samples,
              "seed": args.seed}], True
 
 
 def cmd_polymers(args):
-    g = load_graph(args.graph, args.budget)
-    params = _params(args)
-    records = [polymer_to_json_dict(g, params, poly)
-               for poly in enumerate_polymers(g, args.side, _rho(args),
+    records = [polymer_to_json_dict(args.graph, args.params, poly)
+               for poly in enumerate_polymers(args.graph, args.side, args.rho,
                                               size_max=args.size_max,
                                               enum_cap=args.budget)]
     return records, True
 
 
 def cmd_xi(args):
-    g = load_graph(args.graph, args.budget)
-    value = xi_brute(g, args.side, _params(args), _rho(args),
+    value = xi_brute(args.graph, args.side, args.params, args.rho,
                      enum_cap=args.budget)
     return [{"side": args.side, "xi": value}], True
 
 
 def cmd_clusters(args):
-    g = load_graph(args.graph, args.budget)
-    report = log_xi_truncation_report(g, args.side, _params(args), _rho(args),
-                                      k_max=args.k_max,
+    report = log_xi_truncation_report(args.graph, args.side, args.params,
+                                      args.rho, k_max=args.k_max,
                                       size_cap=args.size_cap)
     return [dict(term, xi=report["xi"], log_xi=report["log_xi"])
             for term in report["terms"]], True
 
 
-CLOSED_FORM_FAMILIES = ("l1", "torus", "midlayer", "kss", "hypercube")
-
-
-def _closed_form_value_and_oracle(args):
-    """(formula value, oracle graph, expected codegree histogram).
-
-    The histogram drives the machine-checkable regime test for the
-    second-order families; l1 has no regime caveat at desk scale."""
-    p = parse_rational(args.p)
-    if args.family == "l1":
-        if args.graph is None:
-            raise CliError("family l1 needs --graph for n and d")
-        g = load_graph(args.graph, args.budget)
-        lam = parse_rational(args.lam if args.lam is not None else "1")
-        return l1_closed(g.n, g.d, lam, p), g, None, ModelParams(lam, p), 1
-    params = ModelParams(1, p)
-    if args.family == "torus":
-        _need(args, "m", "t")
-        value = l2_torus(args.m, args.t, p)
-        g = build_even_torus(args.m, args.t, args.budget)
-        return value, g, torus_expected_histogram(args.t), params, 2
-    if args.family == "midlayer":
-        _need(args, "d")
-        value = l2_middle_layer(args.d, p)
-        g = build_middle_layer(args.d, args.budget)
-        return value, g, midlayer_expected_histogram(args.d), params, 2
-    if args.family == "kss":
-        _need(args, "s", "t")
-        value = l2_kss_product(args.s, args.t, p)
-        factor = build_complete_bipartite(args.s, args.budget)
-        g = build_cartesian_product([factor] * args.t, args.budget)
-        return value, g, kss_expected_histogram(args.s, args.t), params, 2
-    if args.family == "hypercube":
-        _need(args, "t")
-        value = l2_hypercube(args.t, p)
-        g = build_hypercube(args.t, args.budget)
-        return value, g, kss_expected_histogram(1, args.t), params, 2
-    raise CliError(f"unknown family {args.family!r}")
-
-
-def _need(args, *names):
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise CliError(f"family {args.family} needs {', '.join(missing)}")
+# family: (options it needs, formula value, oracle graph, expected codegree
+# histogram). The histogram drives the machine-checkable regime test of the
+# second-order families; l1 has no regime caveat at desk scale. The lambdas
+# look the library functions up when called, so tracing can wrap them.
+CLOSED_FORMS = {
+    "l1": (("graph",),
+           lambda a: l1_closed(a.graph.n, a.graph.d, a.params.lam, a.params.p),
+           lambda a: a.graph, lambda a: None),
+    "torus": (("m", "t"), lambda a: l2_torus(a.m, a.t, a.params.p),
+              lambda a: build_even_torus(a.m, a.t, a.budget),
+              lambda a: torus_expected_histogram(a.t)),
+    "midlayer": (("d",), lambda a: l2_middle_layer(a.d, a.params.p),
+                 lambda a: build_middle_layer(a.d, a.budget),
+                 lambda a: midlayer_expected_histogram(a.d)),
+    "kss": (("s", "t"), lambda a: l2_kss_product(a.s, a.t, a.params.p),
+            lambda a: build_cartesian_product(
+                [build_complete_bipartite(a.s, a.budget)] * a.t, a.budget),
+            lambda a: kss_expected_histogram(a.s, a.t)),
+    "hypercube": (("t",), lambda a: l2_hypercube(a.t, a.params.p),
+                  lambda a: build_hypercube(a.t, a.budget),
+                  lambda a: kss_expected_histogram(1, a.t)),
+}
 
 
 def cmd_closed_form(args):
-    value, g, histogram, params, k = _closed_form_value_and_oracle(args)
+    needs, formula, oracle_graph, histogram = CLOSED_FORMS[args.family]
+    missing = [f"--{n}" for n in needs if getattr(args, n) is None]
+    if missing:
+        why = " for n and d" if args.family == "l1" else ""
+        raise CliError(f"family {args.family} needs {', '.join(missing)}{why}")
+    value = formula(args)
+    g = oracle_graph(args)
+    expected = histogram(args)
     record = {"family": args.family, "formula_value": value}
     ok = True
     if args.verify:
-        oracle = l_k(g, "E", params, k=k)
+        # l1 is the first term at the given fugacity; the second-order
+        # forms are at fugacity 1
+        if expected is None:
+            oracle = l_k(g, "E", args.params, k=1)
+        else:
+            oracle = l_k(g, "E", ModelParams(1, args.params.p), k=2)
         record["oracle_value"] = oracle
-        record["match"] = value == oracle
-        if histogram is not None:
-            regime = l2_regime_report(g, "E", histogram)
+        record["match"] = ok = value == oracle
+        if expected is not None:
+            regime = l2_regime_report(g, "E", expected)
             record["regime_ok"] = regime["regime_ok"]
             # out-of-regime disagreement is documented behavior, not an error
-            ok = record["match"] or not regime["regime_ok"]
-        else:
-            ok = record["match"]
+            ok = ok or not regime["regime_ok"]
     return [record], ok
 
 
 def cmd_tv(args):
-    g = load_graph(args.graph, args.budget)
-    params = _params(args)
-    mu = mu_table(g, params, sweep_cap=args.budget)
-    mu_hat = mu_hat_table(g, params, _rho(args), sweep_cap=args.budget)
+    mu = mu_table(args.graph, args.params, sweep_cap=args.budget)
+    mu_hat = mu_hat_table(args.graph, args.params, args.rho,
+                          sweep_cap=args.budget)
     return [{"tv": tv_distance(mu, mu_hat)}], True
 
 
 def cmd_sample_muhat(args):
-    g = load_graph(args.graph, args.budget)
-    sampler = MuHatSampler(g, _params(args), _rho(args),
+    sampler = MuHatSampler(args.graph, args.params, args.rho,
                            enum_cap=args.budget)
     counts = Counter(sampler.draw(args.seed, k) for k in range(args.samples))
     records = []
@@ -355,10 +327,9 @@ def _condition_rows(report) -> list[dict]:
 
 
 def cmd_audit_iso(args):
-    g = load_graph(args.graph, args.budget)
     if args.property == "product":
-        report = check_product_iso(g, size_cap=args.size_cap, s=args.s,
-                                   t=args.t, budget=args.budget)
+        report = check_product_iso(args.graph, size_cap=args.size_cap,
+                                   s=args.s, t=args.t, budget=args.budget)
         worst = report["near_half_worst"]
         rows = [
             {"condition": "codegree", "holds": report["codegree_holds"],
@@ -370,7 +341,7 @@ def cmd_audit_iso(args):
         ]
         return rows, report["codegree_holds"] and report["near_half_holds"]
     if args.property == "one":
-        report = check_property_i(g, _property_constants(args),
+        report = check_property_i(args.graph, _property_constants(args),
                                   size_cap=args.size_cap, mode=args.mode,
                                   seed=args.seed, samples=args.samples,
                                   budget=args.budget)
@@ -378,7 +349,7 @@ def cmd_audit_iso(args):
         for key, value in report["Ib"].items():
             rows.append({"condition": f"Ib.{key}", "value": value})
     else:
-        report = check_property_ii(g, _property_constants(args),
+        report = check_property_ii(args.graph, _property_constants(args),
                                    size_cap=args.size_cap, mode=args.mode,
                                    seed=args.seed, samples=args.samples,
                                    budget=args.budget)
@@ -392,14 +363,13 @@ def cmd_audit_iso(args):
 
 
 def cmd_audit_kp(args):
-    g = load_graph(args.graph, args.budget)
-    params = _params(args)
     if args.mode == "sum":
-        kpf = KPFunctions(d=g.d, alpha_tilde=float(params.alpha_tilde),
+        kpf = KPFunctions(d=args.graph.d,
+                          alpha_tilde=float(args.params.alpha_tilde),
                           c1=args.c1, c2=args.c2, c3=args.c3, c4=args.c4,
                           c5=args.c5)
-        report = kp_sum_audit(g, args.side, params, kpf, _rho(args),
-                              size_max=args.size_max,
+        report = kp_sum_audit(args.graph, args.side, args.params, kpf,
+                              args.rho, size_max=args.size_max,
                               tail_depth=args.tail_depth)
         record = {
             "mode": "sum",
@@ -419,8 +389,9 @@ def cmd_audit_kp(args):
         def f_of_size(size):
             return Fraction(size, denom)
         g_of_size = f_of_size
-    report = log_xi_truncation_report(g, args.side, params, _rho(args),
-                                      k_max=args.k_max, f_of_size=f_of_size,
+    report = log_xi_truncation_report(args.graph, args.side, args.params,
+                                      args.rho, k_max=args.k_max,
+                                      f_of_size=f_of_size,
                                       g_of_size=g_of_size,
                                       size_cap=args.size_cap)
     kp_holds = report["kp"].holds if report["kp"] is not None else None
@@ -467,10 +438,9 @@ def cmd_audit_z(args):
     else:
         family = PsiFamily(args.d, tuple(frozenset({i})
                                          for i in range(args.singletons)))
-    params = _params(args)
     if args.ell is not None:
-        report = z_psi_split_audit(family, parse_rational(args.ell), params,
-                                   args.capital_c)
+        report = z_psi_split_audit(family, parse_rational(args.ell),
+                                   args.params, args.capital_c)
         hyp = report["hypotheses"]
         record = {
             "mode": "split",
@@ -489,7 +459,7 @@ def cmd_audit_z(args):
         ok = not report["asserted"] or (record["low_ok"] and
                                         record["high_ok"])
     else:
-        report = z_psi_halfell_audit(family, params, args.capital_c)
+        report = z_psi_halfell_audit(family, args.params, args.capital_c)
         record = {
             "mode": "halfell",
             "ell_psi": report["ell_psi"],
@@ -504,14 +474,13 @@ def cmd_audit_z(args):
 
 
 def cmd_audit_container(args):
-    g = load_graph(args.graph, args.budget)
-    params = _params(args)
-    report = container_sum_report(g, args.side, args.a, args.b, params,
-                                  enum_cap=args.budget)
+    report = container_sum_report(args.graph, args.side, args.a, args.b,
+                                  args.params, enum_cap=args.budget)
     record = dict(report)
     ok = True
     if args.hypothesis_c2 is not None:
-        hyp = container_hypothesis_check(g, args.side, args.hypothesis_c2,
+        hyp = container_hypothesis_check(args.graph, args.side,
+                                         args.hypothesis_c2,
                                          budget=args.budget)
         record["hypothesis_holds"] = hyp["holds"]
         record["hypothesis_checked"] = hyp["checked"]
@@ -522,8 +491,7 @@ def cmd_audit_container(args):
 
 
 def cmd_audit_nonpolymer(args):
-    g = load_graph(args.graph, args.budget)
-    report = nonpolymer_weight_report(g, _params(args), _rho(args),
+    report = nonpolymer_weight_report(args.graph, args.params, args.rho,
                                       sweep_cap=args.budget)
     return [report], True
 
@@ -622,9 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("closed-form", cmd_closed_form,
             help="closed-form expansion terms, optionally verified")
-    p.add_argument("--family", choices=CLOSED_FORM_FAMILIES, required=True)
+    p.add_argument("--family", choices=tuple(CLOSED_FORMS), required=True)
     p.add_argument("--graph", default=None, help="graph source (family l1)")
-    p.add_argument("--lambda", dest="lam", default=None,
+    p.add_argument("--lambda", dest="lam", default="1",
                    help="fugacity (family l1, default 1)")
     p.add_argument("--p", required=True)
     p.add_argument("--m", type=int, default=None)
@@ -711,6 +679,13 @@ def main(argv=None) -> int:
             print(f"isingpoly: error: {exc}", file=sys.stderr)
             return 1
     try:
+        if getattr(args, "graph", None) is not None:
+            args.graph = load_graph(args.graph, args.budget)
+        if hasattr(args, "p"):
+            args.params = ModelParams(parse_rational(args.lam),
+                                      parse_rational(args.p))
+        if hasattr(args, "rho"):
+            args.rho = parse_rational(args.rho)
         records, ok = args.handler(args)
     except BudgetError as exc:
         print(f"isingpoly: budget exceeded: {exc}", file=sys.stderr)

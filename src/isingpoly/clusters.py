@@ -25,7 +25,7 @@ from .polymers import (
     PolymerFamily,
     polymer_weight,
 )
-from .rationals import LOG_PRECISION_BITS
+from .rationals import LOG_PRECISION_BITS, log_rational, to_mpf
 
 URSELL_VERTEX_CAP = 8
 DEFAULT_CLUSTER_SIZE_CAP = 4
@@ -236,16 +236,6 @@ def _kp_check_family(family: PolymerFamily, f_of_size, g_of_size) -> KPReport:
                     [g_of_size(s) for s in sizes], family.incompatible)
 
 
-def kp_check_polymers(g: BipartiteGraph, side: str, params, f_of_size,
-                      g_of_size, rho=DEFAULT_RHO,
-                      size_max: int | None = None):
-    """Instantiate kp_check on the side's full polymer family with size
-    functions f and g. Returns (report, polymers)."""
-    family = PolymerFamily(g, side, params, rho, size_max=size_max)
-    return (_kp_check_family(family, f_of_size, g_of_size),
-            list(family.polymers))
-
-
 def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
                              rho=DEFAULT_RHO, k_max: int = 2,
                              f_of_size=None, g_of_size=None,
@@ -265,14 +255,14 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     xi = family.xi()
     by_size = _terms_by_size(family, k_max)
     with mpmath.workprec(LOG_PRECISION_BITS):
-        log_xi = mpmath.log(mpmath.mpf(xi.numerator) / xi.denominator)
+        log_xi = log_rational(xi)
         terms = []
         partial = mpmath.mpf(0)
         for k in range(1, k_max + 1):
             lk = by_size[k]
             # the tail bound at depth k covers |log Xi - L_{<k}|
             residual_before = abs(log_xi - partial)
-            partial += mpmath.mpf(lk.numerator) / lk.denominator
+            partial += to_mpf(lk)
             terms.append({
                 "k": k,
                 "L_k": lk,

@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .graphs import BipartiteGraph, codegree, iter_bits, popcount
+from .graphs import BipartiteGraph, codegree, iter_bits
 from .polymers import DEFAULT_RHO, polymer_is_valid, validate_rho
-from .rationals import LOG_PRECISION_BITS
+from .rationals import LOG_PRECISION_BITS, to_mpf
 
 
 
@@ -28,14 +28,10 @@ class RegimeError(ValueError):
     formula's derivation needs."""
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def l1_closed(n: int, d: int, lam, p) -> Fraction:
     """First expansion term (n lam / 2)(1 - lam p / (1 + lam))^d, exact."""
-    lam = _frac(lam)
-    p = _frac(p)
+    lam = Fraction(lam)
+    p = Fraction(p)
     return Fraction(n, 2) * lam * (1 - lam * p / (1 + lam)) ** d
 
 
@@ -47,7 +43,7 @@ def l2_torus(m: int, t: int, p) -> Fraction:
         raise RegimeError(f"torus formula needs even m >= 6, got {m}")
     if t < 1:
         raise ValueError(f"dimension must be >= 1, got {t}")
-    p = _frac(p)
+    p = Fraction(p)
     q2 = (2 - p) / 2
     r = (1 + (1 - p) ** 2) / 2
     bracket = -(2 * t * t + 1) * q2 ** 4 + 2 * t * q2 ** 2 * r \
@@ -60,7 +56,7 @@ def l2_middle_layer(d: int, p) -> Fraction:
     at fugacity 1."""
     if d < 2:
         raise RegimeError(f"middle layer formula needs d >= 2, got {d}")
-    p = _frac(p)
+    p = Fraction(p)
     q2 = (2 - p) / 2
     return Fraction(1, 8) * math.comb(2 * d - 1, d - 1) * \
         q2 ** (2 * (d - 1)) * ((d - 1) * d * p * p - (2 - p) ** 2)
@@ -71,7 +67,7 @@ def l2_kss_product(s: int, t: int, p) -> Fraction:
     fugacity 1, as the three-case sum over size-2 clusters."""
     if s < 1 or t < 1:
         raise ValueError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
-    p = _frac(p)
+    p = Fraction(p)
     q2 = (2 - p) / 2
     r = (1 + (1 - p) ** 2) / 2
     half = Fraction((2 * s) ** t, 2)
@@ -85,7 +81,7 @@ def l2_kss_product(s: int, t: int, p) -> Fraction:
 def hypercube_a(p) -> Fraction:
     """The hypercube second-term coefficient a(p) =
     (1+(1-p)^2)^2/(2-p)^4 - 1/4."""
-    p = _frac(p)
+    p = Fraction(p)
     return (1 + (1 - p) ** 2) ** 2 / (2 - p) ** 4 - Fraction(1, 4)
 
 
@@ -94,7 +90,7 @@ def l2_hypercube(t: int, p) -> Fraction:
     2^t ((2-p)/2)^{2t} (a(p) binom(t,2) - 1/4)."""
     if t < 1:
         raise ValueError(f"dimension must be >= 1, got {t}")
-    p = _frac(p)
+    p = Fraction(p)
     q2 = (2 - p) / 2
     return 2 ** t * q2 ** (2 * t) * \
         (hypercube_a(p) * math.comb(t, 2) - Fraction(1, 4))
@@ -116,26 +112,25 @@ def independent_set_count_estimate(n: int, d: int, p):
     """Leading-order estimate 2 * 2^(n/2) * exp(n (2-p)^d / 2^(d+1)) for the
     expected number of independent sets after p-percolation, as a
     high-precision real. No error term is attached."""
-    p = _frac(p)
+    p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0,1], got {p}")
     arg = Fraction(n, 2 ** (d + 1)) * (2 - p) ** d
     with mpmath.workprec(LOG_PRECISION_BITS):
         return 2 * mpmath.power(2, mpmath.mpf(n) / 2) * \
-            mpmath.exp(mpmath.mpf(arg.numerator) / arg.denominator)
+            mpmath.exp(to_mpf(arg))
 
 
 def galvin_estimate(d: int, lam):
     """Evaluate 2 (1+lam)^(2^(d-1)) exp((lam/2)(2/(1+lam))^d) with the
     correction factor set to 1, as a high-precision real."""
-    lam = _frac(lam)
+    lam = Fraction(lam)
     if lam <= 0:
         raise ValueError(f"fugacity must be positive, got {lam}")
     arg = lam / 2 * (2 / (1 + lam)) ** d
     with mpmath.workprec(LOG_PRECISION_BITS):
-        base = mpmath.mpf((1 + lam).numerator) / (1 + lam).denominator
-        return 2 * mpmath.power(base, 2 ** (d - 1)) * \
-            mpmath.exp(mpmath.mpf(arg.numerator) / arg.denominator)
+        return 2 * mpmath.power(to_mpf(1 + lam), 2 ** (d - 1)) * \
+            mpmath.exp(to_mpf(arg))
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,8 @@ class ExpansionEstimate:
     terms: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _frac(self.lam))
-        object.__setattr__(self, "p", _frac(self.p))
+        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "p", Fraction(self.p))
         if self.leading_exponent < 0:
             raise ValueError("leading exponent must be nonnegative")
 

@@ -39,10 +39,11 @@ from .graphs import (
 )
 from .polymers import (
     DEFAULT_RHO,
+    closure_cutoff,
     enumerate_compatible_configs,
     validate_rho,
 )
-from .rationals import LOG_PRECISION_BITS
+from .rationals import LOG_PRECISION_BITS, log_rational
 
 # Monte-Carlo draws are consumed in fixed blocks of this many samples; the
 # block layout is part of the reproducibility contract.
@@ -86,16 +87,14 @@ class ModelParams:
     def alpha_bar(self) -> mpmath.mpf:
         """log(alpha_tilde) at 128-bit precision; report-only."""
         with mpmath.workprec(LOG_PRECISION_BITS):
-            at = self.alpha_tilde
-            return mpmath.log(mpmath.mpf(at.numerator) / at.denominator)
+            return log_rational(self.alpha_tilde)
 
     def beta(self) -> mpmath.mpf:
         """-log(1-p) at 128-bit precision; +inf for the hard-core model."""
         if self.p == 1:
             return mpmath.inf
         with mpmath.workprec(LOG_PRECISION_BITS):
-            s = 1 - self.p
-            return -mpmath.log(mpmath.mpf(s.numerator) / s.denominator)
+            return -log_rational(1 - self.p)
 
 
 def _check_sweep(n: int, cap: int | None) -> None:
@@ -238,13 +237,14 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
             values[pos + r] = val
         pos += rows
         block += 1
-    mean = float(values.mean())
-    if samples == 1:
-        return mean, 0.0
-    # squared deviations past ~1e154 overflow float64, so scale huge values;
-    # dividing and multiplying by 1.0 leaves every other result bit-identical
+    # sums and squared deviations of values past ~1e150 can overflow
+    # float64, so scale huge values; dividing and multiplying by 1.0 leaves
+    # every other result bit-identical
     top = float(values.max())
     scale = top if top > 1e150 else 1.0
+    mean = float((values / scale).mean() * scale)
+    if samples == 1:
+        return mean, 0.0
     stderr = float((values / scale).std(ddof=1) * scale / math.sqrt(samples))
     return mean, stderr
 
@@ -275,9 +275,6 @@ class MeasureTable:
     def prob(self, key) -> Fraction:
         return self.probs[key]
 
-    def support(self):
-        return [k for k, v in self.probs.items() if v > 0]
-
     def __len__(self):
         return len(self.probs)
 
@@ -301,9 +298,8 @@ def captured_on_side(g: BipartiteGraph, i, side: str, rho=DEFAULT_RHO) -> bool:
     """True iff every maximal 2-linked component of I on the side has a
     closure of size at most rho * |side|, i.e. the side's polymer model can
     represent I's trace there."""
-    rho = validate_rho(rho)
-    i = as_mask(i)
-    return _captured(g, i & g.side_mask(side), side, rho * Fraction(g.n, 2))
+    cutoff = closure_cutoff(g, rho)
+    return _captured(g, as_mask(i) & g.side_mask(side), side, cutoff)
 
 
 def capture_sweep(g: BipartiteGraph, rho=DEFAULT_RHO,
@@ -316,7 +312,7 @@ def capture_sweep(g: BipartiteGraph, rho=DEFAULT_RHO,
     the empty trace is captured on both sides, so one memo serves both.
     """
     _check_sweep(g.n, sweep_cap)
-    cutoff = validate_rho(rho) * Fraction(g.n, 2)
+    cutoff = closure_cutoff(g, rho)
     memo: dict[int, bool] = {}
     for i_mask in range(1 << g.n):
         o_part = i_mask & g.side_O_mask
@@ -331,7 +327,6 @@ def capture_sweep(g: BipartiteGraph, rho=DEFAULT_RHO,
 def mu_table(g: BipartiteGraph, params: ModelParams,
              sweep_cap: int | None = None) -> MeasureTable:
     """The Ising measure: P(I) = ising_weight(I) / Z over all subsets."""
-    _check_sweep(g.n, sweep_cap)
     z = exact_Z(g, params, sweep_cap=sweep_cap)
     probs = {}
     for i_mask in range(1 << g.n):
@@ -385,14 +380,6 @@ def nonpolymer_family(g: BipartiteGraph, rho=DEFAULT_RHO,
     for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
         if not (on_o or on_e):
             yield i_mask
-
-
-def minority_side(g: BipartiteGraph, i) -> str:
-    """The side holding the smaller half of I; ties resolve to O."""
-    i = as_mask(i)
-    if popcount(i & g.side_E_mask) < popcount(i & g.side_O_mask):
-        return "E"
-    return "O"
 
 
 # -- exact sampler for the decorated polymer measure -------------------------
@@ -489,10 +476,3 @@ class MuHatSampler:
                 i_mask |= 1 << v
         return i_mask, side
 
-
-def sample_mu_hat(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
-                  seed: int = 0) -> tuple[int, str]:
-    """One draw (I, side) from the two-sided polymer measure; identical
-    seeds give identical draws. Building the sampler dominates the cost;
-    use MuHatSampler directly for repeated draws."""
-    return MuHatSampler(g, params, rho).draw(seed)

@@ -17,6 +17,7 @@ from functools import cached_property
 from .graphs import (
     BipartiteGraph,
     BudgetError,
+    DEFAULT_ENUM_CAP,
     as_mask,
     bits,
     closure,
@@ -42,6 +43,12 @@ def validate_rho(rho) -> Fraction:
     return rho
 
 
+def closure_cutoff(g: BipartiteGraph, rho) -> Fraction:
+    """rho * |side|, the largest closure a polymer may have; rho is
+    validated first."""
+    return validate_rho(rho) * Fraction(g.n, 2)
+
+
 @dataclass(frozen=True)
 class Polymer:
     """A 2-linked set on one side together with its closure and boundary."""
@@ -59,25 +66,10 @@ class Polymer:
         return bits(self.vertices)
 
 
-def make_polymer(g: BipartiteGraph, a, side: str | None = None) -> Polymer:
-    """Wrap a 2-linked same-side set as a Polymer (no rho validity check)."""
-    a = as_mask(a)
-    if a == 0:
-        raise ValueError("a polymer must be nonempty")
-    if side is None:
-        if a & g.side_E_mask and a & g.side_O_mask:
-            raise ValueError("polymer vertices straddle both sides")
-        side = "E" if a & g.side_E_mask else "O"
-    if not is_two_linked(g, a):
-        raise ValueError(f"{bits(a)} is not 2-linked")
-    cl = closure(g, a, side=side)
-    return Polymer(side=side, vertices=a, closure=cl, boundary=neighborhood(g, a))
-
-
 def polymer_is_valid(g: BipartiteGraph, a, side: str | None = None,
                      rho=DEFAULT_RHO) -> bool:
     """True iff A is 2-linked, on one side, and |[A]| <= rho * |side|."""
-    rho = validate_rho(rho)
+    cutoff = closure_cutoff(g, rho)
     a = as_mask(a)
     if a == 0:
         return False
@@ -90,7 +82,7 @@ def polymer_is_valid(g: BipartiteGraph, a, side: str | None = None,
     if not is_two_linked(g, a):
         return False
     cl = closure(g, a, side=side)
-    return Fraction(popcount(cl)) <= rho * Fraction(g.n, 2)
+    return Fraction(popcount(cl)) <= cutoff
 
 
 def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
@@ -102,9 +94,7 @@ def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
     since |A| <= |[A]|. Emission follows the lexicographic order of the
     sorted vertex tuples.
     """
-    rho = validate_rho(rho)
-    half = Fraction(g.n, 2)
-    cutoff = rho * half
+    cutoff = closure_cutoff(g, rho)
     if size_max is None:
         size_max = int(cutoff)
     if size_max < 1:
@@ -141,26 +131,6 @@ def polymer_weight(g: BipartiteGraph, params, a) -> Fraction:
         w *= (1 + lam * surv ** deg)
         w /= one_plus
     return w
-
-
-def decorated_weight(g: BipartiteGraph, params, a, b) -> Fraction:
-    """Weight of a decorated polymer (A, B) with B inside N(A):
-
-        lambda^(|A|+|B|) * (1-p)^{e(A,B)} / (1+lambda)^{|N(A)|}.
-    """
-    a = _vertices_of(a)
-    b = as_mask(b)
-    boundary = neighborhood(g, a)
-    if b & ~boundary:
-        bad = bits(b & ~boundary)[0]
-        raise ValueError(f"decoration vertex {bad} lies outside N(A)")
-    lam = params.lam
-    surv = 1 - params.p
-    cross = sum(popcount(g.adj_mask[v] & a) for v in iter_bits(b))
-    w = lam ** (popcount(a) + popcount(b))
-    if cross:
-        w *= surv ** cross
-    return w / (1 + lam) ** popcount(boundary)
 
 
 def polymer_weight_literal(g: BipartiteGraph, params, a,
@@ -308,7 +278,11 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
                                  rho=DEFAULT_RHO, enum_cap: int | None = None):
     """All sets of pairwise compatible polymers on the side, with their
     weight products: pairs (tuple of Polymer, Fraction). The empty
-    configuration comes first with weight 1. Feeds the exact sampler."""
+    configuration comes first with weight 1. Feeds the exact sampler.
+
+    enum_cap (default 10^6) bounds both the polymer enumeration and the
+    number of configurations stored; past it, BudgetError."""
+    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     family = PolymerFamily(g, side, params, rho, enum_cap=enum_cap)
     polys = family.polymers
     weights = family.weights
@@ -319,6 +293,9 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
 
     def extend(chosen: tuple[int, ...], weight: Fraction, allowed: int) -> None:
         out.append((tuple(polys[i] for i in chosen), weight))
+        if len(out) > cap:
+            raise BudgetError(f"compatible configurations on side {side} "
+                              f"exceed the cap of {cap}")
         rest = allowed
         while rest:
             low = rest & -rest

@@ -1,4 +1,5 @@
-"""Exact rational parsing and serialization helpers.
+"""Exact rational parsing and serialization helpers, and the conversion of
+a Fraction to an mpmath real.
 
 All model weights in this package are fractions.Fraction values; JSON and
 CSV carry them as "p/q" strings so nothing is ever rounded on disk.
@@ -7,6 +8,8 @@ CSV carry them as "p/q" strings so nothing is ever rounded on disk.
 from __future__ import annotations
 
 from fractions import Fraction
+
+import mpmath
 
 # Working precision of every log-scale report taken of an exact value.
 LOG_PRECISION_BITS = 128
@@ -26,3 +29,17 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def to_mpf(x: Fraction) -> mpmath.mpf:
+    """The Fraction as an mpmath real at the current precision; the one
+    conversion every log-scale report takes of an exact value."""
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def log_rational(x: Fraction) -> mpmath.mpf:
+    """log x of a nonnegative Fraction at the current mpmath precision;
+    -inf at 0."""
+    if x == 0:
+        return mpmath.mpf("-inf")
+    return mpmath.log(to_mpf(x))

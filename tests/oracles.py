@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from isingpoly.graphs import BipartiteGraph, bits
+from isingpoly.graphs import (BipartiteGraph, as_mask, bits, iter_bits,
+                              neighborhood, popcount)
 
 
 def brute_neighborhood(g: BipartiteGraph, xs) -> tuple[int, ...]:
@@ -207,3 +208,23 @@ def brute_ursell(k: int, edges) -> Fraction:
         return val
 
     return Fraction(solve(full), math.factorial(k))
+
+
+def decorated_weight(g: BipartiteGraph, params, a, b) -> Fraction:
+    """Weight of a decorated polymer (A, B) with B inside N(A):
+
+        lambda^(|A|+|B|) * (1-p)^{e(A,B)} / (1+lambda)^{|N(A)|}.
+    """
+    a = as_mask(a)
+    b = as_mask(b)
+    boundary = neighborhood(g, a)
+    if b & ~boundary:
+        bad = bits(b & ~boundary)[0]
+        raise ValueError(f"decoration vertex {bad} lies outside N(A)")
+    lam = params.lam
+    surv = 1 - params.p
+    cross = sum(popcount(g.adj_mask[v] & a) for v in iter_bits(b))
+    w = lam ** (popcount(a) + popcount(b))
+    if cross:
+        w *= surv ** cross
+    return w / (1 + lam) ** popcount(boundary)

@@ -4,6 +4,7 @@ checks here; the library tests own the math."""
 
 import io
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -152,6 +153,26 @@ class TestExitCodes:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)
+
+    def test_percolate_mc_mean_when_the_sum_passes_the_float_range(self,
+                                                                   capsys):
+        # each sample fits a float64, but the three together do not
+        code, out, _ = run(capsys, "percolate-mc", "--graph", "cycle:1236",
+                           "--lambda", "1", "--p", "1/2", "--samples", "3",
+                           "--seed", "1", "--budget", "5000")
+        assert code == 0
+        mean = json.loads(out)["mean"]
+        assert isinstance(mean, float) and math.isfinite(mean)
+
+    def test_sample_muhat_configurations_count_against_the_budget(self,
+                                                                  capsys):
+        # C24 has 4,071 compatible configurations per side
+        code, out, err = run(capsys, "sample-muhat", "--graph", "cycle:24",
+                             "--lambda", "1", "--p", "1/2", "--samples", "1",
+                             "--seed", "1", "--budget", "1000")
+        assert code == 1
+        assert out == ""
+        assert "budget exceeded" in err
 
     def test_percolate_mc_past_the_float_range(self, capsys):
         code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:1600",

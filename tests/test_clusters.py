@@ -12,7 +12,6 @@ from isingpoly.clusters import (
     KPFunctions,
     enumerate_clusters,
     kp_check,
-    kp_check_polymers,
     kp_sum_audit,
     l_k,
     lk_tail_shape,
@@ -28,7 +27,8 @@ from isingpoly.graphs import (
     popcount,
 )
 from isingpoly.model import ModelParams
-from isingpoly.polymers import enumerate_polymers, polymer_weight, xi_brute
+from isingpoly.polymers import (PolymerFamily, enumerate_polymers,
+                                polymer_weight, xi_brute)
 
 from oracles import brute_ursell
 
@@ -268,9 +268,10 @@ class TestKPCheck:
 
     def test_cycle_six_holds_at_fugacity_one_fortieth(self):
         g = build_cycle(6)
-        rep, polys = kp_check_polymers(g, "E", params(F(1, 40), 1),
-                                       lambda s: s / 10, lambda s: s / 10)
-        assert len(polys) == 3
+        family = PolymerFamily(g, "E", params(F(1, 40), 1))
+        fg = [p.size / 10 for p in family.polymers]
+        rep = kp_check(family.weights, fg, fg, family.incompatible)
+        assert len(family.polymers) == 3
         expected = 3 * float(F(40, 1681)) * math.exp(0.2)
         assert rep.lhs == pytest.approx([expected] * 3)
         assert rep.holds
@@ -279,8 +280,9 @@ class TestKPCheck:
         # three mutually incompatible singletons of weight 10/121 push the
         # sum past f = 1/10
         g = build_cycle(6)
-        rep, _ = kp_check_polymers(g, "E", params(F(1, 10), 1),
-                                   lambda s: s / 10, lambda s: s / 10)
+        family = PolymerFamily(g, "E", params(F(1, 10), 1))
+        fg = [p.size / 10 for p in family.polymers]
+        rep = kp_check(family.weights, fg, fg, family.incompatible)
         assert rep.lhs[0] == pytest.approx(3 * float(F(10, 121)) *
                                            math.exp(0.2))
         assert not rep.holds

@@ -20,14 +20,12 @@ from isingpoly.model import (
     count_independent_sets,
     exact_Z,
     ising_weight,
-    minority_side,
     mu_hat_star_table,
     mu_hat_table,
     mu_table,
     nonpolymer_family,
     percolation_expectation_exact,
     percolation_mc,
-    sample_mu_hat,
     tv_distance,
     z_hat_sweep,
 )
@@ -257,16 +255,11 @@ class TestMeasures:
         top = max(table.probs.values())
         assert table.prob(0) == top
 
-    def test_minority_side(self):
-        assert minority_side(C6, {0}) == "O"
-        assert minority_side(C6, {1}) == "E"
-        assert minority_side(C6, {0, 1}) == "O"
-        assert minority_side(C6, 0) == "O"
 
 
 class TestSampler:
     def test_identical_seeds_identical_draws(self):
-        assert sample_mu_hat(C6, HALF, seed=55) == sample_mu_hat(C6, HALF, seed=55)
+        assert MuHatSampler(C6, HALF).draw(55) == MuHatSampler(C6, HALF).draw(55)
         sam = MuHatSampler(C6, HALF)
         assert sam.draw(55, 3) == sam.draw(55, 3)
         assert sam.draw(55, 3) != sam.draw(55, 4) or True  # substreams differ

@@ -6,24 +6,25 @@ from isingpoly import polymers
 from isingpoly.graphs import (
     BipartiteGraph,
     BudgetError,
+    as_mask,
     bits,
     build_cycle,
     build_even_torus,
     build_hypercube,
+    closure,
     neighborhood,
     popcount,
 )
 from isingpoly.model import ModelParams
 from isingpoly.polymers import (
+    Polymer,
     PolymerFamily,
     approximation_facts,
     compatible,
-    decorated_weight,
     enumerate_compatible_configs,
     enumerate_g_ab,
     enumerate_polymers,
     is_psi_approximation,
-    make_polymer,
     polymer_is_valid,
     polymer_to_json_dict,
     polymer_weight,
@@ -31,7 +32,15 @@ from isingpoly.polymers import (
     weight_bound_check,
     xi_brute,
 )
-from oracles import brute_is_two_linked
+from oracles import brute_is_two_linked, decorated_weight
+
+
+def make_polymer(g, a):
+    """The Polymer on the nonempty 2-linked set A, on the side A lies on."""
+    a = as_mask(a)
+    side = "E" if a & g.side_E_mask else "O"
+    return Polymer(side, a, closure(g, a, side=side), neighborhood(g, a))
+
 
 C6 = build_cycle(6)
 C4 = build_even_torus(4, 1)
@@ -78,12 +87,6 @@ class TestEnumeration:
         assert (0, 2, 4, 6) in wide and (0, 2, 4, 6) not in tight
         assert set(tight) < set(wide)
 
-    def test_make_polymer_rejects_bad_sets(self):
-        c8 = build_cycle(8)
-        with pytest.raises(ValueError, match="2-linked"):
-            make_polymer(c8, {0, 4})
-        with pytest.raises(ValueError, match="straddle"):
-            make_polymer(C6, {0, 1})
 
 
 class TestWeights:
@@ -255,6 +258,14 @@ class TestXi:
             configs = enumerate_compatible_configs(g, "O", params)
             assert xi_brute(g, "O", params) == \
                 sum((w for _, w in configs), Fraction(0))
+
+    def test_configurations_count_against_the_cap(self):
+        g = build_cycle(12)
+        count = len(enumerate_compatible_configs(g, "O", HALF))
+        assert len(enumerate_compatible_configs(g, "O", HALF,
+                                                enum_cap=count)) == count
+        with pytest.raises(BudgetError, match="configurations"):
+            enumerate_compatible_configs(g, "O", HALF, enum_cap=count - 1)
 
 
 class TestGab:
