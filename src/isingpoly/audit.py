@@ -22,6 +22,7 @@ import mpmath
 from .graphs import (
     BipartiteGraph,
     BudgetError,
+    as_mask,
     bits,
     iter_bits,
     max_codegree,
@@ -92,10 +93,7 @@ def _exhaustive_sets(g: BipartiteGraph, side: str, size_cap: int,
             f"exhaustive sweep needs {total} subsets, cap is {cap}")
     for k in range(1, size_cap + 1):
         for combo in combinations(verts, k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            yield mask
+            yield as_mask(combo)
 
 
 def _sampled_sets(g: BipartiteGraph, side: str, size_cap: int, samples: int,
@@ -491,9 +489,7 @@ def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
         nbrs = g.adj[y]
         for r in range(g.d // 2 + 1, g.d + 1):
             for combo in combinations(nbrs, r):
-                mask = 0
-                for v in combo:
-                    mask |= 1 << v
+                mask = as_mask(combo)
                 checked += 1
                 nbr = popcount(neighborhood(g, mask))
                 margin = nbr - Fraction(g.d, 1) / Fraction(c2) * r

@@ -294,6 +294,8 @@ def cmd_tv(args):
 
 
 def cmd_sample_muhat(args):
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     sampler = MuHatSampler(args.graph, args.params, args.rho,
                            enum_cap=args.budget)
     counts = Counter(sampler.draw(args.seed, k) for k in range(args.samples))
@@ -561,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact partition function")
 
     p = add("isets", cmd_isets, graph_arg,
-            help="count independent sets by backtracking")
+            help="count independent sets by memoised recursion")
     p.add_argument("--verify", action="store_true",
                    help="also compare against the hard-core partition "
                         "function; mismatch exits 2")
@@ -581,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-max", type=int, default=None)
 
     add("xi", cmd_xi, graph_arg, model_args, rho_arg, side_arg,
-        help="polymer partition function by direct enumeration")
+        help="polymer partition function by memoised recursion")
 
     p = add("clusters", cmd_clusters, graph_arg, model_args, rho_arg,
             side_arg, help="cluster expansion terms and residuals")

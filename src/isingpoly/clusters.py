@@ -358,12 +358,8 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
         s = poly.size
         term = float(weight) * math.exp(kpf.f(s) + kpf.g(s))
         per_size[s] = per_size.get(s, 0.0) + term
-        v = poly.vertices
-        while v:
-            low = v & -v
-            v ^= low
-            idx = low.bit_length() - 1
-            per_vertex[idx] = per_vertex.get(idx, 0.0) + term
+        for v in iter_bits(poly.vertices):
+            per_vertex[v] = per_vertex.get(v, 0.0) + term
     worst = max(per_vertex.values()) if per_vertex else 0.0
     return {
         "target": target,

@@ -352,10 +352,11 @@ def edge_subset_nbr(n: int, edges: Sequence[tuple[int, int]], sub: int) -> list[
     return nbr
 
 
-def independent_set_sum(nbr: Sequence[int], weights: Sequence, allowed: int):
-    """The sum, over the subsets I of `allowed` that are independent under
-    nbr (nbr[v] is the mask of v's neighbours, with or without v's own bit),
-    of the product of weights[v] over v in I; the empty set counts 1.
+def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int):
+    """The memo of f(S), the sum over the subsets I of S that are independent
+    under nbr (nbr[v] is the mask of v's neighbours, with or without v's own
+    bit) of the product of weights[v] over v in I, the empty set counting 1;
+    f(allowed) is table[allowed].
 
     f(S) = f(S - j) + w_j f(S - j - nbr[j]) for the lowest vertex j of S,
     evaluated with an explicit stack over one memo so the depth does not
@@ -382,7 +383,7 @@ def independent_set_sum(nbr: Sequence[int], weights: Sequence, allowed: int):
             continue
         memo[rem] = a + weights[j] * b
         stack.pop()
-    return memo[allowed]
+    return memo
 
 
 def _is_connected(g: BipartiteGraph) -> bool:

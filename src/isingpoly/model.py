@@ -29,20 +29,14 @@ from .graphs import (
     DEFAULT_EDGE_SWEEP_CAP,
     DEFAULT_SWEEP_CAP,
     as_mask,
-    bits,
     closure,
     edge_subset_nbr,
-    independent_set_sum,
+    independent_set_table,
     iter_bits,
     popcount,
     two_linked_components,
 )
-from .polymers import (
-    DEFAULT_RHO,
-    closure_cutoff,
-    enumerate_compatible_configs,
-    validate_rho,
-)
+from .polymers import DEFAULT_RHO, PolymerFamily, closure_cutoff
 from .rationals import LOG_PRECISION_BITS, log_rational
 
 # Monte-Carlo draws are consumed in fixed blocks of this many samples; the
@@ -163,11 +157,12 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
 
 def count_independent_sets(g: BipartiteGraph,
                            sweep_cap: int | None = None) -> int:
-    """i(G): graphs.independent_set_sum with weight 1 on every vertex, the
-    one sum behind Xi and both percolation routes; independent of exact_Z's
-    boundary DP."""
+    """i(G): graphs.independent_set_table with weight 1 on every vertex,
+    the one sum behind Xi and both percolation routes; independent of
+    exact_Z's boundary DP."""
     _check_sweep(g.n, sweep_cap)
-    return independent_set_sum(g.adj_mask, [1] * g.n, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    return independent_set_table(g.adj_mask, [1] * g.n, full)[full]
 
 
 def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
@@ -189,8 +184,8 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
         if prob[sub.bit_count()] == 0:
             continue
         nbr = edge_subset_nbr(g.n, edges, sub)
-        total += prob[sub.bit_count()] * independent_set_sum(nbr, weights,
-                                                             full)
+        total += prob[sub.bit_count()] * independent_set_table(
+            nbr, weights, full)[full]
     return total
 
 
@@ -213,7 +208,11 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     weights = [params.lam] * g.n
     full = (1 << g.n) - 1
     cache: dict[int, float] = {}
-    values = np.empty(samples, dtype=np.float64)
+    try:
+        values = np.empty(samples, dtype=np.float64)
+    except MemoryError as exc:
+        raise BudgetError(f"{samples} samples do not fit in memory as "
+                          f"float64 values") from exc
     pos = 0
     block = 0
     while pos < samples:
@@ -229,7 +228,8 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
             if val is None:
                 nbr = edge_subset_nbr(g.n, edges, sub)
                 try:
-                    val = float(independent_set_sum(nbr, weights, full))
+                    val = float(independent_set_table(nbr, weights,
+                                                      full)[full])
                 except OverflowError as exc:
                     raise ValueError("a sample's Z exceeds the float64 "
                                      "range (max about 1.8e308)") from exc
@@ -396,83 +396,52 @@ class MuHatSampler:
     opposite side outside all boundaries independently with probability
     lambda / (1 + lambda).
 
-    Draw k of seed s consumes a dedicated Philox stream seeded with
-    SeedSequence(s, spawn_key=(k,)); random choices consume the stream in a
-    fixed documented order (side, configuration, boundaries by polymer then
-    vertex index, pool by vertex index), each as one 128-bit word.
+    Draw k of seed s reads one block of n + 4 raw 64-bit outputs of a
+    Philox generator seeded with SeedSequence(s, spawn_key=(k,)), as
+    n/2 + 2 words of 128 bits (word t is output 2t + 1 above output 2t).
+    Word 0 picks the side; word 1, times Xi of that side over 2^128, is a
+    point of the configurations' weight intervals, which follow
+    enumerate_compatible_configs order (PolymerFamily.configuration_at).
+    Then one word decides each opposite-side vertex: boundaries by polymer
+    then vertex index, the pool by vertex index. Compatible polymers have
+    disjoint boundaries, so these are exactly n/2 words.
     """
 
     def __init__(self, g: BipartiteGraph, params: ModelParams,
                  rho=DEFAULT_RHO, enum_cap: int | None = None):
         self.g = g
-        self.params = params
-        self.rho = validate_rho(rho)
-        lam = params.lam
-        surv = 1 - params.p
-        self._sides = ("O", "E")
-        self._configs = {}
-        self._config_weights = {}
-        xi = {}
-        for side in self._sides:
-            configs = enumerate_compatible_configs(g, side, params, self.rho,
-                                                   enum_cap=enum_cap)
-            denom = math.lcm(*(w.denominator for _, w in configs))
-            weights = [int(w * denom) for _, w in configs]
-            self._configs[side] = configs
-            self._config_weights[side] = weights
-            xi[side] = sum((w for _, w in configs), Fraction(0))
-        side_denom = math.lcm(xi["O"].denominator, xi["E"].denominator)
-        self._side_weights = [int(xi[s] * side_denom) for s in self._sides]
-        self.xi = xi
-        # per-boundary-vertex inclusion probabilities, cached per polymer
-        self._decoration = {}
-        for side in self._sides:
-            for config, _ in self._configs[side]:
-                for poly in config:
-                    if poly.vertices in self._decoration:
-                        continue
-                    rows = []
-                    for v in bits(poly.boundary):
-                        deg = popcount(g.adj_mask[v] & poly.vertices)
-                        top = lam * surv ** deg
-                        rows.append((v, top / (1 + top)))
-                    self._decoration[poly.vertices] = rows
+        self.families = {side: PolymerFamily(g, side, params, rho,
+                                             enum_cap=enum_cap)
+                         for side in ("O", "E")}
+        self.xi = {side: fam.xi() for side, fam in self.families.items()}
+        self._p_side_o = self.xi["O"] / (self.xi["O"] + self.xi["E"])
+        # inclusion probability of an opposite-side vertex with deg
+        # neighbours in the configuration; deg 0 is the pool's q
+        tops = [params.lam * (1 - params.p) ** deg for deg in range(g.d + 1)]
+        self._p_in = [top / (1 + top) for top in tops]
 
     def draw(self, seed: int, k: int = 0) -> tuple[int, str]:
-        gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+        raw = np.random.Philox(np.random.SeedSequence(
+            entropy=seed, spawn_key=(k,))).random_raw(self.g.n + 4).tolist()
+        words = [hi << 64 | lo for lo, hi in zip(raw[::2], raw[1::2])]
 
-        def word() -> int:
-            lo, hi = gen.integers(0, 1 << 64, size=2, dtype=np.uint64)
-            return (int(hi) << 64) | int(lo)
+        def bernoulli(word: int, r: Fraction) -> bool:
+            return word * r.denominator < r.numerator << 128
 
-        def pick(weights: list[int]) -> int:
-            total = sum(weights)
-            target = (word() * total) >> 128
-            acc = 0
-            for idx, w in enumerate(weights):
-                acc += w
-                if target < acc:
-                    return idx
-            return len(weights) - 1
-
-        def bernoulli(r: Fraction) -> bool:
-            return word() * r.denominator < r.numerator << 128
-
-        side = self._sides[pick(self._side_weights)]
-        config, _ = self._configs[side][pick(self._config_weights[side])]
-        i_mask = 0
-        covered = 0
+        side = "O" if bernoulli(words[0], self._p_side_o) else "E"
+        config = self.families[side].configuration_at(
+            self.xi[side] * words[1] / (1 << 128))
+        chosen = covered = 0
+        order = []
         for poly in config:
-            i_mask |= poly.vertices
+            chosen |= poly.vertices
             covered |= poly.boundary
-            for v, r in self._decoration[poly.vertices]:
-                if bernoulli(r):
-                    i_mask |= 1 << v
-        pool = self.g.side_mask(self.g.other_side(side)) & ~covered
-        q = self.params.q
-        for v in iter_bits(pool):
-            if bernoulli(q):
+            order.extend(iter_bits(poly.boundary))
+        order.extend(iter_bits(self.g.side_mask(self.g.other_side(side))
+                               & ~covered))
+        i_mask = chosen
+        adj = self.g.adj_mask
+        for word, v in zip(words[2:], order):
+            if bernoulli(word, self._p_in[popcount(adj[v] & chosen)]):
                 i_mask |= 1 << v
         return i_mask, side
-

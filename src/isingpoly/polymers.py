@@ -21,7 +21,7 @@ from .graphs import (
     as_mask,
     bits,
     closure,
-    independent_set_sum,
+    independent_set_table,
     is_two_linked,
     iter_bits,
     neighborhood,
@@ -215,9 +215,9 @@ class PolymerFamily:
 
     Two 2-linked sets have a 2-linked union iff one meets the other's
     2-ball, so each mask is the OR, over the side vertices within distance
-    2 of the polymer, of the polymers containing that vertex. The weights
-    and masks are built on first use; the masks take up to k^2/8 bytes for
-    k polymers, so they are refused above FAMILY_MASK_CAP polymers.
+    2 of the polymer, of the polymers containing that vertex. The weights,
+    masks and Xi table are built on first use; the masks take up to k^2/8
+    bytes for k polymers, so they are refused above FAMILY_MASK_CAP polymers.
     """
 
     def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
@@ -255,15 +255,50 @@ class PolymerFamily:
             incompatible.append(m)
         return tuple(incompatible)
 
-    def xi(self) -> Fraction:
-        """The polymer partition function: the sum over all sets of pairwise
-        compatible polymers of the product of their weights, the empty set
-        contributing 1. A polymer gas is the independent-set polynomial of
-        its incompatibility graph, so this is graphs.independent_set_sum,
-        the sum behind i(G) and both percolation routes, over the masks."""
+    @cached_property
+    def table(self) -> dict:
+        """Xi of sets of polymers, keyed by index mask, as built for Xi of
+        all polymers: a polymer gas is the independent-set polynomial of its
+        incompatibility graph, so this is graphs.independent_set_table, the
+        sum behind i(G) and both percolation routes, over the masks."""
         full = (1 << len(self.polymers)) - 1
-        return Fraction(independent_set_sum(self.incompatible, self.weights,
-                                            full))
+        return independent_set_table(self.incompatible, self.weights, full)
+
+    def xi(self) -> Fraction:
+        """The polymer partition function: Xi of all polymers."""
+        return Fraction(self.table[(1 << len(self.polymers)) - 1])
+
+    def configuration_at(self, x) -> tuple[Polymer, ...]:
+        """The compatible configuration whose weight interval holds x, for
+        0 <= x < Xi: in enumerate_compatible_configs order, configurations
+        tile [0, Xi) with intervals as long as their weights.
+
+        Among the configurations inside an index set R, the empty one holds
+        [0, 1) and those with lowest polymer j start at
+        Xi(R) + 1 - Xi(R from j). So with y = Xi(R) + 1 - x, j is the first
+        position with Xi(R above j) < y, found by bisecting over positions;
+        x then falls (Xi(R from j) - y) / w_j into j's extensions inside
+        R' = (R above j) minus j's incompatible polymers. Every set read is
+        a suffix of a table state or a child of one, so in the table.
+        """
+        table = self.table
+        rest = (1 << len(self.polymers)) - 1
+        if not 0 <= x < table[rest]:
+            raise ValueError(f"x must lie in [0, Xi), got {x}")
+        config = []
+        while x >= 1:
+            y = table[rest] + 1 - x
+            lo, hi = 0, rest.bit_length()
+            while hi - lo > 1:  # Xi(rest from lo) >= y > Xi(rest from hi)
+                mid = (lo + hi) // 2
+                if table[rest >> mid << mid] >= y:
+                    lo = mid
+                else:
+                    hi = mid
+            config.append(self.polymers[lo])
+            x = (table[rest >> lo << lo] - y) / self.weights[lo]
+            rest = (rest >> hi << hi) & ~self.incompatible[lo]
+        return tuple(config)
 
 
 def xi_brute(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
@@ -278,7 +313,8 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
                                  rho=DEFAULT_RHO, enum_cap: int | None = None):
     """All sets of pairwise compatible polymers on the side, with their
     weight products: pairs (tuple of Polymer, Fraction). The empty
-    configuration comes first with weight 1. Feeds the exact sampler.
+    configuration comes first with weight 1. An explicit second route to
+    Xi, and the order PolymerFamily.configuration_at walks.
 
     enum_cap (default 10^6) bounds both the polymer enumeration and the
     number of configurations stored; past it, BudgetError."""

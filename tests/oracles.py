@@ -8,11 +8,15 @@ functions by full subset sweeps. Slow and obviously correct.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
+
 from isingpoly.graphs import (BipartiteGraph, as_mask, bits, iter_bits,
                               neighborhood, popcount)
+from isingpoly.polymers import enumerate_compatible_configs
 
 
 def brute_neighborhood(g: BipartiteGraph, xs) -> tuple[int, ...]:
@@ -228,3 +232,64 @@ def decorated_weight(g: BipartiteGraph, params, a, b) -> Fraction:
     if cross:
         w *= surv ** cross
     return w / (1 + lam) ** popcount(boundary)
+
+
+class ListMuHatSampler:
+    """MuHatSampler's draws from stored lists: every compatible
+    configuration of both sides with its weight scaled to an integer by
+    the lcm of the denominators, picked by a linear scan, with each 128-bit
+    word taken as two Generator.integers outputs, low half first."""
+
+    def __init__(self, g: BipartiteGraph, params, rho):
+        self.g = g
+        self.params = params
+        self.configs = {}
+        self.config_weights = {}
+        xi = {}
+        for side in ("O", "E"):
+            configs = enumerate_compatible_configs(g, side, params, rho)
+            denom = math.lcm(*(w.denominator for _, w in configs))
+            self.configs[side] = configs
+            self.config_weights[side] = [int(w * denom) for _, w in configs]
+            xi[side] = sum((w for _, w in configs), Fraction(0))
+        side_denom = math.lcm(xi["O"].denominator, xi["E"].denominator)
+        self.side_weights = [int(xi[s] * side_denom) for s in ("O", "E")]
+
+    def draw(self, seed: int, k: int = 0) -> tuple[int, str]:
+        gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
+
+        def word() -> int:
+            lo, hi = gen.integers(0, 1 << 64, size=2, dtype=np.uint64)
+            return (int(hi) << 64) | int(lo)
+
+        def pick(weights) -> int:
+            target = (word() * sum(weights)) >> 128
+            acc = 0
+            for idx, w in enumerate(weights):
+                acc += w
+                if target < acc:
+                    return idx
+            raise AssertionError("target past the total weight")
+
+        def bernoulli(r: Fraction) -> bool:
+            return word() * r.denominator < r.numerator << 128
+
+        side = ("O", "E")[pick(self.side_weights)]
+        config, _ = self.configs[side][pick(self.config_weights[side])]
+        lam = self.params.lam
+        surv = 1 - self.params.p
+        i_mask = 0
+        covered = 0
+        for poly in config:
+            i_mask |= poly.vertices
+            covered |= poly.boundary
+            for v in iter_bits(poly.boundary):
+                top = lam * surv ** popcount(self.g.adj_mask[v] & poly.vertices)
+                if bernoulli(top / (1 + top)):
+                    i_mask |= 1 << v
+        pool = self.g.side_mask(self.g.other_side(side)) & ~covered
+        for v in iter_bits(pool):
+            if bernoulli(self.params.q):
+                i_mask |= 1 << v
+        return i_mask, side

@@ -164,15 +164,40 @@ class TestExitCodes:
         mean = json.loads(out)["mean"]
         assert isinstance(mean, float) and math.isfinite(mean)
 
-    def test_sample_muhat_configurations_count_against_the_budget(self,
-                                                                  capsys):
-        # C24 has 4,071 compatible configurations per side
+    def test_sample_muhat_budget_bounds_the_polymer_enumeration(self,
+                                                                capsys):
+        # C48 has 16,776,831 compatible configurations per side, none stored
+        code, out, _ = run(capsys, "sample-muhat", "--graph", "cycle:48",
+                           "--lambda", "1", "--p", "1/2", "--samples", "1",
+                           "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["count"] == 1
+        # C24 has 108 two-linked sets per side
         code, out, err = run(capsys, "sample-muhat", "--graph", "cycle:24",
                              "--lambda", "1", "--p", "1/2", "--samples", "1",
-                             "--seed", "1", "--budget", "1000")
+                             "--seed", "1", "--budget", "50")
         assert code == 1
         assert out == ""
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("cmd,samples", [
+        ("sample-muhat", "0"), ("sample-muhat", "-3"), ("percolate-mc", "0")])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sample_count_below_one(self, capsys, cmd, samples, fmt):
+        code, out, err = run(capsys, cmd, "--graph", "cycle:4", "--lambda",
+                             "1", "--p", "1/2", "--samples", samples,
+                             "--seed", "1", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert "samples must be >= 1" in err
+
+    def test_percolate_mc_samples_past_memory(self, capsys):
+        code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:4",
+                             "--lambda", "1", "--p", "1/2", "--samples",
+                             str(10 ** 17), "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "budget exceeded" in err and str(10 ** 17) in err
 
     def test_percolate_mc_past_the_float_range(self, capsys):
         code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:1600",

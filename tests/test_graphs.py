@@ -21,7 +21,7 @@ from isingpoly.graphs import (
     enumerate_two_linked,
     graph_from_json,
     graph_to_json,
-    independent_set_sum,
+    independent_set_table,
     is_two_linked,
     max_codegree,
     neighborhood,
@@ -386,8 +386,9 @@ class TestIndependentSetSum:
         allowed = data.draw(st.integers(0, (1 << n) - 1))
         expected = brute_independent_set_sum(nbr, weights, allowed)
         looped = [m | 1 << v for v, m in enumerate(nbr)]
-        assert independent_set_sum(nbr, weights, allowed) == expected
-        assert independent_set_sum(looped, weights, allowed) == expected
+        assert independent_set_table(nbr, weights, allowed)[allowed] == expected
+        assert independent_set_table(looped, weights,
+                                     allowed)[allowed] == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ from isingpoly.graphs import (
     build_cycle,
     build_even_torus,
     build_hypercube,
+    build_middle_layer,
 )
 from isingpoly.model import (
     MeasureTable,
@@ -30,7 +31,12 @@ from isingpoly.model import (
     z_hat_sweep,
 )
 from isingpoly.polymers import xi_brute
-from oracles import brute_captured, brute_independent_set_count, brute_ising_Z
+from oracles import (
+    ListMuHatSampler,
+    brute_captured,
+    brute_independent_set_count,
+    brute_ising_Z,
+)
 
 C4 = build_even_torus(4, 1)
 C6 = build_cycle(6)
@@ -262,7 +268,29 @@ class TestSampler:
         assert MuHatSampler(C6, HALF).draw(55) == MuHatSampler(C6, HALF).draw(55)
         sam = MuHatSampler(C6, HALF)
         assert sam.draw(55, 3) == sam.draw(55, 3)
-        assert sam.draw(55, 3) != sam.draw(55, 4) or True  # substreams differ
+        assert len({sam.draw(55, k) for k in range(64)}) > 1
+
+    @pytest.mark.parametrize("g,params,rho", [
+        (Q3, HALF, Fraction(3, 4)),
+        (Q3, HALF, Fraction(5, 8)),
+        (C6, HALF, Fraction(5, 8)),
+        (build_cycle(8), HALF, Fraction(5, 8)),
+        (build_cycle(12), HALF, Fraction(5, 8)),
+        (build_cycle(16), ModelParams(Fraction(2, 3), Fraction(1, 3)),
+         Fraction(5, 8)),
+        (build_hypercube(4), HALF, Fraction(3, 4)),
+        (build_hypercube(4), ModelParams(1, 0), Fraction(3, 4)),
+        (build_complete_bipartite(3), ModelParams(Fraction(3, 2), 1),
+         Fraction(3, 4)),
+        (build_middle_layer(3), HALF, Fraction(3, 4)),
+        (build_cycle(24), HALF, Fraction(3, 4)),
+    ])
+    def test_draws_equal_the_configuration_list_sampler(self, g, params, rho):
+        sam = MuHatSampler(g, params, rho)
+        oracle = ListMuHatSampler(g, params, rho)
+        for seed in (0, 987654321987654321):
+            assert [sam.draw(seed, k) for k in range(500)] == \
+                [oracle.draw(seed, k) for k in range(500)]
 
     def test_empirical_matches_table(self):
         params = ModelParams(Fraction(1, 2), 1)

@@ -259,6 +259,19 @@ class TestXi:
             assert xi_brute(g, "O", params) == \
                 sum((w for _, w in configs), Fraction(0))
 
+    @pytest.mark.parametrize("g", [C6, Q3, Q4, build_cycle(12)])
+    def test_configuration_at_walks_the_configuration_list(self, g):
+        family = PolymerFamily(g, "O", HALF)
+        start = Fraction(0)
+        for config, weight in enumerate_compatible_configs(g, "O", HALF):
+            assert family.configuration_at(start) == config
+            start += weight
+            assert family.configuration_at(start - weight / 7) == config
+        assert start == family.xi()
+        for outside in (-Fraction(1, 10 ** 9), start):
+            with pytest.raises(ValueError, match="must lie in"):
+                family.configuration_at(outside)
+
     def test_configurations_count_against_the_cap(self):
         g = build_cycle(12)
         count = len(enumerate_compatible_configs(g, "O", HALF))
