@@ -45,7 +45,9 @@ def main():
           f"t = {iso['t']}")
     print(f"  max codegree {iso['max_codegree']} <= s: "
           f"{iso['codegree_holds']}")
-    print(f"  near-half expansion holds: {iso['near_half_holds']}")
+    near_half = iso["conditions"]["near_half"]
+    print(f"  near-half expansion holds: {near_half['holds']}  checked = "
+          f"{near_half['checked']}")
 
     # the split audit's hypotheses need genuinely large degree; d = 1000
     # is the smallest round value used here that satisfies them at lambda=1

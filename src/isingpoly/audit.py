@@ -20,6 +20,7 @@ from itertools import combinations
 import mpmath
 
 from .graphs import (
+    AuditViolation,
     BipartiteGraph,
     BudgetError,
     as_mask,
@@ -118,48 +119,61 @@ def _sampled_sets(g: BipartiteGraph, side: str, size_cap: int, samples: int,
         yield mask
 
 
-def _iterate_sets(g, side, size_cap, mode, rng, samples, budget):
-    if mode == "exhaustive":
-        yield from _exhaustive_sets(g, side, size_cap, budget)
-    elif mode == "sampled":
-        yield from _sampled_sets(g, side, size_cap, samples, rng)
-    else:
+def _iterate_sets(g: BipartiteGraph, size_cap: int, mode: str = "exhaustive",
+                  seed: int = 0, samples: int = 0, budget: int | None = None):
+    """(side, mask) for the checked subsets of side E, then of side O. A
+    sampled run draws both sides from one random.Random(seed)."""
+    if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
-
-
-def _run_conditions(g: BipartiteGraph, conditions, size_cap, mode, seed,
-                    samples, budget) -> dict:
-    """conditions: name -> (applies(size), bound(size)). Returns the
-    per-condition verdicts with the worst margin witness."""
+    if size_cap < 1:
+        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
     rng = random.Random(seed)
+    for side in ("E", "O"):
+        if mode == "exhaustive":
+            masks = _exhaustive_sets(g, side, size_cap, budget)
+        else:
+            masks = _sampled_sets(g, side, size_cap, samples, rng)
+        for mask in masks:
+            yield side, mask
+
+
+def _run_conditions(g: BipartiteGraph, conditions, sets) -> dict:
+    """The one expansion sweep behind every verdict here. conditions: name
+    -> (applies(size), bound(size)); sets: (side, mask) pairs. Each
+    condition counts the sets it applies to and keeps the set of least
+    margin |N(X)| - bound as its witness; a violation is first re-counted
+    by the second neighborhood route. Bounds may be floats or exact
+    Fractions; margins compare exactly. Refuses (ValueError) a condition
+    that applied to no set, since an empty sweep decides nothing."""
     out = {name: {"holds": True, "checked": 0, "worst": None}
            for name in conditions}
-    for side in ("E", "O"):
-        for mask in _iterate_sets(g, side, size_cap, mode, rng, samples,
-                                  budget):
-            size = popcount(mask)
-            nbr = popcount(neighborhood(g, mask))
-            for name, (applies, bound) in conditions.items():
-                if not applies(size):
-                    continue
-                entry = out[name]
-                entry["checked"] += 1
-                margin = nbr - bound(size)
-                violated = margin < 0
-                if violated and nbr != _brute_neighborhood_size(g, mask):
-                    raise AssertionError("neighborhood routes disagree")
-                worst = entry["worst"]
-                if worst is None or margin < worst["margin"]:
-                    entry["worst"] = {
-                        "set": bits(mask),
-                        "side": side,
-                        "size": size,
-                        "neighborhood": nbr,
-                        "bound": float(bound(size)),
-                        "margin": float(margin),
-                    }
-                if violated:
-                    entry["holds"] = False
+    for side, mask in sets:
+        size = popcount(mask)
+        nbr = popcount(neighborhood(g, mask))
+        for name, (applies, bound) in conditions.items():
+            if not applies(size):
+                continue
+            entry = out[name]
+            entry["checked"] += 1
+            limit = bound(size)
+            margin = nbr - limit
+            violated = margin < 0
+            if violated and nbr != _brute_neighborhood_size(g, mask):
+                raise AuditViolation("neighborhood routes disagree")
+            worst = entry["worst"]
+            if worst is None or margin < worst["margin"]:
+                entry["worst"] = {"set": bits(mask), "side": side,
+                                  "size": size, "neighborhood": nbr,
+                                  "bound": limit, "margin": margin}
+            if violated:
+                entry["holds"] = False
+    for name, entry in out.items():
+        worst = entry["worst"]
+        if worst is None:
+            raise ValueError(f"{name} applies to none of the swept sets; "
+                             "an empty sweep decides nothing")
+        worst["bound"] = float(worst["bound"])
+        worst["margin"] = float(worst["margin"])
     return out
 
 
@@ -168,7 +182,8 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
                      seed: int = 0, samples: int = 200,
                      budget: int | None = None) -> dict:
     """Expansion conditions Ia(1)-(3) on every checked subset of each side,
-    plus the two size ratios of Ib (asymptotic, reported not asserted)."""
+    plus the two size ratios of Ib (asymptotic, reported not asserted).
+    Raises ValueError when a condition checks no set."""
     constants.require_full()
     c = constants
     d = g.d
@@ -180,12 +195,12 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
         "Ia3": (lambda s: s <= large_range,
                 lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
+    sets = _iterate_sets(g, size_cap, mode, seed, samples, budget)
     report = {
         "mode": mode,
         "size_cap": size_cap,
         "seed": seed if mode == "sampled" else None,
-        "conditions": _run_conditions(g, conditions, size_cap, mode, seed,
-                                      samples, budget),
+        "conditions": _run_conditions(g, conditions, sets),
         "Ib": {
             "n_over_d_power": g.n / d ** (c.c5 + 5),
             "log_n_over_d": math.log(g.n) / d,
@@ -201,7 +216,8 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
                       seed: int = 0, samples: int = 200,
                       budget: int | None = None) -> dict:
     """Root-d expansion for polynomially small sets, near-half expansion,
-    exact maximum codegree, and the n versus d^6 ratio."""
+    exact maximum codegree, and the n versus d^6 ratio. Raises ValueError
+    when a condition checks no set."""
     c = constants
     d = g.d
     sqrt_d = math.sqrt(d)
@@ -212,8 +228,8 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
         "IIa2": (lambda s: s <= large_range,
                  lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
-    verdicts = _run_conditions(g, conditions, size_cap, mode, seed, samples,
-                               budget)
+    verdicts = _run_conditions(
+        g, conditions, _iterate_sets(g, size_cap, mode, seed, samples, budget))
     codeg = max_codegree(g)
     report = {
         "mode": mode,
@@ -258,10 +274,11 @@ def product_metadata(g: BipartiteGraph):
 def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
                       s: int | None = None, t: int | None = None,
                       budget: int | None = None) -> dict:
-    """Isoperimetry of a Cartesian product with factors of at most s
-    vertices: codegree at most s (exact), the reported worst constant c in
-    |N(X)| >= t|X|/c, and the near-half expansion factor
-    1 + 2 sqrt(2)(1-q)/(s sqrt(t)) at q = 2|X|/n, checked exhaustively."""
+    """Isoperimetry of a Cartesian product of t factors with at most s
+    vertices each: codegree at most s (exact), the reported worst constant
+    c in |N(X)| >= t|X|/c, and the near-half expansion factor
+    1 + 2 sqrt(2)(1-q)/(s sqrt(t)) at q = 2|X|/n, checked exhaustively.
+    Raises ValueError unless s, t >= 1 and size_cap >= 1."""
     if s is None or t is None:
         meta = product_metadata(g)
         if meta is None:
@@ -269,33 +286,27 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
                 "graph is not a declared product; pass s and t explicitly")
         s = s if s is not None else meta[0]
         t = t if t is not None else meta[1]
+    if s < 1 or t < 1:
+        raise ValueError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
+
+    def near_half(size):
+        q = 2 * size / g.n
+        return size * (1 + 2 * math.sqrt(2) * (1 - q) / (s * math.sqrt(t)))
+
+    verdicts = _run_conditions(g, {"near_half": (lambda size: True,
+                                                 near_half)},
+                               _iterate_sets(g, size_cap, budget=budget))
+    worst_c = max(t * popcount(mask) / popcount(neighborhood(g, mask))
+                  for _, mask in _iterate_sets(g, size_cap, budget=budget))
     codeg = max_codegree(g)
-    worst_c = 0.0
-    factor_holds = True
-    worst_factor = None
-    for side in ("E", "O"):
-        for mask in _exhaustive_sets(g, side, size_cap, budget):
-            size = popcount(mask)
-            nbr = popcount(neighborhood(g, mask))
-            worst_c = max(worst_c, t * size / nbr)
-            q = 2 * size / g.n
-            needed = size * (1 + 2 * math.sqrt(2) * (1 - q) /
-                             (s * math.sqrt(t)))
-            margin = nbr - needed
-            if worst_factor is None or margin < worst_factor["margin"]:
-                worst_factor = {"set": bits(mask), "side": side,
-                                "margin": margin, "bound": needed,
-                                "neighborhood": nbr}
-            if margin < 0:
-                factor_holds = False
     return {
         "s": s,
         "t": t,
         "max_codegree": codeg,
         "codegree_holds": codeg <= s,
         "worst_c": worst_c,
-        "near_half_holds": factor_holds,
-        "near_half_worst": worst_factor,
+        "conditions": verdicts,
+        "holds": codeg <= s and verdicts["near_half"]["holds"],
         "size_cap": size_cap,
     }
 
@@ -430,7 +441,7 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
         }
     for name, bound_ok in (("low", low_ok), ("high", high_ok)):
         if hyp["holds"] and not bound_ok:
-            raise AssertionError(
+            raise AuditViolation(
                 f"{name} split bound violated with hypotheses holding")
     return report
 
@@ -466,7 +477,7 @@ def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
             "asserted": hyp["holds"],
         }
     if hyp["holds"] and not ok:
-        raise AssertionError("half-ell bound violated with hypotheses holding")
+        raise AuditViolation("half-ell bound violated with hypotheses holding")
     return report
 
 
@@ -477,29 +488,23 @@ def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
                                budget: int | None = None) -> dict:
     """The neighborhood-expansion hypothesis of the container bound: every
     X inside a single neighborhood N(y), y off the side, with |X| > d/2
-    satisfies |N(X)| >= (d/c2)|X|. Exhaustive over all such X."""
+    satisfies |N(X)| >= (d/c2)|X|, with the bound an exact Fraction.
+    Exhaustive over all such X, counted once per y. Raises ValueError
+    unless c2 is positive and finite."""
+    if not 0 < c2 < math.inf:
+        raise ValueError(f"c2 must be positive and finite, got {c2}")
     cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
     opposite = g.side_O if side == "E" else g.side_E
     if len(opposite) * (1 << g.d) > cap:
         raise BudgetError("neighborhood subset sweep over budget")
-    holds = True
-    worst = None
-    checked = 0
-    for y in opposite:
-        nbrs = g.adj[y]
-        for r in range(g.d // 2 + 1, g.d + 1):
-            for combo in combinations(nbrs, r):
-                mask = as_mask(combo)
-                checked += 1
-                nbr = popcount(neighborhood(g, mask))
-                margin = nbr - Fraction(g.d, 1) / Fraction(c2) * r
-                if worst is None or margin < worst["margin"]:
-                    worst = {"y": y, "set": bits(mask),
-                             "margin": float(margin),
-                             "neighborhood": nbr}
-                if margin < 0:
-                    holds = False
-    return {"holds": holds, "checked": checked, "worst": worst, "c2": c2}
+    ratio = Fraction(g.d) / Fraction(c2)
+    sets = ((side, as_mask(combo)) for y in opposite
+            for r in range(g.d // 2 + 1, g.d + 1)
+            for combo in combinations(g.adj[y], r))
+    verdict = _run_conditions(
+        g, {"expansion": (lambda size: True, lambda size: ratio * size)},
+        sets)["expansion"]
+    return dict(verdict, c2=c2)
 
 
 def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,

@@ -51,6 +51,7 @@ from .formulas import (
     torus_expected_histogram,
 )
 from .graphs import (
+    AuditViolation,
     BipartiteGraph,
     BudgetError,
     bits,
@@ -315,53 +316,41 @@ def _property_constants(args) -> PropertyConstants:
 def _condition_rows(report) -> list[dict]:
     rows = []
     for name, entry in report["conditions"].items():
-        row = {"condition": name, "holds": entry["holds"],
-               "checked": entry["checked"]}
         worst = entry["worst"]
-        if worst is not None:
-            row.update({"margin": worst["margin"],
-                        "witness": list(worst["set"]),
-                        "witness_side": worst["side"],
-                        "neighborhood": worst["neighborhood"],
-                        "bound": worst["bound"]})
-        rows.append(row)
+        rows.append({"condition": name, "holds": entry["holds"],
+                     "checked": entry["checked"], "margin": worst["margin"],
+                     "witness": list(worst["set"]),
+                     "witness_side": worst["side"],
+                     "neighborhood": worst["neighborhood"],
+                     "bound": worst["bound"]})
     return rows
 
 
 def cmd_audit_iso(args):
+    # the product property is swept exhaustively: --mode, --seed and
+    # --samples drive properties one and two only
+    sweep = dict(size_cap=args.size_cap, mode=args.mode, seed=args.seed,
+                 samples=args.samples, budget=args.budget)
     if args.property == "product":
         report = check_product_iso(args.graph, size_cap=args.size_cap,
                                    s=args.s, t=args.t, budget=args.budget)
-        worst = report["near_half_worst"]
-        rows = [
-            {"condition": "codegree", "holds": report["codegree_holds"],
-             "value": report["max_codegree"], "bound": report["s"]},
-            {"condition": "near_half", "holds": report["near_half_holds"],
-             "margin": worst["margin"], "witness": list(worst["set"]),
-             "witness_side": worst["side"]},
-            {"condition": "worst_c", "value": report["worst_c"]},
-        ]
-        return rows, report["codegree_holds"] and report["near_half_holds"]
-    if args.property == "one":
+        extra = [{"condition": "codegree", "holds": report["codegree_holds"],
+                  "value": report["max_codegree"], "bound": report["s"]},
+                 {"condition": "worst_c", "value": report["worst_c"]}]
+    elif args.property == "one":
         report = check_property_i(args.graph, _property_constants(args),
-                                  size_cap=args.size_cap, mode=args.mode,
-                                  seed=args.seed, samples=args.samples,
-                                  budget=args.budget)
-        rows = _condition_rows(report)
-        for key, value in report["Ib"].items():
-            rows.append({"condition": f"Ib.{key}", "value": value})
+                                  **sweep)
+        extra = [{"condition": f"Ib.{key}", "value": value}
+                 for key, value in report["Ib"].items()]
     else:
         report = check_property_ii(args.graph, _property_constants(args),
-                                   size_cap=args.size_cap, mode=args.mode,
-                                   seed=args.seed, samples=args.samples,
-                                   budget=args.budget)
-        rows = _condition_rows(report)
-        rows.append({"condition": "IIb", "holds": report["IIb"]["holds"],
-                     "value": report["IIb"]["max_codegree"],
-                     "bound": report["IIb"]["bound"]})
-        rows.append({"condition": "IIc.n_over_d6",
-                     "value": report["IIc"]["n_over_d6"]})
-    return rows, report["holds"]
+                                   **sweep)
+        extra = [{"condition": "IIb", "holds": report["IIb"]["holds"],
+                  "value": report["IIb"]["max_codegree"],
+                  "bound": report["IIb"]["bound"]},
+                 {"condition": "IIc.n_over_d6",
+                  "value": report["IIc"]["n_over_d6"]}]
+    return _condition_rows(report) + extra, report["holds"]
 
 
 def cmd_audit_kp(args):
@@ -484,11 +473,9 @@ def cmd_audit_container(args):
         hyp = container_hypothesis_check(args.graph, args.side,
                                          args.hypothesis_c2,
                                          budget=args.budget)
-        record["hypothesis_holds"] = hyp["holds"]
+        record["hypothesis_holds"] = ok = hyp["holds"]
         record["hypothesis_checked"] = hyp["checked"]
-        record["hypothesis_worst_margin"] = hyp["worst"]["margin"] \
-            if hyp["worst"] is not None else None
-        ok = hyp["holds"]
+        record["hypothesis_worst_margin"] = hyp["worst"]["margin"]
     return [record], ok
 
 
@@ -695,7 +682,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"isingpoly: error: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
+    except AuditViolation as exc:
         print(f"isingpoly: audit assertion failed: {exc}", file=sys.stderr)
         return 2
     text: str

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .graphs import (BipartiteGraph, BudgetError, edge_subset_nbr, iter_bits,
-                     reach)
+from .graphs import (AuditViolation, BipartiteGraph, BudgetError,
+                     edge_subset_nbr, iter_bits, reach)
 from .polymers import (
     DEFAULT_RHO,
     Polymer,
@@ -289,7 +289,7 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     if kp.holds and monotone and ratio_ok:
         for k, term in enumerate(terms, start=1):
             if float(term["residual_before"]) > bounds[k - 1] + 1e-12:
-                raise AssertionError(f"tail bound violated at k={k}")
+                raise AuditViolation(f"tail bound violated at k={k}")
     return report
 
 

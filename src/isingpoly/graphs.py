@@ -32,6 +32,12 @@ class BudgetError(RuntimeError):
     """Raised when a construction or enumeration exceeds its size budget."""
 
 
+class AuditViolation(AssertionError):
+    """Raised when an audited inequality fails with its hypotheses holding,
+    or when two routes to the same count disagree. Raised explicitly, so
+    python -O keeps it."""
+
+
 class GraphFormatError(ValueError):
     """Raised when serialized graph data violates a structural invariant."""
 

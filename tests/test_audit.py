@@ -189,6 +189,16 @@ class TestPropertyI:
         with pytest.raises(ValueError, match="mode"):
             check_property_i(build_cycle(6), FULL, mode="guess")
 
+    @pytest.mark.parametrize("g,sweep", [
+        (build_cycle(6), {"size_cap": 0}),
+        (build_cycle(6), {"mode": "sampled", "samples": 0}),
+        # on K2 no set is small enough for Ia3 (|X| <= 3n/8 = 3/4)
+        (build_hypercube(1), {"size_cap": 1}),
+    ])
+    def test_refuses_an_empty_sweep(self, g, sweep):
+        with pytest.raises(ValueError):
+            check_property_i(g, FULL, **sweep)
+
 
 class TestPropertyII:
     def test_matches_naive_sweep(self):
@@ -265,7 +275,7 @@ class TestProductIso:
         assert report["s"] == 4 and report["t"] == 2
         assert report["max_codegree"] == 2
         assert report["codegree_holds"]
-        assert report["near_half_holds"]
+        assert report["conditions"]["near_half"]["holds"]
         assert report["worst_c"] > 0
 
     def test_k2_cubed_is_tight_at_full_side(self):
@@ -277,9 +287,10 @@ class TestProductIso:
         assert report["s"] == 2 and report["t"] == 3
         assert report["max_codegree"] == 2
         assert report["codegree_holds"]
-        assert report["near_half_holds"]
-        assert report["near_half_worst"]["margin"] == pytest.approx(0.0)
-        assert report["near_half_worst"]["neighborhood"] == 4
+        near_half = report["conditions"]["near_half"]
+        assert near_half["holds"]
+        assert near_half["worst"]["margin"] == pytest.approx(0.0)
+        assert near_half["worst"]["neighborhood"] == 4
 
     def test_explicit_parameters_bypass_label(self):
         report = check_product_iso(build_cycle(6), size_cap=2, s=2, t=3)
@@ -289,6 +300,15 @@ class TestProductIso:
     def test_partial_override_fills_from_label(self):
         report = check_product_iso(build_hypercube(3), size_cap=2, s=3)
         assert report["s"] == 3 and report["t"] == 3
+
+    @pytest.mark.parametrize("s,t", [(0, 3), (2, 0), (-1, 2)])
+    def test_rejects_factor_parameters_below_one(self, s, t):
+        with pytest.raises(ValueError, match="s >= 1 and t >= 1"):
+            check_product_iso(build_cycle(6), size_cap=2, s=s, t=t)
+
+    def test_refuses_an_empty_sweep(self):
+        with pytest.raises(ValueError, match="size_cap"):
+            check_product_iso(build_hypercube(3), size_cap=0)
 
 
 class TestPsiFamilies:
@@ -495,6 +515,18 @@ class TestContainerReports:
     def test_hypothesis_budget(self):
         with pytest.raises(BudgetError):
             container_hypothesis_check(build_hypercube(4), "E", 10, budget=4)
+
+    @pytest.mark.parametrize("c2", [0, -1, math.nan, math.inf])
+    def test_hypothesis_rejects_c2_outside_positive_reals(self, c2):
+        with pytest.raises(ValueError, match="c2 must be positive"):
+            container_hypothesis_check(build_cycle(6), "E", c2)
+
+    def test_hypothesis_bound_is_exact(self):
+        # on C6 at c2 = 4/3 the bound (d/c2)|X| is exactly 3 at |X| = 2,
+        # met with equality; a float c2 would miss the tie
+        report = container_hypothesis_check(build_cycle(6), "E", F(4, 3))
+        assert report["holds"]
+        assert report["worst"]["margin"] == 0.0
 
 
 class TestNonpolymerReport:

@@ -2,12 +2,19 @@
 formats, exit codes, and determinism. Numerical values are only spot
 checks here; the library tests own the math."""
 
+import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingpoly.cli import (
     CliError,
@@ -17,7 +24,7 @@ from isingpoly.cli import (
     main,
     parse_psi_spec,
 )
-from isingpoly.graphs import build_cycle, graph_to_json
+from isingpoly.graphs import AuditViolation, build_cycle, graph_to_json
 from isingpoly.model import ModelParams, mu_hat_table, mu_table, tv_distance
 
 
@@ -105,6 +112,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@st.composite
+def audit_argv(draw):
+    graph = draw(st.sampled_from(["cycle:6", "hypercube:3"]))
+    if draw(st.booleans()):
+        c2 = draw(st.sampled_from(["0", "-1", "0.5", "10", "nan", "inf"]))
+        return ["audit-container", "--graph", graph, "--lambda", "1",
+                "--p", "1/2", "--a", "1", "--b", "2", "--hypothesis-c2", c2]
+    argv = ["audit-iso", "--graph", graph,
+            "--property", draw(st.sampled_from(["one", "two", "product"])),
+            "--mode", draw(st.sampled_from(["exhaustive", "sampled"])),
+            "--size-cap", str(draw(st.integers(-2, 5))),
+            "--samples", str(draw(st.integers(-2, 5)))]
+    for flag in ("--s", "--t"):
+        value = draw(st.none() | st.integers(-1, 4))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
 
 
 class TestExitCodes:
@@ -226,6 +252,79 @@ class TestExitCodes:
         rows = json.loads(out)
         ia3 = next(r for r in rows if r["condition"] == "Ia3")
         assert ia3["holds"] is False
+
+    @pytest.mark.parametrize("sweep", [
+        ("--mode", "sampled", "--samples", "0"),
+        ("--mode", "sampled", "--samples", "-2"),
+        ("--size-cap", "0"),
+    ])
+    @pytest.mark.parametrize("prop", [
+        ("--property", "one"),
+        ("--property", "two"),
+        ("--property", "product"),
+    ])
+    def test_empty_iso_sweep_exits_one(self, capsys, prop, sweep):
+        code, out, err = run(capsys, "audit-iso", "--graph", "cycle:6",
+                             *prop, *sweep)
+        assert code == 1
+        assert out == ""
+        assert "isingpoly: error:" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("audit-iso", "--graph", "hypercube:3", "--property", "product",
+          "--size-cap", "0"), "size_cap must be >= 1"),
+        (("audit-iso", "--graph", "cycle:6", "--property", "product",
+          "--size-cap", "2", "--s", "0", "--t", "3"), "s >= 1 and t >= 1"),
+        (("audit-iso", "--graph", "cycle:6", "--property", "product",
+          "--size-cap", "2", "--s", "2", "--t", "0"), "s >= 1 and t >= 1"),
+        (("audit-container", "--graph", "cycle:6", "--lambda", "1", "--p",
+          "1/2", "--a", "1", "--b", "2", "--hypothesis-c2", "0"),
+         "c2 must be positive"),
+    ])
+    def test_audit_parameters_out_of_range_exit_one(self, capsys, argv,
+                                                    message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_only_audit_violations_exit_two(self, capsys, monkeypatch):
+        def violated(*args, **kwargs):
+            raise AuditViolation("bound violated")
+
+        def buggy(*args, **kwargs):
+            raise AssertionError("not an audit verdict")
+
+        monkeypatch.setattr("isingpoly.cli.check_property_i", violated)
+        code, out, err = run(capsys, "audit-iso", "--graph", "cycle:6")
+        assert code == 2
+        assert "bound violated" in err
+        monkeypatch.setattr("isingpoly.cli.check_property_i", buggy)
+        with pytest.raises(AssertionError, match="not an audit verdict"):
+            main(["audit-iso", "--graph", "cycle:6"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(audit_argv())
+    def test_audit_commands_exit_with_a_code(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        # criterion 8's false premise, and C6's near-half expansion failure
+        ("audit-kp", "--graph", "cycle:6", "--lambda", "1/10", "--p", "1",
+         "--mode", "truncation", "--fg-denom", "10"),
+        ("audit-iso", "--graph", "cycle:6", "--property", "one",
+         "--size-cap", "3"),
+    ])
+    def test_audit_failures_exit_two_under_python_optimize(self, argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "isingpoly.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
 
     def test_kp_failure_exits_two(self, capsys):
         code, out, _ = run(capsys, "audit-kp", "--graph", "cycle:6",
