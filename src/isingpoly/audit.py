@@ -32,7 +32,8 @@ from .graphs import (
 )
 from .model import ModelParams, exact_Z, ising_weight, nonpolymer_family
 from .polymers import DEFAULT_RHO, enumerate_g_ab, polymer_weight
-from .rationals import LOG_PRECISION_BITS, log_rational, to_mpf
+from .rationals import (LOG_PRECISION_BITS, log_rational,
+                        require_positive_finite, to_mpf)
 
 SLACK = 2.0 ** -64
 DEFAULT_SUBSET_BUDGET = 1 << 20
@@ -42,7 +43,8 @@ DEFAULT_SUBSET_BUDGET = 1 << 20
 class PropertyConstants:
     """Constants for the isoperimetry properties. The full set c1..c5 with
     c5 < 2 and c3 > c5 + 2 drives the five-constant property; the reduced
-    codegree-based property needs only c1, c4, c5 with c5 < 2."""
+    codegree-based property needs only c1, c4, c5 with c5 < 2. Each given
+    constant must be positive and finite."""
 
     c1: float
     c4: float
@@ -51,15 +53,10 @@ class PropertyConstants:
     c3: float | None = None
 
     def __post_init__(self):
-        for name in ("c1", "c4", "c5"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        require_positive_finite(**{name: value for name, value
+                                   in vars(self).items() if value is not None})
         if self.c5 >= 2:
             raise ValueError(f"c5 must be < 2, got {self.c5}")
-        for name in ("c2", "c3"):
-            val = getattr(self, name)
-            if val is not None and val <= 0:
-                raise ValueError(f"{name} must be positive")
 
     def require_full(self) -> None:
         if self.c2 is None or self.c3 is None:
@@ -245,47 +242,22 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
     return report
 
 
-def product_metadata(g: BipartiteGraph):
-    """(max factor vertex count, factor count) recovered from the builder
-    label, or None when the graph was not declared as a product."""
-    label = g.label or ""
-    if label.startswith("hypercube:"):
-        d = int(label.split(":")[1])
-        return 2, d
-    if label.startswith("torus:"):
-        m, t = label.split(":")[1].split(",")
-        return int(m), int(t)
-    if not label.startswith("product:"):
-        return None
-    sizes = []
-    for part in label[len("product:"):].split("+"):
-        kind, _, arg = part.partition(":")
-        if kind == "kss":
-            sizes.append(2 * int(arg))
-        elif kind == "cycle":
-            sizes.append(int(arg))
-        elif kind == "hypercube":
-            sizes.append(2 ** int(arg))
-        else:
-            return None
-    return max(sizes), len(sizes)
-
-
 def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
-                      s: int | None = None, t: int | None = None,
-                      budget: int | None = None) -> dict:
+                      mode: str = "exhaustive", seed: int = 0,
+                      samples: int = 200, budget: int | None = None,
+                      s: int | None = None, t: int | None = None) -> dict:
     """Isoperimetry of a Cartesian product of t factors with at most s
     vertices each: codegree at most s (exact), the reported worst constant
     c in |N(X)| >= t|X|/c, and the near-half expansion factor
-    1 + 2 sqrt(2)(1-q)/(s sqrt(t)) at q = 2|X|/n, checked exhaustively.
-    Raises ValueError unless s, t >= 1 and size_cap >= 1."""
-    if s is None or t is None:
-        meta = product_metadata(g)
-        if meta is None:
-            raise ValueError(
-                "graph is not a declared product; pass s and t explicitly")
-        s = s if s is not None else meta[0]
-        t = t if t is not None else meta[1]
+    1 + 2 sqrt(2)(1-q)/(s sqrt(t)) at q = 2|X|/n, over the sets swept as
+    in check_property_i. s and t default to the largest and the number of
+    the factor vertex counts the product builder recorded. Raises
+    ValueError unless s, t >= 1 and the sweep checks some set."""
+    if (s is None or t is None) and not g.factor_sizes:
+        raise ValueError(
+            "graph is not a declared product; pass s and t explicitly")
+    s = max(g.factor_sizes) if s is None else s
+    t = len(g.factor_sizes) if t is None else t
     if s < 1 or t < 1:
         raise ValueError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
 
@@ -293,11 +265,12 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
         q = 2 * size / g.n
         return size * (1 + 2 * math.sqrt(2) * (1 - q) / (s * math.sqrt(t)))
 
+    sweep = (size_cap, mode, seed, samples, budget)
     verdicts = _run_conditions(g, {"near_half": (lambda size: True,
                                                  near_half)},
-                               _iterate_sets(g, size_cap, budget=budget))
+                               _iterate_sets(g, *sweep))
     worst_c = max(t * popcount(mask) / popcount(neighborhood(g, mask))
-                  for _, mask in _iterate_sets(g, size_cap, budget=budget))
+                  for _, mask in _iterate_sets(g, *sweep))
     codeg = max_codegree(g)
     return {
         "s": s,
@@ -491,8 +464,7 @@ def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
     satisfies |N(X)| >= (d/c2)|X|, with the bound an exact Fraction.
     Exhaustive over all such X, counted once per y. Raises ValueError
     unless c2 is positive and finite."""
-    if not 0 < c2 < math.inf:
-        raise ValueError(f"c2 must be positive and finite, got {c2}")
+    require_positive_finite(c2=c2)
     cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
     opposite = g.side_O if side == "E" else g.side_E
     if len(opposite) * (1 << g.d) > cap:

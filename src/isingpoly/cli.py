@@ -230,7 +230,7 @@ def cmd_xi(args):
 def cmd_clusters(args):
     report = log_xi_truncation_report(args.graph, args.side, args.params,
                                       args.rho, k_max=args.k_max,
-                                      size_cap=args.size_cap)
+                                      enum_cap=args.budget)
     return [dict(term, xi=report["xi"], log_xi=report["log_xi"])
             for term in report["terms"]], True
 
@@ -274,9 +274,10 @@ def cmd_closed_form(args):
         # l1 is the first term at the given fugacity; the second-order
         # forms are at fugacity 1
         if expected is None:
-            oracle = l_k(g, "E", args.params, k=1)
+            oracle = l_k(g, "E", args.params, k=1, enum_cap=args.budget)
         else:
-            oracle = l_k(g, "E", ModelParams(1, args.params.p), k=2)
+            oracle = l_k(g, "E", ModelParams(1, args.params.p), k=2,
+                         enum_cap=args.budget)
         record["oracle_value"] = oracle
         record["match"] = ok = value == oracle
         if expected is not None:
@@ -327,13 +328,10 @@ def _condition_rows(report) -> list[dict]:
 
 
 def cmd_audit_iso(args):
-    # the product property is swept exhaustively: --mode, --seed and
-    # --samples drive properties one and two only
     sweep = dict(size_cap=args.size_cap, mode=args.mode, seed=args.seed,
                  samples=args.samples, budget=args.budget)
     if args.property == "product":
-        report = check_product_iso(args.graph, size_cap=args.size_cap,
-                                   s=args.s, t=args.t, budget=args.budget)
+        report = check_product_iso(args.graph, s=args.s, t=args.t, **sweep)
         extra = [{"condition": "codegree", "holds": report["codegree_holds"],
                   "value": report["max_codegree"], "bound": report["s"]},
                  {"condition": "worst_c", "value": report["worst_c"]}]
@@ -357,8 +355,7 @@ def cmd_audit_kp(args):
     if args.mode == "sum":
         kpf = KPFunctions(d=args.graph.d,
                           alpha_tilde=float(args.params.alpha_tilde),
-                          c1=args.c1, c2=args.c2, c3=args.c3, c4=args.c4,
-                          c5=args.c5)
+                          c1=args.c1, c2=args.c2, c3=args.c3, c5=args.c5)
         report = kp_sum_audit(args.graph, args.side, args.params, kpf,
                               args.rho, size_max=args.size_max,
                               tail_depth=args.tail_depth)
@@ -384,7 +381,7 @@ def cmd_audit_kp(args):
                                       args.rho, k_max=args.k_max,
                                       f_of_size=f_of_size,
                                       g_of_size=g_of_size,
-                                      size_cap=args.size_cap)
+                                      enum_cap=args.budget)
     kp_holds = report["kp"].holds if report["kp"] is not None else None
     records = []
     for i, term in enumerate(report["terms"]):
@@ -575,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("clusters", cmd_clusters, graph_arg, model_args, rho_arg,
             side_arg, help="cluster expansion terms and residuals")
     p.add_argument("--k-max", type=int, default=2)
-    p.add_argument("--size-cap", type=int, default=None)
 
     p = add("closed-form", cmd_closed_form,
             help="closed-form expansion terms, optionally verified")
@@ -622,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-max", type=int, default=3)
     p.add_argument("--tail-depth", type=int, default=3)
     p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--size-cap", type=int, default=None)
     p.add_argument("--fg-denom", type=int, default=None,
                    help="truncation mode: use f = g = size/denom")
 

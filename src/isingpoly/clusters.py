@@ -17,47 +17,65 @@ from fractions import Fraction
 
 import mpmath
 
-from .graphs import (AuditViolation, BipartiteGraph, BudgetError,
-                     edge_subset_nbr, iter_bits, reach)
+from .graphs import (DEFAULT_ENUM_CAP, AuditViolation, BipartiteGraph,
+                     BudgetError, iter_bits)
 from .polymers import (
     DEFAULT_RHO,
     Polymer,
     PolymerFamily,
     polymer_weight,
 )
-from .rationals import LOG_PRECISION_BITS, log_rational, to_mpf
+from .rationals import (LOG_PRECISION_BITS, log_rational,
+                        require_positive_finite, to_mpf)
 
-URSELL_VERTEX_CAP = 8
-DEFAULT_CLUSTER_SIZE_CAP = 4
+URSELL_VERTEX_CAP = 12
+
+
+def _ursell(nbr) -> Fraction:
+    """Ursell function of the graph on vertices 0..k-1 with neighbour masks
+    nbr, by the O(3^k) connected-part recursion: with f(S) = 1 iff S spans
+    no edge, the signed sum over the connected spanning edge sets of G[S]
+    is c(S) = f(S) - sum of c(T) f(S - T) over the proper subsets T of S
+    holding min(S), and only sets holding vertex 0 are ever needed. For a
+    connected G that sum is (-1)^(k-1) T_G(1, 0), and the Tutte evaluation
+    T_G(1, 0) counts the acyclic orientations with one fixed source, so it
+    is at least 1; a disconnected G has no connected spanning edge set. The
+    value is therefore nonzero iff G is connected."""
+    size = 1 << len(nbr)
+    free = [1]
+    for near in nbr:
+        free += [0 if near & s else f for s, f in enumerate(free)]
+    conn = [0] * size
+    for s in range(1, size, 2):
+        rest = sub = s ^ 1
+        total = free[s]
+        while sub:
+            sub = (sub - 1) & rest
+            if free[rest ^ sub]:
+                total -= conn[sub | 1]
+        conn[s] = total
+    return Fraction(conn[-1], math.factorial(len(nbr)))
 
 
 def ursell(k: int, edges) -> Fraction:
     """Ursell function of a simple graph on vertices 0..k-1: the alternating
     sum of (-1)^{|E'|} over spanning connected edge subsets, divided by k!.
 
-    Exact; a disconnected graph gives 0. Refuses more than 8 vertices (the
-    sweep is exponential in the edge count).
+    Exact; nonzero iff the graph is connected. Repeated edges count once.
+    Refuses more than URSELL_VERTEX_CAP vertices (the recursion takes
+    3^(k-1) steps).
     """
     if k < 1:
         raise ValueError(f"graph needs at least one vertex, got {k}")
     if k > URSELL_VERTEX_CAP:
         raise BudgetError(f"ursell capped at {URSELL_VERTEX_CAP} vertices, got {k}")
-    edge_list = []
-    seen = set()
+    nbr = [0] * k
     for u, v in edges:
         if not (0 <= u < k and 0 <= v < k) or u == v:
             raise ValueError(f"bad edge ({u}, {v}) for {k} vertices")
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            edge_list.append(key)
-    m = len(edge_list)
-    full = (1 << k) - 1
-    total = 0
-    for sub in range(1 << m):
-        if reach(1, full, edge_subset_nbr(k, edge_list, sub)) == full:
-            total += -1 if sub.bit_count() % 2 else 1
-    return Fraction(total, math.factorial(k))
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return _ursell(nbr)
 
 
 @dataclass(frozen=True)
@@ -87,55 +105,46 @@ def _expanded_ursell(family: PolymerFamily, chosen) -> Fraction:
     one vertex per polymer copy, edges between incompatible entries, copies
     of the same polymer always incompatible. `chosen` pairs family indices
     with multiplicities."""
-    expanded = []
-    for idx, mult in chosen:
-        expanded.extend([idx] * mult)
-    k = len(expanded)
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)
-             if family.incompatible[expanded[i]] >> expanded[j] & 1]
-    return ursell(k, edges)
+    expanded = [idx for idx, mult in chosen for _ in range(mult)]
+    if len(expanded) > URSELL_VERTEX_CAP:
+        raise BudgetError(f"a cluster of {len(expanded)} polymer copies "
+                          f"exceeds the Ursell cap of {URSELL_VERTEX_CAP}")
+    return _ursell([sum(1 << b for b, j in enumerate(expanded)
+                        if b != a and family.incompatible[i] >> j & 1)
+                    for a, i in enumerate(expanded)])
 
 
-def _check_cluster_depth(k_max: int, size_cap: int | None) -> None:
-    cap = DEFAULT_CLUSTER_SIZE_CAP if size_cap is None else size_cap
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if k_max > cap:
-        raise BudgetError(f"cluster size {k_max} exceeds cap {cap}")
-
-
-def _clusters(family: PolymerFamily, k_max: int):
+def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None):
     """Yield (chosen, Cluster) for every cluster of total size at most k_max
     over the family's polymers, where chosen pairs family indices with
     multiplicities. Emission groups clusters by their support polymers in
-    the family order."""
+    the family order. A multiset is a cluster iff its Ursell value is
+    nonzero. Raises BudgetError once the walk has visited more than
+    enum_cap (default 10^6) multisets."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     polys = family.polymers
     sizes = [p.size for p in polys]
     # fitting[r]: indices of the polymers with at most r vertices
     fitting = [[j for j, s in enumerate(sizes) if s <= r]
                for r in range(k_max + 1)]
-
-    def support_connected(chosen: list[tuple[int, int]]) -> bool:
-        # copies of one polymer form a clique, so connectivity reduces to
-        # the support graph on distinct polymers
-        t = len(chosen)
-        if t == 1:
-            return True
-        nbr = [sum(1 << b for b, (j, _) in enumerate(chosen)
-                   if family.incompatible[i] >> j & 1)
-               for i, _ in chosen]
-        return reach(1, (1 << t) - 1, nbr) == (1 << t) - 1
+    visited = 0
 
     def extend(start: int, chosen: list[tuple[int, int]], size: int):
-        if chosen and support_connected(chosen):
-            copies = sum(m for _, m in chosen)
-            orderings = math.factorial(copies)
-            for _, m in chosen:
-                orderings //= math.factorial(m)
-            yield chosen, Cluster(
-                entries=tuple((polys[i], m) for i, m in chosen), size=size,
-                orderings=orderings,
-                ursell_value=_expanded_ursell(family, chosen))
+        nonlocal visited
+        if chosen:
+            visited += 1
+            if visited > cap:
+                raise BudgetError(f"cluster walk exceeded {cap} multisets "
+                                  f"(k_max={k_max})")
+            value = _expanded_ursell(family, chosen)
+            if value:
+                orderings = math.factorial(sum(m for _, m in chosen)) // \
+                    math.prod(math.factorial(m) for _, m in chosen)
+                yield chosen, Cluster(
+                    entries=tuple((polys[i], m) for i, m in chosen),
+                    size=size, orderings=orderings, ursell_value=value)
         candidates = fitting[k_max - size]
         for j in candidates[bisect_left(candidates, start):]:
             mult = 1
@@ -147,11 +156,12 @@ def _clusters(family: PolymerFamily, k_max: int):
     return extend(0, [], 0)
 
 
-def _terms_by_size(family: PolymerFamily, k_max: int) -> dict[int, Fraction]:
+def _terms_by_size(family: PolymerFamily, k_max: int,
+                   enum_cap: int | None) -> dict[int, Fraction]:
     """The exact expansion terms L_1..L_{k_max}: per total size, the sum of
     orderings * ursell * product of the family's polymer weights."""
     by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
-    for chosen, cluster in _clusters(family, k_max):
+    for chosen, cluster in _clusters(family, k_max, enum_cap):
         w = cluster.orderings * cluster.ursell_value
         for i, mult in chosen:
             w *= family.weights[i] ** mult
@@ -160,27 +170,28 @@ def _terms_by_size(family: PolymerFamily, k_max: int) -> dict[int, Fraction]:
 
 
 def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
-                       k_max: int = 2, size_cap: int | None = None):
+                       k_max: int = 2, enum_cap: int | None = None):
     """Every cluster of total size at most k_max on the side, as multisets.
 
     Emission groups clusters by their support polymers in the polymer
     enumeration order. The expanded incompatibility graph of every emitted
     cluster is connected; anything disconnected is silently skipped per the
-    definition.
+    definition. enum_cap (default 10^6) bounds both the polymer enumeration
+    and the multisets the walk visits; past it, BudgetError.
     """
-    _check_cluster_depth(k_max, size_cap)
-    family = PolymerFamily(g, side, params, rho, size_max=k_max)
-    return [cluster for _, cluster in _clusters(family, k_max)]
+    family = PolymerFamily(g, side, params, rho, size_max=k_max,
+                           enum_cap=enum_cap)
+    return [cluster for _, cluster in _clusters(family, k_max, enum_cap)]
 
 
 def l_k(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO, k: int = 1,
-        size_cap: int | None = None) -> Fraction:
+        enum_cap: int | None = None) -> Fraction:
     """The exact degree-k term of the cluster expansion of log Xi: the sum
     of orderings * ursell * product of polymer weights over all clusters of
-    total size exactly k."""
-    _check_cluster_depth(k, size_cap)
-    family = PolymerFamily(g, side, params, rho, size_max=k)
-    return _terms_by_size(family, k)[k]
+    total size exactly k. enum_cap is as in enumerate_clusters."""
+    family = PolymerFamily(g, side, params, rho, size_max=k,
+                           enum_cap=enum_cap)
+    return _terms_by_size(family, k, enum_cap)[k]
 
 
 # -- Kotecky-Preiss condition -------------------------------------------------
@@ -239,7 +250,7 @@ def _kp_check_family(family: PolymerFamily, f_of_size, g_of_size) -> KPReport:
 def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
                              rho=DEFAULT_RHO, k_max: int = 2,
                              f_of_size=None, g_of_size=None,
-                             size_cap: int | None = None) -> dict:
+                             enum_cap: int | None = None) -> dict:
     """Compare the truncated cluster expansion against exact log Xi.
 
     Always reports log Xi (128-bit), the exact terms L_1..L_{k_max}, the
@@ -248,12 +259,12 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     on the full polymer family; if it holds (and g is non-decreasing with
     g(l)/l non-increasing over the reported sizes, which the tail bound
     derivation needs), the residual at each truncation depth k is asserted
-    against the tail bound |side| * f(1) * exp(-g(k)).
+    against the tail bound |side| * f(1) * exp(-g(k)). enum_cap bounds the
+    polymer enumeration and the cluster walk as in enumerate_clusters.
     """
-    _check_cluster_depth(k_max, size_cap)
-    family = PolymerFamily(g, side, params, rho)
+    family = PolymerFamily(g, side, params, rho, enum_cap=enum_cap)
+    by_size = _terms_by_size(family, k_max, enum_cap)
     xi = family.xi()
-    by_size = _terms_by_size(family, k_max)
     with mpmath.workprec(LOG_PRECISION_BITS):
         log_xi = log_rational(xi)
         terms = []
@@ -306,6 +317,7 @@ class KPFunctions:
     with g_tilde piecewise in l: a quadratic-corrected linear regime up to
     sqrt(d), a linear regime up to d^c3, and a slow linear regime beyond.
     alpha_tilde is the weight-decay base (1+lambda)/(1+lambda(1-p)).
+    Each constant must be positive and finite (ValueError otherwise).
     """
 
     d: int
@@ -313,8 +325,11 @@ class KPFunctions:
     c1: float
     c2: float
     c3: float
-    c4: float
     c5: float
+
+    def __post_init__(self):
+        require_positive_finite(c1=self.c1, c2=self.c2, c3=self.c3,
+                                c5=self.c5)
 
     def f(self, ell: int) -> float:
         return ell / self.d ** (self.c5 + 1)

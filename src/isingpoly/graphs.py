@@ -88,11 +88,13 @@ class BipartiteGraph:
         "side_E_mask",
         "side_O_mask",
         "label",
+        "factor_sizes",
         "two_ball",
     )
 
     def __init__(self, n: int, d: int, side_E: Iterable[int],
-                 adjacency: Sequence[Iterable[int]], label: str = ""):
+                 adjacency: Sequence[Iterable[int]], label: str = "",
+                 factor_sizes: tuple[int, ...] = ()):
         side_E = tuple(sorted(side_E))
         if n <= 0 or n % 2 != 0:
             raise GraphFormatError(f"vertex count must be positive and even, got {n}")
@@ -145,6 +147,8 @@ class BipartiteGraph:
         self.side_E_mask = e_mask
         self.side_O_mask = o_mask
         self.label = label
+        # the factor vertex counts of a graph built as a Cartesian product
+        self.factor_sizes = factor_sizes
         # per vertex, the mask of vertices at distance 1 or 2 (itself excluded)
         two_ball = []
         for v in range(n):
@@ -296,7 +300,8 @@ def build_cartesian_product(factors: Sequence[BipartiteGraph],
                 nbrs.append(base + u * weights[i])
         adjacency.append(sorted(nbrs))
     label = "product:" + "+".join(f.label or "?" for f in factors)
-    return BipartiteGraph(n, d, side_E, adjacency, label=label)
+    return BipartiteGraph(n, d, side_E, adjacency, label=label,
+                          factor_sizes=tuple(sizes))
 
 
 def build_middle_layer(d: int, vertex_cap: int | None = None) -> BipartiteGraph:

@@ -1,5 +1,5 @@
-"""Exact rational parsing and serialization helpers, and the conversion of
-a Fraction to an mpmath real.
+"""Exact rational parsing and serialization helpers, the conversion of a
+Fraction to an mpmath real, and the range check of the audit constants.
 
 All model weights in this package are fractions.Fraction values; JSON and
 CSV carry them as "p/q" strings so nothing is ever rounded on disk.
@@ -7,6 +7,7 @@ CSV carry them as "p/q" strings so nothing is ever rounded on disk.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -43,3 +44,11 @@ def log_rational(x: Fraction) -> mpmath.mpf:
     if x == 0:
         return mpmath.mpf("-inf")
     return mpmath.log(to_mpf(x))
+
+
+def require_positive_finite(**constants) -> None:
+    """Raise ValueError naming the first constant outside (0, inf); NaN
+    fails too, since it compares false against both ends."""
+    for name, value in constants.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")

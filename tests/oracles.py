@@ -172,46 +172,30 @@ def brute_captured(g: BipartiteGraph, i_verts, side_vertices, rho: Fraction) -> 
     return True
 
 
-def brute_ursell(k: int, edges) -> Fraction:
-    """Ursell function via the connected-part recursion: with T(S) = 1 iff S
-    spans no edge, the signed connected sum W(S) containing a root vertex
-    satisfies T(S) = sum over root-containing S' of W(S') T(S - S'). Solve
-    for W bottom-up; the Ursell function is W(full) / k!."""
-    import math
+def brute_connected(k: int, edges) -> bool:
+    """Whether the edges connect all k vertices, by union-find."""
+    parent = list(range(k))
 
-    edge_masks = set()
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
     for u, v in edges:
-        edge_masks.add((1 << u) | (1 << v))
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(k)}) == 1
 
-    def edge_free(s: int) -> bool:
-        return not any(em & s == em for em in edge_masks)
 
-    full = (1 << k) - 1
-    w: dict[int, int] = {}
-
-    def subsets_containing(s: int, root_bit: int):
-        rest = s & ~root_bit
-        sub = rest
-        while True:
-            yield sub | root_bit
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-
-    def solve(s: int) -> int:
-        if s in w:
-            return w[s]
-        root_bit = s & -s
-        val = 1 if edge_free(s) else 0
-        for part in subsets_containing(s, root_bit):
-            if part == s:
-                continue
-            if edge_free(s & ~part):
-                val -= solve(part)
-        w[s] = val
-        return val
-
-    return Fraction(solve(full), math.factorial(k))
+def brute_ursell(k: int, edges) -> Fraction:
+    """Ursell function from its definition: the sum of (-1)^|E'| over every
+    edge subset E' that connects all k vertices, divided by k!. Repeated
+    edges collapse. Exponential in the edge count; keep k tiny."""
+    edge_list = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    total = sum((-1) ** r for r in range(len(edge_list) + 1)
+                for chosen in combinations(edge_list, r)
+                if brute_connected(k, chosen))
+    return Fraction(total, math.factorial(k))
 
 
 def decorated_weight(g: BipartiteGraph, params, a, b) -> Fraction:

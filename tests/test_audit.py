@@ -20,7 +20,6 @@ from isingpoly.audit import (
     container_sum_report,
     ell_psi,
     nonpolymer_weight_report,
-    product_metadata,
     psi_split,
     z_psi,
     z_psi_halfell_audit,
@@ -76,6 +75,15 @@ class TestPropertyConstants:
             PropertyConstants(c1=1, c4=-1, c5=1)
         with pytest.raises(ValueError):
             PropertyConstants(c1=1, c4=1, c5=1, c2=0, c3=4)
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, bad):
+        constants = dict(c1=1, c4=1, c5=0.5, c2=10, c3=3)
+        constants[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be positive and "
+                                             "finite"):
+            PropertyConstants(**constants)
 
     def test_require_full_needs_c2_c3(self):
         with pytest.raises(ValueError, match="c2 and c3"):
@@ -250,19 +258,19 @@ class TestPropertyII:
 
 
 class TestProductIso:
-    def test_metadata_from_labels(self):
-        assert product_metadata(build_hypercube(4)) == (2, 4)
-        k22 = build_complete_bipartite(2)
-        assert product_metadata(
-            build_cartesian_product([k22, k22])) == (4, 2)
+    def test_factor_sizes_recorded_by_the_product_builder(self):
         k2 = build_complete_bipartite(1)
-        assert product_metadata(
-            build_cartesian_product([k2, k2, k2])) == (2, 3)
-        assert product_metadata(
-            build_cartesian_product([build_cycle(6), k2])) == (6, 2)
-        assert product_metadata(build_cycle(6)) is None
-        assert product_metadata(
-            build_cartesian_product([build_even_torus(6, 2), k2])) is None
+        k22 = build_complete_bipartite(2)
+        assert build_hypercube(4).factor_sizes == (2, 2, 2, 2)
+        assert build_even_torus(6, 2).factor_sizes == (6, 6)
+        assert build_cartesian_product([k22, k22]).factor_sizes == (4, 4)
+        assert build_cartesian_product(
+            [build_cycle(6), k2]).factor_sizes == (6, 2)
+        assert build_cycle(6).factor_sizes == ()
+        # s and t are the largest and the number of the direct factors
+        nested = build_cartesian_product([build_even_torus(6, 2), k2])
+        report = check_product_iso(nested, size_cap=1)
+        assert (report["s"], report["t"]) == (36, 2)
 
     def test_underivable_graph_raises(self):
         with pytest.raises(ValueError, match="not a declared product"):
@@ -309,6 +317,17 @@ class TestProductIso:
     def test_refuses_an_empty_sweep(self):
         with pytest.raises(ValueError, match="size_cap"):
             check_product_iso(build_hypercube(3), size_cap=0)
+        with pytest.raises(ValueError, match="empty sweep"):
+            check_product_iso(build_hypercube(3), mode="sampled", samples=0)
+
+    def test_sampled_sweep_draws_the_sets_of_property_one(self):
+        g = build_hypercube(4)
+        sweep = dict(size_cap=4, mode="sampled", seed=3, samples=7)
+        report = check_product_iso(g, **sweep)
+        ia1 = check_property_i(g, FULL, **sweep)["conditions"]["Ia1"]
+        assert report["conditions"]["near_half"]["checked"] == \
+            ia1["checked"] == 14
+        assert report == check_product_iso(g, **sweep)
 
 
 class TestPsiFamilies:

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpoly.cli import (
@@ -130,6 +130,27 @@ def audit_argv(draw):
         value = draw(st.none() | st.integers(-1, 4))
         if value is not None:
             argv += [flag, str(value)]
+    return argv
+
+
+CONSTANTS = ["0", "-1", "0.5", "10", "nan", "inf"]
+
+
+@st.composite
+def kp_argv(draw):
+    k_max = str(draw(st.integers(-1, 6)))
+    if draw(st.booleans()):
+        return ["clusters", "--graph",
+                draw(st.sampled_from(["cycle:6", "hypercube:3"])),
+                "--lambda", "1/10", "--p", "1", "--k-max", k_max]
+    mode = draw(st.sampled_from(["sum", "truncation"]))
+    # only hypercube:4 has polymers big enough for g's c2 regime
+    graphs = ["cycle:6", "hypercube:3"] + ["hypercube:4"] * (mode == "sum")
+    argv = ["audit-kp", "--graph", draw(st.sampled_from(graphs)),
+            "--lambda", "1/10", "--p", "1", "--mode", mode,
+            "--k-max", k_max]
+    for flag in ("--c1", "--c2", "--c3", "--c4", "--c5"):
+        argv += [flag, draw(st.sampled_from(CONSTANTS))]
     return argv
 
 
@@ -288,6 +309,42 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("argv", [
+        ("audit-iso", "--graph", "hypercube:4", "--size-cap", "3", "--c2",
+         "nan"),
+        ("audit-kp", "--graph", "hypercube:4", "--lambda", "1/10", "--p", "1",
+         "--c2", "0"),
+        ("audit-kp", "--graph", "hypercube:4", "--lambda", "1/10", "--p", "1",
+         "--c5", "-3"),
+        ("audit-kp", "--graph", "hypercube:4", "--lambda", "1/10", "--p", "1",
+         "--c2", "nan"),
+    ])
+    def test_constants_outside_the_positive_reals_exit_one(self, capsys,
+                                                           argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be positive and finite" in err
+
+    def test_product_sampled_sweep_of_no_set_exits_one(self, capsys):
+        code, out, err = run(capsys, "audit-iso", "--graph", "hypercube:3",
+                             "--property", "product", "--mode", "sampled",
+                             "--samples", "0")
+        assert code == 1
+        assert out == ""
+        assert "empty sweep" in err
+
+    @pytest.mark.parametrize("graph,k_max", [("hypercube:3", "3"),
+                                             ("cycle:6", "5")])
+    def test_clusters_budget_exceeded(self, capsys, graph, k_max):
+        # Q3 refuses in its polymer enumeration, C6 in the cluster walk
+        code, out, err = run(capsys, "clusters", "--graph", graph,
+                             "--lambda", "1/20", "--p", "1", "--k-max",
+                             k_max, "--budget", "10")
+        assert code == 1
+        assert out == ""
+        assert "budget exceeded" in err
+
     def test_only_audit_violations_exit_two(self, capsys, monkeypatch):
         def violated(*args, **kwargs):
             raise AuditViolation("bound violated")
@@ -306,6 +363,18 @@ class TestExitCodes:
     @settings(max_examples=60, deadline=None)
     @given(audit_argv())
     def test_audit_commands_exit_with_a_code(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kp_argv())
+    # the c2 regime of g on hypercube:4, which divided by c2 = 0
+    @example(["audit-kp", "--graph", "hypercube:4", "--lambda", "1/10",
+              "--p", "1", "--mode", "sum", "--k-max", "3", "--c1", "0.5",
+              "--c2", "0", "--c3", "10", "--c4", "0.5", "--c5", "0.5"])
+    def test_cluster_and_kp_commands_exit_with_a_code(self, argv):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
@@ -419,6 +488,15 @@ class TestComputeCommands:
         residuals = [r["residual"] for r in rows]
         assert residuals == sorted(residuals, reverse=True)
 
+    def test_clusters_depth_six(self, capsys):
+        code, out, _ = run(capsys, "clusters", "--graph", "cycle:6",
+                           "--lambda", "1/40", "--p", "1", "--k-max", "6")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["k"] for r in rows] == [1, 2, 3, 4, 5, 6]
+        residuals = [r["residual"] for r in rows]
+        assert residuals == sorted(residuals, reverse=True)
+
     def test_tv_matches_library(self, capsys):
         code, out, _ = run(capsys, "tv", "--graph", "cycle:6",
                            "--lambda", "1/2", "--p", "1")
@@ -518,6 +596,16 @@ class TestAuditCommands:
                 for spec in ("torus:6,2", "product:cycle:6+cycle:6")]
         assert runs[0] == runs[1]
         assert runs[0][0] == 0
+
+    def test_iso_product_of_a_product(self, capsys):
+        # the inner product:cycle:4 is one factor of four vertices
+        code, out, _ = run(capsys, "audit-iso", "--graph",
+                           "product:product:cycle:4+cycle:4+cycle:6",
+                           "--property", "product", "--size-cap", "1")
+        assert code == 0
+        rows = {r["condition"]: r for r in json.loads(out)}
+        assert rows["codegree"]["bound"] == 6
+        assert rows["near_half"]["checked"] == 96
 
     def test_iso_property_one_passes_on_hypercube(self, capsys):
         code, out, _ = run(capsys, "audit-iso", "--graph", "hypercube:4",

@@ -30,7 +30,7 @@ from isingpoly.model import ModelParams
 from isingpoly.polymers import (PolymerFamily, enumerate_polymers,
                                 polymer_weight, xi_brute)
 
-from oracles import brute_ursell
+from oracles import brute_connected, brute_ursell
 
 F = Fraction
 
@@ -77,24 +77,33 @@ class TestUrsell:
             relabeled = [(perm[u], perm[v]) for u, v in paw]
             assert ursell(4, relabeled) == base
 
+    @staticmethod
+    def assert_matches_oracle_on_every_graph(k):
+        # both routes, exhaustively: the library's connected-part recursion
+        # against the oracle's signed edge sweep, nonzero exactly where the
+        # oracle's union-find finds the graph connected
+        pool = list(combinations(range(k), 2))
+        for edge_bits in range(1 << len(pool)):
+            edges = [pool[i] for i in range(len(pool)) if edge_bits >> i & 1]
+            value = ursell(k, edges)
+            assert value == brute_ursell(k, edges)
+            assert (value != 0) == brute_connected(k, edges)
+
     def test_matches_recursion_oracle_on_all_four_vertex_graphs(self):
-        # both routes, exhaustively: direct signed sweep vs Mobius recursion
-        for edge_bits in range(1 << len(K4)):
-            edges = [K4[i] for i in range(len(K4)) if edge_bits >> i & 1]
-            assert ursell(4, edges) == brute_ursell(4, edges)
+        for k in range(1, 5):
+            self.assert_matches_oracle_on_every_graph(k)
 
     def test_matches_recursion_oracle_on_five_vertex_samples(self):
-        pool = list(combinations(range(5), 2))
-        picks = [0, 1, 37, 202, 511, 777, 1023, 555, 682, 341]
-        for edge_bits in picks:
-            edges = [pool[i] for i in range(len(pool)) if edge_bits >> i & 1]
-            assert ursell(5, edges) == brute_ursell(5, edges)
+        # all 1024 five-vertex graphs, a superset of any sample of them
+        self.assert_matches_oracle_on_every_graph(5)
 
     def test_vertex_count_guards(self):
         with pytest.raises(ValueError):
             ursell(0, [])
+        # the complete graph K_k has Ursell value (-1)^(k-1) / k
+        assert ursell(12, list(combinations(range(12), 2))) == F(-1, 12)
         with pytest.raises(BudgetError):
-            ursell(9, [])
+            ursell(13, [])
 
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -158,14 +167,15 @@ class TestClusterEnumeration:
 
     def test_budget_guards(self):
         g = build_cycle(6)
-        with pytest.raises(BudgetError):
-            enumerate_clusters(g, "E", params(1, 1), k_max=5)
         with pytest.raises(ValueError):
             enumerate_clusters(g, "E", params(1, 1), k_max=0)
-        # explicit cap override admits deeper enumeration
-        clusters = enumerate_clusters(g, "E", params(1, 1), k_max=5,
-                                      size_cap=5)
+        clusters = enumerate_clusters(g, "E", params(1, 1), k_max=5)
         assert max(c.size for c in clusters) == 5
+        # seven 2-linked sets fit the cap; the walk's 55 multisets do not
+        with pytest.raises(BudgetError, match="multisets"):
+            enumerate_clusters(g, "E", params(1, 1), k_max=5, enum_cap=10)
+        with pytest.raises(BudgetError, match="Ursell cap"):
+            enumerate_clusters(g, "E", params(1, 1), k_max=13)
 
 
 class TestExpansionTerms:
@@ -337,6 +347,23 @@ class TestTruncationReport:
         assert not rep["kp"].holds
         assert rep["tail_bounds"] is not None
 
+    def test_depth_six_on_cycle(self):
+        # three pairwise incompatible singletons of weight w: Xi = 1 + 3w, so
+        # L_k = (-1)^(k+1) (3w)^k / k, the series of log(1 + 3w)
+        g = build_cycle(6)
+        rep = log_xi_truncation_report(g, "E", params(F(1, 40), 1), k_max=6,
+                                       f_of_size=lambda s: s / 10,
+                                       g_of_size=lambda s: s / 10)
+        w = F(40, 1681)
+        assert [t["L_k"] for t in rep["terms"]] == \
+            [(-1) ** (k + 1) * (3 * w) ** k / k for k in range(1, 7)]
+        assert rep["kp"].holds and rep["tail_shape_ok"]
+        for k, term in enumerate(rep["terms"], start=1):
+            assert float(term["residual_before"]) <= rep["tail_bounds"][k - 1]
+        res = [float(t["residual"]) for t in rep["terms"]]
+        assert all(a > b for a, b in zip(res, res[1:]))
+        assert res[-1] < 2e-9
+
     def test_partial_sums_accumulate(self):
         g = build_cycle(6)
         rep = log_xi_truncation_report(g, "E", params(1, F(1, 2)), k_max=2)
@@ -348,8 +375,15 @@ class TestTruncationReport:
 
 class TestKPFunctions:
     def mk(self):
-        return KPFunctions(d=100, alpha_tilde=2.0, c1=2, c2=10, c3=3, c4=1,
-                           c5=0.5)
+        return KPFunctions(d=100, alpha_tilde=2.0, c1=2, c2=10, c3=3, c5=0.5)
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c5"])
+    @pytest.mark.parametrize("bad", [0, -3, math.nan, math.inf])
+    def test_constants_must_be_positive_and_finite(self, name, bad):
+        constants = dict(c1=2, c2=10, c3=3, c5=0.5)
+        constants[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            KPFunctions(d=100, alpha_tilde=2.0, **constants)
 
     def test_f_scale(self):
         assert self.mk().f(1) == pytest.approx(0.001)
@@ -386,7 +420,7 @@ class TestKPSumAudit:
         g = build_hypercube(3)
         prm = params(F(1, 20), 1)
         kpf = KPFunctions(d=3, alpha_tilde=float(prm.alpha_tilde), c1=2,
-                          c2=10, c3=3, c4=1, c5=0.5)
+                          c2=10, c3=3, c5=0.5)
         rep = kp_sum_audit(g, "E", prm, kpf, size_max=3)
         assert rep["polymer_count"] == 4
         assert rep["target"] == pytest.approx(3 ** -3.5)
@@ -401,7 +435,7 @@ class TestKPSumAudit:
         g = build_cycle(12)
         prm = params(F(1, 10), F(1, 2))
         kpf = KPFunctions(d=2, alpha_tilde=float(prm.alpha_tilde), c1=2,
-                          c2=10, c3=3, c4=1, c5=0.5)
+                          c2=10, c3=3, c5=0.5)
         rep = kp_sum_audit(g, "E", prm, kpf, size_max=2)
         assert rep["polymer_count"] == 12
         assert set(rep["per_size_totals"]) == {1, 2}
