@@ -80,6 +80,18 @@ from .rationals import format_rational, parse_rational
 
 BUDGET_ENV = "ISINGPOLY_BUDGET"
 GRAPH_FAMILIES = ("hypercube", "cycle", "torus", "kss", "midlayer", "product")
+# the property constants of audit-iso; audit-kp's sum mode reads all but c4
+CONSTANT_DEFAULTS = {"--c1": 2.0, "--c2": 10.0, "--c3": 3.0, "--c4": 1.0,
+                     "--c5": 0.5}
+# audit-kp's options, (type, default, help) by the mode that reads them
+KP_MODE_OPTIONS = {
+    "sum": {**{flag: (float, CONSTANT_DEFAULTS[flag], "KP constant")
+               for flag in ("--c1", "--c2", "--c3", "--c5")},
+            "--size-max": (int, 3, "largest polymer size summed"),
+            "--tail-depth": (int, 3, "tail-bound shapes reported")},
+    "truncation": {"--k-max": (int, 3, "deepest cluster order"),
+                   "--fg-denom": (int, None, "use f = g = size/denom")},
+}
 
 
 class CliError(Exception):
@@ -351,14 +363,29 @@ def cmd_audit_iso(args):
     return _condition_rows(report) + extra, report["holds"]
 
 
+def _kp_mode_options(args) -> None:
+    """Refuse an option of the other audit-kp mode; fill in this mode's
+    defaults."""
+    for mode, options in KP_MODE_OPTIONS.items():
+        for flag, (_, default, _) in options.items():
+            dest = flag[2:].replace("-", "_")
+            if mode == args.mode:
+                if getattr(args, dest) is None:
+                    setattr(args, dest, default)
+            elif getattr(args, dest) is not None:
+                raise CliError(f"{flag} applies only to --mode {mode}")
+
+
 def cmd_audit_kp(args):
+    _kp_mode_options(args)
     if args.mode == "sum":
         kpf = KPFunctions(d=args.graph.d,
                           alpha_tilde=float(args.params.alpha_tilde),
                           c1=args.c1, c2=args.c2, c3=args.c3, c5=args.c5)
         report = kp_sum_audit(args.graph, args.side, args.params, kpf,
                               args.rho, size_max=args.size_max,
-                              tail_depth=args.tail_depth)
+                              tail_depth=args.tail_depth,
+                              enum_cap=args.budget)
         record = {
             "mode": "sum",
             "target": report["target"],
@@ -525,11 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     side_arg.add_argument("--side", choices=("E", "O"), default="E")
 
     constants_arg = _Parser(add_help=False)
-    constants_arg.add_argument("--c1", type=float, default=2.0)
-    constants_arg.add_argument("--c2", type=float, default=10.0)
-    constants_arg.add_argument("--c3", type=float, default=3.0)
-    constants_arg.add_argument("--c4", type=float, default=1.0)
-    constants_arg.add_argument("--c5", type=float, default=0.5)
+    for flag, default in CONSTANT_DEFAULTS.items():
+        constants_arg.add_argument(flag, type=float, default=default)
 
     parser = _Parser(prog="isingpoly",
                      description="Exact enumeration and verification engine "
@@ -613,13 +637,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factor count (property product)")
 
     p = add("audit-kp", cmd_audit_kp, graph_arg, model_args, rho_arg,
-            side_arg, constants_arg, help="convergence-condition audits")
-    p.add_argument("--mode", choices=("sum", "truncation"), default="sum")
-    p.add_argument("--size-max", type=int, default=3)
-    p.add_argument("--tail-depth", type=int, default=3)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--fg-denom", type=int, default=None,
-                   help="truncation mode: use f = g = size/denom")
+            side_arg, help="convergence-condition audits")
+    p.add_argument("--mode", choices=tuple(KP_MODE_OPTIONS), default="sum")
+    # None marks an option as not given, so the other mode can refuse it
+    for mode, options in KP_MODE_OPTIONS.items():
+        for flag, (kind, default, text) in options.items():
+            p.add_argument(flag, type=kind, default=None,
+                           help=f"{text} (--mode {mode} only, default "
+                                f"{default})")
 
     p = add("audit-z", cmd_audit_z,
             help="coordinate-family partition sum bounds")

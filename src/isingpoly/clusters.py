@@ -358,14 +358,15 @@ def lk_tail_shape(n: int, d: int, alpha_tilde: float, c1: float, c5: float,
 
 def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
                  rho=DEFAULT_RHO, size_max: int = 3,
-                 tail_depth: int = 3) -> dict:
+                 tail_depth: int = 3, enum_cap: int | None = None) -> dict:
     """Per-vertex audit of the convergence sums: for every v on the side,
     the sum over enumerated polymers containing v of omega(A) e^{f+g},
     against the target d^-(c5+3). A report with margins, never an
     assertion: at desk-scale degree the asymptotic claim has no obligation
     to hold. The expansion-tail bound shapes are evaluated alongside.
     """
-    family = PolymerFamily(g, side, params, rho, size_max=size_max)
+    family = PolymerFamily(g, side, params, rho, size_max=size_max,
+                           enum_cap=enum_cap)
     target = g.d ** -(kpf.c5 + 3)
     per_vertex: dict[int, float] = {}
     per_size: dict[int, float] = {}

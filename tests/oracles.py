@@ -3,11 +3,14 @@
 Everything here is written straight from definitions, deliberately ignoring
 the optimized implementations in the package: neighborhoods by scanning all
 vertices, 2-linkedness by union-find over pairwise distances, partition
-functions by full subset sweeps. Slow and obviously correct.
+functions by full subset sweeps. Slow and obviously correct. A few are the
+former library routes that a faster algorithm replaced, kept as the second
+route to it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -81,27 +84,68 @@ def graphs_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
     return False
 
 
+@functools.cache
+def brute_subset_histogram(g: BipartiteGraph) -> dict[tuple[int, int], int]:
+    """How many vertex subsets have each (size, edges inside) pair, by a
+    sweep over all 2^n subsets; cached per graph."""
+    edges = list(g.edges())
+    counts: dict[tuple[int, int], int] = {}
+    for mask in range(1 << g.n):
+        inside = 0
+        for u, v in edges:
+            if (mask >> u) & 1 and (mask >> v) & 1:
+                inside += 1
+        key = (mask.bit_count(), inside)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def brute_ising_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fraction:
-    """Sum over all vertex subsets of lam^|I| * (1-p)^{edges inside I}.
+    """Sum over all vertex subsets of lam^|I| * (1-p)^{edges inside I},
+    grouped by (|I|, edges inside I).
 
     With p = 1 - e^{-beta} this is the antiferromagnetic Ising partition
-    function; at p = 1 only independent sets survive.
+    function; at p = 1 only independent sets survive (0^0 = 1).
     """
     lam = Fraction(lam)
     q = 1 - Fraction(p)
-    total = Fraction(0)
-    for mask in range(1 << g.n):
-        inside = 0
-        for u, v in g.edges():
-            if (mask >> u) & 1 and (mask >> v) & 1:
-                inside += 1
-        term = lam ** mask.bit_count()
-        if inside:
-            if q == 0:
+    return sum((count * lam ** size * q ** inside
+                for (size, inside), count in brute_subset_histogram(g).items()),
+               Fraction(0))
+
+
+def fraction_boundary_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fraction:
+    """The partition function by a boundary DP in natural vertex order that
+    adds Fractions in every state (states keyed by the chosen vertices that
+    still have undecided neighbours); the second route to exact_Z."""
+    lam = Fraction(lam)
+    surv = 1 - Fraction(p)
+    last = [nbrs[-1] for nbrs in g.adj]
+    states: dict[int, Fraction] = {0: Fraction(1)}
+    for i in range(g.n):
+        retain = 0
+        for v in range(i + 1):
+            if last[v] > i:
+                retain |= 1 << v
+        bit = 1 << i
+        am = g.adj_mask[i]
+        nxt: dict[int, Fraction] = {}
+        for s, w in states.items():
+            key = s & retain
+            cur = nxt.get(key)
+            nxt[key] = w if cur is None else cur + w
+            back = popcount(am & s)
+            if back and surv == 0:
                 continue
-            term *= q ** inside
-        total += term
-    return total
+            wi = w * lam
+            if back:
+                wi *= surv ** back
+            key = (s | bit) & retain
+            cur = nxt.get(key)
+            nxt[key] = wi if cur is None else cur + wi
+        states = nxt
+    (value,) = states.values()
+    return value
 
 
 def brute_independent_set_count(g: BipartiteGraph) -> int:

@@ -147,9 +147,10 @@ def kp_argv(draw):
     # only hypercube:4 has polymers big enough for g's c2 regime
     graphs = ["cycle:6", "hypercube:3"] + ["hypercube:4"] * (mode == "sum")
     argv = ["audit-kp", "--graph", draw(st.sampled_from(graphs)),
-            "--lambda", "1/10", "--p", "1", "--mode", mode,
-            "--k-max", k_max]
-    for flag in ("--c1", "--c2", "--c3", "--c4", "--c5"):
+            "--lambda", "1/10", "--p", "1", "--mode", mode]
+    if mode == "truncation":
+        return argv + ["--k-max", k_max]
+    for flag in ("--c1", "--c2", "--c3", "--c5"):
         argv += [flag, draw(st.sampled_from(CONSTANTS))]
     return argv
 
@@ -345,6 +346,37 @@ class TestExitCodes:
         assert out == ""
         assert "budget exceeded" in err
 
+    def test_kp_sum_budget_exceeded(self, capsys):
+        code, out, err = run(capsys, "audit-kp", "--graph", "hypercube:4",
+                             "--lambda", "1/10", "--p", "1", "--mode", "sum",
+                             "--budget", "16")
+        assert code == 1
+        assert out == ""
+        assert "2-linked enumeration exceeded 16 sets" in err
+
+    @pytest.mark.parametrize("mode,option,value", [
+        ("truncation", "--c1", "2"), ("truncation", "--c2", "0"),
+        ("truncation", "--c3", "3"), ("truncation", "--c5", "0.5"),
+        ("truncation", "--size-max", "2"), ("truncation", "--tail-depth", "2"),
+        ("sum", "--k-max", "2"), ("sum", "--fg-denom", "10"),
+        ("sum", "--c4", "1"), ("truncation", "--c4", "1"),
+    ])
+    def test_kp_options_of_the_other_mode_exit_one(self, capsys, mode,
+                                                   option, value):
+        code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6",
+                             "--lambda", "1/10", "--p", "1", "--mode", mode,
+                             option, value)
+        assert code == 1
+        assert out == ""
+        assert option in err
+
+    def test_kp_truncation_refuses_a_sum_constant(self, capsys):
+        code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6",
+                             "--lambda", "1/10", "--p", "1", "--mode",
+                             "truncation", "--c2", "0", "--k-max", "2")
+        assert code == 1
+        assert "--c2 applies only to --mode sum" in err
+
     def test_only_audit_violations_exit_two(self, capsys, monkeypatch):
         def violated(*args, **kwargs):
             raise AuditViolation("bound violated")
@@ -372,8 +404,8 @@ class TestExitCodes:
     @given(kp_argv())
     # the c2 regime of g on hypercube:4, which divided by c2 = 0
     @example(["audit-kp", "--graph", "hypercube:4", "--lambda", "1/10",
-              "--p", "1", "--mode", "sum", "--k-max", "3", "--c1", "0.5",
-              "--c2", "0", "--c3", "10", "--c4", "0.5", "--c5", "0.5"])
+              "--p", "1", "--mode", "sum", "--c1", "0.5", "--c2", "0",
+              "--c3", "10", "--c5", "0.5"])
     def test_cluster_and_kp_commands_exit_with_a_code(self, argv):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -427,6 +459,16 @@ class TestComputeCommands:
         record = json.loads(out)
         assert record["match"] is True
         assert record["value"] == record["z_value"]
+
+    def test_torus_8_2_count_by_both_routes(self, capsys):
+        code, out, _ = run(capsys, "zexact", "--graph", "torus:8,2",
+                           "--lambda", "1", "--p", "1", "--budget", "64")
+        assert code == 0
+        z = json.loads(out)["value"]
+        code, out, _ = run(capsys, "isets", "--graph", "torus:8,2",
+                           "--budget", "64")
+        assert code == 0
+        assert z == str(json.loads(out)["count"]) == "213256442503"
 
     def test_isets_dual_route(self, capsys):
         code, out, _ = run(capsys, "isets", "--graph", "hypercube:3",

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingpoly.graphs import (
+    BipartiteGraph,
     BudgetError,
+    build_cartesian_product,
     build_complete_bipartite,
     build_cycle,
     build_even_torus,
@@ -36,6 +40,7 @@ from oracles import (
     brute_captured,
     brute_independent_set_count,
     brute_ising_Z,
+    fraction_boundary_Z,
 )
 
 C4 = build_even_torus(4, 1)
@@ -113,6 +118,55 @@ class TestWeightsAndZ:
             lucas.append(lucas[-1] + lucas[-2])
         assert count_independent_sets(build_cycle(2000),
                                       sweep_cap=2000) == lucas[2000]
+
+
+Z_GRAPHS = [build_cycle(m) for m in (4, 6, 8, 10, 12)] + [
+    Q3, build_hypercube(4), build_complete_bipartite(3),
+    build_even_torus(4, 2), build_middle_layer(3),
+    build_cartesian_product([build_cycle(4), build_cycle(6)]),
+]
+T82 = build_even_torus(8, 2)
+LAMBDAS = st.fractions(min_value=Fraction(1, 50), max_value=3,
+                       max_denominator=50)
+PS = st.fractions(min_value=0, max_value=1, max_denominator=50)
+
+
+def relabelled(g: BipartiteGraph, perm: list[int]) -> BipartiteGraph:
+    """The same graph with vertex v renamed perm[v]."""
+    adjacency = [[] for _ in range(g.n)]
+    for v, nbrs in enumerate(g.adj):
+        adjacency[perm[v]] = sorted(perm[u] for u in nbrs)
+    return BipartiteGraph(g.n, g.d, [perm[v] for v in g.side_E], adjacency)
+
+
+class TestExactZRoutes:
+    @settings(max_examples=30, deadline=None)
+    @given(g=st.sampled_from(Z_GRAPHS), lam=LAMBDAS, p=PS)
+    def test_integer_dp_matches_the_fraction_dp(self, g, lam, p):
+        for pr in (p, Fraction(0), Fraction(1)):
+            z = exact_Z(g, ModelParams(lam, pr))
+            assert z == fraction_boundary_Z(g, lam, pr)
+            if g.n <= 16:
+                assert z == brute_ising_Z(g, lam, pr)
+
+    @settings(max_examples=20, deadline=None)
+    @given(g=st.sampled_from(Z_GRAPHS), rng=st.randoms(), lam=LAMBDAS, p=PS)
+    def test_relabelling_leaves_z_unchanged(self, g, rng, lam, p):
+        # a permuted copy feeds the greedy vertex order another labelling
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        params = ModelParams(lam, p)
+        assert exact_Z(relabelled(g, perm), params) == exact_Z(g, params)
+
+    def test_torus_8_2_independent_sets(self):
+        count = count_independent_sets(T82, sweep_cap=64)
+        assert count == 213256442503
+        assert exact_Z(T82, ModelParams(1, 1), sweep_cap=64) == count
+
+    def test_torus_8_2_without_interaction(self):
+        lam = Fraction(2, 7)
+        assert exact_Z(T82, ModelParams(lam, 0), sweep_cap=64) == \
+            (1 + lam) ** 64
 
 
 class TestPercolation:
