@@ -32,6 +32,7 @@ from .rationals import format_rational, parse_rational
 from .model import (
     ModelParams,
     MuHatSampler,
+    capture_classes,
     count_independent_sets,
     exact_Z,
     ising_weight,
@@ -40,6 +41,7 @@ from .model import (
     mu_table,
     percolation_expectation_exact,
     percolation_mc,
+    subset_sweep,
     tv_distance,
     z_hat_sweep,
 )

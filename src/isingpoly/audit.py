@@ -30,7 +30,7 @@ from .graphs import (
     neighborhood,
     popcount,
 )
-from .model import ModelParams, exact_Z, ising_weight, nonpolymer_family
+from .model import ModelParams, capture_classes
 from .polymers import DEFAULT_RHO, enumerate_g_ab, polymer_weight
 from .rationals import (LOG_PRECISION_BITS, log_rational,
                         require_positive_finite, to_mpf)
@@ -375,8 +375,7 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
     (1+lam)^d exp(-alpha_bar ell - C log d) and
     (1+lam)^d exp(-alpha_bar ell + d^-C). Bounds are asserted only when the
     hypothesis inequalities verify at (d, lam, p, C)."""
-    if big_c <= 0:
-        raise ValueError(f"C must be positive, got {big_c}")
+    require_positive_finite(C=big_c)
     d = family.d
     ell = Fraction(ell)
     limit = min(Fraction(ell_psi(family)), Fraction(d, 2))
@@ -427,8 +426,7 @@ def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
     if family.has_empty:
         raise ValueError("the half-ell bound requires the empty set not "
                          "be in the family")
-    if big_c <= 0:
-        raise ValueError(f"C must be positive, got {big_c}")
+    require_positive_finite(C=big_c)
     d = family.d
     lam = params.lam
     total = z_psi(family, params)
@@ -520,12 +518,8 @@ def nonpolymer_weight_report(g: BipartiteGraph, params: ModelParams,
     """Exact total weight of the configurations captured on neither side,
     its ratio to the full partition function, and the decay exponent
     -log(ratio) d / n."""
-    total = Fraction(0)
-    count = 0
-    for mask in nonpolymer_family(g, rho, sweep_cap):
-        total += ising_weight(g, params, mask)
-        count += 1
-    z = exact_Z(g, params, sweep_cap=sweep_cap)
+    total, w1, w2, count = capture_classes(g, params, rho, sweep_cap)
+    z = total + w1 + w2
     ratio = total / z
     with mpmath.workprec(LOG_PRECISION_BITS):
         exponent = -log_rational(ratio) * g.d / g.n

@@ -67,13 +67,11 @@ from .graphs import (
 from .model import (
     ModelParams,
     MuHatSampler,
+    capture_classes,
     count_independent_sets,
     exact_Z,
-    mu_hat_table,
-    mu_table,
     percolation_expectation_exact,
     percolation_mc,
-    tv_distance,
 )
 from .polymers import enumerate_polymers, polymer_to_json_dict, xi_brute
 from .rationals import format_rational, parse_rational
@@ -301,10 +299,13 @@ def cmd_closed_form(args):
 
 
 def cmd_tv(args):
-    mu = mu_table(args.graph, args.params, sweep_cap=args.budget)
-    mu_hat = mu_hat_table(args.graph, args.params, args.rho,
-                          sweep_cap=args.budget)
-    return [{"tv": tv_distance(mu, mu_hat)}], True
+    w0, w1, w2, _ = capture_classes(args.graph, args.params, args.rho,
+                                    sweep_cap=args.budget)
+    z, z_hat = w0 + w1 + w2, w1 + 2 * w2
+    # mu-hat / mu is h * Z / Z-hat on the subsets captured on h sides
+    tv = (w0 * z_hat + w1 * abs(z_hat - z) + w2 * abs(z_hat - 2 * z)) / \
+        (2 * z * z_hat)
+    return [{"tv": tv}], True
 
 
 def cmd_sample_muhat(args):

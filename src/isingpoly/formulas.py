@@ -179,14 +179,18 @@ def l2_regime_report(g: BipartiteGraph, side: str, expected_histogram,
                      rho=DEFAULT_RHO) -> dict:
     """Check the two structural hypotheses behind the L2 derivations on a
     concrete graph: every same-side vertex sees exactly the expected
-    multiset of codegrees among its 2-linked partners, and every 2-linked
-    pair on the side is a valid polymer."""
+    multiset of codegrees among its 2-linked partners, and every vertex and
+    every 2-linked pair on the side is a valid polymer (on K_{1,1} no single
+    vertex is, and the formulas do not apply)."""
     rho = validate_rho(rho)
     side_mask = g.side_mask(side)
     expected = {k: v for k, v in expected_histogram.items() if v}
     histogram_ok = True
+    singletons_ok = True
     pairs_ok = True
     for u in iter_bits(side_mask):
+        if not polymer_is_valid(g, 1 << u, side, rho):
+            singletons_ok = False
         hist: dict[int, int] = {}
         partners = g.two_ball_mask(u) & side_mask
         for v in iter_bits(partners):
@@ -199,8 +203,9 @@ def l2_regime_report(g: BipartiteGraph, side: str, expected_histogram,
             histogram_ok = False
     return {
         "codegree_histogram_ok": histogram_ok,
+        "singletons_are_polymers": singletons_ok,
         "pairs_are_polymers": pairs_ok,
-        "regime_ok": histogram_ok and pairs_ok,
+        "regime_ok": histogram_ok and singletons_ok and pairs_ok,
         "expected_histogram": expected,
     }
 

@@ -14,6 +14,7 @@ for middle layers), which is the convention the model layer relies on.
 from __future__ import annotations
 
 import json
+import math
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -311,12 +312,10 @@ def build_middle_layer(d: int, vertex_cap: int | None = None) -> BipartiteGraph:
     if d < 1:
         raise ValueError(f"middle-layer parameter must be >= 1, got {d}")
     ground = 2 * d - 1
-    lower = [m for m in range(1 << ground) if m.bit_count() == d - 1]
-    upper = [m for m in range(1 << ground) if m.bit_count() == d]
-    lower.sort()
-    upper.sort()
-    n = len(lower) + len(upper)
+    n = 2 * math.comb(ground, d - 1)
     _check_vertex_budget(n, vertex_cap)
+    lower = sorted(as_mask(c) for c in combinations(range(ground), d - 1))
+    upper = sorted(as_mask(c) for c in combinations(range(ground), d))
     index = {m: i for i, m in enumerate(lower)}
     index.update({m: len(lower) + i for i, m in enumerate(upper)})
     adjacency: list[list[int]] = [[] for _ in range(n)]

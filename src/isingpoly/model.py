@@ -16,6 +16,7 @@ measure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,7 @@ import mpmath
 import numpy as np
 
 from .graphs import (
+    AuditViolation,
     BipartiteGraph,
     BudgetError,
     DEFAULT_EDGE_SWEEP_CAP,
@@ -99,23 +101,38 @@ def _check_sweep(n: int, cap: int | None) -> None:
 
 def internal_edge_count(g: BipartiteGraph, i_mask: int) -> int:
     """Number of edges of G with both endpoints in the set."""
+    # every edge has exactly one endpoint on side O
     total = 0
-    for v in iter_bits(i_mask):
+    for v in iter_bits(i_mask & g.side_O_mask):
         total += popcount(g.adj_mask[v] & i_mask)
-    return total // 2
+    return total
+
+
+def _weight_scale(g: BipartiteGraph, params: ModelParams) -> int:
+    """b^n * e^|E| for lambda = a/b and 1-p = c/e: the denominator of every
+    integer-scaled weight (exact_Z's DP states, subset_sweep's weights)."""
+    return (params.lam.denominator ** g.n
+            * (1 - params.p).denominator ** g.edge_count())
+
+
+def _scaled_weight(g: BipartiteGraph, params: ModelParams, size: int,
+                   inside: int) -> int:
+    """The ising_weight of a set of `size` vertices with `inside` edges
+    inside it, times _weight_scale: a^size b^(n-size) c^inside e^(|E|-inside).
+    At p = 1, c = 0 makes every set with an internal edge weigh zero."""
+    surv = 1 - params.p
+    return (params.lam.numerator ** size
+            * params.lam.denominator ** (g.n - size)
+            * surv.numerator ** inside
+            * surv.denominator ** (g.edge_count() - inside))
 
 
 def ising_weight(g: BipartiteGraph, params: ModelParams, i) -> Fraction:
     """lambda^|I| * (1-p)^{E(I)}; zero when p = 1 and I has an internal edge."""
     i = as_mask(i)
-    inside = internal_edge_count(g, i)
-    surv = 1 - params.p
-    w = params.lam ** popcount(i)
-    if inside:
-        if surv == 0:
-            return Fraction(0)
-        w *= surv ** inside
-    return w
+    return Fraction(_scaled_weight(g, params, popcount(i),
+                                   internal_edge_count(g, i)),
+                    _weight_scale(g, params))
 
 
 def _frontier_placement(g: BipartiteGraph):
@@ -179,10 +196,8 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
     a, b = params.lam.numerator, params.lam.denominator
     surv = 1 - params.p
     c, e = surv.numerator, surv.denominator
-    edges = 0
     states: dict[int, int] = {0: 1}
     for v, back, retain in _frontier_placement(g):
-        edges += back
         out_w = b * e ** back
         in_w = [a * c ** k * e ** (back - k) for k in range(back + 1)]
         bit = 1 << v
@@ -198,7 +213,7 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
                 nxt[key] = get(key, 0) + w * m
         states = nxt
     (value,) = states.values()
-    return Fraction(value, b ** g.n * e ** edges)
+    return Fraction(value, _weight_scale(g, params))
 
 
 def count_independent_sets(g: BipartiteGraph,
@@ -301,22 +316,20 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
 class MeasureTable:
     """A finite probability table with exact Fraction probabilities.
 
-    Keys are outcomes (subset masks, or (mask, side) pairs); probabilities
-    must be nonnegative and sum to exactly 1. The normalization constant
-    (the partition function the probabilities were divided by) rides along
-    for reporting.
+    Keys are outcomes (subset masks, or (mask, side) pairs); their integer
+    weights must be nonnegative and sum to exactly the positive total. The
+    normalization constant total / scale (the partition function the
+    weights were divided by) rides along for reporting.
     """
 
-    def __init__(self, probs: dict, normalization: Fraction):
-        total = Fraction(0)
-        for key, value in probs.items():
-            if value < 0:
-                raise ValueError(f"negative probability at {key!r}")
-            total += value
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        self.probs = dict(probs)
-        self.normalization = Fraction(normalization)
+    def __init__(self, weights: dict, total: int, scale: int):
+        for key, value in weights.items():
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"negative or non-integer weight at {key!r}")
+        if total <= 0 or sum(weights.values()) != total:
+            raise ValueError(f"weights must sum to the positive total {total}")
+        self.probs = {key: Fraction(w, total) for key, w in weights.items()}
+        self.normalization = Fraction(total, scale)
 
     def prob(self, key) -> Fraction:
         return self.probs[key]
@@ -348,47 +361,59 @@ def captured_on_side(g: BipartiteGraph, i, side: str, rho=DEFAULT_RHO) -> bool:
     return _captured(g, as_mask(i) & g.side_mask(side), side, cutoff)
 
 
-def capture_sweep(g: BipartiteGraph, rho=DEFAULT_RHO,
-                  sweep_cap: int | None = None):
-    """Yield (mask, captured on O, captured on E) for every subset mask in
-    increasing order, streaming.
-
-    Capture on a side depends only on the subset's trace there, so each
-    trace is tested once. Nonempty O- and E-traces are distinct masks and
-    the empty trace is captured on both sides, so one memo serves both.
-    """
+def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
+                 sweep_cap: int | None = None):
+    """Yield (mask, weight, captured on O, captured on E) for every subset
+    mask in increasing order, streaming. The weight is the ising_weight
+    times _weight_scale, an int memoised by (|I|, e(I)); capture on a side
+    depends only on the subset's trace there, so each trace is tested once."""
     _check_sweep(g.n, sweep_cap)
     cutoff = closure_cutoff(g, rho)
-    memo: dict[int, bool] = {}
+    captured = functools.cache(
+        lambda part, side: _captured(g, part, side, cutoff))
+    weight = functools.cache(functools.partial(_scaled_weight, g, params))
     for i_mask in range(1 << g.n):
-        o_part = i_mask & g.side_O_mask
-        e_part = i_mask & g.side_E_mask
-        if o_part not in memo:
-            memo[o_part] = _captured(g, o_part, "O", cutoff)
-        if e_part not in memo:
-            memo[e_part] = _captured(g, e_part, "E", cutoff)
-        yield i_mask, memo[o_part], memo[e_part]
+        w = weight(popcount(i_mask), internal_edge_count(g, i_mask))
+        yield (i_mask, w, captured(i_mask & g.side_O_mask, "O"),
+               captured(i_mask & g.side_E_mask, "E"))
+
+
+def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
+                    sweep_cap: int | None = None):
+    """(W0, W1, W2, count0) from one sweep: W_h is the total ising_weight of
+    the subsets captured on h sides and count0 the number captured on
+    neither. So Z = W0 + W1 + W2, Z-hat = W1 + 2 W2, and W0 is the
+    non-polymer weight. Raises AuditViolation unless W0 + W1 + W2 equals
+    exact_Z."""
+    sums = [0, 0, 0]
+    count0 = 0
+    for _, w, on_o, on_e in subset_sweep(g, params, rho, sweep_cap):
+        sums[on_o + on_e] += w
+        count0 += not (on_o or on_e)
+    scale = _weight_scale(g, params)
+    if Fraction(sum(sums), scale) != exact_Z(g, params, sweep_cap=sweep_cap):
+        raise AuditViolation("capture classes do not sum to exact_Z")
+    return (*(Fraction(w, scale) for w in sums), count0)
 
 
 def mu_table(g: BipartiteGraph, params: ModelParams,
              sweep_cap: int | None = None) -> MeasureTable:
-    """The Ising measure: P(I) = ising_weight(I) / Z over all subsets."""
+    """The Ising measure: P(I) = ising_weight(I) / Z over all subsets; the
+    table checks that the sweep's weights sum to exact_Z."""
     z = exact_Z(g, params, sweep_cap=sweep_cap)
-    probs = {}
-    for i_mask in range(1 << g.n):
-        probs[i_mask] = ising_weight(g, params, i_mask) / z
-    return MeasureTable(probs, z)
+    scale = _weight_scale(g, params)
+    weights = {i_mask: w for i_mask, w, _, _ in
+               subset_sweep(g, params, sweep_cap=sweep_cap)}
+    return MeasureTable(weights, z.numerator * (scale // z.denominator), scale)
 
 
 def z_hat_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
                 sweep_cap: int | None = None) -> Fraction:
     """The polymer-approximation normalizer by direct sweep: each subset
     contributes its weight once per side whose capture test it passes."""
-    total = Fraction(0)
-    for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
-        if on_o or on_e:
-            total += (on_o + on_e) * ising_weight(g, params, i_mask)
-    return total
+    return Fraction(sum((on_o + on_e) * w for _, w, on_o, on_e in
+                        subset_sweep(g, params, rho, sweep_cap)),
+                    _weight_scale(g, params))
 
 
 def mu_hat_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
@@ -396,36 +421,21 @@ def mu_hat_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     """The polymer-approximation measure on subsets: weight counted once per
     capturing side (a set captured on both sides is deliberately counted
     twice, matching the two-sided normalizer)."""
-    weights = {}
-    total = Fraction(0)
-    for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
-        hits = on_o + on_e
-        w = hits * ising_weight(g, params, i_mask) if hits else Fraction(0)
-        weights[i_mask] = w
-        total += w
-    return MeasureTable({k: w / total for k, w in weights.items()}, total)
+    weights = {i_mask: (on_o + on_e) * w for i_mask, w, on_o, on_e in
+               subset_sweep(g, params, rho, sweep_cap)}
+    return MeasureTable(weights, sum(weights.values()),
+                        _weight_scale(g, params))
 
 
 def mu_hat_star_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
                       sweep_cap: int | None = None) -> MeasureTable:
     """The two-sided measure on pairs (I, side): P = [captured] * weight / Z-hat."""
     weights = {}
-    total = Fraction(0)
-    zero = Fraction(0)
-    for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
-        w = ising_weight(g, params, i_mask)
-        weights[(i_mask, "O")] = w if on_o else zero
-        weights[(i_mask, "E")] = w if on_e else zero
-        total += (on_o + on_e) * w
-    return MeasureTable({k: w / total for k, w in weights.items()}, total)
-
-
-def nonpolymer_family(g: BipartiteGraph, rho=DEFAULT_RHO,
-                      sweep_cap: int | None = None):
-    """Subsets captured on neither side, in increasing mask order."""
-    for i_mask, on_o, on_e in capture_sweep(g, rho, sweep_cap):
-        if not (on_o or on_e):
-            yield i_mask
+    for i_mask, w, on_o, on_e in subset_sweep(g, params, rho, sweep_cap):
+        weights[(i_mask, "O")] = on_o * w
+        weights[(i_mask, "E")] = on_e * w
+    return MeasureTable(weights, sum(weights.values()),
+                        _weight_scale(g, params))
 
 
 # -- exact sampler for the decorated polymer measure -------------------------

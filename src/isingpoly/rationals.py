@@ -8,16 +8,28 @@ CSV carry them as "p/q" strings so nothing is ever rounded on disk.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 
 # Working precision of every log-scale report taken of an exact value.
 LOG_PRECISION_BITS = 128
+# Fraction("1e999999999") spends minutes building 10^999999999, so a
+# decimal exponent beyond Python's 4,300-digit int-string limit is refused
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "3/4", "2", "0.25", or "-1/3" into an exact Fraction."""
+    """Parse "3/4", "2", "0.25", or "-1/3" into an exact Fraction; "1e3"
+    too, with the exponent at most MAX_DECIMAL_EXPONENT in magnitude."""
+    exponent = _EXPONENT.search(text)
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or \
+            int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent of {text!r} exceeds "
+                         f"{MAX_DECIMAL_EXPONENT} in magnitude")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -19,6 +19,7 @@ import numpy as np
 
 from isingpoly.graphs import (BipartiteGraph, as_mask, bits, iter_bits,
                               neighborhood, popcount)
+from isingpoly.model import captured_on_side
 from isingpoly.polymers import enumerate_compatible_configs
 
 
@@ -146,6 +147,33 @@ def fraction_boundary_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fracti
         states = nxt
     (value,) = states.values()
     return value
+
+
+def fraction_measure(g: BipartiteGraph, params, rho, kind: str):
+    """The measure table `kind` ("mu", "mu_hat" or "mu_hat_star") as an
+    {outcome: probability} dict in increasing mask order, with its
+    normalizer: one Fraction weight lam^|I| (1-p)^{e(I)} per subset and
+    captured_on_side per trace, added up as Fractions; the second route to
+    the measure tables."""
+    lam, surv = params.lam, 1 - params.p
+    captured = functools.cache(
+        lambda trace, side: captured_on_side(g, trace, side, rho))
+    weights = {}
+    for mask in range(1 << g.n):
+        inside = sum(popcount(g.adj_mask[v] & mask)
+                     for v in iter_bits(mask)) // 2
+        w = lam ** popcount(mask) * surv ** inside
+        on_o = captured(mask & g.side_O_mask, "O")
+        on_e = captured(mask & g.side_E_mask, "E")
+        if kind == "mu":
+            weights[mask] = w
+        elif kind == "mu_hat":
+            weights[mask] = (on_o + on_e) * w
+        else:
+            weights[(mask, "O")] = on_o * w
+            weights[(mask, "E")] = on_e * w
+    total = sum(weights.values(), Fraction(0))
+    return {key: w / total for key, w in weights.items()}, total
 
 
 def brute_independent_set_count(g: BipartiteGraph) -> int:

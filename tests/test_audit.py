@@ -431,6 +431,14 @@ class TestZPsiSplitAudit:
         with pytest.raises(ValueError, match="C must"):
             z_psi_split_audit(fam, 1, ModelParams(1, 1), 0)
 
+    @pytest.mark.parametrize("big_c", [math.nan, math.inf, 0, -1.5])
+    def test_c_must_be_positive_and_finite(self, big_c):
+        fam = PsiFamily(10, ({0}, {1}))
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            z_psi_split_audit(fam, 1, ModelParams(1, F(1, 2)), big_c)
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            z_psi_halfell_audit(fam, ModelParams(1, F(1, 2)), big_c)
+
     def test_empty_member_breaks_split_identity(self):
         fam = PsiFamily(10, (frozenset(), {0}, {1}))
         report = z_psi_split_audit(fam, 4, ModelParams(1, F(1, 2)), 1)
@@ -653,3 +661,30 @@ def test_every_public_name_has_a_consumer():
                     used.add(name)
     assert AWAITING_CONSUMER <= public
     assert sorted(public - used - AWAITING_CONSUMER) == []
+
+
+def test_every_oracle_has_a_consumer():
+    # an oracle that nothing compares against is no second route: delete
+    # it, or give it a test
+    root = Path(__file__).resolve().parents[1]
+    oracles = root / "tests" / "oracles.py"
+    defined = {node.name for node in ast.parse(oracles.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set()
+    for path in sorted((root / "tests").glob("test_*.py")) + \
+            sorted((root / "perfbench").glob("*.py")) + [oracles]:
+        for top in ast.parse(path.read_text()).body:
+            # an oracle used only inside its own definition has no consumer
+            own = getattr(top, "name", None) if path == oracles else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    assert "fraction_measure" in defined
+    assert sorted(defined - used) == []

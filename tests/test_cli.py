@@ -26,6 +26,7 @@ from isingpoly.cli import (
 )
 from isingpoly.graphs import AuditViolation, build_cycle, graph_to_json
 from isingpoly.model import ModelParams, mu_hat_table, mu_table, tv_distance
+from isingpoly.rationals import parse_rational
 
 
 class TestGraphSpecs:
@@ -165,6 +166,25 @@ class TestExitCodes:
                            "--lambda", "x/y", "--p", "1")
         assert code == 1
         assert "not a rational" in err
+
+    @pytest.mark.parametrize("value", ["1e999999999", "1e-999999999",
+                                       "1E+4301", "2.5e99_999_999",
+                                       "1e0000000000000000000000000009999"])
+    def test_huge_decimal_exponent_refused(self, capsys, value):
+        code, _, err = run(capsys, "zexact", "--graph", "cycle:4",
+                           "--lambda", value, "--p", "1")
+        assert code == 1
+        assert "exponent" in err
+
+    def test_decimal_exponent_at_the_limit(self):
+        assert parse_rational("1e4300") == 10 ** 4300
+        assert parse_rational(" 3e-4300 ") == F(3, 10 ** 4300)
+        assert parse_rational("1e00004300") == 10 ** 4300
+
+    def test_huge_middle_layer_refused_before_listing(self, capsys):
+        code, _, err = run(capsys, "gen", "--graph", "midlayer:30")
+        assert code == 1
+        assert "118264581564861424 vertices" in err
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, "zexact", "--graph", "hypercube:5",
@@ -549,6 +569,28 @@ class TestComputeCommands:
                                mu_hat_table(g, params))
         assert json.loads(out)["tv"] == f"{expected.numerator}/{expected.denominator}"
 
+    @settings(max_examples=25, deadline=None)
+    @given(spec=st.sampled_from(["cycle:4", "cycle:6", "cycle:8",
+                                 "hypercube:3", "kss:3"]),
+           lam=st.fractions(min_value=F(1, 50), max_value=3,
+                            max_denominator=50),
+           p=st.fractions(min_value=0, max_value=1, max_denominator=50))
+    @example(spec="torus:4,2", lam=F(2, 3), p=F(1, 3))
+    def test_tv_by_capture_classes_equals_the_table_distance(self, spec,
+                                                             lam, p):
+        g = build_graph_from_spec(spec)
+        for pr in (p, F(0), F(1)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["tv", "--graph", spec, "--lambda", str(lam),
+                             "--p", str(pr)])
+            assert code == 0
+            params = ModelParams(lam, pr)
+            expected = tv_distance(mu_table(g, params),
+                                   mu_hat_table(g, params))
+            assert parse_rational(json.loads(out.getvalue())["tv"]) == \
+                expected
+
     def test_sample_muhat_deterministic_and_complete(self, capsys):
         args = ("sample-muhat", "--graph", "cycle:4", "--lambda", "1",
                 "--p", "1", "--samples", "300", "--seed", "5")
@@ -576,6 +618,17 @@ class TestClosedFormCommand:
         record = json.loads(out)
         assert record["formula_value"] == "3/32"
         assert record["oracle_value"] == "-9/32"
+        assert record["regime_ok"] is False
+
+    @pytest.mark.parametrize("family", [["hypercube", "--t", "1"],
+                                        ["kss", "--s", "1", "--t", "1"]])
+    def test_single_edge_out_of_regime_exits_zero(self, capsys, family):
+        code, out, _ = run(capsys, "closed-form", "--family", *family,
+                           "--p", "1/2", "--verify")
+        assert code == 0
+        record = json.loads(out)
+        assert record["formula_value"] == "-9/32"
+        assert record["oracle_value"] == "0"
         assert record["regime_ok"] is False
 
     def test_midlayer(self, capsys):
@@ -691,6 +744,14 @@ class TestAuditCommands:
         record = json.loads(out)
         assert record["mode"] == "halfell"
         assert record["asserted"] is False
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_z_constant_must_be_positive_and_finite(self, capsys, value):
+        for source in (["--singletons", "2"], ["--psi", "0;1"]):
+            code, _, err = run(capsys, "audit-z", "--d", "3", "--lambda", "1",
+                               "--p", "1/2", "--C", value, *source)
+            assert code == 1
+            assert "C must be positive and finite" in err
 
     def test_z_source_exclusivity(self, capsys):
         code, _, err = run(capsys, "audit-z", "--d", "4", "--lambda", "1",

@@ -172,6 +172,19 @@ class TestL2KssProduct:
                                 kss_expected_histogram(1, 4))
         assert rep4["regime_ok"]
 
+    def test_single_edge_is_out_of_regime(self):
+        # on K_{1,1} each vertex's closure is the whole side, so no single
+        # vertex is a polymer, although there are no pairs to fail
+        g = build_hypercube(1)
+        rep = l2_regime_report(g, "E", kss_expected_histogram(1, 1))
+        assert rep["codegree_histogram_ok"] and rep["pairs_are_polymers"]
+        assert not rep["singletons_are_polymers"]
+        assert not rep["regime_ok"]
+        assert l2_hypercube(1, F(1, 2)) != l_k(g, "E", params(1, F(1, 2)), k=2)
+        rep4 = l2_regime_report(build_hypercube(4), "E",
+                                kss_expected_histogram(1, 4))
+        assert rep4["singletons_are_polymers"]
+
     def test_a_of_p(self):
         assert hypercube_a(1) == F(3, 4)
         assert hypercube_a(0) == 0

@@ -169,6 +169,14 @@ class TestBuilders:
         assert g.n == 20 and g.d == 3
         assert_regular_bipartite(g)
 
+    def test_middle_layer_budget_checked_before_listing(self):
+        # 2^59 ground-set masks would never finish; the count comes first
+        with pytest.raises(BudgetError, match="118264581564861424"):
+            build_middle_layer(30)
+        with pytest.raises(BudgetError, match="20 vertices, budget is 19"):
+            build_middle_layer(3, vertex_cap=19)
+        assert build_middle_layer(3, vertex_cap=20).n == 20
+
     def test_constructor_rejects_same_side_edge(self):
         with pytest.raises(GraphFormatError, match="same side"):
             BipartiteGraph(4, 2, [0, 2],

@@ -1,6 +1,7 @@
 import collections
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from isingpoly.graphs import (
     BipartiteGraph,
+    AuditViolation,
     BudgetError,
     build_cartesian_product,
     build_complete_bipartite,
@@ -21,6 +23,7 @@ from isingpoly.model import (
     MeasureTable,
     ModelParams,
     MuHatSampler,
+    capture_classes,
     captured_on_side,
     count_independent_sets,
     exact_Z,
@@ -28,9 +31,9 @@ from isingpoly.model import (
     mu_hat_star_table,
     mu_hat_table,
     mu_table,
-    nonpolymer_family,
     percolation_expectation_exact,
     percolation_mc,
+    subset_sweep,
     tv_distance,
     z_hat_sweep,
 )
@@ -41,6 +44,7 @@ from oracles import (
     brute_independent_set_count,
     brute_ising_Z,
     fraction_boundary_Z,
+    fraction_measure,
 )
 
 C4 = build_even_torus(4, 1)
@@ -231,16 +235,26 @@ class TestMeasures:
 
     def test_measure_table_validates(self):
         with pytest.raises(ValueError, match="sum"):
-            MeasureTable({0: Fraction(1, 2)}, Fraction(1))
+            MeasureTable({0: 1}, 2, 1)
         with pytest.raises(ValueError, match="negative"):
-            MeasureTable({0: Fraction(3, 2), 1: Fraction(-1, 2)}, Fraction(1))
+            MeasureTable({0: 3, 1: -1}, 2, 1)
+        with pytest.raises(ValueError, match="non-integer"):
+            MeasureTable({0: Fraction(1, 2), 1: Fraction(1, 2)}, 1, 1)
+        with pytest.raises(ValueError, match="positive total 0"):
+            MeasureTable({0: 0}, 0, 1)
+
+    def test_measure_table_probabilities(self):
+        table = MeasureTable({5: 1, 3: 0, 4: 3}, 4, 8)
+        assert list(table.probs.items()) == \
+            [(5, Fraction(1, 4)), (3, 0), (4, Fraction(3, 4))]
+        assert table.normalization == Fraction(1, 2)
 
     def test_tv_distance_edge_cases(self):
-        a = MeasureTable({0: Fraction(1), 1: Fraction(0)}, Fraction(1))
-        b = MeasureTable({0: Fraction(0), 1: Fraction(1)}, Fraction(1))
+        a = MeasureTable({0: 1, 1: 0}, 1, 1)
+        b = MeasureTable({0: 0, 1: 1}, 1, 1)
         assert tv_distance(a, a) == 0
         assert tv_distance(a, b) == 1
-        c = MeasureTable({2: Fraction(1)}, Fraction(1))
+        c = MeasureTable({2: 1}, 1, 1)
         with pytest.raises(ValueError, match="outcome spaces"):
             tv_distance(a, c)
 
@@ -273,7 +287,7 @@ class TestMeasures:
                     captured_on_side(g, i_mask, "E", rho):
                 both += ising_weight(g, params, i_mask)
         neither = sum((ising_weight(g, params, i)
-                       for i in nonpolymer_family(g, rho=rho)), Fraction(0))
+                       for i in nonpolymer_sets(g, rho)), Fraction(0))
         assert z == z_hat - both + neither
 
     def test_capture_matches_definition_oracle(self):
@@ -295,26 +309,124 @@ class TestMeasures:
 
     def test_nonpolymer_examples(self):
         full = (1 << C4.n) - 1
-        assert full in set(nonpolymer_family(C4))
-        assert 0 not in set(nonpolymer_family(C6))
+        assert full in nonpolymer_sets(C4)
+        assert 0 not in nonpolymer_sets(C6)
 
     def test_nonpolymer_weight_sum_matches_oracle(self):
         rho = Fraction(3, 4)
-        got = sum((ising_weight(C6, HALF, i) for i in nonpolymer_family(C6)),
-                  Fraction(0))
+        got = sum((ising_weight(C6, HALF, i)
+                   for i in nonpolymer_sets(C6, rho)), Fraction(0))
         want = Fraction(0)
         for i_mask in range(1 << C6.n):
             verts = [v for v in range(C6.n) if (i_mask >> v) & 1]
             if not brute_captured(C6, verts, C6.side_O, rho) and \
                     not brute_captured(C6, verts, C6.side_E, rho):
                 want += ising_weight(C6, HALF, i_mask)
-        assert got == want
+        assert got == want == capture_classes(C6, HALF, rho)[0]
 
     def test_mu_hat_tiny_lambda_prefers_empty(self):
         table = mu_hat_table(C6, ModelParams(Fraction(1, 100), 1))
         top = max(table.probs.values())
         assert table.prob(0) == top
 
+
+
+def nonpolymer_sets(g, rho=Fraction(3, 4)) -> set[int]:
+    """The subsets the sweep flags as captured on neither side."""
+    return {mask for mask, _, on_o, on_e in subset_sweep(g, HALF, rho)
+            if not (on_o or on_e)}
+
+
+MEASURE_GRAPHS = [C4, C6, build_cycle(8), Q3, build_complete_bipartite(3)]
+T42 = build_even_torus(4, 2)
+MIDLAYER3 = build_middle_layer(3)
+
+
+def brute_w0(g, params, rho=Fraction(3, 4)) -> Fraction:
+    """The weight of the subsets captured on neither side: the unions of an
+    O-trace and an E-trace that each fail brute_captured."""
+    bad = {}
+    for side, verts in (("O", g.side_O), ("E", g.side_E)):
+        bad[side] = [sum(1 << v for v in trace)
+                     for size in range(len(verts) + 1)
+                     for trace in combinations(verts, size)
+                     if not brute_captured(g, trace, verts, rho)]
+    return sum((ising_weight(g, params, o | e)
+                for o in bad["O"] for e in bad["E"]), Fraction(0))
+
+
+def polymer_z_hat(g, params) -> Fraction:
+    """(1 + lambda)^{n/2} (Xi_O + Xi_E)."""
+    return (1 + params.lam) ** (g.n // 2) * (xi_brute(g, "O", params) +
+                                             xi_brute(g, "E", params))
+
+
+class TestMeasureRoutes:
+    @settings(max_examples=25, deadline=None)
+    @given(g=st.sampled_from(MEASURE_GRAPHS), lam=LAMBDAS, p=PS)
+    def test_tables_equal_the_fraction_route(self, g, lam, p):
+        rho = Fraction(3, 4)
+        for pr in (p, Fraction(0), Fraction(1)):
+            params = ModelParams(lam, pr)
+            for kind, table in (("mu", mu_table(g, params)),
+                                ("mu_hat", mu_hat_table(g, params, rho)),
+                                ("mu_hat_star",
+                                 mu_hat_star_table(g, params, rho))):
+                probs, norm = fraction_measure(g, params, rho, kind)
+                assert list(table.probs.items()) == list(probs.items())
+                assert table.normalization == norm
+
+    def test_torus_4_2_tables_equal_the_fraction_route(self):
+        params = ModelParams(Fraction(2, 3), Fraction(1, 3))
+        for kind, build in (("mu", mu_table),
+                            ("mu_hat", mu_hat_table),
+                            ("mu_hat_star", mu_hat_star_table)):
+            probs, norm = fraction_measure(T42, params, Fraction(3, 4), kind)
+            table = build(T42, params)
+            assert list(table.probs.items()) == list(probs.items())
+            assert table.normalization == norm
+
+    @settings(max_examples=12, deadline=None)
+    @given(g=st.sampled_from(MEASURE_GRAPHS + [T42]), lam=LAMBDAS, p=PS)
+    def test_z_hat_by_three_routes_and_w0_by_brute_capture(self, g, lam, p):
+        for pr in (p, Fraction(0), Fraction(1)):
+            params = ModelParams(lam, pr)
+            w0, w1, w2, _ = capture_classes(g, params)
+            assert z_hat_sweep(g, params) == w1 + 2 * w2 == \
+                polymer_z_hat(g, params)
+            assert w0 + w1 + w2 == exact_Z(g, params)
+            assert w0 == brute_w0(g, params)
+
+    def test_middle_layer_3_z_hat_by_three_routes(self):
+        params = ModelParams(1, Fraction(1, 2))
+        w0, w1, w2, _ = capture_classes(MIDLAYER3, params)
+        assert z_hat_sweep(MIDLAYER3, params) == w1 + 2 * w2 == \
+            polymer_z_hat(MIDLAYER3, params)
+        assert w0 + w1 + w2 == exact_Z(MIDLAYER3, params)
+
+    def test_sweep_weights_flags_and_order(self):
+        params = ModelParams(Fraction(2, 3), Fraction(1, 3))
+        rows = list(subset_sweep(Q3, params))
+        assert [mask for mask, *_ in rows] == list(range(1 << Q3.n))
+        scale = rows[0][1]
+        for mask, w, on_o, on_e in rows:
+            assert Fraction(w, scale) == ising_weight(Q3, params, mask)
+            assert (on_o, on_e) == (captured_on_side(Q3, mask, "O"),
+                                    captured_on_side(Q3, mask, "E"))
+        with pytest.raises(BudgetError):
+            next(subset_sweep(Q3, params, sweep_cap=7))
+
+    def test_classes_count_the_nonpolymer_sets(self):
+        rho = Fraction(3, 4)
+        for g in MEASURE_GRAPHS:
+            assert capture_classes(g, HALF, rho)[3] == \
+                len(nonpolymer_sets(g, rho))
+
+    def test_classes_refuse_a_sweep_that_misses_z(self, monkeypatch):
+        import isingpoly.model as model
+        monkeypatch.setattr(model, "exact_Z", lambda *a, **k: Fraction(1))
+        with pytest.raises(AuditViolation, match="exact_Z"):
+            capture_classes(C6, HALF)
 
 
 class TestSampler:
@@ -352,7 +464,6 @@ class TestSampler:
         star = mu_hat_star_table(C6, params)
         n = 20000
         counts = collections.Counter(sam.draw(123, k) for k in range(n))
-        emp = MeasureTable(
-            {key: Fraction(counts.get(key, 0), n) for key in star.probs},
-            Fraction(1))
+        emp = MeasureTable({key: counts.get(key, 0) for key in star.probs},
+                           n, n)
         assert tv_distance(emp, star) < Fraction(1, 40)
