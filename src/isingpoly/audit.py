@@ -85,11 +85,12 @@ def _exhaustive_sets(g: BipartiteGraph, side: str, size_cap: int,
                      budget: int | None):
     cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
     verts = g.side_E if side == "E" else g.side_O
-    total = sum(math.comb(len(verts), k) for k in range(1, size_cap + 1))
+    top = min(size_cap, len(verts))  # no subset is larger than the side
+    total = sum(math.comb(len(verts), k) for k in range(1, top + 1))
     if total > cap:
         raise BudgetError(
             f"exhaustive sweep needs {total} subsets, cap is {cap}")
-    for k in range(1, size_cap + 1):
+    for k in range(1, top + 1):
         for combo in combinations(verts, k):
             yield as_mask(combo)
 

@@ -78,17 +78,36 @@ from .rationals import format_rational, parse_rational
 
 BUDGET_ENV = "ISINGPOLY_BUDGET"
 GRAPH_FAMILIES = ("hypercube", "cycle", "torus", "kss", "midlayer", "product")
-# the property constants of audit-iso; audit-kp's sum mode reads all but c4
-CONSTANT_DEFAULTS = {"--c1": 2.0, "--c2": 10.0, "--c3": 3.0, "--c4": 1.0,
-                     "--c5": 0.5}
-# audit-kp's options, (type, default, help) by the mode that reads them
-KP_MODE_OPTIONS = {
-    "sum": {**{flag: (float, CONSTANT_DEFAULTS[flag], "KP constant")
-               for flag in ("--c1", "--c2", "--c3", "--c5")},
-            "--size-max": (int, 3, "largest polymer size summed"),
-            "--tail-depth": (int, 3, "tail-bound shapes reported")},
-    "truncation": {"--k-max": (int, 3, "deepest cluster order"),
-                   "--fg-denom": (int, None, "use f = g = size/denom")},
+REQUIRED = "required"
+# the isoperimetry and KP constants; audit-kp's sum mode reads all but c4
+_CONSTANTS = {"--c1": (float, 2.0), "--c2": (float, 10.0),
+              "--c3": (float, 3.0), "--c4": (float, 1.0), "--c5": (float, 0.5)}
+# subcommand -> option that selects a mode -> mode -> the options that mode
+# reads, as flag -> (type, default or REQUIRED). Each is declared with
+# default None; scope_options fills in the chosen mode's defaults and
+# refuses the options it does not read.
+MODE_OPTIONS = {
+    "audit-kp": {"--mode": {
+        "sum": {**{f: _CONSTANTS[f] for f in ("--c1", "--c2", "--c3", "--c5")},
+                "--size-max": (int, 3), "--tail-depth": (int, 3)},
+        "truncation": {"--k-max": (int, 3), "--fg-denom": (int, None)},
+    }},
+    "audit-iso": {
+        "--property": {
+            "one": _CONSTANTS,
+            "two": {f: _CONSTANTS[f] for f in ("--c1", "--c4", "--c5")},
+            "product": {"--s": (int, None), "--t": (int, None)},
+        },
+        "--mode": {"exhaustive": {},
+                   "sampled": {"--seed": (int, 0), "--samples": (int, 200)}},
+    },
+    "closed-form": {"--family": {
+        "l1": {"--graph": (str, REQUIRED), "--lambda": (str, "1")},
+        "torus": {"--m": (int, REQUIRED), "--t": (int, REQUIRED)},
+        "midlayer": {"--d": (int, REQUIRED)},
+        "kss": {"--s": (int, REQUIRED), "--t": (int, REQUIRED)},
+        "hypercube": {"--t": (int, REQUIRED)},
+    }},
 }
 
 
@@ -245,51 +264,42 @@ def cmd_clusters(args):
             for term in report["terms"]], True
 
 
-# family: (options it needs, formula value, oracle graph, expected codegree
-# histogram). The histogram drives the machine-checkable regime test of the
-# second-order families; l1 has no regime caveat at desk scale. The lambdas
-# look the library functions up when called, so tracing can wrap them.
+# family: (formula value, oracle graph, expected codegree histogram). The
+# histogram drives the machine-checkable regime test of the second-order
+# families; l1 has no regime caveat at desk scale. The lambdas look the
+# library functions up when called, so tracing can wrap them.
 CLOSED_FORMS = {
-    "l1": (("graph",),
-           lambda a: l1_closed(a.graph.n, a.graph.d, a.params.lam, a.params.p),
+    "l1": (lambda a: l1_closed(a.graph.n, a.graph.d, a.params.lam, a.params.p),
            lambda a: a.graph, lambda a: None),
-    "torus": (("m", "t"), lambda a: l2_torus(a.m, a.t, a.params.p),
+    "torus": (lambda a: l2_torus(a.m, a.t, a.params.p),
               lambda a: build_even_torus(a.m, a.t, a.budget),
               lambda a: torus_expected_histogram(a.t)),
-    "midlayer": (("d",), lambda a: l2_middle_layer(a.d, a.params.p),
+    "midlayer": (lambda a: l2_middle_layer(a.d, a.params.p),
                  lambda a: build_middle_layer(a.d, a.budget),
                  lambda a: midlayer_expected_histogram(a.d)),
-    "kss": (("s", "t"), lambda a: l2_kss_product(a.s, a.t, a.params.p),
+    "kss": (lambda a: l2_kss_product(a.s, a.t, a.params.p),
             lambda a: build_cartesian_product(
                 [build_complete_bipartite(a.s, a.budget)] * a.t, a.budget),
             lambda a: kss_expected_histogram(a.s, a.t)),
-    "hypercube": (("t",), lambda a: l2_hypercube(a.t, a.params.p),
+    "hypercube": (lambda a: l2_hypercube(a.t, a.params.p),
                   lambda a: build_hypercube(a.t, a.budget),
                   lambda a: kss_expected_histogram(1, a.t)),
 }
 
 
 def cmd_closed_form(args):
-    needs, formula, oracle_graph, histogram = CLOSED_FORMS[args.family]
-    missing = [f"--{n}" for n in needs if getattr(args, n) is None]
-    if missing:
-        why = " for n and d" if args.family == "l1" else ""
-        raise CliError(f"family {args.family} needs {', '.join(missing)}{why}")
-    value = formula(args)
-    g = oracle_graph(args)
-    expected = histogram(args)
-    record = {"family": args.family, "formula_value": value}
+    formula, oracle_graph, histogram = CLOSED_FORMS[args.family]
+    record = {"family": args.family, "formula_value": formula(args)}
     ok = True
     if args.verify:
-        # l1 is the first term at the given fugacity; the second-order
-        # forms are at fugacity 1
-        if expected is None:
-            oracle = l_k(g, "E", args.params, k=1, enum_cap=args.budget)
-        else:
-            oracle = l_k(g, "E", ModelParams(1, args.params.p), k=2,
-                         enum_cap=args.budget)
+        # only the oracle builds a graph, so the formula alone has no size cap
+        g, expected = oracle_graph(args), histogram(args)
+        # l1 is the first term at the given fugacity; main puts the
+        # second-order forms at fugacity 1
+        oracle = l_k(g, "E", args.params, k=1 if expected is None else 2,
+                     enum_cap=args.budget)
         record["oracle_value"] = oracle
-        record["match"] = ok = value == oracle
+        record["match"] = ok = record["formula_value"] == oracle
         if expected is not None:
             regime = l2_regime_report(g, "E", expected)
             record["regime_ok"] = regime["regime_ok"]
@@ -364,21 +374,7 @@ def cmd_audit_iso(args):
     return _condition_rows(report) + extra, report["holds"]
 
 
-def _kp_mode_options(args) -> None:
-    """Refuse an option of the other audit-kp mode; fill in this mode's
-    defaults."""
-    for mode, options in KP_MODE_OPTIONS.items():
-        for flag, (_, default, _) in options.items():
-            dest = flag[2:].replace("-", "_")
-            if mode == args.mode:
-                if getattr(args, dest) is None:
-                    setattr(args, dest, default)
-            elif getattr(args, dest) is not None:
-                raise CliError(f"{flag} applies only to --mode {mode}")
-
-
 def cmd_audit_kp(args):
-    _kp_mode_options(args)
     if args.mode == "sum":
         kpf = KPFunctions(d=args.graph.d,
                           alpha_tilde=float(args.params.alpha_tilde),
@@ -401,6 +397,8 @@ def cmd_audit_kp(args):
     f_of_size = g_of_size = None
     if args.fg_denom is not None:
         denom = args.fg_denom
+        if denom < 1:
+            raise ValueError(f"fg-denom must be >= 1, got {denom}")
 
         def f_of_size(size):
             return Fraction(size, denom)
@@ -523,9 +521,35 @@ def _default_budget() -> int | None:
         raise CliError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from exc
 
 
+def _dest(flag: str) -> str:
+    return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
+
+
+def _readers(modes: dict, flag: str) -> str:
+    return " or ".join(mode for mode, options in modes.items()
+                       if flag in options)
+
+
+def scope_options(args) -> None:
+    """Fill in the defaults of the options the chosen modes read; refuse a
+    missing required option and any scoped option the mode does not read."""
+    for selector, modes in MODE_OPTIONS.get(args.cmd, {}).items():
+        mode = getattr(args, _dest(selector))
+        for flag in dict.fromkeys(f for opts in modes.values() for f in opts):
+            given = getattr(args, _dest(flag)) is not None
+            if flag not in modes[mode]:
+                if given:
+                    raise CliError(f"{flag} applies only to {selector} "
+                                   f"{_readers(modes, flag)}")
+            elif not given:
+                default = modes[mode][flag][1]
+                if default is REQUIRED:
+                    raise CliError(f"{selector} {mode} needs {flag}")
+                setattr(args, _dest(flag), default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None,
                         help="output file (default stdout)")
     common.add_argument("--budget", type=int, default=None,
@@ -552,10 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     side_arg = _Parser(add_help=False)
     side_arg.add_argument("--side", choices=("E", "O"), default="E")
 
-    constants_arg = _Parser(add_help=False)
-    for flag, default in CONSTANT_DEFAULTS.items():
-        constants_arg.add_argument(flag, type=float, default=default)
-
     parser = _Parser(prog="isingpoly",
                      description="Exact enumeration and verification engine "
                                  "for hard-core and Ising-type models on "
@@ -565,6 +585,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, handler, *parents, help=None):
         p = sub.add_parser(name, parents=[common, *parents], help=help)
         p.set_defaults(handler=handler)
+        if name != "gen":  # gen writes the graph's JSON whatever the format
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        for selector, modes in MODE_OPTIONS.get(name, {}).items():
+            flags = {flag: spec for opts in modes.values()
+                     for flag, spec in opts.items()}
+            for flag, (kind, default) in flags.items():
+                text = default if default is REQUIRED else f"default {default}"
+                p.add_argument(flag, dest=_dest(flag), type=kind, default=None,
+                               help=f"{selector} {_readers(modes, flag)} "
+                                    f"only; {text}")
         return p
 
     add("gen", cmd_gen, graph_arg, help="build a graph and emit its JSON")
@@ -601,14 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("closed-form", cmd_closed_form,
             help="closed-form expansion terms, optionally verified")
     p.add_argument("--family", choices=tuple(CLOSED_FORMS), required=True)
-    p.add_argument("--graph", default=None, help="graph source (family l1)")
-    p.add_argument("--lambda", dest="lam", default="1",
-                   help="fugacity (family l1, default 1)")
     p.add_argument("--p", required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
     p.add_argument("--verify", action="store_true",
                    help="compare against the cluster-sum oracle on the "
                         "matching graph; in-regime mismatch exits 2")
@@ -623,29 +646,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("audit-iso", cmd_audit_iso, graph_arg, constants_arg,
+    p = add("audit-iso", cmd_audit_iso, graph_arg,
             help="vertex-isoperimetry condition sweeps")
     p.add_argument("--property", choices=("one", "two", "product"),
                    default="one")
     p.add_argument("--size-cap", type=int, default=4)
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--s", type=int, default=None,
-                   help="max factor size (property product)")
-    p.add_argument("--t", type=int, default=None,
-                   help="factor count (property product)")
 
     p = add("audit-kp", cmd_audit_kp, graph_arg, model_args, rho_arg,
             side_arg, help="convergence-condition audits")
-    p.add_argument("--mode", choices=tuple(KP_MODE_OPTIONS), default="sum")
-    # None marks an option as not given, so the other mode can refuse it
-    for mode, options in KP_MODE_OPTIONS.items():
-        for flag, (kind, default, text) in options.items():
-            p.add_argument(flag, type=kind, default=None,
-                           help=f"{text} (--mode {mode} only, default "
-                                f"{default})")
+    p.add_argument("--mode", choices=("sum", "truncation"), default="sum")
 
     p = add("audit-z", cmd_audit_z,
             help="coordinate-family partition sum bounds")
@@ -689,10 +700,13 @@ def main(argv=None) -> int:
             print(f"isingpoly: error: {exc}", file=sys.stderr)
             return 1
     try:
+        scope_options(args)
         if getattr(args, "graph", None) is not None:
             args.graph = load_graph(args.graph, args.budget)
         if hasattr(args, "p"):
-            args.params = ModelParams(parse_rational(args.lam),
+            # the second-order closed forms read no --lambda: fugacity 1
+            lam = "1" if args.lam is None else args.lam
+            args.params = ModelParams(parse_rational(lam),
                                       parse_rational(args.p))
         if hasattr(args, "rho"):
             args.rho = parse_rational(args.rho)

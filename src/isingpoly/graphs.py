@@ -175,9 +175,6 @@ class BipartiteGraph:
             return "E"
         raise ValueError(f"side must be 'E' or 'O', got {side!r}")
 
-    def side_of(self, v: int) -> str:
-        return "E" if (self.side_E_mask >> v) & 1 else "O"
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):

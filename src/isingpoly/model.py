@@ -331,9 +331,6 @@ class MeasureTable:
         self.probs = {key: Fraction(w, total) for key, w in weights.items()}
         self.normalization = Fraction(total, scale)
 
-    def prob(self, key) -> Fraction:
-        return self.probs[key]
-
     def __len__(self):
         return len(self.probs)
 

@@ -34,6 +34,7 @@ DEFAULT_RHO = Fraction(3, 4)
 # Polymer families with more members than this get no incompatibility
 # masks: at 2^15 polymers the masks alone can take 128 MiB.
 FAMILY_MASK_CAP = 1 << 15
+LITERAL_BOUNDARY_CAP = 20
 
 
 def validate_rho(rho) -> Fraction:
@@ -133,8 +134,7 @@ def polymer_weight(g: BipartiteGraph, params, a) -> Fraction:
     return w
 
 
-def polymer_weight_literal(g: BipartiteGraph, params, a,
-                           boundary_cap: int = 20) -> Fraction:
+def polymer_weight_literal(g: BipartiteGraph, params, a) -> Fraction:
     """Test oracle: the defining sum over every decoration B inside N(A) of
     lambda^(|A|+|B|) (1-p)^{e(A,B)} / (1+lambda)^{|N(A)|}.
 
@@ -145,9 +145,9 @@ def polymer_weight_literal(g: BipartiteGraph, params, a,
     a = _vertices_of(a)
     boundary = bits(neighborhood(g, a))
     nb = len(boundary)
-    if nb > boundary_cap:
-        raise BudgetError(
-            f"literal weight sweeps 2^{nb} decorations, cap is 2^{boundary_cap}")
+    if nb > LITERAL_BOUNDARY_CAP:
+        raise BudgetError(f"literal weight sweeps 2^{nb} decorations, "
+                          f"cap is 2^{LITERAL_BOUNDARY_CAP}")
     degs = [popcount(g.adj_mask[v] & a) for v in boundary]
     size = [0] * (1 << nb)
     cross = [0] * (1 << nb)

@@ -7,8 +7,11 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,15 +21,17 @@ from hypothesis import strategies as st
 
 from isingpoly.cli import (
     CliError,
+    MODE_OPTIONS,
     build_graph_from_spec,
     emit_records,
     load_graph,
     main,
     parse_psi_spec,
 )
+from isingpoly.formulas import l2_middle_layer, l2_torus
 from isingpoly.graphs import AuditViolation, build_cycle, graph_to_json
 from isingpoly.model import ModelParams, mu_hat_table, mu_table, tv_distance
-from isingpoly.rationals import parse_rational
+from isingpoly.rationals import format_rational, parse_rational
 
 
 class TestGraphSpecs:
@@ -115,23 +120,78 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The options each mode reads, by subcommand and the option selecting the
+# mode; every other option of the same selector is refused.
+READS = {
+    ("audit-kp", "--mode"): {
+        "sum": ["--c1", "--c2", "--c3", "--c5", "--size-max", "--tail-depth"],
+        "truncation": ["--k-max", "--fg-denom"]},
+    ("audit-iso", "--property"): {
+        "one": ["--c1", "--c2", "--c3", "--c4", "--c5"],
+        "two": ["--c1", "--c4", "--c5"],
+        "product": ["--s", "--t"]},
+    ("audit-iso", "--mode"): {"exhaustive": [],
+                              "sampled": ["--seed", "--samples"]},
+    ("closed-form", "--family"): {
+        "l1": ["--graph", "--lambda"], "torus": ["--m", "--t"],
+        "midlayer": ["--d"], "kss": ["--s", "--t"], "hypercube": ["--t"]},
+}
+# a valid invocation of each subcommand, less the selected mode
+BASE_ARGV = {
+    "audit-kp": ["--graph", "cycle:6", "--lambda", "1/40", "--p", "1"],
+    "audit-iso": ["--graph", "cycle:6", "--size-cap", "2"],
+    "closed-form": ["--p", "1/2"],
+}
+# what closed-form's families cannot run without
+FAMILY_NEEDS = {"l1": ["--graph", "cycle:6"], "torus": ["--m", "6", "--t", "2"],
+                "midlayer": ["--d", "3"], "kss": ["--s", "2", "--t", "2"],
+                "hypercube": ["--t", "3"]}
+# values the modes reading these options accept; the rest take 2
+OPTION_VALUE = {"--graph": "cycle:6", "--lambda": "1", "--c1": "2",
+                "--c2": "10", "--c3": "3", "--c4": "1", "--c5": "0.5",
+                "--s": "2", "--t": "3", "--seed": "0", "--samples": "200"}
+
+
+def out_of_scope(cmd, selector, mode):
+    modes = READS[cmd, selector]
+    return [flag for flag in dict.fromkeys(f for fs in modes.values()
+                                           for f in fs)
+            if flag not in modes[mode]]
+
+
+def scope_refusal(cmd, selector, flag):
+    readers = [m for m, flags in READS[cmd, selector].items() if flag in flags]
+    return f"{flag} applies only to {selector} {' or '.join(readers)}"
+
+
 @st.composite
 def audit_argv(draw):
+    """(argv, stray): a stray argv passes an option its mode does not read,
+    which must exit 1; the rest pass only options their modes read."""
     graph = draw(st.sampled_from(["cycle:6", "hypercube:3"]))
     if draw(st.booleans()):
         c2 = draw(st.sampled_from(["0", "-1", "0.5", "10", "nan", "inf"]))
         return ["audit-container", "--graph", graph, "--lambda", "1",
-                "--p", "1/2", "--a", "1", "--b", "2", "--hypothesis-c2", c2]
-    argv = ["audit-iso", "--graph", graph,
-            "--property", draw(st.sampled_from(["one", "two", "product"])),
-            "--mode", draw(st.sampled_from(["exhaustive", "sampled"])),
-            "--size-cap", str(draw(st.integers(-2, 5))),
-            "--samples", str(draw(st.integers(-2, 5)))]
-    for flag in ("--s", "--t"):
-        value = draw(st.none() | st.integers(-1, 4))
-        if value is not None:
-            argv += [flag, str(value)]
-    return argv
+                "--p", "1/2", "--a", "1", "--b", "2", "--hypothesis-c2",
+                c2], False
+    prop = draw(st.sampled_from(["one", "two", "product"]))
+    mode = draw(st.sampled_from(["exhaustive", "sampled"]))
+    argv = ["audit-iso", "--graph", graph, "--property", prop,
+            "--mode", mode, "--size-cap", str(draw(st.integers(-2, 5)))]
+    if mode == "sampled":
+        argv += ["--samples", str(draw(st.integers(-2, 5)))]
+    if prop == "product":
+        for flag in ("--s", "--t"):
+            value = draw(st.none() | st.integers(-1, 4))
+            if value is not None:
+                argv += [flag, str(value)]
+    stray = draw(st.integers(0, 4)) == 0
+    if stray:
+        flag = draw(st.sampled_from(
+            out_of_scope("audit-iso", "--property", prop) +
+            out_of_scope("audit-iso", "--mode", mode)))
+        argv += [flag, OPTION_VALUE[flag]]
+    return argv, stray
 
 
 CONSTANTS = ["0", "-1", "0.5", "10", "nan", "inf"]
@@ -150,7 +210,11 @@ def kp_argv(draw):
     argv = ["audit-kp", "--graph", draw(st.sampled_from(graphs)),
             "--lambda", "1/10", "--p", "1", "--mode", mode]
     if mode == "truncation":
-        return argv + ["--k-max", k_max]
+        argv += ["--k-max", k_max]
+        fg_denom = draw(st.none() | st.integers(-1, 10))
+        if fg_denom is not None:
+            argv += ["--fg-denom", str(fg_denom)]
+        return argv
     for flag in ("--c1", "--c2", "--c3", "--c5"):
         argv += [flag, draw(st.sampled_from(CONSTANTS))]
     return argv
@@ -390,6 +454,65 @@ class TestExitCodes:
         assert out == ""
         assert option in err
 
+    @pytest.mark.parametrize("cmd,selector,mode,flag", [
+        (cmd, selector, mode, flag) for (cmd, selector), modes in READS.items()
+        for mode in modes for flag in out_of_scope(cmd, selector, mode)])
+    def test_options_a_mode_does_not_read_exit_one(self, capsys, cmd,
+                                                   selector, mode, flag):
+        code, out, err = run(capsys, cmd, *BASE_ARGV[cmd], selector, mode,
+                             *FAMILY_NEEDS.get(mode, []), flag,
+                             OPTION_VALUE.get(flag, "2"))
+        assert code == 1
+        assert out == ""
+        assert scope_refusal(cmd, selector, flag) in err
+
+    def test_the_table_scopes_what_the_modes_read(self):
+        assert {(cmd, selector): {mode: list(options)
+                                  for mode, options in modes.items()}
+                for cmd, selectors in MODE_OPTIONS.items()
+                for selector, modes in selectors.items()} == READS
+
+    @pytest.mark.parametrize("family,flag", [
+        (family, flag) for family, needs in FAMILY_NEEDS.items()
+        for flag in needs[::2]])
+    def test_missing_required_option_exits_one(self, capsys, family, flag):
+        needs = FAMILY_NEEDS[family]
+        i = needs.index(flag)
+        code, out, err = run(capsys, "closed-form", "--family", family,
+                             *BASE_ARGV["closed-form"], *needs[:i],
+                             *needs[i + 2:])
+        assert code == 1
+        assert out == ""
+        assert f"--family {family} needs {flag}" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("closed-form", "--family", "torus", "--m", "6", "--t", "2", "--p",
+          "1/2", "--lambda", "5", "--verify"),
+         "--lambda applies only to --family l1"),
+        (("closed-form", "--family", "l1", "--graph", "cycle:6", "--p", "1/2",
+          "--t", "2"), "--t applies only to --family torus or kss or hypercube"),
+        (("audit-iso", "--graph", "cycle:6", "--property", "two", "--c2", "0"),
+         "--c2 applies only to --property one"),
+        (("audit-iso", "--graph", "cycle:6", "--samples", "5"),
+         "--samples applies only to --mode sampled"),
+        (("gen", "--graph", "cycle:6", "--format", "csv"),
+         "unrecognized arguments: --format csv"),
+    ])
+    def test_ignored_options_are_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("denom", ["0", "-1"])
+    def test_kp_fg_denom_below_one_exits_one(self, capsys, denom):
+        code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6",
+                             "--lambda", "1/10", "--p", "1", "--mode",
+                             "truncation", "--fg-denom", denom)
+        assert code == 1
+        assert out == ""
+        assert f"fg-denom must be >= 1, got {denom}" in err
+
     def test_kp_truncation_refuses_a_sum_constant(self, capsys):
         code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6",
                              "--lambda", "1/10", "--p", "1", "--mode",
@@ -414,11 +537,12 @@ class TestExitCodes:
 
     @settings(max_examples=60, deadline=None)
     @given(audit_argv())
-    def test_audit_commands_exit_with_a_code(self, argv):
+    def test_audit_commands_exit_with_a_code(self, drawn):
+        argv, stray = drawn
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-        assert code in (0, 1, 2)
+        assert code == 1 if stray else code in (0, 1, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(kp_argv())
@@ -426,6 +550,9 @@ class TestExitCodes:
     @example(["audit-kp", "--graph", "hypercube:4", "--lambda", "1/10",
               "--p", "1", "--mode", "sum", "--c1", "0.5", "--c2", "0",
               "--c3", "10", "--c5", "0.5"])
+    # f = g = size/0, which ended in a ZeroDivisionError
+    @example(["audit-kp", "--graph", "cycle:6", "--lambda", "1/10", "--p",
+              "1", "--mode", "truncation", "--k-max", "2", "--fg-denom", "0"])
     def test_cluster_and_kp_commands_exit_with_a_code(self, argv):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -660,6 +787,19 @@ class TestClosedFormCommand:
         assert record["formula_value"] == "27/16"
         assert record["match"] is True
 
+    @pytest.mark.parametrize("argv,value", [
+        (("--family", "midlayer", "--d", "12"), l2_middle_layer(12, F(1, 2))),
+        (("--family", "torus", "--m", "60", "--t", "3"),
+         l2_torus(60, 3, F(1, 2))),
+    ])
+    def test_formula_alone_builds_no_graph(self, capsys, argv, value):
+        # the oracle graphs would have 2,704,156 and 216,000 vertices
+        code, out, _ = run(capsys, "closed-form", *argv, "--p", "1/2",
+                           "--budget", "10")
+        assert code == 0
+        assert json.loads(out) == {"family": argv[1],
+                                   "formula_value": format_rational(value)}
+
     def test_l1_requires_graph(self, capsys):
         code, _, err = run(capsys, "closed-form", "--family", "l1",
                            "--p", "1/2")
@@ -701,6 +841,15 @@ class TestAuditCommands:
         rows = {r["condition"]: r for r in json.loads(out)}
         assert rows["codegree"]["bound"] == 6
         assert rows["near_half"]["checked"] == 96
+
+    def test_exhaustive_size_cap_past_the_side(self, capsys):
+        # a side of Q3 has 4 vertices, so no swept set is larger than 4
+        start = time.perf_counter()
+        huge = run(capsys, "audit-iso", "--graph", "hypercube:3",
+                   "--size-cap", "1000000000")
+        assert time.perf_counter() - start < 1
+        assert huge == run(capsys, "audit-iso", "--graph", "hypercube:3",
+                           "--size-cap", "4")
 
     def test_iso_property_one_passes_on_hypercube(self, capsys):
         code, out, _ = run(capsys, "audit-iso", "--graph", "hypercube:4",
@@ -780,3 +929,30 @@ class TestAuditCommands:
         record = json.loads(out)
         assert record["ratio"] == "121/2041"
         assert record["count"] == 16
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+CRITERION_8 = ("isingpoly audit-kp --graph cycle:6 --lambda 1/10 --p 1 "
+               "--mode truncation --fg-denom 10")
+
+
+def readme_commands():
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(),
+                        re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("isingpoly ")]
+
+
+def test_readme_lists_its_commands():
+    commands = readme_commands()
+    assert len(commands) == 8
+    assert CRITERION_8 in commands
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_runs(capsys, monkeypatch, line):
+    # criterion 8's documented false premise exits 2
+    monkeypatch.delenv("ISINGPOLY_BUDGET", raising=False)
+    code, out, err = run(capsys, *shlex.split(line)[1:])
+    assert code == (2 if line == CRITERION_8 else 0), err
+    assert json.loads(out)

@@ -38,11 +38,15 @@ from oracles import (
 )
 
 
+def side_of(g, v):
+    return "E" if g.side_E_mask >> v & 1 else "O"
+
+
 def assert_regular_bipartite(g):
     for v in range(g.n):
         assert len(g.adj[v]) == g.d, f"vertex {v} degree {len(g.adj[v])}"
     for u, v in g.edges():
-        assert g.side_of(u) != g.side_of(v), f"edge ({u},{v}) inside a side"
+        assert side_of(g, u) != side_of(g, v), f"edge ({u},{v}) inside a side"
     assert len(g.side_E) == len(g.side_O) == g.n // 2
 
 
@@ -114,7 +118,7 @@ class TestBuilders:
             expected = sorted(v + ((x + s) % m - x) * w
                               for x, w in zip(coords, place) for s in (1, -1))
             assert g.adj[v] == tuple(expected)
-            assert g.side_of(v) == ("E" if sum(coords) % 2 == 0 else "O")
+            assert side_of(g, v) == ("E" if sum(coords) % 2 == 0 else "O")
         assert g.label == f"torus:{m},{t}"
 
     def test_torus_guards(self):

@@ -230,7 +230,7 @@ class TestPercolation:
 class TestMeasures:
     def test_mu_empty_set_probability(self):
         table = mu_table(C4, HALF)
-        assert table.prob(0) == Fraction(16, 161)
+        assert table.probs[0] == Fraction(16, 161)
         assert table.normalization == Fraction(161, 16)
 
     def test_measure_table_validates(self):
@@ -263,7 +263,7 @@ class TestMeasures:
         hat = mu_hat_table(C6, HALF)
         direct = Fraction(0)
         for i_mask in range(1 << C6.n):
-            direct += abs(mu.prob(i_mask) - hat.prob(i_mask))
+            direct += abs(mu.probs[i_mask] - hat.probs[i_mask])
         assert tv_distance(mu, hat) == direct / 2
 
     @pytest.mark.parametrize("g", [C6, Q3])
@@ -304,8 +304,8 @@ class TestMeasures:
         star = mu_hat_star_table(C6, HALF)
         hat = mu_hat_table(C6, HALF)
         for i_mask in range(1 << C6.n):
-            assert star.prob((i_mask, "O")) + star.prob((i_mask, "E")) == \
-                hat.prob(i_mask)
+            assert star.probs[(i_mask, "O")] + star.probs[(i_mask, "E")] == \
+                hat.probs[i_mask]
 
     def test_nonpolymer_examples(self):
         full = (1 << C4.n) - 1
@@ -327,7 +327,7 @@ class TestMeasures:
     def test_mu_hat_tiny_lambda_prefers_empty(self):
         table = mu_hat_table(C6, ModelParams(Fraction(1, 100), 1))
         top = max(table.probs.values())
-        assert table.prob(0) == top
+        assert table.probs[0] == top
 
 
 

@@ -102,6 +102,12 @@ class TestWeights:
             for s in range(4))
         assert total == polymer_weight_literal(C6, HALF, a)
 
+    def test_literal_boundary_cap(self, monkeypatch):
+        # a C6 singleton has two boundary vertices: 2^2 decorations
+        monkeypatch.setattr(polymers, "LITERAL_BOUNDARY_CAP", 1)
+        with pytest.raises(BudgetError, match="2\\^2 decorations"):
+            polymer_weight_literal(C6, HALF, {0})
+
     @pytest.mark.parametrize("params", [
         HALF,
         ModelParams(Fraction(1, 3), 1),
