@@ -74,7 +74,7 @@ from .model import (
     percolation_mc,
 )
 from .polymers import enumerate_polymers, polymer_to_json_dict, xi_brute
-from .rationals import format_rational, parse_rational
+from .rationals import float64_range, format_rational, parse_rational
 
 BUDGET_ENV = "ISINGPOLY_BUDGET"
 GRAPH_FAMILIES = ("hypercube", "cycle", "torus", "kss", "midlayer", "product")
@@ -376,8 +376,9 @@ def cmd_audit_iso(args):
 
 def cmd_audit_kp(args):
     if args.mode == "sum":
-        kpf = KPFunctions(d=args.graph.d,
-                          alpha_tilde=float(args.params.alpha_tilde),
+        with float64_range("alpha_tilde = (1+lambda)/(1+lambda(1-p))"):
+            alpha_tilde = float(args.params.alpha_tilde)
+        kpf = KPFunctions(d=args.graph.d, alpha_tilde=alpha_tilde,
                           c1=args.c1, c2=args.c2, c3=args.c3, c5=args.c5)
         report = kp_sum_audit(args.graph, args.side, args.params, kpf,
                               args.rho, size_max=args.size_max,
@@ -552,11 +553,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out", default=None,
                         help="output file (default stdout)")
-    common.add_argument("--budget", type=int, default=None,
-                        help=f"cap on sweeps/enumerations "
-                             f"(default ${BUDGET_ENV} or module defaults)")
 
-    graph_arg = _Parser(add_help=False)
+    # every subcommand that builds a graph caps it by --budget, and so does
+    # closed-form's oracle; audit-z builds none and reads no budget
+    budget_arg = _Parser(add_help=False)
+    budget_arg.add_argument("--budget", type=int, default=None,
+                            help=f"cap on sweeps/enumerations "
+                                 f"(default ${BUDGET_ENV} or module "
+                                 f"defaults)")
+
+    graph_arg = _Parser(add_help=False, parents=[budget_arg])
     graph_arg.add_argument("--graph", required=True,
                            help="builder spec (hypercube:d, cycle:m, "
                                 "torus:m,t, kss:s, midlayer:d, "
@@ -628,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
             side_arg, help="cluster expansion terms and residuals")
     p.add_argument("--k-max", type=int, default=2)
 
-    p = add("closed-form", cmd_closed_form,
+    p = add("closed-form", cmd_closed_form, budget_arg,
             help="closed-form expansion terms, optionally verified")
     p.add_argument("--family", choices=tuple(CLOSED_FORMS), required=True)
     p.add_argument("--p", required=True)
@@ -693,7 +699,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 1
-    if args.budget is None:
+    if hasattr(args, "budget") and args.budget is None:
         try:
             args.budget = _default_budget()
         except CliError as exc:

@@ -19,13 +19,8 @@ import mpmath
 
 from .graphs import (DEFAULT_ENUM_CAP, AuditViolation, BipartiteGraph,
                      BudgetError, iter_bits)
-from .polymers import (
-    DEFAULT_RHO,
-    Polymer,
-    PolymerFamily,
-    polymer_weight,
-)
-from .rationals import (LOG_PRECISION_BITS, log_rational,
+from .polymers import DEFAULT_RHO, Polymer, PolymerFamily, _weight_parts
+from .rationals import (LOG_PRECISION_BITS, float64_range, log_rational,
                         require_positive_finite, to_mpf)
 
 URSELL_VERTEX_CAP = 12
@@ -94,10 +89,23 @@ class Cluster:
     ursell_value: Fraction
 
     def weight(self, g: BipartiteGraph, params) -> Fraction:
-        w = Fraction(self.orderings) * self.ursell_value
-        for poly, mult in self.entries:
-            w *= polymer_weight(g, params, poly.vertices) ** mult
-        return w
+        """orderings * ursell * the product of the entries' polymer weights
+        at (g, params), multiplied out in integers from each polymer's
+        _weight_parts and reduced once."""
+        return _cluster_weight(self, ((_weight_parts(g, params, poly.vertices),
+                                       mult) for poly, mult in self.entries))
+
+
+def _cluster_weight(cluster: Cluster, parts) -> Fraction:
+    """orderings * ursell * prod (num/den)^mult over the ((num, den), mult)
+    pairs in parts, as one integer numerator and denominator and a single
+    Fraction; the formula behind Cluster.weight and the L_k sums."""
+    num = cluster.orderings * cluster.ursell_value.numerator
+    den = cluster.ursell_value.denominator
+    for (n, d), mult in parts:
+        num *= n ** mult
+        den *= d ** mult
+    return Fraction(num, den)
 
 
 def _expanded_ursell(family: PolymerFamily, chosen) -> Fraction:
@@ -161,11 +169,10 @@ def _terms_by_size(family: PolymerFamily, k_max: int,
     """The exact expansion terms L_1..L_{k_max}: per total size, the sum of
     orderings * ursell * product of the family's polymer weights."""
     by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
+    parts = family.weight_parts
     for chosen, cluster in _clusters(family, k_max, enum_cap):
-        w = cluster.orderings * cluster.ursell_value
-        for i, mult in chosen:
-            w *= family.weights[i] ** mult
-        by_size[cluster.size] += w
+        by_size[cluster.size] += _cluster_weight(
+            cluster, ((parts[i], mult) for i, mult in chosen))
     return by_size
 
 
@@ -228,8 +235,10 @@ def kp_check(weights, f_values, g_values, incompatible) -> KPReport:
         for x in vals:
             if x < 0:
                 raise ValueError(f"{name} must be nonnegative, got {x}")
-    boosted = [abs(float(w)) * math.exp(float(f_values[i]) + float(g_values[i]))
-               for i, w in enumerate(weights)]
+    with float64_range("a polymer's |w| e^(f+g)"):
+        boosted = [abs(float(w)) *
+                   math.exp(float(f_values[i]) + float(g_values[i]))
+                   for i, w in enumerate(weights)]
     lhs = []
     margins = []
     for i in range(k):
@@ -367,15 +376,19 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
     """
     family = PolymerFamily(g, side, params, rho, size_max=size_max,
                            enum_cap=enum_cap)
-    target = g.d ** -(kpf.c5 + 3)
-    per_vertex: dict[int, float] = {}
-    per_size: dict[int, float] = {}
-    for poly, weight in zip(family.polymers, family.weights):
-        s = poly.size
-        term = float(weight) * math.exp(kpf.f(s) + kpf.g(s))
-        per_size[s] = per_size.get(s, 0.0) + term
-        for v in iter_bits(poly.vertices):
-            per_vertex[v] = per_vertex.get(v, 0.0) + term
+    with float64_range("a term of the convergence-sum audit"):
+        target = g.d ** -(kpf.c5 + 3)
+        per_vertex: dict[int, float] = {}
+        per_size: dict[int, float] = {}
+        for poly, weight in zip(family.polymers, family.weights):
+            s = poly.size
+            term = float(weight) * math.exp(kpf.f(s) + kpf.g(s))
+            per_size[s] = per_size.get(s, 0.0) + term
+            for v in iter_bits(poly.vertices):
+                per_vertex[v] = per_vertex.get(v, 0.0) + term
+        tail_shapes = [lk_tail_shape(g.n, g.d, kpf.alpha_tilde, kpf.c1,
+                                     kpf.c5, k)
+                       for k in range(1, tail_depth + 1)]
     worst = max(per_vertex.values()) if per_vertex else 0.0
     return {
         "target": target,
@@ -385,7 +398,5 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
         "per_size_totals": per_size,
         "size_max": size_max,
         "polymer_count": len(family.polymers),
-        "tail_shapes": [lk_tail_shape(g.n, g.d, kpf.alpha_tilde, kpf.c1,
-                                      kpf.c5, k)
-                        for k in range(1, tail_depth + 1)],
+        "tail_shapes": tail_shapes,
     }

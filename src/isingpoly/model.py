@@ -39,7 +39,7 @@ from .graphs import (
     two_linked_components,
 )
 from .polymers import DEFAULT_RHO, PolymerFamily, closure_cutoff
-from .rationals import LOG_PRECISION_BITS, log_rational
+from .rationals import LOG_PRECISION_BITS, float64_range, log_rational
 
 # Monte-Carlo draws are consumed in fixed blocks of this many samples; the
 # block layout is part of the reproducibility contract.
@@ -288,12 +288,9 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
             val = cache.get(sub)
             if val is None:
                 nbr = edge_subset_nbr(g.n, edges, sub)
-                try:
+                with float64_range("a sample's Z"):
                     val = float(independent_set_table(nbr, weights,
                                                       full)[full])
-                except OverflowError as exc:
-                    raise ValueError("a sample's Z exceeds the float64 "
-                                     "range (max about 1.8e308)") from exc
                 cache[sub] = val
             values[pos + r] = val
         pos += rows

@@ -114,24 +114,42 @@ def _vertices_of(a) -> int:
     return as_mask(a)
 
 
+def _weight_parts(g: BipartiteGraph, params, a: int) -> tuple[int, int]:
+    """The polymer weight of the vertex mask a as an unreduced integer pair
+    (num, den). With lambda = s/t, 1-p = c/e and k_v = deg_A(v),
+
+        num = s^|A| * prod_{v in N(A)} (t e^k_v + s c^k_v)
+        den = t^|A| * (s+t)^|N(A)| * e^(sum of k_v)
+
+    The boundary vertices are tallied by k_v, so the product takes one
+    integer power per distinct k_v and no gcd. Every boundary vertex has
+    k_v >= 1, so at p = 1 (c = 0) its factor is t e^k_v."""
+    s, t = params.lam.numerator, params.lam.denominator
+    surv = 1 - params.p
+    c, e = surv.numerator, surv.denominator
+    boundary = neighborhood(g, a)
+    tally: dict[int, int] = {}  # k -> boundary vertices with k_v = k
+    for v in iter_bits(boundary):
+        k = popcount(g.adj_mask[v] & a)
+        tally[k] = tally.get(k, 0) + 1
+    num = s ** popcount(a)
+    den = t ** popcount(a) * (s + t) ** popcount(boundary)
+    for k, count in tally.items():
+        num *= (t * e ** k + s * c ** k) ** count
+        den *= e ** (k * count)
+    return num, den
+
+
 def polymer_weight(g: BipartiteGraph, params, a) -> Fraction:
     """Exact polymer weight by the per-boundary-vertex product:
 
         omega(A) = lambda^|A| * prod_{v in N(A)} (1 + lambda (1-p)^{deg_A(v)}) / (1 + lambda)
 
-    where deg_A(v) counts v's neighbors inside A. Agrees with the literal
-    sum over decorations B (see polymer_weight_literal).
+    where deg_A(v) counts v's neighbors inside A, computed in integers by
+    _weight_parts and reduced once. Agrees with the literal sum over
+    decorations B (see polymer_weight_literal).
     """
-    a = _vertices_of(a)
-    lam = params.lam
-    surv = 1 - params.p
-    w = lam ** popcount(a)
-    one_plus = 1 + lam
-    for v in iter_bits(neighborhood(g, a)):
-        deg = popcount(g.adj_mask[v] & a)
-        w *= (1 + lam * surv ** deg)
-        w /= one_plus
-    return w
+    return Fraction(*_weight_parts(g, params, _vertices_of(a)))
 
 
 def polymer_weight_literal(g: BipartiteGraph, params, a) -> Fraction:
@@ -181,11 +199,12 @@ def weight_bound_check(g: BipartiteGraph, params, a) -> bool:
     polymer vertex; extra internal edges only shrink the weight.
     """
     a = _vertices_of(a)
-    lam = params.lam
-    surv = 1 - params.p
-    bound = lam ** popcount(a) * ((1 + lam * surv) / (1 + lam)) ** popcount(
-        neighborhood(g, a))
-    return polymer_weight(g, params, a) <= bound
+    num, den = _weight_parts(g, params, a)
+    lam, at = params.lam, params.alpha_tilde
+    size, nb = popcount(a), popcount(neighborhood(g, a))
+    # num/den against lambda^size / alpha_tilde^nb, cross-multiplied
+    return num * lam.denominator ** size * at.numerator ** nb <= \
+        den * lam.numerator ** size * at.denominator ** nb
 
 
 def compatible(g: BipartiteGraph, a, b) -> bool:
@@ -229,9 +248,15 @@ class PolymerFamily:
         self._side_mask = g.side_mask(side)
 
     @cached_property
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(polymer_weight(self._graph, self._params, p.vertices)
+    def weight_parts(self) -> tuple[tuple[int, int], ...]:
+        """Each polymer's weight as the unreduced (num, den) integer pair of
+        _weight_parts, for products that reduce once at the end."""
+        return tuple(_weight_parts(self._graph, self._params, p.vertices)
                      for p in self.polymers)
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(*parts) for parts in self.weight_parts)
 
     @cached_property
     def incompatible(self) -> tuple[int, ...]:

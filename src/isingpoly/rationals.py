@@ -1,5 +1,6 @@
 """Exact rational parsing and serialization helpers, the conversion of a
-Fraction to an mpmath real, and the range check of the audit constants.
+Fraction to an mpmath real, the range check of the audit constants, and
+the refusal of float reports past the float64 range.
 
 All model weights in this package are fractions.Fraction values; JSON and
 CSV carry them as "p/q" strings so nothing is ever rounded on disk.
@@ -7,6 +8,7 @@ CSV carry them as "p/q" strings so nothing is ever rounded on disk.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from fractions import Fraction
@@ -64,3 +66,15 @@ def require_positive_finite(**constants) -> None:
     for name, value in constants.items():
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+@contextlib.contextmanager
+def float64_range(what: str):
+    """Turn an OverflowError raised inside the block (float() of a huge
+    Fraction, math.exp or a float power past the range) into a ValueError
+    saying that `what` exceeds the float64 range."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ValueError(f"{what} exceeds the float64 range "
+                         f"(max about 1.8e308)") from exc

@@ -290,6 +290,26 @@ def decorated_weight(g: BipartiteGraph, params, a, b) -> Fraction:
     return w / (1 + lam) ** popcount(boundary)
 
 
+def fraction_polymer_weight(g: BipartiteGraph, params, a) -> Fraction:
+    """The polymer weight by one Fraction multiply and divide per boundary
+    vertex v of A:
+
+        lambda^|A| * prod_{v in N(A)} (1 + lambda (1-p)^{deg_A(v)}) / (1 + lambda);
+
+    the former library route, kept as the second route to the integer
+    weight kernel."""
+    a = as_mask(a)
+    lam = params.lam
+    surv = 1 - params.p
+    w = lam ** popcount(a)
+    one_plus = 1 + lam
+    for v in iter_bits(neighborhood(g, a)):
+        deg = popcount(g.adj_mask[v] & a)
+        w *= (1 + lam * surv ** deg)
+        w /= one_plus
+    return w
+
+
 class ListMuHatSampler:
     """MuHatSampler's draws from stored lists: every compatible
     configuration of both sides with its weight scaled to an integer by

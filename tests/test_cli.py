@@ -267,6 +267,20 @@ class TestExitCodes:
         assert code == 1
         assert "ISINGPOLY_BUDGET" in err
 
+    def test_audit_z_takes_no_budget(self, capsys, monkeypatch):
+        # audit-z builds no graph and enumerates nothing: --budget would
+        # bound nothing, so it is refused, and the environment is not read
+        argv = ("audit-z", "--d", "4", "--lambda", "1", "--p", "1/2", "--C",
+                "1", "--psi", "0;1")
+        code, out, err = run(capsys, *argv, "--budget", "1")
+        assert code == 1
+        assert out == ""
+        assert "--budget" in err
+        monkeypatch.setenv("ISINGPOLY_BUDGET", "not-a-number")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["mode"] == "halfell"
+
     def test_xi_many_polymers_no_recursion_limit(self, capsys):
         # about 1,200 polymers: deeper than the interpreter's recursion limit
         code, out, _ = run(capsys, "xi", "--graph", "cycle:80",
@@ -335,6 +349,19 @@ class TestExitCodes:
         code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:1600",
                              "--lambda", "1", "--p", "1/2", "--samples", "3",
                              "--seed", "1", "--budget", "5000")
+        assert code == 1
+        assert out == ""
+        assert "float64 range" in err
+
+    @pytest.mark.parametrize("argv", [
+        # alpha_tilde = 1 + lambda is past the range at p = 1
+        ("--lambda", "1e400", "--p", "1", "--mode", "sum"),
+        ("--lambda", "1e400", "--p", "1/2", "--mode", "sum"),
+        ("--lambda", "1e400", "--p", "1/2", "--mode", "truncation",
+         "--fg-denom", "10"),
+    ])
+    def test_audit_kp_past_the_float_range(self, capsys, argv):
+        code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6", *argv)
         assert code == 1
         assert out == ""
         assert "float64 range" in err
@@ -553,6 +580,10 @@ class TestExitCodes:
     # f = g = size/0, which ended in a ZeroDivisionError
     @example(["audit-kp", "--graph", "cycle:6", "--lambda", "1/10", "--p",
               "1", "--mode", "truncation", "--k-max", "2", "--fg-denom", "0"])
+    # a polymer weight past the float64 range, which ended in an
+    # OverflowError
+    @example(["audit-kp", "--graph", "cycle:6", "--lambda", "1e400", "--p",
+              "1/2", "--mode", "truncation", "--fg-denom", "10"])
     def test_cluster_and_kp_commands_exit_with_a_code(self, argv):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):

@@ -30,7 +30,7 @@ from isingpoly.model import ModelParams
 from isingpoly.polymers import (PolymerFamily, enumerate_polymers,
                                 polymer_weight, xi_brute)
 
-from oracles import brute_connected, brute_ursell
+from oracles import brute_connected, brute_ursell, fraction_polymer_weight
 
 F = Fraction
 
@@ -243,6 +243,23 @@ class TestExpansionTerms:
         assert l_k(g, "E", prm, k=1) == 4 * w
         assert l_k(g, "E", prm, k=2) == -8 * w ** 2
         assert l_k(g, "E", prm, k=3) == F(64, 3) * w ** 3
+
+
+class TestClusterWeightParams:
+    # a cluster depends on (g, rho) only, so clusters enumerated at one
+    # (lambda, p) weigh, at any other, what l_k sums there
+    @pytest.mark.parametrize("g", [build_even_torus(4, 2), build_hypercube(4)])
+    @pytest.mark.parametrize("lam,p", [(F(2, 3), F(1, 3)), (F(1, 20), 1)])
+    def test_weights_follow_the_params_given(self, g, lam, p):
+        other = params(lam, p)
+        sums = {k: F(0) for k in (1, 2, 3)}
+        for cl in enumerate_clusters(g, "E", params(1, F(1, 2)), k_max=3):
+            w = cl.weight(g, other)
+            assert w == cl.orderings * cl.ursell_value * math.prod(
+                fraction_polymer_weight(g, other, poly.vertices) ** mult
+                for poly, mult in cl.entries)
+            sums[cl.size] += w
+        assert sums == {k: l_k(g, "E", other, k=k) for k in (1, 2, 3)}
 
 
 class TestKPCheck:

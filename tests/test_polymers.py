@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingpoly import polymers
 from isingpoly.graphs import (
@@ -8,12 +10,14 @@ from isingpoly.graphs import (
     BudgetError,
     as_mask,
     bits,
+    build_complete_bipartite,
     build_cycle,
     build_even_torus,
     build_hypercube,
     closure,
     neighborhood,
     popcount,
+    two_linked_sets,
 )
 from isingpoly.model import ModelParams
 from isingpoly.polymers import (
@@ -32,7 +36,8 @@ from isingpoly.polymers import (
     weight_bound_check,
     xi_brute,
 )
-from oracles import brute_is_two_linked, decorated_weight
+from oracles import (brute_is_two_linked, decorated_weight,
+                     fraction_polymer_weight)
 
 
 def make_polymer(g, a):
@@ -160,6 +165,40 @@ class TestWeights:
             for params in (HALF, ModelParams(Fraction(1, 4), 1)):
                 for poly in enumerate_polymers(g, "E"):
                     assert weight_bound_check(g, params, poly)
+
+
+WEIGHT_GRAPHS = [build_cycle(m) for m in (6, 8, 10, 12)] + [
+    Q3, Q4, build_complete_bipartite(3), build_even_torus(4, 2),
+    build_even_torus(6, 2)]
+# denominators above 1, so both halves of lambda = s/t and 1-p = c/e
+# reach the integer kernel; p = 0 and p = 1 are added to every draw
+LAMBDAS = st.fractions(min_value=Fraction(1, 50), max_value=3,
+                       max_denominator=50).filter(lambda x: x.denominator > 1)
+PS = st.fractions(min_value=0, max_value=1,
+                  max_denominator=50).filter(lambda x: x.denominator > 1)
+
+
+class TestWeightRoutes:
+    @settings(max_examples=20, deadline=None)
+    @given(g=st.sampled_from(WEIGHT_GRAPHS), lam=LAMBDAS, p=PS)
+    def test_integer_kernel_matches_the_fraction_product(self, g, lam, p):
+        # every 2-linked set of at most 3 vertices, polymer or not (K3,3
+        # has no polymers), then the family's weights
+        side = g.side_E_mask
+        sets = list(two_linked_sets(g, side, side, 3))
+        for pr in (p, Fraction(0), Fraction(1)):
+            params = ModelParams(lam, pr)
+            for a in sets:
+                w = polymer_weight(g, params, a)
+                assert w == fraction_polymer_weight(g, params, a)
+                if popcount(neighborhood(g, a)) <= \
+                        polymers.LITERAL_BOUNDARY_CAP:
+                    assert w == polymer_weight_literal(g, params, a)
+                assert weight_bound_check(g, params, a)
+            family = PolymerFamily(g, "E", params, size_max=3)
+            assert family.weights == tuple(
+                fraction_polymer_weight(g, params, q.vertices)
+                for q in family.polymers)
 
 
 class TestCompatibility:
