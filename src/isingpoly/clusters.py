@@ -358,11 +358,14 @@ class KPFunctions:
 
 
 def lk_tail_shape(n: int, d: int, alpha_tilde: float, c1: float, c5: float,
-                  k: int) -> float:
+                  k: int) -> mpmath.mpf:
     """The asymptotic bound shape for the expansion tail of depth k:
-    n * d^((c5+7)k - c5 - 1) * alpha_tilde^(-kd + c1 k^2)."""
-    return n * d ** ((c5 + 7) * k - c5 - 1) * \
-        alpha_tilde ** (-k * d + c1 * k * k)
+    n * d^((c5+7)k - c5 - 1) * alpha_tilde^(-kd + c1 k^2), at 128-bit
+    precision, so a shape past the float64 range is a number, not an
+    error; report-only."""
+    with mpmath.workprec(LOG_PRECISION_BITS):
+        return n * mpmath.mpf(d) ** ((c5 + 7) * k - c5 - 1) * \
+            mpmath.mpf(alpha_tilde) ** (-k * d + c1 * k * k)
 
 
 def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
@@ -386,9 +389,9 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
             per_size[s] = per_size.get(s, 0.0) + term
             for v in iter_bits(poly.vertices):
                 per_vertex[v] = per_vertex.get(v, 0.0) + term
-        tail_shapes = [lk_tail_shape(g.n, g.d, kpf.alpha_tilde, kpf.c1,
-                                     kpf.c5, k)
-                       for k in range(1, tail_depth + 1)]
+    # the shapes only report, so their range never decides the audit
+    tail_shapes = [lk_tail_shape(g.n, g.d, kpf.alpha_tilde, kpf.c1, kpf.c5, k)
+                   for k in range(1, tail_depth + 1)]
     worst = max(per_vertex.values()) if per_vertex else 0.0
     return {
         "target": target,

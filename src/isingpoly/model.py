@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .graphs import (
     AuditViolation,
@@ -230,24 +229,29 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
                                   edge_cap: int | None = None) -> Fraction:
     """E[Z_{G_p}(lambda)]: keep each edge independently with probability p,
     average the hard-core partition function of the surviving subgraph.
-    Computed as the honest sum over all 2^|E| subgraphs; exact."""
+    Computed as the honest sum over all 2^|E| subgraphs, exact and in
+    integers: with lambda = a/b and p = k/e, a subgraph with j edges weighs
+    k^j (e-k)^(|E|-j), and independent_set_table with weights [a]*n and
+    out = b gives its partition function times b^n, so the one Fraction
+    is the total over e^|E| b^n, built at the end as in exact_Z."""
     edges = list(g.edges())
     m = len(edges)
     limit = DEFAULT_EDGE_SWEEP_CAP if edge_cap is None else edge_cap
     if m > limit:
         raise BudgetError(f"edge sweep over {m} edges exceeds cap {limit}")
-    p = params.p
-    weights = [params.lam] * g.n
-    prob = [p ** k * (1 - p) ** (m - k) for k in range(m + 1)]
+    a, b = params.lam.numerator, params.lam.denominator
+    k, e = params.p.numerator, params.p.denominator
+    prob = [k ** j * (e - k) ** (m - j) for j in range(m + 1)]
+    weights = [a] * g.n
     full = (1 << g.n) - 1
-    total = Fraction(0)
+    total = 0
     for sub in range(1 << m):
-        if prob[sub.bit_count()] == 0:
-            continue
-        nbr = edge_subset_nbr(g.n, edges, sub)
-        total += prob[sub.bit_count()] * independent_set_table(
-            nbr, weights, full)[full]
-    return total
+        w = prob[sub.bit_count()]
+        if w:
+            nbr = edge_subset_nbr(g.n, edges, sub)
+            total += w * independent_set_table(nbr, weights, full,
+                                               out=b)[full]
+    return Fraction(total, e ** m * b ** g.n)
 
 
 def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
@@ -260,13 +264,21 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     iff the matrix entry is below p. Identical (seed, samples) give
     bit-identical results regardless of how blocks are scheduled.
     """
+    # numpy is imported by its two users only, so the exact routes and the
+    # CLI start without its import cost
+    import numpy as np
+
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_sweep(g.n, sweep_cap)
     edges = list(g.edges())
     m = len(edges)
     p_float = params.p.numerator / params.p.denominator
-    weights = [params.lam] * g.n
+    # each subgraph's Z as an int over b^n (lambda = a/b); int true division
+    # rounds correctly, so every value equals float() of the exact Fraction
+    a, b = params.lam.numerator, params.lam.denominator
+    weights = [a] * g.n
+    denom = b ** g.n
     full = (1 << g.n) - 1
     cache: dict[int, float] = {}
     try:
@@ -289,8 +301,8 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
             if val is None:
                 nbr = edge_subset_nbr(g.n, edges, sub)
                 with float64_range("a sample's Z"):
-                    val = float(independent_set_table(nbr, weights,
-                                                      full)[full])
+                    val = independent_set_table(nbr, weights, full,
+                                                out=b)[full] / denom
                 cache[sub] = val
             values[pos + r] = val
         pos += rows
@@ -471,6 +483,8 @@ class MuHatSampler:
         self._p_in = [top / (1 + top) for top in tops]
 
     def draw(self, seed: int, k: int = 0) -> tuple[int, str]:
+        import numpy as np
+
         raw = np.random.Philox(np.random.SeedSequence(
             entropy=seed, spawn_key=(k,))).random_raw(self.g.n + 4).tolist()
         words = [hi << 64 | lo for lo, hi in zip(raw[::2], raw[1::2])]

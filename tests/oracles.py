@@ -17,8 +17,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from isingpoly.graphs import (BipartiteGraph, as_mask, bits, iter_bits,
-                              neighborhood, popcount)
+from isingpoly.graphs import (BipartiteGraph, as_mask, bits, edge_subset_nbr,
+                              independent_set_table, iter_bits, neighborhood,
+                              popcount)
 from isingpoly.model import captured_on_side
 from isingpoly.polymers import enumerate_compatible_configs
 
@@ -147,6 +148,27 @@ def fraction_boundary_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fracti
         states = nxt
     (value,) = states.values()
     return value
+
+
+def fraction_percolation_expectation(g: BipartiteGraph, params) -> Fraction:
+    """E[Z_{G_p}(lambda)] as a Fraction sum over all 2^|E| edge subsets of
+    the subgraph's probability p^j (1-p)^(|E|-j) times its hard-core
+    partition function, independent_set_table at Fraction weight lambda;
+    the second route to percolation_expectation_exact's integer sweep."""
+    edges = list(g.edges())
+    m = len(edges)
+    p = params.p
+    weights = [params.lam] * g.n
+    prob = [p ** k * (1 - p) ** (m - k) for k in range(m + 1)]
+    full = (1 << g.n) - 1
+    total = Fraction(0)
+    for sub in range(1 << m):
+        if prob[sub.bit_count()] == 0:
+            continue
+        nbr = edge_subset_nbr(g.n, edges, sub)
+        total += prob[sub.bit_count()] * independent_set_table(
+            nbr, weights, full)[full]
+    return total
 
 
 def fraction_measure(g: BipartiteGraph, params, rho, kind: str):

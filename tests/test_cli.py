@@ -907,6 +907,21 @@ class TestAuditCommands:
         assert record["polymer_count"] == 4
         assert len(record["tail_shapes"]) == 3
 
+    def test_kp_sum_tail_shapes_past_float64_only_report(self, capsys):
+        # alpha_tilde ~ 1e300 raised to a positive power at depth 2 is past
+        # the float64 range; the shape reports inf and the verdict stands
+        argv = ("audit-kp", "--graph", "cycle:6", "--lambda", "1e300",
+                "--p", "1", "--mode", "sum", "--tail-depth")
+        code, out, err = run(capsys, *argv, "1")
+        assert code == 0, err
+        shallow = json.loads(out)
+        code, out, err = run(capsys, *argv, "2")
+        assert code == 0, err
+        deep = json.loads(out)
+        assert deep["worst_vertex_sum"] == shallow["worst_vertex_sum"]
+        assert deep["holds"] == shallow["holds"]
+        assert deep["tail_shapes"] == [*shallow["tail_shapes"], "inf"]
+
     def test_z_split_asserted(self, capsys):
         code, out, _ = run(capsys, "audit-z", "--d", "1000",
                            "--lambda", "1", "--p", "1", "--C", "1",
@@ -987,3 +1002,24 @@ def test_readme_command_runs(capsys, monkeypatch, line):
     code, out, err = run(capsys, *shlex.split(line)[1:])
     assert code == (2 if line == CRITERION_8 else 0), err
     assert json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import isingpoly.cli"],
+    ["-m", "isingpoly.cli", "zexact", "--graph", "cycle:6", "--lambda", "1",
+     "--p", "1/2"],
+])
+def test_exact_commands_do_not_import_numpy(argv):
+    # numpy costs most of the CLI's start-up; only the seeded routes
+    # (percolate-mc, sample-muhat) import it. -X importtime lists every
+    # module a cold run imports on stderr.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "isingpoly.model" in imported
+    assert "numpy" not in imported

@@ -45,6 +45,7 @@ from oracles import (
     brute_ising_Z,
     fraction_boundary_Z,
     fraction_measure,
+    fraction_percolation_expectation,
 )
 
 C4 = build_even_torus(4, 1)
@@ -193,9 +194,36 @@ class TestPercolation:
         params = ModelParams(lam, p)
         assert percolation_expectation_exact(g, params) == exact_Z(g, params)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([C4, C6, build_cycle(8), build_cycle(10),
+                            build_hypercube(2), Q3,
+                            build_complete_bipartite(3)]),
+           st.fractions(Fraction(1, 12), 20, max_denominator=12).filter(
+               lambda lam: lam.denominator > 1),
+           st.sampled_from([Fraction(0), Fraction(1)]) |
+           st.fractions(0, 1, max_denominator=12).filter(
+               lambda p: p.denominator > 1))
+    def test_integer_sweep_equals_fraction_sweep(self, g, lam, p):
+        params = ModelParams(lam, p)
+        value = percolation_expectation_exact(g, params)
+        assert value == fraction_percolation_expectation(g, params)
+        assert value == exact_Z(g, params)
+
     def test_edge_budget(self):
         with pytest.raises(BudgetError):
             percolation_expectation_exact(Q3, HALF, edge_cap=10)
+
+    @pytest.mark.parametrize("g,params,mean,stderr", [
+        (build_cycle(8), ModelParams(Fraction(2, 3), Fraction(1, 3)),
+         "0x1.3e14cdec17736p+5", "0x1.c30c53d78a53cp-4"),
+        (build_hypercube(2), ModelParams(Fraction(5, 7), Fraction(3, 11)),
+         "0x1.ce47b15afdcdcp+2", "0x1.e0e7bf8ed5ac2p-7"),
+    ])
+    def test_mc_floats_are_pinned(self, g, params, mean, stderr):
+        # each sample's Z is the correctly rounded float of its exact value,
+        # so the seeded stream gives these bits exactly
+        got = percolation_mc(g, params, 5000, seed=7)
+        assert (got[0].hex(), got[1].hex()) == (mean, stderr)
 
     def test_mc_reproducible_and_within_tolerance(self):
         mean, err = percolation_mc(C4, HALF, 100000, seed=2024)
