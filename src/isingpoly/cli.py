@@ -162,7 +162,12 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, mpmath.mpf):
-        obj = float(obj)
+        value = float(obj)
+        if mpmath.isfinite(obj) and (math.isinf(value)
+                                     or (value == 0 and obj != 0)):
+            # a finite value past the float64 range keeps its magnitude
+            return mpmath.nstr(obj, 17)
+        obj = value
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)  # "inf", "-inf", "nan"
     if isinstance(obj, dict):

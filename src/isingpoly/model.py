@@ -43,6 +43,10 @@ from .rationals import LOG_PRECISION_BITS, float64_range, log_rational
 # Monte-Carlo draws are consumed in fixed blocks of this many samples; the
 # block layout is part of the reproducibility contract.
 MC_CHUNK = 4096
+# The measure tables hold one dict entry per outcome; past this many entries
+# (2^20 subsets, 2^19 for the (mask, side) table) they are refused before
+# the sweep starts. TV, Z-hat and the non-polymer weight need no table.
+MEASURE_TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -325,19 +329,33 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
 class MeasureTable:
     """A finite probability table with exact Fraction probabilities.
 
-    Keys are outcomes (subset masks, or (mask, side) pairs); their integer
-    weights must be nonnegative and sum to exactly the positive total. The
-    normalization constant total / scale (the partition function the
-    weights were divided by) rides along for reporting.
+    Keys are outcomes (subset masks, or (mask, side) pairs). The table keeps
+    their integer `weights`, which must be nonnegative and sum to exactly
+    the positive int `total`, and the probabilities `probs`, built eagerly:
+    one Fraction(w, total) per distinct weight, shared by every key with
+    that weight. The weights of the 2^n tables take few distinct values
+    (they depend on |I| and e(I) only), so the table builds a few hundred
+    Fractions, not one per key. The normalization constant total / scale
+    (the partition function the weights were divided by) rides along for
+    reporting.
     """
 
     def __init__(self, weights: dict, total: int, scale: int):
-        for key, value in weights.items():
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"negative or non-integer weight at {key!r}")
+        distinct = set(weights.values())
+        # the types are read off every value, since the set merges
+        # Fraction(1) and 1.0 into the int 1
+        if (not all(issubclass(kind, int)
+                    for kind in set(map(type, weights.values())))
+                or min(distinct, default=0) < 0):
+            bad = next(k for k, w in weights.items()
+                       if not isinstance(w, int) or w < 0)
+            raise ValueError(f"negative or non-integer weight at {bad!r}")
         if total <= 0 or sum(weights.values()) != total:
             raise ValueError(f"weights must sum to the positive total {total}")
-        self.probs = {key: Fraction(w, total) for key, w in weights.items()}
+        shared = {w: Fraction(w, total) for w in distinct}
+        self.weights = weights
+        self.total = total
+        self.probs = {key: shared[w] for key, w in weights.items()}
         self.normalization = Fraction(total, scale)
 
     def __len__(self):
@@ -345,16 +363,20 @@ class MeasureTable:
 
 
 def tv_distance(a: MeasureTable, b: MeasureTable) -> Fraction:
-    """Total variation distance (1/2) sum |a - b|, exact."""
-    if set(a.probs) != set(b.probs):
+    """Total variation distance (1/2) sum |a - b|, exact and in integers:
+    with weights w_a, w_b over totals T_a, T_b it is
+    sum |w_a T_b - w_b T_a| / (2 T_a T_b), one Fraction per call."""
+    if a.weights.keys() != b.weights.keys():
         raise ValueError("measures live on different outcome spaces")
-    return sum((abs(a.probs[k] - b.probs[k]) for k in a.probs),
-               Fraction(0)) / 2
+    ta, tb = a.total, b.total
+    bw = b.weights
+    return Fraction(sum(abs(w * tb - bw[k] * ta) for k, w in a.weights.items()),
+                    2 * ta * tb)
 
 
-def _captured(g: BipartiteGraph, part: int, side: str, cutoff: Fraction) -> bool:
+def _captured(g: BipartiteGraph, part: int, side: str, limit: int) -> bool:
     for comp in two_linked_components(g, part):
-        if popcount(closure(g, comp, side=side)) > cutoff:
+        if popcount(closure(g, comp, side=side)) > limit:
             return False
     return True
 
@@ -363,25 +385,73 @@ def captured_on_side(g: BipartiteGraph, i, side: str, rho=DEFAULT_RHO) -> bool:
     """True iff every maximal 2-linked component of I on the side has a
     closure of size at most rho * |side|, i.e. the side's polymer model can
     represent I's trace there."""
-    cutoff = closure_cutoff(g, rho)
-    return _captured(g, as_mask(i) & g.side_mask(side), side, cutoff)
+    return _captured(g, as_mask(i) & g.side_mask(side), side,
+                     closure_cutoff(g, rho))
+
+
+class _CaptureFlags(dict):
+    """The capture flag of each trace on one side, tested on first lookup."""
+
+    def __init__(self, g: BipartiteGraph, side: str, limit: int):
+        super().__init__()
+        self.test = functools.partial(_captured, g, side=side, limit=limit)
+
+    def __missing__(self, trace: int) -> bool:
+        flag = self[trace] = self.test(trace)
+        return flag
+
+
+def _half_edge_counts(adj, first: int, count: int) -> list[int]:
+    """e(S) for every set S of the vertices first .. first+count-1, indexed
+    by S >> first, built by adding one vertex at a time: a vertex v joining
+    the sets of the lower vertices adds popcount(adj[v] & S) edges."""
+    counts = [0]
+    for v in range(first, first + count):
+        nbrs = adj[v] >> first
+        counts += [e + (nbrs & s).bit_count() for s, e in enumerate(counts)]
+    return counts
 
 
 def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
                  sweep_cap: int | None = None):
     """Yield (mask, weight, captured on O, captured on E) for every subset
     mask in increasing order, streaming. The weight is the ising_weight
-    times _weight_scale, an int memoised by (|I|, e(I)); capture on a side
-    depends only on the subset's trace there, so each trace is tested once."""
+    times _weight_scale, an int read from a table by (|I|, e(I)).
+
+    e(I) is counted incrementally. Write the mask as h|l, with l on the
+    k = n // 2 lowest vertices and h on the rest. Then
+    e(h|l) = e(h) + e(l) + cross_h(l), where cross_h(l) counts the edges
+    between the two parts. e(l) and e(h) are built once for every l and h
+    (_half_edge_counts); cross_h is built per h by the same recurrence, a
+    low vertex v adding popcount(adj[v] & h). Memory is O(2^(n/2)). Capture
+    on a side depends only on the subset's trace there, so each trace is
+    tested once and its flag kept in a dict."""
     _check_sweep(g.n, sweep_cap)
-    cutoff = closure_cutoff(g, rho)
-    captured = functools.cache(
-        lambda part, side: _captured(g, part, side, cutoff))
-    weight = functools.cache(functools.partial(_scaled_weight, g, params))
-    for i_mask in range(1 << g.n):
-        w = weight(popcount(i_mask), internal_edge_count(g, i_mask))
-        yield (i_mask, w, captured(i_mask & g.side_O_mask, "O"),
-               captured(i_mask & g.side_E_mask, "E"))
+    limit = closure_cutoff(g, rho)
+    n, adj = g.n, g.adj_mask
+    k = n // 2
+    row = g.edge_count() + 1
+    weight = [_scaled_weight(g, params, size, inside)
+              for size in range(n + 1) for inside in range(row)]
+    # the table index of l's own part, size * row + e(l)
+    low_index = [s.bit_count() * row + e
+                 for s, e in enumerate(_half_edge_counts(adj, 0, k))]
+    high_edges = _half_edge_counts(adj, k, n - k)
+    captured_o = _CaptureFlags(g, "O", limit)
+    captured_e = _CaptureFlags(g, "E", limit)
+    o_mask, e_mask = g.side_O_mask, g.side_E_mask
+    for h, e_high in enumerate(high_edges):
+        high = h << k
+        cross = [0]
+        for v in range(k):
+            step = (adj[v] & high).bit_count()
+            cross += [c + step for c in cross]
+        base = h.bit_count() * row + e_high
+        high_o, high_e = high & o_mask, high & e_mask
+        for l, (own, c) in enumerate(zip(low_index, cross)):
+            yield (high | l, weight[base + own + c],
+                   captured_o[high_o | (l & o_mask)],
+                   captured_e[high_e | (l & e_mask)])
 
 
 def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
@@ -402,10 +472,17 @@ def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     return (*(Fraction(w, scale) for w in sums), count0)
 
 
+def _check_table(g: BipartiteGraph, entries: int) -> None:
+    if entries > MEASURE_TABLE_CAP:
+        raise BudgetError(f"measure table of {entries} entries on {g.n} "
+                          f"vertices exceeds cap {MEASURE_TABLE_CAP}")
+
+
 def mu_table(g: BipartiteGraph, params: ModelParams,
              sweep_cap: int | None = None) -> MeasureTable:
     """The Ising measure: P(I) = ising_weight(I) / Z over all subsets; the
     table checks that the sweep's weights sum to exact_Z."""
+    _check_table(g, 1 << g.n)
     z = exact_Z(g, params, sweep_cap=sweep_cap)
     scale = _weight_scale(g, params)
     weights = {i_mask: w for i_mask, w, _, _ in
@@ -427,6 +504,7 @@ def mu_hat_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     """The polymer-approximation measure on subsets: weight counted once per
     capturing side (a set captured on both sides is deliberately counted
     twice, matching the two-sided normalizer)."""
+    _check_table(g, 1 << g.n)
     weights = {i_mask: (on_o + on_e) * w for i_mask, w, on_o, on_e in
                subset_sweep(g, params, rho, sweep_cap)}
     return MeasureTable(weights, sum(weights.values()),
@@ -436,6 +514,7 @@ def mu_hat_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
 def mu_hat_star_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
                       sweep_cap: int | None = None) -> MeasureTable:
     """The two-sided measure on pairs (I, side): P = [captured] * weight / Z-hat."""
+    _check_table(g, 2 << g.n)
     weights = {}
     for i_mask, w, on_o, on_e in subset_sweep(g, params, rho, sweep_cap):
         weights[(i_mask, "O")] = on_o * w
@@ -493,8 +572,9 @@ class MuHatSampler:
             return word * r.denominator < r.numerator << 128
 
         side = "O" if bernoulli(words[0], self._p_side_o) else "E"
+        xi = self.xi[side]
         config = self.families[side].configuration_at(
-            self.xi[side] * words[1] / (1 << 128))
+            Fraction(xi.numerator * words[1], xi.denominator << 128))
         chosen = covered = 0
         order = []
         for poly in config:

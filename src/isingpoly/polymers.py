@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .graphs import (
     BipartiteGraph,
@@ -44,10 +44,20 @@ def validate_rho(rho) -> Fraction:
     return rho
 
 
-def closure_cutoff(g: BipartiteGraph, rho) -> Fraction:
-    """rho * |side|, the largest closure a polymer may have; rho is
-    validated first."""
-    return validate_rho(rho) * Fraction(g.n, 2)
+def closure_cutoff(g: BipartiteGraph, rho) -> int:
+    """floor(rho * |side|), the largest closure a polymer may have. Closure
+    sizes are ints, so comparing them with this int decides exactly what
+    comparing them with rho * |side| does. rho is validated first, once per
+    (|side|, rho): the capture test calls this on every set it tests."""
+    if not isinstance(rho, Fraction):
+        rho = Fraction(rho)
+    return _closure_limit(g.n // 2, rho.numerator, rho.denominator)
+
+
+@lru_cache(maxsize=256)
+def _closure_limit(half: int, num: int, den: int) -> int:
+    validate_rho(Fraction(num, den))
+    return num * half // den
 
 
 @dataclass(frozen=True)
@@ -82,8 +92,7 @@ def polymer_is_valid(g: BipartiteGraph, a, side: str | None = None,
         return False
     if not is_two_linked(g, a):
         return False
-    cl = closure(g, a, side=side)
-    return Fraction(popcount(cl)) <= cutoff
+    return popcount(closure(g, a, side=side)) <= cutoff
 
 
 def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
@@ -97,13 +106,13 @@ def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
     """
     cutoff = closure_cutoff(g, rho)
     if size_max is None:
-        size_max = int(cutoff)
+        size_max = cutoff
     if size_max < 1:
         raise ValueError(f"size_max must be >= 1, got {size_max}")
     side_m = g.side_mask(side)
     for a in two_linked_sets(g, side_m, side_m, size_max, enum_cap):
         cl = closure(g, a, side=side)
-        if Fraction(popcount(cl)) <= cutoff:
+        if popcount(cl) <= cutoff:
             yield Polymer(side=side, vertices=a, closure=cl,
                           boundary=neighborhood(g, a))
 

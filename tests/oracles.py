@@ -171,22 +171,30 @@ def fraction_percolation_expectation(g: BipartiteGraph, params) -> Fraction:
     return total
 
 
-def fraction_measure(g: BipartiteGraph, params, rho, kind: str):
-    """The measure table `kind` ("mu", "mu_hat" or "mu_hat_star") as an
-    {outcome: probability} dict in increasing mask order, with its
-    normalizer: one Fraction weight lam^|I| (1-p)^{e(I)} per subset and
-    captured_on_side per trace, added up as Fractions; the second route to
-    the measure tables."""
+def fraction_sweep(g: BipartiteGraph, params, rho, masks=None):
+    """Yield (mask, weight, captured on O, captured on E) for the given
+    masks (default: every subset, in increasing order): one Fraction weight
+    lam^|I| (1-p)^{e(I)} per subset, e(I) counted over every vertex's
+    neighbours, and captured_on_side per trace; the second route to
+    model.subset_sweep."""
     lam, surv = params.lam, 1 - params.p
     captured = functools.cache(
         lambda trace, side: captured_on_side(g, trace, side, rho))
-    weights = {}
-    for mask in range(1 << g.n):
+    for mask in range(1 << g.n) if masks is None else masks:
         inside = sum(popcount(g.adj_mask[v] & mask)
                      for v in iter_bits(mask)) // 2
-        w = lam ** popcount(mask) * surv ** inside
-        on_o = captured(mask & g.side_O_mask, "O")
-        on_e = captured(mask & g.side_E_mask, "E")
+        yield (mask, lam ** popcount(mask) * surv ** inside,
+               captured(mask & g.side_O_mask, "O"),
+               captured(mask & g.side_E_mask, "E"))
+
+
+def fraction_measure(g: BipartiteGraph, params, rho, kind: str):
+    """The measure table `kind` ("mu", "mu_hat" or "mu_hat_star") as an
+    {outcome: probability} dict in increasing mask order, with its
+    normalizer: fraction_sweep's weights added up as Fractions; the second
+    route to the measure tables."""
+    weights = {}
+    for mask, w, on_o, on_e in fraction_sweep(g, params, rho):
         if kind == "mu":
             weights[mask] = w
         elif kind == "mu_hat":
@@ -196,6 +204,13 @@ def fraction_measure(g: BipartiteGraph, params, rho, kind: str):
             weights[(mask, "E")] = on_e * w
     total = sum(weights.values(), Fraction(0))
     return {key: w / total for key, w in weights.items()}, total
+
+
+def fraction_tv(a, b) -> Fraction:
+    """(1/2) sum over outcomes of |a - b|, summed over the two tables' Fraction
+    probabilities; the second route to model.tv_distance."""
+    return sum((abs(p - b.probs[key]) for key, p in a.probs.items()),
+               Fraction(0)) / 2
 
 
 def brute_independent_set_count(g: BipartiteGraph) -> int:

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,18 @@ class TestEmit:
         out = io.StringIO()
         emit_records([], "json", out)
         assert json.loads(out.getvalue()) == []
+
+    def test_mpmath_values_past_float64_keep_their_magnitude(self):
+        out = io.StringIO()
+        values = [mpmath.mpf(1.5), mpmath.mpf("1e-310"), mpmath.mpf(0),
+                  mpmath.inf, -mpmath.inf, mpmath.nan,
+                  mpmath.mpf(2) ** 5000, -mpmath.mpf(2) ** -5000]
+        emit_records([{"v": values}], "json", out)
+        got = json.loads(out.getvalue())["v"]
+        # in range and the true infinities print as float64 did
+        assert got[:6] == [1.5, 1e-310, 0.0, "inf", "-inf", "nan"]
+        assert got[6:] == ["1.412467032139426e+1505",
+                           "-7.0798112610481729e-1506"]
 
 
 def run(capsys, *argv):
@@ -909,7 +922,8 @@ class TestAuditCommands:
 
     def test_kp_sum_tail_shapes_past_float64_only_report(self, capsys):
         # alpha_tilde ~ 1e300 raised to a positive power at depth 2 is past
-        # the float64 range; the shape reports inf and the verdict stands
+        # the float64 range; the shape keeps its magnitude as an mpmath
+        # string and the verdict stands
         argv = ("audit-kp", "--graph", "cycle:6", "--lambda", "1e300",
                 "--p", "1", "--mode", "sum", "--tail-depth")
         code, out, err = run(capsys, *argv, "1")
@@ -920,7 +934,10 @@ class TestAuditCommands:
         deep = json.loads(out)
         assert deep["worst_vertex_sum"] == shallow["worst_vertex_sum"]
         assert deep["holds"] == shallow["holds"]
-        assert deep["tail_shapes"] == [*shallow["tail_shapes"], "inf"]
+        *head, last = deep["tail_shapes"]
+        assert head == shallow["tail_shapes"]
+        assert last.endswith("e+1204")
+        assert abs(mpmath.mpf(last) / mpmath.mpf("6.9511425e1204") - 1) < 1e-7
 
     def test_z_split_asserted(self, capsys):
         code, out, _ = run(capsys, "audit-z", "--d", "1000",

@@ -1,5 +1,7 @@
 import collections
+import functools
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +22,7 @@ from isingpoly.graphs import (
     build_middle_layer,
 )
 from isingpoly.model import (
+    MEASURE_TABLE_CAP,
     MeasureTable,
     ModelParams,
     MuHatSampler,
@@ -46,6 +49,8 @@ from oracles import (
     fraction_boundary_Z,
     fraction_measure,
     fraction_percolation_expectation,
+    fraction_sweep,
+    fraction_tv,
 )
 
 C4 = build_even_torus(4, 1)
@@ -275,7 +280,39 @@ class TestMeasures:
         table = MeasureTable({5: 1, 3: 0, 4: 3}, 4, 8)
         assert list(table.probs.items()) == \
             [(5, Fraction(1, 4)), (3, 0), (4, Fraction(3, 4))]
+        assert table.weights == {5: 1, 3: 0, 4: 3} and table.total == 4
         assert table.normalization == Fraction(1, 2)
+
+    @pytest.mark.parametrize("build", [mu_table, mu_hat_table,
+                                       mu_hat_star_table])
+    def test_tables_share_one_fraction_per_weight(self, build):
+        table = build(Q3, ModelParams(Fraction(2, 3), Fraction(1, 3)))
+        first: dict[int, Fraction] = {}
+        for key, w in table.weights.items():
+            prob = table.probs[key]
+            assert prob == Fraction(w, table.total)
+            assert prob is first.setdefault(w, prob)
+        assert list(table.probs) == list(table.weights)
+        assert len(first) < len(table) // 4
+
+    def test_tables_refuse_past_the_entry_cap(self, monkeypatch):
+        import isingpoly.model as model
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(model, "subset_sweep", no_sweep)
+        big = build_cycle(22)
+        assert 1 << big.n > MEASURE_TABLE_CAP
+        for build in (mu_table, mu_hat_table, mu_hat_star_table):
+            with pytest.raises(BudgetError, match="measure table"):
+                build(big, HALF, sweep_cap=big.n)
+        # the (mask, side) table has two entries per subset
+        monkeypatch.setattr(model, "MEASURE_TABLE_CAP", 1 << C6.n)
+        with pytest.raises(BudgetError, match="128 entries"):
+            mu_hat_star_table(C6, HALF)
+        monkeypatch.undo()
+        assert len(mu_table(C6, HALF)) == 1 << C6.n
 
     def test_tv_distance_edge_cases(self):
         a = MeasureTable({0: 1, 1: 0}, 1, 1)
@@ -285,6 +322,20 @@ class TestMeasures:
         c = MeasureTable({2: 1}, 1, 1)
         with pytest.raises(ValueError, match="outcome spaces"):
             tv_distance(a, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 10 ** 30),
+                                   st.integers(0, 10 ** 30)),
+                         min_size=1, max_size=12))
+    def test_tv_equals_the_fraction_sum(self, rows):
+        wa = {k: x for k, (x, _) in enumerate(rows)}
+        wb = {k: y for k, (_, y) in enumerate(rows)}
+        wa[len(rows)] = wb[len(rows) + 1] = 1  # positive totals
+        wa[len(rows) + 1] = wb[len(rows)] = 0
+        a = MeasureTable(wa, sum(wa.values()), 1)
+        b = MeasureTable(wb, sum(wb.values()), 1)
+        assert tv_distance(a, b) == fraction_tv(a, b) == tv_distance(b, a)
+        assert tv_distance(a, a) == 0
 
     def test_tv_mu_vs_mu_hat_matches_direct_definition(self):
         mu = mu_table(C6, HALF)
@@ -328,6 +379,23 @@ class TestMeasures:
                     assert captured_on_side(g, i_mask, side, rho) == \
                         brute_captured(g, verts, side_sets[side], rho)
 
+    def test_capture_at_the_rho_boundary(self):
+        # {0,2,4,6} on C12 closes to itself: 4 vertices of a 6-vertex side
+        g = build_cycle(12)
+        a = 0b1010101
+        assert g.side_mask("E") & a == a
+        for rho, captured in ((Fraction(2, 3), True),   # 4 = rho * 6
+                              (Fraction(2, 3) - Fraction(1, 10 ** 9), False),
+                              (Fraction(7, 12), False),  # 3.5
+                              (Fraction(3, 4), True)):   # 4.5
+            assert captured_on_side(g, a, "E", rho) is captured
+            assert brute_captured(g, [0, 2, 4, 6], g.side_E, rho) is captured
+        for bad in (Fraction(1, 2), 1, "9/10000", 0.5):
+            with pytest.raises(ValueError, match="strictly between"):
+                captured_on_side(g, a, "E", bad)
+        with pytest.raises(ValueError):
+            captured_on_side(g, a, "E", "x")
+
     def test_mu_hat_star_marginal_is_mu_hat(self):
         star = mu_hat_star_table(C6, HALF)
         hat = mu_hat_table(C6, HALF)
@@ -365,9 +433,30 @@ def nonpolymer_sets(g, rho=Fraction(3, 4)) -> set[int]:
             if not (on_o or on_e)}
 
 
-MEASURE_GRAPHS = [C4, C6, build_cycle(8), Q3, build_complete_bipartite(3)]
+# K3,3 and the middle layers put each side on a block of labels, not on
+# one parity
+MEASURE_GRAPHS = [C4, C6, build_cycle(8), Q3, build_complete_bipartite(3),
+                  build_middle_layer(2)]
 T42 = build_even_torus(4, 2)
 MIDLAYER3 = build_middle_layer(3)
+
+
+def weight_scale(g, params) -> int:
+    """b^n e^|E| for lambda = a/b and 1-p = c/e: subset_sweep's weights are
+    the ising weights times this."""
+    return (params.lam.denominator ** g.n
+            * (1 - params.p).denominator ** g.edge_count())
+
+
+def assert_tables_equal_the_fraction_route(g, params, rho=Fraction(3, 4)):
+    for kind, build in (("mu", mu_table),
+                        ("mu_hat", functools.partial(mu_hat_table, rho=rho)),
+                        ("mu_hat_star",
+                         functools.partial(mu_hat_star_table, rho=rho))):
+        probs, norm = fraction_measure(g, params, rho, kind)
+        table = build(g, params)
+        assert list(table.probs.items()) == list(probs.items())
+        assert table.normalization == norm
 
 
 def brute_w0(g, params, rho=Fraction(3, 4)) -> Fraction:
@@ -391,28 +480,56 @@ def polymer_z_hat(g, params) -> Fraction:
 
 class TestMeasureRoutes:
     @settings(max_examples=25, deadline=None)
-    @given(g=st.sampled_from(MEASURE_GRAPHS), lam=LAMBDAS, p=PS)
-    def test_tables_equal_the_fraction_route(self, g, lam, p):
-        rho = Fraction(3, 4)
+    @given(g=st.sampled_from(MEASURE_GRAPHS), rng=st.randoms(), lam=LAMBDAS,
+           p=PS)
+    def test_tables_equal_the_fraction_route(self, g, rng, lam, p):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
         for pr in (p, Fraction(0), Fraction(1)):
             params = ModelParams(lam, pr)
-            for kind, table in (("mu", mu_table(g, params)),
-                                ("mu_hat", mu_hat_table(g, params, rho)),
-                                ("mu_hat_star",
-                                 mu_hat_star_table(g, params, rho))):
-                probs, norm = fraction_measure(g, params, rho, kind)
-                assert list(table.probs.items()) == list(probs.items())
-                assert table.normalization == norm
+            assert_tables_equal_the_fraction_route(g, params)
+            assert_tables_equal_the_fraction_route(relabelled(g, perm), params)
 
     def test_torus_4_2_tables_equal_the_fraction_route(self):
         params = ModelParams(Fraction(2, 3), Fraction(1, 3))
-        for kind, build in (("mu", mu_table),
-                            ("mu_hat", mu_hat_table),
-                            ("mu_hat_star", mu_hat_star_table)):
-            probs, norm = fraction_measure(T42, params, Fraction(3, 4), kind)
-            table = build(T42, params)
-            assert list(table.probs.items()) == list(probs.items())
-            assert table.normalization == norm
+        assert_tables_equal_the_fraction_route(T42, params)
+
+    def test_relabelled_q4_tables_equal_the_fraction_route(self):
+        perm = list(range(16))
+        random.Random(4).shuffle(perm)
+        q4 = relabelled(build_hypercube(4), perm)
+        assert q4.side_E_mask not in (0x5555, 0xAAAA)
+        assert_tables_equal_the_fraction_route(q4, HALF)
+
+    @settings(max_examples=20, deadline=None)
+    @given(g=st.sampled_from(MEASURE_GRAPHS), rng=st.randoms(), lam=LAMBDAS,
+           p=PS)
+    def test_sweep_equals_the_fraction_sweep(self, g, rng, lam, p):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = relabelled(g, perm)
+        for pr in (p, Fraction(1)):
+            params = ModelParams(lam, pr)
+            scale = weight_scale(g, params)
+            assert [(mask, Fraction(w, scale), on_o, on_e)
+                    for mask, w, on_o, on_e in subset_sweep(g, params)] == \
+                list(fraction_sweep(g, params, Fraction(3, 4)))
+
+    def test_middle_layer_3_sweep_on_sampled_masks(self):
+        # 2^20 subsets: the sweep streams all of them, the Fraction route
+        # recomputes a random sample
+        params = ModelParams(Fraction(2, 3), Fraction(1, 3))
+        sample = sorted(random.Random(3).sample(range(1 << MIDLAYER3.n), 2000))
+        want = {mask: row for mask, *row in
+                fraction_sweep(MIDLAYER3, params, Fraction(3, 4), sample)}
+        scale = weight_scale(MIDLAYER3, params)
+        expected = 0
+        for mask, w, on_o, on_e in subset_sweep(MIDLAYER3, params):
+            assert mask == expected
+            expected += 1
+            if mask in want:
+                assert [Fraction(w, scale), on_o, on_e] == want[mask]
+        assert expected == 1 << MIDLAYER3.n
 
     @settings(max_examples=12, deadline=None)
     @given(g=st.sampled_from(MEASURE_GRAPHS + [T42]), lam=LAMBDAS, p=PS)
