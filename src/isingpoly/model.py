@@ -538,14 +538,18 @@ class MuHatSampler:
     lambda / (1 + lambda).
 
     Draw k of seed s reads one block of n + 4 raw 64-bit outputs of a
-    Philox generator seeded with SeedSequence(s, spawn_key=(k,)), as
-    n/2 + 2 words of 128 bits (word t is output 2t + 1 above output 2t).
-    Word 0 picks the side; word 1, times Xi of that side over 2^128, is a
-    point of the configurations' weight intervals, which follow
+    fresh numpy Philox generator, so draws share no state. Its key is the
+    state of numpy's SeedSequence(s, spawn_key=(k,)), computed by the
+    Python port philox.philox_key; the tests check the port against
+    numpy's SeedSequence. The outputs are read as n/2 + 2 words of 128
+    bits (word t is output 2t + 1 above output 2t). Word 0 picks the side;
+    word 1, times Xi of that side over 2^128, is a point of the
+    configurations' weight intervals, which follow
     enumerate_compatible_configs order (PolymerFamily.configuration_at).
     Then one word decides each opposite-side vertex: boundaries by polymer
     then vertex index, the pool by vertex index. Compatible polymers have
-    disjoint boundaries, so these are exactly n/2 words.
+    disjoint boundaries, so these are exactly n/2 words. A word decides an
+    event of probability num/den iff word * den < num * 2^128.
     """
 
     def __init__(self, g: BipartiteGraph, params: ModelParams,
@@ -555,26 +559,29 @@ class MuHatSampler:
                                              enum_cap=enum_cap)
                          for side in ("O", "E")}
         self.xi = {side: fam.xi() for side, fam in self.families.items()}
-        self._p_side_o = self.xi["O"] / (self.xi["O"] + self.xi["E"])
+        p_side_o = self.xi["O"] / (self.xi["O"] + self.xi["E"])
+        self._p_side_o = p_side_o.numerator, p_side_o.denominator
         # inclusion probability of an opposite-side vertex with deg
         # neighbours in the configuration; deg 0 is the pool's q
         tops = [params.lam * (1 - params.p) ** deg for deg in range(g.d + 1)]
-        self._p_in = [top / (1 + top) for top in tops]
+        self._p_in = [(r.numerator, r.denominator)
+                      for r in (top / (1 + top) for top in tops)]
+
+    @functools.cached_property
+    def _stream(self):
+        # numpy is imported with the stream, on the first draw, not when
+        # the sampler is built
+        from .philox import philox_raw
+        return philox_raw
 
     def draw(self, seed: int, k: int = 0) -> tuple[int, str]:
-        import numpy as np
-
-        raw = np.random.Philox(np.random.SeedSequence(
-            entropy=seed, spawn_key=(k,))).random_raw(self.g.n + 4).tolist()
+        raw = self._stream(seed, k, self.g.n + 4)
         words = [hi << 64 | lo for lo, hi in zip(raw[::2], raw[1::2])]
-
-        def bernoulli(word: int, r: Fraction) -> bool:
-            return word * r.denominator < r.numerator << 128
-
-        side = "O" if bernoulli(words[0], self._p_side_o) else "E"
+        num, den = self._p_side_o
+        side = "O" if words[0] * den < num << 128 else "E"
         xi = self.xi[side]
         config = self.families[side].configuration_at(
-            Fraction(xi.numerator * words[1], xi.denominator << 128))
+            (xi.numerator * words[1], xi.denominator << 128))
         chosen = covered = 0
         order = []
         for poly in config:
@@ -585,7 +592,9 @@ class MuHatSampler:
                                & ~covered))
         i_mask = chosen
         adj = self.g.adj_mask
+        p_in = self._p_in
         for word, v in zip(words[2:], order):
-            if bernoulli(word, self._p_in[popcount(adj[v] & chosen)]):
+            num, den = p_in[(adj[v] & chosen).bit_count()]
+            if word * den < num << 128:
                 i_mask |= 1 << v
         return i_mask, side

@@ -10,6 +10,7 @@ Fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -244,8 +245,9 @@ class PolymerFamily:
     Two 2-linked sets have a 2-linked union iff one meets the other's
     2-ball, so each mask is the OR, over the side vertices within distance
     2 of the polymer, of the polymers containing that vertex. The weights,
-    masks and Xi table are built on first use; the masks take up to k^2/8
-    bytes for k polymers, so they are refused above FAMILY_MASK_CAP polymers.
+    masks, Xi table and its integer copy are built on first use; the masks
+    take up to k^2/8 bytes for k polymers, so they are refused above
+    FAMILY_MASK_CAP polymers.
     """
 
     def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
@@ -302,10 +304,21 @@ class PolymerFamily:
         """The polymer partition function: Xi of all polymers."""
         return Fraction(self.table[(1 << len(self.polymers)) - 1])
 
-    def configuration_at(self, x) -> tuple[Polymer, ...]:
-        """The compatible configuration whose weight interval holds x, for
-        0 <= x < Xi: in enumerate_compatible_configs order, configurations
-        tile [0, Xi) with intervals as long as their weights.
+    @cached_property
+    def int_table(self) -> tuple[int, dict]:
+        """The Xi table over one common denominator D, as the pair
+        (D, {index mask: Xi of the mask times D}), for configuration_at's
+        integer walk. D is the lcm of the table's reduced denominators."""
+        table = self.table
+        scale = math.lcm(*(v.denominator for v in table.values()))
+        return scale, {m: v.numerator * (scale // v.denominator)
+                       for m, v in table.items()}
+
+    def configuration_at(self, x: tuple[int, int]) -> tuple[Polymer, ...]:
+        """The compatible configuration whose weight interval holds the
+        point x = num/den, given as the int pair (num, den) with den > 0,
+        for 0 <= x < Xi: in enumerate_compatible_configs order,
+        configurations tile [0, Xi) with intervals as long as their weights.
 
         Among the configurations inside an index set R, the empty one holds
         [0, 1) and those with lowest polymer j start at
@@ -314,23 +327,31 @@ class PolymerFamily:
         x then falls (Xi(R from j) - y) / w_j into j's extensions inside
         R' = (R above j) minus j's incompatible polymers. Every set read is
         a suffix of a table state or a child of one, so in the table.
+
+        The walk is in integers: it reads int_table, Xi times D, carries
+        x D as a pair a / b, compares a table entry T with y D as
+        T >= ceil(y D), and divides by w_j through weight_parts.
         """
-        table = self.table
+        num, den = x
+        scale, table = self.int_table
         rest = (1 << len(self.polymers)) - 1
-        if not 0 <= x < table[rest]:
-            raise ValueError(f"x must lie in [0, Xi), got {x}")
+        if den <= 0 or not 0 <= num * scale < table[rest] * den:
+            raise ValueError(f"x must lie in [0, Xi), got {num}/{den}")
+        a, b = num * scale, den
         config = []
-        while x >= 1:
-            y = table[rest] + 1 - x
+        while a >= scale * b:  # x >= 1
+            yb = (table[rest] + scale) * b - a  # y D = yb / b
+            need = -(-yb // b)  # an int T >= y D iff T >= ceil(y D)
             lo, hi = 0, rest.bit_length()
             while hi - lo > 1:  # Xi(rest from lo) >= y > Xi(rest from hi)
                 mid = (lo + hi) // 2
-                if table[rest >> mid << mid] >= y:
+                if table[rest >> mid << mid] >= need:
                     lo = mid
                 else:
                     hi = mid
             config.append(self.polymers[lo])
-            x = (table[rest >> lo << lo] - y) / self.weights[lo]
+            w_num, w_den = self.weight_parts[lo]
+            a, b = (table[rest >> lo << lo] * b - yb) * w_den, b * w_num
             rest = (rest >> hi << hi) & ~self.incompatible[lo]
         return tuple(config)
 
@@ -348,7 +369,8 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
     """All sets of pairwise compatible polymers on the side, with their
     weight products: pairs (tuple of Polymer, Fraction). The empty
     configuration comes first with weight 1. An explicit second route to
-    Xi, and the order PolymerFamily.configuration_at walks.
+    Xi, and the order whose weight intervals tile [0, Xi) in
+    PolymerFamily.configuration_at's integer walk.
 
     enum_cap (default 10^6) bounds both the polymer enumeration and the
     number of configurations stored; past it, BudgetError."""

@@ -347,6 +347,34 @@ def fraction_polymer_weight(g: BipartiteGraph, params, a) -> Fraction:
     return w
 
 
+def fraction_configuration_at(family, x: Fraction):
+    """The compatible configuration of the PolymerFamily whose weight
+    interval holds x, 0 <= x < Xi, by the same bisection as
+    PolymerFamily.configuration_at over the Fraction Xi table: with
+    y = Xi(R) + 1 - x, the first position j with Xi(R above j) < y is the
+    lowest chosen polymer, and x moves to (Xi(R from j) - y) / w_j inside
+    j's compatible extensions. The former library route, kept as the
+    second route to the integer walk."""
+    table = family.table
+    rest = (1 << len(family.polymers)) - 1
+    if not 0 <= x < table[rest]:
+        raise ValueError(f"x must lie in [0, Xi), got {x}")
+    config = []
+    while x >= 1:
+        y = table[rest] + 1 - x
+        lo, hi = 0, rest.bit_length()
+        while hi - lo > 1:  # Xi(rest from lo) >= y > Xi(rest from hi)
+            mid = (lo + hi) // 2
+            if table[rest >> mid << mid] >= y:
+                lo = mid
+            else:
+                hi = mid
+        config.append(family.polymers[lo])
+        x = (table[rest >> lo << lo] - y) / family.weights[lo]
+        rest = (rest >> hi << hi) & ~family.incompatible[lo]
+    return tuple(config)
+
+
 class ListMuHatSampler:
     """MuHatSampler's draws from stored lists: every compatible
     configuration of both sides with its weight scaled to an integer by

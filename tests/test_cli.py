@@ -339,6 +339,14 @@ class TestExitCodes:
         assert out == ""
         assert "budget exceeded" in err
 
+    def test_sample_muhat_negative_seed_is_refused(self, capsys):
+        code, out, err = run(capsys, "sample-muhat", "--graph", "cycle:6",
+                             "--lambda", "1", "--p", "1/2", "--samples", "3",
+                             "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "expected non-negative integer" in err
+
     @pytest.mark.parametrize("cmd,samples", [
         ("sample-muhat", "0"), ("sample-muhat", "-3"), ("percolate-mc", "0")])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,11 +1,16 @@
 import collections
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +45,7 @@ from isingpoly.model import (
     tv_distance,
     z_hat_sweep,
 )
+from isingpoly.philox import philox_key
 from isingpoly.polymers import xi_brute
 from oracles import (
     ListMuHatSampler,
@@ -599,9 +605,76 @@ class TestSampler:
     def test_draws_equal_the_configuration_list_sampler(self, g, params, rho):
         sam = MuHatSampler(g, params, rho)
         oracle = ListMuHatSampler(g, params, rho)
-        for seed in (0, 987654321987654321):
-            assert [sam.draw(seed, k) for k in range(500)] == \
-                [oracle.draw(seed, k) for k in range(500)]
+        # a seed past the 4-word pool, and spawn keys of two words
+        for seed, ks in ((0, range(500)), (987654321987654321, range(500)),
+                         ((1 << 130) + 3, range((1 << 32) - 50,
+                                                (1 << 32) + 50))):
+            assert [sam.draw(seed, k) for k in ks] == \
+                [oracle.draw(seed, k) for k in ks]
+
+    KEY_SEEDS = (0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, 1 << 64,
+                 (1 << 128) + 5, 1 << 200, True, np.int64(5),
+                 np.uint64(1 << 63))
+    KEY_SPAWNS = (0, (1 << 32) - 1, 1 << 32, 1 << 40, False, np.uint32(7),
+                  np.int64((1 << 40) + 3))
+
+    @staticmethod
+    def numpy_key(seed, k):
+        return tuple(np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+                     .generate_state(2, np.uint64).tolist())
+
+    def test_key_equals_numpy_seed_sequence_at_word_edges(self):
+        # seeds shorter than, as long as and longer than the 4-word pool;
+        # spawn keys of one and two words
+        for seed in self.KEY_SEEDS:
+            for k in self.KEY_SPAWNS:
+                assert philox_key(seed, k) == self.numpy_key(seed, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 1 << 300), k=st.integers(0, 1 << 70))
+    def test_key_equals_numpy_seed_sequence(self, seed, k):
+        assert philox_key(seed, k) == self.numpy_key(seed, k)
+
+    @pytest.mark.parametrize("seed,k", [(-1, 0), (5, -1), (np.int64(-3), 0),
+                                        (5, np.int64(-1))])
+    def test_negative_seed_or_spawn_key_is_refused_as_numpy_does(self, seed,
+                                                                  k):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            MuHatSampler(C6, HALF).draw(seed, k)
+
+    @pytest.mark.parametrize("seed,k", [(1.5, 0), ("5", 0), (5, 2.0)])
+    def test_non_integer_seed_or_spawn_key_is_a_type_error(self, seed, k):
+        with pytest.raises(TypeError):
+            np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+        with pytest.raises(TypeError):
+            MuHatSampler(C6, HALF).draw(seed, k)
+
+    def test_bool_and_numpy_integers_give_numpy_stream(self):
+        sam = MuHatSampler(Q3, HALF)
+        assert sam.draw(np.int64(5), np.uint32(3)) == sam.draw(5, 3)
+        assert sam.draw(np.uint64(1 << 63), np.int64(1 << 40)) == \
+            sam.draw(1 << 63, 1 << 40)
+        assert sam.draw(True, False) == sam.draw(1, 0)
+
+    def test_building_a_sampler_does_not_import_numpy(self):
+        # numpy's import is paid by the first draw, not by building the
+        # sampler; so is the integer Xi table
+        code = ("import sys; from fractions import Fraction; "
+                "from isingpoly import MuHatSampler, ModelParams, "
+                "build_hypercube; "
+                "s = MuHatSampler(build_hypercube(3), "
+                "ModelParams(1, Fraction(1, 2))); "
+                "assert 'numpy' not in sys.modules, 'set-up'; "
+                "assert 'int_table' not in vars(s.families['O']), 'table'; "
+                "s.draw(1); "
+                "assert 'numpy' in sys.modules, 'draw'")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_empirical_matches_table(self):
         params = ModelParams(Fraction(1, 2), 1)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from isingpoly.graphs import (
     build_cycle,
     build_even_torus,
     build_hypercube,
+    build_middle_layer,
     closure,
     neighborhood,
     popcount,
@@ -37,7 +39,7 @@ from isingpoly.polymers import (
     xi_brute,
 )
 from oracles import (brute_is_two_linked, decorated_weight,
-                     fraction_polymer_weight)
+                     fraction_configuration_at, fraction_polymer_weight)
 
 
 def make_polymer(g, a):
@@ -304,18 +306,49 @@ class TestXi:
             assert xi_brute(g, "O", params) == \
                 sum((w for _, w in configs), Fraction(0))
 
-    @pytest.mark.parametrize("g", [C6, Q3, Q4, build_cycle(12)])
-    def test_configuration_at_walks_the_configuration_list(self, g):
-        family = PolymerFamily(g, "O", HALF)
-        start = Fraction(0)
-        for config, weight in enumerate_compatible_configs(g, "O", HALF):
-            assert family.configuration_at(start) == config
-            start += weight
-            assert family.configuration_at(start - weight / 7) == config
-        assert start == family.xi()
-        for outside in (-Fraction(1, 10 ** 9), start):
+    @pytest.mark.parametrize("g", [Q3, Q4, build_cycle(8),
+                                   build_complete_bipartite(3),
+                                   build_middle_layer(3)],
+                             ids=["Q3", "Q4", "C8", "K33", "midlayer3"])
+    @pytest.mark.parametrize("params", [
+        ModelParams(Fraction(2, 3), Fraction(1, 3)),
+        ModelParams(Fraction(3, 2), 0),
+        ModelParams(Fraction(5, 7), 1),
+    ], ids=["p1/3", "p0", "p1"])
+    def test_configuration_at_walks_the_configuration_list(self, g, params):
+        # the integer walk equals the Fraction walk at every interval's
+        # start, inside it and just below its end
+        for side in ("O", "E"):
+            family = PolymerFamily(g, side, params)
+            start = Fraction(0)
+            for config, weight in enumerate_compatible_configs(g, side,
+                                                               params):
+                for x in (start, start + weight / 7,
+                          start + weight - Fraction(1, 10 ** 40)):
+                    got = family.configuration_at((x.numerator,
+                                                   x.denominator))
+                    assert got == fraction_configuration_at(family, x) \
+                        == config
+                start += weight
+            assert start == family.xi()
+            for outside in (-Fraction(1, 10 ** 9), start):
+                with pytest.raises(ValueError, match="must lie in"):
+                    family.configuration_at((outside.numerator,
+                                             outside.denominator))
+                with pytest.raises(ValueError, match="must lie in"):
+                    fraction_configuration_at(family, outside)
             with pytest.raises(ValueError, match="must lie in"):
-                family.configuration_at(outside)
+                family.configuration_at((0, 0))
+
+    def test_integer_table_is_the_xi_table_over_one_denominator(self):
+        family = PolymerFamily(Q4, "O", ModelParams(Fraction(2, 3),
+                                                    Fraction(1, 3)))
+        scale, table = family.int_table
+        assert table.keys() == family.table.keys()
+        assert all(Fraction(t, scale) == family.table[m]
+                   for m, t in table.items())
+        assert scale == math.lcm(*(v.denominator
+                                   for v in family.table.values()))
 
     def test_configurations_count_against_the_cap(self):
         g = build_cycle(12)
