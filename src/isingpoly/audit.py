@@ -65,10 +65,6 @@ class PropertyConstants:
             raise ValueError(
                 f"need c3 > c5 + 2, got c3={self.c3}, c5={self.c5}")
 
-    @property
-    def c_star(self) -> float:
-        return min(0.5, 1 - self.c5 / 2)
-
 
 def _brute_neighborhood_size(g: BipartiteGraph, mask: int) -> int:
     # second route used to re-verify reported violations
@@ -266,12 +262,20 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
         q = 2 * size / g.n
         return size * (1 + 2 * math.sqrt(2) * (1 - q) / (s * math.sqrt(t)))
 
-    sweep = (size_cap, mode, seed, samples, budget)
-    verdicts = _run_conditions(g, {"near_half": (lambda size: True,
-                                                 near_half)},
-                               _iterate_sets(g, *sweep))
-    worst_c = max(t * popcount(mask) / popcount(neighborhood(g, mask))
-                  for _, mask in _iterate_sets(g, *sweep))
+    worst_c = 0.0
+
+    def tracked(sets):
+        # worst_c rides along the verdicts' one pass; a sweep can reach the
+        # subset budget, so its sets are not kept
+        nonlocal worst_c
+        for side, mask in sets:
+            worst_c = max(worst_c, t * popcount(mask)
+                          / popcount(neighborhood(g, mask)))
+            yield side, mask
+
+    verdicts = _run_conditions(
+        g, {"near_half": (lambda size: True, near_half)},
+        tracked(_iterate_sets(g, size_cap, mode, seed, samples, budget)))
     codeg = max_codegree(g)
     return {
         "s": s,

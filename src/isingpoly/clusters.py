@@ -250,12 +250,6 @@ def kp_check(weights, f_values, g_values, incompatible) -> KPReport:
     return KPReport(holds=all(m >= 0 for m in margins), lhs=lhs, margins=margins)
 
 
-def _kp_check_family(family: PolymerFamily, f_of_size, g_of_size) -> KPReport:
-    sizes = [p.size for p in family.polymers]
-    return kp_check(family.weights, [f_of_size(s) for s in sizes],
-                    [g_of_size(s) for s in sizes], family.incompatible)
-
-
 def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
                              rho=DEFAULT_RHO, k_max: int = 2,
                              f_of_size=None, g_of_size=None,
@@ -294,7 +288,9 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
               "tail_bounds": None}
     if f_of_size is None or g_of_size is None:
         return report
-    kp = _kp_check_family(family, f_of_size, g_of_size)
+    sizes = [p.size for p in family.polymers]
+    kp = kp_check(family.weights, [f_of_size(s) for s in sizes],
+                  [g_of_size(s) for s in sizes], family.incompatible)
     half = g.n // 2
     bounds = [half * float(f_of_size(1)) * math.exp(-float(g_of_size(k)))
               for k in range(1, k_max + 1)]

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from .graphs import BipartiteGraph, codegree, iter_bits
-from .polymers import DEFAULT_RHO, polymer_is_valid, validate_rho
+from .polymers import DEFAULT_RHO, closure_cutoff, is_polymer_union
 from .rationals import LOG_PRECISION_BITS, to_mpf
 
 
@@ -181,23 +181,24 @@ def l2_regime_report(g: BipartiteGraph, side: str, expected_histogram,
     concrete graph: every same-side vertex sees exactly the expected
     multiset of codegrees among its 2-linked partners, and every vertex and
     every 2-linked pair on the side is a valid polymer (on K_{1,1} no single
-    vertex is, and the formulas do not apply)."""
-    rho = validate_rho(rho)
+    vertex is, and the formulas do not apply). A singleton or a 2-linked
+    pair is its own only 2-linked component, so is_polymer_union tests it."""
+    limit = closure_cutoff(g, rho)
     side_mask = g.side_mask(side)
     expected = {k: v for k, v in expected_histogram.items() if v}
     histogram_ok = True
     singletons_ok = True
     pairs_ok = True
     for u in iter_bits(side_mask):
-        if not polymer_is_valid(g, 1 << u, side, rho):
+        if not is_polymer_union(g, 1 << u, side, limit):
             singletons_ok = False
         hist: dict[int, int] = {}
         partners = g.two_ball_mask(u) & side_mask
         for v in iter_bits(partners):
             c = codegree(g, u, v)
             hist[c] = hist.get(c, 0) + 1
-            if v > u and not polymer_is_valid(g, (1 << u) | (1 << v), side,
-                                              rho):
+            if v > u and not is_polymer_union(g, (1 << u) | (1 << v), side,
+                                              limit):
                 pairs_ok = False
         if hist != expected:
             histogram_ok = False

@@ -30,14 +30,13 @@ from .graphs import (
     DEFAULT_EDGE_SWEEP_CAP,
     DEFAULT_SWEEP_CAP,
     as_mask,
-    closure,
     edge_subset_nbr,
     independent_set_table,
     iter_bits,
     popcount,
-    two_linked_components,
 )
-from .polymers import DEFAULT_RHO, PolymerFamily, closure_cutoff
+from .polymers import (DEFAULT_RHO, PolymerFamily, closure_cutoff,
+                       is_polymer_union)
 from .rationals import LOG_PRECISION_BITS, float64_range, log_rational
 
 # Monte-Carlo draws are consumed in fixed blocks of this many samples; the
@@ -77,11 +76,6 @@ class ModelParams:
     def alpha_tilde(self) -> Fraction:
         """(1 + lambda) / (1 + lambda(1-p)); always at most 1 + lambda."""
         return (1 + self.lam) / (1 + self.lam * (1 - self.p))
-
-    @property
-    def q(self) -> Fraction:
-        """lambda / (1 + lambda), the free-vertex occupation probability."""
-        return self.lam / (1 + self.lam)
 
     def alpha_bar(self) -> mpmath.mpf:
         """log(alpha_tilde) at 128-bit precision; report-only."""
@@ -229,33 +223,43 @@ def count_independent_sets(g: BipartiteGraph,
     return independent_set_table(g.adj_mask, [1] * g.n, full)[full]
 
 
+def _subgraph_z(g: BipartiteGraph, params: ModelParams, edges):
+    """The one subgraph sum of both percolation routes: edge mask sub ->
+    b^n Z(lambda = a/b) of g keeping edges[j] for each bit j of sub, an int
+    from independent_set_table with weights [a]*n and out = b."""
+    n, b = g.n, params.lam.denominator
+    weights = [params.lam.numerator] * n
+    full = (1 << n) - 1
+
+    def scaled_z(sub: int) -> int:
+        return independent_set_table(edge_subset_nbr(n, edges, sub), weights,
+                                     full, out=b)[full]
+    return scaled_z
+
+
 def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
                                   edge_cap: int | None = None) -> Fraction:
     """E[Z_{G_p}(lambda)]: keep each edge independently with probability p,
     average the hard-core partition function of the surviving subgraph.
     Computed as the honest sum over all 2^|E| subgraphs, exact and in
     integers: with lambda = a/b and p = k/e, a subgraph with j edges weighs
-    k^j (e-k)^(|E|-j), and independent_set_table with weights [a]*n and
-    out = b gives its partition function times b^n, so the one Fraction
-    is the total over e^|E| b^n, built at the end as in exact_Z."""
+    k^j (e-k)^(|E|-j) and _subgraph_z gives its partition function times
+    b^n, so the one Fraction is the total over e^|E| b^n, built at the end
+    as in exact_Z."""
     edges = list(g.edges())
     m = len(edges)
     limit = DEFAULT_EDGE_SWEEP_CAP if edge_cap is None else edge_cap
     if m > limit:
         raise BudgetError(f"edge sweep over {m} edges exceeds cap {limit}")
-    a, b = params.lam.numerator, params.lam.denominator
     k, e = params.p.numerator, params.p.denominator
     prob = [k ** j * (e - k) ** (m - j) for j in range(m + 1)]
-    weights = [a] * g.n
-    full = (1 << g.n) - 1
+    scaled_z = _subgraph_z(g, params, edges)
     total = 0
     for sub in range(1 << m):
         w = prob[sub.bit_count()]
         if w:
-            nbr = edge_subset_nbr(g.n, edges, sub)
-            total += w * independent_set_table(nbr, weights, full,
-                                               out=b)[full]
-    return Fraction(total, e ** m * b ** g.n)
+            total += w * scaled_z(sub)
+    return Fraction(total, e ** m * params.lam.denominator ** g.n)
 
 
 def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
@@ -263,14 +267,17 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     """Monte-Carlo estimate of E[Z_{G_p}(lambda)] with its standard error.
 
     Reproducibility contract: sample k lives in block k // MC_CHUNK; block c
-    draws a (block-size x |E|) uniform matrix from a Philox generator seeded
-    with SeedSequence(seed, spawn_key=(c,)), and edge j of sample k survives
-    iff the matrix entry is below p. Identical (seed, samples) give
-    bit-identical results regardless of how blocks are scheduled.
+    draws a (block-size x |E|) uniform matrix from a Philox generator keyed
+    with the state of SeedSequence(seed, spawn_key=(c,)), which philox_key
+    computes as for MuHatSampler, and edge j of sample k survives iff the
+    matrix entry is below p. Identical (seed, samples) give bit-identical
+    results regardless of how blocks are scheduled.
     """
-    # numpy is imported by its two users only, so the exact routes and the
-    # CLI start without its import cost
+    # numpy is imported by the seeded routes only, so the exact routes and
+    # the CLI start without its import cost
     import numpy as np
+
+    from .philox import philox
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -280,10 +287,8 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     p_float = params.p.numerator / params.p.denominator
     # each subgraph's Z as an int over b^n (lambda = a/b); int true division
     # rounds correctly, so every value equals float() of the exact Fraction
-    a, b = params.lam.numerator, params.lam.denominator
-    weights = [a] * g.n
-    denom = b ** g.n
-    full = (1 << g.n) - 1
+    scaled_z = _subgraph_z(g, params, edges)
+    denom = params.lam.denominator ** g.n
     cache: dict[int, float] = {}
     try:
         values = np.empty(samples, dtype=np.float64)
@@ -294,8 +299,7 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     block = 0
     while pos < samples:
         rows = min(MC_CHUNK, samples - pos)
-        gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+        gen = np.random.Generator(philox(seed, block))
         keep = gen.random((rows, m)) < p_float
         # bit j of row r's mask is keep[r, j]; Python ints, so any |E|
         packed = np.packbits(keep, axis=1, bitorder="little")
@@ -303,10 +307,8 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
             sub = int.from_bytes(row.tobytes(), "little")
             val = cache.get(sub)
             if val is None:
-                nbr = edge_subset_nbr(g.n, edges, sub)
                 with float64_range("a sample's Z"):
-                    val = independent_set_table(nbr, weights, full,
-                                                out=b)[full] / denom
+                    val = scaled_z(sub) / denom
                 cache[sub] = val
             values[pos + r] = val
         pos += rows
@@ -374,19 +376,12 @@ def tv_distance(a: MeasureTable, b: MeasureTable) -> Fraction:
                     2 * ta * tb)
 
 
-def _captured(g: BipartiteGraph, part: int, side: str, limit: int) -> bool:
-    for comp in two_linked_components(g, part):
-        if popcount(closure(g, comp, side=side)) > limit:
-            return False
-    return True
-
-
 def captured_on_side(g: BipartiteGraph, i, side: str, rho=DEFAULT_RHO) -> bool:
     """True iff every maximal 2-linked component of I on the side has a
     closure of size at most rho * |side|, i.e. the side's polymer model can
     represent I's trace there."""
-    return _captured(g, as_mask(i) & g.side_mask(side), side,
-                     closure_cutoff(g, rho))
+    return is_polymer_union(g, as_mask(i) & g.side_mask(side), side,
+                            closure_cutoff(g, rho))
 
 
 class _CaptureFlags(dict):
@@ -394,7 +389,8 @@ class _CaptureFlags(dict):
 
     def __init__(self, g: BipartiteGraph, side: str, limit: int):
         super().__init__()
-        self.test = functools.partial(_captured, g, side=side, limit=limit)
+        self.test = functools.partial(is_polymer_union, g, side=side,
+                                      limit=limit)
 
     def __missing__(self, trace: int) -> bool:
         flag = self[trace] = self.test(trace)

@@ -1,4 +1,5 @@
-"""numpy's Philox stream of one (seed, k), keyed in Python.
+"""numpy's Philox stream of one (seed, k), keyed in Python: the one key
+schedule of percolation_mc's blocks and MuHatSampler's draws.
 
 Philox is the counter-based generator of Salmon et al., "Parallel Random
 Numbers: As Easy as 1, 2, 3" (SC 2011). numpy keys it from
@@ -6,11 +7,11 @@ SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(2, np.uint64).
 Building that SeedSequence costs more than the rest of a sampler draw, so
 philox_key ports its 32-bit hash mixing (numpy's bit_generator.pyx,
 mix_entropy and generate_state) to Python. The seed's part of the mixing
-is done once per seed; a draw mixes in only k and hashes the output. The
-tests check the key against numpy's own SeedSequence.
+is done once per seed; a draw mixes in only k and hashes the output.
+numpy's own SeedSequence is only the tests' oracle for the key.
 
-MuHatSampler.draw imports this module on its first draw, so numpy stays
-out of the package's import and set-up.
+Both routes import this module on first use, so numpy stays out of the
+package's import and set-up.
 """
 
 from __future__ import annotations
@@ -129,8 +130,12 @@ class _Key(ISeedSequence):
         return np.array(self.key, dtype=np.uint64)
 
 
+def philox(seed, k) -> np.random.Philox:
+    """A fresh Philox generator seeded as with
+    SeedSequence(entropy=seed, spawn_key=(k,))."""
+    return np.random.Philox(_Key(philox_key(seed, k)))
+
+
 def philox_raw(seed, k, count: int) -> list[int]:
-    """The first `count` raw 64-bit outputs, as ints, of a fresh Philox
-    generator seeded with SeedSequence(entropy=seed, spawn_key=(k,))."""
-    return np.random.Philox(_Key(philox_key(seed, k))).random_raw(
-        count).tolist()
+    """The first `count` raw 64-bit outputs, as ints, of philox(seed, k)."""
+    return philox(seed, k).random_raw(count).tolist()

@@ -27,6 +27,7 @@ from .graphs import (
     iter_bits,
     neighborhood,
     popcount,
+    two_linked_components,
     two_linked_sets,
 )
 from .rationals import format_rational
@@ -78,22 +79,15 @@ class Polymer:
         return bits(self.vertices)
 
 
-def polymer_is_valid(g: BipartiteGraph, a, side: str | None = None,
-                     rho=DEFAULT_RHO) -> bool:
-    """True iff A is 2-linked, on one side, and |[A]| <= rho * |side|."""
-    cutoff = closure_cutoff(g, rho)
-    a = as_mask(a)
-    if a == 0:
-        return False
-    if side is None:
-        if a & g.side_E_mask and a & g.side_O_mask:
+def is_polymer_union(g: BipartiteGraph, part: int, side: str,
+                     limit: int) -> bool:
+    """The one polymer test: True iff every maximal 2-linked component of
+    the side's vertex mask `part` has at most `limit` (closure_cutoff)
+    closure vertices, i.e. part is a union of compatible polymers."""
+    for comp in two_linked_components(g, part):
+        if popcount(closure(g, comp, side=side)) > limit:
             return False
-        side = "E" if a & g.side_E_mask else "O"
-    elif a & ~g.side_mask(side):
-        return False
-    if not is_two_linked(g, a):
-        return False
-    return popcount(closure(g, a, side=side)) <= cutoff
+    return True
 
 
 def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,

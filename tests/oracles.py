@@ -431,6 +431,6 @@ class ListMuHatSampler:
                     i_mask |= 1 << v
         pool = self.g.side_mask(self.g.other_side(side)) & ~covered
         for v in iter_bits(pool):
-            if bernoulli(self.params.q):
+            if bernoulli(lam / (1 + lam)):
                 i_mask |= 1 << v
         return i_mask, side

@@ -2,6 +2,7 @@
 and the container / nonpolymer weight reports."""
 
 import ast
+import collections
 import math
 from fractions import Fraction as F
 from itertools import combinations
@@ -10,6 +11,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from isingpoly import audit
 from isingpoly.audit import (
     PropertyConstants,
     PsiFamily,
@@ -94,10 +96,6 @@ class TestPropertyConstants:
         with pytest.raises(ValueError, match="c3 > c5"):
             bad.require_full()
         PropertyConstants(c1=1, c4=1, c5=0.5, c2=10, c3=3).require_full()
-
-    def test_c_star(self):
-        assert PropertyConstants(c1=1, c4=1, c5=0.5).c_star == 0.5
-        assert PropertyConstants(c1=1, c4=1, c5=1.5).c_star == 0.25
 
 
 FULL = PropertyConstants(c1=2, c4=1, c5=0.5, c2=10, c3=3)
@@ -661,6 +659,76 @@ def test_every_public_name_has_a_consumer():
                     used.add(name)
     assert AWAITING_CONSUMER <= public
     assert sorted(public - used - AWAITING_CONSUMER) == []
+
+
+def test_every_public_member_has_a_consumer():
+    # the same for the public methods and properties of public classes: an
+    # attribute use in src, demos or perfbench outside the member's own
+    # definition is a consumer
+    root = Path(__file__).resolve().parents[1]
+    package = [path for path in sorted((root / "src" / "isingpoly").glob("*.py"))
+               if path.name != "__init__.py"]
+    trees = [ast.parse(path.read_text()) for path in
+             package + sorted((root / "demos").glob("*.py"))
+             + sorted((root / "perfbench").glob("*.py"))]
+
+    def attribute_uses(node):
+        return collections.Counter(sub.attr for sub in ast.walk(node)
+                                   if isinstance(sub, ast.Attribute))
+
+    uses = sum(map(attribute_uses, trees), collections.Counter())
+    unused = [f"{cls.name}.{member.name}"
+              for tree in trees[:len(package)] for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              and not cls.name.startswith("_")
+              and cls.name not in AWAITING_CONSUMER
+              for member in cls.body
+              if isinstance(member, ast.FunctionDef)
+              and not member.name.startswith("_")
+              and uses[member.name] == attribute_uses(member)[member.name]]
+    assert unused == []
+
+
+def test_no_seed_sequence_in_the_package():
+    # philox.philox_key is the one key schedule behind both seeded routes;
+    # numpy's SeedSequence is only the tests' oracle for it
+    src = Path(__file__).resolve().parents[1] / "src" / "isingpoly"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and "SeedSequence" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+    assert found == []
+
+
+@pytest.mark.parametrize("sweep", [
+    {"size_cap": 3},
+    {"size_cap": 4, "mode": "sampled", "seed": 5, "samples": 300},
+])
+def test_check_product_iso_sweeps_once(monkeypatch, sweep):
+    # the verdicts and worst_c come from one pass over the swept sets; the
+    # report equals the two-pass one built here from the listed sets
+    g = build_even_torus(6, 2)
+    s, t = max(g.factor_sizes), len(g.factor_sizes)
+    sets = list(audit._iterate_sets(g, **sweep))
+    conditions = {"near_half": (lambda size: True, lambda size: size * (
+        1 + 2 * math.sqrt(2) * (1 - 2 * size / g.n) / (s * math.sqrt(t))))}
+    expected_verdicts = audit._run_conditions(g, conditions, sets)
+    expected_c = max(t * popcount(mask) / popcount(neighborhood(g, mask))
+                     for _, mask in sets)
+    calls = []
+    iterate = audit._iterate_sets
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(audit, "_iterate_sets", counted)
+    report = check_product_iso(g, **sweep)
+    assert len(calls) == 1
+    assert report["conditions"] == expected_verdicts
+    assert report["worst_c"] == expected_c
 
 
 def test_every_oracle_has_a_consumer():

@@ -70,7 +70,6 @@ class TestParams:
         p = ModelParams(1, Fraction(1, 2))
         assert p.alpha == Fraction(1, 2)
         assert p.alpha_tilde == Fraction(4, 3)
-        assert p.q == Fraction(1, 2)
         assert abs(float(p.alpha_bar()) - float(mpmath.log(4) - mpmath.log(3))) < 1e-12
         assert abs(float(p.beta()) - float(mpmath.log(2))) < 1e-12
 
@@ -234,6 +233,20 @@ class TestPercolation:
         # each sample's Z is the correctly rounded float of its exact value,
         # so the seeded stream gives these bits exactly
         got = percolation_mc(g, params, 5000, seed=7)
+        assert (got[0].hex(), got[1].hex()) == (mean, stderr)
+
+    @pytest.mark.parametrize("seed,mean,stderr", [
+        ((1 << 64) + 7, "0x1.3d6141c2393fcp+5", "0x1.c063cc92b4b49p-4"),
+        ((1 << 130) + 3, "0x1.3ed0f55ba2df0p+5", "0x1.c61cb0ba86db8p-4"),
+    ])
+    def test_mc_floats_are_pinned_for_multiword_seeds(self, seed, mean,
+                                                      stderr):
+        # seeds of 3 and 5 32-bit words (the second past SeedSequence's
+        # 4-word pool), over two MC_CHUNK blocks; the bits are those of
+        # the stream keyed by numpy's own SeedSequence
+        got = percolation_mc(build_cycle(8),
+                             ModelParams(Fraction(2, 3), Fraction(1, 3)),
+                             5000, seed=seed)
         assert (got[0].hex(), got[1].hex()) == (mean, stderr)
 
     def test_mc_reproducible_and_within_tolerance(self):

@@ -26,12 +26,13 @@ from isingpoly.polymers import (
     Polymer,
     PolymerFamily,
     approximation_facts,
+    closure_cutoff,
     compatible,
     enumerate_compatible_configs,
     enumerate_g_ab,
     enumerate_polymers,
+    is_polymer_union,
     is_psi_approximation,
-    polymer_is_valid,
     polymer_to_json_dict,
     polymer_weight,
     polymer_weight_literal,
@@ -87,8 +88,11 @@ class TestEnumeration:
         # {0,2,4,6} on C12 closes to itself (size 4): inside the 3/4 cutoff
         # (4.5) but outside a 7/12 cutoff (3.5)
         c12 = build_cycle(12)
-        assert polymer_is_valid(c12, {0, 2, 4, 6}, rho=Fraction(3, 4))
-        assert not polymer_is_valid(c12, {0, 2, 4, 6}, rho=Fraction(7, 12))
+        a = as_mask({0, 2, 4, 6})
+        assert is_polymer_union(c12, a, "E",
+                                closure_cutoff(c12, Fraction(3, 4)))
+        assert not is_polymer_union(c12, a, "E",
+                                    closure_cutoff(c12, Fraction(7, 12)))
         wide = verts(enumerate_polymers(c12, "E"))
         tight = verts(enumerate_polymers(c12, "E", rho=Fraction(7, 12)))
         assert (0, 2, 4, 6) in wide and (0, 2, 4, 6) not in tight
