@@ -80,7 +80,7 @@ def _brute_neighborhood_size(g: BipartiteGraph, mask: int) -> int:
 def _exhaustive_sets(g: BipartiteGraph, side: str, size_cap: int,
                      budget: int | None):
     cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    verts = g.side_E if side == "E" else g.side_O
+    verts = bits(g.side_mask(side))
     top = min(size_cap, len(verts))  # no subset is larger than the side
     total = sum(math.comb(len(verts), k) for k in range(1, top + 1))
     if total > cap:
@@ -96,8 +96,8 @@ def _sampled_sets(g: BipartiteGraph, side: str, size_cap: int, samples: int,
     """Random 2-linked-ish growth: a uniform side vertex, then repeated
     uniform extension within the 2-ball of the current set, up to a uniform
     target size. Probes the clustered sets the expansion bounds care about."""
-    verts = g.side_E if side == "E" else g.side_O
     side_mask = g.side_mask(side)
+    verts = bits(side_mask)
     for _ in range(samples):
         target = rng.randint(1, size_cap)
         v = rng.choice(verts)
@@ -116,9 +116,12 @@ def _sampled_sets(g: BipartiteGraph, side: str, size_cap: int, samples: int,
 def _iterate_sets(g: BipartiteGraph, size_cap: int, mode: str = "exhaustive",
                   seed: int = 0, samples: int = 0, budget: int | None = None):
     """(side, mask) for the checked subsets of side E, then of side O. A
-    sampled run draws both sides from one random.Random(seed)."""
+    sampled run draws both sides from one random.Random(seed); a negative
+    seed is refused, since random.Random(-s) repeats the stream of s."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
+    if mode == "sampled" and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if size_cap < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
     rng = random.Random(seed)
@@ -131,19 +134,23 @@ def _iterate_sets(g: BipartiteGraph, size_cap: int, mode: str = "exhaustive",
             yield side, mask
 
 
-def _run_conditions(g: BipartiteGraph, conditions, sets) -> dict:
+def _run_conditions(g: BipartiteGraph, conditions, sets,
+                    observe=None) -> dict:
     """The one expansion sweep behind every verdict here. conditions: name
     -> (applies(size), bound(size)); sets: (side, mask) pairs. Each
     condition counts the sets it applies to and keeps the set of least
     margin |N(X)| - bound as its witness; a violation is first re-counted
     by the second neighborhood route. Bounds may be floats or exact
-    Fractions; margins compare exactly. Refuses (ValueError) a condition
-    that applied to no set, since an empty sweep decides nothing."""
+    Fractions; margins compare exactly. observe, if given, sees (|X|, |N(X)|)
+    of every set. Refuses (ValueError) a condition that applied to no set,
+    since an empty sweep decides nothing."""
     out = {name: {"holds": True, "checked": 0, "worst": None}
            for name in conditions}
     for side, mask in sets:
         size = popcount(mask)
         nbr = popcount(neighborhood(g, mask))
+        if observe is not None:
+            observe(size, nbr)
         for name, (applies, bound) in conditions.items():
             if not applies(size):
                 continue
@@ -264,18 +271,15 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
 
     worst_c = 0.0
 
-    def tracked(sets):
+    def track(size, nbr):
         # worst_c rides along the verdicts' one pass; a sweep can reach the
         # subset budget, so its sets are not kept
         nonlocal worst_c
-        for side, mask in sets:
-            worst_c = max(worst_c, t * popcount(mask)
-                          / popcount(neighborhood(g, mask)))
-            yield side, mask
+        worst_c = max(worst_c, t * size / nbr)
 
     verdicts = _run_conditions(
         g, {"near_half": (lambda size: True, near_half)},
-        tracked(_iterate_sets(g, size_cap, mode, seed, samples, budget)))
+        _iterate_sets(g, size_cap, mode, seed, samples, budget), track)
     codeg = max_codegree(g)
     return {
         "s": s,
@@ -469,7 +473,7 @@ def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
     unless c2 is positive and finite."""
     require_positive_finite(c2=c2)
     cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    opposite = g.side_O if side == "E" else g.side_E
+    opposite = bits(g.side_mask(g.other_side(side)))
     if len(opposite) * (1 << g.d) > cap:
         raise BudgetError("neighborhood subset sweep over budget")
     ratio = Fraction(g.d) / Fraction(c2)
@@ -488,11 +492,9 @@ def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
     """Exact sum of weights over the 2-linked sets with closure size a and
     neighborhood size b, with the implied container constant
     C* = -log(LHS/|D|) log d / ((b-a) alpha^2). No pass or fail: the
-    container bound's constant is unspecified."""
+    container bound's constant is unspecified. Raises ValueError unless
+    a >= 1, also when b < a leaves the class empty."""
     half = g.n // 2
-    if b < a:
-        return {"a": a, "b": b, "count": 0, "lhs": Fraction(0),
-                "d_size": half, "empty": True, "c_star_implied": None}
     members = list(enumerate_g_ab(g, side, a, b, enum_cap))
     lhs = sum((polymer_weight(g, params, m) for m in members), Fraction(0))
     report = {
@@ -501,7 +503,7 @@ def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
         "count": len(members),
         "lhs": lhs,
         "d_size": half,
-        "empty": False,
+        "empty": b < a,
         "c_star_implied": None,
     }
     alpha = params.alpha

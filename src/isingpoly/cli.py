@@ -51,6 +51,7 @@ from .formulas import (
     torus_expected_histogram,
 )
 from .graphs import (
+    DEFAULT_VERTEX_CAP,
     AuditViolation,
     BipartiteGraph,
     BudgetError,
@@ -77,7 +78,6 @@ from .polymers import enumerate_polymers, polymer_to_json_dict, xi_brute
 from .rationals import float64_range, format_rational, parse_rational
 
 BUDGET_ENV = "ISINGPOLY_BUDGET"
-GRAPH_FAMILIES = ("hypercube", "cycle", "torus", "kss", "midlayer", "product")
 REQUIRED = "required"
 # the isoperimetry and KP constants; audit-kp's sum mode reads all but c4
 _CONSTANTS = {"--c1": (float, 2.0), "--c2": (float, 10.0),
@@ -121,28 +121,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _torus(arg: str, vertex_cap: int | None) -> BipartiteGraph:
+    m, t = arg.split(",")
+    return build_even_torus(int(m), int(t), vertex_cap)
+
+
+# family -> (the spec's argument, the builder from that argument and the
+# vertex cap). The builders are looked up when called, so tracing can wrap
+# them.
+GRAPH_FAMILIES = {
+    "hypercube": ("d", lambda arg, cap: build_hypercube(int(arg), cap)),
+    "cycle": ("m", lambda arg, cap: build_cycle(int(arg), cap)),
+    "torus": ("m,t", _torus),
+    "kss": ("s", lambda arg, cap: build_complete_bipartite(int(arg), cap)),
+    "midlayer": ("d", lambda arg, cap: build_middle_layer(int(arg), cap)),
+    "product": ("spec+spec", lambda arg, cap: build_cartesian_product(
+        [build_graph_from_spec(part, cap) for part in arg.split("+")], cap)),
+}
+
+
 def build_graph_from_spec(spec: str, vertex_cap: int | None = None) -> BipartiteGraph:
     kind, _, arg = spec.partition(":")
+    if kind not in GRAPH_FAMILIES:
+        raise CliError(f"unknown graph family {kind!r} "
+                       f"(known: {', '.join(GRAPH_FAMILIES)})")
     try:
-        if kind == "hypercube":
-            return build_hypercube(int(arg), vertex_cap)
-        if kind == "cycle":
-            return build_cycle(int(arg), vertex_cap)
-        if kind == "torus":
-            m, t = arg.split(",")
-            return build_even_torus(int(m), int(t), vertex_cap)
-        if kind == "kss":
-            return build_complete_bipartite(int(arg), vertex_cap)
-        if kind == "midlayer":
-            return build_middle_layer(int(arg), vertex_cap)
-        if kind == "product":
-            factors = [build_graph_from_spec(part, vertex_cap)
-                       for part in arg.split("+")]
-            return build_cartesian_product(factors, vertex_cap)
+        return GRAPH_FAMILIES[kind][1](arg, vertex_cap)
     except (ValueError, TypeError) as exc:
         raise CliError(f"bad graph spec {spec!r}: {exc}") from exc
-    raise CliError(f"unknown graph family {kind!r} "
-                   f"(known: {', '.join(GRAPH_FAMILIES)})")
 
 
 def load_graph(source: str, vertex_cap: int | None = None) -> BipartiteGraph:
@@ -205,11 +211,12 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
 
 # -- subcommand handlers; each returns (records, ok) --------------------------
 # main has already replaced the shared inputs: args.graph is the graph,
-# args.params holds --lambda and --p, and args.rho is a Fraction.
+# args.params holds --lambda and --p, and args.rho is a Fraction. gen's one
+# record is the graph's JSON text.
 
 
 def cmd_gen(args):
-    return [{"__raw__": graph_to_json(args.graph)}], True
+    return [graph_to_json(args.graph)], True
 
 
 def cmd_zexact(args):
@@ -455,6 +462,8 @@ def cmd_audit_z(args):
         raise CliError("need exactly one of --psi or --singletons")
     if args.psi is not None:
         family = parse_psi_spec(args.psi, args.d)
+    elif args.singletons < 1:
+        raise ValueError(f"singletons must be >= 1, got {args.singletons}")
     else:
         family = PsiFamily(args.d, tuple(frozenset({i})
                                          for i in range(args.singletons)))
@@ -554,147 +563,137 @@ def scope_options(args) -> None:
                 setattr(args, _dest(flag), default)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--out", default=None,
-                        help="output file (default stdout)")
-
+_SPECS = ", ".join(f"{family}:{arg}"
+                   for family, (arg, _) in GRAPH_FAMILIES.items())
+# flag -> argparse keywords of the options several subcommands share
+OPTIONS = {
+    "--out": dict(default=None, help="output file (default stdout)"),
     # every subcommand that builds a graph caps it by --budget, and so does
     # closed-form's oracle; audit-z builds none and reads no budget
-    budget_arg = _Parser(add_help=False)
-    budget_arg.add_argument("--budget", type=int, default=None,
-                            help=f"cap on sweeps/enumerations "
-                                 f"(default ${BUDGET_ENV} or module "
-                                 f"defaults)")
+    "--budget": dict(type=int, default=None,
+                     help=f"cap on sweeps/enumerations and on the graph's "
+                          f"vertex count (default ${BUDGET_ENV} or module "
+                          f"defaults; {DEFAULT_VERTEX_CAP} vertices)"),
+    "--graph": dict(required=True,
+                    help=f"builder spec ({_SPECS}), a JSON file path, or - "
+                         f"for stdin"),
+    "--lambda": dict(dest="lam", required=True, help="fugacity as p/q"),
+    "--p": dict(required=True, help="percolation parameter as p/q in [0, 1]"),
+    "--rho": dict(default="3/4",
+                  help="closure-size cutoff as a fraction of a side"),
+    "--side": dict(choices=("E", "O"), default="E"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--samples": dict(type=int, required=True),
+    "--seed": dict(type=int, required=True),
+}
+_GRAPH = ("--budget", "--graph")
+_MODEL = (*_GRAPH, "--lambda", "--p")
+# subcommand -> (handler, help, options in --help order after --out). An
+# option is a flag of OPTIONS or a (flag, argparse keywords) pair. A
+# subcommand without --format writes its one record as it is.
+COMMANDS = {
+    "gen": (cmd_gen, "build a graph and emit its JSON", _GRAPH),
+    "zexact": (cmd_zexact, "exact partition function", (*_MODEL, "--format")),
+    "isets": (cmd_isets, "count independent sets by memoised recursion", (
+        *_GRAPH, "--format",
+        ("--verify", dict(action="store_true",
+                          help="also compare against the hard-core partition "
+                               "function; mismatch exits 2")))),
+    "percolate-exact": (cmd_percolate_exact, "exact percolation expectation", (
+        *_MODEL, "--format",
+        ("--verify", dict(action="store_true",
+                          help="compare against exact Z; mismatch exits 2")))),
+    "percolate-mc": (cmd_percolate_mc,
+                     "seeded Monte Carlo percolation estimate",
+                     (*_MODEL, "--format", "--samples", "--seed")),
+    "polymers": (cmd_polymers, "enumerate one side's polymers with weights", (
+        *_MODEL, "--rho", "--side", "--format",
+        ("--size-max", dict(type=int, default=None)))),
+    "xi": (cmd_xi, "polymer partition function by memoised recursion",
+           (*_MODEL, "--rho", "--side", "--format")),
+    "clusters": (cmd_clusters, "cluster expansion terms and residuals", (
+        *_MODEL, "--rho", "--side", "--format",
+        ("--k-max", dict(type=int, default=2)))),
+    "closed-form": (cmd_closed_form,
+                    "closed-form expansion terms, optionally verified", (
+        "--budget", "--format", ("--family", dict(required=True)),
+        ("--p", dict(required=True)),
+        ("--verify", dict(action="store_true",
+                          help="compare against the cluster-sum oracle on the "
+                               "matching graph; in-regime mismatch exits 2")))),
+    "tv": (cmd_tv, "total variation between the model measure and the polymer "
+                   "approximation", (*_MODEL, "--rho", "--format")),
+    "sample-muhat": (cmd_sample_muhat,
+                     "seeded draws from the two-sided polymer measure, "
+                     "aggregated by outcome",
+                     (*_MODEL, "--rho", "--format", "--samples", "--seed")),
+    "audit-iso": (cmd_audit_iso, "vertex-isoperimetry condition sweeps", (
+        *_GRAPH, "--format", ("--property", dict(default="one")),
+        ("--size-cap", dict(type=int, default=4)),
+        ("--mode", dict(default="exhaustive")))),
+    "audit-kp": (cmd_audit_kp, "convergence-condition audits", (
+        *_MODEL, "--rho", "--side", "--format",
+        ("--mode", dict(default="sum")))),
+    "audit-z": (cmd_audit_z, "coordinate-family partition sum bounds", (
+        "--format", ("--d", dict(type=int, required=True)), "--lambda", "--p",
+        ("--C", dict(dest="capital_c", type=float, required=True)),
+        ("--psi", dict(default=None,
+                       help="family spec: members ';'-separated, coordinates "
+                            "','-separated, '-' for the empty set")),
+        ("--singletons", dict(type=int, default=None,
+                              help="use the first K singleton coordinate "
+                                   "sets")),
+        ("--ell", dict(default=None,
+                       help="split mode at this ell (rational); default "
+                            "audits the half-ell bound")))),
+    "audit-container": (cmd_audit_container, "container class weight sums", (
+        *_MODEL, "--side", "--format",
+        ("--a", dict(type=int, required=True, help="closure size")),
+        ("--b", dict(type=int, required=True, help="neighborhood size")),
+        ("--hypothesis-c2", dict(
+            type=float, default=None,
+            help="also check the neighborhood-expansion hypothesis with "
+                 "this constant; failure exits 2")))),
+    "audit-nonpolymer": (cmd_audit_nonpolymer,
+                         "weight of configurations captured on neither side",
+                         (*_MODEL, "--rho", "--format")),
+}
 
-    graph_arg = _Parser(add_help=False, parents=[budget_arg])
-    graph_arg.add_argument("--graph", required=True,
-                           help="builder spec (hypercube:d, cycle:m, "
-                                "torus:m,t, kss:s, midlayer:d, "
-                                "product:spec+spec), a JSON file path, "
-                                "or - for stdin")
 
-    model_args = _Parser(add_help=False)
-    model_args.add_argument("--lambda", dest="lam", required=True,
-                            help="fugacity as p/q")
-    model_args.add_argument("--p", required=True,
-                            help="percolation parameter as p/q in [0, 1]")
+def _arguments(name: str, options):
+    """(flag, argparse keywords) of one subcommand in --help order. A
+    selector's choices are its modes; the options its modes read follow
+    --format, each with default None for scope_options to fill in."""
+    selectors = MODE_OPTIONS.get(name, {})
+    for option in ("--out", *options):
+        flag, kwargs = (option, OPTIONS[option]) if isinstance(option, str) \
+            else option
+        if flag in selectors:
+            kwargs = dict(kwargs, choices=tuple(selectors[flag]))
+        yield flag, kwargs
+        if flag != "--format":
+            continue
+        for selector, modes in selectors.items():
+            for scoped, (kind, default) in {
+                    f: spec for opts in modes.values()
+                    for f, spec in opts.items()}.items():
+                text = default if default is REQUIRED else f"default {default}"
+                yield scoped, dict(
+                    dest=_dest(scoped), type=kind, default=None,
+                    help=f"{selector} {_readers(modes, scoped)} only; {text}")
 
-    rho_arg = _Parser(add_help=False)
-    rho_arg.add_argument("--rho", default="3/4",
-                         help="closure-size cutoff as a fraction of a side")
 
-    side_arg = _Parser(add_help=False)
-    side_arg.add_argument("--side", choices=("E", "O"), default="E")
-
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="isingpoly",
                      description="Exact enumeration and verification engine "
                                  "for hard-core and Ising-type models on "
                                  "regular bipartite graphs.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name, handler, *parents, help=None):
-        p = sub.add_parser(name, parents=[common, *parents], help=help)
+    for name, (handler, text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.set_defaults(handler=handler)
-        if name != "gen":  # gen writes the graph's JSON whatever the format
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        for selector, modes in MODE_OPTIONS.get(name, {}).items():
-            flags = {flag: spec for opts in modes.values()
-                     for flag, spec in opts.items()}
-            for flag, (kind, default) in flags.items():
-                text = default if default is REQUIRED else f"default {default}"
-                p.add_argument(flag, dest=_dest(flag), type=kind, default=None,
-                               help=f"{selector} {_readers(modes, flag)} "
-                                    f"only; {text}")
-        return p
-
-    add("gen", cmd_gen, graph_arg, help="build a graph and emit its JSON")
-    add("zexact", cmd_zexact, graph_arg, model_args,
-        help="exact partition function")
-
-    p = add("isets", cmd_isets, graph_arg,
-            help="count independent sets by memoised recursion")
-    p.add_argument("--verify", action="store_true",
-                   help="also compare against the hard-core partition "
-                        "function; mismatch exits 2")
-
-    p = add("percolate-exact", cmd_percolate_exact, graph_arg, model_args,
-            help="exact percolation expectation")
-    p.add_argument("--verify", action="store_true",
-                   help="compare against exact Z; mismatch exits 2")
-
-    p = add("percolate-mc", cmd_percolate_mc, graph_arg, model_args,
-            help="seeded Monte Carlo percolation estimate")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("polymers", cmd_polymers, graph_arg, model_args, rho_arg,
-            side_arg, help="enumerate one side's polymers with weights")
-    p.add_argument("--size-max", type=int, default=None)
-
-    add("xi", cmd_xi, graph_arg, model_args, rho_arg, side_arg,
-        help="polymer partition function by memoised recursion")
-
-    p = add("clusters", cmd_clusters, graph_arg, model_args, rho_arg,
-            side_arg, help="cluster expansion terms and residuals")
-    p.add_argument("--k-max", type=int, default=2)
-
-    p = add("closed-form", cmd_closed_form, budget_arg,
-            help="closed-form expansion terms, optionally verified")
-    p.add_argument("--family", choices=tuple(CLOSED_FORMS), required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--verify", action="store_true",
-                   help="compare against the cluster-sum oracle on the "
-                        "matching graph; in-regime mismatch exits 2")
-
-    add("tv", cmd_tv, graph_arg, model_args, rho_arg,
-        help="total variation between the model measure and the polymer "
-             "approximation")
-
-    p = add("sample-muhat", cmd_sample_muhat, graph_arg, model_args, rho_arg,
-            help="seeded draws from the two-sided polymer measure, "
-                 "aggregated by outcome")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("audit-iso", cmd_audit_iso, graph_arg,
-            help="vertex-isoperimetry condition sweeps")
-    p.add_argument("--property", choices=("one", "two", "product"),
-                   default="one")
-    p.add_argument("--size-cap", type=int, default=4)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"),
-                   default="exhaustive")
-
-    p = add("audit-kp", cmd_audit_kp, graph_arg, model_args, rho_arg,
-            side_arg, help="convergence-condition audits")
-    p.add_argument("--mode", choices=("sum", "truncation"), default="sum")
-
-    p = add("audit-z", cmd_audit_z,
-            help="coordinate-family partition sum bounds")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--C", dest="capital_c", type=float, required=True)
-    p.add_argument("--psi", default=None,
-                   help="family spec: members ';'-separated, coordinates "
-                        "','-separated, '-' for the empty set")
-    p.add_argument("--singletons", type=int, default=None,
-                   help="use the first K singleton coordinate sets")
-    p.add_argument("--ell", default=None,
-                   help="split mode at this ell (rational); default "
-                        "audits the half-ell bound")
-
-    p = add("audit-container", cmd_audit_container, graph_arg, model_args,
-            side_arg, help="container class weight sums")
-    p.add_argument("--a", type=int, required=True, help="closure size")
-    p.add_argument("--b", type=int, required=True, help="neighborhood size")
-    p.add_argument("--hypothesis-c2", type=float, default=None,
-                   help="also check the neighborhood-expansion hypothesis "
-                        "with this constant; failure exits 2")
-
-    add("audit-nonpolymer", cmd_audit_nonpolymer, graph_arg, model_args,
-        rho_arg, help="weight of configurations captured on neither side")
-
+        for flag, kwargs in _arguments(name, options):
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -704,13 +703,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 1
-    if hasattr(args, "budget") and args.budget is None:
-        try:
-            args.budget = _default_budget()
-        except CliError as exc:
-            print(f"isingpoly: error: {exc}", file=sys.stderr)
-            return 1
     try:
+        if hasattr(args, "budget") and args.budget is None:
+            args.budget = _default_budget()
         scope_options(args)
         if getattr(args, "graph", None) is not None:
             args.graph = load_graph(args.graph, args.budget)
@@ -731,15 +726,12 @@ def main(argv=None) -> int:
     except AuditViolation as exc:
         print(f"isingpoly: audit assertion failed: {exc}", file=sys.stderr)
         return 2
-    text: str
-    if records and "__raw__" in records[0]:
-        text = records[0]["__raw__"]
-        if not text.endswith("\n"):
-            text += "\n"
-    else:
+    if "format" in args:
         buffer = io.StringIO()
         emit_records(records, args.format, buffer)
         text = buffer.getvalue()
+    else:  # gen: the graph's JSON, whatever the format
+        text = records[0] + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -371,8 +371,11 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
     the sum over enumerated polymers containing v of omega(A) e^{f+g},
     against the target d^-(c5+3). A report with margins, never an
     assertion: at desk-scale degree the asymptotic claim has no obligation
-    to hold. The expansion-tail bound shapes are evaluated alongside.
+    to hold. The expansion-tail bound shapes for k = 1..tail_depth are
+    evaluated alongside. Raises ValueError for a negative tail_depth.
     """
+    if tail_depth < 0:
+        raise ValueError(f"tail_depth must be >= 0, got {tail_depth}")
     family = PolymerFamily(g, side, params, rho, size_max=size_max,
                            enum_cap=enum_cap)
     with float64_range("a term of the convergence-sum audit"):

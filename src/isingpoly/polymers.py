@@ -400,9 +400,9 @@ def enumerate_g_ab(g: BipartiteGraph, side: str, a: int, b: int,
     lexicographic order. No rho cutoff applies here. Empty when b < a."""
     if a < 1:
         raise ValueError(f"closure size a must be >= 1, got {a}")
+    side_m = g.side_mask(side)
     if b < a:
         return
-    side_m = g.side_mask(side)
     for s in two_linked_sets(g, side_m, side_m, a, enum_cap):
         if popcount(closure(g, s, side=side)) == a and \
                 popcount(neighborhood(g, s)) == b:

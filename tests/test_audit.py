@@ -4,6 +4,7 @@ and the container / nonpolymer weight reports."""
 import ast
 import collections
 import math
+import random
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -315,6 +316,9 @@ class TestProductIso:
     def test_refuses_an_empty_sweep(self):
         with pytest.raises(ValueError, match="size_cap"):
             check_product_iso(build_hypercube(3), size_cap=0)
+        # random.Random(-1) would repeat the stream of seed 1
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            check_product_iso(build_hypercube(3), mode="sampled", seed=-1)
         with pytest.raises(ValueError, match="empty sweep"):
             check_product_iso(build_hypercube(3), mode="sampled", samples=0)
 
@@ -546,6 +550,23 @@ class TestContainerReports:
         with pytest.raises(ValueError, match="c2 must be positive"):
             container_hypothesis_check(build_cycle(6), "E", c2)
 
+    @pytest.mark.parametrize("a,b", [(0, -1), (0, 2), (-1, -3), (-1, 1)])
+    def test_closure_size_below_one_is_refused_whatever_b(self, a, b):
+        # a is checked before the b < a shortcut to the empty report
+        with pytest.raises(ValueError, match="closure size a must be >= 1"):
+            container_sum_report(build_cycle(6), "E", a, b, ModelParams(1, 1))
+
+    def test_unknown_side_is_refused(self):
+        g = build_hypercube(3)
+        with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
+            container_hypothesis_check(g, "X", 2.0)
+        with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
+            container_sum_report(g, "X", 2, 1, ModelParams(1, 1))
+        for sets in (audit._exhaustive_sets(g, "X", 2, None),
+                     audit._sampled_sets(g, "X", 2, 3, random.Random(0))):
+            with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
+                list(sets)
+
     def test_hypothesis_bound_is_exact(self):
         # on C6 at c2 = 4/3 the bound (d/c2)|X| is exactly 3 at |X| = 2,
         # met with equality; a float c2 would miss the tie
@@ -707,8 +728,9 @@ def test_no_seed_sequence_in_the_package():
     {"size_cap": 4, "mode": "sampled", "seed": 5, "samples": 300},
 ])
 def test_check_product_iso_sweeps_once(monkeypatch, sweep):
-    # the verdicts and worst_c come from one pass over the swept sets; the
-    # report equals the two-pass one built here from the listed sets
+    # the verdicts and worst_c come from one pass over the swept sets, with
+    # one neighborhood per set; the report equals the two-pass one built
+    # here from the listed sets
     g = build_even_torus(6, 2)
     s, t = max(g.factor_sizes), len(g.factor_sizes)
     sets = list(audit._iterate_sets(g, **sweep))
@@ -724,9 +746,17 @@ def test_check_product_iso_sweeps_once(monkeypatch, sweep):
         calls.append(args)
         return iterate(*args, **kwargs)
 
+    swept = []
+
+    def counted_neighborhood(graph, mask):
+        swept.append(mask)
+        return neighborhood(graph, mask)
+
     monkeypatch.setattr(audit, "_iterate_sets", counted)
+    monkeypatch.setattr(audit, "neighborhood", counted_neighborhood)
     report = check_product_iso(g, **sweep)
     assert len(calls) == 1
+    assert swept == [mask for _, mask in sets]
     assert report["conditions"] == expected_verdicts
     assert report["worst_c"] == expected_c
 

@@ -21,8 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpoly.cli import (
-    CliError,
+    COMMANDS,
     MODE_OPTIONS,
+    OPTIONS,
+    CliError,
     build_graph_from_spec,
     emit_records,
     load_graph,
@@ -561,6 +563,29 @@ class TestExitCodes:
         assert out == ""
         assert f"fg-denom must be >= 1, got {denom}" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("audit-z", "--d", "4", "--lambda", "1", "--p", "1/2", "--C", "2",
+          "--singletons", "0"), "singletons must be >= 1, got 0"),
+        (("audit-z", "--d", "4", "--lambda", "1", "--p", "1/2", "--C", "2",
+          "--singletons", "-1"), "singletons must be >= 1, got -1"),
+        (("audit-kp", "--graph", "cycle:6", "--lambda", "1/40", "--p", "1",
+          "--tail-depth", "-1"), "tail_depth must be >= 0, got -1"),
+        # a is checked whichever side of a the neighborhood size b lies
+        (("audit-container", "--graph", "cycle:6", "--lambda", "1", "--p",
+          "1/2", "--a", "0", "--b", "-1"), "closure size a must be >= 1"),
+        (("audit-container", "--graph", "cycle:6", "--lambda", "1", "--p",
+          "1/2", "--a", "0", "--b", "2"), "closure size a must be >= 1"),
+        (("audit-iso", "--graph", "cycle:6", "--mode", "sampled", "--seed",
+          "-1"), "seed must be >= 0, got -1"),
+        (("xi", "--graph", "cycle:6", "--lambda", "1", "--p", "1",
+          "--budget", "5"), "graph would have 6 vertices, budget is 5"),
+    ])
+    def test_values_out_of_range_exit_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_kp_truncation_refuses_a_sum_constant(self, capsys):
         code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6",
                              "--lambda", "1/10", "--p", "1", "--mode",
@@ -1000,6 +1025,108 @@ class TestAuditCommands:
         record = json.loads(out)
         assert record["ratio"] == "121/2041"
         assert record["count"] == 16
+
+
+# A valid run of each subcommand in each of its modes, on tiny inputs; the
+# fuzz below replaces one int or float option at a time by -1 and by 0.
+FUZZ_BASES = {
+    "gen": [["--graph", "cycle:6"]],
+    "zexact": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2"]],
+    "isets": [["--graph", "cycle:6", "--verify"]],
+    "percolate-exact": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
+                         "--verify"]],
+    "percolate-mc": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
+                      "--samples", "10", "--seed", "1"]],
+    "polymers": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
+                  "--size-max", "2"]],
+    "xi": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2"]],
+    "clusters": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2"]],
+    "closed-form": [
+        ["--p", "1/2", "--family", family, *FAMILY_NEEDS[family], *verify]
+        for family in FAMILY_NEEDS for verify in ([], ["--verify"])],
+    "tv": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2"]],
+    "sample-muhat": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
+                      "--samples", "10", "--seed", "1"]],
+    "audit-iso": [["--graph", "product:kss:2+kss:2", "--size-cap", "2",
+                   "--property", prop, "--mode", mode]
+                  for prop in ("one", "two", "product")
+                  for mode in ("exhaustive", "sampled")],
+    "audit-kp": [["--graph", "cycle:6", "--lambda", "1/40", "--p", "1",
+                  "--mode", mode] for mode in ("sum", "truncation")],
+    "audit-z": [["--d", "4", "--lambda", "1", "--p", "1/2", "--C", "2",
+                 *source, *ell] for source in (["--singletons", "2"],
+                                               ["--psi", "0;1"])
+                for ell in ([], ["--ell", "1"])],
+    # the first has b < a, an empty class
+    "audit-container": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
+                         "--a", "1", "--b", "0"],
+                        ["--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
+                         "--a", "1", "--b", "2", "--hypothesis-c2", "10"]],
+    "audit-nonpolymer": [["--graph", "cycle:6", "--lambda", "1", "--p",
+                          "1/2"]],
+}
+
+
+def numeric_options(cmd, argv):
+    """The int and float options a run of cmd reads: the subcommand's own,
+    and those the modes selected in argv read."""
+    flags = [flag for flag, kwargs in (
+        (option, OPTIONS[option]) if isinstance(option, str) else option
+        for option in COMMANDS[cmd][2])
+        if kwargs.get("type") in (int, float)]
+    for selector, modes in MODE_OPTIONS.get(cmd, {}).items():
+        mode = argv[argv.index(selector) + 1]
+        flags += [flag for flag, (kind, _) in modes[mode].items()
+                  if kind in (int, float)]
+    return flags
+
+
+def with_value(argv, flag, value):
+    if flag not in argv:
+        return [*argv, flag, value]
+    i = argv.index(flag) + 1
+    return [*argv[:i], value, *argv[i + 1:]]
+
+
+def may_exit_zero(argv, flag, value):
+    """The runs at -1 or 0 that are valid: seed 0, a --budget that caps no
+    graph, audit-container's empty class b < a, and no tail shapes."""
+    if flag == "--seed":
+        return value == "0"
+    if flag == "--budget":  # closed-form's formula alone builds no graph
+        return argv[0] == "closed-form" and "--graph" not in argv \
+            and "--verify" not in argv
+    if flag in ("--a", "--b"):
+        return int(argv[argv.index("--b") + 1]) < \
+            int(argv[argv.index("--a") + 1])
+    return (argv[0], flag, value) == ("audit-kp", "--tail-depth", "0")
+
+
+def test_numeric_options_at_minus_one_and_zero(monkeypatch):
+    monkeypatch.delenv("ISINGPOLY_BUDGET", raising=False)
+    assert set(FUZZ_BASES) == set(COMMANDS)
+    exit_zero, allowed, escaped = set(), set(), []
+    for cmd, bases in FUZZ_BASES.items():
+        for base in bases:
+            for flag in numeric_options(cmd, base):
+                for value in ("-1", "0"):
+                    argv = [cmd, *with_value(base, flag, value)]
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        try:
+                            code = main(argv)
+                        except Exception as exc:
+                            escaped.append((argv, repr(exc)))
+                            continue
+                    if code == 0:
+                        exit_zero.add(" ".join(argv))
+                    if may_exit_zero(argv, flag, value):
+                        allowed.add(" ".join(argv))
+    assert escaped == []
+    assert exit_zero == allowed
+    # five seeds of 0, eight formula-only budgets, four empty classes, and
+    # one depth of 0
+    assert len(allowed) == 18
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -448,6 +448,16 @@ class TestKPSumAudit:
         assert len(rep["tail_shapes"]) == 3
         assert isinstance(rep["holds_at_desk_scale"], bool)
 
+    def test_tail_depth_counts_the_shapes_and_refuses_a_negative_one(self):
+        g = build_hypercube(3)
+        prm = params(F(1, 20), 1)
+        kpf = KPFunctions(d=3, alpha_tilde=float(prm.alpha_tilde), c1=2,
+                          c2=10, c3=3, c5=0.5)
+        assert kp_sum_audit(g, "E", prm, kpf, tail_depth=0)["tail_shapes"] \
+            == []
+        with pytest.raises(ValueError, match="tail_depth must be >= 0"):
+            kp_sum_audit(g, "E", prm, kpf, tail_depth=-1)
+
     def test_longer_cycle_has_two_element_polymers(self):
         g = build_cycle(12)
         prm = params(F(1, 10), F(1, 2))
