@@ -82,6 +82,33 @@ REQUIRED = "required"
 # the isoperimetry and KP constants; audit-kp's sum mode reads all but c4
 _CONSTANTS = {"--c1": (float, 2.0), "--c2": (float, 10.0),
               "--c3": (float, 3.0), "--c4": (float, 1.0), "--c5": (float, 0.5)}
+# closed-form's families, each declared once: family -> (the options it
+# reads, as in MODE_OPTIONS; formula value; oracle graph; expected codegree
+# histogram). The histogram drives the machine-checkable regime test of the
+# second-order families; l1 has no regime caveat at desk scale. The lambdas
+# look the library functions up when called, so tracing can wrap them.
+CLOSED_FORMS = {
+    "l1": ({"--graph": (str, REQUIRED), "--lambda": (str, "1")},
+           lambda a: l1_closed(a.graph.n, a.graph.d, a.params.lam, a.params.p),
+           lambda a: a.graph, lambda a: None),
+    "torus": ({"--m": (int, REQUIRED), "--t": (int, REQUIRED)},
+              lambda a: l2_torus(a.m, a.t, a.params.p),
+              lambda a: build_even_torus(a.m, a.t, a.budget),
+              lambda a: torus_expected_histogram(a.t)),
+    "midlayer": ({"--d": (int, REQUIRED)},
+                 lambda a: l2_middle_layer(a.d, a.params.p),
+                 lambda a: build_middle_layer(a.d, a.budget),
+                 lambda a: midlayer_expected_histogram(a.d)),
+    "kss": ({"--s": (int, REQUIRED), "--t": (int, REQUIRED)},
+            lambda a: l2_kss_product(a.s, a.t, a.params.p),
+            lambda a: build_cartesian_product(
+                [build_complete_bipartite(a.s, a.budget)] * a.t, a.budget),
+            lambda a: kss_expected_histogram(a.s, a.t)),
+    "hypercube": ({"--t": (int, REQUIRED)},
+                  lambda a: l2_hypercube(a.t, a.params.p),
+                  lambda a: build_hypercube(a.t, a.budget),
+                  lambda a: kss_expected_histogram(1, a.t)),
+}
 # subcommand -> option that selects a mode -> mode -> the options that mode
 # reads, as flag -> (type, default or REQUIRED). Each is declared with
 # default None; scope_options fills in the chosen mode's defaults and
@@ -101,13 +128,8 @@ MODE_OPTIONS = {
         "--mode": {"exhaustive": {},
                    "sampled": {"--seed": (int, 0), "--samples": (int, 200)}},
     },
-    "closed-form": {"--family": {
-        "l1": {"--graph": (str, REQUIRED), "--lambda": (str, "1")},
-        "torus": {"--m": (int, REQUIRED), "--t": (int, REQUIRED)},
-        "midlayer": {"--d": (int, REQUIRED)},
-        "kss": {"--s": (int, REQUIRED), "--t": (int, REQUIRED)},
-        "hypercube": {"--t": (int, REQUIRED)},
-    }},
+    "closed-form": {"--family": {family: form[0]
+                                 for family, form in CLOSED_FORMS.items()}},
 }
 
 
@@ -276,31 +298,8 @@ def cmd_clusters(args):
             for term in report["terms"]], True
 
 
-# family: (formula value, oracle graph, expected codegree histogram). The
-# histogram drives the machine-checkable regime test of the second-order
-# families; l1 has no regime caveat at desk scale. The lambdas look the
-# library functions up when called, so tracing can wrap them.
-CLOSED_FORMS = {
-    "l1": (lambda a: l1_closed(a.graph.n, a.graph.d, a.params.lam, a.params.p),
-           lambda a: a.graph, lambda a: None),
-    "torus": (lambda a: l2_torus(a.m, a.t, a.params.p),
-              lambda a: build_even_torus(a.m, a.t, a.budget),
-              lambda a: torus_expected_histogram(a.t)),
-    "midlayer": (lambda a: l2_middle_layer(a.d, a.params.p),
-                 lambda a: build_middle_layer(a.d, a.budget),
-                 lambda a: midlayer_expected_histogram(a.d)),
-    "kss": (lambda a: l2_kss_product(a.s, a.t, a.params.p),
-            lambda a: build_cartesian_product(
-                [build_complete_bipartite(a.s, a.budget)] * a.t, a.budget),
-            lambda a: kss_expected_histogram(a.s, a.t)),
-    "hypercube": (lambda a: l2_hypercube(a.t, a.params.p),
-                  lambda a: build_hypercube(a.t, a.budget),
-                  lambda a: kss_expected_histogram(1, a.t)),
-}
-
-
 def cmd_closed_form(args):
-    formula, oracle_graph, histogram = CLOSED_FORMS[args.family]
+    _, formula, oracle_graph, histogram = CLOSED_FORMS[args.family]
     record = {"family": args.family, "formula_value": formula(args)}
     ok = True
     if args.verify:

@@ -108,60 +108,74 @@ def _cluster_weight(cluster: Cluster, parts) -> Fraction:
     return Fraction(num, den)
 
 
-def _expanded_ursell(family: PolymerFamily, chosen) -> Fraction:
-    """Ursell function of the incompatibility graph on the expanded tuple:
-    one vertex per polymer copy, edges between incompatible entries, copies
-    of the same polymer always incompatible. `chosen` pairs family indices
-    with multiplicities."""
-    expanded = [idx for idx, mult in chosen for _ in range(mult)]
-    if len(expanded) > URSELL_VERTEX_CAP:
-        raise BudgetError(f"a cluster of {len(expanded)} polymer copies "
-                          f"exceeds the Ursell cap of {URSELL_VERTEX_CAP}")
-    return _ursell([sum(1 << b for b, j in enumerate(expanded)
-                        if b != a and family.incompatible[i] >> j & 1)
-                    for a, i in enumerate(expanded)])
-
-
-def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None):
-    """Yield (chosen, Cluster) for every cluster of total size at most k_max
-    over the family's polymers, where chosen pairs family indices with
-    multiplicities. Emission groups clusters by their support polymers in
-    the family order. A multiset is a cluster iff its Ursell value is
+def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
+              emit) -> None:
+    """Call emit(chosen, cluster) for every cluster of total size at most
+    k_max over the family's polymers, where chosen pairs family indices
+    with multiplicities. Emission groups clusters by their support polymers
+    in the family order. A multiset is a cluster iff its Ursell value is
     nonzero. Raises BudgetError once the walk has visited more than
-    enum_cap (default 10^6) multisets."""
+    enum_cap (default 10^6) multisets, a check made before the Ursell cap.
+    Each multiset carries its expanded incompatibility graph, one neighbour
+    mask per polymer copy, and the product of its multiplicities'
+    factorials; each distinct graph's Ursell value is computed once."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     polys = family.polymers
+    incompatible = family.incompatible
     sizes = [p.size for p in polys]
     # fitting[r]: indices of the polymers with at most r vertices
     fitting = [[j for j, s in enumerate(sizes) if s <= r]
                for r in range(k_max + 1)]
+    ursells: dict[tuple[int, ...], Fraction] = {}
     visited = 0
 
-    def extend(start: int, chosen: list[tuple[int, int]], size: int):
+    def extend(start: int, chosen: list[tuple[int, int]], size: int,
+               graph: tuple[int, ...], denom: int) -> None:
         nonlocal visited
-        if chosen:
-            visited += 1
-            if visited > cap:
-                raise BudgetError(f"cluster walk exceeded {cap} multisets "
-                                  f"(k_max={k_max})")
-            value = _expanded_ursell(family, chosen)
-            if value:
-                orderings = math.factorial(sum(m for _, m in chosen)) // \
-                    math.prod(math.factorial(m) for _, m in chosen)
-                yield chosen, Cluster(
-                    entries=tuple((polys[i], m) for i, m in chosen),
-                    size=size, orderings=orderings, ursell_value=value)
+        n = len(graph)
         candidates = fitting[k_max - size]
         for j in candidates[bisect_left(candidates, start):]:
-            mult = 1
-            while size + mult * sizes[j] <= k_max:
-                yield from extend(j + 1, chosen + [(j, mult)],
-                                  size + mult * sizes[j])
+            link = off = 0  # the copies already chosen that j meets
+            for i, m in chosen:
+                if incompatible[j] >> i & 1:
+                    link |= ((1 << m) - 1) << off
+                off += m
+            mult, grown, copies = 1, size + sizes[j], 0
+            while grown <= k_max:
+                visited += 1
+                if visited > cap:
+                    raise BudgetError(f"cluster walk exceeded {cap} "
+                                      f"multisets (k_max={k_max})")
+                if n + mult > URSELL_VERTEX_CAP:
+                    raise BudgetError(f"a cluster of {n + mult} polymer "
+                                      f"copies exceeds the Ursell cap of "
+                                      f"{URSELL_VERTEX_CAP}")
+                copies |= 1 << (n + mult - 1)
+                grew = tuple([near | copies if link >> b & 1 else near
+                              for b, near in enumerate(graph)] +
+                             [link | (copies ^ (1 << b))
+                              for b in range(n, n + mult)])
+                value = ursells.get(grew)
+                if value is None:
+                    value = ursells[grew] = _ursell(grew)
+                multiset = chosen + [(j, mult)]
+                factorials = denom * math.factorial(mult)
+                if value:
+                    emit(multiset, Cluster(
+                        entries=tuple((polys[i], m) for i, m in multiset),
+                        size=grown, ursell_value=value,
+                        orderings=math.factorial(n + mult) // factorials))
+                if grown < k_max:
+                    extend(j + 1, multiset, grown, grew, factorials)
                 mult += 1
+                grown += sizes[j]
 
-    return extend(0, [], 0)
+    try:
+        extend(0, [], 0, (), 1)
+    finally:
+        del extend  # a cycle through itself would hold emit until a full GC
 
 
 def _terms_by_size(family: PolymerFamily, k_max: int,
@@ -170,9 +184,12 @@ def _terms_by_size(family: PolymerFamily, k_max: int,
     orderings * ursell * product of the family's polymer weights."""
     by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
     parts = family.weight_parts
-    for chosen, cluster in _clusters(family, k_max, enum_cap):
+
+    def add(chosen, cluster: Cluster) -> None:
         by_size[cluster.size] += _cluster_weight(
             cluster, ((parts[i], mult) for i, mult in chosen))
+
+    _clusters(family, k_max, enum_cap, add)
     return by_size
 
 
@@ -188,7 +205,10 @@ def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
     """
     family = PolymerFamily(g, side, params, rho, size_max=k_max,
                            enum_cap=enum_cap)
-    return [cluster for _, cluster in _clusters(family, k_max, enum_cap)]
+    clusters: list[Cluster] = []
+    _clusters(family, k_max, enum_cap,
+              lambda _, cluster: clusters.append(cluster))
+    return clusters
 
 
 def l_k(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO, k: int = 1,

@@ -125,19 +125,26 @@ def _weight_parts(g: BipartiteGraph, params, a: int) -> tuple[int, int]:
         num = s^|A| * prod_{v in N(A)} (t e^k_v + s c^k_v)
         den = t^|A| * (s+t)^|N(A)| * e^(sum of k_v)
 
-    The boundary vertices are tallied by k_v, so the product takes one
-    integer power per distinct k_v and no gcd. Every boundary vertex has
-    k_v >= 1, so at p = 1 (c = 0) its factor is t e^k_v."""
+    c = e - r for p = r/e. One bit loop builds N(A) and a second tallies it
+    by k_v, so the product takes one integer power per distinct k_v and no
+    gcd. Every boundary vertex has k_v >= 1, so at p = 1 (c = 0) its factor
+    is t e^k_v."""
     s, t = params.lam.numerator, params.lam.denominator
-    surv = 1 - params.p
-    c, e = surv.numerator, surv.denominator
-    boundary = neighborhood(g, a)
+    c, e = params.p.denominator - params.p.numerator, params.p.denominator
+    adj, boundary, rest = g.adj_mask, 0, a
+    while rest:
+        low = rest & -rest
+        boundary |= adj[low.bit_length() - 1]
+        rest ^= low
     tally: dict[int, int] = {}  # k -> boundary vertices with k_v = k
-    for v in iter_bits(boundary):
-        k = popcount(g.adj_mask[v] & a)
+    rest = boundary = boundary & ~a
+    while rest:
+        low = rest & -rest
+        k = (adj[low.bit_length() - 1] & a).bit_count()
         tally[k] = tally.get(k, 0) + 1
-    num = s ** popcount(a)
-    den = t ** popcount(a) * (s + t) ** popcount(boundary)
+        rest ^= low
+    num = s ** a.bit_count()
+    den = t ** a.bit_count() * (s + t) ** boundary.bit_count()
     for k, count in tally.items():
         num *= (t * e ** k + s * c ** k) ** count
         den *= e ** (k * count)

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
-from isingpoly.graphs import (BipartiteGraph, as_mask, bits, edge_subset_nbr,
+from isingpoly.clusters import URSELL_VERTEX_CAP, Cluster, _ursell
+from isingpoly.graphs import (DEFAULT_ENUM_CAP, BipartiteGraph, BudgetError,
+                              as_mask, bits, edge_subset_nbr,
                               independent_set_table, iter_bits, neighborhood,
                               popcount)
 from isingpoly.model import captured_on_side
@@ -305,6 +308,60 @@ def brute_ursell(k: int, edges) -> Fraction:
                 for chosen in combinations(edge_list, r)
                 if brute_connected(k, chosen))
     return Fraction(total, math.factorial(k))
+
+
+def expanded_ursell(family, chosen) -> Fraction:
+    """Ursell function of the incompatibility graph on the expanded tuple:
+    one vertex per polymer copy, edges between incompatible entries, copies
+    of the same polymer always incompatible. `chosen` pairs family indices
+    with multiplicities."""
+    expanded = [idx for idx, mult in chosen for _ in range(mult)]
+    if len(expanded) > URSELL_VERTEX_CAP:
+        raise BudgetError(f"a cluster of {len(expanded)} polymer copies "
+                          f"exceeds the Ursell cap of {URSELL_VERTEX_CAP}")
+    return _ursell([sum(1 << b for b, j in enumerate(expanded)
+                        if b != a and family.incompatible[i] >> j & 1)
+                    for a, i in enumerate(expanded)])
+
+
+def walk_clusters(family, k_max: int, enum_cap: int | None = None):
+    """Yield (chosen, Cluster) for every cluster of total size at most
+    k_max, as clusters._clusters emits them, rebuilding each visited
+    multiset's expanded graph, Ursell value and orderings from scratch. The
+    former library walk, kept as the second route to the one that carries
+    them down the walk."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    polys = family.polymers
+    sizes = [p.size for p in polys]
+    fitting = [[j for j, s in enumerate(sizes) if s <= r]
+               for r in range(k_max + 1)]
+    visited = 0
+
+    def extend(start: int, chosen: list[tuple[int, int]], size: int):
+        nonlocal visited
+        if chosen:
+            visited += 1
+            if visited > cap:
+                raise BudgetError(f"cluster walk exceeded {cap} multisets "
+                                  f"(k_max={k_max})")
+            value = expanded_ursell(family, chosen)
+            if value:
+                orderings = math.factorial(sum(m for _, m in chosen)) // \
+                    math.prod(math.factorial(m) for _, m in chosen)
+                yield chosen, Cluster(
+                    entries=tuple((polys[i], m) for i, m in chosen),
+                    size=size, orderings=orderings, ursell_value=value)
+        candidates = fitting[k_max - size]
+        for j in candidates[bisect_left(candidates, start):]:
+            mult = 1
+            while size + mult * sizes[j] <= k_max:
+                yield from extend(j + 1, chosen + [(j, mult)],
+                                  size + mult * sizes[j])
+                mult += 1
+
+    return extend(0, [], 0)
 
 
 def decorated_weight(g: BipartiteGraph, params, a, b) -> Fraction:

@@ -21,11 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpoly.cli import (
+    CLOSED_FORMS,
     COMMANDS,
     MODE_OPTIONS,
     OPTIONS,
     CliError,
     build_graph_from_spec,
+    build_parser,
     emit_records,
     load_graph,
     main,
@@ -807,6 +809,19 @@ class TestComputeCommands:
 
 
 class TestClosedFormCommand:
+    def test_every_family_choice_has_a_closed_form(self, capsys):
+        subcommands, = (action.choices for action in build_parser()._actions
+                        if action.dest == "cmd")
+        family, = (action for action in subcommands["closed-form"]._actions
+                   if action.dest == "family")
+        assert list(family.choices) == list(CLOSED_FORMS) == \
+            list(FAMILY_NEEDS)
+        for name in family.choices:
+            code, out, _ = run(capsys, "closed-form", "--family", name,
+                               *FAMILY_NEEDS[name], "--p", "1/2")
+            assert code == 0
+            assert json.loads(out)["family"] == name
+
     def test_torus_in_regime(self, capsys):
         code, out, _ = run(capsys, "closed-form", "--family", "torus",
                            "--m", "6", "--t", "2", "--p", "1/1", "--verify")

@@ -2,14 +2,17 @@
 multiset enumeration censuses, exact expansion terms, and the convergence
 condition with its truncation tail bound."""
 
+import gc
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from isingpoly import clusters as clusters_module
 from isingpoly.clusters import (
     KPFunctions,
+    _clusters,
     enumerate_clusters,
     kp_check,
     kp_sum_audit,
@@ -20,6 +23,7 @@ from isingpoly.clusters import (
 )
 from isingpoly.graphs import (
     BudgetError,
+    build_complete_bipartite,
     build_cycle,
     build_even_torus,
     build_hypercube,
@@ -30,7 +34,8 @@ from isingpoly.model import ModelParams
 from isingpoly.polymers import (PolymerFamily, enumerate_polymers,
                                 polymer_weight, xi_brute)
 
-from oracles import brute_connected, brute_ursell, fraction_polymer_weight
+from oracles import (brute_connected, brute_ursell, fraction_polymer_weight,
+                     walk_clusters)
 
 F = Fraction
 
@@ -176,6 +181,103 @@ class TestClusterEnumeration:
             enumerate_clusters(g, "E", params(1, 1), k_max=5, enum_cap=10)
         with pytest.raises(BudgetError, match="Ursell cap"):
             enumerate_clusters(g, "E", params(1, 1), k_max=13)
+
+    @pytest.mark.parametrize("k_max,cap,match", [
+        (5, 10, "exceeded 10 multisets"),
+        # at k_max 13 the 13th multiset, {0, 2, 4 x 11}, is the first with
+        # 13 copies: at a cap of 12 both caps bind there and the multiset
+        # count, checked first, decides; at 13 only the Ursell cap binds
+        (13, 12, "exceeded 12 multisets"),
+        (13, 13, "13 polymer copies exceeds the Ursell cap"),
+        (13, None, "13 polymer copies exceeds the Ursell cap"),
+    ])
+    def test_budget_errors_match_the_oracle_walk(self, k_max, cap, match):
+        family = PolymerFamily(build_cycle(6), "E", params(1, 1),
+                               size_max=k_max)
+        with pytest.raises(BudgetError, match=match) as oracle:
+            list(walk_clusters(family, k_max, cap))
+        with pytest.raises(BudgetError, match=match) as walk:
+            _clusters(family, k_max, cap, lambda chosen, cluster: None)
+        assert str(walk.value) == str(oracle.value)
+
+    def test_one_ursell_evaluation_per_expanded_graph(self, monkeypatch):
+        # T6,2 at k_max 4: 31,482 multisets, 73 distinct expanded graphs
+        graphs = []
+        ursell_of = clusters_module._ursell
+        monkeypatch.setattr(clusters_module, "_ursell",
+                            lambda nbr: graphs.append(nbr) or ursell_of(nbr))
+        g = build_even_torus(6, 2)
+        for _ in range(2):
+            graphs.clear()
+            enumerate_clusters(g, "E", params(F(1, 2), F(1, 2)), k_max=4)
+            assert len(set(graphs)) == len(graphs) == 73
+
+
+WALK_GRAPHS = {"C6": build_cycle(6), "C8": build_cycle(8),
+               "Q3": build_hypercube(3), "Q4": build_hypercube(4),
+               "K3,3": build_complete_bipartite(3),
+               "T6,2": build_even_torus(6, 2)}
+
+
+def oracle_terms(g, prm, k_max: int, family, stream):
+    """L_1..L_{k_max} from the oracle walk's (chosen, cluster) stream over
+    the family, each polymer weighed by the Fraction product route."""
+    weights = [fraction_polymer_weight(g, prm, p.vertices)
+               for p in family.polymers]
+    terms = {k: F(0) for k in range(1, k_max + 1)}
+    for chosen, cl in stream:
+        terms[cl.size] += cl.orderings * cl.ursell_value * math.prod(
+            weights[i] ** mult for i, mult in chosen)
+    return terms
+
+
+WALK_PARAMS = pytest.mark.parametrize("lam,p", [(1, 1), (F(1, 2), F(1, 2))],
+                                      ids=["1,1", "1/2,1/2"])
+
+
+class TestClusterWalk:
+    @WALK_PARAMS
+    @pytest.mark.parametrize("name,k_max", [
+        *((name, k) for name in WALK_GRAPHS for k in (1, 2, 3, 4)),
+        ("C6", 5)])
+    def test_stream_and_terms_match_the_oracle_walk(self, name, k_max,
+                                                     lam, p):
+        g, prm = WALK_GRAPHS[name], params(lam, p)
+        family = PolymerFamily(g, "E", prm, size_max=k_max)
+        stream = []
+        _clusters(family, k_max, None,
+                  lambda chosen, cluster: stream.append((chosen, cluster)))
+        expected = list(walk_clusters(family, k_max))
+        assert stream == expected
+        assert enumerate_clusters(g, "E", prm, k_max=k_max) == \
+            [cluster for _, cluster in stream]
+        assert l_k(g, "E", prm, k=k_max) == \
+            oracle_terms(g, prm, k_max, family, expected)[k_max]
+
+    def test_walk_leaves_no_garbage_cycle(self):
+        # a reference cycle through the walk would hold what it emitted,
+        # or the family, until a full collection after the caller is done
+        g, prm = build_cycle(8), params(1, F(1, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_clusters(g, "E", prm, k_max=3)
+            l_k(g, "E", prm, k=3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @WALK_PARAMS
+    @pytest.mark.parametrize("name,k_max", [
+        ("C6", 5), ("C8", 4), ("Q3", 4), ("K3,3", 4)])
+    def test_truncation_terms_match_the_oracle_walk(self, name, k_max,
+                                                    lam, p):
+        g, prm = WALK_GRAPHS[name], params(lam, p)
+        report = log_xi_truncation_report(g, "E", prm, k_max=k_max)
+        family = PolymerFamily(g, "E", prm, size_max=k_max)
+        expected = oracle_terms(g, prm, k_max, family,
+                                walk_clusters(family, k_max))
+        assert {t["k"]: t["L_k"] for t in report["terms"]} == expected
 
 
 class TestExpansionTerms:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingpoly import polymers
@@ -187,9 +187,15 @@ PS = st.fractions(min_value=0, max_value=1,
 class TestWeightRoutes:
     @settings(max_examples=20, deadline=None)
     @given(g=st.sampled_from(WEIGHT_GRAPHS), lam=LAMBDAS, p=PS)
+    @example(g=WEIGHT_GRAPHS[-1], lam=Fraction(10 ** 30 + 1, 7 ** 40),
+             p=Fraction(3 ** 50, 2 ** 80))
+    @example(g=Q4, lam=Fraction(7 ** 40, 10 ** 30 + 1),
+             p=Fraction(2 ** 80 - 1, 2 ** 80))
     def test_integer_kernel_matches_the_fraction_product(self, g, lam, p):
         # every 2-linked set of at most 3 vertices, polymer or not (K3,3
-        # has no polymers), then the family's weights
+        # has no polymers), then the family's weights; the kernel reads
+        # 1-p from p's own ints, so the examples pin lambda and p with
+        # numerators and denominators past 64 bits
         side = g.side_E_mask
         sets = list(two_linked_sets(g, side, side, 3))
         for pr in (p, Fraction(0), Fraction(1)):
