@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import mpmath
-
 from .graphs import (
     AuditViolation,
     BipartiteGraph,
@@ -123,7 +121,7 @@ def _iterate_sets(g: BipartiteGraph, size_cap: int, mode: str = "exhaustive",
     if mode == "sampled" and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if size_cap < 1:
-        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
+        raise ValueError(f"size cap must be >= 1, got {size_cap}")
     rng = random.Random(seed)
     for side in ("E", "O"):
         if mode == "exhaustive":
@@ -354,6 +352,8 @@ def _hypotheses_hold(d: int, params: ModelParams, big_c) -> dict:
     """The two instantiated inequalities the split bounds assume:
     lam/(1+lam) >= 64C log d/d + 4 log(lam d^(C+1))/(beta d) and
     alpha_bar >= 4C log d/d + 10 log(2+lam) log(1+lam d)/(beta d)."""
+    import mpmath
+
     lam = params.lam
     with mpmath.workprec(LOG_PRECISION_BITS):
         beta = params.beta()
@@ -384,6 +384,8 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
     (1+lam)^d exp(-alpha_bar ell - C log d) and
     (1+lam)^d exp(-alpha_bar ell + d^-C). Bounds are asserted only when the
     hypothesis inequalities verify at (d, lam, p, C)."""
+    import mpmath
+
     require_positive_finite(C=big_c)
     d = family.d
     ell = Fraction(ell)
@@ -432,6 +434,8 @@ def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
     """Audit Z(family) <= (1+lam)^d exp(-(1/2) alpha_bar ell_psi + d^-C),
     the specialization of the split bound at ell = ell_psi / 2. Requires
     the empty set not be a member."""
+    import mpmath
+
     if family.has_empty:
         raise ValueError("the half-ell bound requires the empty set not "
                          "be in the family")
@@ -494,6 +498,8 @@ def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
     C* = -log(LHS/|D|) log d / ((b-a) alpha^2). No pass or fail: the
     container bound's constant is unspecified. Raises ValueError unless
     a >= 1, also when b < a leaves the class empty."""
+    import mpmath
+
     half = g.n // 2
     members = list(enumerate_g_ab(g, side, a, b, enum_cap))
     lhs = sum((polymer_weight(g, params, m) for m in members), Fraction(0))
@@ -525,6 +531,8 @@ def nonpolymer_weight_report(g: BipartiteGraph, params: ModelParams,
     """Exact total weight of the configurations captured on neither side,
     its ratio to the full partition function, and the decay exponent
     -log(ratio) d / n."""
+    import mpmath
+
     total, w1, w2, count = capture_classes(g, params, rho, sweep_cap)
     z = total + w1 + w2
     ratio = total / z

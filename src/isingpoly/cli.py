@@ -24,8 +24,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-import mpmath
-
 from .audit import (
     PropertyConstants,
     PsiFamily,
@@ -189,7 +187,9 @@ def load_graph(source: str, vertex_cap: int | None = None) -> BipartiteGraph:
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return format_rational(obj)
-    if isinstance(obj, mpmath.mpf):
+    # an mpf exists only once a log-scale report has loaded mpmath
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is not None and isinstance(obj, mpmath.mpf):
         value = float(obj)
         if mpmath.isfinite(obj) and (math.isinf(value)
                                      or (value == 0 and obj != 0)):

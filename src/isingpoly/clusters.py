@@ -14,14 +14,16 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .graphs import (DEFAULT_ENUM_CAP, AuditViolation, BipartiteGraph,
                      BudgetError, iter_bits)
 from .polymers import DEFAULT_RHO, Polymer, PolymerFamily, _weight_parts
 from .rationals import (LOG_PRECISION_BITS, float64_range, log_rational,
                         require_positive_finite, to_mpf)
+
+if TYPE_CHECKING:
+    import mpmath
 
 URSELL_VERTEX_CAP = 12
 
@@ -285,6 +287,8 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     against the tail bound |side| * f(1) * exp(-g(k)). enum_cap bounds the
     polymer enumeration and the cluster walk as in enumerate_clusters.
     """
+    import mpmath
+
     family = PolymerFamily(g, side, params, rho, enum_cap=enum_cap)
     by_size = _terms_by_size(family, k_max, enum_cap)
     xi = family.xi()
@@ -379,6 +383,8 @@ def lk_tail_shape(n: int, d: int, alpha_tilde: float, c1: float, c5: float,
     n * d^((c5+7)k - c5 - 1) * alpha_tilde^(-kd + c1 k^2), at 128-bit
     precision, so a shape past the float64 range is a number, not an
     error; report-only."""
+    import mpmath
+
     with mpmath.workprec(LOG_PRECISION_BITS):
         return n * mpmath.mpf(d) ** ((c5 + 7) * k - c5 - 1) * \
             mpmath.mpf(alpha_tilde) ** (-k * d + c1 * k * k)
@@ -395,7 +401,7 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
     evaluated alongside. Raises ValueError for a negative tail_depth.
     """
     if tail_depth < 0:
-        raise ValueError(f"tail_depth must be >= 0, got {tail_depth}")
+        raise ValueError(f"tail depth must be >= 0, got {tail_depth}")
     family = PolymerFamily(g, side, params, rho, size_max=size_max,
                            enum_cap=enum_cap)
     with float64_range("a term of the convergence-sum audit"):

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .graphs import BipartiteGraph, codegree, iter_bits
 from .polymers import DEFAULT_RHO, closure_cutoff, is_polymer_union
 from .rationals import LOG_PRECISION_BITS, to_mpf
@@ -112,6 +110,8 @@ def independent_set_count_estimate(n: int, d: int, p):
     """Leading-order estimate 2 * 2^(n/2) * exp(n (2-p)^d / 2^(d+1)) for the
     expected number of independent sets after p-percolation, as a
     high-precision real. No error term is attached."""
+    import mpmath
+
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0,1], got {p}")
@@ -124,6 +124,8 @@ def independent_set_count_estimate(n: int, d: int, p):
 def galvin_estimate(d: int, lam):
     """Evaluate 2 (1+lam)^(2^(d-1)) exp((lam/2)(2/(1+lam))^d) with the
     correction factor set to 1, as a high-precision real."""
+    import mpmath
+
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError(f"fugacity must be positive, got {lam}")

@@ -453,6 +453,16 @@ def is_two_linked(g: BipartiteGraph, a) -> bool:
     return reach(a & -a, a, g.two_ball) == a
 
 
+def closed_two_ball(g: BipartiteGraph, a: int) -> int:
+    """The mask a together with every vertex within distance 2 of it. Two
+    2-linked sets have a 2-linked union iff one meets the other's closed
+    2-ball."""
+    near = a
+    for v in iter_bits(a):
+        near |= g.two_ball[v]
+    return near
+
+
 def two_linked_components(g: BipartiteGraph, x) -> list[int]:
     """Maximal 2-linked components of X, as masks, ordered by smallest vertex."""
     rest = as_mask(x)

@@ -20,8 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .graphs import (
     AuditViolation,
@@ -38,6 +37,9 @@ from .graphs import (
 from .polymers import (DEFAULT_RHO, PolymerFamily, closure_cutoff,
                        is_polymer_union)
 from .rationals import LOG_PRECISION_BITS, float64_range, log_rational
+
+if TYPE_CHECKING:
+    import mpmath
 
 # Monte-Carlo draws are consumed in fixed blocks of this many samples; the
 # block layout is part of the reproducibility contract.
@@ -79,11 +81,15 @@ class ModelParams:
 
     def alpha_bar(self) -> mpmath.mpf:
         """log(alpha_tilde) at 128-bit precision; report-only."""
+        import mpmath
+
         with mpmath.workprec(LOG_PRECISION_BITS):
             return log_rational(self.alpha_tilde)
 
     def beta(self) -> mpmath.mpf:
         """-log(1-p) at 128-bit precision; +inf for the hard-core model."""
+        import mpmath
+
         if self.p == 1:
             return mpmath.inf
         with mpmath.workprec(LOG_PRECISION_BITS):

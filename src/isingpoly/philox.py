@@ -88,7 +88,7 @@ def _seed_pool(seed: int, spawn_words: int):
     words = _uint32_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
     pool = [_hashmix(word, *consts)
-            for word, consts in zip(words, _POOL_CONSTS)]
+            for word, consts in zip(words[:_POOL_SIZE], _POOL_CONSTS)]
     calls = iter(_POOL_CONSTS[_POOL_SIZE:])
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):

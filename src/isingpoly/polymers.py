@@ -21,6 +21,7 @@ from .graphs import (
     DEFAULT_ENUM_CAP,
     as_mask,
     bits,
+    closed_two_ball,
     closure,
     independent_set_table,
     is_two_linked,
@@ -219,10 +220,12 @@ def weight_bound_check(g: BipartiteGraph, params, a) -> bool:
 
 
 def compatible(g: BipartiteGraph, a, b) -> bool:
-    """Two same-side polymers are compatible iff their union is not 2-linked.
+    """Two same-side polymers are compatible iff their union is not
+    2-linked, that is, iff neither meets the other's closed 2-ball.
 
     Anti-reflexive: a polymer is incompatible with itself (A union A = A is
-    2-linked). Raises if the arguments live on different sides.
+    2-linked). Raises ValueError if the arguments live on different sides,
+    or if a raw mask is not 2-linked (a Polymer is by construction).
     """
     if isinstance(a, Polymer) and isinstance(b, Polymer) and a.side != b.side:
         raise ValueError(f"polymers on different sides: {a.side} vs {b.side}")
@@ -234,7 +237,10 @@ def compatible(g: BipartiteGraph, a, b) -> bool:
     if (am & g.side_E_mask and bm & g.side_O_mask) or (
             am & g.side_O_mask and bm & g.side_E_mask):
         raise ValueError("polymers on different sides")
-    return not is_two_linked(g, am | bm)
+    for x, m in ((a, am), (b, bm)):
+        if not isinstance(x, Polymer) and not is_two_linked(g, m):
+            raise ValueError(f"not a 2-linked set: {bits(m)}")
+    return not am & closed_two_ball(g, bm)
 
 
 class PolymerFamily:
@@ -243,12 +249,12 @@ class PolymerFamily:
     bitmasks (bit i of incompatible[j] is set iff polymers i and j are
     incompatible; every polymer is incompatible with itself).
 
-    Two 2-linked sets have a 2-linked union iff one meets the other's
-    2-ball, so each mask is the OR, over the side vertices within distance
-    2 of the polymer, of the polymers containing that vertex. The weights,
-    masks, Xi table and its integer copy are built on first use; the masks
-    take up to k^2/8 bytes for k polymers, so they are refused above
-    FAMILY_MASK_CAP polymers.
+    As in compatible, two polymers conflict iff one meets the other's
+    closed 2-ball, so each mask is the OR, over the side vertices within
+    distance 2 of the polymer, of the polymers containing that vertex. The
+    weights, masks, Xi table and its integer copy are built on first use;
+    the masks take up to k^2/8 bytes for k polymers, so they are refused
+    above FAMILY_MASK_CAP polymers.
     """
 
     def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
@@ -280,12 +286,9 @@ class PolymerFamily:
         for i, p in enumerate(self.polymers):
             for v in iter_bits(p.vertices):
                 containing[v] |= 1 << i
-        ball = self._graph.two_ball
         incompatible = []
         for p in self.polymers:
-            near = p.vertices
-            for v in iter_bits(p.vertices):
-                near |= ball[v]
+            near = closed_two_ball(self._graph, p.vertices)
             m = 0
             for v in iter_bits(near & self._side_mask):
                 m |= containing[v]
@@ -397,7 +400,10 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
             extend(chosen + (j,), weight * weights[j],
                    allowed & later_compatible[j])
 
-    extend((), Fraction(1), (1 << len(polys)) - 1)
+    try:
+        extend((), Fraction(1), (1 << len(polys)) - 1)
+    finally:
+        del extend  # a cycle through itself would hold out until a full GC
     return out
 
 

@@ -4,6 +4,8 @@ the refusal of float reports past the float64 range.
 
 All model weights in this package are fractions.Fraction values; JSON and
 CSV carry them as "p/q" strings so nothing is ever rounded on disk.
+mpmath serves only the log-scale reports, so it is imported inside the
+functions that build its values and loads with the first such report.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import contextlib
 import math
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 # Working precision of every log-scale report taken of an exact value.
 LOG_PRECISION_BITS = 128
@@ -49,12 +53,16 @@ def format_rational(x: Fraction) -> str:
 def to_mpf(x: Fraction) -> mpmath.mpf:
     """The Fraction as an mpmath real at the current precision; the one
     conversion every log-scale report takes of an exact value."""
+    import mpmath
+
     return mpmath.mpf(x.numerator) / x.denominator
 
 
 def log_rational(x: Fraction) -> mpmath.mpf:
     """log x of a nonnegative Fraction at the current mpmath precision;
     -inf at 0."""
+    import mpmath
+
     if x == 0:
         return mpmath.mpf("-inf")
     return mpmath.log(to_mpf(x))

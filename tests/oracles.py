@@ -21,8 +21,8 @@ import numpy as np
 from isingpoly.clusters import URSELL_VERTEX_CAP, Cluster, _ursell
 from isingpoly.graphs import (DEFAULT_ENUM_CAP, BipartiteGraph, BudgetError,
                               as_mask, bits, edge_subset_nbr,
-                              independent_set_table, iter_bits, neighborhood,
-                              popcount)
+                              independent_set_table, is_two_linked, iter_bits,
+                              neighborhood, popcount)
 from isingpoly.model import captured_on_side
 from isingpoly.polymers import enumerate_compatible_configs
 
@@ -60,6 +60,12 @@ def brute_is_two_linked(g: BipartiteGraph, a) -> bool:
         if v in du or du & set(g.adj[v]):
             parent[find(u)] = find(v)
     return len({find(v) for v in a}) == 1
+
+
+def union_compatible(g: BipartiteGraph, a: int, b: int) -> bool:
+    """Two same-side 2-linked sets are compatible iff their union is not
+    2-linked; the former route of polymers.compatible."""
+    return not is_two_linked(g, a | b)
 
 
 def brute_two_linked_sets(g: BipartiteGraph, v: int, ell_max: int) -> list[tuple[int, ...]]:

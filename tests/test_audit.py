@@ -314,7 +314,7 @@ class TestProductIso:
             check_product_iso(build_cycle(6), size_cap=2, s=s, t=t)
 
     def test_refuses_an_empty_sweep(self):
-        with pytest.raises(ValueError, match="size_cap"):
+        with pytest.raises(ValueError, match="size cap"):
             check_product_iso(build_hypercube(3), size_cap=0)
         # random.Random(-1) would repeat the stream of seed 1
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

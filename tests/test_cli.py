@@ -430,7 +430,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (("audit-iso", "--graph", "hypercube:3", "--property", "product",
-          "--size-cap", "0"), "size_cap must be >= 1"),
+          "--size-cap", "0"), "size cap must be >= 1"),
         (("audit-iso", "--graph", "cycle:6", "--property", "product",
           "--size-cap", "2", "--s", "0", "--t", "3"), "s >= 1 and t >= 1"),
         (("audit-iso", "--graph", "cycle:6", "--property", "product",
@@ -571,7 +571,7 @@ class TestExitCodes:
         (("audit-z", "--d", "4", "--lambda", "1", "--p", "1/2", "--C", "2",
           "--singletons", "-1"), "singletons must be >= 1, got -1"),
         (("audit-kp", "--graph", "cycle:6", "--lambda", "1/40", "--p", "1",
-          "--tail-depth", "-1"), "tail_depth must be >= 0, got -1"),
+          "--tail-depth", "-1"), "tail depth must be >= 0, got -1"),
         # a is checked whichever side of a the neighborhood size b lies
         (("audit-container", "--graph", "cycle:6", "--lambda", "1", "--p",
           "1/2", "--a", "0", "--b", "-1"), "closure size a must be >= 1"),
@@ -1171,15 +1171,25 @@ def test_readme_command_runs(capsys, monkeypatch, line):
     assert json.loads(out)
 
 
-@pytest.mark.parametrize("argv", [
-    ["-c", "import isingpoly.cli"],
-    ["-m", "isingpoly.cli", "zexact", "--graph", "cycle:6", "--lambda", "1",
-     "--p", "1/2"],
-])
-def test_exact_commands_do_not_import_numpy(argv):
-    # numpy costs most of the CLI's start-up; only the seeded routes
-    # (percolate-mc, sample-muhat) import it. -X importtime lists every
-    # module a cold run imports on stderr.
+# Cold runs of these subcommands import no mpmath, and no numpy but for the
+# seeded routes. clusters and audit-kp report on the log scale, so they load
+# mpmath: the positive controls.
+LIGHT_COMMANDS = ("gen", "zexact", "isets", "percolate-exact", "percolate-mc",
+                  "polymers", "xi", "tv", "sample-muhat", "closed-form",
+                  "audit-iso")
+SEEDED_COMMANDS = ("percolate-mc", "sample-muhat")
+LOG_SCALE_COMMANDS = ("clusters", "audit-kp")
+
+
+@pytest.mark.parametrize("case", ["isingpoly", "isingpoly.cli",
+                                  *LIGHT_COMMANDS, *LOG_SCALE_COMMANDS])
+def test_cold_run_imports_only_what_it_uses(case):
+    # numpy costs most of the CLI's start-up and mpmath most of the rest:
+    # only the seeded routes import numpy, and only the log-scale reports
+    # import mpmath. -X importtime lists every module a cold run imports
+    # on stderr.
+    argv = ["-c", f"import {case}"] if case.startswith("isingpoly") else \
+        ["-m", "isingpoly.cli", case, *FUZZ_BASES[case][-1]]
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                           env=dict(os.environ, PYTHONPATH=str(src)),
@@ -1189,4 +1199,6 @@ def test_exact_commands_do_not_import_numpy(argv):
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert "isingpoly.model" in imported
-    assert "numpy" not in imported
+    if case not in SEEDED_COMMANDS:
+        assert "numpy" not in imported
+    assert ("mpmath" in imported) == (case in LOG_SCALE_COMMANDS)

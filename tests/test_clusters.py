@@ -557,7 +557,7 @@ class TestKPSumAudit:
                           c2=10, c3=3, c5=0.5)
         assert kp_sum_audit(g, "E", prm, kpf, tail_depth=0)["tail_shapes"] \
             == []
-        with pytest.raises(ValueError, match="tail_depth must be >= 0"):
+        with pytest.raises(ValueError, match="tail depth must be >= 0"):
             kp_sum_audit(g, "E", prm, kpf, tail_depth=-1)
 
     def test_longer_cycle_has_two_element_polymers(self):

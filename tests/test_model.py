@@ -45,6 +45,7 @@ from isingpoly.model import (
     tv_distance,
     z_hat_sweep,
 )
+from isingpoly import philox
 from isingpoly.philox import philox_key
 from isingpoly.polymers import xi_brute
 from oracles import (
@@ -642,6 +643,13 @@ class TestSampler:
         for seed in self.KEY_SEEDS:
             for k in self.KEY_SPAWNS:
                 assert philox_key(seed, k) == self.numpy_key(seed, k)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 128) + 5, 1 << 200])
+    def test_seed_pool_has_numpy_four_words(self, seed):
+        # a seed's words past the fourth are mixed into the 4-word pool,
+        # never added to it
+        pool, groups = philox._seed_pool(seed, 2)
+        assert len(pool) == 4 and len(groups) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 1 << 300), k=st.integers(0, 1 << 70))

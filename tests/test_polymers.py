@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -40,7 +41,8 @@ from isingpoly.polymers import (
     xi_brute,
 )
 from oracles import (brute_is_two_linked, decorated_weight,
-                     fraction_configuration_at, fraction_polymer_weight)
+                     fraction_configuration_at, fraction_polymer_weight,
+                     union_compatible)
 
 
 def make_polymer(g, a):
@@ -231,6 +233,24 @@ class TestCompatibility:
         with pytest.raises(ValueError, match="side"):
             compatible(Q3, make_polymer(Q3, {0}), make_polymer(Q3, {1}))
 
+    def test_raw_mask_must_be_two_linked(self):
+        # {0, 15} on Q4 are at distance 4
+        with pytest.raises(ValueError, match="2-linked"):
+            compatible(Q4, {0, 15}, {3})
+        with pytest.raises(ValueError, match="2-linked"):
+            compatible(Q4, {3}, {0, 15})
+
+    @pytest.mark.parametrize("g", [C6, Q3, Q4, build_even_torus(6, 2)],
+                             ids=["C6", "Q3", "Q4", "T6,2"])
+    def test_two_ball_rule_equals_the_union_rule(self, g):
+        for side in ("E", "O"):
+            polys = list(enumerate_polymers(g, side, size_max=3))
+            for i, a in enumerate(polys):
+                for b in polys[i:]:
+                    expected = union_compatible(g, a.vertices, b.vertices)
+                    assert compatible(g, a, b) == expected
+                    assert compatible(g, b.vertices, a.vertices) == expected
+
 
 class TestPolymerFamily:
     @pytest.mark.parametrize("g,size_max", [
@@ -243,7 +263,7 @@ class TestPolymerFamily:
         for j, b in enumerate(family.polymers):
             for i, a in enumerate(family.polymers):
                 assert bool(family.incompatible[j] >> i & 1) == \
-                    (not compatible(g, a, b))
+                    (not union_compatible(g, a.vertices, b.vertices))
 
     def test_masks_refused_above_cap(self, monkeypatch):
         monkeypatch.setattr(polymers, "FAMILY_MASK_CAP", 3)
@@ -359,6 +379,17 @@ class TestXi:
                    for m, t in table.items())
         assert scale == math.lcm(*(v.denominator
                                    for v in family.table.values()))
+
+    def test_configurations_leave_no_garbage_cycle(self):
+        # a reference cycle through the recursion would hold the returned
+        # list and the family until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            assert enumerate_compatible_configs(Q3, "O", HALF)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_configurations_count_against_the_cap(self):
         g = build_cycle(12)
