@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .graphs import (DEFAULT_ENUM_CAP, AuditViolation, BipartiteGraph,
                      BudgetError, iter_bits)
-from .polymers import DEFAULT_RHO, Polymer, PolymerFamily, _weight_parts
+from .polymers import DEFAULT_RHO, Polymer, PolymerFamily
 from .rationals import (LOG_PRECISION_BITS, float64_range, log_rational,
                         require_positive_finite, to_mpf)
 
@@ -75,36 +75,40 @@ def ursell(k: int, edges) -> Fraction:
     return _ursell(nbr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cluster:
     """A multiset of polymers with connected incompatibility structure.
 
-    entries pairs each distinct polymer with its multiplicity; size is the
-    total vertex count (multiplicity-weighted); orderings counts the ordered
-    tuples this multiset represents; ursell_value is the Ursell function of
-    the expanded incompatibility graph.
+    entries pairs each distinct polymer of family with its multiplicity;
+    size is the total vertex count (multiplicity-weighted); orderings counts
+    the ordered tuples this multiset represents; ursell_value is the Ursell
+    function of the expanded incompatibility graph.
     """
 
     entries: tuple[tuple[Polymer, int], ...]
     size: int
     orderings: int
     ursell_value: Fraction
+    family: PolymerFamily = field(compare=False, repr=False)
 
     def weight(self, g: BipartiteGraph, params) -> Fraction:
         """orderings * ursell * the product of the entries' polymer weights
-        at (g, params), multiplied out in integers from each polymer's
-        _weight_parts and reduced once."""
-        return _cluster_weight(self, ((_weight_parts(g, params, poly.vertices),
-                                       mult) for poly, mult in self.entries))
+        at params, in integers from family.parts_at(params), reduced once;
+        a g other than family.graph raises ValueError."""
+        if g is not self.family.graph and g != self.family.graph:
+            raise ValueError("the cluster's polymers belong to another graph")
+        return _cluster_weight(self, self.family.parts_at(params))
 
 
 def _cluster_weight(cluster: Cluster, parts) -> Fraction:
-    """orderings * ursell * prod (num/den)^mult over the ((num, den), mult)
-    pairs in parts, as one integer numerator and denominator and a single
-    Fraction; the formula behind Cluster.weight and the L_k sums."""
+    """orderings * ursell * prod (num/den)^mult over the entries (poly,
+    mult), with (num, den) = parts[poly.vertices], as one integer numerator
+    and denominator and a single Fraction; the formula behind Cluster.weight
+    and the L_k sums."""
     num = cluster.orderings * cluster.ursell_value.numerator
     den = cluster.ursell_value.denominator
-    for (n, d), mult in parts:
+    for poly, mult in cluster.entries:
+        n, d = parts[poly.vertices]
         num *= n ** mult
         den *= d ** mult
     return Fraction(num, den)
@@ -168,7 +172,8 @@ def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
                     emit(multiset, Cluster(
                         entries=tuple((polys[i], m) for i, m in multiset),
                         size=grown, ursell_value=value,
-                        orderings=math.factorial(n + mult) // factorials))
+                        orderings=math.factorial(n + mult) // factorials,
+                        family=family))
                 if grown < k_max:
                     extend(j + 1, multiset, grown, grew, factorials)
                 mult += 1
@@ -187,9 +192,8 @@ def _terms_by_size(family: PolymerFamily, k_max: int,
     by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
     parts = family.weight_parts
 
-    def add(chosen, cluster: Cluster) -> None:
-        by_size[cluster.size] += _cluster_weight(
-            cluster, ((parts[i], mult) for i, mult in chosen))
+    def add(_, cluster: Cluster) -> None:
+        by_size[cluster.size] += _cluster_weight(cluster, parts)
 
     _clusters(family, k_max, enum_cap, add)
     return by_size

@@ -18,8 +18,6 @@ import math
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-VertexSet = "int | Iterable[int]"
-
 DEFAULT_VERTEX_CAP = 4096
 # Full 2^n subset sweeps are refused above this many vertices.
 DEFAULT_SWEEP_CAP = 26
@@ -451,16 +449,6 @@ def is_two_linked(g: BipartiteGraph, a) -> bool:
     if a == 0:
         raise ValueError("2-linkedness of the empty set is undefined")
     return reach(a & -a, a, g.two_ball) == a
-
-
-def closed_two_ball(g: BipartiteGraph, a: int) -> int:
-    """The mask a together with every vertex within distance 2 of it. Two
-    2-linked sets have a 2-linked union iff one meets the other's closed
-    2-ball."""
-    near = a
-    for v in iter_bits(a):
-        near |= g.two_ball[v]
-    return near
 
 
 def two_linked_components(g: BipartiteGraph, x) -> list[int]:

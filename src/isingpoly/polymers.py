@@ -21,7 +21,6 @@ from .graphs import (
     DEFAULT_ENUM_CAP,
     as_mask,
     bits,
-    closed_two_ball,
     closure,
     independent_set_table,
     is_two_linked,
@@ -40,13 +39,6 @@ FAMILY_MASK_CAP = 1 << 15
 LITERAL_BOUNDARY_CAP = 20
 
 
-def validate_rho(rho) -> Fraction:
-    rho = Fraction(rho)
-    if not Fraction(1, 2) < rho < 1:
-        raise ValueError(f"rho must lie strictly between 1/2 and 1, got {rho}")
-    return rho
-
-
 def closure_cutoff(g: BipartiteGraph, rho) -> int:
     """floor(rho * |side|), the largest closure a polymer may have. Closure
     sizes are ints, so comparing them with this int decides exactly what
@@ -59,7 +51,9 @@ def closure_cutoff(g: BipartiteGraph, rho) -> int:
 
 @lru_cache(maxsize=256)
 def _closure_limit(half: int, num: int, den: int) -> int:
-    validate_rho(Fraction(num, den))
+    if not Fraction(1, 2) < Fraction(num, den) < 1:
+        raise ValueError(f"rho must lie strictly between 1/2 and 1, "
+                         f"got {Fraction(num, den)}")
     return num * half // den
 
 
@@ -104,7 +98,7 @@ def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
     if size_max is None:
         size_max = cutoff
     if size_max < 1:
-        raise ValueError(f"size_max must be >= 1, got {size_max}")
+        raise ValueError(f"size max must be >= 1, got {size_max}")
     side_m = g.side_mask(side)
     for a in two_linked_sets(g, side_m, side_m, size_max, enum_cap):
         cl = closure(g, a, side=side)
@@ -221,14 +215,18 @@ def weight_bound_check(g: BipartiteGraph, params, a) -> bool:
 
 def compatible(g: BipartiteGraph, a, b) -> bool:
     """Two same-side polymers are compatible iff their union is not
-    2-linked, that is, iff neither meets the other's closed 2-ball.
+    2-linked. Same-side vertices lie at even distance, so that union is
+    2-linked iff A meets B or N(A) meets N(B); A and N(B) lie on opposite
+    sides, so this holds iff the footprints A | N(A) and B | N(B) meet.
 
     Anti-reflexive: a polymer is incompatible with itself (A union A = A is
     2-linked). Raises ValueError if the arguments live on different sides,
     or if a raw mask is not 2-linked (a Polymer is by construction).
     """
-    if isinstance(a, Polymer) and isinstance(b, Polymer) and a.side != b.side:
-        raise ValueError(f"polymers on different sides: {a.side} vs {b.side}")
+    if isinstance(a, Polymer) and isinstance(b, Polymer):
+        if a.side != b.side:
+            raise ValueError(f"polymers on different sides: {a.side} vs {b.side}")
+        return not (a.vertices | a.boundary) & (b.vertices | b.boundary)
     am = _vertices_of(a)
     bm = _vertices_of(b)
     for m in (am, bm):
@@ -240,7 +238,7 @@ def compatible(g: BipartiteGraph, a, b) -> bool:
     for x, m in ((a, am), (b, bm)):
         if not isinstance(x, Polymer) and not is_two_linked(g, m):
             raise ValueError(f"not a 2-linked set: {bits(m)}")
-    return not am & closed_two_ball(g, bm)
+    return not (am | neighborhood(g, am)) & (bm | neighborhood(g, bm))
 
 
 class PolymerFamily:
@@ -249,32 +247,40 @@ class PolymerFamily:
     bitmasks (bit i of incompatible[j] is set iff polymers i and j are
     incompatible; every polymer is incompatible with itself).
 
-    As in compatible, two polymers conflict iff one meets the other's
-    closed 2-ball, so each mask is the OR, over the side vertices within
-    distance 2 of the polymer, of the polymers containing that vertex. The
-    weights, masks, Xi table and its integer copy are built on first use;
-    the masks take up to k^2/8 bytes for k polymers, so they are refused
-    above FAMILY_MASK_CAP polymers.
+    As in compatible, two polymers conflict iff their footprints A | N(A)
+    meet, so each mask ORs, over the polymer's footprint, the polymers whose
+    footprint holds that vertex. The weights, masks, Xi table and its
+    integer copy are built on first use; the masks take up to k^2/8 bytes
+    for k polymers, so they are refused above FAMILY_MASK_CAP polymers.
     """
 
     def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
                  size_max: int | None = None, enum_cap: int | None = None):
         self.polymers = tuple(enumerate_polymers(g, side, rho, size_max=size_max,
                                                  enum_cap=enum_cap))
-        self._graph = g
+        self.graph = g
         self._params = params
-        self._side_mask = g.side_mask(side)
+        self._parts: dict = {}  # params -> parts_at(params)
+        self._last = (None, {})  # the params parts_at read last, and parts
+
+    def parts_at(self, params) -> dict[int, tuple[int, int]]:
+        """Each polymer's weight at params as the unreduced (num, den) pair
+        of _weight_parts, keyed by vertex mask; built once per params."""
+        if params is not self._last[0]:  # hash params only on a change
+            if params not in self._parts:
+                self._parts[params] = {p.vertices: _weight_parts(
+                    self.graph, params, p.vertices) for p in self.polymers}
+            self._last = (params, self._parts[params])
+        return self._last[1]
 
     @cached_property
-    def weight_parts(self) -> tuple[tuple[int, int], ...]:
-        """Each polymer's weight as the unreduced (num, den) integer pair of
-        _weight_parts, for products that reduce once at the end."""
-        return tuple(_weight_parts(self._graph, self._params, p.vertices)
-                     for p in self.polymers)
+    def weight_parts(self) -> dict[int, tuple[int, int]]:
+        """parts_at the family's own params."""
+        return self.parts_at(self._params)
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(*parts) for parts in self.weight_parts)
+        return tuple(Fraction(*parts) for parts in self.weight_parts.values())
 
     @cached_property
     def incompatible(self) -> tuple[int, ...]:
@@ -282,16 +288,17 @@ class PolymerFamily:
         if k > FAMILY_MASK_CAP:
             raise BudgetError(f"incompatibility masks for {k} polymers exceed "
                               f"the cap of {FAMILY_MASK_CAP} polymers")
-        containing = [0] * self._graph.n
-        for i, p in enumerate(self.polymers):
-            for v in iter_bits(p.vertices):
-                containing[v] |= 1 << i
+        feet = [bits(p.vertices | p.boundary) for p in self.polymers]
+        holding = [0] * self.graph.n
+        for i, foot in enumerate(feet):
+            bit = 1 << i
+            for v in foot:
+                holding[v] |= bit
         incompatible = []
-        for p in self.polymers:
-            near = closed_two_ball(self._graph, p.vertices)
+        for foot in feet:
             m = 0
-            for v in iter_bits(near & self._side_mask):
-                m |= containing[v]
+            for v in foot:
+                m |= holding[v]
             incompatible.append(m)
         return tuple(incompatible)
 
@@ -354,7 +361,7 @@ class PolymerFamily:
                 else:
                     hi = mid
             config.append(self.polymers[lo])
-            w_num, w_den = self.weight_parts[lo]
+            w_num, w_den = self.weight_parts[config[-1].vertices]
             a, b = (table[rest >> lo << lo] * b - yb) * w_den, b * w_num
             rest = (rest >> hi << hi) & ~self.incompatible[lo]
         return tuple(config)

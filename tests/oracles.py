@@ -358,7 +358,8 @@ def walk_clusters(family, k_max: int, enum_cap: int | None = None):
                     math.prod(math.factorial(m) for _, m in chosen)
                 yield chosen, Cluster(
                     entries=tuple((polys[i], m) for i, m in chosen),
-                    size=size, orderings=orderings, ursell_value=value)
+                    size=size, orderings=orderings, ursell_value=value,
+                    family=family)
         candidates = fitting[k_max - size]
         for j in candidates[bisect_left(candidates, start):]:
             mult = 1

@@ -581,12 +581,17 @@ class TestExitCodes:
           "-1"), "seed must be >= 0, got -1"),
         (("xi", "--graph", "cycle:6", "--lambda", "1", "--p", "1",
           "--budget", "5"), "graph would have 6 vertices, budget is 5"),
+        (("polymers", "--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
+          "--size-max", "0"), "size max must be >= 1, got 0"),
+        (("audit-kp", "--graph", "cycle:6", "--lambda", "1/40", "--p", "1",
+          "--mode", "sum", "--size-max", "0"), "size max must be >= 1, got 0"),
     ])
     def test_values_out_of_range_exit_one(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert message in err
+        assert "Traceback" not in err
 
     def test_kp_truncation_refuses_a_sum_constant(self, capsys):
         code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6",

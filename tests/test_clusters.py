@@ -2,6 +2,7 @@
 multiset enumeration censuses, exact expansion terms, and the convergence
 condition with its truncation tail bound."""
 
+import collections
 import gc
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import combinations, product
 import pytest
 
 from isingpoly import clusters as clusters_module
+from isingpoly import polymers as polymers_module
 from isingpoly.clusters import (
     KPFunctions,
     _clusters,
@@ -362,6 +364,37 @@ class TestClusterWeightParams:
                 for poly, mult in cl.entries)
             sums[cl.size] += w
         assert sums == {k: l_k(g, "E", other, k=k) for k in (1, 2, 3)}
+
+    def test_each_params_weighs_each_polymer_once(self, monkeypatch):
+        g = build_even_torus(4, 2)
+        own = params(1, F(1, 2))
+        clusters = enumerate_clusters(g, "E", own, k_max=3)
+        distinct = {poly.vertices for cl in clusters for poly, _ in cl.entries}
+        weight_parts = polymers_module._weight_parts
+        calls = collections.Counter()
+
+        def counted(graph, prm, a):
+            calls[prm] += 1
+            return weight_parts(graph, prm, a)
+
+        monkeypatch.setattr(polymers_module, "_weight_parts", counted)
+        # an equal params object reads the same parts as the family's own
+        weighed = [params(F(2, 3), F(1, 3)), own, params(1, F(1, 2)), own]
+        for prm in weighed:
+            for cl in clusters:
+                cl.weight(g, prm)
+        assert calls == {prm: len(distinct) for prm in weighed}
+
+    def test_weight_refuses_another_graph(self):
+        g = build_even_torus(4, 2)
+        prm = params(1, F(1, 2))
+        cluster = enumerate_clusters(g, "E", prm, k_max=2)[-1]
+        expected = cluster.weight(g, prm)
+        assert cluster.weight(build_even_torus(4, 2), prm) == expected
+        other = build_hypercube(4)
+        assert other != g
+        with pytest.raises(ValueError, match="another graph"):
+            cluster.weight(other, prm)
 
 
 class TestKPCheck:

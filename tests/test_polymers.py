@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,19 @@ class TestCompatibility:
                     expected = union_compatible(g, a.vertices, b.vertices)
                     assert compatible(g, a, b) == expected
                     assert compatible(g, b.vertices, a.vertices) == expected
+
+    @pytest.mark.parametrize("g", [Q4, build_even_torus(4, 2)],
+                             ids=["Q4", "T4,2"])
+    def test_raw_masks_follow_the_union_rule(self, g):
+        # 2-linked masks up to size 5, polymers or not, in both orders
+        rng = random.Random(4)
+        for side in (g.side_E_mask, g.side_O_mask):
+            sets = two_linked_sets(g, side, side, 5)
+            for _ in range(300):
+                a, b = rng.choice(sets), rng.choice(sets)
+                expected = union_compatible(g, a, b)
+                assert compatible(g, a, b) == expected
+                assert compatible(g, b, a) == expected
 
 
 class TestPolymerFamily:
