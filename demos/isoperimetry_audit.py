@@ -4,9 +4,9 @@ The asymptotic analysis rests on expansion hypotheses for small 2-linked
 sets. On desk-scale graphs those hypotheses can be checked outright: sweep
 every set up to a size cap, count its neighborhood exactly, and compare
 with the claimed float bound. The script runs the per-family expansion
-conditions, the codegree cap on declared product graphs, and the split
-audit for the psi-family partition function, whose hypotheses only engage
-at large degree.
+conditions, the codegree cap on declared product graphs, the split audit
+for the psi-family partition function, whose hypotheses only engage at
+large degree, and the weight of the configurations no side captures.
 """
 
 from fractions import Fraction as F

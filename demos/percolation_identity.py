@@ -2,8 +2,9 @@
 
 The partition function Z(lambda, p) has a second life: open each edge
 independently with probability p, count the independent sets of the open
-subgraph at activity lambda, and average. Both routes are exact rational
-sweeps here, so the comparison is equality, not approximation. A seeded
+subgraph at activity lambda, and average. Both routes are exact here (a
+boundary dynamic program for Z, a sweep over all 2^|E| subgraphs for the
+average), so the comparison is equality, not approximation. A seeded
 Monte Carlo estimate of the same average is shown last.
 """
 
@@ -38,7 +39,7 @@ def main():
     print(f"  exact    {float(exact):.6f}  ({exact})")
     print(f"  estimate {mean:.6f} +- {stderr:.6f}  ({sigmas:.2f} stderr off)")
 
-    # same seed, same bits: the generator is counter-based per sample
+    # same seed, same bits: each block of samples has its own Philox key
     again, _ = percolation_mc(g, params, samples=100_000, seed=2024)
     print(f"  reproducible: {mean == again}")
 

@@ -377,6 +377,26 @@ def _hypotheses_hold(d: int, params: ModelParams, big_c) -> dict:
         }
 
 
+def _log_bound(name: str, z: Fraction, d: int, ell: Fraction,
+               params: ModelParams, big_c, high: bool, asserted: bool) -> dict:
+    """The one verdict of the psi-family bounds: log z <= d log(1+lam) -
+    alpha_bar ell + d^-C (high) or - C log d (low), at 128 bits with the
+    2^-64 relative SLACK. Raises AuditViolation naming the bound when it is
+    asserted and fails."""
+    import mpmath
+
+    with mpmath.workprec(LOG_PRECISION_BITS):
+        log_rhs = d * log_rational(1 + params.lam) - \
+            params.alpha_bar() * to_mpf(ell)
+        log_rhs = log_rhs + mpmath.mpf(d) ** (-big_c) if high else \
+            log_rhs - big_c * mpmath.log(d)
+        log_lhs = log_rational(z)
+        ok = bool(log_lhs <= log_rhs * (1 + SLACK) + SLACK)
+    if asserted and not ok:
+        raise AuditViolation(f"{name} bound violated with hypotheses holding")
+    return {"log_lhs": log_lhs, "log_rhs": log_rhs, "ok": ok}
+
+
 def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
                       big_c) -> dict:
     """Split the family at s = ((d - ell)/2)(lam/(1+lam)) and compare both
@@ -384,8 +404,6 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
     (1+lam)^d exp(-alpha_bar ell - C log d) and
     (1+lam)^d exp(-alpha_bar ell + d^-C). Bounds are asserted only when the
     hypothesis inequalities verify at (d, lam, p, C)."""
-    import mpmath
-
     require_positive_finite(C=big_c)
     d = family.d
     ell = Fraction(ell)
@@ -399,70 +417,39 @@ def z_psi_split_audit(family: PsiFamily, ell, params: ModelParams,
     z_low = z_psi(low, params)
     z_high = z_psi(high, params)
     hyp = _hypotheses_hold(d, params, big_c)
-    with mpmath.workprec(LOG_PRECISION_BITS):
-        abar = params.alpha_bar()
-        ell_f = to_mpf(ell)
-        base = d * log_rational(1 + lam)
-        log_rhs_low = base - abar * ell_f - big_c * mpmath.log(d)
-        log_rhs_high = base - abar * ell_f + mpmath.mpf(d) ** (-big_c)
-        low_ok = log_rational(z_low) <= log_rhs_low * (1 + SLACK) + SLACK
-        high_ok = log_rational(z_high) <= log_rhs_high * (1 + SLACK) + SLACK
-        report = {
-            "s": s,
-            "ell": ell,
-            "low_sizes": low.sizes(),
-            "high_sizes": high.sizes(),
-            "split_identity_ok": (not family.has_empty and
-                                  z_low + z_high == z_psi(family, params)),
-            "hypotheses": hyp,
-            "low": {"log_lhs": log_rational(z_low), "log_rhs": log_rhs_low,
-                    "ok": bool(low_ok)},
-            "high": {"log_lhs": log_rational(z_high), "log_rhs": log_rhs_high,
-                     "ok": bool(high_ok)},
-            "slack": "2^-64 relative",
-            "asserted": hyp["holds"],
-        }
-    for name, bound_ok in (("low", low_ok), ("high", high_ok)):
-        if hyp["holds"] and not bound_ok:
-            raise AuditViolation(
-                f"{name} split bound violated with hypotheses holding")
-    return report
+    return {
+        "s": s,
+        "ell": ell,
+        "low_sizes": low.sizes(),
+        "high_sizes": high.sizes(),
+        "split_identity_ok": (not family.has_empty and
+                              z_low + z_high == z_psi(family, params)),
+        "hypotheses": hyp,
+        "low": _log_bound("low split", z_low, d, ell, params, big_c,
+                          high=False, asserted=hyp["holds"]),
+        "high": _log_bound("high split", z_high, d, ell, params, big_c,
+                           high=True, asserted=hyp["holds"]),
+        "slack": "2^-64 relative",
+        "asserted": hyp["holds"],
+    }
 
 
 def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
                         big_c) -> dict:
-    """Audit Z(family) <= (1+lam)^d exp(-(1/2) alpha_bar ell_psi + d^-C),
-    the specialization of the split bound at ell = ell_psi / 2. Requires
-    the empty set not be a member."""
-    import mpmath
-
+    """Audit Z(family) <= (1+lam)^d exp(-(1/2) alpha_bar ell_psi + d^-C):
+    the high split bound at ell = ell_psi / 2, over the whole family.
+    Requires the empty set not be a member."""
     if family.has_empty:
         raise ValueError("the half-ell bound requires the empty set not "
                          "be in the family")
     require_positive_finite(C=big_c)
-    d = family.d
-    lam = params.lam
     total = z_psi(family, params)
-    hyp = _hypotheses_hold(d, params, big_c)
-    with mpmath.workprec(LOG_PRECISION_BITS):
-        abar = params.alpha_bar()
-        base = d * log_rational(1 + lam)
-        log_rhs = base - abar * ell_psi(family) / 2 + \
-            mpmath.mpf(d) ** (-big_c)
-        log_lhs = log_rational(total)
-        ok = bool(log_lhs <= log_rhs * (1 + SLACK) + SLACK)
-        report = {
-            "ell_psi": ell_psi(family),
-            "hypotheses": hyp,
-            "log_lhs": log_lhs,
-            "log_rhs": log_rhs,
-            "ok": ok,
-            "slack": "2^-64 relative",
-            "asserted": hyp["holds"],
-        }
-    if hyp["holds"] and not ok:
-        raise AuditViolation("half-ell bound violated with hypotheses holding")
-    return report
+    hyp = _hypotheses_hold(family.d, params, big_c)
+    bound = _log_bound("half-ell", total, family.d,
+                       Fraction(ell_psi(family), 2), params, big_c,
+                       high=True, asserted=hyp["holds"])
+    return {"ell_psi": ell_psi(family), "hypotheses": hyp, **bound,
+            "slack": "2^-64 relative", "asserted": hyp["holds"]}
 
 
 # -- container and nonpolymer sums --------------------------------------------

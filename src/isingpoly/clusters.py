@@ -394,22 +394,27 @@ def lk_tail_shape(n: int, d: int, alpha_tilde: float, c1: float, c5: float,
             mpmath.mpf(alpha_tilde) ** (-k * d + c1 * k * k)
 
 
-def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
-                 rho=DEFAULT_RHO, size_max: int = 3,
-                 tail_depth: int = 3, enum_cap: int | None = None) -> dict:
+def kp_sum_audit(g: BipartiteGraph, side: str, params, c1, c2, c3, c5,
+                 rho=DEFAULT_RHO, size_max: int = 3, tail_depth: int = 3,
+                 enum_cap: int | None = None) -> dict:
     """Per-vertex audit of the convergence sums: for every v on the side,
     the sum over enumerated polymers containing v of omega(A) e^{f+g},
-    against the target d^-(c5+3). A report with margins, never an
-    assertion: at desk-scale degree the asymptotic claim has no obligation
-    to hold. The expansion-tail bound shapes for k = 1..tail_depth are
-    evaluated alongside. Raises ValueError for a negative tail_depth.
+    with the KPFunctions of (g.d, alpha_tilde, c1, c2, c3, c5), against the
+    target d^-(c5+3). A report with margins, never an assertion: at
+    desk-scale degree the asymptotic claim has no obligation to hold. The
+    expansion-tail bound shapes for k = 1..tail_depth are evaluated
+    alongside. Raises ValueError for alpha_tilde past the float64 range,
+    then for a constant outside (0, inf), then for a negative tail_depth.
     """
+    with float64_range("alpha_tilde = (1+lambda)/(1+lambda(1-p))"):
+        alpha_tilde = float(params.alpha_tilde)
+    kpf = KPFunctions(g.d, alpha_tilde, c1, c2, c3, c5)
     if tail_depth < 0:
         raise ValueError(f"tail depth must be >= 0, got {tail_depth}")
     family = PolymerFamily(g, side, params, rho, size_max=size_max,
                            enum_cap=enum_cap)
     with float64_range("a term of the convergence-sum audit"):
-        target = g.d ** -(kpf.c5 + 3)
+        target = g.d ** -(c5 + 3)
         per_vertex: dict[int, float] = {}
         per_size: dict[int, float] = {}
         for poly, weight in zip(family.polymers, family.weights):
@@ -419,7 +424,7 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, kpf: KPFunctions,
             for v in iter_bits(poly.vertices):
                 per_vertex[v] = per_vertex.get(v, 0.0) + term
     # the shapes only report, so their range never decides the audit
-    tail_shapes = [lk_tail_shape(g.n, g.d, kpf.alpha_tilde, kpf.c1, kpf.c5, k)
+    tail_shapes = [lk_tail_shape(g.n, g.d, alpha_tilde, c1, c5, k)
                    for k in range(1, tail_depth + 1)]
     worst = max(per_vertex.values()) if per_vertex else 0.0
     return {

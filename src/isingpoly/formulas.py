@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import BipartiteGraph, codegree, iter_bits
+from .model import ModelParams
 from .polymers import DEFAULT_RHO, closure_cutoff, is_polymer_union
 from .rationals import LOG_PRECISION_BITS, to_mpf
 
@@ -139,7 +140,8 @@ def galvin_estimate(d: int, lam):
 class ExpansionEstimate:
     """Leading exponent plus optional exact higher terms, with the magnitude
     envelope n d^{2(j-1)} lam^j alpha_tilde^{-dj} for |L_j| (the implied
-    constant is unspecified, so envelope comparisons are reports)."""
+    constant is unspecified, so envelope comparisons are reports). lam and
+    p are checked as ModelParams: lam > 0 and p in [0, 1], or ValueError."""
 
     n: int
     d: int
@@ -148,8 +150,9 @@ class ExpansionEstimate:
     terms: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "p", Fraction(self.p))
+        params = ModelParams(self.lam, self.p)
+        object.__setattr__(self, "lam", params.lam)
+        object.__setattr__(self, "p", params.p)
         if self.leading_exponent < 0:
             raise ValueError("leading exponent must be nonnegative")
 
@@ -159,7 +162,7 @@ class ExpansionEstimate:
 
     @property
     def alpha_tilde(self) -> Fraction:
-        return (1 + self.lam) / (1 + self.lam * (1 - self.p))
+        return ModelParams(self.lam, self.p).alpha_tilde
 
     def envelope(self, j: int) -> float:
         if j < 1:

@@ -467,6 +467,22 @@ class TestZPsiHalfell:
         with pytest.raises(AssertionError, match="half-ell bound violated"):
             z_psi_halfell_audit(fam, ModelParams(1, 1), 1)
 
+    @pytest.mark.parametrize("d", [3, 40, 1000])
+    @pytest.mark.parametrize("lam,p", [(F(1), F(1)), (F(1, 10), F(1)),
+                                       (F(2), F(1, 2)), (F(1, 3), F(1, 7))])
+    @pytest.mark.parametrize("big_c", [0.5, 1, 2.5])
+    def test_bound_is_the_high_split_bound_at_half_ell(self, d, lam, p,
+                                                       big_c):
+        fam = PsiFamily(d, ({0}, {1}) if d == 3 else
+                        tuple(frozenset({i}) for i in range(7)) +
+                        (frozenset(range(d // 3)),))
+        params = ModelParams(lam, p)
+        half = z_psi_halfell_audit(fam, params, big_c)
+        split = z_psi_split_audit(fam, F(ell_psi(fam), 2), params, big_c)
+        assert isinstance(half["log_rhs"], mpmath.mpf)
+        assert half["log_rhs"] == split["high"]["log_rhs"]
+        assert half["hypotheses"] == split["hypotheses"]
+
     def test_small_d_report_only(self):
         fam = PsiFamily(3, ({0}, {1}))
         report = z_psi_halfell_audit(fam, ModelParams(1, F(1, 2)), 1)

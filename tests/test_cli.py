@@ -262,6 +262,38 @@ class TestExitCodes:
         assert parse_rational(" 3e-4300 ") == F(3, 10 ** 4300)
         assert parse_rational("1e00004300") == 10 ** 4300
 
+    @pytest.mark.parametrize("argv", [
+        ("zexact", "--graph", "cycle:4000", "--lambda", "1/3", "--p", "1/7",
+         "--budget", "4000"),
+        ("closed-form", "--family", "torus", "--m", "6", "--t", "2000",
+         "--p", "1/2"),
+        ("closed-form", "--family", "torus", "--m", "6", "--t", "2000",
+         "--p", "1/2", "--format", "csv"),
+        # a plain int, such as the count isets --graph cycle:21000 takes
+        # seconds to reach
+        ("isets", "--graph", "cycle:6"),
+    ])
+    def test_output_past_the_int_string_limit_exits_one(self, capsys,
+                                                        monkeypatch, argv):
+        # the values are computed; writing one out needs an int of more
+        # digits than Python converts to a string
+        monkeypatch.setattr("isingpoly.cli.count_independent_sets",
+                            lambda g, sweep_cap: 10 ** 4300)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == ("isingpoly: error: an output integer has more than "
+                       "4300 digits, past Python's int-to-string limit\n")
+
+    def test_unwritable_out_file_exits_one(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "zexact", "--graph", "cycle:6",
+                             "--lambda", "1", "--p", "1/2",
+                             "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("isingpoly: error: [Errno 2] No such file")
+
     def test_huge_middle_layer_refused_before_listing(self, capsys):
         code, _, err = run(capsys, "gen", "--graph", "midlayer:30")
         assert code == 1
@@ -657,6 +689,19 @@ class TestExitCodes:
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 2, proc.stderr
+
+    def test_violated_half_ell_bound_exits_two(self, capsys, monkeypatch):
+        # the hypotheses hold at d = 1000, so a partition sum far above
+        # the bound is a failed assertion
+        monkeypatch.setattr("isingpoly.audit.z_psi",
+                            lambda family, params: F(10) ** 400)
+        code, out, err = run(capsys, "audit-z", "--d", "1000", "--lambda",
+                             "1", "--p", "1", "--C", "1", "--singletons",
+                             "10")
+        assert code == 2
+        assert out == ""
+        assert err == ("isingpoly: audit assertion failed: half-ell bound "
+                       "violated with hypotheses holding\n")
 
     def test_kp_failure_exits_two(self, capsys):
         code, out, _ = run(capsys, "audit-kp", "--graph", "cycle:6",

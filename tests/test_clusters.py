@@ -573,7 +573,7 @@ class TestKPSumAudit:
         prm = params(F(1, 20), 1)
         kpf = KPFunctions(d=3, alpha_tilde=float(prm.alpha_tilde), c1=2,
                           c2=10, c3=3, c5=0.5)
-        rep = kp_sum_audit(g, "E", prm, kpf, size_max=3)
+        rep = kp_sum_audit(g, "E", prm, 2, 10, 3, 0.5, size_max=3)
         assert rep["polymer_count"] == 4
         assert rep["target"] == pytest.approx(3 ** -3.5)
         w = float(F(400, 9261))
@@ -586,18 +586,23 @@ class TestKPSumAudit:
     def test_tail_depth_counts_the_shapes_and_refuses_a_negative_one(self):
         g = build_hypercube(3)
         prm = params(F(1, 20), 1)
-        kpf = KPFunctions(d=3, alpha_tilde=float(prm.alpha_tilde), c1=2,
-                          c2=10, c3=3, c5=0.5)
-        assert kp_sum_audit(g, "E", prm, kpf, tail_depth=0)["tail_shapes"] \
-            == []
+        assert kp_sum_audit(g, "E", prm, 2, 10, 3, 0.5,
+                            tail_depth=0)["tail_shapes"] == []
         with pytest.raises(ValueError, match="tail depth must be >= 0"):
-            kp_sum_audit(g, "E", prm, kpf, tail_depth=-1)
+            kp_sum_audit(g, "E", prm, 2, 10, 3, 0.5, tail_depth=-1)
+
+    def test_alpha_tilde_range_then_constants_then_tail_depth(self):
+        g = build_cycle(6)
+        huge = params(Fraction(10) ** 400, 1)  # alpha_tilde = 1 + lambda
+        with pytest.raises(ValueError, match="alpha_tilde .* float64 range"):
+            kp_sum_audit(g, "E", huge, 0, 10, 3, 0.5, tail_depth=-1)
+        with pytest.raises(ValueError, match="c1 must be positive"):
+            kp_sum_audit(g, "E", params(F(1, 40), 1), 0, 10, 3, 0.5,
+                         tail_depth=-1)
 
     def test_longer_cycle_has_two_element_polymers(self):
         g = build_cycle(12)
         prm = params(F(1, 10), F(1, 2))
-        kpf = KPFunctions(d=2, alpha_tilde=float(prm.alpha_tilde), c1=2,
-                          c2=10, c3=3, c5=0.5)
-        rep = kp_sum_audit(g, "E", prm, kpf, size_max=2)
+        rep = kp_sum_audit(g, "E", prm, 2, 10, 3, 0.5, size_max=2)
         assert rep["polymer_count"] == 12
         assert set(rep["per_size_totals"]) == {1, 2}

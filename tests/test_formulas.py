@@ -268,6 +268,16 @@ class TestExpansionEstimate:
         with pytest.raises(ValueError):
             est.envelope(0)
 
+    @pytest.mark.parametrize("lam,p,message", [
+        (F(1), F(2), "p must lie in"), (F(1), F(-1, 2), "p must lie in"),
+        (F(0), F(1, 2), "lambda must be positive"),
+    ])
+    def test_parameters_are_validated_as_model_params(self, lam, p,
+                                                      message):
+        # p = 2 once constructed and divided by zero in alpha_tilde
+        with pytest.raises(ValueError, match=message):
+            ExpansionEstimate(n=6, d=2, lam=lam, p=p)
+
     def test_envelope_ratios(self):
         est = ExpansionEstimate(n=6, d=2, lam=F(1), p=F(1),
                                 terms=(F(-9, 32),))
