@@ -4,10 +4,10 @@ mu is the true Gibbs measure over independent-set configurations. mu-hat
 reweights by which sides capture a configuration; the total variation
 distance between them is computable exactly at desk scale. The sampler
 draws from the side-annotated variant mu-hat-star and stores no table:
-each draw reads one block of a Philox stream keyed by (seed, draw index),
-picks a side, walks that side's integer Xi table to a polymer
-configuration (PolymerFamily.configuration_at) and fills in the rest
-vertex by vertex, so runs are reproducible and embarrassingly parallel.
+each draw reads the first n + 4 outputs of a Philox stream keyed by
+(seed, draw index), picks a side, walks that side's integer Xi table to a
+polymer configuration (PolymerFamily.configuration_at) and fills in the
+rest vertex by vertex, so runs are reproducible and embarrassingly parallel.
 The script checks the draws against the exact mu-hat-star table.
 """
 

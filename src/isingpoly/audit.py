@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -322,14 +323,22 @@ class PsiFamily:
 
 
 def z_psi(family: PsiFamily, params: ModelParams) -> Fraction:
-    """Exact sum of lambda^|psi| (1 + lambda (1-p)^|psi|)^d over the family."""
-    lam = params.lam
+    """Exact sum of lambda^|psi| (1 + lambda (1-p)^|psi|)^d over the family.
+
+    With lambda = a/b and 1 - p = c/e, the members of size k add
+    n_k a^k (b e^k + a c^k)^d over b^(k+d) e^(kd), n_k of them counted
+    once. The integer terms are summed over the denominator of the largest
+    size K, b^(K+d) e^(Kd), and one Fraction is built at the end."""
+    a, b = params.lam.numerator, params.lam.denominator
     surv = 1 - params.p
-    total = Fraction(0)
-    for ps in family.subsets:
-        k = len(ps)
-        total += lam ** k * (1 + lam * surv ** k) ** family.d
-    return total
+    c, e = surv.numerator, surv.denominator
+    d = family.d
+    counts = Counter(len(ps) for ps in family.subsets)
+    top = max(counts, default=0)
+    total = sum(n * a ** k * (b * e ** k + a * c ** k) ** d
+                * b ** (top - k) * e ** ((top - k) * d)
+                for k, n in counts.items())
+    return Fraction(total, b ** (top + d) * e ** (top * d))
 
 
 def ell_psi(family: PsiFamily) -> int:

@@ -539,13 +539,14 @@ class MuHatSampler:
     opposite side outside all boundaries independently with probability
     lambda / (1 + lambda).
 
-    Draw k of seed s reads one block of n + 4 raw 64-bit outputs of a
-    fresh numpy Philox generator, so draws share no state. Its key is the
-    state of numpy's SeedSequence(s, spawn_key=(k,)), computed by the
-    Python port philox.philox_key; the tests check the port against
-    numpy's SeedSequence. The outputs are read as n/2 + 2 words of 128
-    bits (word t is output 2t + 1 above output 2t). Word 0 picks the side;
-    word 1, times Xi of that side over 2^128, is a point of the
+    Draw k of seed s reads the first n + 4 raw 64-bit outputs of a fresh
+    numpy Philox generator, so draws share no state. Its key is the state
+    of numpy's SeedSequence(s, spawn_key=(k,)), computed by the Python port
+    philox.philox_key; the tests check the port against numpy's
+    SeedSequence. philox_raw returns the outputs as one int, output t at
+    bit 64t, and the draw masks and shifts out its 128-bit words: word t
+    is bits 128t .. 128t + 127, output 2t + 1 above output 2t. Word 0 picks
+    the side; word 1, times Xi of that side over 2^128, is a point of the
     configurations' weight intervals, which follow
     enumerate_compatible_configs order (PolymerFamily.configuration_at).
     Then one word decides each opposite-side vertex: boundaries by polymer
@@ -562,12 +563,14 @@ class MuHatSampler:
                          for side in ("O", "E")}
         self.xi = {side: fam.xi() for side, fam in self.families.items()}
         p_side_o = self.xi["O"] / (self.xi["O"] + self.xi["E"])
-        self._p_side_o = p_side_o.numerator, p_side_o.denominator
+        self._p_side_o = p_side_o.numerator << 128, p_side_o.denominator
         # inclusion probability of an opposite-side vertex with deg
         # neighbours in the configuration; deg 0 is the pool's q
         tops = [params.lam * (1 - params.p) ** deg for deg in range(g.d + 1)]
-        self._p_in = [(r.numerator, r.denominator)
+        self._p_in = [(r.numerator << 128, r.denominator)
                       for r in (top / (1 + top) for top in tops)]
+        self._opposite = {side: tuple(iter_bits(g.side_mask(g.other_side(
+            side)))) for side in ("O", "E")}
 
     @functools.cached_property
     def _stream(self):
@@ -577,26 +580,23 @@ class MuHatSampler:
         return philox_raw
 
     def draw(self, seed: int, k: int = 0) -> tuple[int, str]:
-        raw = self._stream(seed, k, self.g.n + 4)
-        words = [hi << 64 | lo for lo, hi in zip(raw[::2], raw[1::2])]
-        num, den = self._p_side_o
-        side = "O" if words[0] * den < num << 128 else "E"
+        raw, mask = self._stream(seed, k, self.g.n + 4), (1 << 128) - 1
+        num, den = self._p_side_o  # num, like p_in's, times 2^128
+        side = "O" if (raw & mask) * den < num else "E"
         xi = self.xi[side]
         config = self.families[side].configuration_at(
-            (xi.numerator * words[1], xi.denominator << 128))
+            (xi.numerator * (raw >> 128 & mask), xi.denominator << 128))
         chosen = covered = 0
         order = []
         for poly in config:
             chosen |= poly.vertices
             covered |= poly.boundary
             order.extend(iter_bits(poly.boundary))
-        order.extend(iter_bits(self.g.side_mask(self.g.other_side(side))
-                               & ~covered))
+        order.extend(v for v in self._opposite[side] if not covered >> v & 1)
         i_mask = chosen
-        adj = self.g.adj_mask
-        p_in = self._p_in
-        for word, v in zip(words[2:], order):
+        adj, p_in = self.g.adj_mask, self._p_in
+        for t, v in enumerate(order, 2):
             num, den = p_in[(adj[v] & chosen).bit_count()]
-            if word * den < num << 128:
+            if (raw >> 128 * t & mask) * den < num:
                 i_mask |= 1 << v
         return i_mask, side

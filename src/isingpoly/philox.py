@@ -7,8 +7,10 @@ SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(2, np.uint64).
 Building that SeedSequence costs more than the rest of a sampler draw, so
 philox_key ports its 32-bit hash mixing (numpy's bit_generator.pyx,
 mix_entropy and generate_state) to Python. The seed's part of the mixing
-is done once per seed; a draw mixes in only k and hashes the output.
-numpy's own SeedSequence is only the tests' oracle for the key.
+is done once per seed; a draw mixes in only k and hashes the output, in
+straight-line integer code with no helper call per word. numpy's own
+SeedSequence is only the tests' oracle for the key. philox_raw hands a
+draw its outputs as one int, read little-endian.
 
 Both routes import this module on first use, so numpy stays out of the
 package's import and set-up.
@@ -108,15 +110,41 @@ def philox_key(seed, k) -> tuple[int, int]:
     """numpy's SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(2,
     np.uint64) as two ints: the 128-bit Philox key of draw k of seed. As in
     numpy, a negative seed or k raises ValueError and a non-integer one
-    (a float, a str) TypeError; bools and numpy integers count as ints."""
-    words = _uint32_words(k)
-    pool, groups = _seed_pool(operator.index(seed), len(words))
-    pool = list(pool)
-    for word, consts in zip(words, groups):
-        _mix_into(pool, word, consts)
-    out = [_hashmix(word, *consts)
-           for word, consts in zip(pool, _STATE_CONSTS)]
-    return out[0] | out[1] << 32, out[2] | out[3] << 32
+    (a float, a str) TypeError; bools and numpy integers count as ints.
+
+    The mixing of k and the output hash are unrolled into straight-line
+    integer code: each 32-bit word of k is hashed once per pool word and
+    mixed into it (_mix_into's step), then each pool word is hashed once
+    with generate_state's constants (_STATE_CONSTS)."""
+    k = operator.index(k)
+    if k < 0:
+        raise ValueError("expected non-negative integer")
+    # k's 32-bit words, low first, and 0 is one word, as in _uint32_words
+    pool, groups = _seed_pool(operator.index(seed),
+                              (k.bit_length() + 31) // 32 or 1)
+    p0, p1, p2, p3 = pool
+    for (x0, m0), (x1, m1), (x2, m2), (x3, m3) in groups:
+        w = k & _MASK32
+        k >>= 32
+        h = (w ^ x0) * m0 & _MASK32
+        r = (_MIX_MULT_L * p0 - _MIX_MULT_R * (h ^ h >> 16)) & _MASK32
+        p0 = r ^ r >> 16
+        h = (w ^ x1) * m1 & _MASK32
+        r = (_MIX_MULT_L * p1 - _MIX_MULT_R * (h ^ h >> 16)) & _MASK32
+        p1 = r ^ r >> 16
+        h = (w ^ x2) * m2 & _MASK32
+        r = (_MIX_MULT_L * p2 - _MIX_MULT_R * (h ^ h >> 16)) & _MASK32
+        p2 = r ^ r >> 16
+        h = (w ^ x3) * m3 & _MASK32
+        r = (_MIX_MULT_L * p3 - _MIX_MULT_R * (h ^ h >> 16)) & _MASK32
+        p3 = r ^ r >> 16
+    (x0, m0), (x1, m1), (x2, m2), (x3, m3) = _STATE_CONSTS
+    p0 = (p0 ^ x0) * m0 & _MASK32
+    p1 = (p1 ^ x1) * m1 & _MASK32
+    p2 = (p2 ^ x2) * m2 & _MASK32
+    p3 = (p3 ^ x3) * m3 & _MASK32
+    return (p0 ^ p0 >> 16 | (p1 ^ p1 >> 16) << 32,
+            p2 ^ p2 >> 16 | (p3 ^ p3 >> 16) << 32)
 
 
 class _Key(ISeedSequence):
@@ -136,6 +164,9 @@ def philox(seed, k) -> np.random.Philox:
     return np.random.Philox(_Key(philox_key(seed, k)))
 
 
-def philox_raw(seed, k, count: int) -> list[int]:
-    """The first `count` raw 64-bit outputs, as ints, of philox(seed, k)."""
-    return philox(seed, k).random_raw(count).tolist()
+def philox_raw(seed, k, count: int) -> int:
+    """The first `count` raw 64-bit outputs of philox(seed, k) as one int:
+    output t is bits 64t .. 64t + 63. The outputs are read as little-endian
+    bytes whatever the host's byte order, so no list of ints is built."""
+    return int.from_bytes(philox(seed, k).random_raw(count)
+                          .astype("<u8", copy=False).tobytes(), "little")

@@ -91,11 +91,15 @@ def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
     """Yield every polymer on the side with at most size_max vertices.
 
     size_max defaults to floor(rho * |side|), which covers all polymers
-    since |A| <= |[A]|. Emission follows the lexicographic order of the
+    since |A| <= |[A]|. A default of 0 leaves no polymer at all (a polymer's
+    closure holds at least A), so nothing is yielded; an explicit size_max
+    below 1 is refused. Emission follows the lexicographic order of the
     sorted vertex tuples.
     """
     cutoff = closure_cutoff(g, rho)
     if size_max is None:
+        if cutoff < 1:
+            return
         size_max = cutoff
     if size_max < 1:
         raise ValueError(f"size max must be >= 1, got {size_max}")

@@ -411,6 +411,18 @@ def fraction_polymer_weight(g: BipartiteGraph, params, a) -> Fraction:
     return w
 
 
+def fraction_z_psi(family, params) -> Fraction:
+    """The former audit.z_psi: lambda^|psi| (1 + lambda (1-p)^|psi|)^d
+    summed member by member in Fractions."""
+    lam = params.lam
+    surv = 1 - params.p
+    total = Fraction(0)
+    for ps in family.subsets:
+        k = len(ps)
+        total += lam ** k * (1 + lam * surv ** k) ** family.d
+    return total
+
+
 def fraction_configuration_at(family, x: Fraction):
     """The compatible configuration of the PolymerFamily whose weight
     interval holds x, 0 <= x < Xi, by the same bisection as

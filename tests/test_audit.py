@@ -42,6 +42,8 @@ from isingpoly.graphs import (
 )
 from isingpoly.model import ModelParams, captured_on_side, exact_Z, ising_weight
 
+from oracles import fraction_z_psi
+
 
 def naive_sweep(g, size_cap, applies, bound):
     """Double-loop oracle for one expansion condition over both sides."""
@@ -349,6 +351,24 @@ class TestPsiFamilies:
     def test_singletons_example(self):
         fam = PsiFamily(2, ({0}, {1}))
         assert z_psi(fam, ModelParams(1, F(1, 2))) == F(9, 2)
+
+    @pytest.mark.parametrize("d,members", [
+        (4, ()),
+        (4, (frozenset(),)),
+        (4, (frozenset(), {0}, {0, 1}, {0, 1, 2})),
+        (5, ({0}, {1}, {2}, {0, 1}, {2, 3, 4}, frozenset(range(5)))),
+        (6, (frozenset(), {5}, {1, 2}, {3, 4}, {0, 2, 4}, {1, 3, 5})),
+    ])
+    @pytest.mark.parametrize("lam,p", [
+        (F(1), F(1, 2)), (F(2, 5), F(0)), (F(7, 3), F(1)),
+        (F(3, 4), F(2, 9)),
+    ])
+    def test_sum_by_size_equals_member_sum(self, d, members, lam, p):
+        # families with and without the empty set, at p = 0, p = 1 and
+        # mixed member sizes
+        fam = PsiFamily(d, members)
+        params = ModelParams(lam, p)
+        assert z_psi(fam, params) == fraction_z_psi(fam, params)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -2,6 +2,7 @@
 formats, exit codes, and determinism. Numerical values are only spot
 checks here; the library tests own the math."""
 
+import collections
 import contextlib
 import io
 import json
@@ -34,9 +35,13 @@ from isingpoly.cli import (
     parse_psi_spec,
 )
 from isingpoly.formulas import l2_middle_layer, l2_torus
-from isingpoly.graphs import AuditViolation, build_cycle, graph_to_json
+from isingpoly.graphs import (AuditViolation, build_complete_bipartite,
+                              build_cycle, graph_to_json)
 from isingpoly.model import ModelParams, mu_hat_table, mu_table, tv_distance
+from isingpoly.polymers import DEFAULT_RHO
 from isingpoly.rationals import format_rational, parse_rational
+
+from oracles import ListMuHatSampler
 
 
 class TestGraphSpecs:
@@ -856,6 +861,33 @@ class TestComputeCommands:
         rows = json.loads(out1)
         assert sum(r["count"] for r in rows) == 300
         assert all(r["side"] in ("E", "O") for r in rows)
+
+    # K1,1 has a closure cutoff of floor(rho * 1) = 0, so no polymer: the
+    # default size max leaves every family empty and Xi = 1
+    @pytest.mark.parametrize("argv", [
+        ("xi",), ("polymers",), ("clusters",),
+        ("audit-kp", "--mode", "truncation"), ("audit-kp", "--mode", "sum"),
+        ("sample-muhat", "--samples", "20", "--seed", "3"),
+    ])
+    def test_k11_has_an_empty_polymer_family(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--graph", "kss:1",
+                             "--lambda", "1", "--p", "1/2", *argv[1:])
+        assert (code, err) == (0, "")
+        if argv[0] == "xi":
+            assert json.loads(out)["xi"] == "1"
+        if argv[0] == "polymers":
+            assert json.loads(out) == []
+
+    def test_k11_sample_muhat_draws_equal_the_list_sampler(self, capsys):
+        code, out, _ = run(capsys, "sample-muhat", "--graph", "kss:1",
+                           "--lambda", "1", "--p", "1/2", "--samples", "200",
+                           "--seed", "9")
+        assert code == 0
+        oracle = ListMuHatSampler(build_complete_bipartite(1),
+                                  ModelParams(1, F(1, 2)), DEFAULT_RHO)
+        drawn = collections.Counter(oracle.draw(9, k) for k in range(200))
+        assert {(r["mask"], r["side"]): r["count"]
+                for r in json.loads(out)} == drawn
 
 
 class TestClosedFormCommand:

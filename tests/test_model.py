@@ -365,7 +365,8 @@ class TestMeasures:
             direct += abs(mu.probs[i_mask] - hat.probs[i_mask])
         assert tv_distance(mu, hat) == direct / 2
 
-    @pytest.mark.parametrize("g", [C6, Q3])
+    # K1,1's closure cutoff floor(rho * 1) is 0: no polymer, Xi = 1 a side
+    @pytest.mark.parametrize("g", [C6, Q3, build_complete_bipartite(1)])
     @pytest.mark.parametrize("params", [
         HALF, ModelParams(Fraction(1, 3), 1), ModelParams(2, Fraction(1, 5)),
     ])
@@ -615,6 +616,7 @@ class TestSampler:
          Fraction(3, 4)),
         (build_middle_layer(3), HALF, Fraction(3, 4)),
         (build_cycle(24), HALF, Fraction(3, 4)),
+        (build_complete_bipartite(1), HALF, Fraction(3, 4)),
     ])
     def test_draws_equal_the_configuration_list_sampler(self, g, params, rho):
         sam = MuHatSampler(g, params, rho)
@@ -625,6 +627,15 @@ class TestSampler:
                                                 (1 << 32) + 50))):
             assert [sam.draw(seed, k) for k in ks] == \
                 [oracle.draw(seed, k) for k in ks]
+
+    @pytest.mark.parametrize("count", [1, 5, 12, 52])
+    @pytest.mark.parametrize("k", [0, (1 << 32) - 1, 1 << 32, 1 << 40])
+    def test_raw_outputs_are_one_int_with_output_t_at_bit_64t(self, count,
+                                                               k):
+        outs = np.random.Philox(np.random.SeedSequence(
+            21, spawn_key=(k,))).random_raw(count).tolist()
+        assert philox.philox_raw(21, k, count) == \
+            sum(out << 64 * t for t, out in enumerate(outs))
 
     KEY_SEEDS = (0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, 1 << 64,
                  (1 << 128) + 5, 1 << 200, True, np.int64(5),

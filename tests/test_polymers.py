@@ -75,6 +75,16 @@ class TestEnumeration:
         # twin vertices: [{0}] = {0,2} already exceeds (3/4)*2
         assert verts(enumerate_polymers(C4, "E")) == []
 
+    def test_k11_default_size_max_is_an_empty_family(self):
+        # the closure cutoff floor(rho * 1) = 0 leaves no polymer; only an
+        # explicit size max below 1 is refused
+        k11 = build_complete_bipartite(1)
+        for side in ("O", "E"):
+            assert verts(enumerate_polymers(k11, side)) == []
+            assert PolymerFamily(k11, side, HALF).xi() == 1
+        with pytest.raises(ValueError, match="size max must be >= 1, got 0"):
+            list(enumerate_polymers(k11, "E", size_max=0))
+
     def test_q3_polymers_are_exactly_the_singletons(self):
         assert verts(enumerate_polymers(Q3, "E", size_max=1)) == [
             (0,), (3,), (5,), (6,)]
