@@ -29,7 +29,6 @@ from .graphs import (
     DEFAULT_EDGE_SWEEP_CAP,
     DEFAULT_SWEEP_CAP,
     as_mask,
-    edge_subset_nbr,
     independent_set_table,
     iter_bits,
     popcount,
@@ -222,25 +221,10 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
 def count_independent_sets(g: BipartiteGraph,
                            sweep_cap: int | None = None) -> int:
     """i(G): graphs.independent_set_table with weight 1 on every vertex,
-    the one sum behind Xi and both percolation routes; independent of
-    exact_Z's boundary DP."""
+    the one sum behind Xi; independent of exact_Z's boundary DP."""
     _check_sweep(g.n, sweep_cap)
     full = (1 << g.n) - 1
     return independent_set_table(g.adj_mask, [1] * g.n, full)[full]
-
-
-def _subgraph_z(g: BipartiteGraph, params: ModelParams, edges):
-    """The one subgraph sum of both percolation routes: edge mask sub ->
-    b^n Z(lambda = a/b) of g keeping edges[j] for each bit j of sub, an int
-    from independent_set_table with weights [a]*n and out = b."""
-    n, b = g.n, params.lam.denominator
-    weights = [params.lam.numerator] * n
-    full = (1 << n) - 1
-
-    def scaled_z(sub: int) -> int:
-        return independent_set_table(edge_subset_nbr(n, edges, sub), weights,
-                                     full, out=b)[full]
-    return scaled_z
 
 
 def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
@@ -249,9 +233,14 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
     average the hard-core partition function of the surviving subgraph.
     Computed as the honest sum over all 2^|E| subgraphs, exact and in
     integers: with lambda = a/b and p = k/e, a subgraph with j edges weighs
-    k^j (e-k)^(|E|-j) and _subgraph_z gives its partition function times
-    b^n, so the one Fraction is the total over e^|E| b^n, built at the end
-    as in exact_Z."""
+    k^j (e-k)^(|E|-j) and subgraphs.subgraph_z gives its partition
+    function times b^n, so the one Fraction is the total over e^|E| b^n,
+    built at the end as in exact_Z. Its memo, keyed by the vertex set and
+    the subgraph's edges inside it, is shared across the subgraphs, and
+    dropped once it passes a fixed size, which bounds the sweep's memory
+    (see subgraph_z)."""
+    from .subgraphs import subgraph_z
+
     edges = list(g.edges())
     m = len(edges)
     limit = DEFAULT_EDGE_SWEEP_CAP if edge_cap is None else edge_cap
@@ -259,7 +248,7 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
         raise BudgetError(f"edge sweep over {m} edges exceeds cap {limit}")
     k, e = params.p.numerator, params.p.denominator
     prob = [k ** j * (e - k) ** (m - j) for j in range(m + 1)]
-    scaled_z = _subgraph_z(g, params, edges)
+    scaled_z = subgraph_z(g, params, edges)
     total = 0
     for sub in range(1 << m):
         w = prob[sub.bit_count()]
@@ -278,12 +267,16 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     computes as for MuHatSampler, and edge j of sample k survives iff the
     matrix entry is below p. Identical (seed, samples) give bit-identical
     results regardless of how blocks are scheduled.
+
+    Each distinct sample's Z comes from subgraphs.subgraph_z, the exact
+    sweep's subgraph sum, its memo shared across the samples.
     """
     # numpy is imported by the seeded routes only, so the exact routes and
     # the CLI start without its import cost
     import numpy as np
 
     from .philox import philox
+    from .subgraphs import subgraph_z
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -293,12 +286,14 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     p_float = params.p.numerator / params.p.denominator
     # each subgraph's Z as an int over b^n (lambda = a/b); int true division
     # rounds correctly, so every value equals float() of the exact Fraction
-    scaled_z = _subgraph_z(g, params, edges)
+    scaled_z = subgraph_z(g, params, edges)
     denom = params.lam.denominator ** g.n
     cache: dict[int, float] = {}
+    # numpy refuses counts past its size limits with a ValueError, before
+    # it allocates anything
     try:
         values = np.empty(samples, dtype=np.float64)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise BudgetError(f"{samples} samples do not fit in memory as "
                           f"float64 values") from exc
     pos = 0

@@ -20,9 +20,9 @@ import numpy as np
 
 from isingpoly.clusters import URSELL_VERTEX_CAP, Cluster, _ursell
 from isingpoly.graphs import (DEFAULT_ENUM_CAP, BipartiteGraph, BudgetError,
-                              as_mask, bits, edge_subset_nbr,
-                              independent_set_table, is_two_linked, iter_bits,
-                              neighborhood, popcount)
+                              as_mask, bits, independent_set_table,
+                              is_two_linked, iter_bits, neighborhood,
+                              popcount)
 from isingpoly.model import captured_on_side
 from isingpoly.polymers import enumerate_compatible_configs
 
@@ -157,6 +157,17 @@ def fraction_boundary_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fracti
         states = nxt
     (value,) = states.values()
     return value
+
+
+def edge_subset_nbr(n: int, edges, sub: int) -> list[int]:
+    """Per-vertex neighbour masks of the graph on vertices 0..n-1 whose
+    edges are edges[e] for every bit e of the `sub` mask."""
+    nbr = [0] * n
+    for e in iter_bits(sub):
+        u, v = edges[e]
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
 
 
 def fraction_percolation_expectation(g: BipartiteGraph, params) -> Fraction:

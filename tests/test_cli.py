@@ -407,6 +407,16 @@ class TestExitCodes:
         assert out == ""
         assert "budget exceeded" in err and str(10 ** 17) in err
 
+    def test_percolate_mc_samples_past_numpy_dimension_limit(self, capsys):
+        # numpy refuses this count with its own ValueError, not MemoryError
+        code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:6",
+                             "--lambda", "1", "--p", "1/2", "--samples",
+                             str(2 ** 63), "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == (f"isingpoly: budget exceeded: {2 ** 63} samples do "
+                       f"not fit in memory as float64 values\n")
+
     def test_percolate_mc_past_the_float_range(self, capsys):
         code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:1600",
                              "--lambda", "1", "--p", "1/2", "--samples", "3",

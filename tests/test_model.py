@@ -195,7 +195,11 @@ class TestPercolation:
             (1 + lam) ** C4.n
         assert percolation_expectation_exact(C4, ModelParams(1, 1)) == 7
 
-    @pytest.mark.parametrize("g", [C4, C6, build_complete_bipartite(3)])
+    # K4,4 and C16 have 16 edges each, where the sweep's memo is shared
+    # most; the Fraction oracle is too slow at 2^16 subgraphs
+    @pytest.mark.parametrize("g", [C4, C6, build_complete_bipartite(3),
+                                   build_complete_bipartite(4),
+                                   build_cycle(16)])
     @pytest.mark.parametrize("lam,p", [
         (Fraction(1), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(1, 3)),
@@ -204,6 +208,21 @@ class TestPercolation:
     def test_identity_with_exact_z(self, g, lam, p):
         params = ModelParams(lam, p)
         assert percolation_expectation_exact(g, params) == exact_Z(g, params)
+
+    @pytest.mark.parametrize("g", [build_cycle(8), Q3,
+                                   build_complete_bipartite(3)])
+    @pytest.mark.parametrize("lam,p", [
+        (Fraction(1), Fraction(1, 2)),
+        (Fraction(5, 7), Fraction(3, 11)),
+    ])
+    def test_sweep_with_the_memo_dropped_between_subgraphs(self, monkeypatch,
+                                                            g, lam, p):
+        # a cap of 4 states drops the shared memo before nearly every
+        # subgraph, so the sums restart from {0: 1} throughout the sweep
+        monkeypatch.setattr("isingpoly.subgraphs._MEMO_CAP", 4)
+        params = ModelParams(lam, p)
+        assert percolation_expectation_exact(g, params) == \
+            fraction_percolation_expectation(g, params)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([C4, C6, build_cycle(8), build_cycle(10),
@@ -235,6 +254,16 @@ class TestPercolation:
         # so the seeded stream gives these bits exactly
         got = percolation_mc(g, params, 5000, seed=7)
         assert (got[0].hex(), got[1].hex()) == (mean, stderr)
+
+    def test_mc_floats_are_pinned_with_the_memo_dropped(self, monkeypatch):
+        # the samples' Zs are the same ints whether or not the subgraph
+        # memo carries over from earlier samples
+        monkeypatch.setattr("isingpoly.subgraphs._MEMO_CAP", 4)
+        got = percolation_mc(build_cycle(8),
+                             ModelParams(Fraction(2, 3), Fraction(1, 3)),
+                             5000, seed=7)
+        assert (got[0].hex(), got[1].hex()) == ("0x1.3e14cdec17736p+5",
+                                                "0x1.c30c53d78a53cp-4")
 
     @pytest.mark.parametrize("seed,mean,stderr", [
         ((1 << 64) + 7, "0x1.3d6141c2393fcp+5", "0x1.c063cc92b4b49p-4"),
