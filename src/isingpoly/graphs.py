@@ -346,26 +346,21 @@ def reach(start: int, allowed: int, nbr: Sequence[int]) -> int:
     return seen
 
 
-def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
-                          out=1):
-    """The memo of F(S), the sum over the subsets I of S that are
-    independent under nbr (nbr[v] is the mask of v's neighbours, with or
-    without v's own bit) of the product over the vertices of S of
-    weights[v] for v in I and `out` for v left out; F(allowed) is
-    table[allowed]. With out = 1 this is the weighted independent-set sum,
-    the empty set counting 1. With lambda = a/b, the weights [a]*n and
-    out = b keep every entry an int: F(S) is b^|S| times the sum at
-    weight lambda.
+def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int):
+    """The memo of F(S), the weighted independent-set sum over S: the sum
+    over the subsets I of S that are independent under nbr (nbr[v] is the
+    mask of v's neighbours, with or without v's own bit) of the product of
+    weights[v] over v in I, the empty set counting 1; F(allowed) is
+    table[allowed].
 
-    F(S) = out F(S - j) + w_j out^|nbr[j] & (S - j)| F(S - j - nbr[j]) for
-    the lowest vertex j of S, evaluated with an explicit stack over one
-    memo so the depth does not grow with the vertex count. A state pushes
-    its missing children one at a time, so a child is never pushed twice:
-    the two children coincide when j has no neighbour left in S.
+    F(S) = F(S - j) + w_j F(S - j - nbr[j]) for the lowest vertex j of S,
+    evaluated with an explicit stack over one memo so the depth does not
+    grow with the vertex count. A state pushes its missing children one at
+    a time, so a child is never pushed twice: the two children coincide
+    when j has no neighbour left in S.
     """
     memo = {0: 1}
     get = memo.get
-    scaled = out != 1
     stack = [allowed] if allowed else []
     while stack:
         rem = stack[-1]
@@ -381,11 +376,7 @@ def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
         if f_within is None:
             stack.append(within)
             continue
-        if scaled:
-            memo[rem] = out * f_without + weights[j] * \
-                out ** (without & nbr[j]).bit_count() * f_within
-        else:
-            memo[rem] = f_without + weights[j] * f_within
+        memo[rem] = f_without + weights[j] * f_within
         stack.pop()
     return memo
 

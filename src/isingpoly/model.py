@@ -238,22 +238,21 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
     built at the end as in exact_Z. Its memo, keyed by the vertex set and
     the subgraph's edges inside it, is shared across the subgraphs, and
     dropped once it passes a fixed size, which bounds the sweep's memory
-    (see subgraph_z)."""
+    (see subgraph_z). At p = 0 or p = 1 the one subgraph that weighs,
+    the empty or the full one, is the whole sum."""
     from .subgraphs import subgraph_z
 
-    edges = list(g.edges())
-    m = len(edges)
+    m = g.edge_count()
     limit = DEFAULT_EDGE_SWEEP_CAP if edge_cap is None else edge_cap
     if m > limit:
         raise BudgetError(f"edge sweep over {m} edges exceeds cap {limit}")
     k, e = params.p.numerator, params.p.denominator
     prob = [k ** j * (e - k) ** (m - j) for j in range(m + 1)]
-    scaled_z = subgraph_z(g, params, edges)
-    total = 0
-    for sub in range(1 << m):
-        w = prob[sub.bit_count()]
-        if w:
-            total += w * scaled_z(sub)
+    # at 0 < p < 1 every subgraph weighs; at p = 0 or 1 only the empty or
+    # the full one does, with probability 1
+    subs = range(1 << m) if 0 < k < e else [(1 << m) - 1 if k else 0]
+    scaled_z = subgraph_z(g, params)
+    total = sum(prob[sub.bit_count()] * scaled_z(sub) for sub in subs)
     return Fraction(total, e ** m * params.lam.denominator ** g.n)
 
 
@@ -264,9 +263,10 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     Reproducibility contract: sample k lives in block k // MC_CHUNK; block c
     draws a (block-size x |E|) uniform matrix from a Philox generator keyed
     with the state of SeedSequence(seed, spawn_key=(c,)), which philox_key
-    computes as for MuHatSampler, and edge j of sample k survives iff the
-    matrix entry is below p. Identical (seed, samples) give bit-identical
-    results regardless of how blocks are scheduled.
+    computes as for MuHatSampler, and edge j of sample k (edge j of
+    g.edges(), bit j of its subgraph_z mask) survives iff the matrix entry
+    is below p. Identical (seed, samples) give bit-identical results
+    regardless of how blocks are scheduled.
 
     Each distinct sample's Z comes from subgraphs.subgraph_z, the exact
     sweep's subgraph sum, its memo shared across the samples.
@@ -281,12 +281,11 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_sweep(g.n, sweep_cap)
-    edges = list(g.edges())
-    m = len(edges)
+    m = g.edge_count()
     p_float = params.p.numerator / params.p.denominator
     # each subgraph's Z as an int over b^n (lambda = a/b); int true division
     # rounds correctly, so every value equals float() of the exact Fraction
-    scaled_z = subgraph_z(g, params, edges)
+    scaled_z = subgraph_z(g, params)
     denom = params.lam.denominator ** g.n
     cache: dict[int, float] = {}
     # numpy refuses counts past its size limits with a ValueError, before
@@ -333,8 +332,8 @@ class MeasureTable:
     """A finite probability table with exact Fraction probabilities.
 
     Keys are outcomes (subset masks, or (mask, side) pairs). The table keeps
-    their integer `weights`, which must be nonnegative and sum to exactly
-    the positive int `total`, and the probabilities `probs`, built eagerly:
+    their integer `weights`, which must be nonnegative with a positive sum,
+    that sum as `total`, and the probabilities `probs`, built eagerly:
     one Fraction(w, total) per distinct weight, shared by every key with
     that weight. The weights of the 2^n tables take few distinct values
     (they depend on |I| and e(I) only), so the table builds a few hundred
@@ -343,7 +342,7 @@ class MeasureTable:
     reporting.
     """
 
-    def __init__(self, weights: dict, total: int, scale: int):
+    def __init__(self, weights: dict, scale: int):
         distinct = set(weights.values())
         # the types are read off every value, since the set merges
         # Fraction(1) and 1.0 into the int 1
@@ -353,8 +352,9 @@ class MeasureTable:
             bad = next(k for k, w in weights.items()
                        if not isinstance(w, int) or w < 0)
             raise ValueError(f"negative or non-integer weight at {bad!r}")
-        if total <= 0 or sum(weights.values()) != total:
-            raise ValueError(f"weights must sum to the positive total {total}")
+        total = sum(weights.values())
+        if total <= 0:
+            raise ValueError(f"weights must have a positive sum, got {total}")
         shared = {w: Fraction(w, total) for w in distinct}
         self.weights = weights
         self.total = total
@@ -477,14 +477,15 @@ def _check_table(g: BipartiteGraph, entries: int) -> None:
 
 def mu_table(g: BipartiteGraph, params: ModelParams,
              sweep_cap: int | None = None) -> MeasureTable:
-    """The Ising measure: P(I) = ising_weight(I) / Z over all subsets; the
-    table checks that the sweep's weights sum to exact_Z."""
+    """The Ising measure: P(I) = ising_weight(I) / Z over all subsets.
+    Raises AuditViolation unless the sweep's weights sum to exact_Z."""
     _check_table(g, 1 << g.n)
-    z = exact_Z(g, params, sweep_cap=sweep_cap)
-    scale = _weight_scale(g, params)
     weights = {i_mask: w for i_mask, w, _, _ in
                subset_sweep(g, params, sweep_cap=sweep_cap)}
-    return MeasureTable(weights, z.numerator * (scale // z.denominator), scale)
+    table = MeasureTable(weights, _weight_scale(g, params))
+    if table.normalization != exact_Z(g, params, sweep_cap=sweep_cap):
+        raise AuditViolation("mu table weights do not sum to exact_Z")
+    return table
 
 
 def z_hat_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
@@ -504,8 +505,7 @@ def mu_hat_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     _check_table(g, 1 << g.n)
     weights = {i_mask: (on_o + on_e) * w for i_mask, w, on_o, on_e in
                subset_sweep(g, params, rho, sweep_cap)}
-    return MeasureTable(weights, sum(weights.values()),
-                        _weight_scale(g, params))
+    return MeasureTable(weights, _weight_scale(g, params))
 
 
 def mu_hat_star_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
@@ -516,8 +516,7 @@ def mu_hat_star_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     for i_mask, w, on_o, on_e in subset_sweep(g, params, rho, sweep_cap):
         weights[(i_mask, "O")] = on_o * w
         weights[(i_mask, "E")] = on_e * w
-    return MeasureTable(weights, sum(weights.values()),
-                        _weight_scale(g, params))
+    return MeasureTable(weights, _weight_scale(g, params))
 
 
 # -- exact sampler for the decorated polymer measure -------------------------

@@ -9,7 +9,7 @@ do not percolate do not load it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from .graphs import iter_bits
 
@@ -27,11 +27,11 @@ if TYPE_CHECKING:
 _MEMO_CAP = 1 << 14
 
 
-def subgraph_z(g: BipartiteGraph, params: ModelParams,
-               edges: Sequence[tuple[int, int]]) -> Callable[[int], int]:
-    """Edge mask sub -> b^n Z(lambda = a/b) of g keeping edges[t] for each
-    bit t of sub, an int: F_H(V) of graphs.independent_set_table's
-    recursion on the lowest vertex j of S, with weights [a]*n and out = b,
+def subgraph_z(g: BipartiteGraph, params: ModelParams) -> Callable[[int], int]:
+    """Edge mask sub -> b^n Z(lambda = a/b), an int, of the subgraph H of g
+    that keeps edge t of g.edges() for each bit t of sub. It is F_H(V),
+    F_H(S) being b^|S| times graphs.independent_set_table's sum over S at
+    weight lambda, so that on the lowest vertex j of S
 
         F_H(S) = b F_H(S-j) + a b^|N| F_H(S-j-N),  N = N_H(j) & S.
 
@@ -53,6 +53,7 @@ def subgraph_z(g: BipartiteGraph, params: ModelParams,
     _MEMO_CAP states: each never holds more than the cap plus one
     subgraph's states."""
     n = g.n
+    edges = list(g.edges())
     a, b = params.lam.numerator, params.lam.denominator
     inc = [0] * n
     for t, (u, v) in enumerate(edges):

@@ -402,22 +402,6 @@ class TestIndependentSetSum:
         assert independent_set_table(looped, weights,
                                      allowed)[allowed] == expected
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_out_factor_scales_by_b_to_the_size(self, data):
-        # any masks, self bits and one-way neighbours included
-        n = data.draw(st.integers(1, 9))
-        nbr = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n,
-                                 max_size=n))
-        a = data.draw(st.integers(1, 30))
-        b = data.draw(st.integers(1, 30))
-        allowed = data.draw(st.integers(0, (1 << n) - 1))
-        scaled = independent_set_table(nbr, [a] * n, allowed, out=b)[allowed]
-        exact = independent_set_table(nbr, [Fraction(a, b)] * n,
-                                      allowed)[allowed]
-        assert type(scaled) is int
-        assert scaled == b ** allowed.bit_count() * exact
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.integers(min_value=0, max_value=7), min_size=1).map(

@@ -195,6 +195,27 @@ class TestPercolation:
             (1 + lam) ** C4.n
         assert percolation_expectation_exact(C4, ModelParams(1, 1)) == 7
 
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1)])
+    def test_degenerate_p_sums_one_subgraph(self, monkeypatch, p):
+        import isingpoly.subgraphs as subgraphs
+        real = subgraphs.subgraph_z
+        asked = []
+
+        def counted(g, params):
+            scaled_z = real(g, params)
+
+            def wrapped(sub):
+                asked.append(sub)
+                return scaled_z(sub)
+            return wrapped
+
+        monkeypatch.setattr(subgraphs, "subgraph_z", counted)
+        c24 = build_cycle(24)
+        params = ModelParams(Fraction(2, 3), p)
+        assert percolation_expectation_exact(c24, params) == \
+            exact_Z(c24, params)
+        assert asked == [(1 << 24) - 1 if p else 0]
+
     # K4,4 and C16 have 16 edges each, where the sweep's memo is shared
     # most; the Fraction oracle is too slow at 2^16 subgraphs
     @pytest.mark.parametrize("g", [C4, C6, build_complete_bipartite(3),
@@ -316,17 +337,15 @@ class TestMeasures:
         assert table.normalization == Fraction(161, 16)
 
     def test_measure_table_validates(self):
-        with pytest.raises(ValueError, match="sum"):
-            MeasureTable({0: 1}, 2, 1)
         with pytest.raises(ValueError, match="negative"):
-            MeasureTable({0: 3, 1: -1}, 2, 1)
+            MeasureTable({0: 3, 1: -1}, 1)
         with pytest.raises(ValueError, match="non-integer"):
-            MeasureTable({0: Fraction(1, 2), 1: Fraction(1, 2)}, 1, 1)
-        with pytest.raises(ValueError, match="positive total 0"):
-            MeasureTable({0: 0}, 0, 1)
+            MeasureTable({0: Fraction(1, 2), 1: Fraction(1, 2)}, 1)
+        with pytest.raises(ValueError, match="positive sum, got 0"):
+            MeasureTable({0: 0}, 1)
 
     def test_measure_table_probabilities(self):
-        table = MeasureTable({5: 1, 3: 0, 4: 3}, 4, 8)
+        table = MeasureTable({5: 1, 3: 0, 4: 3}, 8)
         assert list(table.probs.items()) == \
             [(5, Fraction(1, 4)), (3, 0), (4, Fraction(3, 4))]
         assert table.weights == {5: 1, 3: 0, 4: 3} and table.total == 4
@@ -364,11 +383,11 @@ class TestMeasures:
         assert len(mu_table(C6, HALF)) == 1 << C6.n
 
     def test_tv_distance_edge_cases(self):
-        a = MeasureTable({0: 1, 1: 0}, 1, 1)
-        b = MeasureTable({0: 0, 1: 1}, 1, 1)
+        a = MeasureTable({0: 1, 1: 0}, 1)
+        b = MeasureTable({0: 0, 1: 1}, 1)
         assert tv_distance(a, a) == 0
         assert tv_distance(a, b) == 1
-        c = MeasureTable({2: 1}, 1, 1)
+        c = MeasureTable({2: 1}, 1)
         with pytest.raises(ValueError, match="outcome spaces"):
             tv_distance(a, c)
 
@@ -381,8 +400,8 @@ class TestMeasures:
         wb = {k: y for k, (_, y) in enumerate(rows)}
         wa[len(rows)] = wb[len(rows) + 1] = 1  # positive totals
         wa[len(rows) + 1] = wb[len(rows)] = 0
-        a = MeasureTable(wa, sum(wa.values()), 1)
-        b = MeasureTable(wb, sum(wb.values()), 1)
+        a = MeasureTable(wa, 1)
+        b = MeasureTable(wb, 1)
         assert tv_distance(a, b) == fraction_tv(a, b) == tv_distance(b, a)
         assert tv_distance(a, a) == 0
 
@@ -623,6 +642,12 @@ class TestMeasureRoutes:
         with pytest.raises(AuditViolation, match="exact_Z"):
             capture_classes(C6, HALF)
 
+    def test_mu_table_refuses_weights_that_miss_z(self, monkeypatch):
+        import isingpoly.model as model
+        monkeypatch.setattr(model, "exact_Z", lambda *a, **k: Fraction(1))
+        with pytest.raises(AuditViolation, match="exact_Z"):
+            mu_table(C6, HALF)
+
 
 class TestSampler:
     def test_identical_seeds_identical_draws(self):
@@ -744,5 +769,5 @@ class TestSampler:
         n = 20000
         counts = collections.Counter(sam.draw(123, k) for k in range(n))
         emp = MeasureTable({key: counts.get(key, 0) for key in star.probs},
-                           n, n)
+                           n)
         assert tv_distance(emp, star) < Fraction(1, 40)
