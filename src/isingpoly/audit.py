@@ -12,7 +12,6 @@ slack of 2^-64.
 from __future__ import annotations
 
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,10 +23,10 @@ from .graphs import (
     BudgetError,
     as_mask,
     bits,
-    iter_bits,
     max_codegree,
     neighborhood,
     popcount,
+    two_linked_sets,
 )
 from .model import ModelParams, capture_classes
 from .polymers import DEFAULT_RHO, enumerate_g_ab, polymer_weight
@@ -90,46 +89,35 @@ def _exhaustive_sets(g: BipartiteGraph, side: str, size_cap: int,
             yield as_mask(combo)
 
 
-def _sampled_sets(g: BipartiteGraph, side: str, size_cap: int, samples: int,
-                  rng: random.Random):
-    """Random 2-linked-ish growth: a uniform side vertex, then repeated
-    uniform extension within the 2-ball of the current set, up to a uniform
-    target size. Probes the clustered sets the expansion bounds care about."""
-    side_mask = g.side_mask(side)
-    verts = bits(side_mask)
-    for _ in range(samples):
-        target = rng.randint(1, size_cap)
-        v = rng.choice(verts)
-        mask = 1 << v
-        while popcount(mask) < target:
-            ball = 0
-            for u in iter_bits(mask):
-                ball |= g.two_ball_mask(u)
-            options = bits(ball & side_mask & ~mask)
-            if not options:
-                break
-            mask |= 1 << rng.choice(options)
-        yield mask
+def _linked_sets(g: BipartiteGraph, side: str, size_cap: int,
+                 budget: int | None):
+    """The 2-linked subsets of the side with at most size_cap vertices,
+    size-major and then lexicographic, as the exhaustive sweep orders its
+    subsets. On a vertex-transitive graph only those holding the side's
+    lowest vertex: an automorphism taking a set's vertex there keeps the
+    sides of a connected bipartite graph and every |N(X)|."""
+    allowed = g.side_mask(side)
+    starts = allowed & -allowed if g.vertex_transitive else allowed
+    cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
+    # the enumeration is lexicographic; a stable sort by size keeps that
+    return sorted(two_linked_sets(g, starts, allowed, size_cap, cap),
+                  key=popcount)
 
 
 def _iterate_sets(g: BipartiteGraph, size_cap: int, mode: str = "exhaustive",
-                  seed: int = 0, samples: int = 0, budget: int | None = None):
-    """(side, mask) for the checked subsets of side E, then of side O. A
-    sampled run draws both sides from one random.Random(seed); a negative
-    seed is refused, since random.Random(-s) repeats the stream of s."""
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be exhaustive or sampled, got {mode!r}")
-    if mode == "sampled" and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+                  budget: int | None = None):
+    """(side, mask) for the checked subsets of side E, then of side O:
+    every subset, or the 2-linked ones. The hypotheses swept here bound
+    |N(X)| below by a concave f(|X|) with f(0) = 0 over a size range closed
+    downward, and the 2-linked components of X have disjoint
+    neighbourhoods, so both modes give the same verdicts."""
+    if mode not in ("exhaustive", "linked"):
+        raise ValueError(f"mode must be exhaustive or linked, got {mode!r}")
     if size_cap < 1:
         raise ValueError(f"size cap must be >= 1, got {size_cap}")
-    rng = random.Random(seed)
+    sweep = _exhaustive_sets if mode == "exhaustive" else _linked_sets
     for side in ("E", "O"):
-        if mode == "exhaustive":
-            masks = _exhaustive_sets(g, side, size_cap, budget)
-        else:
-            masks = _sampled_sets(g, side, size_cap, samples, rng)
-        for mask in masks:
+        for mask in sweep(g, side, size_cap, budget):
             yield side, mask
 
 
@@ -179,11 +167,12 @@ def _run_conditions(g: BipartiteGraph, conditions, sets,
 
 def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
                      size_cap: int = 4, mode: str = "exhaustive",
-                     seed: int = 0, samples: int = 200,
                      budget: int | None = None) -> dict:
     """Expansion conditions Ia(1)-(3) on every checked subset of each side,
     plus the two size ratios of Ib (asymptotic, reported not asserted).
-    Raises ValueError when a condition checks no set."""
+    mode "exhaustive" checks every subset of at most size_cap vertices and
+    "linked" the 2-linked ones, with the same verdicts. Raises ValueError
+    when a condition checks no set."""
     constants.require_full()
     c = constants
     d = g.d
@@ -195,11 +184,10 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
         "Ia3": (lambda s: s <= large_range,
                 lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
-    sets = _iterate_sets(g, size_cap, mode, seed, samples, budget)
+    sets = _iterate_sets(g, size_cap, mode, budget)
     report = {
         "mode": mode,
         "size_cap": size_cap,
-        "seed": seed if mode == "sampled" else None,
         "conditions": _run_conditions(g, conditions, sets),
         "Ib": {
             "n_over_d_power": g.n / d ** (c.c5 + 5),
@@ -213,7 +201,6 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
 
 def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
                       size_cap: int = 4, mode: str = "exhaustive",
-                      seed: int = 0, samples: int = 200,
                       budget: int | None = None) -> dict:
     """Root-d expansion for polynomially small sets, near-half expansion,
     exact maximum codegree, and the n versus d^6 ratio. Raises ValueError
@@ -229,12 +216,11 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
                  lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
     verdicts = _run_conditions(
-        g, conditions, _iterate_sets(g, size_cap, mode, seed, samples, budget))
+        g, conditions, _iterate_sets(g, size_cap, mode, budget))
     codeg = max_codegree(g)
     report = {
         "mode": mode,
         "size_cap": size_cap,
-        "seed": seed if mode == "sampled" else None,
         "conditions": verdicts,
         "IIb": {"max_codegree": codeg, "bound": c.c1,
                 "holds": codeg <= c.c1},
@@ -246,8 +232,7 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
 
 
 def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
-                      mode: str = "exhaustive", seed: int = 0,
-                      samples: int = 200, budget: int | None = None,
+                      mode: str = "exhaustive", budget: int | None = None,
                       s: int | None = None, t: int | None = None) -> dict:
     """Isoperimetry of a Cartesian product of t factors with at most s
     vertices each: codegree at most s (exact), the reported worst constant
@@ -271,14 +256,13 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
     worst_c = 0.0
 
     def track(size, nbr):
-        # worst_c rides along the verdicts' one pass; a sweep can reach the
-        # subset budget, so its sets are not kept
+        # worst_c rides along the verdicts' one pass over the swept sets
         nonlocal worst_c
         worst_c = max(worst_c, t * size / nbr)
 
     verdicts = _run_conditions(
         g, {"near_half": (lambda size: True, near_half)},
-        _iterate_sets(g, size_cap, mode, seed, samples, budget), track)
+        _iterate_sets(g, size_cap, mode, budget), track)
     codeg = max_codegree(g)
     return {
         "s": s,
@@ -474,11 +458,13 @@ def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
     require_positive_finite(c2=c2)
     cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
     opposite = bits(g.side_mask(g.other_side(side)))
-    if len(opposite) * (1 << g.d) > cap:
-        raise BudgetError("neighborhood subset sweep over budget")
+    sizes = range(g.d // 2 + 1, g.d + 1)
+    total = len(opposite) * sum(math.comb(g.d, r) for r in sizes)
+    if total > cap:
+        raise BudgetError(
+            f"neighborhood subset sweep needs {total} sets, cap is {cap}")
     ratio = Fraction(g.d) / Fraction(c2)
-    sets = ((side, as_mask(combo)) for y in opposite
-            for r in range(g.d // 2 + 1, g.d + 1)
+    sets = ((side, as_mask(combo)) for y in opposite for r in sizes
             for combo in combinations(g.adj[y], r))
     verdict = _run_conditions(
         g, {"expansion": (lambda size: True, lambda size: ratio * size)},

@@ -6,10 +6,10 @@ array when a run produces several records); CSV is a flat row-per-record
 rendering for plotting pipelines. Rationals travel as "p/q" strings.
 
 No numerical logic lives here: main parses the inputs several subcommands
-share (the graph, --lambda with --p, and --rho) once, and each subcommand
-calls one or two library functions and formats their output. Exit codes: 0
-success, 2 when a verification or audit found a mismatch, 1 for usage,
-budget, or input errors.
+share (the graph, --lambda with --p, --rho and --seed) once, and each
+subcommand calls one or two library functions and formats their output.
+Exit codes: 0 success, 2 when a verification or audit found a mismatch, 1
+for usage, budget, or input errors.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ MODE_OPTIONS = {
             "two": {f: _CONSTANTS[f] for f in ("--c1", "--c4", "--c5")},
             "product": {"--s": (int, None), "--t": (int, None)},
         },
-        "--mode": {"exhaustive": {},
-                   "sampled": {"--seed": (int, 0), "--samples": (int, 200)}},
+        "--mode": {"exhaustive": {}, "linked": {}},
     },
     "closed-form": {"--family": {family: form[0]
                                  for family, form in CLOSED_FORMS.items()}},
@@ -377,8 +376,7 @@ def _condition_rows(report) -> list[dict]:
 
 
 def cmd_audit_iso(args):
-    sweep = dict(size_cap=args.size_cap, mode=args.mode, seed=args.seed,
-                 samples=args.samples, budget=args.budget)
+    sweep = dict(size_cap=args.size_cap, mode=args.mode, budget=args.budget)
     if args.property == "product":
         report = check_product_iso(args.graph, s=args.s, t=args.t, **sweep)
         extra = [{"condition": "codegree", "holds": report["codegree_holds"],
@@ -715,6 +713,8 @@ def main(argv=None) -> int:
         if hasattr(args, "budget") and args.budget is None:
             args.budget = _default_budget()
         scope_options(args)
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"seed must be >= 0, got {args.seed}")
         if getattr(args, "graph", None) is not None:
             args.graph = load_graph(args.graph, args.budget)
         if hasattr(args, "p"):

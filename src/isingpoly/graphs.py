@@ -91,6 +91,7 @@ class BipartiteGraph:
         "label",
         "factor_sizes",
         "two_ball",
+        "vertex_transitive",
     )
 
     def __init__(self, n: int, d: int, side_E: Iterable[int],
@@ -158,6 +159,9 @@ class BipartiteGraph:
                 m |= adj_mask[u]
             two_ball.append(m & ~(1 << v))
         self.two_ball = tuple(two_ball)
+        # whether the automorphisms act transitively on the vertices; only
+        # the builders set it, since a wrong True would let sweeps skip sets
+        self.vertex_transitive = False
 
     # -- basic queries ----------------------------------------------------
 
@@ -243,7 +247,9 @@ def build_cycle(m: int, vertex_cap: int | None = None) -> BipartiteGraph:
         raise ValueError(f"side length must be >= 4, got {m}")
     _check_vertex_budget(m, vertex_cap)
     adjacency = [((v - 1) % m, (v + 1) % m) for v in range(m)]
-    return BipartiteGraph(m, 2, range(0, m, 2), adjacency, label=f"cycle:{m}")
+    g = BipartiteGraph(m, 2, range(0, m, 2), adjacency, label=f"cycle:{m}")
+    g.vertex_transitive = True
+    return g
 
 
 def build_complete_bipartite(s: int, vertex_cap: int | None = None) -> BipartiteGraph:
@@ -254,7 +260,9 @@ def build_complete_bipartite(s: int, vertex_cap: int | None = None) -> Bipartite
     top = list(range(s, 2 * s))
     bottom = list(range(s))
     adjacency = [top] * s + [bottom] * s
-    return BipartiteGraph(2 * s, s, bottom, adjacency, label=f"kss:{s}")
+    g = BipartiteGraph(2 * s, s, bottom, adjacency, label=f"kss:{s}")
+    g.vertex_transitive = True
+    return g
 
 
 def build_cartesian_product(factors: Sequence[BipartiteGraph],
@@ -298,8 +306,11 @@ def build_cartesian_product(factors: Sequence[BipartiteGraph],
                 nbrs.append(base + u * weights[i])
         adjacency.append(sorted(nbrs))
     label = "product:" + "+".join(f.label or "?" for f in factors)
-    return BipartiteGraph(n, d, side_E, adjacency, label=label,
-                          factor_sizes=tuple(sizes))
+    g = BipartiteGraph(n, d, side_E, adjacency, label=label,
+                       factor_sizes=tuple(sizes))
+    # a product of vertex-transitive graphs is vertex-transitive
+    g.vertex_transitive = all(f.vertex_transitive for f in factors)
+    return g
 
 
 def build_middle_layer(d: int, vertex_cap: int | None = None) -> BipartiteGraph:
@@ -324,9 +335,12 @@ def build_middle_layer(d: int, vertex_cap: int | None = None) -> BipartiteGraph:
             adjacency[i].append(j)
             adjacency[j].append(i)
     side_E = list(range(len(lower)))
-    return BipartiteGraph(n, d, side_E,
-                          [sorted(a) for a in adjacency],
-                          label=f"midlayer:{d}")
+    g = BipartiteGraph(n, d, side_E, [sorted(a) for a in adjacency],
+                       label=f"midlayer:{d}")
+    # coordinate permutations act transitively on each layer, and
+    # complementation swaps the layers
+    g.vertex_transitive = True
+    return g
 
 
 def reach(start: int, allowed: int, nbr: Sequence[int]) -> int:

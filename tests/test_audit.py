@@ -4,7 +4,6 @@ and the container / nonpolymer weight reports."""
 import ast
 import collections
 import math
-import random
 from fractions import Fraction as F
 from itertools import combinations
 from pathlib import Path
@@ -30,12 +29,16 @@ from isingpoly.audit import (
 )
 from isingpoly.graphs import (
     BudgetError,
+    as_mask,
     build_cartesian_product,
     build_complete_bipartite,
     build_cycle,
     build_even_torus,
     build_hypercube,
     build_middle_layer,
+    graph_from_json,
+    graph_to_json,
+    is_two_linked,
     max_codegree,
     neighborhood,
     popcount,
@@ -161,23 +164,12 @@ class TestPropertyI:
         assert report["Ib"]["log_n_over_d"] == pytest.approx(
             math.log(16) / 4)
 
-    def test_sampled_is_deterministic(self):
-        g = build_hypercube(3)
-        r1 = check_property_i(g, FULL, size_cap=3, mode="sampled", seed=7,
-                              samples=50)
-        r2 = check_property_i(g, FULL, size_cap=3, mode="sampled", seed=7,
-                              samples=50)
-        assert r1 == r2
-        r3 = check_property_i(g, FULL, size_cap=3, mode="sampled", seed=8,
-                              samples=50)
-        assert r3["mode"] == "sampled" and r3["seed"] == 8
-
-    def test_sampled_violations_reverify(self):
+    def test_linked_violations_reverify(self):
         # c2 = 1/100 demands a 200x expansion, violated by every set; the
         # recorded witness must survive an independent neighborhood count
         bad = PropertyConstants(c1=2, c4=1, c5=0.5, c2=F(1, 100), c3=3)
         report = check_property_i(build_cycle(6), bad, size_cap=2,
-                                  mode="sampled", seed=3, samples=40)
+                                  mode="linked")
         entry = report["conditions"]["Ia2"]
         assert not entry["holds"]
         worst = entry["worst"]
@@ -200,9 +192,10 @@ class TestPropertyI:
 
     @pytest.mark.parametrize("g,sweep", [
         (build_cycle(6), {"size_cap": 0}),
-        (build_cycle(6), {"mode": "sampled", "samples": 0}),
+        (build_cycle(6), {"size_cap": 0, "mode": "linked"}),
         # on K2 no set is small enough for Ia3 (|X| <= 3n/8 = 3/4)
         (build_hypercube(1), {"size_cap": 1}),
+        (build_hypercube(1), {"size_cap": 1, "mode": "linked"}),
     ])
     def test_refuses_an_empty_sweep(self, g, sweep):
         with pytest.raises(ValueError):
@@ -318,20 +311,100 @@ class TestProductIso:
     def test_refuses_an_empty_sweep(self):
         with pytest.raises(ValueError, match="size cap"):
             check_product_iso(build_hypercube(3), size_cap=0)
-        # random.Random(-1) would repeat the stream of seed 1
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            check_product_iso(build_hypercube(3), mode="sampled", seed=-1)
-        with pytest.raises(ValueError, match="empty sweep"):
-            check_product_iso(build_hypercube(3), mode="sampled", samples=0)
 
-    def test_sampled_sweep_draws_the_sets_of_property_one(self):
+    def test_linked_sweep_draws_the_sets_of_property_one(self):
         g = build_hypercube(4)
-        sweep = dict(size_cap=4, mode="sampled", seed=3, samples=7)
+        sweep = dict(size_cap=4, mode="linked")
         report = check_product_iso(g, **sweep)
         ia1 = check_property_i(g, FULL, **sweep)["conditions"]["Ia1"]
         assert report["conditions"]["near_half"]["checked"] == \
-            ia1["checked"] == 14
-        assert report == check_product_iso(g, **sweep)
+            ia1["checked"] == 126
+
+
+LINKED_GRAPHS = {
+    "C6": lambda: build_cycle(6),
+    "C8": lambda: build_cycle(8),
+    "C10": lambda: build_cycle(10),
+    "Q3": lambda: build_hypercube(3),
+    "Q4": lambda: build_hypercube(4),
+    "T4,2": lambda: build_even_torus(4, 2),
+    "T6,2": lambda: build_even_torus(6, 2),
+    "K3,3": lambda: build_complete_bipartite(3),
+    "K4,4": lambda: build_complete_bipartite(4),
+    "midlayer:3": lambda: build_middle_layer(3),
+    "K2,2xK2,2": lambda: build_cartesian_product(
+        [build_complete_bipartite(2)] * 2),
+    "C4xK3,3": lambda: build_cartesian_product(
+        [build_cycle(4), build_complete_bipartite(3)]),
+}
+
+
+def iso_checks(g):
+    """report(graph, **sweep) of each isoperimetry check on g, with
+    constants that hold on the sweeps below and constants that fail."""
+    demanding = PropertyConstants(c1=F(1, 10), c4=4, c5=F(1, 2), c2=F(1, 2),
+                                  c3=3)
+    return (
+        lambda h, **sweep: check_property_i(h, FULL, **sweep),
+        lambda h, **sweep: check_property_i(h, demanding, **sweep),
+        lambda h, **sweep: check_property_ii(h, CODEG, **sweep),
+        lambda h, **sweep: check_property_ii(h, demanding, **sweep),
+        lambda h, **sweep: check_product_iso(h, s=g.n, t=4, **sweep),
+        lambda h, **sweep: check_product_iso(h, s=1, t=1, **sweep),
+    )
+
+
+class TestLinkedSweep:
+    @pytest.mark.parametrize("size_cap", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", LINKED_GRAPHS)
+    def test_verdicts_equal_the_exhaustive_sweep(self, name, size_cap):
+        # rooted on the builder graph, from every start on its JSON copy
+        g = LINKED_GRAPHS[name]()
+        assert g.vertex_transitive
+        every = graph_from_json(graph_to_json(g))
+        assert not every.vertex_transitive
+        for check in iso_checks(g):
+            want = check(g, size_cap=size_cap)
+            for h in (g, every):
+                got = check(h, size_cap=size_cap, mode="linked")
+                assert got["holds"] == want["holds"]
+                assert got.get("worst_c") == want.get("worst_c")
+                for cond, entry in want["conditions"].items():
+                    linked = got["conditions"][cond]
+                    assert linked["holds"] == entry["holds"]
+                    if entry["worst"]["margin"] > 0:
+                        assert linked["worst"] == entry["worst"]
+                    if not linked["holds"]:
+                        worst = linked["worst"]
+                        mask = as_mask(worst["set"])
+                        assert worst["margin"] < 0
+                        assert is_two_linked(g, mask)
+                        assert audit._brute_neighborhood_size(g, mask) == \
+                            worst["neighborhood"]
+
+    def test_sets_are_the_two_linked_subsets_in_sweep_order(self):
+        g = build_middle_layer(3)
+        every = graph_from_json(graph_to_json(g))
+        linked = [(side, mask) for side, mask in audit._iterate_sets(g, 3)
+                  if is_two_linked(g, mask)]
+        assert list(audit._iterate_sets(every, 3, "linked")) == linked
+        lowest = {side: g.side_mask(side) & -g.side_mask(side)
+                  for side in ("E", "O")}
+        assert list(audit._iterate_sets(g, 3, "linked")) == \
+            [(side, mask) for side, mask in linked if mask & lowest[side]]
+
+    def test_reaches_past_the_exhaustive_budget(self):
+        q8 = build_hypercube(8)
+        with pytest.raises(BudgetError, match="needs 11017632 subsets"):
+            check_property_i(q8, FULL, size_cap=4)
+        report = check_property_i(q8, FULL, size_cap=4, mode="linked")
+        assert report["holds"]
+        assert report["conditions"]["Ia1"]["checked"] == 46426
+
+    def test_budget_guard(self):
+        with pytest.raises(BudgetError, match="exceeded 10 sets"):
+            check_property_i(build_hypercube(4), FULL, mode="linked",
+                             budget=10)
 
 
 class TestPsiFamilies:
@@ -598,10 +671,9 @@ class TestContainerReports:
             container_hypothesis_check(g, "X", 2.0)
         with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
             container_sum_report(g, "X", 2, 1, ModelParams(1, 1))
-        for sets in (audit._exhaustive_sets(g, "X", 2, None),
-                     audit._sampled_sets(g, "X", 2, 3, random.Random(0))):
+        for sweep in (audit._exhaustive_sets, audit._linked_sets):
             with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
-                list(sets)
+                list(sweep(g, "X", 2, None))
 
     def test_hypothesis_bound_is_exact(self):
         # on C6 at c2 = 4/3 the bound (d/c2)|X| is exactly 3 at |X| = 2,
@@ -759,9 +831,23 @@ def test_no_seed_sequence_in_the_package():
     assert found == []
 
 
+def test_no_random_import_in_the_package():
+    # every random stream in the package is philox's seeded one
+    src = Path(__file__).resolve().parents[1] / "src" / "isingpoly"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "random"
+                     for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0
+             and (node.module or "").split(".")[0] == "random"]
+    assert found == []
+
+
 @pytest.mark.parametrize("sweep", [
     {"size_cap": 3},
-    {"size_cap": 4, "mode": "sampled", "seed": 5, "samples": 300},
+    {"size_cap": 4, "mode": "linked"},
 ])
 def test_check_product_iso_sweeps_once(monkeypatch, sweep):
     # the verdicts and worst_c come from one pass over the swept sets, with

@@ -152,8 +152,7 @@ READS = {
         "one": ["--c1", "--c2", "--c3", "--c4", "--c5"],
         "two": ["--c1", "--c4", "--c5"],
         "product": ["--s", "--t"]},
-    ("audit-iso", "--mode"): {"exhaustive": [],
-                              "sampled": ["--seed", "--samples"]},
+    ("audit-iso", "--mode"): {"exhaustive": [], "linked": []},
     ("closed-form", "--family"): {
         "l1": ["--graph", "--lambda"], "torus": ["--m", "--t"],
         "midlayer": ["--d"], "kss": ["--s", "--t"], "hypercube": ["--t"]},
@@ -171,7 +170,7 @@ FAMILY_NEEDS = {"l1": ["--graph", "cycle:6"], "torus": ["--m", "6", "--t", "2"],
 # values the modes reading these options accept; the rest take 2
 OPTION_VALUE = {"--graph": "cycle:6", "--lambda": "1", "--c1": "2",
                 "--c2": "10", "--c3": "3", "--c4": "1", "--c5": "0.5",
-                "--s": "2", "--t": "3", "--seed": "0", "--samples": "200"}
+                "--s": "2", "--t": "3"}
 
 
 def out_of_scope(cmd, selector, mode):
@@ -197,11 +196,9 @@ def audit_argv(draw):
                 "--p", "1/2", "--a", "1", "--b", "2", "--hypothesis-c2",
                 c2], False
     prop = draw(st.sampled_from(["one", "two", "product"]))
-    mode = draw(st.sampled_from(["exhaustive", "sampled"]))
+    mode = draw(st.sampled_from(["exhaustive", "linked"]))
     argv = ["audit-iso", "--graph", graph, "--property", prop,
             "--mode", mode, "--size-cap", str(draw(st.integers(-2, 5)))]
-    if mode == "sampled":
-        argv += ["--samples", str(draw(st.integers(-2, 5)))]
     if prop == "product":
         for flag in ("--s", "--t"):
             value = draw(st.none() | st.integers(-1, 4))
@@ -380,13 +377,14 @@ class TestExitCodes:
         assert out == ""
         assert "budget exceeded" in err
 
-    def test_sample_muhat_negative_seed_is_refused(self, capsys):
-        code, out, err = run(capsys, "sample-muhat", "--graph", "cycle:6",
-                             "--lambda", "1", "--p", "1/2", "--samples", "3",
-                             "--seed", "-1")
+    @pytest.mark.parametrize("cmd", ["sample-muhat", "percolate-mc"])
+    def test_negative_seed_is_refused(self, capsys, cmd):
+        code, out, err = run(capsys, cmd, "--graph", "cycle:6", "--lambda",
+                             "1", "--p", "1/2", "--samples", "3", "--seed",
+                             "-4")
         assert code == 1
         assert out == ""
-        assert "expected non-negative integer" in err
+        assert err == "isingpoly: error: seed must be >= 0, got -4\n"
 
     @pytest.mark.parametrize("cmd,samples", [
         ("sample-muhat", "0"), ("sample-muhat", "-3"), ("percolate-mc", "0")])
@@ -459,9 +457,8 @@ class TestExitCodes:
         assert ia3["holds"] is False
 
     @pytest.mark.parametrize("sweep", [
-        ("--mode", "sampled", "--samples", "0"),
-        ("--mode", "sampled", "--samples", "-2"),
         ("--size-cap", "0"),
+        ("--mode", "linked", "--size-cap", "0"),
     ])
     @pytest.mark.parametrize("prop", [
         ("--property", "one"),
@@ -510,13 +507,50 @@ class TestExitCodes:
         assert out == ""
         assert "must be positive and finite" in err
 
-    def test_product_sampled_sweep_of_no_set_exits_one(self, capsys):
-        code, out, err = run(capsys, "audit-iso", "--graph", "hypercube:3",
-                             "--property", "product", "--mode", "sampled",
-                             "--samples", "0")
+    def test_linked_sweep_of_no_set_exits_one(self, capsys):
+        # on K2 no set is small enough for Ia3 (|X| <= 3n/8 = 3/4)
+        code, out, err = run(capsys, "audit-iso", "--graph", "hypercube:1",
+                             "--property", "one", "--mode", "linked",
+                             "--size-cap", "1")
         assert code == 1
         assert out == ""
         assert "empty sweep" in err
+
+    @pytest.mark.parametrize("option", [
+        ("--mode", "sampled"), ("--seed", "0"), ("--samples", "5")])
+    def test_audit_iso_has_no_sampled_mode(self, capsys, option):
+        code, out, err = run(capsys, "audit-iso", "--graph", "cycle:6",
+                             "--size-cap", "2", *option)
+        assert code == 1
+        assert out == ""
+        assert option[0] in err
+
+    def test_linked_audit_iso_runs_past_the_exhaustive_budget(
+            self, capsys, monkeypatch):
+        monkeypatch.delenv("ISINGPOLY_BUDGET", raising=False)
+        argv = ("audit-iso", "--graph", "hypercube:8", "--size-cap", "4")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "needs 11017632 subsets, cap is 1048576" in err
+        code, out, _ = run(capsys, *argv, "--mode", "linked")
+        assert code == 0
+        assert {row.get("checked") for row in json.loads(out)} == \
+            {46426, None}
+
+    @pytest.mark.parametrize("budget,code", [("40", 2), ("39", 1)])
+    def test_container_hypothesis_budget_counts_the_swept_sets(
+            self, capsys, budget, code):
+        # Q4 sweeps the 4 + 1 subsets of more than two of the four vertices
+        # of each of the 8 neighborhoods N(y): 40 sets, not 8 * 2^4
+        got, out, err = run(capsys, "audit-container", "--graph",
+                            "hypercube:4", "--lambda", "1", "--p", "1/2",
+                            "--a", "1", "--b", "4", "--hypothesis-c2", "2",
+                            "--budget", budget)
+        assert got == code
+        if code == 2:
+            assert json.loads(out)["hypothesis_checked"] == 40
+        else:
+            assert "needs 40 sets, cap is 39" in err
 
     @pytest.mark.parametrize("graph,k_max", [("hypercube:3", "3"),
                                              ("cycle:6", "5")])
@@ -592,8 +626,8 @@ class TestExitCodes:
           "--t", "2"), "--t applies only to --family torus or kss or hypercube"),
         (("audit-iso", "--graph", "cycle:6", "--property", "two", "--c2", "0"),
          "--c2 applies only to --property one"),
-        (("audit-iso", "--graph", "cycle:6", "--samples", "5"),
-         "--samples applies only to --mode sampled"),
+        (("audit-iso", "--graph", "cycle:6", "--mode", "linked", "--s", "2"),
+         "--s applies only to --property product"),
         (("gen", "--graph", "cycle:6", "--format", "csv"),
          "unrecognized arguments: --format csv"),
     ])
@@ -624,8 +658,8 @@ class TestExitCodes:
           "1/2", "--a", "0", "--b", "-1"), "closure size a must be >= 1"),
         (("audit-container", "--graph", "cycle:6", "--lambda", "1", "--p",
           "1/2", "--a", "0", "--b", "2"), "closure size a must be >= 1"),
-        (("audit-iso", "--graph", "cycle:6", "--mode", "sampled", "--seed",
-          "-1"), "seed must be >= 0, got -1"),
+        (("audit-iso", "--graph", "cycle:6", "--mode", "linked",
+          "--size-cap", "0"), "size cap must be >= 1, got 0"),
         (("xi", "--graph", "cycle:6", "--lambda", "1", "--p", "1",
           "--budget", "5"), "graph would have 6 vertices, budget is 5"),
         (("polymers", "--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
@@ -1157,7 +1191,7 @@ FUZZ_BASES = {
     "audit-iso": [["--graph", "product:kss:2+kss:2", "--size-cap", "2",
                    "--property", prop, "--mode", mode]
                   for prop in ("one", "two", "product")
-                  for mode in ("exhaustive", "sampled")],
+                  for mode in ("exhaustive", "linked")],
     "audit-kp": [["--graph", "cycle:6", "--lambda", "1/40", "--p", "1",
                   "--mode", mode] for mode in ("sum", "truncation")],
     "audit-z": [["--d", "4", "--lambda", "1", "--p", "1/2", "--C", "2",
@@ -1231,9 +1265,9 @@ def test_numeric_options_at_minus_one_and_zero(monkeypatch):
                         allowed.add(" ".join(argv))
     assert escaped == []
     assert exit_zero == allowed
-    # five seeds of 0, eight formula-only budgets, four empty classes, and
+    # two seeds of 0, eight formula-only budgets, four empty classes, and
     # one depth of 0
-    assert len(allowed) == 18
+    assert len(allowed) == 15
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -181,6 +181,21 @@ class TestBuilders:
             build_middle_layer(3, vertex_cap=19)
         assert build_middle_layer(3, vertex_cap=20).n == 20
 
+    def test_builders_record_vertex_transitivity(self):
+        for g in (build_cycle(6), build_complete_bipartite(3),
+                  build_middle_layer(3), build_hypercube(3),
+                  build_even_torus(6, 2),
+                  build_cartesian_product([build_cycle(4),
+                                           build_complete_bipartite(3)])):
+            assert g.vertex_transitive is True
+            # a loaded graph states no symmetry, nor does a product with it
+            loaded = graph_from_json(graph_to_json(g))
+            assert loaded.vertex_transitive is False
+            assert build_cartesian_product(
+                [g, loaded]).vertex_transitive is False
+        assert BipartiteGraph(4, 2, [0, 2], [(1, 3), (0, 2), (1, 3),
+                                             (0, 2)]).vertex_transitive is False
+
     def test_constructor_rejects_same_side_edge(self):
         with pytest.raises(GraphFormatError, match="same side"):
             BipartiteGraph(4, 2, [0, 2],
