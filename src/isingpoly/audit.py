@@ -34,6 +34,8 @@ from .rationals import (LOG_PRECISION_BITS, log_rational,
                         require_positive_finite, to_mpf)
 
 SLACK = 2.0 ** -64
+# cap on the 2-linked sets an isoperimetry sweep enumerates per side, and on
+# the subsets the container hypothesis sweeps
 DEFAULT_SUBSET_BUDGET = 1 << 20
 
 
@@ -65,7 +67,7 @@ class PropertyConstants:
 
 
 def _brute_neighborhood_size(g: BipartiteGraph, mask: int) -> int:
-    # second route used to re-verify reported violations
+    # second route used to re-count each reported witness
     count = 0
     for v in range(g.n):
         if mask >> v & 1:
@@ -75,27 +77,13 @@ def _brute_neighborhood_size(g: BipartiteGraph, mask: int) -> int:
     return count
 
 
-def _exhaustive_sets(g: BipartiteGraph, side: str, size_cap: int,
-                     budget: int | None):
-    cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    verts = bits(g.side_mask(side))
-    top = min(size_cap, len(verts))  # no subset is larger than the side
-    total = sum(math.comb(len(verts), k) for k in range(1, top + 1))
-    if total > cap:
-        raise BudgetError(
-            f"exhaustive sweep needs {total} subsets, cap is {cap}")
-    for k in range(1, top + 1):
-        for combo in combinations(verts, k):
-            yield as_mask(combo)
-
-
 def _linked_sets(g: BipartiteGraph, side: str, size_cap: int,
                  budget: int | None):
     """The 2-linked subsets of the side with at most size_cap vertices,
-    size-major and then lexicographic, as the exhaustive sweep orders its
-    subsets. On a vertex-transitive graph only those holding the side's
-    lowest vertex: an automorphism taking a set's vertex there keeps the
-    sides of a connected bipartite graph and every |N(X)|."""
+    size-major and then lexicographic. On a vertex-transitive graph only
+    those holding the side's lowest vertex: an automorphism taking a set's
+    vertex there keeps the sides of a connected bipartite graph and every
+    |N(X)|."""
     allowed = g.side_mask(side)
     starts = allowed & -allowed if g.vertex_transitive else allowed
     cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
@@ -104,36 +92,52 @@ def _linked_sets(g: BipartiteGraph, side: str, size_cap: int,
                   key=popcount)
 
 
-def _iterate_sets(g: BipartiteGraph, size_cap: int, mode: str = "exhaustive",
+def _iterate_sets(g: BipartiteGraph, size_cap: int,
                   budget: int | None = None):
-    """(side, mask) for the checked subsets of side E, then of side O:
-    every subset, or the 2-linked ones. The hypotheses swept here bound
-    |N(X)| below by a concave f(|X|) with f(0) = 0 over a size range closed
-    downward, and the 2-linked components of X have disjoint
-    neighbourhoods, so both modes give the same verdicts."""
-    if mode not in ("exhaustive", "linked"):
-        raise ValueError(f"mode must be exhaustive or linked, got {mode!r}")
-    if size_cap < 1:
-        raise ValueError(f"size cap must be >= 1, got {size_cap}")
-    sweep = _exhaustive_sets if mode == "exhaustive" else _linked_sets
+    """(side, mask) for the 2-linked subsets of side E, then of side O.
+    The hypotheses swept here bound |N(X)| below by a concave f(|X|) with
+    f(0) = 0 over a size range closed downward, and the 2-linked
+    components of X have disjoint neighbourhoods, so these sets decide the
+    verdict over every subset of at most size_cap vertices."""
     for side in ("E", "O"):
-        for mask in sweep(g, side, size_cap, budget):
+        for mask in _linked_sets(g, side, size_cap, budget):
             yield side, mask
 
 
-def _run_conditions(g: BipartiteGraph, conditions, sets,
-                    observe=None) -> dict:
+def _coverage(g: BipartiteGraph, conditions, size_cap: int) -> dict:
+    """name -> how many subsets of at most size_cap vertices of either side
+    the condition applies to: the sets its verdict covers. applies reads
+    only the size, so binomials count them without a sweep."""
+    if size_cap < 1:
+        raise ValueError(f"size cap must be >= 1, got {size_cap}")
+    sides = (len(g.side_E), len(g.side_O))
+    return {name: sum(math.comb(m, k) for m in sides
+                      for k in range(1, min(size_cap, m) + 1) if applies(k))
+            for name, (applies, _) in conditions.items()}
+
+
+def _run_conditions(g: BipartiteGraph, conditions, checked: dict, sets,
+                    observe=None) -> tuple[dict, int]:
     """The one expansion sweep behind every verdict here. conditions: name
-    -> (applies(size), bound(size)); sets: (side, mask) pairs. Each
-    condition counts the sets it applies to and keeps the set of least
-    margin |N(X)| - bound as its witness; a violation is first re-counted
-    by the second neighborhood route. Bounds may be floats or exact
-    Fractions; margins compare exactly. observe, if given, sees (|X|, |N(X)|)
-    of every set. Refuses (ValueError) a condition that applied to no set,
-    since an empty sweep decides nothing."""
-    out = {name: {"holds": True, "checked": 0, "worst": None}
-           for name in conditions}
+    -> (applies(size), bound(size)); checked: name -> the number of sets
+    its verdict covers; sets: (side, mask) pairs. Each condition keeps the
+    first set of least margin |N(X)| - bound as its witness, re-counted
+    after the sweep by the second neighborhood route, so every reported
+    neighborhood, and the violating set behind every failed verdict, is
+    counted twice. Bounds may be floats or exact Fractions; margins compare
+    exactly. observe, if given, sees (|X|, |N(X)|) of every set. Returns
+    the verdicts and the number of sets swept. Refuses (ValueError) a
+    condition that covers no set before sweeping any, since an empty sweep
+    decides nothing."""
+    for name, count in checked.items():
+        if count == 0:
+            raise ValueError(f"{name} covers no set; an empty sweep "
+                             "decides nothing")
+    # name -> (margin, side, mask, size, neighborhood, bound) of the witness
+    worst = dict.fromkeys(conditions)
+    swept = 0
     for side, mask in sets:
+        swept += 1
         size = popcount(mask)
         nbr = popcount(neighborhood(g, mask))
         if observe is not None:
@@ -141,38 +145,35 @@ def _run_conditions(g: BipartiteGraph, conditions, sets,
         for name, (applies, bound) in conditions.items():
             if not applies(size):
                 continue
-            entry = out[name]
-            entry["checked"] += 1
             limit = bound(size)
             margin = nbr - limit
-            violated = margin < 0
-            if violated and nbr != _brute_neighborhood_size(g, mask):
-                raise AuditViolation("neighborhood routes disagree")
-            worst = entry["worst"]
-            if worst is None or margin < worst["margin"]:
-                entry["worst"] = {"set": bits(mask), "side": side,
-                                  "size": size, "neighborhood": nbr,
-                                  "bound": limit, "margin": margin}
-            if violated:
-                entry["holds"] = False
-    for name, entry in out.items():
-        worst = entry["worst"]
-        if worst is None:
-            raise ValueError(f"{name} applies to none of the swept sets; "
-                             "an empty sweep decides nothing")
-        worst["bound"] = float(worst["bound"])
-        worst["margin"] = float(worst["margin"])
-    return out
+            if worst[name] is None or margin < worst[name][0]:
+                worst[name] = (margin, side, mask, size, nbr, limit)
+    out = {}
+    for name, (margin, side, mask, size, nbr, limit) in worst.items():
+        if nbr != _brute_neighborhood_size(g, mask):
+            raise AuditViolation("neighborhood routes disagree")
+        out[name] = {"holds": margin >= 0, "checked": checked[name],
+                     "worst": {"set": bits(mask), "side": side, "size": size,
+                               "neighborhood": nbr, "bound": float(limit),
+                               "margin": float(margin)}}
+    return out, swept
+
+
+def _sweep(g: BipartiteGraph, conditions, size_cap: int, budget: int | None,
+           observe=None) -> tuple[dict, int]:
+    """_run_conditions over the 2-linked sets, each condition's checked
+    being the subsets of at most size_cap vertices it covers."""
+    return _run_conditions(g, conditions, _coverage(g, conditions, size_cap),
+                           _iterate_sets(g, size_cap, budget), observe)
 
 
 def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
-                     size_cap: int = 4, mode: str = "exhaustive",
-                     budget: int | None = None) -> dict:
-    """Expansion conditions Ia(1)-(3) on every checked subset of each side,
-    plus the two size ratios of Ib (asymptotic, reported not asserted).
-    mode "exhaustive" checks every subset of at most size_cap vertices and
-    "linked" the 2-linked ones, with the same verdicts. Raises ValueError
-    when a condition checks no set."""
+                     size_cap: int = 4, budget: int | None = None) -> dict:
+    """Expansion conditions Ia(1)-(3) on every subset of at most size_cap
+    vertices of each side, decided on the 2-linked ones, plus the two size
+    ratios of Ib (asymptotic, reported not asserted). swept counts the
+    2-linked sets. Raises ValueError when a condition covers no set."""
     constants.require_full()
     c = constants
     d = g.d
@@ -184,27 +185,27 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
         "Ia3": (lambda s: s <= large_range,
                 lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
-    sets = _iterate_sets(g, size_cap, mode, budget)
+    verdicts, swept = _sweep(g, conditions, size_cap, budget)
     report = {
-        "mode": mode,
         "size_cap": size_cap,
-        "conditions": _run_conditions(g, conditions, sets),
+        "swept": swept,
+        "conditions": verdicts,
         "Ib": {
             "n_over_d_power": g.n / d ** (c.c5 + 5),
             "log_n_over_d": math.log(g.n) / d,
         },
         "slack": "integer neighborhood counts against float64 bounds",
     }
-    report["holds"] = all(v["holds"] for v in report["conditions"].values())
+    report["holds"] = all(v["holds"] for v in verdicts.values())
     return report
 
 
 def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
-                      size_cap: int = 4, mode: str = "exhaustive",
-                      budget: int | None = None) -> dict:
+                      size_cap: int = 4, budget: int | None = None) -> dict:
     """Root-d expansion for polynomially small sets, near-half expansion,
-    exact maximum codegree, and the n versus d^6 ratio. Raises ValueError
-    when a condition checks no set."""
+    exact maximum codegree, and the n versus d^6 ratio, with the sets swept
+    as in check_property_i. Raises ValueError when a condition covers no
+    set."""
     c = constants
     d = g.d
     sqrt_d = math.sqrt(d)
@@ -215,12 +216,11 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
         "IIa2": (lambda s: s <= large_range,
                  lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
-    verdicts = _run_conditions(
-        g, conditions, _iterate_sets(g, size_cap, mode, budget))
+    verdicts, swept = _sweep(g, conditions, size_cap, budget)
     codeg = max_codegree(g)
     report = {
-        "mode": mode,
         "size_cap": size_cap,
+        "swept": swept,
         "conditions": verdicts,
         "IIb": {"max_codegree": codeg, "bound": c.c1,
                 "holds": codeg <= c.c1},
@@ -232,15 +232,15 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
 
 
 def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
-                      mode: str = "exhaustive", budget: int | None = None,
-                      s: int | None = None, t: int | None = None) -> dict:
+                      budget: int | None = None, s: int | None = None,
+                      t: int | None = None) -> dict:
     """Isoperimetry of a Cartesian product of t factors with at most s
     vertices each: codegree at most s (exact), the reported worst constant
     c in |N(X)| >= t|X|/c, and the near-half expansion factor
     1 + 2 sqrt(2)(1-q)/(s sqrt(t)) at q = 2|X|/n, over the sets swept as
     in check_property_i. s and t default to the largest and the number of
     the factor vertex counts the product builder recorded. Raises
-    ValueError unless s, t >= 1 and the sweep checks some set."""
+    ValueError unless s, t >= 1 and size_cap >= 1."""
     if (s is None or t is None) and not g.factor_sizes:
         raise ValueError(
             "graph is not a declared product; pass s and t explicitly")
@@ -260,9 +260,9 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
         nonlocal worst_c
         worst_c = max(worst_c, t * size / nbr)
 
-    verdicts = _run_conditions(
-        g, {"near_half": (lambda size: True, near_half)},
-        _iterate_sets(g, size_cap, mode, budget), track)
+    verdicts, swept = _sweep(
+        g, {"near_half": (lambda size: True, near_half)}, size_cap, budget,
+        track)
     codeg = max_codegree(g)
     return {
         "s": s,
@@ -273,6 +273,7 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
         "conditions": verdicts,
         "holds": codeg <= s and verdicts["near_half"]["holds"],
         "size_cap": size_cap,
+        "swept": swept,
     }
 
 
@@ -466,10 +467,10 @@ def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
     ratio = Fraction(g.d) / Fraction(c2)
     sets = ((side, as_mask(combo)) for y in opposite for r in sizes
             for combo in combinations(g.adj[y], r))
-    verdict = _run_conditions(
+    verdicts, _ = _run_conditions(
         g, {"expansion": (lambda size: True, lambda size: ratio * size)},
-        sets)["expansion"]
-    return dict(verdict, c2=c2)
+        {"expansion": total}, sets)
+    return dict(verdicts["expansion"], c2=c2)
 
 
 def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,

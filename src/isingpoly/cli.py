@@ -75,7 +75,6 @@ from .model import (
 from .polymers import enumerate_polymers, polymer_to_json_dict, xi_brute
 from .rationals import MAX_DECIMAL_EXPONENT, format_rational, parse_rational
 
-BUDGET_ENV = "ISINGPOLY_BUDGET"
 REQUIRED = "required"
 # the isoperimetry and KP constants; audit-kp's sum mode reads all but c4
 _CONSTANTS = {"--c1": (float, 2.0), "--c2": (float, 10.0),
@@ -123,7 +122,6 @@ MODE_OPTIONS = {
             "two": {f: _CONSTANTS[f] for f in ("--c1", "--c4", "--c5")},
             "product": {"--s": (int, None), "--t": (int, None)},
         },
-        "--mode": {"exhaustive": {}, "linked": {}},
     },
     "closed-form": {"--family": {family: form[0]
                                  for family, form in CLOSED_FORMS.items()}},
@@ -376,7 +374,7 @@ def _condition_rows(report) -> list[dict]:
 
 
 def cmd_audit_iso(args):
-    sweep = dict(size_cap=args.size_cap, mode=args.mode, budget=args.budget)
+    sweep = dict(size_cap=args.size_cap, budget=args.budget)
     if args.property == "product":
         report = check_product_iso(args.graph, s=args.s, t=args.t, **sweep)
         extra = [{"condition": "codegree", "holds": report["codegree_holds"],
@@ -532,16 +530,6 @@ def cmd_audit_nonpolymer(args):
 # -- argument wiring -----------------------------------------------------------
 
 
-def _default_budget() -> int | None:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CliError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from exc
-
-
 def _dest(flag: str) -> str:
     return "lam" if flag == "--lambda" else flag[2:].replace("-", "_")
 
@@ -578,8 +566,8 @@ OPTIONS = {
     # closed-form's oracle; audit-z builds none and reads no budget
     "--budget": dict(type=int, default=None,
                      help=f"cap on sweeps/enumerations and on the graph's "
-                          f"vertex count (default ${BUDGET_ENV} or module "
-                          f"defaults; {DEFAULT_VERTEX_CAP} vertices)"),
+                          f"vertex count (default: the module defaults; "
+                          f"{DEFAULT_VERTEX_CAP} vertices)"),
     "--graph": dict(required=True,
                     help=f"builder spec ({_SPECS}), a JSON file path, or - "
                          f"for stdin"),
@@ -635,8 +623,7 @@ COMMANDS = {
                      (*_MODEL, "--rho", "--format", "--samples", "--seed")),
     "audit-iso": (cmd_audit_iso, "vertex-isoperimetry condition sweeps", (
         *_GRAPH, "--format", ("--property", dict(default="one")),
-        ("--size-cap", dict(type=int, default=4)),
-        ("--mode", dict(default="exhaustive")))),
+        ("--size-cap", dict(type=int, default=4)))),
     "audit-kp": (cmd_audit_kp, "convergence-condition audits", (
         *_MODEL, "--rho", "--side", "--format",
         ("--mode", dict(default="sum")))),
@@ -710,8 +697,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 1
     try:
-        if hasattr(args, "budget") and args.budget is None:
-            args.budget = _default_budget()
         scope_options(args)
         if getattr(args, "seed", 0) < 0:
             raise CliError(f"seed must be >= 0, got {args.seed}")

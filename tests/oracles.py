@@ -81,6 +81,16 @@ def brute_two_linked_sets(g: BipartiteGraph, v: int, ell_max: int) -> list[tuple
     return sorted(out)
 
 
+def exhaustive_sets(g: BipartiteGraph, side: str, size_cap: int):
+    """Every subset of the side with at most size_cap vertices as a mask,
+    size-major and then lexicographic; the former library sweep of the
+    isoperimetry audits, kept as the second route to the 2-linked one."""
+    verts = g.side_E if side == "E" else g.side_O
+    for k in range(1, min(size_cap, len(verts)) + 1):
+        for combo in combinations(verts, k):
+            yield as_mask(combo)
+
+
 def graphs_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
     """Brute-force isomorphism for graphs with at most 8 vertices."""
     if g1.n != g2.n or g1.d != g2.d:

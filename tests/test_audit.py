@@ -28,6 +28,7 @@ from isingpoly.audit import (
     z_psi_split_audit,
 )
 from isingpoly.graphs import (
+    AuditViolation,
     BudgetError,
     as_mask,
     build_cartesian_product,
@@ -45,7 +46,7 @@ from isingpoly.graphs import (
 )
 from isingpoly.model import ModelParams, captured_on_side, exact_Z, ising_weight
 
-from oracles import fraction_z_psi
+from oracles import exhaustive_sets, fraction_z_psi
 
 
 def naive_sweep(g, size_cap, applies, bound):
@@ -168,8 +169,7 @@ class TestPropertyI:
         # c2 = 1/100 demands a 200x expansion, violated by every set; the
         # recorded witness must survive an independent neighborhood count
         bad = PropertyConstants(c1=2, c4=1, c5=0.5, c2=F(1, 100), c3=3)
-        report = check_property_i(build_cycle(6), bad, size_cap=2,
-                                  mode="linked")
+        report = check_property_i(build_cycle(6), bad, size_cap=2)
         entry = report["conditions"]["Ia2"]
         assert not entry["holds"]
         worst = entry["worst"]
@@ -186,20 +186,55 @@ class TestPropertyI:
         with pytest.raises(BudgetError):
             check_property_i(build_hypercube(4), FULL, size_cap=5, budget=10)
 
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            check_property_i(build_cycle(6), FULL, mode="guess")
-
     @pytest.mark.parametrize("g,sweep", [
         (build_cycle(6), {"size_cap": 0}),
-        (build_cycle(6), {"size_cap": 0, "mode": "linked"}),
-        # on K2 no set is small enough for Ia3 (|X| <= 3n/8 = 3/4)
+        (build_cycle(6), {"size_cap": -1}),
+        # on K2 no set is small enough for Ia3 (|X| <= 3n/8 = 3/4), and a
+        # cap past the one-vertex side adds none
         (build_hypercube(1), {"size_cap": 1}),
-        (build_hypercube(1), {"size_cap": 1, "mode": "linked"}),
+        (build_hypercube(1), {"size_cap": 2}),
     ])
     def test_refuses_an_empty_sweep(self, g, sweep):
         with pytest.raises(ValueError):
             check_property_i(g, FULL, **sweep)
+
+    def test_empty_sweep_is_refused_before_any_set_is_swept(self,
+                                                            monkeypatch):
+        swept = []
+        monkeypatch.setattr(audit, "neighborhood",
+                            lambda g, mask: swept.append(mask))
+        with pytest.raises(ValueError, match="Ia3 covers no set"):
+            check_property_i(build_hypercube(1), FULL, size_cap=1)
+        assert swept == []
+
+    def test_each_witness_is_recounted_once(self, monkeypatch):
+        # every set of Q8 up to size 4 violates Ia3 at c4 = 4: one re-count
+        # per condition, not one per violating set
+        brute = audit._brute_neighborhood_size
+        calls = []
+
+        def counted(g, mask):
+            calls.append(mask)
+            return brute(g, mask)
+
+        monkeypatch.setattr(audit, "_brute_neighborhood_size", counted)
+        failing = PropertyConstants(c1=0.1, c2=0.5, c3=3, c4=4, c5=0.5)
+        report = check_property_i(build_hypercube(8), failing, size_cap=4)
+        assert not report["holds"]
+        assert calls == [as_mask(entry["worst"]["set"])
+                         for entry in report["conditions"].values()]
+
+    def test_an_undercounted_witness_is_caught(self, monkeypatch):
+        # the fast route drops the lowest neighbour of every set; the
+        # re-count of the witness disagrees
+        def undercount(g, mask):
+            nbr = neighborhood(g, mask)
+            return nbr & (nbr - 1)
+
+        monkeypatch.setattr(audit, "neighborhood", undercount)
+        with pytest.raises(AuditViolation,
+                           match="neighborhood routes disagree"):
+            check_property_i(build_hypercube(3), FULL, size_cap=2)
 
 
 class TestPropertyII:
@@ -313,12 +348,14 @@ class TestProductIso:
             check_product_iso(build_hypercube(3), size_cap=0)
 
     def test_linked_sweep_draws_the_sets_of_property_one(self):
+        # 126 rooted 2-linked sets decide the 324 subsets of at most four
+        # of the eight vertices of either side
         g = build_hypercube(4)
-        sweep = dict(size_cap=4, mode="linked")
-        report = check_product_iso(g, **sweep)
-        ia1 = check_property_i(g, FULL, **sweep)["conditions"]["Ia1"]
+        report = check_product_iso(g, size_cap=4)
+        one = check_property_i(g, FULL, size_cap=4)
+        assert report["swept"] == one["swept"] == 126
         assert report["conditions"]["near_half"]["checked"] == \
-            ia1["checked"] == 126
+            one["conditions"]["Ia1"]["checked"] == 324
 
 
 LINKED_GRAPHS = {
@@ -354,24 +391,45 @@ def iso_checks(g):
     )
 
 
+def swept_exhaustively(monkeypatch, check, g, size_cap):
+    """check(g)'s report decided over the oracle's sweep of every subset of
+    at most size_cap vertices of each side, each condition's checked
+    counting the subsets it applied to."""
+    run = audit._run_conditions
+
+    def every_subset(h, conditions, checked, sets, observe=None):
+        sets = [(side, mask) for side in ("E", "O")
+                for mask in exhaustive_sets(h, side, size_cap)]
+        counted = {name: sum(1 for _, mask in sets
+                             if applies(popcount(mask)))
+                   for name, (applies, _) in conditions.items()}
+        return run(h, conditions, counted, sets, observe)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(audit, "_run_conditions", every_subset)
+        return check(g, size_cap=size_cap)
+
+
 class TestLinkedSweep:
     @pytest.mark.parametrize("size_cap", [1, 2, 3, 4])
     @pytest.mark.parametrize("name", LINKED_GRAPHS)
-    def test_verdicts_equal_the_exhaustive_sweep(self, name, size_cap):
+    def test_verdicts_equal_the_exhaustive_sweep(self, monkeypatch, name,
+                                                 size_cap):
         # rooted on the builder graph, from every start on its JSON copy
         g = LINKED_GRAPHS[name]()
         assert g.vertex_transitive
         every = graph_from_json(graph_to_json(g))
         assert not every.vertex_transitive
         for check in iso_checks(g):
-            want = check(g, size_cap=size_cap)
+            want = swept_exhaustively(monkeypatch, check, g, size_cap)
             for h in (g, every):
-                got = check(h, size_cap=size_cap, mode="linked")
+                got = check(h, size_cap=size_cap)
                 assert got["holds"] == want["holds"]
                 assert got.get("worst_c") == want.get("worst_c")
                 for cond, entry in want["conditions"].items():
                     linked = got["conditions"][cond]
                     assert linked["holds"] == entry["holds"]
+                    assert linked["checked"] == entry["checked"]
                     if entry["worst"]["margin"] > 0:
                         assert linked["worst"] == entry["worst"]
                     if not linked["holds"]:
@@ -385,26 +443,26 @@ class TestLinkedSweep:
     def test_sets_are_the_two_linked_subsets_in_sweep_order(self):
         g = build_middle_layer(3)
         every = graph_from_json(graph_to_json(g))
-        linked = [(side, mask) for side, mask in audit._iterate_sets(g, 3)
+        linked = [(side, mask) for side in ("E", "O")
+                  for mask in exhaustive_sets(g, side, 3)
                   if is_two_linked(g, mask)]
-        assert list(audit._iterate_sets(every, 3, "linked")) == linked
+        assert list(audit._iterate_sets(every, 3)) == linked
         lowest = {side: g.side_mask(side) & -g.side_mask(side)
                   for side in ("E", "O")}
-        assert list(audit._iterate_sets(g, 3, "linked")) == \
+        assert list(audit._iterate_sets(g, 3)) == \
             [(side, mask) for side, mask in linked if mask & lowest[side]]
 
     def test_reaches_past_the_exhaustive_budget(self):
-        q8 = build_hypercube(8)
-        with pytest.raises(BudgetError, match="needs 11017632 subsets"):
-            check_property_i(q8, FULL, size_cap=4)
-        report = check_property_i(q8, FULL, size_cap=4, mode="linked")
+        # 2 * 11,017,632 subsets of a side, far past the default budget,
+        # decided by 46,426 rooted 2-linked sets
+        report = check_property_i(build_hypercube(8), FULL, size_cap=4)
         assert report["holds"]
-        assert report["conditions"]["Ia1"]["checked"] == 46426
+        assert report["swept"] == 46426
+        assert report["conditions"]["Ia1"]["checked"] == 22035264
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError, match="exceeded 10 sets"):
-            check_property_i(build_hypercube(4), FULL, mode="linked",
-                             budget=10)
+            check_property_i(build_hypercube(4), FULL, budget=10)
 
 
 class TestPsiFamilies:
@@ -671,9 +729,8 @@ class TestContainerReports:
             container_hypothesis_check(g, "X", 2.0)
         with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
             container_sum_report(g, "X", 2, 1, ModelParams(1, 1))
-        for sweep in (audit._exhaustive_sets, audit._linked_sets):
-            with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
-                list(sweep(g, "X", 2, None))
+        with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
+            audit._linked_sets(g, "X", 2, None)
 
     def test_hypothesis_bound_is_exact(self):
         # on C6 at c2 = 4/3 the bound (d/c2)|X| is exactly 3 at |X| = 2,
@@ -845,20 +902,17 @@ def test_no_random_import_in_the_package():
     assert found == []
 
 
-@pytest.mark.parametrize("sweep", [
-    {"size_cap": 3},
-    {"size_cap": 4, "mode": "linked"},
-])
-def test_check_product_iso_sweeps_once(monkeypatch, sweep):
+def test_check_product_iso_sweeps_once(monkeypatch):
     # the verdicts and worst_c come from one pass over the swept sets, with
     # one neighborhood per set; the report equals the two-pass one built
     # here from the listed sets
     g = build_even_torus(6, 2)
     s, t = max(g.factor_sizes), len(g.factor_sizes)
-    sets = list(audit._iterate_sets(g, **sweep))
+    sets = list(audit._iterate_sets(g, 4))
     conditions = {"near_half": (lambda size: True, lambda size: size * (
         1 + 2 * math.sqrt(2) * (1 - 2 * size / g.n) / (s * math.sqrt(t))))}
-    expected_verdicts = audit._run_conditions(g, conditions, sets)
+    expected_verdicts, swept = audit._run_conditions(
+        g, conditions, audit._coverage(g, conditions, 4), sets)
     expected_c = max(t * popcount(mask) / popcount(neighborhood(g, mask))
                      for _, mask in sets)
     calls = []
@@ -868,17 +922,18 @@ def test_check_product_iso_sweeps_once(monkeypatch, sweep):
         calls.append(args)
         return iterate(*args, **kwargs)
 
-    swept = []
+    counted_masks = []
 
     def counted_neighborhood(graph, mask):
-        swept.append(mask)
+        counted_masks.append(mask)
         return neighborhood(graph, mask)
 
     monkeypatch.setattr(audit, "_iterate_sets", counted)
     monkeypatch.setattr(audit, "neighborhood", counted_neighborhood)
-    report = check_product_iso(g, **sweep)
+    report = check_product_iso(g, size_cap=4)
     assert len(calls) == 1
-    assert swept == [mask for _, mask in sets]
+    assert counted_masks == [mask for _, mask in sets]
+    assert report["swept"] == swept == len(sets)
     assert report["conditions"] == expected_verdicts
     assert report["worst_c"] == expected_c
 

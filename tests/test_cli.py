@@ -152,7 +152,6 @@ READS = {
         "one": ["--c1", "--c2", "--c3", "--c4", "--c5"],
         "two": ["--c1", "--c4", "--c5"],
         "product": ["--s", "--t"]},
-    ("audit-iso", "--mode"): {"exhaustive": [], "linked": []},
     ("closed-form", "--family"): {
         "l1": ["--graph", "--lambda"], "torus": ["--m", "--t"],
         "midlayer": ["--d"], "kss": ["--s", "--t"], "hypercube": ["--t"]},
@@ -196,9 +195,8 @@ def audit_argv(draw):
                 "--p", "1/2", "--a", "1", "--b", "2", "--hypothesis-c2",
                 c2], False
     prop = draw(st.sampled_from(["one", "two", "product"]))
-    mode = draw(st.sampled_from(["exhaustive", "linked"]))
     argv = ["audit-iso", "--graph", graph, "--property", prop,
-            "--mode", mode, "--size-cap", str(draw(st.integers(-2, 5)))]
+            "--size-cap", str(draw(st.integers(-2, 5)))]
     if prop == "product":
         for flag in ("--s", "--t"):
             value = draw(st.none() | st.integers(-1, 4))
@@ -207,8 +205,7 @@ def audit_argv(draw):
     stray = draw(st.integers(0, 4)) == 0
     if stray:
         flag = draw(st.sampled_from(
-            out_of_scope("audit-iso", "--property", prop) +
-            out_of_scope("audit-iso", "--mode", mode)))
+            out_of_scope("audit-iso", "--property", prop)))
         argv += [flag, OPTION_VALUE[flag]]
     return argv, stray
 
@@ -307,27 +304,15 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("ISINGPOLY_BUDGET", "10")
-        code, _, err = run(capsys, "zexact", "--graph", "hypercube:5",
-                           "--lambda", "1", "--p", "1")
-        assert code == 1
-        monkeypatch.setenv("ISINGPOLY_BUDGET", "not-a-number")
-        code, _, err = run(capsys, "zexact", "--graph", "cycle:4",
-                           "--lambda", "1", "--p", "1")
-        assert code == 1
-        assert "ISINGPOLY_BUDGET" in err
-
-    def test_audit_z_takes_no_budget(self, capsys, monkeypatch):
+    def test_audit_z_takes_no_budget(self, capsys):
         # audit-z builds no graph and enumerates nothing: --budget would
-        # bound nothing, so it is refused, and the environment is not read
+        # bound nothing, so it is refused
         argv = ("audit-z", "--d", "4", "--lambda", "1", "--p", "1/2", "--C",
                 "1", "--psi", "0;1")
         code, out, err = run(capsys, *argv, "--budget", "1")
         assert code == 1
         assert out == ""
         assert "--budget" in err
-        monkeypatch.setenv("ISINGPOLY_BUDGET", "not-a-number")
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["mode"] == "halfell"
@@ -458,7 +443,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sweep", [
         ("--size-cap", "0"),
-        ("--mode", "linked", "--size-cap", "0"),
+        ("--size-cap", "-1"),
     ])
     @pytest.mark.parametrize("prop", [
         ("--property", "one"),
@@ -510,32 +495,29 @@ class TestExitCodes:
     def test_linked_sweep_of_no_set_exits_one(self, capsys):
         # on K2 no set is small enough for Ia3 (|X| <= 3n/8 = 3/4)
         code, out, err = run(capsys, "audit-iso", "--graph", "hypercube:1",
-                             "--property", "one", "--mode", "linked",
-                             "--size-cap", "1")
+                             "--property", "one", "--size-cap", "1")
         assert code == 1
         assert out == ""
         assert "empty sweep" in err
 
     @pytest.mark.parametrize("option", [
-        ("--mode", "sampled"), ("--seed", "0"), ("--samples", "5")])
-    def test_audit_iso_has_no_sampled_mode(self, capsys, option):
+        ("--mode", "exhaustive"), ("--mode", "linked"), ("--mode", "sampled"),
+        ("--seed", "0"), ("--samples", "5")])
+    def test_audit_iso_has_no_sweep_options(self, capsys, option):
         code, out, err = run(capsys, "audit-iso", "--graph", "cycle:6",
                              "--size-cap", "2", *option)
         assert code == 1
         assert out == ""
         assert option[0] in err
 
-    def test_linked_audit_iso_runs_past_the_exhaustive_budget(
-            self, capsys, monkeypatch):
-        monkeypatch.delenv("ISINGPOLY_BUDGET", raising=False)
-        argv = ("audit-iso", "--graph", "hypercube:8", "--size-cap", "4")
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert "needs 11017632 subsets, cap is 1048576" in err
-        code, out, _ = run(capsys, *argv, "--mode", "linked")
+    def test_linked_audit_iso_runs_past_the_exhaustive_budget(self, capsys):
+        # Q8 at size cap 4 covers 2 * 11,017,632 subsets, over the 2^20
+        # budget, and sweeps 46,426 rooted 2-linked sets under it
+        code, out, _ = run(capsys, "audit-iso", "--graph", "hypercube:8",
+                           "--size-cap", "4")
         assert code == 0
         assert {row.get("checked") for row in json.loads(out)} == \
-            {46426, None}
+            {22035264, None}
 
     @pytest.mark.parametrize("budget,code", [("40", 2), ("39", 1)])
     def test_container_hypothesis_budget_counts_the_swept_sets(
@@ -626,7 +608,7 @@ class TestExitCodes:
           "--t", "2"), "--t applies only to --family torus or kss or hypercube"),
         (("audit-iso", "--graph", "cycle:6", "--property", "two", "--c2", "0"),
          "--c2 applies only to --property one"),
-        (("audit-iso", "--graph", "cycle:6", "--mode", "linked", "--s", "2"),
+        (("audit-iso", "--graph", "cycle:6", "--s", "2"),
          "--s applies only to --property product"),
         (("gen", "--graph", "cycle:6", "--format", "csv"),
          "unrecognized arguments: --format csv"),
@@ -658,8 +640,8 @@ class TestExitCodes:
           "1/2", "--a", "0", "--b", "-1"), "closure size a must be >= 1"),
         (("audit-container", "--graph", "cycle:6", "--lambda", "1", "--p",
           "1/2", "--a", "0", "--b", "2"), "closure size a must be >= 1"),
-        (("audit-iso", "--graph", "cycle:6", "--mode", "linked",
-          "--size-cap", "0"), "size cap must be >= 1, got 0"),
+        (("audit-iso", "--graph", "cycle:6", "--size-cap", "0"),
+         "size cap must be >= 1, got 0"),
         (("xi", "--graph", "cycle:6", "--lambda", "1", "--p", "1",
           "--budget", "5"), "graph would have 6 vertices, budget is 5"),
         (("polymers", "--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
@@ -1078,6 +1060,27 @@ class TestAuditCommands:
         assert names[:3] == ["Ia1", "Ia2", "Ia3"]
         assert any(n.startswith("Ib.") for n in names)
 
+    def test_iso_property_one_rows_on_q4(self, capsys):
+        # the README command: each condition covers the 324 subsets of at
+        # most four of the eight vertices of either side
+        code, out, _ = run(capsys, "audit-iso", "--graph", "hypercube:4",
+                           "--property", "one", "--size-cap", "4", "--c1",
+                           "2", "--c2", "10", "--c3", "3", "--c4", "1",
+                           "--c5", "0.5")
+        assert code == 0
+        assert json.loads(out) == [
+            {"condition": "Ia1", "holds": True, "checked": 324,
+             "margin": 2.0, "witness": [0], "witness_side": "E",
+             "neighborhood": 4, "bound": 2.0},
+            {"condition": "Ia2", "holds": True, "checked": 324,
+             "margin": 3.6, "witness": [0], "witness_side": "E",
+             "neighborhood": 4, "bound": 0.4},
+            {"condition": "Ia3", "holds": True, "checked": 324,
+             "margin": 1.0, "witness": [0, 3, 5, 9], "witness_side": "E",
+             "neighborhood": 7, "bound": 6.0},
+            {"condition": "Ib.n_over_d_power", "value": 0.0078125},
+            {"condition": "Ib.log_n_over_d", "value": 0.6931471805599453}]
+
     def test_iso_property_two(self, capsys):
         code, out, _ = run(capsys, "audit-iso", "--graph", "torus:6,2",
                            "--property", "two", "--size-cap", "2")
@@ -1189,9 +1192,7 @@ FUZZ_BASES = {
     "sample-muhat": [["--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
                       "--samples", "10", "--seed", "1"]],
     "audit-iso": [["--graph", "product:kss:2+kss:2", "--size-cap", "2",
-                   "--property", prop, "--mode", mode]
-                  for prop in ("one", "two", "product")
-                  for mode in ("exhaustive", "linked")],
+                   "--property", prop] for prop in ("one", "two", "product")],
     "audit-kp": [["--graph", "cycle:6", "--lambda", "1/40", "--p", "1",
                   "--mode", mode] for mode in ("sum", "truncation")],
     "audit-z": [["--d", "4", "--lambda", "1", "--p", "1/2", "--C", "2",
@@ -1243,8 +1244,7 @@ def may_exit_zero(argv, flag, value):
     return (argv[0], flag, value) == ("audit-kp", "--tail-depth", "0")
 
 
-def test_numeric_options_at_minus_one_and_zero(monkeypatch):
-    monkeypatch.delenv("ISINGPOLY_BUDGET", raising=False)
+def test_numeric_options_at_minus_one_and_zero():
     assert set(FUZZ_BASES) == set(COMMANDS)
     exit_zero, allowed, escaped = set(), set(), []
     for cmd, bases in FUZZ_BASES.items():
@@ -1289,9 +1289,8 @@ def test_readme_lists_its_commands():
 
 
 @pytest.mark.parametrize("line", readme_commands())
-def test_readme_command_runs(capsys, monkeypatch, line):
+def test_readme_command_runs(capsys, line):
     # criterion 8's documented false premise exits 2
-    monkeypatch.delenv("ISINGPOLY_BUDGET", raising=False)
     code, out, err = run(capsys, *shlex.split(line)[1:])
     assert code == (2 if line == CRITERION_8 else 0), err
     assert json.loads(out)
