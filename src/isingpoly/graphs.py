@@ -360,12 +360,14 @@ def reach(start: int, allowed: int, nbr: Sequence[int]) -> int:
     return seen
 
 
-def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int):
+def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
+                          memo: dict | None = None):
     """The memo of F(S), the weighted independent-set sum over S: the sum
     over the subsets I of S that are independent under nbr (nbr[v] is the
     mask of v's neighbours, with or without v's own bit) of the product of
     weights[v] over v in I, the empty set counting 1; F(allowed) is
-    table[allowed].
+    table[allowed]. A `memo` from an earlier call with the same nbr and
+    weights is extended in place.
 
     F(S) = F(S - j) + w_j F(S - j - nbr[j]) for the lowest vertex j of S,
     evaluated with an explicit stack over one memo so the depth does not
@@ -373,7 +375,7 @@ def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int):
     a time, so a child is never pushed twice: the two children coincide
     when j has no neighbour left in S.
     """
-    memo = {0: 1}
+    memo = {0: 1} if memo is None else memo
     get = memo.get
     stack = [allowed] if allowed else []
     while stack:

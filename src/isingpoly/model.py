@@ -47,6 +47,8 @@ MC_CHUNK = 4096
 # (2^20 subsets, 2^19 for the (mask, side) table) they are refused before
 # the sweep starts. TV, Z-hat and the non-polymer weight need no table.
 MEASURE_TABLE_CAP = 1 << 20
+# exact_Z refuses a DP of more states than this (150-190 bytes each).
+_STATE_CEILING = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -137,23 +139,21 @@ def ising_weight(g: BipartiteGraph, params: ModelParams, i) -> Fraction:
                     _weight_scale(g, params))
 
 
-def _frontier_placement(g: BipartiteGraph):
-    """Place the vertices one by one for exact_Z's boundary DP, yielding
-    (v, back, frontier) per step: the vertex, how many of its neighbours
-    were placed before it, and the mask of frontier vertices (placed
-    vertices with an unplaced neighbour) once it is placed. The order is
-    greedy: among the unplaced neighbours of placed vertices, or the lowest
-    unplaced vertex when there are none, place the one that leaves the
-    fewest frontier vertices; ties go to the lowest index."""
+def _candidate_orders(g: BipartiteGraph) -> dict[str, list[int]]:
+    """The vertex orders exact_Z's plan chooses from. Greedy: among the
+    unplaced neighbours of placed vertices, or the lowest unplaced vertex
+    when there are none, place the one that leaves the fewest frontier
+    vertices, ties to the lowest index. Side-major: the greedy order's
+    side-E vertices, each O vertex right after its last E-neighbour, so no
+    O vertex enters the frontier. Natural: 0, 1, ..., n-1."""
     unplaced_nbrs = [len(nbrs) for nbrs in g.adj]
-    placed = [False] * g.n
-    frontier = 0
+    rank: dict[int, int] = {}  # placed vertex -> its greedy position
     candidates: set[int] = set()
     lowest = 0
 
     def growth(u):
         # the frontier's change if u is placed next, then u for ties
-        closed = sum(placed[w] and unplaced_nbrs[w] == 1 for w in g.adj[u])
+        closed = sum(w in rank and unplaced_nbrs[w] == 1 for w in g.adj[u])
         return (unplaced_nbrs[u] > 0) - closed, u
 
     for _ in range(g.n):
@@ -161,19 +161,74 @@ def _frontier_placement(g: BipartiteGraph):
             v = min(candidates, key=growth)
             candidates.discard(v)
         else:
-            while placed[lowest]:
+            while lowest in rank:
                 lowest += 1
             v = lowest
-        placed[v] = True
+        rank[v] = len(rank)
         for w in g.adj[v]:
             unplaced_nbrs[w] -= 1
-            if not placed[w]:
+            if w not in rank:
                 candidates.add(w)
-            elif unplaced_nbrs[w] == 0:
+
+    def side_major(v):
+        if g.side_E_mask >> v & 1:
+            return rank[v], 0
+        return max(rank[w] for w in g.adj[v]), 1
+
+    return {"greedy": list(rank),
+            "side-major": sorted(range(g.n), key=side_major),
+            "natural": list(range(g.n))}
+
+
+def _placement_steps(g: BipartiteGraph, order) -> list[tuple[int, int, int]]:
+    """(v, back, frontier) per step of placing `order`: the vertex, how
+    many of its neighbours precede it, and the mask of placed vertices with
+    an unplaced neighbour once it is placed."""
+    unplaced_nbrs = [len(nbrs) for nbrs in g.adj]
+    frontier = 0
+    steps = []
+    for v in order:
+        for w in g.adj[v]:
+            unplaced_nbrs[w] -= 1
+            if not unplaced_nbrs[w]:
                 frontier &= ~(1 << w)
         if unplaced_nbrs[v]:
             frontier |= 1 << v
-        yield v, len(g.adj[v]) - unplaced_nbrs[v], frontier
+        steps.append((v, len(g.adj[v]) - unplaced_nbrs[v], frontier))
+    return steps
+
+
+def _state_counts(g: BipartiteGraph, steps, hard_core: bool, memo: dict):
+    """The DP's state count after each step: 2^|frontier| at p < 1, and at
+    p = 1 the frontier's independent subsets, counted through `memo`."""
+    for _, _, frontier in steps:
+        if hard_core and frontier not in memo:
+            independent_set_table(g.adj_mask, [1] * g.n, frontier, memo)
+        yield memo[frontier] if hard_core else 1 << frontier.bit_count()
+
+
+def _frontier_placement(g: BipartiteGraph, hard_core: bool):
+    """exact_Z's plan: the steps of the candidate order of least predicted
+    work, a state entering a step costing 2 if the placed vertex stays on
+    the frontier and 1 if it leaves at once. An order is dropped once its
+    cost reaches the best so far or a count passes _STATE_CEILING."""
+    memo: dict[int, int] = {0: 1}
+    best = None
+    for order in _candidate_orders(g).values():
+        steps = _placement_steps(g, order)
+        cost, entering = 0, 1
+        for (v, _, frontier), count in zip(
+                steps, _state_counts(g, steps, hard_core, memo)):
+            cost += entering << (frontier >> v & 1)
+            if best and cost >= best[0] or count > _STATE_CEILING:
+                break
+            entering = count
+        else:
+            best = cost, steps
+    if best is None:
+        raise BudgetError(f"the boundary DP needs more than {_STATE_CEILING} "
+                          "states in every vertex order")
+    return best[1]
 
 
 def exact_Z(g: BipartiteGraph, params: ModelParams,
@@ -187,32 +242,41 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
     `back` placed neighbours, k of them chosen, multiplies its state by
     b*e^back when left out and by a*c^k*e^(back-k) when taken; every weight
     is then the ising_weight times b^n * e^|E|, and the one Fraction is
-    built at the end. At p = 1, c = 0 drops the taken branch for k > 0.
+    built at the end. At p = 1, c = 0 drops the taken branch for k > 0. A
+    vertex that leaves the frontier when placed sends both branches to one
+    key: one update with their sum.
 
-    Vertices are placed by _frontier_placement, which keeps the peak state
-    count small: 8,192 on Q5 (natural order: 65,536) and 32,768 on the
-    8x8 torus at p = 1/2, so n = 64 is reachable. One known loss: on the
-    8x8 torus in the hard-core model the greedy order peaks at 20,480
-    states against 3,196 in natural order (about 0.1 s against 0.05 s)."""
+    _frontier_placement picks the vertex order per run from exact state
+    counts. Measured peaks: side-major on Q5 at p = 1/2 (8,192 states;
+    natural 65,536), greedy on Q5 at p = 1 (1,180) and on the 8x8 torus at
+    p = 1/2 (32,768), natural on that torus at p = 1 (3,196; greedy
+    20,480). With every order past 2^22 states, BudgetError comes before
+    the first step: Q6 at p = 9/10 needs 2^23 in its best order."""
     _check_sweep(g.n, sweep_cap)
     a, b = params.lam.numerator, params.lam.denominator
     surv = 1 - params.p
     c, e = surv.numerator, surv.denominator
     states: dict[int, int] = {0: 1}
-    for v, back, retain in _frontier_placement(g):
+    for v, back, retain in _frontier_placement(g, params.p == 1):
         out_w = b * e ** back
         in_w = [a * c ** k * e ** (back - k) for k in range(back + 1)]
-        bit = 1 << v
         am = g.adj_mask[v]
         nxt: dict[int, int] = {}
         get = nxt.get
-        for s, w in states.items():
-            key = s & retain
-            nxt[key] = get(key, 0) + w * out_w
-            m = in_w[(am & s).bit_count()]
-            if m:
-                key = (s | bit) & retain
-                nxt[key] = get(key, 0) + w * m
+        if retain >> v & 1:
+            bit = 1 << v
+            for s, w in states.items():
+                key = s & retain
+                nxt[key] = get(key, 0) + w * out_w
+                m = in_w[(am & s).bit_count()]
+                if m:
+                    key = (s | bit) & retain
+                    nxt[key] = get(key, 0) + w * m
+        else:
+            both = [out_w + m for m in in_w]
+            for s, w in states.items():
+                key = s & retain
+                nxt[key] = get(key, 0) + w * both[(am & s).bit_count()]
         states = nxt
     (value,) = states.values()
     return Fraction(value, _weight_scale(g, params))

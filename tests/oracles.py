@@ -135,38 +135,43 @@ def brute_ising_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fraction:
                Fraction(0))
 
 
-def fraction_boundary_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fraction:
-    """The partition function by a boundary DP in natural vertex order that
-    adds Fractions in every state (states keyed by the chosen vertices that
-    still have undecided neighbours); the second route to exact_Z."""
-    lam = Fraction(lam)
-    surv = 1 - Fraction(p)
-    last = [nbrs[-1] for nbrs in g.adj]
+def fraction_steps_Z(g: BipartiteGraph, lam: Fraction, p: Fraction,
+                     steps) -> tuple[Fraction, list[int]]:
+    """The partition function by a boundary DP over `steps`, (v, back,
+    frontier) triples as exact_Z plans them, adding Fractions in every
+    state (states keyed by the chosen vertices of the step's frontier);
+    returns Z and the number of states after each step."""
+    # taking v with k chosen neighbours multiplies by lam (1-p)^k
+    taken = [Fraction(lam) * (1 - Fraction(p)) ** k for k in range(g.d + 1)]
     states: dict[int, Fraction] = {0: Fraction(1)}
-    for i in range(g.n):
-        retain = 0
-        for v in range(i + 1):
-            if last[v] > i:
-                retain |= 1 << v
-        bit = 1 << i
-        am = g.adj_mask[i]
+    counts = []
+    for v, _, retain in steps:
+        bit = 1 << v
+        am = g.adj_mask[v]
         nxt: dict[int, Fraction] = {}
         for s, w in states.items():
             key = s & retain
             cur = nxt.get(key)
             nxt[key] = w if cur is None else cur + w
-            back = popcount(am & s)
-            if back and surv == 0:
-                continue
-            wi = w * lam
-            if back:
-                wi *= surv ** back
-            key = (s | bit) & retain
-            cur = nxt.get(key)
-            nxt[key] = wi if cur is None else cur + wi
+            factor = taken[popcount(am & s)]
+            if factor:
+                key = (s | bit) & retain
+                cur = nxt.get(key)
+                nxt[key] = w * factor if cur is None else cur + w * factor
         states = nxt
+        counts.append(len(states))
     (value,) = states.values()
-    return value
+    return value, counts
+
+
+def fraction_boundary_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fraction:
+    """fraction_steps_Z in natural vertex order, each state keeping the
+    chosen vertices that still have undecided neighbours; the second route
+    to exact_Z."""
+    last = [nbrs[-1] for nbrs in g.adj]
+    steps = [(i, None, sum(1 << v for v in range(i + 1) if last[v] > i))
+             for i in range(g.n)]
+    return fraction_steps_Z(g, lam, p, steps)[0]
 
 
 def edge_subset_nbr(n: int, edges, sub: int) -> list[int]:

@@ -304,6 +304,18 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
 
+    def test_zexact_past_the_state_ceiling_is_refused_at_once(self, capsys):
+        # every vertex order of Q6 at p < 1 peaks at 2^23 states or more,
+        # which would run out of memory; the plan refuses before any step
+        start = time.perf_counter()
+        code, out, err = run(capsys, "zexact", "--graph", "hypercube:6",
+                             "--lambda", "1", "--p", "9/10", "--budget", "64")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        assert err == ("isingpoly: budget exceeded: the boundary DP needs "
+                       "more than 4194304 states in every vertex order\n")
+
     def test_audit_z_takes_no_budget(self, capsys):
         # audit-z builds no graph and enumerates nothing: --budget would
         # bound nothing, so it is refused

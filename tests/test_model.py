@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -45,7 +46,7 @@ from isingpoly.model import (
     tv_distance,
     z_hat_sweep,
 )
-from isingpoly import philox
+from isingpoly import model, philox
 from isingpoly.philox import philox_key
 from isingpoly.polymers import xi_brute
 from oracles import (
@@ -56,6 +57,7 @@ from oracles import (
     fraction_boundary_Z,
     fraction_measure,
     fraction_percolation_expectation,
+    fraction_steps_Z,
     fraction_sweep,
     fraction_tv,
 )
@@ -168,7 +170,8 @@ class TestExactZRoutes:
     @settings(max_examples=20, deadline=None)
     @given(g=st.sampled_from(Z_GRAPHS), rng=st.randoms(), lam=LAMBDAS, p=PS)
     def test_relabelling_leaves_z_unchanged(self, g, rng, lam, p):
-        # a permuted copy feeds the greedy vertex order another labelling
+        # a permuted copy feeds the planner's candidate orders another
+        # labelling, so it may run the DP in another order
         perm = list(range(g.n))
         rng.shuffle(perm)
         params = ModelParams(lam, p)
@@ -183,6 +186,79 @@ class TestExactZRoutes:
         lam = Fraction(2, 7)
         assert exact_Z(T82, ModelParams(lam, 0), sweep_cap=64) == \
             (1 + lam) ** 64
+
+
+PLAN_GRAPHS = {"Q4": build_hypercube(4), "Q5": build_hypercube(5),
+               "T6,2": build_even_torus(6, 2), "C12": build_cycle(12),
+               "K4,4": build_complete_bipartite(4), "T8,2": T82}
+PLAN_PARAMS = [(Fraction(1), Fraction(1, 2)), (Fraction(1), Fraction(1)),
+               (Fraction(3, 2), Fraction(2, 5))]
+ORDER_NAMES = ["greedy", "side-major", "natural"]
+# The Fraction DP runs an order of at most this many peak states in about
+# a second. Larger ones (Q5 in natural order at p < 1, T8,2 at p < 1, and
+# T8,2 in greedy or side-major order at p = 1) are not collected.
+FRACTION_DP_PEAK = 1 << 13
+
+
+def plan_steps(label, name):
+    g = PLAN_GRAPHS[label]
+    return model._placement_steps(g, model._candidate_orders(g)[name])
+
+
+def predicted_counts(label, p, steps):
+    return list(model._state_counts(PLAN_GRAPHS[label], steps, p == 1,
+                                    {0: 1}))
+
+
+PLAN_CASES = [
+    pytest.param(label, lam, p, name, id=f"{label}-{lam}-{p}-{name}")
+    for label in PLAN_GRAPHS for lam, p in PLAN_PARAMS for name in ORDER_NAMES
+    if max(predicted_counts(label, p, plan_steps(label, name)))
+    <= FRACTION_DP_PEAK]
+
+
+def forced(name):
+    """Patch exact_Z's planner to offer only the named candidate order."""
+    orders = model._candidate_orders
+    return mock.patch.object(model, "_candidate_orders",
+                             lambda g: {name: orders(g)[name]})
+
+
+class TestExactZPlan:
+    @pytest.mark.parametrize("label,lam,p,name", PLAN_CASES)
+    def test_predicted_state_counts_are_exact(self, label, lam, p, name):
+        steps = plan_steps(label, name)
+        z, measured = fraction_steps_Z(PLAN_GRAPHS[label], lam, p, steps)
+        assert measured == predicted_counts(label, p, steps)
+        assert z == exact_Z(PLAN_GRAPHS[label], ModelParams(lam, p),
+                            sweep_cap=64)
+
+    @pytest.mark.parametrize("name", ORDER_NAMES)
+    @settings(max_examples=10, deadline=None)
+    @given(g=st.sampled_from(Z_GRAPHS), lam=LAMBDAS, p=PS)
+    def test_each_candidate_order_gives_z(self, name, g, lam, p):
+        with forced(name):
+            for pr in (p, Fraction(0), Fraction(1)):
+                assert exact_Z(g, ModelParams(lam, pr)) == \
+                    fraction_boundary_Z(g, lam, pr)
+
+    @pytest.mark.parametrize("label,p,name", [
+        ("Q5", Fraction(1, 2), "side-major"),
+        ("Q5", Fraction(1), "greedy"),
+        ("T8,2", Fraction(1), "natural"),
+    ])
+    def test_plan_picks_the_clearly_cheapest_order(self, label, p, name):
+        g = PLAN_GRAPHS[label]
+        steps = model._frontier_placement(g, p == 1)
+        assert [v for v, _, _ in steps] == model._candidate_orders(g)[name]
+
+    def test_plan_past_the_state_ceiling_is_refused(self):
+        # Q6 at p < 1 peaks at 2^23 states in its best order (side-major);
+        # the ceiling applies in every order, forced or planned
+        q6 = build_hypercube(6)
+        for name in ORDER_NAMES:
+            with forced(name), pytest.raises(BudgetError, match="4194304"):
+                exact_Z(q6, ModelParams(1, Fraction(9, 10)), sweep_cap=64)
 
 
 class TestPercolation:
