@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     import mpmath
 
 URSELL_VERTEX_CAP = 12
+_FACTORIALS = [math.factorial(k) for k in range(URSELL_VERTEX_CAP + 1)]
 
 
 def _ursell(nbr) -> Fraction:
@@ -93,8 +94,8 @@ class Cluster:
 
     def weight(self, g: BipartiteGraph, params) -> Fraction:
         """orderings * ursell * the product of the entries' polymer weights
-        at params, in integers from family.parts_at(params), reduced once;
-        a g other than family.graph raises ValueError."""
+        at params, in integers from family.parts_at(params), with one
+        Fraction reduction; a g other than family.graph raises ValueError."""
         if g is not self.family.graph and g != self.family.graph:
             raise ValueError("the cluster's polymers belong to another graph")
         return _cluster_weight(self, self.family.parts_at(params))
@@ -102,9 +103,9 @@ class Cluster:
 
 def _cluster_weight(cluster: Cluster, parts) -> Fraction:
     """orderings * ursell * prod (num/den)^mult over the entries (poly,
-    mult), with (num, den) = parts[poly.vertices], as one integer numerator
-    and denominator and a single Fraction; the formula behind Cluster.weight
-    and the L_k sums."""
+    mult), with (num, den) = parts[poly.vertices] reduced once per polymer,
+    as one integer numerator and denominator and a single Fraction; the
+    formula behind Cluster.weight and the L_k sums."""
     num = cluster.orderings * cluster.ursell_value.numerator
     den = cluster.ursell_value.denominator
     for poly, mult in cluster.entries:
@@ -116,15 +117,25 @@ def _cluster_weight(cluster: Cluster, parts) -> Fraction:
 
 def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
               emit) -> None:
-    """Call emit(chosen, cluster) for every cluster of total size at most
-    k_max over the family's polymers, where chosen pairs family indices
-    with multiplicities. Emission groups clusters by their support polymers
-    in the family order. A multiset is a cluster iff its Ursell value is
-    nonzero. Raises BudgetError once the walk has visited more than
-    enum_cap (default 10^6) multisets, a check made before the Ursell cap.
-    Each multiset carries its expanded incompatibility graph, one neighbour
-    mask per polymer copy, and the product of its multiplicities'
-    factorials; each distinct graph's Ursell value is computed once."""
+    """Call emit(cluster) for every cluster of total size at most k_max over
+    the family's polymers. Emission groups clusters by their support
+    polymers in the family order. A multiset is a cluster iff its Ursell
+    value is nonzero. Each (candidate, multiplicity) step is one visit of
+    one multiset, cluster or not, cached or not; the walk raises
+    BudgetError once it has visited more than enum_cap (default 10^6), a
+    check made before the Ursell cap.
+
+    Each multiset carries down its expanded incompatibility graph (one
+    neighbour mask per polymer copy), the product of its multiplicities'
+    factorials, its entries and the mask `held` of its family indices. One
+    map `blocks`, shared by the walk, gives each held index the bits of its
+    copies on the current path (a node writes its child's block before
+    descending), so the copies a candidate j meets, `link`, are the OR of
+    the blocks over incompatible[j] & held. A child depends only on its
+    node, link and multiplicity, so each node builds one graph, Ursell
+    lookup and orderings count per (link, mult), shared by the siblings
+    that meet the same copies; each distinct graph's Ursell value is
+    computed once in the whole walk."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
@@ -135,52 +146,67 @@ def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
     fitting = [[j for j, s in enumerate(sizes) if s <= r]
                for r in range(k_max + 1)]
     ursells: dict[tuple[int, ...], Fraction] = {}
+    # the copy bits of each held index on the current path, keyed by 1 << i
+    blocks: dict[int, int] = {}
     visited = 0
 
-    def extend(start: int, chosen: list[tuple[int, int]], size: int,
+    def extend(start: int, held: int, entries: tuple, size: int,
                graph: tuple[int, ...], denom: int) -> None:
         nonlocal visited
         n = len(graph)
+        children: dict[tuple[int, int], tuple] = {}
         candidates = fitting[k_max - size]
         for j in candidates[bisect_left(candidates, start):]:
-            link = off = 0  # the copies already chosen that j meets
-            for i, m in chosen:
-                if incompatible[j] >> i & 1:
-                    link |= ((1 << m) - 1) << off
-                off += m
-            mult, grown, copies = 1, size + sizes[j], 0
+            link = 0  # the copies already chosen that j meets
+            meets = incompatible[j] & held
+            while meets:
+                low = meets & -meets
+                link |= blocks[low]
+                meets ^= low
+            bit, poly = 1 << j, polys[j]
+            mult, grown = 1, size + sizes[j]
             while grown <= k_max:
                 visited += 1
                 if visited > cap:
                     raise BudgetError(f"cluster walk exceeded {cap} "
                                       f"multisets (k_max={k_max})")
-                if n + mult > URSELL_VERTEX_CAP:
-                    raise BudgetError(f"a cluster of {n + mult} polymer "
-                                      f"copies exceeds the Ursell cap of "
-                                      f"{URSELL_VERTEX_CAP}")
-                copies |= 1 << (n + mult - 1)
-                grew = tuple([near | copies if link >> b & 1 else near
-                              for b, near in enumerate(graph)] +
-                             [link | (copies ^ (1 << b))
-                              for b in range(n, n + mult)])
-                value = ursells.get(grew)
-                if value is None:
-                    value = ursells[grew] = _ursell(grew)
-                multiset = chosen + [(j, mult)]
-                factorials = denom * math.factorial(mult)
-                if value:
-                    emit(multiset, Cluster(
-                        entries=tuple((polys[i], m) for i, m in multiset),
-                        size=grown, ursell_value=value,
-                        orderings=math.factorial(n + mult) // factorials,
-                        family=family))
-                if grown < k_max:
-                    extend(j + 1, multiset, grown, grew, factorials)
+                child = children.get((link, mult))
+                if child is None:
+                    if n + mult > URSELL_VERTEX_CAP:
+                        raise BudgetError(f"a cluster of {n + mult} polymer "
+                                          f"copies exceeds the Ursell cap of "
+                                          f"{URSELL_VERTEX_CAP}")
+                    copies = ((1 << mult) - 1) << n
+                    grew = tuple([near | copies if link >> b & 1 else near
+                                  for b, near in enumerate(graph)] +
+                                 [link | (copies ^ (1 << b))
+                                  for b in range(n, n + mult)])
+                    value = ursells.get(grew)
+                    if value is None:
+                        value = ursells[grew] = _ursell(grew)
+                    factorials = denom * _FACTORIALS[mult]
+                    # None marks a disconnected graph, tested without
+                    # Fraction.__bool__ on every visit
+                    child = children[(link, mult)] = (
+                        grew, value or None,
+                        _FACTORIALS[n + mult] // factorials, copies,
+                        factorials)
+                grew, value, orderings, copies, factorials = child
+                if value is not None or grown < k_max:
+                    grown_entries = entries + ((poly, mult),)
+                    if value is not None:
+                        emit(Cluster(entries=grown_entries, size=grown,
+                                     ursell_value=value, orderings=orderings,
+                                     family=family))
+                    if grown < k_max:
+                        blocks[bit] = copies
+                        extend(j + 1, held | bit, grown_entries, grown, grew,
+                               factorials)
                 mult += 1
                 grown += sizes[j]
 
     try:
-        extend(0, [], 0, (), 1)
+        extend(0, 0, (), 0, (), 1)
     finally:
         del extend  # a cycle through itself would hold emit until a full GC
 
@@ -192,7 +218,7 @@ def _terms_by_size(family: PolymerFamily, k_max: int,
     by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
     parts = family.weight_parts
 
-    def add(_, cluster: Cluster) -> None:
+    def add(cluster: Cluster) -> None:
         by_size[cluster.size] += _cluster_weight(cluster, parts)
 
     _clusters(family, k_max, enum_cap, add)
@@ -212,8 +238,7 @@ def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
     family = PolymerFamily(g, side, params, rho, size_max=k_max,
                            enum_cap=enum_cap)
     clusters: list[Cluster] = []
-    _clusters(family, k_max, enum_cap,
-              lambda _, cluster: clusters.append(cluster))
+    _clusters(family, k_max, enum_cap, clusters.append)
     return clusters
 
 

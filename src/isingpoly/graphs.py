@@ -65,6 +65,19 @@ def bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_SWAP_01 = str.maketrans("01", "10")
+
+
+def _lex_key(mask: int) -> str:
+    """A sort key that orders nonzero masks as their sorted vertex tuples:
+    the bits from vertex 0 up to the top vertex, a vertex held written "0"
+    and one missing "1". At the first vertex where two masks differ, the
+    one holding it comes first, unless the other has no vertex above it:
+    then the other's key, like its tuple, is a proper prefix of the
+    holder's."""
+    return bin(mask)[:1:-1].translate(_SWAP_01)
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -489,7 +502,7 @@ def two_linked_sets(g: BipartiteGraph, starts: int, allowed: int,
                               near | ball[u]))
                 banned |= 1 << u
         below |= 1 << v
-    found.sort(key=bits)
+    found.sort(key=_lex_key)  # as key=bits, with a key built in C
     return found
 
 

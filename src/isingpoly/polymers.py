@@ -268,12 +268,17 @@ class PolymerFamily:
         self._last = (None, {})  # the params parts_at read last, and parts
 
     def parts_at(self, params) -> dict[int, tuple[int, int]]:
-        """Each polymer's weight at params as the unreduced (num, den) pair
-        of _weight_parts, keyed by vertex mask; built once per params."""
+        """Each polymer's weight at params as the (num, den) pair of
+        _weight_parts reduced once per polymer by its gcd, keyed by vertex
+        mask; built once per params."""
         if params is not self._last[0]:  # hash params only on a change
             if params not in self._parts:
-                self._parts[params] = {p.vertices: _weight_parts(
-                    self.graph, params, p.vertices) for p in self.polymers}
+                parts = {}
+                for p in self.polymers:
+                    num, den = _weight_parts(self.graph, params, p.vertices)
+                    common = math.gcd(num, den)
+                    parts[p.vertices] = (num // common, den // common)
+                self._parts[params] = parts
             self._last = (params, self._parts[params])
         return self._last[1]
 

@@ -199,8 +199,21 @@ class TestClusterEnumeration:
         with pytest.raises(BudgetError, match=match) as oracle:
             list(walk_clusters(family, k_max, cap))
         with pytest.raises(BudgetError, match=match) as walk:
-            _clusters(family, k_max, cap, lambda chosen, cluster: None)
+            _clusters(family, k_max, cap, lambda cluster: None)
         assert str(walk.value) == str(oracle.value)
+
+    def test_budget_counts_every_visited_multiset(self):
+        # T6,2 at k_max 4: 31,482 multisets visited, 21,318 of them
+        # clusters; the budget counts the visits, not the clusters
+        g, prm = build_even_torus(6, 2), params(F(1, 2), F(1, 2))
+        clusters = enumerate_clusters(g, "E", prm, k_max=4, enum_cap=31_482)
+        assert len(clusters) == 21_318
+        match = "cluster walk exceeded 31481 multisets \\(k_max=4\\)"
+        with pytest.raises(BudgetError, match=match):
+            enumerate_clusters(g, "E", prm, k_max=4, enum_cap=31_481)
+        family = PolymerFamily(g, "E", prm, size_max=4)
+        with pytest.raises(BudgetError, match=match):
+            list(walk_clusters(family, 4, 31_481))
 
     def test_one_ursell_evaluation_per_expanded_graph(self, monkeypatch):
         # T6,2 at k_max 4: 31,482 multisets, 73 distinct expanded graphs
@@ -247,12 +260,11 @@ class TestClusterWalk:
         g, prm = WALK_GRAPHS[name], params(lam, p)
         family = PolymerFamily(g, "E", prm, size_max=k_max)
         stream = []
-        _clusters(family, k_max, None,
-                  lambda chosen, cluster: stream.append((chosen, cluster)))
+        _clusters(family, k_max, None, stream.append)
         expected = list(walk_clusters(family, k_max))
-        assert stream == expected
-        assert enumerate_clusters(g, "E", prm, k_max=k_max) == \
-            [cluster for _, cluster in stream]
+        # cluster equality compares the entries, so the chosen polymers too
+        assert stream == [cluster for _, cluster in expected]
+        assert enumerate_clusters(g, "E", prm, k_max=k_max) == stream
         assert l_k(g, "E", prm, k=k_max) == \
             oracle_terms(g, prm, k_max, family, expected)[k_max]
 

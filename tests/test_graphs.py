@@ -9,6 +9,7 @@ from isingpoly.graphs import (
     BipartiteGraph,
     BudgetError,
     GraphFormatError,
+    _lex_key,
     bits,
     build_cartesian_product,
     build_complete_bipartite,
@@ -302,6 +303,15 @@ class TestSetOperations:
         q4 = build_hypercube(4)
         with pytest.raises(BudgetError):
             list(enumerate_two_linked(q4, 0, 8, enum_cap=50))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2 ** 40 - 1), min_size=1, max_size=30))
+    def test_lex_key_sorts_as_vertex_tuples(self, masks):
+        # each mask also with its top vertex dropped: a tuple sorts before
+        # every longer tuple it is a prefix of, as {0, 1} before {0, 1, 3}
+        masks = masks + [m ^ 1 << m.bit_length() - 1
+                         for m in masks if m & m - 1] + [0b1011, 0b11, 0b1]
+        assert sorted(masks, key=_lex_key) == sorted(masks, key=bits)
 
     def test_codegree(self):
         c6 = build_cycle(6)
