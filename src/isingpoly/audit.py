@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,24 +38,27 @@ SLACK = 2.0 ** -64
 DEFAULT_SUBSET_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
 class PropertyConstants:
     """Constants for the isoperimetry properties. The full set c1..c5 with
     c5 < 2 and c3 > c5 + 2 drives the five-constant property; the reduced
     codegree-based property needs only c1, c4, c5 with c5 < 2. Each given
-    constant must be positive and finite."""
+    constant must be positive and finite. Written out rather than a
+    generated data class, for the import cost of cold CLI runs."""
 
-    c1: float
-    c4: float
-    c5: float
-    c2: float | None = None
-    c3: float | None = None
+    __slots__ = ("c1", "c4", "c5", "c2", "c3")
 
-    def __post_init__(self):
+    def __init__(self, c1: float, c4: float, c5: float,
+                 c2: float | None = None, c3: float | None = None):
+        given = {"c1": c1, "c4": c4, "c5": c5, "c2": c2, "c3": c3}
         require_positive_finite(**{name: value for name, value
-                                   in vars(self).items() if value is not None})
-        if self.c5 >= 2:
-            raise ValueError(f"c5 must be < 2, got {self.c5}")
+                                   in given.items() if value is not None})
+        if c5 >= 2:
+            raise ValueError(f"c5 must be < 2, got {c5}")
+        self.c1 = c1
+        self.c4 = c4
+        self.c5 = c5
+        self.c2 = c2
+        self.c3 = c3
 
     def require_full(self) -> None:
         if self.c2 is None or self.c3 is None:
@@ -280,24 +282,25 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
 # -- entropy-style partition sums over coordinate families --------------------
 
 
-@dataclass(frozen=True)
 class PsiFamily:
-    """A family of distinct subsets of the coordinate set {0..d-1}."""
+    """A family of distinct subsets of the coordinate set {0..d-1}, held as
+    a tuple of frozensets. Written out rather than a generated data class,
+    for the import cost of cold CLI runs."""
 
-    d: int
-    subsets: tuple
+    __slots__ = ("d", "subsets")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        normalized = tuple(frozenset(ps) for ps in self.subsets)
+    def __init__(self, d: int, subsets):
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        normalized = tuple(frozenset(ps) for ps in subsets)
         for ps in normalized:
             for x in ps:
-                if not 0 <= x < self.d:
-                    raise ValueError(f"coordinate {x} outside range(0, {self.d})")
+                if not 0 <= x < d:
+                    raise ValueError(f"coordinate {x} outside range(0, {d})")
         if len(set(normalized)) != len(normalized):
             raise ValueError("family members must be distinct")
-        object.__setattr__(self, "subsets", normalized)
+        self.d = d
+        self.subsets = normalized
 
     @property
     def has_empty(self) -> bool:

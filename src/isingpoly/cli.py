@@ -15,7 +15,6 @@ for usage, budget, or input errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -217,6 +216,8 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         out.write(json.dumps(_jsonable(payload), sort_keys=True))
         out.write("\n")
         return
+    import csv  # json runs, the default, never load it
+
     fields: list[str] = []
     for record in records:
         for key in record:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -76,7 +75,6 @@ def ursell(k: int, edges) -> Fraction:
     return _ursell(nbr)
 
 
-@dataclass(frozen=True, slots=True)
 class Cluster:
     """A multiset of polymers with connected incompatibility structure.
 
@@ -84,13 +82,34 @@ class Cluster:
     size is the total vertex count (multiplicity-weighted); orderings counts
     the ordered tuples this multiset represents; ursell_value is the Ursell
     function of the expanded incompatibility graph.
+
+    Immutable; two clusters are equal when all but their family agree.
+    Written out rather than a generated data class, whose module import and
+    class build cost every cold CLI run several milliseconds, and whose
+    __init__ takes about 1.6 times as long, which a walk emitting tens of
+    thousands of clusters pays.
     """
 
-    entries: tuple[tuple[Polymer, int], ...]
-    size: int
-    orderings: int
-    ursell_value: Fraction
-    family: PolymerFamily = field(compare=False, repr=False)
+    __slots__ = ("entries", "size", "orderings", "ursell_value", "family")
+
+    def __init__(self, entries: tuple[tuple[Polymer, int], ...], size: int,
+                 orderings: int, ursell_value: Fraction,
+                 family: PolymerFamily):
+        _set_entries(self, entries)
+        _set_size(self, size)
+        _set_orderings(self, orderings)
+        _set_ursell_value(self, ursell_value)
+        _set_family(self, family)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Cluster is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.size == other.size and self.orderings == other.orderings
+                and self.ursell_value == other.ursell_value
+                and self.entries == other.entries)
 
     def weight(self, g: BipartiteGraph, params) -> Fraction:
         """orderings * ursell * the product of the entries' polymer weights
@@ -98,21 +117,27 @@ class Cluster:
         Fraction reduction; a g other than family.graph raises ValueError."""
         if g is not self.family.graph and g != self.family.graph:
             raise ValueError("the cluster's polymers belong to another graph")
-        return _cluster_weight(self, self.family.parts_at(params))
+        return Fraction(*_cluster_weight(self, self.family.parts_at(params)))
 
 
-def _cluster_weight(cluster: Cluster, parts) -> Fraction:
+# the slots' own setters, which fill a Cluster past its __setattr__ without
+# object.__setattr__'s lookup of the slot by name
+(_set_entries, _set_size, _set_orderings, _set_ursell_value,
+ _set_family) = [vars(Cluster)[name].__set__ for name in Cluster.__slots__]
+
+
+def _cluster_weight(cluster: Cluster, parts) -> tuple[int, int]:
     """orderings * ursell * prod (num/den)^mult over the entries (poly,
     mult), with (num, den) = parts[poly.vertices] reduced once per polymer,
-    as one integer numerator and denominator and a single Fraction; the
-    formula behind Cluster.weight and the L_k sums."""
+    as one unreduced integer numerator and denominator; the formula behind
+    Cluster.weight and the L_k sums."""
     num = cluster.orderings * cluster.ursell_value.numerator
     den = cluster.ursell_value.denominator
     for poly, mult in cluster.entries:
         n, d = parts[poly.vertices]
         num *= n ** mult
         den *= d ** mult
-    return Fraction(num, den)
+    return num, den
 
 
 def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
@@ -195,9 +220,8 @@ def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
                 if value is not None or grown < k_max:
                     grown_entries = entries + ((poly, mult),)
                     if value is not None:
-                        emit(Cluster(entries=grown_entries, size=grown,
-                                     ursell_value=value, orderings=orderings,
-                                     family=family))
+                        emit(Cluster(grown_entries, grown, orderings,
+                                     value, family))
                     if grown < k_max:
                         blocks[bit] = copies
                         extend(j + 1, held | bit, grown_entries, grown, grew,
@@ -214,14 +238,22 @@ def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
 def _terms_by_size(family: PolymerFamily, k_max: int,
                    enum_cap: int | None) -> dict[int, Fraction]:
     """The exact expansion terms L_1..L_{k_max}: per total size, the sum of
-    orderings * ursell * product of the family's polymer weights."""
-    by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
+    orderings * ursell * product of the family's polymer weights. The
+    clusters' unreduced numerators are added per (size, denominator), so
+    a walk of thousands of clusters builds a Fraction per pair only (32
+    pairs for T6,2 at k_max 4)."""
+    numerators: dict[tuple[int, int], int] = {}
     parts = family.weight_parts
 
     def add(cluster: Cluster) -> None:
-        by_size[cluster.size] += _cluster_weight(cluster, parts)
+        num, den = _cluster_weight(cluster, parts)
+        key = (cluster.size, den)
+        numerators[key] = numerators.get(key, 0) + num
 
     _clusters(family, k_max, enum_cap, add)
+    by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
+    for (size, den), num in numerators.items():
+        by_size[size] += Fraction(num, den)
     return by_size
 
 
@@ -255,14 +287,19 @@ def l_k(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO, k: int = 1,
 # -- Kotecky-Preiss condition -------------------------------------------------
 
 
-@dataclass
 class KPReport:
     """Outcome of the convergence condition: per-polymer left-hand sums and
-    margins f(A) - LHS(A); holds iff every margin is nonnegative."""
+    margins f(A) - LHS(A); holds iff every margin is nonnegative. Written
+    out rather than a generated data class, for the import cost of cold
+    CLI runs."""
 
-    holds: bool
-    lhs: list[float]
-    margins: list[float]
+    __slots__ = ("holds", "lhs", "margins")
+    __hash__ = None  # mutable
+
+    def __init__(self, holds: bool, lhs: list[float], margins: list[float]):
+        self.holds = holds
+        self.lhs = lhs
+        self.margins = margins
 
     @property
     def worst_margin(self) -> float:
@@ -365,7 +402,6 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
 # -- the graph-native size functions ------------------------------------------
 
 
-@dataclass(frozen=True)
 class KPFunctions:
     """Size functions used to verify convergence on d-regular graphs:
 
@@ -376,18 +412,21 @@ class KPFunctions:
     sqrt(d), a linear regime up to d^c3, and a slow linear regime beyond.
     alpha_tilde is the weight-decay base (1+lambda)/(1+lambda(1-p)).
     Each constant must be positive and finite (ValueError otherwise).
+    Written out rather than a generated data class, for the import cost of
+    cold CLI runs.
     """
 
-    d: int
-    alpha_tilde: float
-    c1: float
-    c2: float
-    c3: float
-    c5: float
+    __slots__ = ("d", "alpha_tilde", "c1", "c2", "c3", "c5")
 
-    def __post_init__(self):
-        require_positive_finite(c1=self.c1, c2=self.c2, c3=self.c3,
-                                c5=self.c5)
+    def __init__(self, d: int, alpha_tilde: float, c1: float, c2: float,
+                 c3: float, c5: float):
+        require_positive_finite(c1=c1, c2=c2, c3=c3, c5=c5)
+        self.d = d
+        self.alpha_tilde = alpha_tilde
+        self.c1 = c1
+        self.c2 = c2
+        self.c3 = c3
+        self.c5 = c5
 
     def f(self, ell: int) -> float:
         return ell / self.d ** (self.c5 + 1)

@@ -12,7 +12,6 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import BipartiteGraph, codegree, iter_bits
@@ -136,23 +135,24 @@ def galvin_estimate(d: int, lam):
             mpmath.exp(to_mpf(arg))
 
 
-@dataclass(frozen=True)
 class ExpansionEstimate:
     """Leading exponent plus optional exact higher terms, with the magnitude
     envelope n d^{2(j-1)} lam^j alpha_tilde^{-dj} for |L_j| (the implied
     constant is unspecified, so envelope comparisons are reports). lam and
-    p are checked as ModelParams: lam > 0 and p in [0, 1], or ValueError."""
+    p are checked as ModelParams: lam > 0 and p in [0, 1], or ValueError.
+    Written out rather than a generated data class, for the import cost of
+    cold CLI runs."""
 
-    n: int
-    d: int
-    lam: Fraction
-    p: Fraction
-    terms: tuple = ()
+    __slots__ = ("n", "d", "lam", "p", "terms")
 
-    def __post_init__(self):
-        params = ModelParams(self.lam, self.p)
-        object.__setattr__(self, "lam", params.lam)
-        object.__setattr__(self, "p", params.p)
+    def __init__(self, n: int, d: int, lam: Fraction, p: Fraction,
+                 terms: tuple = ()):
+        params = ModelParams(lam, p)
+        self.n = n
+        self.d = d
+        self.lam = params.lam
+        self.p = params.p
+        self.terms = terms
         if self.leading_exponent < 0:
             raise ValueError("leading exponent must be nonnegative")
 

@@ -11,7 +11,6 @@ Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -57,14 +56,31 @@ def _closure_limit(half: int, num: int, den: int) -> int:
     return num * half // den
 
 
-@dataclass(frozen=True)
 class Polymer:
-    """A 2-linked set on one side together with its closure and boundary."""
+    """A 2-linked set on one side together with its closure and boundary.
 
-    side: str
-    vertices: int
-    closure: int
-    boundary: int
+    Immutable, and equal to a polymer with the same four fields. Written
+    out rather than a generated data class, whose module import and class
+    build cost every cold CLI run several milliseconds.
+    """
+
+    __slots__ = ("side", "vertices", "closure", "boundary")
+
+    def __init__(self, side: str, vertices: int, closure: int, boundary: int):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "boundary", boundary)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Polymer is immutable; cannot set {name}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vertices == other.vertices and self.side == other.side
+                and self.closure == other.closure
+                and self.boundary == other.boundary)
 
     @property
     def size(self) -> int:

@@ -34,7 +34,9 @@ from isingpoly.cli import (
     main,
     parse_psi_spec,
 )
-from isingpoly.formulas import l2_middle_layer, l2_torus
+from isingpoly.audit import PropertyConstants, PsiFamily
+from isingpoly.clusters import Cluster, KPFunctions, enumerate_clusters
+from isingpoly.formulas import ExpansionEstimate, l2_middle_layer, l2_torus
 from isingpoly.graphs import (AuditViolation, build_complete_bipartite,
                               build_cycle, graph_to_json)
 from isingpoly.model import ModelParams, mu_hat_table, mu_table, tv_distance
@@ -1323,8 +1325,10 @@ LOG_SCALE_COMMANDS = ("clusters", "audit-kp")
 def test_cold_run_imports_only_what_it_uses(case):
     # numpy costs most of the CLI's start-up and mpmath most of the rest:
     # only the seeded routes import numpy, and only the log-scale reports
-    # import mpmath. -X importtime lists every module a cold run imports
-    # on stderr.
+    # import mpmath. No run imports dataclasses, whose import of inspect
+    # (with ast, dis and tokenize) only numpy's may bring, and no case,
+    # each writing json, imports csv. -X importtime lists every module a
+    # cold run imports on stderr.
     argv = ["-c", f"import {case}"] if case.startswith("isingpoly") else \
         ["-m", "isingpoly.cli", case, *FUZZ_BASES[case][-1]]
     src = Path(__file__).resolve().parent.parent / "src"
@@ -1338,4 +1342,47 @@ def test_cold_run_imports_only_what_it_uses(case):
     assert "isingpoly.model" in imported
     if case not in SEEDED_COMMANDS:
         assert "numpy" not in imported
+        assert "inspect" not in imported
     assert ("mpmath" in imported) == (case in LOG_SCALE_COMMANDS)
+    assert "dataclasses" not in imported
+    assert "csv" not in imported
+
+
+def test_value_types_keep_their_record_behaviour():
+    # what the library's consumers rely on in its value types: equal,
+    # equally hashed parameters (PolymerFamily keys weights by them),
+    # fields that cannot be assigned, cluster equality blind to the
+    # family, and the validation messages
+    params = ModelParams(1, F(1, 2))
+    assert params == ModelParams(F(1), F(1, 2))
+    assert hash(params) == hash(ModelParams(F(1), F(1, 2)))
+    assert params != ModelParams(1, F(1, 3))
+    cluster = max(enumerate_clusters(build_cycle(6), "E", params),
+                  key=lambda c: len(c.entries))
+    poly = cluster.entries[0][0]
+    for obj, name in ((params, "lam"), (poly, "vertices"),
+                      (cluster, "size")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    twin = Cluster(cluster.entries, cluster.size, cluster.orderings,
+                   cluster.ursell_value, family=None)
+    assert twin == cluster
+    assert Cluster(cluster.entries, cluster.size, cluster.orderings + 1,
+                   cluster.ursell_value, cluster.family) != cluster
+    for build, message in (
+            (lambda: ModelParams(0, F(1, 2)), "lambda must be positive, "
+                                              "got 0"),
+            (lambda: ModelParams(1, F(3, 2)), "p must lie in [0, 1], "
+                                              "got 3/2"),
+            (lambda: ExpansionEstimate(6, 2, F(-1, 2), 1),
+             "lambda must be positive, got -1/2"),
+            (lambda: PropertyConstants(c1=1, c4=1, c5=1, c2=0, c3=-1),
+             "c2 must be positive and finite, got 0"),
+            (lambda: PropertyConstants(c1=1, c4=1, c5=2),
+             "c5 must be < 2, got 2"),
+            (lambda: KPFunctions(3, 2.0, c1=1, c2=1, c3=math.inf, c5=0),
+             "c3 must be positive and finite, got inf"),
+            (lambda: PsiFamily(3, ({0}, {3})),
+             "coordinate 3 outside range(0, 3)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
