@@ -1,11 +1,12 @@
 """Closed-form expansion terms checked against the enumerating oracle.
 
 The depth-1 term has a closed form on every d-regular bipartite graph. The
-depth-2 term has family-specific closed forms (even torus, middle layer,
-product graphs) that are valid only inside a structural regime; the regime
-report verifies codegree structure and the pair-closure pattern before the
-formula is trusted. Outside the regime the formula silently disagrees with
-the truth, which is the point of checking.
+depth-2 term has one formula, l2_codegree, fed a side size, the degree and
+a vertex's codegree histogram; each example family (even torus, middle
+layer, product graphs) supplies its own. It is valid only inside a
+structural regime; the regime report verifies codegree structure and the
+pair-closure pattern before the formula is trusted. Outside the regime the
+formula silently disagrees with the truth, which is the point of checking.
 """
 
 from fractions import Fraction as F
@@ -15,12 +16,13 @@ from isingpoly import (
     build_even_torus,
     build_middle_layer,
     l1_closed,
-    l2_middle_layer,
+    l2_codegree,
     l2_regime_report,
     l2_torus,
     l_k,
 )
-from isingpoly.formulas import torus_expected_histogram
+from isingpoly.formulas import (midlayer_expected_histogram,
+                                torus_expected_histogram)
 
 
 def main():
@@ -51,13 +53,15 @@ def main():
     print(f"  m=6 t=1 p=1:  formula {formula}  oracle {oracle}  "
           f"(regime_ok = {bad_regime['regime_ok']})")
 
-    print("\nmiddle layer, d=3:")
+    print("\nmiddle layer, d=3 (10 vertices a side, degree 3, six "
+          "partners at codegree 1):")
     mid = build_middle_layer(3)
-    for p in (F(1), F(1, 2)):
-        formula = l2_middle_layer(3, p)
-        oracle = l_k(mid, "E", ModelParams(1, p), k=2)
-        print(f"  p={p}:  {formula}  (oracle agrees: {formula == oracle})")
-
+    histogram = midlayer_expected_histogram(3)
+    for lam, p in ((F(1), F(1)), (F(1), F(1, 2)), (F(2, 3), F(1, 3))):
+        formula = l2_codegree(10, 3, histogram, lam, p)
+        oracle = l_k(mid, "E", ModelParams(lam, p), k=2)
+        print(f"  lambda={lam} p={p}:  {formula}  (oracle agrees: "
+              f"{formula == oracle})")
 
 if __name__ == "__main__":
     main()

@@ -70,9 +70,7 @@ from .clusters import (
 from .formulas import (
     RegimeError,
     l1_closed,
-    l2_hypercube,
-    l2_kss_product,
-    l2_middle_layer,
+    l2_codegree,
     l2_regime_report,
     l2_torus,
 )

@@ -39,9 +39,7 @@ from .clusters import kp_sum_audit, l_k, log_xi_truncation_report
 from .formulas import (
     kss_expected_histogram,
     l1_closed,
-    l2_hypercube,
-    l2_kss_product,
-    l2_middle_layer,
+    l2_codegree,
     l2_regime_report,
     l2_torus,
     midlayer_expected_histogram,
@@ -79,29 +77,36 @@ REQUIRED = "required"
 _CONSTANTS = {"--c1": (float, 2.0), "--c2": (float, 10.0),
               "--c3": (float, 3.0), "--c4": (float, 1.0), "--c5": (float, 0.5)}
 # closed-form's families, each declared once: family -> (the options it
-# reads, as in MODE_OPTIONS; formula value; oracle graph; expected codegree
-# histogram). The histogram drives the machine-checkable regime test of the
-# second-order families; l1 has no regime caveat at desk scale. The lambdas
-# look the library functions up when called, so tracing can wrap them.
+# reads, as in MODE_OPTIONS; formula value, given the histogram; oracle
+# graph; expected codegree histogram). The second-order rows feed the one
+# formula l2_codegree their side size, degree and histogram, whose function
+# refuses a bad value before any arithmetic. The histogram drives the
+# regime test; l1 has none. The lambdas look the library functions up when
+# called, so tracing can wrap them.
 CLOSED_FORMS = {
     "l1": ({"--graph": (str, REQUIRED), "--lambda": (str, "1")},
-           lambda a: l1_closed(a.graph.n, a.graph.d, a.params.lam, a.params.p),
+           lambda a, h: l1_closed(a.graph.n, a.graph.d, a.params.lam,
+                                  a.params.p),
            lambda a: a.graph, lambda a: None),
     "torus": ({"--m": (int, REQUIRED), "--t": (int, REQUIRED)},
-              lambda a: l2_torus(a.m, a.t, a.params.p),
+              lambda a, h: l2_torus(a.m, a.t, a.params.p),
               lambda a: build_even_torus(a.m, a.t, a.budget),
               lambda a: torus_expected_histogram(a.t)),
     "midlayer": ({"--d": (int, REQUIRED)},
-                 lambda a: l2_middle_layer(a.d, a.params.p),
+                 lambda a, h: l2_codegree(math.comb(2 * a.d - 1, a.d), a.d,
+                                          h, 1, a.params.p),
                  lambda a: build_middle_layer(a.d, a.budget),
                  lambda a: midlayer_expected_histogram(a.d)),
     "kss": ({"--s": (int, REQUIRED), "--t": (int, REQUIRED)},
-            lambda a: l2_kss_product(a.s, a.t, a.params.p),
+            lambda a, h: l2_codegree((2 * a.s) ** a.t // 2, a.s * a.t, h, 1,
+                                     a.params.p),
             lambda a: build_cartesian_product(
                 [build_complete_bipartite(a.s, a.budget)] * a.t, a.budget),
             lambda a: kss_expected_histogram(a.s, a.t)),
+    # the kss family at s = 1
     "hypercube": ({"--t": (int, REQUIRED)},
-                  lambda a: l2_hypercube(a.t, a.params.p),
+                  lambda a, h: l2_codegree(2 ** a.t // 2, a.t, h, 1,
+                                           a.params.p),
                   lambda a: build_hypercube(a.t, a.budget),
                   lambda a: kss_expected_histogram(1, a.t)),
 }
@@ -313,11 +318,12 @@ def cmd_clusters(args):
 
 def cmd_closed_form(args):
     _, formula, oracle_graph, histogram = CLOSED_FORMS[args.family]
-    record = {"family": args.family, "formula_value": formula(args)}
+    expected = histogram(args)
+    record = {"family": args.family, "formula_value": formula(args, expected)}
     ok = True
     if args.verify:
         # only the oracle builds a graph, so the formula alone has no size cap
-        g, expected = oracle_graph(args), histogram(args)
+        g = oracle_graph(args)
         # l1 is the first term at the given fugacity; main puts the
         # second-order forms at fugacity 1
         oracle = l_k(g, "E", args.params, k=1 if expected is None else 2,

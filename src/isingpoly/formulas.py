@@ -1,12 +1,12 @@
-"""Closed-form expansion values for the example families, the leading-term
-count estimates, and the truncation sharpness threshold.
+"""Closed-form expansion values, the leading-term count estimates, and the
+truncation sharpness threshold.
 
-The L2 formulas are exact rational functions of the percolation parameter p
-at fugacity 1. Each was derived under a structural regime (every 2-linked
-pair on a side is a valid polymer and the codegree case analysis matches);
-the regime is machine-checkable on the concrete graph, and outside of it the
-formula value is still defined but has no obligation to match the cluster
-oracle.
+The second term has one formula, l2_codegree, fed a side size, the degree
+and a vertex's codegree histogram; each example family is its histogram
+function below and its side size. It holds in a structural regime (every
+singleton and 2-linked pair on the side is a valid polymer) that is
+machine-checkable on the concrete graph; outside of it the value is still
+defined but has no obligation to match the cluster oracle.
 """
 
 from __future__ import annotations
@@ -33,65 +33,31 @@ def l1_closed(n: int, d: int, lam, p) -> Fraction:
     return Fraction(n, 2) * lam * (1 - lam * p / (1 + lam)) ** d
 
 
+def l2_codegree(half, d: int, histogram, lam, p) -> Fraction:
+    """Second expansion term on a side of `half` vertices of degree d, each
+    with histogram[c] same-side 2-linked partners of codegree c:
+    half (lam^2/2) [sum_c h(c) q^(2d-2c) r^c - q^(2d) (1 + sum_c h(c))],
+    q = (1+lam(1-p))/(1+lam), r = (1+lam(1-p)^2)/(1+lam). The 2-linked pairs
+    enter with Ursell value 1, the ordered pairs of singletons whose
+    neighbourhoods meet with -1. Exact in the regime l2_regime_report
+    checks."""
+    lam = Fraction(lam)
+    p = Fraction(p)
+    q = (1 + lam * (1 - p)) / (1 + lam)
+    r = (1 + lam * (1 - p) ** 2) / (1 + lam)
+    # q^(2d) factored out, so the one large power is taken once
+    ratio = r / (q * q)
+    bracket = sum(cnt * (ratio ** c - 1) for c, cnt in histogram.items()) - 1
+    return half * lam * lam / 2 * q ** (2 * d) * bracket
+
+
 def l2_torus(m: int, t: int, p) -> Fraction:
     """Second expansion term for the even torus of side m in dimension t,
     at fugacity 1. Requires m even and at least 6 (at m=4 antipodal pairs
     break the codegree case analysis)."""
     if m % 2 or m < 6:
         raise RegimeError(f"torus formula needs even m >= 6, got {m}")
-    if t < 1:
-        raise ValueError(f"dimension must be >= 1, got {t}")
-    p = Fraction(p)
-    q2 = (2 - p) / 2
-    r = (1 + (1 - p) ** 2) / 2
-    bracket = -(2 * t * t + 1) * q2 ** 4 + 2 * t * q2 ** 2 * r \
-        + 2 * t * (t - 1) * r ** 2
-    return Fraction(m ** t, 4) * q2 ** (4 * t - 4) * bracket
-
-
-def l2_middle_layer(d: int, p) -> Fraction:
-    """Second expansion term for the middle layer graph of the (2d-1)-cube
-    at fugacity 1."""
-    if d < 2:
-        raise RegimeError(f"middle layer formula needs d >= 2, got {d}")
-    p = Fraction(p)
-    q2 = (2 - p) / 2
-    return Fraction(1, 8) * math.comb(2 * d - 1, d - 1) * \
-        q2 ** (2 * (d - 1)) * ((d - 1) * d * p * p - (2 - p) ** 2)
-
-
-def l2_kss_product(s: int, t: int, p) -> Fraction:
-    """Second expansion term for the t-fold Cartesian power of K_{s,s} at
-    fugacity 1, as the three-case sum over size-2 clusters."""
-    if s < 1 or t < 1:
-        raise ValueError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
-    p = Fraction(p)
-    q2 = (2 - p) / 2
-    r = (1 + (1 - p) ** 2) / 2
-    half = Fraction((2 * s) ** t, 2)
-    pairs2 = s * s * math.comb(t, 2)
-    return Fraction(1, 2) * half * (
-        pairs2 * q2 ** (2 * s * t - 4) * r ** 2
-        + (s - 1) * t * q2 ** (2 * s * t - 2 * s) * r ** s
-        - q2 ** (2 * s * t) * (1 + (s - 1) * t + pairs2))
-
-
-def hypercube_a(p) -> Fraction:
-    """The hypercube second-term coefficient a(p) =
-    (1+(1-p)^2)^2/(2-p)^4 - 1/4."""
-    p = Fraction(p)
-    return (1 + (1 - p) ** 2) ** 2 / (2 - p) ** 4 - Fraction(1, 4)
-
-
-def l2_hypercube(t: int, p) -> Fraction:
-    """Second expansion term for the t-dimensional hypercube at fugacity 1:
-    2^t ((2-p)/2)^{2t} (a(p) binom(t,2) - 1/4)."""
-    if t < 1:
-        raise ValueError(f"dimension must be >= 1, got {t}")
-    p = Fraction(p)
-    q2 = (2 - p) / 2
-    return 2 ** t * q2 ** (2 * t) * \
-        (hypercube_a(p) * math.comb(t, 2) - Fraction(1, 4))
+    return l2_codegree(m ** t // 2, 2 * t, torus_expected_histogram(t), 1, p)
 
 
 def sharpness_threshold(k: int, ell) -> float:
@@ -216,15 +182,23 @@ def l2_regime_report(g: BipartiteGraph, side: str, expected_histogram,
     }
 
 
+# Each family's codegree histogram. These hold the families' range guards,
+# so a bad argument is refused before any closed-form arithmetic.
 def torus_expected_histogram(t: int) -> dict:
+    if t < 1:
+        raise ValueError(f"dimension must be >= 1, got {t}")
     return {1: 2 * t, 2: 2 * t * (t - 1)}
 
 
 def midlayer_expected_histogram(d: int) -> dict:
+    if d < 2:
+        raise RegimeError(f"middle layer formula needs d >= 2, got {d}")
     return {1: (d - 1) * d}
 
 
 def kss_expected_histogram(s: int, t: int) -> dict:
+    if s < 1 or t < 1:
+        raise ValueError(f"need s >= 1 and t >= 1, got s={s}, t={t}")
     hist: dict[int, int] = {}
     for c, cnt in ((s, (s - 1) * t), (2, s * s * math.comb(t, 2))):
         if cnt:

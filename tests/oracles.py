@@ -536,3 +536,56 @@ class ListMuHatSampler:
             if bernoulli(lam / (1 + lam)):
                 i_mask |= 1 << v
         return i_mask, side
+
+
+# The hand-derived second expansion terms of the example families at
+# fugacity 1, each a case analysis of its own codegree structure; the
+# library's one histogram formula, formulas.l2_codegree, replaced them.
+# Inside the regime l2_regime_report checks, each is the cluster sum L_2.
+
+def l2_torus_bracket(m: int, t: int, p) -> Fraction:
+    """The even torus of side m in dimension t."""
+    p = Fraction(p)
+    q2 = (2 - p) / 2
+    r = (1 + (1 - p) ** 2) / 2
+    bracket = -(2 * t * t + 1) * q2 ** 4 + 2 * t * q2 ** 2 * r \
+        + 2 * t * (t - 1) * r ** 2
+    return Fraction(m ** t, 4) * q2 ** (4 * t - 4) * bracket
+
+
+def l2_middle_layer(d: int, p) -> Fraction:
+    """The middle layer graph of the (2d-1)-cube."""
+    p = Fraction(p)
+    q2 = (2 - p) / 2
+    return Fraction(1, 8) * math.comb(2 * d - 1, d - 1) * \
+        q2 ** (2 * (d - 1)) * ((d - 1) * d * p * p - (2 - p) ** 2)
+
+
+def l2_kss_product(s: int, t: int, p) -> Fraction:
+    """The t-fold Cartesian power of K_{s,s}, as the three-case sum over
+    size-2 clusters."""
+    p = Fraction(p)
+    q2 = (2 - p) / 2
+    r = (1 + (1 - p) ** 2) / 2
+    half = Fraction((2 * s) ** t, 2)
+    pairs2 = s * s * math.comb(t, 2)
+    return Fraction(1, 2) * half * (
+        pairs2 * q2 ** (2 * s * t - 4) * r ** 2
+        + (s - 1) * t * q2 ** (2 * s * t - 2 * s) * r ** s
+        - q2 ** (2 * s * t) * (1 + (s - 1) * t + pairs2))
+
+
+def hypercube_a(p) -> Fraction:
+    """The hypercube second-term coefficient a(p) =
+    (1+(1-p)^2)^2/(2-p)^4 - 1/4."""
+    p = Fraction(p)
+    return (1 + (1 - p) ** 2) ** 2 / (2 - p) ** 4 - Fraction(1, 4)
+
+
+def l2_hypercube(t: int, p) -> Fraction:
+    """The t-dimensional hypercube:
+    2^t ((2-p)/2)^{2t} (a(p) binom(t,2) - 1/4)."""
+    p = Fraction(p)
+    q2 = (2 - p) / 2
+    return 2 ** t * q2 ** (2 * t) * \
+        (hypercube_a(p) * math.comb(t, 2) - Fraction(1, 4))

@@ -16,14 +16,13 @@ from itertools import product
 import mpmath
 import pytest
 
-from oracles import brute_ursell
+from oracles import (brute_ursell, l2_hypercube, l2_kss_product,
+                     l2_middle_layer)
 from isingpoly.clusters import l_k, log_xi_truncation_report, ursell
 from isingpoly.formulas import (
     kss_expected_histogram,
     l1_closed,
-    l2_hypercube,
-    l2_kss_product,
-    l2_middle_layer,
+    l2_codegree,
     l2_regime_report,
     l2_torus,
     midlayer_expected_histogram,
@@ -155,11 +154,16 @@ def test_criterion_05_second_order_closed_forms():
     k22_sq = build_cartesian_product([k22, k22])
     for p in (F(1), F(1, 2)):
         params = ModelParams(1, p)
+        # the one codegree formula, fed each family's side size, degree and
+        # histogram, against the cluster sum and the hand-derived form
+        mid_form = l2_codegree(10, 3, midlayer_expected_histogram(3), 1, p)
+        kss_form = l2_codegree(8, 4, kss_expected_histogram(2, 2), 1, p)
         in_regime.append(l2_torus(6, 2, p) == l_k(torus, "E", params, k=2))
         in_regime.append(
-            l2_middle_layer(3, p) == l_k(mid3, "E", params, k=2))
+            mid_form == l_k(mid3, "E", params, k=2) == l2_middle_layer(3, p))
         in_regime.append(
-            l2_kss_product(2, 2, p) == l_k(k22_sq, "E", params, k=2))
+            kss_form == l_k(k22_sq, "E", params, k=2)
+            == l2_kss_product(2, 2, p))
     in_regime.append(l2_torus(6, 2, 1) == F(135, 256))
     regimes_ok = (
         l2_regime_report(torus, "E", torus_expected_histogram(2))["regime_ok"]
@@ -176,7 +180,8 @@ def test_criterion_05_second_order_closed_forms():
     out_of_regime = [
         l2_torus(6, 1, 1) == F(3, 32),
         l_k(cyc, "E", hard, k=2) == F(-9, 32),
-        l2_middle_layer(2, 1) == F(3, 32),
+        l2_codegree(3, 2, midlayer_expected_histogram(2), 1, 1)
+        == l2_middle_layer(2, 1) == F(3, 32),
         l_k(mid2, "E", hard, k=2) == F(-9, 32),
         not l2_regime_report(cyc, "E",
                              torus_expected_histogram(1))["regime_ok"],
@@ -193,10 +198,10 @@ def test_criterion_05_second_order_closed_forms():
 
 def test_criterion_06_hypercube_specialization():
     ps = [F(0), F(1, 7), F(1, 3), F(1, 2), F(1)]
-    ok = all(l2_kss_product(1, t, p) == l2_hypercube(t, p)
-             for t in (2, 3, 4) for p in ps)
-    verdict(6, "s=1 product formula equals the a(p) hypercube form", ok,
-            "t in {2,3,4}, 5 rational p values")
+    ok = all(l2_codegree(2 ** (t - 1), t, kss_expected_histogram(1, t), 1, p)
+             == l2_hypercube(t, p) for t in (2, 3, 4) for p in ps)
+    verdict(6, "the s=1 row of l2_codegree equals the a(p) hypercube form",
+            ok, "t in {2,3,4}, 5 rational p values")
     assert ok
 
 

@@ -36,14 +36,14 @@ from isingpoly.cli import (
 )
 from isingpoly.audit import PropertyConstants, PsiFamily
 from isingpoly.clusters import Cluster, KPFunctions, enumerate_clusters
-from isingpoly.formulas import ExpansionEstimate, l2_middle_layer, l2_torus
+from isingpoly.formulas import ExpansionEstimate
 from isingpoly.graphs import (AuditViolation, build_complete_bipartite,
                               build_cycle, graph_to_json)
 from isingpoly.model import ModelParams, mu_hat_table, mu_table, tv_distance
 from isingpoly.polymers import DEFAULT_RHO
 from isingpoly.rationals import format_rational, parse_rational
 
-from oracles import ListMuHatSampler
+from oracles import ListMuHatSampler, l2_middle_layer, l2_torus_bracket
 
 
 class TestGraphSpecs:
@@ -1004,7 +1004,7 @@ class TestClosedFormCommand:
     @pytest.mark.parametrize("argv,value", [
         (("--family", "midlayer", "--d", "12"), l2_middle_layer(12, F(1, 2))),
         (("--family", "torus", "--m", "60", "--t", "3"),
-         l2_torus(60, 3, F(1, 2))),
+         l2_torus_bracket(60, 3, F(1, 2))),
     ])
     def test_formula_alone_builds_no_graph(self, capsys, argv, value):
         # the oracle graphs would have 2,704,156 and 216,000 vertices
@@ -1013,6 +1013,28 @@ class TestClosedFormCommand:
         assert code == 0
         assert json.loads(out) == {"family": argv[1],
                                    "formula_value": format_rational(value)}
+
+    @pytest.mark.parametrize("argv,message", [
+        (("midlayer", "--d", "1"), "middle layer formula needs d >= 2, got 1"),
+        (("midlayer", "--d", "0"), "middle layer formula needs d >= 2, got 0"),
+        (("kss", "--s", "0", "--t", "2"),
+         "need s >= 1 and t >= 1, got s=0, t=2"),
+        (("hypercube", "--t", "0"), "need s >= 1 and t >= 1, got s=1, t=0"),
+        (("torus", "--m", "4", "--t", "2"),
+         "torus formula needs even m >= 6, got 4"),
+        (("torus", "--m", "6", "--t", "0"), "dimension must be >= 1, got 0"),
+    ])
+    def test_out_of_range_family_refused_before_arithmetic(
+            self, capsys, monkeypatch, argv, message):
+        def no_arithmetic(*args):
+            raise AssertionError("the formula ran before the guard")
+        monkeypatch.setattr("isingpoly.cli.l2_codegree", no_arithmetic)
+        monkeypatch.setattr("isingpoly.formulas.l2_codegree", no_arithmetic)
+        code, out, err = run(capsys, "closed-form", "--family", *argv,
+                             "--p", "1/2")
+        assert code == 1
+        assert out == ""
+        assert err == f"isingpoly: error: {message}\n"
 
     def test_l1_requires_graph(self, capsys):
         code, _, err = run(capsys, "closed-form", "--family", "l1",

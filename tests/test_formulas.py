@@ -1,24 +1,31 @@
-"""Closed forms against the cluster-expansion oracle, regime guards on the
-concrete graphs, and the leading-term count estimates."""
+"""Closed forms against the cluster-expansion oracle and the hand-derived
+family forms, regime guards on the concrete graphs, and the leading-term
+count estimates."""
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
+from oracles import (
+    hypercube_a,
+    l2_hypercube,
+    l2_kss_product,
+    l2_middle_layer,
+    l2_torus_bracket,
+)
+from isingpoly.cli import CLOSED_FORMS
 from isingpoly.clusters import l_k
 from isingpoly.formulas import (
     ExpansionEstimate,
     RegimeError,
     galvin_estimate,
-    hypercube_a,
     independent_set_count_estimate,
     kss_expected_histogram,
     l1_closed,
-    l2_hypercube,
-    l2_kss_product,
-    l2_middle_layer,
+    l2_codegree,
     l2_regime_report,
     l2_torus,
     midlayer_expected_histogram,
@@ -32,6 +39,7 @@ from isingpoly.graphs import (
     build_even_torus,
     build_hypercube,
     build_middle_layer,
+    iter_bits,
 )
 from isingpoly.model import ModelParams
 
@@ -40,6 +48,28 @@ F = Fraction
 
 def params(lam, p) -> ModelParams:
     return ModelParams(lam=F(lam), p=F(p))
+
+
+def family_l2(family, p, **opts) -> Fraction:
+    """The closed-form subcommand's second-order value: the family's
+    CLOSED_FORMS row feeds l2_codegree its side size, degree and codegree
+    histogram, at fugacity 1."""
+    args = SimpleNamespace(params=params(1, p), **opts)
+    _, formula, _, histogram = CLOSED_FORMS[family]
+    return formula(args, histogram(args))
+
+
+def vertex_histograms(g, side):
+    """Each side vertex's same-side partners that share a neighbour,
+    counted by the number of neighbours shared, from the adjacency lists."""
+    adj = [set(a) for a in g.adj]
+    for u in iter_bits(g.side_mask(side)):
+        hist = {}
+        for v in iter_bits(g.side_mask(side)):
+            c = len(adj[u] & adj[v])
+            if v != u and c:
+                hist[c] = hist.get(c, 0) + 1
+        yield hist
 
 
 class TestL1Closed:
@@ -61,6 +91,52 @@ class TestL1Closed:
                 assert l1_closed(8, 3, lam, p) > 0
 
 
+# the hand-derived second route of each family, at fugacity 1
+FAMILY_ORACLES = {
+    "torus": lambda p, m, t: l2_torus_bracket(m, t, p),
+    "midlayer": lambda p, d: l2_middle_layer(d, p),
+    "kss": lambda p, s, t: l2_kss_product(s, t, p),
+    "hypercube": lambda p, t: l2_hypercube(t, p),
+}
+FAMILY_CASES = (
+    [("torus", {"m": m, "t": t}) for m in (6, 8, 10) for t in range(1, 5)]
+    + [("hypercube", {"t": t}) for t in range(1, 5)]
+    + [("kss", {"s": s, "t": t}) for s in range(1, 5) for t in range(1, 5)]
+    + [("midlayer", {"d": d}) for d in range(2, 7)])
+
+
+class TestL2Codegree:
+    @pytest.mark.parametrize("p", [0, F(1, 3), F(1, 2), F(7, 9), 1])
+    @pytest.mark.parametrize(
+        "family,opts", FAMILY_CASES,
+        ids=[family + "".join(f"-{k}{v}" for k, v in opts.items())
+             for family, opts in FAMILY_CASES])
+    def test_equals_family_oracle(self, family, opts, p):
+        assert family_l2(family, p, **opts) == \
+            FAMILY_ORACLES[family](p, **opts)
+
+    @pytest.mark.parametrize("lam,p", [(1, F(1, 2)), (F(2, 3), F(1, 3)),
+                                       (1, 1), (3, F(1, 4))])
+    @pytest.mark.parametrize("build,args", [(build_hypercube, (5,)),
+                                            (build_even_torus, (6, 2)),
+                                            (build_middle_layer, (3,))])
+    def test_per_vertex_histograms_sum_to_l2(self, build, args, lam, p):
+        # fugacities other than 1, which no family row reaches
+        g = build(*args)
+        total = sum(l2_codegree(1, g.d, hist, lam, p)
+                    for hist in vertex_histograms(g, "E"))
+        assert total == l_k(g, "E", params(lam, p), k=2)
+
+    def test_histogram_guards(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            torus_expected_histogram(0)
+        for d in (1, 0):
+            with pytest.raises(RegimeError, match=f"d >= 2, got {d}"):
+                midlayer_expected_histogram(d)
+        for s, t in ((0, 2), (2, 0)):
+            with pytest.raises(ValueError, match=f"got s={s}, t={t}"):
+                kss_expected_histogram(s, t)
+
 class TestL2Torus:
     def test_regime_guard(self):
         with pytest.raises(RegimeError):
@@ -74,7 +150,8 @@ class TestL2Torus:
         g = build_even_torus(6, 2)
         for p in (1, F(1, 2)):
             assert l2_torus(6, 2, p) == l_k(g, "E", params(1, p), k=2)
-        assert l2_torus(6, 2, 1) == F(135, 256)
+        assert l2_torus(6, 2, 1) == l2_torus_bracket(6, 2, 1) == \
+            F(135, 256)
 
     def test_dimension_one_documented_mismatch(self):
         # on the 6-cycle the 2-element 2-linked sets are not polymers, so
@@ -82,7 +159,7 @@ class TestL2Torus:
         g = build_cycle(6)
         formula = l2_torus(6, 1, 1)
         brute = l_k(g, "E", params(1, 1), k=2)
-        assert formula == F(3, 32)
+        assert formula == l2_torus_bracket(6, 1, 1) == F(3, 32)
         assert brute == F(-9, 32)
         assert brute < formula
 
@@ -90,7 +167,7 @@ class TestL2Torus:
     @pytest.mark.parametrize("t", [2, 3])
     def test_hard_core_reduction(self, m, t):
         expected = F(m ** t * (6 * t * t - 4 * t - 1), 2 ** (4 * t + 2))
-        assert l2_torus(m, t, 1) == expected
+        assert l2_torus(m, t, 1) == l2_torus_bracket(m, t, 1) == expected
 
     def test_regime_reports(self):
         g2 = build_even_torus(6, 2)
@@ -104,27 +181,26 @@ class TestL2Torus:
 
 
 class TestL2MiddleLayer:
-    def test_regime_guard(self):
-        with pytest.raises(RegimeError):
-            l2_middle_layer(1, 1)
-
     def test_d_three_matches_oracle(self):
         g = build_middle_layer(3)
         assert g.n == 20
         for p in (1, F(1, 3)):
-            assert l2_middle_layer(3, p) == l_k(g, "E", params(1, p), k=2)
-        assert l2_middle_layer(3, 1) == F(25, 64)
+            assert family_l2("midlayer", p, d=3) == \
+                l_k(g, "E", params(1, p), k=2)
+        assert family_l2("midlayer", 1, d=3) == l2_middle_layer(3, 1) == \
+            F(25, 64)
 
     def test_p_zero(self):
         for d in (2, 3, 4):
-            assert l2_middle_layer(d, 0) == \
-                -F(math.comb(2 * d - 1, d - 1), 2)
+            assert family_l2("midlayer", 0, d=d) == l2_middle_layer(d, 0) \
+                == -F(math.comb(2 * d - 1, d - 1), 2)
 
     def test_d_two_documented_mismatch(self):
         # the d=2 middle layer is a 6-cycle; same regime failure as the
         # 1-dimensional torus, and the formulas agree with each other
         g = build_middle_layer(2)
-        assert l2_middle_layer(2, 1) == l2_torus(6, 1, 1) == F(3, 32)
+        assert family_l2("midlayer", 1, d=2) == l2_middle_layer(2, 1) == \
+            l2_torus(6, 1, 1) == F(3, 32)
         assert l_k(g, "E", params(1, 1), k=2) == F(-9, 32)
         rep = l2_regime_report(g, "E", midlayer_expected_histogram(2))
         assert not rep["regime_ok"]
@@ -136,35 +212,34 @@ class TestL2MiddleLayer:
 
 
 class TestL2KssProduct:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            l2_kss_product(0, 2, 1)
-        with pytest.raises(ValueError):
-            l2_kss_product(2, 0, 1)
-
     @pytest.mark.parametrize("t", [2, 3, 4])
     @pytest.mark.parametrize("p", [0, F(1, 7), F(1, 3), F(1, 2), 1])
     def test_s_one_reduces_to_hypercube_form(self, t, p):
-        assert l2_kss_product(1, t, p) == l2_hypercube(t, p)
+        assert family_l2("kss", p, s=1, t=t) == \
+            family_l2("hypercube", p, t=t) == l2_hypercube(t, p) == \
+            l2_kss_product(1, t, p)
 
     def test_s_two_matches_oracle(self):
         g = build_cartesian_product([build_complete_bipartite(2)] * 2)
         assert g.n == 16 and g.d == 4
-        assert l2_kss_product(2, 2, 1) == l_k(g, "E", params(1, 1), k=2)
+        assert family_l2("kss", 1, s=2, t=2) == \
+            l_k(g, "E", params(1, 1), k=2)
 
     def test_s_two_p_zero_collapse(self):
         g = build_cartesian_product([build_complete_bipartite(2)] * 2)
-        assert l2_kss_product(2, 2, 0) == -4
+        assert family_l2("kss", 0, s=2, t=2) == l2_kss_product(2, 2, 0) == -4
         assert l_k(g, "E", params(1, 0), k=2) == -4
 
     def test_hypercube_form_matches_oracle_in_regime(self):
         g = build_hypercube(4)
         for p in (1, F(1, 2)):
-            assert l2_hypercube(4, p) == l_k(g, "E", params(1, p), k=2)
+            assert family_l2("hypercube", p, t=4) == \
+                l_k(g, "E", params(1, p), k=2)
 
     def test_hypercube_three_out_of_regime(self):
         g = build_hypercube(3)
-        assert l2_hypercube(3, 1) != l_k(g, "E", params(1, 1), k=2)
+        assert family_l2("hypercube", 1, t=3) != \
+            l_k(g, "E", params(1, 1), k=2)
         rep = l2_regime_report(g, "E", kss_expected_histogram(1, 3))
         assert rep["codegree_histogram_ok"]
         assert not rep["pairs_are_polymers"]
@@ -180,7 +255,8 @@ class TestL2KssProduct:
         assert rep["codegree_histogram_ok"] and rep["pairs_are_polymers"]
         assert not rep["singletons_are_polymers"]
         assert not rep["regime_ok"]
-        assert l2_hypercube(1, F(1, 2)) != l_k(g, "E", params(1, F(1, 2)), k=2)
+        assert family_l2("hypercube", F(1, 2), t=1) != \
+            l_k(g, "E", params(1, F(1, 2)), k=2)
         rep4 = l2_regime_report(build_hypercube(4), "E",
                                 kss_expected_histogram(1, 4))
         assert rep4["singletons_are_polymers"]
