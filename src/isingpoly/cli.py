@@ -79,10 +79,10 @@ _CONSTANTS = {"--c1": (float, 2.0), "--c2": (float, 10.0),
 # closed-form's families, each declared once: family -> (the options it
 # reads, as in MODE_OPTIONS; formula value, given the histogram; oracle
 # graph; expected codegree histogram). The second-order rows feed the one
-# formula l2_codegree their side size, degree and histogram, whose function
-# refuses a bad value before any arithmetic. The histogram drives the
-# regime test; l1 has none. The lambdas look the library functions up when
-# called, so tracing can wrap them.
+# formula l2_codegree their side size, degree and histogram. The histogram
+# functions refuse bad values, so the histogram is taken first; it also
+# drives the regime test, and l1 has none. The lambdas look the library
+# functions up when called, so tracing can wrap them.
 CLOSED_FORMS = {
     "l1": ({"--graph": (str, REQUIRED), "--lambda": (str, "1")},
            lambda a, h: l1_closed(a.graph.n, a.graph.d, a.params.lam,
