@@ -43,8 +43,9 @@ def main():
               f"{worst['margin']:.4f} at size {worst['size']}")
 
     # Q8 has 11,017,632 subsets of at most four vertices per side, past
-    # the 2^20 budget; the 2-linked sets through one root vertex of each
-    # side decide them all up to a symmetry of the hypercube
+    # the default cap of 2^20 walked sets; the 2-linked sets through one
+    # root vertex of each side decide them all up to a symmetry of the
+    # hypercube
     q8 = build_hypercube(8)
     linked = check_property_i(q8, consts, size_cap=4)
     print(f"\n{q8.label}: expansion conditions up to size 4, rooted "

@@ -16,6 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+from . import graphs
 from .graphs import (
     AuditViolation,
     BipartiteGraph,
@@ -33,9 +34,6 @@ from .rationals import (LOG_PRECISION_BITS, log_rational,
                         require_positive_finite, to_mpf)
 
 SLACK = 2.0 ** -64
-# cap on the 2-linked sets an isoperimetry sweep enumerates per side, and on
-# the subsets the container hypothesis sweeps
-DEFAULT_SUBSET_BUDGET = 1 << 20
 
 
 class PropertyConstants:
@@ -79,30 +77,23 @@ def _brute_neighborhood_size(g: BipartiteGraph, mask: int) -> int:
     return count
 
 
-def _linked_sets(g: BipartiteGraph, side: str, size_cap: int,
-                 budget: int | None):
-    """The 2-linked subsets of the side with at most size_cap vertices,
-    size-major and then lexicographic. On a vertex-transitive graph only
-    those holding the side's lowest vertex: an automorphism taking a set's
-    vertex there keeps the sides of a connected bipartite graph and every
-    |N(X)|."""
-    allowed = g.side_mask(side)
-    starts = allowed & -allowed if g.vertex_transitive else allowed
-    cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
-    # the enumeration is lexicographic; a stable sort by size keeps that
-    return sorted(two_linked_sets(g, starts, allowed, size_cap, cap),
-                  key=popcount)
-
-
 def _iterate_sets(g: BipartiteGraph, size_cap: int,
-                  budget: int | None = None):
-    """(side, mask) for the 2-linked subsets of side E, then of side O.
-    The hypotheses swept here bound |N(X)| below by a concave f(|X|) with
-    f(0) = 0 over a size range closed downward, and the 2-linked
-    components of X have disjoint neighbourhoods, so these sets decide the
-    verdict over every subset of at most size_cap vertices."""
+                  enum_cap: int | None = None):
+    """(side, mask) for the 2-linked subsets of at most size_cap vertices of
+    side E, then of side O, each side size-major and then lexicographic; on
+    a vertex-transitive graph only those holding the side's lowest vertex,
+    as an automorphism taking a set's vertex there keeps the sides of a
+    connected bipartite graph and every |N(X)|. The hypotheses swept here
+    bound |N(X)| below by a concave f(|X|) with f(0) = 0 over a size range
+    closed downward, and the 2-linked components of X have disjoint
+    neighbourhoods, so these sets decide the verdict over every subset of
+    at most size_cap vertices. enum_cap caps each side's walk."""
     for side in ("E", "O"):
-        for mask in _linked_sets(g, side, size_cap, budget):
+        allowed = g.side_mask(side)
+        starts = allowed & -allowed if g.vertex_transitive else allowed
+        # the enumeration is lexicographic; a stable sort by size keeps that
+        for mask in sorted(two_linked_sets(g, starts, allowed, size_cap,
+                                           enum_cap), key=popcount):
             yield side, mask
 
 
@@ -162,16 +153,16 @@ def _run_conditions(g: BipartiteGraph, conditions, checked: dict, sets,
     return out, swept
 
 
-def _sweep(g: BipartiteGraph, conditions, size_cap: int, budget: int | None,
-           observe=None) -> tuple[dict, int]:
+def _sweep(g: BipartiteGraph, conditions, size_cap: int,
+           enum_cap: int | None, observe=None) -> tuple[dict, int]:
     """_run_conditions over the 2-linked sets, each condition's checked
     being the subsets of at most size_cap vertices it covers."""
     return _run_conditions(g, conditions, _coverage(g, conditions, size_cap),
-                           _iterate_sets(g, size_cap, budget), observe)
+                           _iterate_sets(g, size_cap, enum_cap), observe)
 
 
 def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
-                     size_cap: int = 4, budget: int | None = None) -> dict:
+                     size_cap: int = 4, enum_cap: int | None = None) -> dict:
     """Expansion conditions Ia(1)-(3) on every subset of at most size_cap
     vertices of each side, decided on the 2-linked ones, plus the two size
     ratios of Ib (asymptotic, reported not asserted). swept counts the
@@ -187,7 +178,7 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
         "Ia3": (lambda s: s <= large_range,
                 lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
-    verdicts, swept = _sweep(g, conditions, size_cap, budget)
+    verdicts, swept = _sweep(g, conditions, size_cap, enum_cap)
     report = {
         "size_cap": size_cap,
         "swept": swept,
@@ -203,7 +194,7 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
 
 
 def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
-                      size_cap: int = 4, budget: int | None = None) -> dict:
+                      size_cap: int = 4, enum_cap: int | None = None) -> dict:
     """Root-d expansion for polynomially small sets, near-half expansion,
     exact maximum codegree, and the n versus d^6 ratio, with the sets swept
     as in check_property_i. Raises ValueError when a condition covers no
@@ -218,7 +209,7 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
         "IIa2": (lambda s: s <= large_range,
                  lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
-    verdicts, swept = _sweep(g, conditions, size_cap, budget)
+    verdicts, swept = _sweep(g, conditions, size_cap, enum_cap)
     codeg = max_codegree(g)
     report = {
         "size_cap": size_cap,
@@ -234,7 +225,7 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
 
 
 def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
-                      budget: int | None = None, s: int | None = None,
+                      enum_cap: int | None = None, s: int | None = None,
                       t: int | None = None) -> dict:
     """Isoperimetry of a Cartesian product of t factors with at most s
     vertices each: codegree at most s (exact), the reported worst constant
@@ -263,8 +254,8 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
         worst_c = max(worst_c, t * size / nbr)
 
     verdicts, swept = _sweep(
-        g, {"near_half": (lambda size: True, near_half)}, size_cap, budget,
-        track)
+        g, {"near_half": (lambda size: True, near_half)}, size_cap,
+        enum_cap, track)
     codeg = max_codegree(g)
     return {
         "s": s,
@@ -453,14 +444,14 @@ def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
 
 
 def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
-                               budget: int | None = None) -> dict:
+                               enum_cap: int | None = None) -> dict:
     """The neighborhood-expansion hypothesis of the container bound: every
     X inside a single neighborhood N(y), y off the side, with |X| > d/2
     satisfies |N(X)| >= (d/c2)|X|, with the bound an exact Fraction.
     Exhaustive over all such X, counted once per y. Raises ValueError
     unless c2 is positive and finite."""
     require_positive_finite(c2=c2)
-    cap = DEFAULT_SUBSET_BUDGET if budget is None else budget
+    cap = graphs.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     opposite = bits(g.side_mask(g.other_side(side)))
     sizes = range(g.d // 2 + 1, g.d + 1)
     total = len(opposite) * sum(math.comb(g.d, r) for r in sizes)

@@ -70,7 +70,7 @@ from .model import (
     percolation_mc,
 )
 from .polymers import enumerate_polymers, polymer_to_json_dict, xi_brute
-from .rationals import MAX_DECIMAL_EXPONENT, format_rational, parse_rational
+from .rationals import TOO_MANY_DIGITS, format_rational, parse_rational
 
 REQUIRED = "required"
 # the isoperimetry and KP constants; audit-kp's sum mode reads all but c4
@@ -243,9 +243,7 @@ def _render(records: list, args) -> str:
     try:
         emit_records(records, args.format, buffer)
     except ValueError as exc:
-        raise ValueError(f"an output integer has more than "
-                         f"{MAX_DECIMAL_EXPONENT} digits, past Python's "
-                         f"int-to-string limit") from exc
+        raise ValueError(TOO_MANY_DIGITS) from exc
     return buffer.getvalue()
 
 
@@ -381,7 +379,7 @@ def _condition_rows(report) -> list[dict]:
 
 
 def cmd_audit_iso(args):
-    sweep = dict(size_cap=args.size_cap, budget=args.budget)
+    sweep = dict(size_cap=args.size_cap, enum_cap=args.budget)
     if args.property == "product":
         report = check_product_iso(args.graph, s=args.s, t=args.t, **sweep)
         extra = [{"condition": "codegree", "holds": report["codegree_holds"],
@@ -521,7 +519,7 @@ def cmd_audit_container(args):
     if args.hypothesis_c2 is not None:
         hyp = container_hypothesis_check(args.graph, args.side,
                                          args.hypothesis_c2,
-                                         budget=args.budget)
+                                         enum_cap=args.budget)
         record["hypothesis_holds"] = ok = hyp["holds"]
         record["hypothesis_checked"] = hyp["checked"]
         record["hypothesis_worst_margin"] = hyp["worst"]["margin"]

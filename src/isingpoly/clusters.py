@@ -15,8 +15,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .graphs import (DEFAULT_ENUM_CAP, AuditViolation, BipartiteGraph,
-                     BudgetError, iter_bits)
+from . import graphs
+from .graphs import AuditViolation, BipartiteGraph, BudgetError, iter_bits
 from .polymers import DEFAULT_RHO, Polymer, PolymerFamily
 from .rationals import (LOG_PRECISION_BITS, float64_range, log_rational,
                         require_positive_finite, to_mpf)
@@ -147,8 +147,8 @@ def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
     polymers in the family order. A multiset is a cluster iff its Ursell
     value is nonzero. Each (candidate, multiplicity) step is one visit of
     one multiset, cluster or not, cached or not; the walk raises
-    BudgetError once it has visited more than enum_cap (default 10^6), a
-    check made before the Ursell cap.
+    BudgetError once it has visited more than enum_cap (default
+    DEFAULT_ENUM_CAP), a check made before the Ursell cap.
 
     Each multiset carries down its expanded incompatibility graph (one
     neighbour mask per polymer copy), the product of its multiplicities'
@@ -163,7 +163,7 @@ def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
     computed once in the whole walk."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    cap = graphs.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     polys = family.polymers
     incompatible = family.incompatible
     sizes = [p.size for p in polys]
@@ -264,8 +264,8 @@ def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
     Emission groups clusters by their support polymers in the polymer
     enumeration order. The expanded incompatibility graph of every emitted
     cluster is connected; anything disconnected is silently skipped per the
-    definition. enum_cap (default 10^6) bounds both the polymer enumeration
-    and the multisets the walk visits; past it, BudgetError.
+    definition. enum_cap (default DEFAULT_ENUM_CAP) bounds both the polymer
+    enumeration and the multisets the walk visits; past it, BudgetError.
     """
     family = PolymerFamily(g, side, params, rho, size_max=k_max,
                            enum_cap=enum_cap)

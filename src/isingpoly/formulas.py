@@ -17,8 +17,8 @@ from fractions import Fraction
 from .graphs import BipartiteGraph, codegree, iter_bits
 from .model import ModelParams
 from .polymers import DEFAULT_RHO, closure_cutoff, is_polymer_union
-from .rationals import LOG_PRECISION_BITS, to_mpf
-
+from .rationals import (LOG_PRECISION_BITS, MAX_DECIMAL_EXPONENT,
+                        TOO_MANY_DIGITS, to_mpf)
 
 
 class RegimeError(ValueError):
@@ -40,7 +40,8 @@ def l2_codegree(half, d: int, histogram, lam, p) -> Fraction:
     q = (1+lam(1-p))/(1+lam), r = (1+lam(1-p)^2)/(1+lam). The 2-linked pairs
     enter with Ursell value 1, the ordered pairs of singletons whose
     neighbourhoods meet with -1. Exact in the regime l2_regime_report
-    checks."""
+    checks. Refuses (ValueError) a value too long to write out before
+    taking the power q^(2d)."""
     lam = Fraction(lam)
     p = Fraction(p)
     q = (1 + lam * (1 - p)) / (1 + lam)
@@ -48,7 +49,13 @@ def l2_codegree(half, d: int, histogram, lam, p) -> Fraction:
     # q^(2d) factored out, so the one large power is taken once
     ratio = r / (q * q)
     bracket = sum(cnt * (ratio ** c - 1) for c, cnt in histogram.items()) - 1
-    return half * lam * lam / 2 * q ** (2 * d) * bracket
+    rest = half * lam * lam / 2 * bracket
+    # in lowest terms q = u/v, so the value's denominator is at least
+    # v^(2d) / |numerator of rest|; the 1 covers the logarithms' rounding
+    if rest and 2 * d * math.log10(q.denominator) - math.log10(
+            abs(rest.numerator)) > MAX_DECIMAL_EXPONENT + 1:
+        raise ValueError(TOO_MANY_DIGITS)
+    return rest * q ** (2 * d)
 
 
 def l2_torus(m: int, t: int, p) -> Fraction:

@@ -25,8 +25,9 @@ DEFAULT_SWEEP_CAP = 26
 # the cap, the sweep over C24's 2^24 subgraphs took 45 s with a 19 MB peak
 # RSS on a 2-vCPU Xeon (lambda = 2/3, p = 1/3).
 DEFAULT_EDGE_SWEEP_CAP = 24
-# Streaming enumerations abort after this many emitted sets.
-DEFAULT_ENUM_CAP = 1_000_000
+# The one default cap on the sets any walk visits, the audit sweeps' too;
+# each walk reads it here when it starts, never from an imported copy.
+DEFAULT_ENUM_CAP = 1 << 20
 
 
 class BudgetError(RuntimeError):
@@ -480,7 +481,7 @@ def two_linked_sets(g: BipartiteGraph, starts: int, allowed: int,
     One extend/ban search runs per start vertex v, in increasing order, and
     never adds v's lower start vertices, so a set is found only from its
     smallest start vertex. Aborts with BudgetError once more than `enum_cap`
-    sets (default 10^6) have been found.
+    sets (default DEFAULT_ENUM_CAP) are found.
     """
     cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     ball = g.two_ball
@@ -511,7 +512,7 @@ def enumerate_two_linked(g: BipartiteGraph, v: int, ell_max: int,
     """All 2-linked sets of size <= ell_max containing v, each exactly once.
 
     Emission order is lexicographic in the sorted vertex tuple. Aborts with
-    BudgetError if more than `enum_cap` sets (default 10^6) are produced.
+    BudgetError past `enum_cap` sets (default DEFAULT_ENUM_CAP).
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")

@@ -44,9 +44,11 @@ if TYPE_CHECKING:
 MC_CHUNK = 4096
 # The measure tables hold one dict entry per outcome; past this many entries
 # (2^20 subsets, 2^19 for the (mask, side) table) they are refused before
-# the sweep starts. TV, Z-hat and the non-polymer weight need no table.
+# the sweep starts and before DEFAULT_SWEEP_CAP could bind. TV, Z-hat and
+# the non-polymer weight need no table.
 MEASURE_TABLE_CAP = 1 << 20
-# exact_Z refuses a DP of more states than this (150-190 bytes each).
+# exact_Z refuses a DP of more states than this: states, not bytes, as each
+# state's int grows with the graph (about 380 B on T10,2 at p = 1/2).
 _STATE_CEILING = 1 << 22
 
 
@@ -562,45 +564,43 @@ def _check_table(g: BipartiteGraph, entries: int) -> None:
                           f"vertices exceeds cap {MEASURE_TABLE_CAP}")
 
 
-def mu_table(g: BipartiteGraph, params: ModelParams,
-             sweep_cap: int | None = None) -> MeasureTable:
+def mu_table(g: BipartiteGraph, params: ModelParams) -> MeasureTable:
     """The Ising measure: P(I) = ising_weight(I) / Z over all subsets.
     Raises AuditViolation unless the sweep's weights sum to exact_Z."""
     _check_table(g, 1 << g.n)
-    weights = {i_mask: w for i_mask, w, _, _ in
-               subset_sweep(g, params, sweep_cap=sweep_cap)}
+    weights = {i_mask: w for i_mask, w, _, _ in subset_sweep(g, params)}
     table = MeasureTable(weights, _weight_scale(g, params))
-    if table.normalization != exact_Z(g, params, sweep_cap=sweep_cap):
+    if table.normalization != exact_Z(g, params):
         raise AuditViolation("mu table weights do not sum to exact_Z")
     return table
 
 
-def z_hat_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
-                sweep_cap: int | None = None) -> Fraction:
+def z_hat_sweep(g: BipartiteGraph, params: ModelParams,
+                rho=DEFAULT_RHO) -> Fraction:
     """The polymer-approximation normalizer by direct sweep: each subset
     contributes its weight once per side whose capture test it passes."""
     return Fraction(sum((on_o + on_e) * w for _, w, on_o, on_e in
-                        subset_sweep(g, params, rho, sweep_cap)),
+                        subset_sweep(g, params, rho)),
                     _weight_scale(g, params))
 
 
-def mu_hat_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
-                 sweep_cap: int | None = None) -> MeasureTable:
+def mu_hat_table(g: BipartiteGraph, params: ModelParams,
+                 rho=DEFAULT_RHO) -> MeasureTable:
     """The polymer-approximation measure on subsets: weight counted once per
     capturing side (a set captured on both sides is deliberately counted
     twice, matching the two-sided normalizer)."""
     _check_table(g, 1 << g.n)
     weights = {i_mask: (on_o + on_e) * w for i_mask, w, on_o, on_e in
-               subset_sweep(g, params, rho, sweep_cap)}
+               subset_sweep(g, params, rho)}
     return MeasureTable(weights, _weight_scale(g, params))
 
 
-def mu_hat_star_table(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
-                      sweep_cap: int | None = None) -> MeasureTable:
+def mu_hat_star_table(g: BipartiteGraph, params: ModelParams,
+                      rho=DEFAULT_RHO) -> MeasureTable:
     """The two-sided measure on pairs (I, side): P = [captured] * weight / Z-hat."""
     _check_table(g, 2 << g.n)
     weights = {}
-    for i_mask, w, on_o, on_e in subset_sweep(g, params, rho, sweep_cap):
+    for i_mask, w, on_o, on_e in subset_sweep(g, params, rho):
         weights[(i_mask, "O")] = on_o * w
         weights[(i_mask, "E")] = on_e * w
     return MeasureTable(weights, _weight_scale(g, params))

@@ -14,10 +14,10 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from . import graphs
 from .graphs import (
     BipartiteGraph,
     BudgetError,
-    DEFAULT_ENUM_CAP,
     as_mask,
     bits,
     closure,
@@ -408,9 +408,9 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
     Xi, and the order whose weight intervals tile [0, Xi) in
     PolymerFamily.configuration_at's integer walk.
 
-    enum_cap (default 10^6) bounds both the polymer enumeration and the
-    number of configurations stored; past it, BudgetError."""
-    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    enum_cap (default DEFAULT_ENUM_CAP) bounds both the polymer enumeration
+    and the number of configurations stored; past it, BudgetError."""
+    cap = graphs.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     family = PolymerFamily(g, side, params, rho, enum_cap=enum_cap)
     polys = family.polymers
     weights = family.weights

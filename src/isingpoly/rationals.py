@@ -24,6 +24,8 @@ LOG_PRECISION_BITS = 128
 # Fraction("1e999999999") spends minutes building 10^999999999, so a
 # decimal exponent beyond Python's 4,300-digit int-string limit is refused
 MAX_DECIMAL_EXPONENT = 4300
+TOO_MANY_DIGITS = (f"an output integer has more than {MAX_DECIMAL_EXPONENT} "
+                   f"digits, past Python's int-to-string limit")
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 

@@ -18,11 +18,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from isingpoly import graphs
 from isingpoly.clusters import URSELL_VERTEX_CAP, Cluster, _ursell
-from isingpoly.graphs import (DEFAULT_ENUM_CAP, BipartiteGraph, BudgetError,
-                              as_mask, bits, independent_set_table,
-                              is_two_linked, iter_bits, neighborhood,
-                              popcount)
+from isingpoly.graphs import (BipartiteGraph, BudgetError, as_mask, bits,
+                              independent_set_table, is_two_linked,
+                              iter_bits, neighborhood, popcount)
 from isingpoly.model import captured_on_side
 from isingpoly.polymers import enumerate_compatible_configs
 
@@ -364,7 +364,7 @@ def walk_clusters(family, k_max: int, enum_cap: int | None = None):
     them down the walk."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    cap = graphs.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
     polys = family.polymers
     sizes = [p.size for p in polys]
     fitting = [[j for j, s in enumerate(sizes) if s <= r]

@@ -27,6 +27,7 @@ from isingpoly.audit import (
     z_psi_halfell_audit,
     z_psi_split_audit,
 )
+from isingpoly.clusters import enumerate_clusters
 from isingpoly.graphs import (
     AuditViolation,
     BudgetError,
@@ -45,6 +46,7 @@ from isingpoly.graphs import (
     popcount,
 )
 from isingpoly.model import ModelParams, captured_on_side, exact_Z, ising_weight
+from isingpoly.polymers import enumerate_polymers
 
 from oracles import exhaustive_sets, fraction_z_psi
 
@@ -184,7 +186,7 @@ class TestPropertyI:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            check_property_i(build_hypercube(4), FULL, size_cap=5, budget=10)
+            check_property_i(build_hypercube(4), FULL, size_cap=5, enum_cap=10)
 
     @pytest.mark.parametrize("g,sweep", [
         (build_cycle(6), {"size_cap": 0}),
@@ -462,7 +464,7 @@ class TestLinkedSweep:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError, match="exceeded 10 sets"):
-            check_property_i(build_hypercube(4), FULL, budget=10)
+            check_property_i(build_hypercube(4), FULL, enum_cap=10)
 
 
 class TestPsiFamilies:
@@ -710,7 +712,8 @@ class TestContainerReports:
 
     def test_hypothesis_budget(self):
         with pytest.raises(BudgetError):
-            container_hypothesis_check(build_hypercube(4), "E", 10, budget=4)
+            container_hypothesis_check(build_hypercube(4), "E", 10,
+                                       enum_cap=4)
 
     @pytest.mark.parametrize("c2", [0, -1, math.nan, math.inf])
     def test_hypothesis_rejects_c2_outside_positive_reals(self, c2):
@@ -729,8 +732,6 @@ class TestContainerReports:
             container_hypothesis_check(g, "X", 2.0)
         with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
             container_sum_report(g, "X", 2, 1, ModelParams(1, 1))
-        with pytest.raises(ValueError, match="side must be 'E' or 'O'"):
-            audit._linked_sets(g, "X", 2, None)
 
     def test_hypothesis_bound_is_exact(self):
         # on C6 at c2 = 4/3 the bound (d/c2)|X| is exactly 3 at |X| = 2,
@@ -792,6 +793,25 @@ class TestNonpolymerReport:
         params = ModelParams(1, F(1, 2))
         report = nonpolymer_weight_report(g, params, sweep_cap=8)
         assert report["z"] == exact_Z(g, params, sweep_cap=8)
+
+
+def test_one_default_caps_every_set_walk(monkeypatch):
+    # each walk reads graphs.DEFAULT_ENUM_CAP when it starts, so lowering it
+    # lowers every walk's cap: on Q4 the 2-linked sets of side E, the 63
+    # rooted 2-linked sets of at most 4 vertices of a side and the 40
+    # neighbourhood subsets all pass 10; on C6 at k_max 5 the seven
+    # 2-linked sets fit under 10 and the 55 multisets of the cluster walk
+    # do not
+    monkeypatch.setattr("isingpoly.graphs.DEFAULT_ENUM_CAP", 10)
+    q4 = build_hypercube(4)
+    with pytest.raises(BudgetError, match="exceeded 10 sets"):
+        list(enumerate_polymers(q4, "E"))
+    with pytest.raises(BudgetError, match="exceeded 10 sets"):
+        check_property_i(q4, FULL)
+    with pytest.raises(BudgetError, match="needs 40 sets, cap is 10"):
+        container_hypothesis_check(q4, "E", 10)
+    with pytest.raises(BudgetError, match="cluster walk exceeded 10"):
+        enumerate_clusters(build_cycle(6), "E", ModelParams(1, 1), k_max=5)
 
 
 def test_no_assert_statements_in_the_package():

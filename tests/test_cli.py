@@ -43,7 +43,8 @@ from isingpoly.model import ModelParams, mu_hat_table, mu_table, tv_distance
 from isingpoly.polymers import DEFAULT_RHO
 from isingpoly.rationals import format_rational, parse_rational
 
-from oracles import ListMuHatSampler, l2_middle_layer, l2_torus_bracket
+from oracles import (ListMuHatSampler, l2_hypercube, l2_middle_layer,
+                     l2_torus_bracket)
 
 
 class TestGraphSpecs:
@@ -285,6 +286,29 @@ class TestExitCodes:
         assert out == ""
         assert err == ("isingpoly: error: an output integer has more than "
                        "4300 digits, past Python's int-to-string limit\n")
+
+    def test_closed_form_refuses_a_long_value_before_computing_it(
+            self, capsys):
+        # at q = 5/6 the value's denominator has about 1.25 million digits;
+        # building it took 14 s before the formula learned to refuse first
+        start = time.perf_counter()
+        code, out, err = run(capsys, "closed-form", "--family", "hypercube",
+                             "--t", "1000000", "--p", "1/3")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == ("isingpoly: error: an output integer has more than "
+                       "4300 digits, past Python's int-to-string limit\n")
+
+    def test_closed_form_writes_a_long_value_it_can(self, capsys):
+        # the denominator has 2,512 digits: long, but written out
+        code, out, _ = run(capsys, "closed-form", "--family", "hypercube",
+                           "--t", "2000", "--p", "1/3")
+        assert code == 0
+        value = l2_hypercube(2000, F(1, 3))
+        assert len(str(value.denominator)) == 2512
+        assert out == json.dumps({"family": "hypercube",
+                                  "formula_value": format_rational(value)},
+                                 sort_keys=True) + "\n"
 
     def test_unwritable_out_file_exits_one(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"

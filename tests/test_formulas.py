@@ -42,6 +42,7 @@ from isingpoly.graphs import (
     iter_bits,
 )
 from isingpoly.model import ModelParams
+from isingpoly.rationals import MAX_DECIMAL_EXPONENT, TOO_MANY_DIGITS
 
 F = Fraction
 
@@ -126,6 +127,28 @@ class TestL2Codegree:
         total = sum(l2_codegree(1, g.d, hist, lam, p)
                     for hist in vertex_histograms(g, "E"))
         assert total == l_k(g, "E", params(lam, p), k=2)
+
+    @pytest.mark.parametrize("p", [F(1, 3), F(1, 2), F(2, 3), F(7, 9), 1])
+    @pytest.mark.parametrize("family,opts", [
+        ("hypercube", {"t": t}) for t in (2000, 3500, 5000, 8000, 14000)] + [
+        ("torus", {"m": 6, "t": t}) for t in (1000, 1750, 2500, 4000, 7000)])
+    def test_refuses_only_values_too_long_to_write(self, family, opts, p):
+        # the hand-derived route builds the value whatever its length; the
+        # formula refuses it only when its denominator has more than
+        # MAX_DECIMAL_EXPONENT digits
+        expected = FAMILY_ORACLES[family](p, **opts)
+        try:
+            assert family_l2(family, p, **opts) == expected
+        except ValueError as exc:
+            assert str(exc) == TOO_MANY_DIGITS
+            assert expected.denominator >= 10 ** MAX_DECIMAL_EXPONENT
+
+    def test_refusal_comes_before_the_power(self):
+        # q = 5/6: q^(2d) alone has over 1.5 million digits at d = 10^6
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            family_l2("hypercube", F(1, 3), t=10 ** 6)
+        # q = 1/2 and half = 2^(t-1) cancel to a value that is written out
+        assert family_l2("hypercube", 1, t=14000) == l2_hypercube(14000, 1)
 
     def test_histogram_guards(self):
         with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):

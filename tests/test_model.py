@@ -450,7 +450,7 @@ class TestMeasures:
         assert 1 << big.n > MEASURE_TABLE_CAP
         for build in (mu_table, mu_hat_table, mu_hat_star_table):
             with pytest.raises(BudgetError, match="measure table"):
-                build(big, HALF, sweep_cap=big.n)
+                build(big, HALF)
         # the (mask, side) table has two entries per subset
         monkeypatch.setattr(model, "MEASURE_TABLE_CAP", 1 << C6.n)
         with pytest.raises(BudgetError, match="128 entries"):
