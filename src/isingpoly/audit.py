@@ -30,8 +30,8 @@ from .graphs import (
 )
 from .model import ModelParams, capture_classes
 from .polymers import DEFAULT_RHO, enumerate_g_ab, polymer_weight
-from .rationals import (LOG_PRECISION_BITS, log_rational,
-                        require_positive_finite, to_mpf)
+from .rationals import (log_precision, log_rational, require_positive_finite,
+                        to_mpf)
 
 SLACK = 2.0 ** -64
 
@@ -340,10 +340,8 @@ def _hypotheses_hold(d: int, params: ModelParams, big_c) -> dict:
     """The two instantiated inequalities the split bounds assume:
     lam/(1+lam) >= 64C log d/d + 4 log(lam d^(C+1))/(beta d) and
     alpha_bar >= 4C log d/d + 10 log(2+lam) log(1+lam d)/(beta d)."""
-    import mpmath
-
     lam = params.lam
-    with mpmath.workprec(LOG_PRECISION_BITS):
+    with log_precision() as mpmath:
         beta = params.beta()
         if beta <= 0:
             return {"holds": False, "first_margin": None,
@@ -371,9 +369,7 @@ def _log_bound(name: str, z: Fraction, d: int, ell: Fraction,
     alpha_bar ell + d^-C (high) or - C log d (low), at 128 bits with the
     2^-64 relative SLACK. Raises AuditViolation naming the bound when it is
     asserted and fails."""
-    import mpmath
-
-    with mpmath.workprec(LOG_PRECISION_BITS):
+    with log_precision() as mpmath:
         log_rhs = d * log_rational(1 + params.lam) - \
             params.alpha_bar() * to_mpf(ell)
         log_rhs = log_rhs + mpmath.mpf(d) ** (-big_c) if high else \
@@ -475,8 +471,6 @@ def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
     C* = -log(LHS/|D|) log d / ((b-a) alpha^2). No pass or fail: the
     container bound's constant is unspecified. Raises ValueError unless
     a >= 1, also when b < a leaves the class empty."""
-    import mpmath
-
     half = g.n // 2
     members = list(enumerate_g_ab(g, side, a, b, enum_cap))
     lhs = sum((polymer_weight(g, params, m) for m in members), Fraction(0))
@@ -491,7 +485,7 @@ def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
     }
     alpha = params.alpha
     if b > a and alpha > 0:
-        with mpmath.workprec(LOG_PRECISION_BITS):
+        with log_precision() as mpmath:
             if lhs == 0:
                 report["c_star_implied"] = mpmath.mpf("+inf")
             else:
@@ -508,12 +502,10 @@ def nonpolymer_weight_report(g: BipartiteGraph, params: ModelParams,
     """Exact total weight of the configurations captured on neither side,
     its ratio to the full partition function, and the decay exponent
     -log(ratio) d / n."""
-    import mpmath
-
     total, w1, w2, count = capture_classes(g, params, rho, sweep_cap)
     z = total + w1 + w2
     ratio = total / z
-    with mpmath.workprec(LOG_PRECISION_BITS):
+    with log_precision():
         exponent = -log_rational(ratio) * g.d / g.n
     return {"count": count, "total": total, "z": z, "ratio": ratio,
             "exponent": exponent}

@@ -43,6 +43,7 @@ from .formulas import (
     l2_regime_report,
     l2_torus,
     midlayer_expected_histogram,
+    singletons_are_polymers,
     torus_expected_histogram,
 )
 from .graphs import (
@@ -81,8 +82,9 @@ _CONSTANTS = {"--c1": (float, 2.0), "--c2": (float, 10.0),
 # graph; expected codegree histogram). The second-order rows feed the one
 # formula l2_codegree their side size, degree and histogram. The histogram
 # functions refuse bad values, so the histogram is taken first; it also
-# drives the regime test, and l1 has none. The lambdas look the library
-# functions up when called, so tracing can wrap them.
+# drives the regime test. l1 has none: its regime is that every singleton
+# is a polymer. The lambdas look the library functions up when called, so
+# tracing can wrap them.
 CLOSED_FORMS = {
     "l1": ({"--graph": (str, REQUIRED), "--lambda": (str, "1")},
            lambda a, h: l1_closed(a.graph.n, a.graph.d, a.params.lam,
@@ -287,7 +289,7 @@ def cmd_percolate_exact(args):
 
 def cmd_percolate_mc(args):
     mean, stderr = percolation_mc(args.graph, args.params, args.samples,
-                                  args.seed, sweep_cap=args.budget)
+                                  args.seed)
     return [{"mean": mean, "stderr": stderr, "samples": args.samples,
              "seed": args.seed}], True
 
@@ -328,11 +330,13 @@ def cmd_closed_form(args):
                      enum_cap=args.budget)
         record["oracle_value"] = oracle
         record["match"] = ok = record["formula_value"] == oracle
-        if expected is not None:
-            regime = l2_regime_report(g, "E", expected)
-            record["regime_ok"] = regime["regime_ok"]
-            # out-of-regime disagreement is documented behavior, not an error
-            ok = ok or not regime["regime_ok"]
+        if expected is None:
+            regime_ok = singletons_are_polymers(g, "E")
+        else:
+            regime_ok = l2_regime_report(g, "E", expected)["regime_ok"]
+        record["regime_ok"] = regime_ok
+        # out-of-regime disagreement is documented behavior, not an error
+        ok = ok or not regime_ok
     return [record], ok
 
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from . import graphs
 from .graphs import AuditViolation, BipartiteGraph, BudgetError, iter_bits
 from .polymers import DEFAULT_RHO, Polymer, PolymerFamily
-from .rationals import (LOG_PRECISION_BITS, float64_range, log_rational,
+from .rationals import (float64_range, log_precision, log_rational,
                         require_positive_finite, to_mpf)
 
 if TYPE_CHECKING:
@@ -353,12 +353,10 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     against the tail bound |side| * f(1) * exp(-g(k)). enum_cap bounds the
     polymer enumeration and the cluster walk as in enumerate_clusters.
     """
-    import mpmath
-
     family = PolymerFamily(g, side, params, rho, enum_cap=enum_cap)
     by_size = _terms_by_size(family, k_max, enum_cap)
     xi = family.xi()
-    with mpmath.workprec(LOG_PRECISION_BITS):
+    with log_precision() as mpmath:
         log_xi = log_rational(xi)
         terms = []
         partial = mpmath.mpf(0)
@@ -451,9 +449,7 @@ def lk_tail_shape(n: int, d: int, alpha_tilde: float, c1: float, c5: float,
     n * d^((c5+7)k - c5 - 1) * alpha_tilde^(-kd + c1 k^2), at 128-bit
     precision, so a shape past the float64 range is a number, not an
     error; report-only."""
-    import mpmath
-
-    with mpmath.workprec(LOG_PRECISION_BITS):
+    with log_precision() as mpmath:
         return n * mpmath.mpf(d) ** ((c5 + 7) * k - c5 - 1) * \
             mpmath.mpf(alpha_tilde) ** (-k * d + c1 * k * k)
 

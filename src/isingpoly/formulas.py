@@ -17,8 +17,8 @@ from fractions import Fraction
 from .graphs import BipartiteGraph, codegree, iter_bits
 from .model import ModelParams
 from .polymers import DEFAULT_RHO, closure_cutoff, is_polymer_union
-from .rationals import (LOG_PRECISION_BITS, MAX_DECIMAL_EXPONENT,
-                        TOO_MANY_DIGITS, to_mpf)
+from .rationals import (MAX_DECIMAL_EXPONENT, TOO_MANY_DIGITS, log_precision,
+                        to_mpf)
 
 
 class RegimeError(ValueError):
@@ -27,7 +27,8 @@ class RegimeError(ValueError):
 
 
 def l1_closed(n: int, d: int, lam, p) -> Fraction:
-    """First expansion term (n lam / 2)(1 - lam p / (1 + lam))^d, exact."""
+    """First expansion term (n lam / 2)(1 - lam p / (1 + lam))^d, exact in
+    the regime singletons_are_polymers checks."""
     lam = Fraction(lam)
     p = Fraction(p)
     return Fraction(n, 2) * lam * (1 - lam * p / (1 + lam)) ** d
@@ -83,13 +84,11 @@ def independent_set_count_estimate(n: int, d: int, p):
     """Leading-order estimate 2 * 2^(n/2) * exp(n (2-p)^d / 2^(d+1)) for the
     expected number of independent sets after p-percolation, as a
     high-precision real. No error term is attached."""
-    import mpmath
-
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0,1], got {p}")
     arg = Fraction(n, 2 ** (d + 1)) * (2 - p) ** d
-    with mpmath.workprec(LOG_PRECISION_BITS):
+    with log_precision() as mpmath:
         return 2 * mpmath.power(2, mpmath.mpf(n) / 2) * \
             mpmath.exp(to_mpf(arg))
 
@@ -97,13 +96,11 @@ def independent_set_count_estimate(n: int, d: int, p):
 def galvin_estimate(d: int, lam):
     """Evaluate 2 (1+lam)^(2^(d-1)) exp((lam/2)(2/(1+lam))^d) with the
     correction factor set to 1, as a high-precision real."""
-    import mpmath
-
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError(f"fugacity must be positive, got {lam}")
     arg = lam / 2 * (2 / (1 + lam)) ** d
-    with mpmath.workprec(LOG_PRECISION_BITS):
+    with log_precision() as mpmath:
         return 2 * mpmath.power(to_mpf(1 + lam), 2 ** (d - 1)) * \
             mpmath.exp(to_mpf(arg))
 
@@ -153,23 +150,31 @@ class ExpansionEstimate:
         return out
 
 
+def singletons_are_polymers(g: BipartiteGraph, side: str,
+                            rho=DEFAULT_RHO) -> bool:
+    """True iff every vertex of the side is a valid polymer on its own, the
+    regime of l1_closed and part of l2_regime_report's. A singleton is its
+    own only 2-linked component, so is_polymer_union tests it."""
+    limit = closure_cutoff(g, rho)
+    return all(is_polymer_union(g, 1 << u, side, limit)
+               for u in iter_bits(g.side_mask(side)))
+
+
 def l2_regime_report(g: BipartiteGraph, side: str, expected_histogram,
                      rho=DEFAULT_RHO) -> dict:
     """Check the two structural hypotheses behind the L2 derivations on a
     concrete graph: every same-side vertex sees exactly the expected
     multiset of codegrees among its 2-linked partners, and every vertex and
     every 2-linked pair on the side is a valid polymer (on K_{1,1} no single
-    vertex is, and the formulas do not apply). A singleton or a 2-linked
-    pair is its own only 2-linked component, so is_polymer_union tests it."""
+    vertex is, and the formulas do not apply). A 2-linked pair is its own
+    only 2-linked component, so is_polymer_union tests it."""
     limit = closure_cutoff(g, rho)
     side_mask = g.side_mask(side)
     expected = {k: v for k, v in expected_histogram.items() if v}
     histogram_ok = True
-    singletons_ok = True
+    singletons_ok = singletons_are_polymers(g, side, rho)
     pairs_ok = True
     for u in iter_bits(side_mask):
-        if not is_polymer_union(g, 1 << u, side, limit):
-            singletons_ok = False
         hist: dict[int, int] = {}
         partners = g.two_ball_mask(u) & side_mask
         for v in iter_bits(partners):

@@ -28,6 +28,13 @@ DEFAULT_EDGE_SWEEP_CAP = 24
 # The one default cap on the sets any walk visits, the audit sweeps' too;
 # each walk reads it here when it starts, never from an imported copy.
 DEFAULT_ENUM_CAP = 1 << 20
+# The one ceiling on the entries an independent-set memo holds, in
+# independent_set_table and subgraphs.subgraph_z; each recursion reads it
+# here when it starts. The entries are counted as they are made, so a
+# refusal comes after the work: on a 2-vCPU Xeon, Q7's i(G) memo passed
+# it after 13 s at a 956 MB peak RSS, and a Q7 percolation sample's after
+# 14 s at 1,517 MB. Torus 12,2's i(G), 4,648,625 entries, runs in 577 MB.
+MEMO_CEILING = 1 << 23
 
 
 class BudgetError(RuntimeError):
@@ -381,7 +388,8 @@ def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
     mask of v's neighbours, with or without v's own bit) of the product of
     weights[v] over v in I, the empty set counting 1; F(allowed) is
     table[allowed]. A `memo` from an earlier call with the same nbr and
-    weights is extended in place.
+    weights is extended in place. Raises BudgetError once the memo holds
+    more than MEMO_CEILING entries.
 
     F(S) = F(S - j) + w_j F(S - j - nbr[j]) for the lowest vertex j of S,
     evaluated with an explicit stack over one memo so the depth does not
@@ -389,6 +397,7 @@ def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
     a time, so a child is never pushed twice: the two children coincide
     when j has no neighbour left in S.
     """
+    ceiling = MEMO_CEILING
     memo = {0: 1} if memo is None else memo
     get = memo.get
     stack = [allowed] if allowed else []
@@ -407,6 +416,9 @@ def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
             stack.append(within)
             continue
         memo[rem] = f_without + weights[j] * f_within
+        if len(memo) > ceiling:
+            raise BudgetError(f"independent-set memo exceeds {ceiling} "
+                              f"entries")
         stack.pop()
     return memo
 

@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .polymers import (DEFAULT_RHO, PolymerFamily, closure_cutoff,
                        is_polymer_union)
-from .rationals import LOG_PRECISION_BITS, float64_range, log_rational
+from .rationals import float64_range, log_precision, log_rational
 
 if TYPE_CHECKING:
     import mpmath
@@ -97,18 +97,14 @@ class ModelParams:
 
     def alpha_bar(self) -> mpmath.mpf:
         """log(alpha_tilde) at 128-bit precision; report-only."""
-        import mpmath
-
-        with mpmath.workprec(LOG_PRECISION_BITS):
+        with log_precision():
             return log_rational(self.alpha_tilde)
 
     def beta(self) -> mpmath.mpf:
         """-log(1-p) at 128-bit precision; +inf for the hard-core model."""
-        import mpmath
-
-        if self.p == 1:
-            return mpmath.inf
-        with mpmath.workprec(LOG_PRECISION_BITS):
+        with log_precision() as mpmath:
+            if self.p == 1:
+                return mpmath.inf
             return -log_rational(1 - self.p)
 
 
@@ -300,7 +296,9 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
 def count_independent_sets(g: BipartiteGraph,
                            sweep_cap: int | None = None) -> int:
     """i(G): graphs.independent_set_table with weight 1 on every vertex,
-    the one sum behind Xi; independent of exact_Z's boundary DP."""
+    the one sum behind Xi; independent of exact_Z's boundary DP. Refuses
+    (BudgetError) more than sweep_cap vertices (default DEFAULT_SWEEP_CAP),
+    as exact_Z does, and a memo past graphs.MEMO_CEILING entries."""
     _check_sweep(g.n, sweep_cap)
     full = (1 << g.n) - 1
     return independent_set_table(g.adj_mask, [1] * g.n, full)[full]
@@ -317,8 +315,9 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
     built at the end as in exact_Z. Its memo, keyed by the vertex set and
     the subgraph's edges inside it, is shared across the subgraphs, and
     dropped once it passes a fixed size, which bounds the sweep's memory
-    (see subgraph_z). At p = 0 or p = 1 the one subgraph that weighs,
-    the empty or the full one, is the whole sum."""
+    (see subgraph_z); a subgraph whose memo passes graphs.MEMO_CEILING
+    entries raises BudgetError. At p = 0 or p = 1 the one subgraph that
+    weighs, the empty or the full one, is the whole sum."""
     from .subgraphs import subgraph_z
 
     m = g.edge_count()
@@ -336,7 +335,7 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
 
 
 def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
-                   seed: int, sweep_cap: int | None = None) -> tuple[float, float]:
+                   seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of E[Z_{G_p}(lambda)] with its standard error.
 
     Reproducibility contract: sample k lives in block k // MC_CHUNK; block c
@@ -348,7 +347,9 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     regardless of how blocks are scheduled.
 
     Each distinct sample's Z comes from subgraphs.subgraph_z, the exact
-    sweep's subgraph sum, its memo shared across the samples.
+    sweep's subgraph sum, its memo shared across the samples. No 2^n sweep
+    is run, so no vertex count is refused: a sample whose memo passes
+    graphs.MEMO_CEILING entries raises BudgetError.
     """
     # numpy is imported by the seeded routes only, so the exact routes and
     # the CLI start without its import cost
@@ -359,7 +360,6 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_sweep(g.n, sweep_cap)
     m = g.edge_count()
     p_float = params.p.numerator / params.p.denominator
     # each subgraph's Z as an int over b^n (lambda = a/b); int true division

@@ -332,7 +332,7 @@ class PolymerFamily:
         """Xi of sets of polymers, keyed by index mask, as built for Xi of
         all polymers: a polymer gas is the independent-set polynomial of its
         incompatibility graph, so this is graphs.independent_set_table, the
-        sum behind i(G), over the masks."""
+        sum behind i(G), over the masks, with its ceiling on memo entries."""
         full = (1 << len(self.polymers)) - 1
         return independent_set_table(self.incompatible, self.weights, full)
 

@@ -5,7 +5,8 @@ the refusal of float reports past the float64 range.
 All model weights in this package are fractions.Fraction values; JSON and
 CSV carry them as "p/q" strings so nothing is ever rounded on disk.
 mpmath serves only the log-scale reports, so it is imported inside the
-functions that build its values and loads with the first such report.
+functions that build its values and loads with the first such report;
+log_precision is the one place those reports enter its working precision.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+@contextlib.contextmanager
+def log_precision():
+    """Import mpmath, enter its working precision of LOG_PRECISION_BITS
+    and yield the module: the setting of every log-scale report."""
+    import mpmath
+
+    with mpmath.workprec(LOG_PRECISION_BITS):
+        yield mpmath
 
 
 def to_mpf(x: Fraction) -> mpmath.mpf:

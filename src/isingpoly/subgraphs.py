@@ -4,14 +4,16 @@ edge subgraphs H of one graph, with one memo shared across the subgraphs.
 model.percolation_expectation_exact sums it over all 2^|E| subgraphs and
 model.percolation_mc over its distinct samples. Both import this module on
 first use, as they do philox, so the package's import and the set-ups that
-do not percolate do not load it.
+do not percolate do not load it. Neither route caps the vertex count: the
+memo's entries are the budget, refused past graphs.MEMO_CEILING.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from .graphs import iter_bits
+from . import graphs
+from .graphs import BudgetError, iter_bits
 
 if TYPE_CHECKING:
     from .graphs import BipartiteGraph
@@ -51,7 +53,9 @@ def subgraph_z(g: BipartiteGraph, params: ModelParams) -> Callable[[int], int]:
     than the sharing saves. As old states are seldom met again, the memo
     and the table are dropped before a subgraph once the memo passes
     _MEMO_CAP states: each never holds more than the cap plus one
-    subgraph's states."""
+    subgraph's states. A subgraph whose states take the memo past
+    graphs.MEMO_CEILING entries raises BudgetError."""
+    ceiling = graphs.MEMO_CEILING
     n = g.n
     edges = list(g.edges())
     a, b = params.lam.numerator, params.lam.denominator
@@ -102,6 +106,8 @@ def subgraph_z(g: BipartiteGraph, params: ModelParams) -> Callable[[int], int]:
                 stack.append(within)
                 continue
             memo[key] = b * f_without + coef * f_within
+            if len(memo) > ceiling:
+                raise BudgetError(f"subgraph memo exceeds {ceiling} entries")
             stack.pop()
         return memo[top]
     return scaled_z

@@ -38,8 +38,9 @@ from isingpoly.audit import PropertyConstants, PsiFamily
 from isingpoly.clusters import Cluster, KPFunctions, enumerate_clusters
 from isingpoly.formulas import ExpansionEstimate
 from isingpoly.graphs import (AuditViolation, build_complete_bipartite,
-                              build_cycle, graph_to_json)
-from isingpoly.model import ModelParams, mu_hat_table, mu_table, tv_distance
+                              build_cycle, build_even_torus, graph_to_json)
+from isingpoly.model import (ModelParams, exact_Z, mu_hat_table, mu_table,
+                             tv_distance)
 from isingpoly.polymers import DEFAULT_RHO
 from isingpoly.rationals import format_rational, parse_rational
 
@@ -437,6 +438,30 @@ class TestExitCodes:
         assert out == ""
         assert err == (f"isingpoly: budget exceeded: {2 ** 63} samples do "
                        f"not fit in memory as float64 values\n")
+
+    @pytest.mark.parametrize("argv,memo", [
+        (("isets", "--graph", "hypercube:3"), "independent-set"),
+        (("percolate-mc", "--graph", "hypercube:3", "--lambda", "1", "--p",
+          "1/2", "--samples", "10", "--seed", "1"), "subgraph"),
+    ])
+    def test_memo_ceiling_exits_one(self, capsys, monkeypatch, argv, memo):
+        monkeypatch.setattr("isingpoly.graphs.MEMO_CEILING", 4)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"isingpoly: budget exceeded: {memo} memo exceeds 4 " \
+                      f"entries\n"
+
+    def test_percolate_mc_reads_no_vertex_proxy(self, capsys):
+        # 64 vertices, past the 2^n sweeps' cap of 26, with no --budget
+        code, out, _ = run(capsys, "percolate-mc", "--graph", "torus:8,2",
+                           "--lambda", "1", "--p", "1/2", "--samples", "50",
+                           "--seed", "1")
+        assert code == 0
+        record = json.loads(out)
+        exact = exact_Z(build_even_torus(8, 2), ModelParams(1, F(1, 2)),
+                        sweep_cap=64)
+        assert abs(record["mean"] - float(exact)) < 4 * record["stderr"]
 
     def test_percolate_mc_past_the_float_range(self, capsys):
         code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:1600",
@@ -1024,6 +1049,21 @@ class TestClosedFormCommand:
         record = json.loads(out)
         assert record["formula_value"] == "27/16"
         assert record["match"] is True
+
+    @pytest.mark.parametrize("graph,regime_ok", [
+        # no side-E singleton is a polymer on these, so L_1 = 0
+        ("kss:3", False), ("cycle:4", False),
+        ("cycle:6", True), ("hypercube:3", True),
+    ])
+    def test_l1_regime(self, capsys, graph, regime_ok):
+        code, out, _ = run(capsys, "closed-form", "--family", "l1",
+                           "--graph", graph, "--p", "1/2", "--verify")
+        assert code == 0  # disagreement outside the regime is expected
+        record = json.loads(out)
+        assert record["regime_ok"] is regime_ok
+        assert record["match"] is regime_ok
+        if not regime_ok:
+            assert record["oracle_value"] == "0"
 
     @pytest.mark.parametrize("argv,value", [
         (("--family", "midlayer", "--d", "12"), l2_middle_layer(12, F(1, 2))),

@@ -42,7 +42,8 @@ from isingpoly.graphs import (
     iter_bits,
 )
 from isingpoly.model import ModelParams
-from isingpoly.rationals import MAX_DECIMAL_EXPONENT, TOO_MANY_DIGITS
+from isingpoly.rationals import (MAX_DECIMAL_EXPONENT, TOO_MANY_DIGITS,
+                                 log_precision)
 
 F = Fraction
 
@@ -313,6 +314,14 @@ class TestSharpnessThreshold:
 
 
 class TestCountEstimates:
+    def test_reports_share_one_precision(self):
+        # every log-scale report works at the 128 bits log_precision
+        # enters, and the caller's precision comes back afterwards
+        outer = mpmath.mp.prec
+        with log_precision() as mp:
+            assert mp is mpmath and mpmath.mp.prec == 128
+        assert mpmath.mp.prec == outer
+
     def test_estimate_at_p_one(self):
         val = independent_set_count_estimate(8, 3, 1)
         with mpmath.workprec(128):

@@ -48,7 +48,7 @@ from isingpoly.model import (
 )
 from isingpoly import model, philox
 from isingpoly.philox import philox_key
-from isingpoly.polymers import xi_brute
+from isingpoly.polymers import PolymerFamily, xi_brute
 from oracles import (
     ListMuHatSampler,
     brute_captured,
@@ -400,10 +400,34 @@ class TestPercolation:
 
     def test_mc_long_cycle(self):
         # 1,200 edges and a 1,200-level independent-set sum; E[Z] ~ 1e298
-        mean, err = percolation_mc(build_cycle(1200), HALF, 3, seed=1,
-                                   sweep_cap=1200)
+        mean, err = percolation_mc(build_cycle(1200), HALF, 3, seed=1)
         assert math.isfinite(mean) and math.isfinite(err)
         assert mean > 0 and err > 0
+
+
+class TestMemoCeiling:
+    # graphs.MEMO_CEILING bounds the entries each independent-set memo
+    # holds; every recursion reads it when it starts
+    @pytest.mark.parametrize("route,message", [
+        (lambda: count_independent_sets(Q3), "independent-set memo"),
+        (lambda: percolation_mc(Q3, HALF, 10, seed=1), "subgraph memo"),
+        (lambda: percolation_expectation_exact(C6, HALF), "subgraph memo"),
+        # Q3's 4 polymers at lambda = 1/20 give a Xi table of 5 entries
+        (lambda: PolymerFamily(Q3, "E", ModelParams(Fraction(1, 20), 1)).xi(),
+         "independent-set memo"),
+    ], ids=["isets", "percolation_mc", "percolation_exact", "xi"])
+    def test_lowered_ceiling_refuses(self, monkeypatch, route, message):
+        monkeypatch.setattr("isingpoly.graphs.MEMO_CEILING", 4)
+        with pytest.raises(BudgetError, match=f"{message} exceeds 4 entries"):
+            route()
+
+    def test_ceiling_counts_the_entries_held(self, monkeypatch):
+        # Q3's i(G) memo holds 18 entries, the empty set's included
+        monkeypatch.setattr("isingpoly.graphs.MEMO_CEILING", 17)
+        with pytest.raises(BudgetError, match="exceeds 17 entries"):
+            count_independent_sets(Q3)
+        monkeypatch.setattr("isingpoly.graphs.MEMO_CEILING", 18)
+        assert count_independent_sets(Q3) == 35
 
 
 class TestMeasures:
