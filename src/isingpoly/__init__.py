@@ -71,6 +71,7 @@ from .formulas import (
     RegimeError,
     l1_closed,
     l2_codegree,
+    l2_midlayer,
     l2_regime_report,
     l2_torus,
 )

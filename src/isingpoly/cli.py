@@ -40,6 +40,7 @@ from .formulas import (
     kss_expected_histogram,
     l1_closed,
     l2_codegree,
+    l2_midlayer,
     l2_regime_report,
     l2_torus,
     midlayer_expected_histogram,
@@ -47,7 +48,6 @@ from .formulas import (
     torus_expected_histogram,
 )
 from .graphs import (
-    DEFAULT_VERTEX_CAP,
     AuditViolation,
     BipartiteGraph,
     BudgetError,
@@ -80,7 +80,8 @@ _CONSTANTS = {"--c1": (float, 2.0), "--c2": (float, 10.0),
 # closed-form's families, each declared once: family -> (the options it
 # reads, as in MODE_OPTIONS; formula value, given the histogram; oracle
 # graph; expected codegree histogram). The second-order rows feed the one
-# formula l2_codegree their side size, degree and histogram. The histogram
+# formula l2_codegree their side size, degree and histogram, the torus and
+# midlayer rows through l2_torus and l2_midlayer. The histogram
 # functions refuse bad values, so the histogram is taken first; it also
 # drives the regime test. l1 has none: its regime is that every singleton
 # is a polymer. The lambdas look the library functions up when called, so
@@ -92,24 +93,23 @@ CLOSED_FORMS = {
            lambda a: a.graph, lambda a: None),
     "torus": ({"--m": (int, REQUIRED), "--t": (int, REQUIRED)},
               lambda a, h: l2_torus(a.m, a.t, a.params.p),
-              lambda a: build_even_torus(a.m, a.t, a.budget),
+              lambda a: build_even_torus(a.m, a.t),
               lambda a: torus_expected_histogram(a.t)),
     "midlayer": ({"--d": (int, REQUIRED)},
-                 lambda a, h: l2_codegree(math.comb(2 * a.d - 1, a.d), a.d,
-                                          h, 1, a.params.p),
-                 lambda a: build_middle_layer(a.d, a.budget),
+                 lambda a, h: l2_midlayer(a.d, a.params.p),
+                 lambda a: build_middle_layer(a.d),
                  lambda a: midlayer_expected_histogram(a.d)),
     "kss": ({"--s": (int, REQUIRED), "--t": (int, REQUIRED)},
             lambda a, h: l2_codegree((2 * a.s) ** a.t // 2, a.s * a.t, h, 1,
                                      a.params.p),
             lambda a: build_cartesian_product(
-                [build_complete_bipartite(a.s, a.budget)] * a.t, a.budget),
+                [build_complete_bipartite(a.s)] * a.t),
             lambda a: kss_expected_histogram(a.s, a.t)),
     # the kss family at s = 1
     "hypercube": ({"--t": (int, REQUIRED)},
                   lambda a, h: l2_codegree(2 ** a.t // 2, a.t, h, 1,
                                            a.params.p),
-                  lambda a: build_hypercube(a.t, a.budget),
+                  lambda a: build_hypercube(a.t),
                   lambda a: kss_expected_histogram(1, a.t)),
 }
 # subcommand -> option that selects a mode -> mode -> the options that mode
@@ -144,42 +144,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _torus(arg: str, vertex_cap: int | None) -> BipartiteGraph:
+def _torus(arg: str) -> BipartiteGraph:
     m, t = arg.split(",")
-    return build_even_torus(int(m), int(t), vertex_cap)
+    return build_even_torus(int(m), int(t))
 
 
-# family -> (the spec's argument, the builder from that argument and the
-# vertex cap). The builders are looked up when called, so tracing can wrap
-# them.
+# family -> (the spec's argument, the builder from that argument). Each
+# builder refuses a graph past graphs.VERTEX_CEILING before it lists a
+# vertex. The builders are looked up when called, so tracing can wrap them.
 GRAPH_FAMILIES = {
-    "hypercube": ("d", lambda arg, cap: build_hypercube(int(arg), cap)),
-    "cycle": ("m", lambda arg, cap: build_cycle(int(arg), cap)),
+    "hypercube": ("d", lambda arg: build_hypercube(int(arg))),
+    "cycle": ("m", lambda arg: build_cycle(int(arg))),
     "torus": ("m,t", _torus),
-    "kss": ("s", lambda arg, cap: build_complete_bipartite(int(arg), cap)),
-    "midlayer": ("d", lambda arg, cap: build_middle_layer(int(arg), cap)),
-    "product": ("spec+spec", lambda arg, cap: build_cartesian_product(
-        [build_graph_from_spec(part, cap) for part in arg.split("+")], cap)),
+    "kss": ("s", lambda arg: build_complete_bipartite(int(arg))),
+    "midlayer": ("d", lambda arg: build_middle_layer(int(arg))),
+    "product": ("spec+spec", lambda arg: build_cartesian_product(
+        [build_graph_from_spec(part) for part in arg.split("+")])),
 }
 
 
-def build_graph_from_spec(spec: str, vertex_cap: int | None = None) -> BipartiteGraph:
+def build_graph_from_spec(spec: str) -> BipartiteGraph:
     kind, _, arg = spec.partition(":")
     if kind not in GRAPH_FAMILIES:
         raise CliError(f"unknown graph family {kind!r} "
                        f"(known: {', '.join(GRAPH_FAMILIES)})")
     try:
-        return GRAPH_FAMILIES[kind][1](arg, vertex_cap)
+        return GRAPH_FAMILIES[kind][1](arg)
     except (ValueError, TypeError) as exc:
         raise CliError(f"bad graph spec {spec!r}: {exc}") from exc
 
 
-def load_graph(source: str, vertex_cap: int | None = None) -> BipartiteGraph:
+def load_graph(source: str) -> BipartiteGraph:
     """A builder spec, a JSON file path, or '-' for JSON on stdin."""
     if source == "-":
         return graph_from_json(sys.stdin.read())
     if source.partition(":")[0] in GRAPH_FAMILIES:
-        return build_graph_from_spec(source, vertex_cap)
+        return build_graph_from_spec(source)
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
             return graph_from_json(fh.read())
@@ -322,7 +322,7 @@ def cmd_closed_form(args):
     record = {"family": args.family, "formula_value": formula(args, expected)}
     ok = True
     if args.verify:
-        # only the oracle builds a graph, so the formula alone has no size cap
+        # only the oracle builds a graph, so only it meets the vertex ceiling
         g = oracle_graph(args)
         # l1 is the first term at the given fugacity; main puts the
         # second-order forms at fugacity 1
@@ -571,12 +571,14 @@ _SPECS = ", ".join(f"{family}:{arg}"
 # flag -> argparse keywords of the options several subcommands share
 OPTIONS = {
     "--out": dict(default=None, help="output file (default stdout)"),
-    # every subcommand that builds a graph caps it by --budget, and so does
-    # closed-form's oracle; audit-z builds none and reads no budget
+    # one unit per subcommand; gen, percolate-mc and audit-z sweep and walk
+    # nothing, so they take no --budget. Graph size has a fixed ceiling.
     "--budget": dict(type=int, default=None,
-                     help=f"cap on sweeps/enumerations and on the graph's "
-                          f"vertex count (default: the module defaults; "
-                          f"{DEFAULT_VERTEX_CAP} vertices)"),
+                     help="cap on the subcommand's one unit of work: the "
+                          "vertices of a 2^n sweep (zexact, isets, tv, "
+                          "audit-nonpolymer), the edges of a 2^|E| sweep "
+                          "(percolate-exact), or the sets walked (every "
+                          "other); default: the module default"),
     "--graph": dict(required=True,
                     help=f"builder spec ({_SPECS}), a JSON file path, or - "
                          f"for stdin"),
@@ -595,7 +597,7 @@ _MODEL = (*_GRAPH, "--lambda", "--p")
 # option is a flag of OPTIONS or a (flag, argparse keywords) pair. A
 # subcommand without --format writes its one record as it is.
 COMMANDS = {
-    "gen": (cmd_gen, "build a graph and emit its JSON", _GRAPH),
+    "gen": (cmd_gen, "build a graph and emit its JSON", ("--graph",)),
     "zexact": (cmd_zexact, "exact partition function", (*_MODEL, "--format")),
     "isets": (cmd_isets, "count independent sets by memoised recursion", (
         *_GRAPH, "--format",
@@ -608,7 +610,8 @@ COMMANDS = {
                           help="compare against exact Z; mismatch exits 2")))),
     "percolate-mc": (cmd_percolate_mc,
                      "seeded Monte Carlo percolation estimate",
-                     (*_MODEL, "--format", "--samples", "--seed")),
+                     ("--graph", "--lambda", "--p", "--format", "--samples",
+                      "--seed")),
     "polymers": (cmd_polymers, "enumerate one side's polymers with weights", (
         *_MODEL, "--rho", "--side", "--format",
         ("--size-max", dict(type=int, default=None)))),
@@ -710,7 +713,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise CliError(f"seed must be >= 0, got {args.seed}")
         if getattr(args, "graph", None) is not None:
-            args.graph = load_graph(args.graph, args.budget)
+            args.graph = load_graph(args.graph)
         if hasattr(args, "p"):
             # the second-order closed forms read no --lambda: fugacity 1
             lam = "1" if args.lam is None else args.lam

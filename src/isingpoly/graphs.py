@@ -9,16 +9,20 @@ The two sides of the bipartition are labelled "E" and "O". For the graph
 builders in this module the "E" side is the even-parity side (even popcount
 for hypercubes, even coordinate sum for tori and products, the smaller layer
 for middle layers), which is the convention the model layer relies on.
+
+No graph holds more than VERTEX_CEILING vertices, a constant no option
+sets. The builders check their vertex count from their parameters before
+they list a vertex, and the constructor checks it again, so graph_from_json
+may raise BudgetError as well as GraphFormatError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_VERTEX_CAP = 4096
 # Full 2^n subset sweeps are refused above this many vertices.
 DEFAULT_SWEEP_CAP = 26
 # Exact percolation sums over 2^m edge subsets are refused above this. At
@@ -35,6 +39,12 @@ DEFAULT_ENUM_CAP = 1 << 20
 # it after 13 s at a 956 MB peak RSS, and a Q7 percolation sample's after
 # 14 s at 1,517 MB. Torus 12,2's i(G), 4,648,625 entries, runs in 577 MB.
 MEMO_CEILING = 1 << 23
+# The one ceiling on a graph's vertex count, for every builder and every
+# graph read from JSON; each check reads it here when it runs. On a 2-vCPU
+# Xeon, Q14 builds in 0.5 s at a 91 MB peak RSS and T128,2 in 0.2 s at
+# 59 MB. The densest graph at the ceiling, K8192,8192, took 119 s at
+# 1,103 MB; Q15 would take 289 MB and T256,2 606 MB.
+VERTEX_CEILING = 1 << 14
 
 
 class BudgetError(RuntimeError):
@@ -118,9 +128,10 @@ class BipartiteGraph:
     def __init__(self, n: int, d: int, side_E: Iterable[int],
                  adjacency: Sequence[Iterable[int]], label: str = "",
                  factor_sizes: tuple[int, ...] = ()):
-        side_E = tuple(sorted(side_E))
         if n <= 0 or n % 2 != 0:
             raise GraphFormatError(f"vertex count must be positive and even, got {n}")
+        _check_vertex_count(n)
+        side_E = tuple(sorted(side_E))
         if d < 1:
             raise GraphFormatError(f"degree must be >= 1, got {d}")
         if len(adjacency) != n:
@@ -232,52 +243,63 @@ class BipartiteGraph:
 # -- builders --------------------------------------------------------------
 
 
-def _check_vertex_budget(n: int, vertex_cap: int | None) -> None:
-    cap = DEFAULT_VERTEX_CAP if vertex_cap is None else vertex_cap
-    if n > cap:
-        raise BudgetError(f"graph would have {n} vertices, budget is {cap}")
+def _check_vertex_count(n: int) -> None:
+    """Refuse (BudgetError) a graph of n or more vertices past
+    VERTEX_CEILING. The builders call it on each partial product of their
+    vertex count, so none computes a count much past the ceiling."""
+    ceiling = VERTEX_CEILING
+    if n > ceiling:
+        raise BudgetError(f"graph would have at least {n} vertices, past "
+                          f"the ceiling of {ceiling}")
 
 
-def build_hypercube(d: int, vertex_cap: int | None = None) -> BipartiteGraph:
+def _check_product_count(sizes: Iterable[int]) -> None:
+    """Check the product of sizes as a vertex count, one factor at a time."""
+    n = 1
+    for size in sizes:
+        n *= size
+        _check_vertex_count(n)
+
+
+def build_hypercube(d: int) -> BipartiteGraph:
     """The d-dimensional hypercube: vertices are d-bit strings, edges flip one bit."""
     if d < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
-    if d > 20:
-        raise BudgetError(f"hypercube dimension capped at 20, got {d}")
-    g = build_cartesian_product([build_complete_bipartite(1)] * d, vertex_cap)
+    _check_product_count(repeat(2, d))  # before d factors are listed
+    g = build_cartesian_product([build_complete_bipartite(1)] * d)
     g.label = f"hypercube:{d}"
     return g
 
 
-def build_even_torus(m: int, t: int, vertex_cap: int | None = None) -> BipartiteGraph:
+def build_even_torus(m: int, t: int) -> BipartiteGraph:
     """The torus Z_m^t with m even: +-1 mod m in one coordinate, degree 2t."""
     if t < 1:
         raise ValueError(f"torus dimension must be >= 1, got {t}")
-    cycle = build_cycle(m, vertex_cap)
-    _check_vertex_budget(m ** t, vertex_cap)  # before t factors are walked
-    g = build_cartesian_product([cycle] * t, vertex_cap)
+    cycle = build_cycle(m)
+    _check_product_count(repeat(m, t))  # before t factors are listed
+    g = build_cartesian_product([cycle] * t)
     g.label = f"torus:{m},{t}"
     return g
 
 
-def build_cycle(m: int, vertex_cap: int | None = None) -> BipartiteGraph:
+def build_cycle(m: int) -> BipartiteGraph:
     """The even cycle C_m (m even, m >= 4)."""
     if m % 2 != 0:
         raise ValueError(f"side length must be even for bipartiteness, got {m}")
     if m < 4:
         raise ValueError(f"side length must be >= 4, got {m}")
-    _check_vertex_budget(m, vertex_cap)
+    _check_vertex_count(m)
     adjacency = [((v - 1) % m, (v + 1) % m) for v in range(m)]
     g = BipartiteGraph(m, 2, range(0, m, 2), adjacency, label=f"cycle:{m}")
     g.vertex_transitive = True
     return g
 
 
-def build_complete_bipartite(s: int, vertex_cap: int | None = None) -> BipartiteGraph:
+def build_complete_bipartite(s: int) -> BipartiteGraph:
     """K_{s,s}: sides {0..s-1} and {s..2s-1}, every cross pair an edge."""
     if s < 1:
         raise ValueError(f"side size must be >= 1, got {s}")
-    _check_vertex_budget(2 * s, vertex_cap)
+    _check_vertex_count(2 * s)
     top = list(range(s, 2 * s))
     bottom = list(range(s))
     adjacency = [top] * s + [bottom] * s
@@ -286,21 +308,18 @@ def build_complete_bipartite(s: int, vertex_cap: int | None = None) -> Bipartite
     return g
 
 
-def build_cartesian_product(factors: Sequence[BipartiteGraph],
-                            vertex_cap: int | None = None) -> BipartiteGraph:
+def build_cartesian_product(factors: Sequence[BipartiteGraph]) -> BipartiteGraph:
     """Cartesian product: vertices are coordinate tuples, one coordinate moves
     along a factor edge per step. Degree is the sum of factor degrees; sides
     split by the parity of the number of odd-side coordinates."""
     if not factors:
         raise ValueError("product needs at least one factor")
+    sizes = [f.n for f in factors]
+    _check_product_count(sizes)
+    n = math.prod(sizes)
     for i, f in enumerate(factors):
         if not _is_connected(f):
             raise ValueError(f"product factor {i} is not connected")
-    n = 1
-    for f in factors:
-        n *= f.n
-    _check_vertex_budget(n, vertex_cap)
-    sizes = [f.n for f in factors]
     weights = []
     w = 1
     for size in reversed(sizes):
@@ -334,15 +353,18 @@ def build_cartesian_product(factors: Sequence[BipartiteGraph],
     return g
 
 
-def build_middle_layer(d: int, vertex_cap: int | None = None) -> BipartiteGraph:
+def build_middle_layer(d: int) -> BipartiteGraph:
     """The middle two layers of the (2d-1)-dimensional hypercube: subsets of
     a (2d-1)-element ground set with d-1 or d elements, joined by inclusion.
     Side E is the (d-1)-layer. The graph is d-regular on 2*C(2d-1, d-1) vertices."""
     if d < 1:
         raise ValueError(f"middle-layer parameter must be >= 1, got {d}")
     ground = 2 * d - 1
-    n = 2 * math.comb(ground, d - 1)
-    _check_vertex_budget(n, vertex_cap)
+    # 2 C(d+i, i) for i = 1..d-1, each an integer and checked as it is made
+    n = 2
+    for i in range(1, d):
+        n = n * (d + i) // i
+        _check_vertex_count(n)
     lower = sorted(as_mask(c) for c in combinations(range(ground), d - 1))
     upper = sorted(as_mask(c) for c in combinations(range(ground), d))
     index = {m: i for i, m in enumerate(lower)}
@@ -457,10 +479,18 @@ def closure(g: BipartiteGraph, a, side: str | None = None) -> int:
     if a & ~side_m:
         bad = bits(a & ~side_m)[0]
         raise ValueError(f"vertex {bad} is not on side {side}")
-    na = neighborhood(g, a)
+    adj_mask = g.adj_mask
+    # every vertex has a neighbour, so one whose neighbours all lie in N(A)
+    # shares one with A: only A's 2-ball is scanned, not the whole side
+    na = 0
+    near = a
+    for v in iter_bits(a):
+        na |= adj_mask[v]
+        near |= g.two_ball[v]
+    outside = ~na
     out = 0
-    for v in iter_bits(side_m):
-        if g.adj_mask[v] & ~na == 0:
+    for v in iter_bits(near & side_m):
+        if not adj_mask[v] & outside:
             out |= 1 << v
     return out
 
@@ -576,7 +606,8 @@ def graph_from_json(text: str) -> BipartiteGraph:
     """Parse and fully validate the JSON graph format.
 
     Every violation, malformed JSON and wrongly typed fields included, is
-    rejected with a GraphFormatError naming the offending item.
+    rejected with a GraphFormatError naming the offending item; a graph past
+    VERTEX_CEILING vertices, with a BudgetError.
     """
     try:
         payload = json.loads(text)

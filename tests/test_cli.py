@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from isingpoly.cli import (
     CLOSED_FORMS,
     COMMANDS,
+    GRAPH_FAMILIES,
     MODE_OPTIONS,
     OPTIONS,
     CliError,
@@ -37,8 +38,10 @@ from isingpoly.cli import (
 from isingpoly.audit import PropertyConstants, PsiFamily
 from isingpoly.clusters import Cluster, KPFunctions, enumerate_clusters
 from isingpoly.formulas import ExpansionEstimate
-from isingpoly.graphs import (AuditViolation, build_complete_bipartite,
-                              build_cycle, build_even_torus, graph_to_json)
+from isingpoly.graphs import (AuditViolation, BudgetError,
+                              build_complete_bipartite, build_cycle,
+                              build_even_torus, graph_from_json,
+                              graph_to_json)
 from isingpoly.model import (ModelParams, exact_Z, mu_hat_table, mu_table,
                              tv_distance)
 from isingpoly.polymers import DEFAULT_RHO
@@ -87,6 +90,118 @@ class TestGraphSpecs:
     def test_missing_source(self):
         with pytest.raises(CliError, match="neither a builder spec"):
             load_graph("/nonexistent/path.json")
+
+
+# builder specs far past graphs.VERTEX_CEILING: each is refused from its
+# parameters, before a vertex is listed
+HUGE_SPECS = ("hypercube:17", "hypercube:1000000000", "torus:4,1000000",
+              "torus:4,100000000", "midlayer:100000", "midlayer:1000000",
+              "kss:9000", "product:hypercube:10+hypercube:5")
+CEILING_LINE = re.compile(r"isingpoly: budget exceeded: graph would have at "
+                          r"least \d+ vertices, past the ceiling of 16384\n")
+
+
+def huge_argument(template: str) -> str:
+    """A family's spec argument with every integer field at 10^9 and every
+    factor spec a small cycle, so that only the product's count is
+    refused."""
+    return re.sub(r"spec|[a-z]", lambda m: "cycle:256"
+                  if m.group() == "spec" else str(10 ** 9), template)
+
+
+class TestVertexCeiling:
+    @pytest.mark.parametrize("spec", HUGE_SPECS)
+    def test_huge_spec_refused_at_once(self, capsys, spec):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "--graph", spec)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert CEILING_LINE.fullmatch(err), err
+
+    @pytest.mark.parametrize("family", GRAPH_FAMILIES)
+    def test_every_family_counts_before_listing(self, capsys, family):
+        spec = f"{family}:{huge_argument(GRAPH_FAMILIES[family][0])}"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "--graph", spec)
+        assert time.perf_counter() - start < 1, spec
+        assert (code, out) == (1, ""), spec
+        assert CEILING_LINE.fullmatch(err), err
+
+    def test_huge_specs_refused_under_an_address_space_limit(self):
+        # before the ceiling, hypercube:17 with a large --budget ended in an
+        # uncaught MemoryError under this limit
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = ("import contextlib, io, resource, sys\n"
+                  "limit = 2 << 30\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+                  "from isingpoly.cli import main\n"
+                  "for spec in sys.argv[1:]:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        code = main(['gen', '--graph', spec])\n"
+                  "    print(code)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *HUGE_SPECS],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120)
+        assert proc.stdout == "1\n" * len(HUGE_SPECS)
+        lines = proc.stderr.splitlines(keepends=True)
+        assert len(lines) == len(HUGE_SPECS)
+        assert all(CEILING_LINE.fullmatch(line) for line in lines), lines
+
+    def test_json_graph_past_the_ceiling(self, capsys, tmp_path):
+        n = 20000
+        path = tmp_path / "c20000.json"
+        path.write_text(json.dumps({
+            "n": n, "d": 2, "side_E": list(range(0, n, 2)),
+            "side_O": list(range(1, n, 2)),
+            "edges": [[v, (v + 1) % n] for v in range(n)]}))
+        with pytest.raises(BudgetError, match="at least 20000 vertices"):
+            graph_from_json(path.read_text())
+        start = time.perf_counter()
+        code, out, err = run(capsys, "xi", "--graph", str(path), "--lambda",
+                             "1", "--p", "1")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert CEILING_LINE.fullmatch(err), err
+
+    def test_json_graph_past_a_lowered_ceiling(self, capsys, monkeypatch,
+                                               tmp_path):
+        path = tmp_path / "c8.json"
+        path.write_text(graph_to_json(build_cycle(8)))
+        monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", 6)
+        with pytest.raises(BudgetError, match="past the ceiling of 6"):
+            graph_from_json(path.read_text())
+        code, out, err = run(capsys, "xi", "--graph", str(path), "--lambda",
+                             "1", "--p", "1")
+        assert (code, out) == (1, "")
+        assert err == ("isingpoly: budget exceeded: graph would have at "
+                       "least 8 vertices, past the ceiling of 6\n")
+
+    def test_budget_caps_the_walk_not_the_graph(self, capsys):
+        # the graph's 6,000 vertices meet only the fixed ceiling, and
+        # --budget 6000 caps the 12,000 sets walked
+        argv = ("polymers", "--graph", "cycle:6000", "--lambda", "1", "--p",
+                "1", "--size-max", "4")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        # an arc of 1 to 4 consecutive side vertices from each of 3,000
+        assert len(json.loads(out)) == 12000
+        code, out, err = run(capsys, *argv, "--budget", "6000")
+        assert (code, out) == (1, "")
+        assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
+                       "exceeded 6000 sets (size_max=4)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--graph", "cycle:6"),
+        ("percolate-mc", "--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
+         "--samples", "3", "--seed", "1"),
+    ])
+    def test_no_budget_where_nothing_is_swept(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--budget", "100")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --budget 100" in err
 
 
 class TestPsiSpec:
@@ -300,6 +415,33 @@ class TestExitCodes:
         assert err == ("isingpoly: error: an output integer has more than "
                        "4300 digits, past Python's int-to-string limit\n")
 
+    def test_closed_form_midlayer_refuses_before_the_binomial(self, capsys):
+        # C(1999999, 1000000) alone took 23 s; the value's length is
+        # refused from 2^1999999, a bound above it
+        start = time.perf_counter()
+        code, out, err = run(capsys, "closed-form", "--family", "midlayer",
+                             "--d", "1000000", "--p", "1/2")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err == ("isingpoly: error: an output integer has more than "
+                       "4300 digits, past Python's int-to-string limit\n")
+
+    @pytest.mark.parametrize("d", [*range(2, 81), 2761])
+    def test_closed_form_midlayer_values(self, capsys, d):
+        # 2761 is the largest d written out at p = 1/2
+        code, out, _ = run(capsys, "closed-form", "--family", "midlayer",
+                           "--d", str(d), "--p", "1/2")
+        assert code == 0
+        assert out == json.dumps({"family": "midlayer", "formula_value":
+                                  format_rational(l2_middle_layer(d, F(1, 2)))},
+                                 sort_keys=True) + "\n"
+
+    def test_closed_form_midlayer_past_the_last_written_value(self, capsys):
+        code, out, err = run(capsys, "closed-form", "--family", "midlayer",
+                             "--d", "2762", "--p", "1/2")
+        assert (code, out) == (1, "")
+        assert "4300 digits" in err
+
     def test_closed_form_writes_a_long_value_it_can(self, capsys):
         # the denominator has 2,512 digits: long, but written out
         code, out, _ = run(capsys, "closed-form", "--family", "hypercube",
@@ -321,9 +463,12 @@ class TestExitCodes:
         assert err.startswith("isingpoly: error: [Errno 2] No such file")
 
     def test_huge_middle_layer_refused_before_listing(self, capsys):
-        code, _, err = run(capsys, "gen", "--graph", "midlayer:30")
-        assert code == 1
-        assert "118264581564861424 vertices" in err
+        # C(59, 29) is made as C(30 + i, i) for i = 1, 2, ..., and the
+        # count is refused at 2 C(34, 4)
+        code, out, err = run(capsys, "gen", "--graph", "midlayer:30")
+        assert (code, out) == (1, "")
+        assert err == ("isingpoly: budget exceeded: graph would have at "
+                       "least 92752 vertices, past the ceiling of 16384\n")
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run(capsys, "zexact", "--graph", "hypercube:5",
@@ -366,7 +511,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("isets", "--graph", "cycle:2000", "--budget", "5000"),
         ("percolate-mc", "--graph", "cycle:1200", "--lambda", "1", "--p",
-         "1/2", "--samples", "3", "--seed", "1", "--budget", "5000"),
+         "1/2", "--samples", "3", "--seed", "1"),
         ("percolate-mc", "--graph", "kss:8", "--lambda", "1", "--p", "1/2",
          "--samples", "10", "--seed", "1"),
     ])
@@ -380,7 +525,7 @@ class TestExitCodes:
         # each sample fits a float64, but the three together do not
         code, out, _ = run(capsys, "percolate-mc", "--graph", "cycle:1236",
                            "--lambda", "1", "--p", "1/2", "--samples", "3",
-                           "--seed", "1", "--budget", "5000")
+                           "--seed", "1")
         assert code == 0
         mean = json.loads(out)["mean"]
         assert isinstance(mean, float) and math.isfinite(mean)
@@ -466,7 +611,7 @@ class TestExitCodes:
     def test_percolate_mc_past_the_float_range(self, capsys):
         code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:1600",
                              "--lambda", "1", "--p", "1/2", "--samples", "3",
-                             "--seed", "1", "--budget", "5000")
+                             "--seed", "1")
         assert code == 1
         assert out == ""
         assert "float64 range" in err
@@ -705,8 +850,10 @@ class TestExitCodes:
           "1/2", "--a", "0", "--b", "2"), "closure size a must be >= 1"),
         (("audit-iso", "--graph", "cycle:6", "--size-cap", "0"),
          "size cap must be >= 1, got 0"),
+        # --budget caps xi's sets walked, not the graph's vertices
         (("xi", "--graph", "cycle:6", "--lambda", "1", "--p", "1",
-          "--budget", "5"), "graph would have 6 vertices, budget is 5"),
+          "--budget", "5"), "budget exceeded: 2-linked enumeration exceeded "
+                            "5 sets (size_max=2)\n"),
         (("polymers", "--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
           "--size-max", "0"), "size max must be >= 1, got 0"),
         (("audit-kp", "--graph", "cycle:6", "--lambda", "1/40", "--p", "1",
@@ -1331,16 +1478,18 @@ def with_value(argv, flag, value):
 
 
 def may_exit_zero(argv, flag, value):
-    """The runs at -1 or 0 that are valid: seed 0, a --budget that caps no
-    graph, audit-container's empty class b < a, and no tail shapes."""
+    """The runs at -1 or 0 that are valid: seed 0, audit-container's empty
+    class b < a, no tail shapes, and a --budget on a run that sweeps and
+    walks nothing: closed-form without --verify, and the empty class."""
     if flag == "--seed":
         return value == "0"
-    if flag == "--budget":  # closed-form's formula alone builds no graph
-        return argv[0] == "closed-form" and "--graph" not in argv \
-            and "--verify" not in argv
+    empty_class = "--b" in argv and int(argv[argv.index("--b") + 1]) < \
+        int(argv[argv.index("--a") + 1])
+    if flag == "--budget":
+        return argv[0] == "closed-form" and "--verify" not in argv \
+            or empty_class
     if flag in ("--a", "--b"):
-        return int(argv[argv.index("--b") + 1]) < \
-            int(argv[argv.index("--a") + 1])
+        return empty_class
     return (argv[0], flag, value) == ("audit-kp", "--tail-depth", "0")
 
 
@@ -1365,9 +1514,9 @@ def test_numeric_options_at_minus_one_and_zero():
                         allowed.add(" ".join(argv))
     assert escaped == []
     assert exit_zero == allowed
-    # two seeds of 0, eight formula-only budgets, four empty classes, and
-    # one depth of 0
-    assert len(allowed) == 15
+    # two seeds of 0, ten formula-only budgets (l1's two among them), two
+    # budgets on an empty class, four empty classes, and one depth of 0
+    assert len(allowed) == 19
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -1,10 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isingpoly import graphs
 from isingpoly.graphs import (
     BipartiteGraph,
     BudgetError,
@@ -74,11 +76,16 @@ class TestBuilders:
     def test_hypercube_guards(self):
         with pytest.raises(ValueError):
             build_hypercube(0)
-        with pytest.raises(BudgetError):
-            build_hypercube(21)
-        with pytest.raises(BudgetError):
-            build_hypercube(13)  # 8192 vertices over the default cap
-        assert build_hypercube(13, vertex_cap=10000).n == 8192
+        # Q14 sits at the ceiling, and Q15 is one doubling past it
+        assert build_hypercube(14).n == graphs.VERTEX_CEILING == 1 << 14
+        with pytest.raises(BudgetError, match="at least 32768 vertices, "
+                                              "past the ceiling of 16384"):
+            build_hypercube(15)
+        # 2^d is counted one factor at a time, never to the end
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="at least 32768 vertices"):
+            build_hypercube(10 ** 9)
+        assert time.perf_counter() - start < 1
 
     def test_torus_61_is_six_cycle(self):
         g = build_even_torus(6, 1)
@@ -127,8 +134,14 @@ class TestBuilders:
             build_even_torus(5, 1)
         with pytest.raises(ValueError):
             build_even_torus(2, 2)
-        with pytest.raises(BudgetError):
-            build_even_torus(10, 4)  # 10000 vertices
+        assert build_even_torus(128, 2).n == 16384
+        with pytest.raises(BudgetError, match="at least 20736 vertices"):
+            build_even_torus(12, 4)
+        # m^t is counted one factor at a time: 4^8 passes the ceiling
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="at least 65536 vertices"):
+            build_even_torus(4, 10 ** 8)
+        assert time.perf_counter() - start < 1
 
     def test_product_of_two_edges_is_square(self):
         k2 = build_complete_bipartite(1)
@@ -174,13 +187,21 @@ class TestBuilders:
         assert g.n == 20 and g.d == 3
         assert_regular_bipartite(g)
 
-    def test_middle_layer_budget_checked_before_listing(self):
-        # 2^59 ground-set masks would never finish; the count comes first
-        with pytest.raises(BudgetError, match="118264581564861424"):
+    def test_middle_layer_budget_checked_before_listing(self, monkeypatch):
+        # 2^59 ground-set masks would never finish; the count comes first,
+        # as 2 C(d + i, i) for i = 1, 2, ..., and stops past the ceiling
+        with pytest.raises(BudgetError, match="at least 92752 vertices"):
             build_middle_layer(30)
-        with pytest.raises(BudgetError, match="20 vertices, budget is 19"):
-            build_middle_layer(3, vertex_cap=19)
-        assert build_middle_layer(3, vertex_cap=20).n == 20
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="at least 2000002 vertices"):
+            build_middle_layer(10 ** 6)
+        assert time.perf_counter() - start < 1
+        monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", 19)
+        with pytest.raises(BudgetError, match="at least 20 vertices, past "
+                                              "the ceiling of 19"):
+            build_middle_layer(3)
+        monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", 20)
+        assert build_middle_layer(3).n == 20
 
     def test_builders_record_vertex_transitivity(self):
         for g in (build_cycle(6), build_complete_bipartite(3),
@@ -393,6 +414,46 @@ _graphish = st.fixed_dictionaries({
     "edges": st.lists(st.lists(_small_ints | _json_values, min_size=2,
                                max_size=2), max_size=6) | _json_values,
 })
+
+
+class TestVertexCeiling:
+    # graphs.VERTEX_CEILING bounds every graph's vertex count; each check
+    # reads it when it runs
+    @pytest.mark.parametrize("build,n", [
+        (lambda: build_hypercube(3), 8),
+        (lambda: build_even_torus(4, 2), 16),
+        (lambda: build_cycle(8), 8),
+        (lambda: build_complete_bipartite(4), 8),
+        (lambda: build_middle_layer(3), 20),
+        (lambda: build_cartesian_product([build_cycle(4)] * 2), 16),
+        (lambda: graph_from_json(graph_to_json(build_cycle(8))), 8),
+        (lambda: BipartiteGraph(8, 2, range(0, 8, 2), [
+            ((v - 1) % 8, (v + 1) % 8) for v in range(8)]), 8),
+    ], ids=["hypercube", "torus", "cycle", "kss", "midlayer", "product",
+            "graph_from_json", "constructor"])
+    def test_lowered_ceiling_refuses(self, monkeypatch, build, n):
+        assert build().n == n
+        monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", n - 1)
+        with pytest.raises(BudgetError, match=f"past the ceiling of {n - 1}"):
+            build()
+        monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", n)
+        assert build().n == n
+
+    def test_product_counts_before_listing(self):
+        # C16384 twice is 2^28 vertices, refused from the factors' sizes
+        c = build_cycle(1 << 14)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="at least 268435456 vertices"):
+            build_cartesian_product([c, c])
+        assert time.perf_counter() - start < 1
+
+    def test_json_graph_checked_before_its_masks(self, monkeypatch):
+        text = graph_to_json(build_cycle(8))
+        monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", 6)
+        monkeypatch.setattr("isingpoly.graphs.as_mask", None)
+        with pytest.raises(BudgetError, match="at least 8 vertices, past "
+                                              "the ceiling of 6"):
+            graph_from_json(text)
 
 
 @settings(max_examples=300, deadline=None)
