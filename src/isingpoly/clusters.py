@@ -113,11 +113,15 @@ class Cluster:
 
     def weight(self, g: BipartiteGraph, params) -> Fraction:
         """orderings * ursell * the product of the entries' polymer weights
-        at params, in integers from family.parts_at(params), with one
-        Fraction reduction; a g other than family.graph raises ValueError."""
+        at params, as one unreduced integer pair from the parts of
+        family.weighing_at(params), looked up in its reduced map: a Fraction
+        is built only for a pair no cluster or polymer of the family gave at
+        params before, so a singleton's weight is its polymer's entry in
+        family.weights. A g other than family.graph raises ValueError."""
         if g is not self.family.graph and g != self.family.graph:
             raise ValueError("the cluster's polymers belong to another graph")
-        return Fraction(*_cluster_weight(self, self.family.parts_at(params)))
+        parts, reduced = self.family.weighing_at(params)
+        return reduced[_cluster_weight(self, parts)]
 
 
 # the slots' own setters, which fill a Cluster past its __setattr__ without

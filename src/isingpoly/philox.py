@@ -32,6 +32,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
+# Philox's starting counter, handed over as an array: given its default 0,
+# numpy splits an int into the counter's words on every construction.
+# Read-only, since every generator starts from it.
+_ZERO_COUNTER = np.zeros(4, np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 
 
 def _hash_consts(init: int, mult: int, start: int, count: int):
@@ -160,8 +165,8 @@ class _Key(ISeedSequence):
 
 def philox(seed, k) -> np.random.Philox:
     """A fresh Philox generator seeded as with
-    SeedSequence(entropy=seed, spawn_key=(k,))."""
-    return np.random.Philox(_Key(philox_key(seed, k)))
+    SeedSequence(entropy=seed, spawn_key=(k,)), its counter at zero."""
+    return np.random.Philox(_Key(philox_key(seed, k)), counter=_ZERO_COUNTER)
 
 
 def philox_raw(seed, k, count: int) -> int:

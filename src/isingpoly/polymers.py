@@ -67,10 +67,10 @@ class Polymer:
     __slots__ = ("side", "vertices", "closure", "boundary")
 
     def __init__(self, side: str, vertices: int, closure: int, boundary: int):
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "closure", closure)
-        object.__setattr__(self, "boundary", boundary)
+        _set_side(self, side)
+        _set_vertices(self, vertices)
+        _set_closure(self, closure)
+        _set_boundary(self, boundary)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Polymer is immutable; cannot set {name}")
@@ -88,6 +88,12 @@ class Polymer:
 
     def vertex_tuple(self) -> tuple[int, ...]:
         return bits(self.vertices)
+
+
+# the slots' own setters, which fill a Polymer past its __setattr__ without
+# object.__setattr__'s lookup of the slot by name
+_set_side, _set_vertices, _set_closure, _set_boundary = [
+    vars(Polymer)[name].__set__ for name in Polymer.__slots__]
 
 
 def is_polymer_union(g: BipartiteGraph, part: int, side: str,
@@ -261,6 +267,16 @@ def compatible(g: BipartiteGraph, a, b) -> bool:
     return not (am | neighborhood(g, am)) & (bm | neighborhood(g, bm))
 
 
+class _Reduced(dict):
+    """An unreduced integer pair -> its Fraction, built on a missing key."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair: tuple[int, int]) -> Fraction:
+        value = self[pair] = Fraction(*pair)
+        return value
+
+
 class PolymerFamily:
     """One side's polymer model, built once: the polymers in enumeration
     order, their exact weights, and the incompatibility relation as
@@ -280,32 +296,43 @@ class PolymerFamily:
                                                  enum_cap=enum_cap))
         self.graph = g
         self._params = params
-        self._parts: dict = {}  # params -> parts_at(params)
-        self._last = (None, {})  # the params parts_at read last, and parts
+        self._weighings: dict = {}  # params -> weighing_at(params)
+        self._last = (None, None)  # the params weighing_at read last, and pair
 
-    def parts_at(self, params) -> dict[int, tuple[int, int]]:
-        """Each polymer's weight at params as the (num, den) pair of
-        _weight_parts reduced once per polymer by its gcd, keyed by vertex
-        mask; built once per params."""
+    def weighing_at(self, params) -> tuple[dict[int, tuple[int, int]],
+                                           dict[tuple[int, int], Fraction]]:
+        """The family's weights at params as the pair (parts, reduced),
+        built once per params. parts gives each polymer's weight as the
+        (num, den) pair of _weight_parts reduced once per polymer by its
+        gcd, keyed by vertex mask. reduced sends an unreduced integer pair
+        to its Fraction, built on the first lookup of that pair: weights and
+        Cluster.weight read their values there, so each distinct value is
+        reduced once per params, and the map holds at most one entry per
+        distinct pair asked for, never more than the polymers and clusters
+        weighed at params."""
         if params is not self._last[0]:  # hash params only on a change
-            if params not in self._parts:
+            if params not in self._weighings:
                 parts = {}
                 for p in self.polymers:
                     num, den = _weight_parts(self.graph, params, p.vertices)
                     common = math.gcd(num, den)
                     parts[p.vertices] = (num // common, den // common)
-                self._parts[params] = parts
-            self._last = (params, self._parts[params])
+                self._weighings[params] = parts, _Reduced()
+            self._last = (params, self._weighings[params])
         return self._last[1]
 
     @cached_property
     def weight_parts(self) -> dict[int, tuple[int, int]]:
-        """parts_at the family's own params."""
-        return self.parts_at(self._params)
+        """The parts of weighing_at the family's own params."""
+        return self.weighing_at(self._params)[0]
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(*parts) for parts in self.weight_parts.values())
+        """Each polymer's weight at the family's own params, in order, read
+        from weighing_at's reduced map: polymers of equal weight share one
+        Fraction."""
+        parts, reduced = self.weighing_at(self._params)
+        return tuple([reduced[pair] for pair in parts.values()])
 
     @cached_property
     def incompatible(self) -> tuple[int, ...]:

@@ -135,6 +135,37 @@ def brute_ising_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fraction:
                Fraction(0))
 
 
+def greedy_order_rescan(g) -> list[int]:
+    """exact_Z's greedy vertex order by its former route: each step rescans
+    every candidate's neighbours for the placed vertices it would close.
+    Among the unplaced neighbours of placed vertices, or the lowest unplaced
+    vertex when there are none, place the one that leaves the fewest
+    frontier vertices, ties to the lowest index. Reads only g.n and g.adj."""
+    unplaced_nbrs = [len(nbrs) for nbrs in g.adj]
+    rank: dict[int, int] = {}
+    candidates: set[int] = set()
+    lowest = 0
+
+    def growth(u):
+        closed = sum(w in rank and unplaced_nbrs[w] == 1 for w in g.adj[u])
+        return (unplaced_nbrs[u] > 0) - closed, u
+
+    for _ in range(g.n):
+        if candidates:
+            v = min(candidates, key=growth)
+            candidates.discard(v)
+        else:
+            while lowest in rank:
+                lowest += 1
+            v = lowest
+        rank[v] = len(rank)
+        for w in g.adj[v]:
+            unplaced_nbrs[w] -= 1
+            if w not in rank:
+                candidates.add(w)
+    return list(rank)
+
+
 def fraction_steps_Z(g: BipartiteGraph, lam: Fraction, p: Fraction,
                      steps) -> tuple[Fraction, list[int]]:
     """The partition function by a boundary DP over `steps`, (v, back,

@@ -3,6 +3,7 @@ multiset enumeration censuses, exact expansion terms, and the convergence
 condition with its truncation tail bound."""
 
 import collections
+import functools
 import gc
 import math
 from fractions import Fraction
@@ -396,6 +397,60 @@ class TestClusterWeightParams:
             for cl in clusters:
                 cl.weight(g, prm)
         assert calls == {prm: len(distinct) for prm in weighed}
+
+    def test_each_distinct_pair_is_reduced_once(self, monkeypatch):
+        g = build_even_torus(6, 2)
+        own = params(F(1, 2), F(1, 2))
+        clusters = enumerate_clusters(g, "E", own, k_max=3)
+        family = clusters[0].family
+        pairs = {clusters_module._cluster_weight(cl, family.weight_parts)
+                 for cl in clusters}
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(polymers_module, "Fraction", Counted)
+        monkeypatch.setattr(clusters_module, "Fraction", Counted)
+        weights = [cl.weight(g, own) for cl in clusters]
+        assert len(built) == len(pairs) < len(clusters) // 100
+        # a second pass and the polymers' own weights reduce nothing new:
+        # every polymer of size <= 3 is a singleton cluster
+        assert [cl.weight(g, params(F(1, 2), F(1, 2)))
+                for cl in clusters] == weights
+        assert set(family.weights) <= set(weights)
+        assert len(built) == len(pairs)
+
+    def test_alternating_params_read_their_own_weights(self):
+        g = build_even_torus(4, 2)
+        a, b = params(1, F(1, 2)), params(F(2, 3), F(1, 3))
+        clusters = enumerate_clusters(g, "E", a, k_max=3)
+        oracle = functools.cache(
+            lambda prm, vertices: fraction_polymer_weight(g, prm, vertices))
+        # each call switches params, so each reads another params' map
+        for cl in clusters:
+            assert [cl.weight(g, prm) for prm in (a, b, a)] == [
+                cl.orderings * cl.ursell_value * math.prod(
+                    oracle(prm, poly.vertices) ** mult
+                    for poly, mult in cl.entries) for prm in (a, b, a)]
+
+    @pytest.mark.parametrize("polymers_first", [True, False])
+    def test_singleton_weight_is_its_polymer_weight(self, polymers_first):
+        g = build_even_torus(4, 2)
+        own = params(1, F(1, 2))
+        clusters = enumerate_clusters(g, "E", own, k_max=2)
+        family = clusters[0].family
+        index = {p.vertices: i for i, p in enumerate(family.polymers)}
+        if polymers_first:
+            family.weights
+        singles = [cl for cl in clusters if len(cl.entries) == 1
+                   and cl.entries[0][1] == 1]
+        assert len(singles) == len(family.polymers)
+        weights = [cl.weight(g, own) for cl in singles]
+        for cl, w in zip(singles, weights):
+            assert w is family.weights[index[cl.entries[0][0].vertices]]
 
     def test_weight_refuses_another_graph(self):
         g = build_even_torus(4, 2)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -60,6 +61,7 @@ from oracles import (
     fraction_steps_Z,
     fraction_sweep,
     fraction_tv,
+    greedy_order_rescan,
 )
 
 C4 = build_even_torus(4, 1)
@@ -217,6 +219,43 @@ PLAN_CASES = [
     <= FRACTION_DP_PEAK]
 
 
+# one graph or more from every builder family
+BUILDER_GRAPHS = (
+    [build_hypercube(d) for d in range(1, 7)]
+    + [build_even_torus(m, t) for m, t in ((4, 2), (6, 2), (8, 2), (6, 3))]
+    + [build_cycle(m) for m in (4, 6, 12, 40)]
+    + [build_complete_bipartite(s) for s in (1, 2, 5, 16)]
+    + [build_middle_layer(d) for d in (2, 3, 4)]
+    + [build_cartesian_product([build_cycle(4), build_complete_bipartite(3)])])
+
+
+@st.composite
+def connected_bipartite(draw):
+    """A random connected bipartite graph with the fields the plan reads
+    (n, adj, side_E_mask), of any degrees: vertices e0 and o0 first, then
+    each vertex joined to an earlier one across, then extra edges across."""
+    n = draw(st.integers(2, 14))
+    labels = draw(st.permutations(range(n)))
+    n_e = draw(st.integers(1, n - 1))
+    order = [labels[0], labels[n_e]] + labels[1:n_e] + labels[n_e + 1:]
+    side_e = set(labels[:n_e])
+    nbrs = [set() for _ in range(n)]
+
+    def join(u, v):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    for i, v in enumerate(order[1:], start=1):
+        across = [u for u in order[:i] if (u in side_e) != (v in side_e)]
+        join(v, draw(st.sampled_from(across)))
+    pairs = [(u, v) for u in side_e for v in range(n) if v not in side_e]
+    for u, v in draw(st.lists(st.sampled_from(sorted(pairs)), max_size=3 * n)):
+        join(u, v)
+    return types.SimpleNamespace(
+        n=n, adj=[tuple(sorted(s)) for s in nbrs],
+        side_E_mask=sum(1 << v for v in side_e))
+
+
 def forced(name):
     """Patch exact_Z's planner to offer only the named candidate order."""
     orders = model._candidate_orders
@@ -251,6 +290,15 @@ class TestExactZPlan:
         g = PLAN_GRAPHS[label]
         steps = model._frontier_placement(g, p == 1)
         assert [v for v, _, _ in steps] == model._candidate_orders(g)[name]
+
+    @pytest.mark.parametrize("g", BUILDER_GRAPHS, ids=lambda g: g.label)
+    def test_greedy_order_equals_the_rescan(self, g):
+        assert model._candidate_orders(g)["greedy"] == greedy_order_rescan(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=connected_bipartite())
+    def test_greedy_order_equals_the_rescan_on_random_graphs(self, g):
+        assert model._candidate_orders(g)["greedy"] == greedy_order_rescan(g)
 
     def test_plan_past_the_state_ceiling_is_refused(self):
         # Q6 at p < 1 peaks at 2^23 states in its best order (side-major);
@@ -790,6 +838,20 @@ class TestSampler:
             21, spawn_key=(k,))).random_raw(count).tolist()
         assert philox.philox_raw(21, k, count) == \
             sum(out << 64 * t for t, out in enumerate(outs))
+
+    def test_shared_zero_counter_is_read_only_and_stays_zero(self):
+        sam = MuHatSampler(Q3, HALF)
+        draws = [sam.draw(7, k) for k in range(50)]
+        gen = philox.philox(7, 3)
+        gen.random_raw(9)
+        assert gen.state["state"]["counter"].tolist() != [0, 0, 0, 0]
+        percolation_mc(C6, HALF, samples=5, seed=2)
+        counter = philox._ZERO_COUNTER
+        assert not counter.flags.writeable
+        assert counter.dtype == np.uint64 and counter.tolist() == [0] * 4
+        with pytest.raises(ValueError):
+            counter[0] = 1
+        assert [sam.draw(7, k) for k in range(50)] == draws
 
     KEY_SEEDS = (0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, 1 << 64,
                  (1 << 128) + 5, 1 << 200, True, np.int64(5),
