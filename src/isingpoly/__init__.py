@@ -22,7 +22,7 @@ from .graphs import (
     codegree,
     enumerate_two_linked,
     graph_from_json,
-    graph_to_json,
+    graph_json_chunks,
     is_two_linked,
     max_codegree,
     neighborhood,

@@ -22,6 +22,8 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable
 
 from .audit import (
     PropertyConstants,
@@ -59,7 +61,7 @@ from .graphs import (
     build_hypercube,
     build_middle_layer,
     graph_from_json,
-    graph_to_json,
+    graph_json_chunks,
 )
 from .model import (
     ModelParams,
@@ -236,27 +238,29 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
         writer.writerow({k: _csv_cell(v) for k, v in record.items()})
 
 
-def _render(records: list, args) -> str:
-    """gen's graph JSON as it is, or the records in args.format. The one
-    ValueError here is Python's int-to-string limit, as in parse_rational."""
+def _render(records: list, args) -> Iterable[str]:
+    """The output in pieces: gen's graph as JSON, written as it is made, or
+    the records in args.format, rendered whole before any is written. The
+    one ValueError here is Python's int-to-string limit, as in
+    parse_rational."""
     if "format" not in args:
-        return records[0] + "\n"
+        return chain(graph_json_chunks(records[0]), ["\n"])
     buffer = io.StringIO()
     try:
         emit_records(records, args.format, buffer)
     except ValueError as exc:
         raise ValueError(TOO_MANY_DIGITS) from exc
-    return buffer.getvalue()
+    return [buffer.getvalue()]
 
 
 # -- subcommand handlers; each returns (records, ok) --------------------------
 # main has already replaced the shared inputs: args.graph is the graph,
 # args.params holds --lambda and --p, and args.rho is a Fraction. gen's one
-# record is the graph's JSON text.
+# record is the graph, which _render writes as JSON.
 
 
 def cmd_gen(args):
-    return [graph_to_json(args.graph)], True
+    return [args.graph], True
 
 
 def cmd_zexact(args):
@@ -722,12 +726,12 @@ def main(argv=None) -> int:
         if hasattr(args, "rho"):
             args.rho = parse_rational(args.rho)
         records, ok = args.handler(args)
-        text = _render(records, args)
+        chunks = _render(records, args)
         if args.out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
     except BudgetError as exc:
         print(f"isingpoly: budget exceeded: {exc}", file=sys.stderr)
         return 1

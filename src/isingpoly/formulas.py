@@ -82,18 +82,42 @@ def l2_torus(m: int, t: int, p) -> Fraction:
     return l2_codegree(m ** t // 2, 2 * t, torus_expected_histogram(t), 1, p)
 
 
+def _twos(x: int) -> int:
+    """The number of factors of 2 in a nonzero int."""
+    return (x & -x).bit_length() - 1
+
+
 def l2_midlayer(d: int, p) -> Fraction:
     """Second expansion term for the middle two layers of the
-    (2d-1)-cube, at fugacity 1. The side size C(2d-1, d) is below
-    2^(2d-1), so l2_codegree's length test runs first with that bound in
-    place of the side size: it refuses only values the exact test refuses,
-    and refuses them before the binomial is computed, which alone took
-    38 s at d = 10^6 on a 2-vCPU Xeon."""
+    (2d-1)-cube, at fugacity 1. Values too long to write out are refused
+    (ValueError) before the side size C = C(2d-1, d) is computed, which
+    alone took 38 s at d = 10^6 on a 2-vCPU Xeon; each test refuses only
+    values the output's int-to-string limit refuses:
+    - C < 2^(2d-1) in place of C in l2_codegree's length test;
+    - when q = u / 2^j, u odd (p = 1 gives q = 1/2), the value's
+      denominator holds exactly 2dj + v2(part's denominator) - v2(part's
+      numerator) - v2(C) factors of 2, Kummer's theorem giving
+      v2(C) = s2(d) + s2(d-1) - s2(2d-1) from popcounts;
+    - at p = 0, q = 1 and the value C part has a numerator of at least
+      C |part's numerator| / part's denominator, where
+      C = C(2d, d) / 2 >= 4^d / (4 sqrt d)."""
     histogram = midlayer_expected_histogram(d)
     q, part = _l2_parts(histogram, 1, p)
     if part:
-        _refuse_long(d, q, (2 * d - 1) * math.log10(2)
-                     + math.log10(abs(part.numerator)))
+        num, den, per_bit = part.numerator, part.denominator, math.log10(2)
+        _refuse_long(d, q, (2 * d - 1) * per_bit + math.log10(abs(num)))
+        if q == 1:
+            digits = (2 * d - 2 - math.log2(d) / 2) * per_bit \
+                + math.log10(abs(num)) - math.log10(den)
+        elif q.denominator & (q.denominator - 1) == 0:
+            twos_c = d.bit_count() + (d - 1).bit_count() \
+                - (2 * d - 1).bit_count()
+            digits = (2 * d * _twos(q.denominator) + _twos(den) - _twos(num)
+                      - twos_c) * per_bit
+        else:
+            digits = 0
+        if digits > MAX_DECIMAL_EXPONENT + 1:
+            raise ValueError(TOO_MANY_DIGITS)
     return l2_codegree(math.comb(2 * d - 1, d), d, histogram, 1, p)
 
 

@@ -14,12 +14,17 @@ No graph holds more than VERTEX_CEILING vertices, a constant no option
 sets. The builders check their vertex count from their parameters before
 they list a vertex, and the constructor checks it again, so graph_from_json
 may raise BudgetError as well as GraphFormatError.
+
+Memory has one ceiling, BYTE_CEILING, also a constant no option sets. The
+independent-set memos, the boundary DP of model.exact_Z and the measure
+tables charge it through charge_bytes, which refuses each the same way.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -32,13 +37,16 @@ DEFAULT_EDGE_SWEEP_CAP = 24
 # The one default cap on the sets any walk visits, the audit sweeps' too;
 # each walk reads it here when it starts, never from an imported copy.
 DEFAULT_ENUM_CAP = 1 << 20
-# The one ceiling on the entries an independent-set memo holds, in
-# independent_set_table and subgraphs.subgraph_z; each recursion reads it
-# here when it starts. The entries are counted as they are made, so a
-# refusal comes after the work: on a 2-vCPU Xeon, Q7's i(G) memo passed
-# it after 13 s at a 956 MB peak RSS, and a Q7 percolation sample's after
-# 14 s at 1,517 MB. Torus 12,2's i(G), 4,648,625 entries, runs in 577 MB.
-MEMO_CEILING = 1 << 23
+# The one ceiling on the bytes a memo, a boundary DP or a measure table
+# may take (1 GiB); each call reads it here when it starts and charges it
+# through charge_bytes. Torus 12,2's i(G) memo, 4,648,625 entries, runs in
+# 577 MB and T10,2's exact_Z at p = 1/2 in 198 MB, while Q6's plan at
+# p = 9/10 and Q7's memos are refused.
+BYTE_CEILING = 1 << 30
+# What a dict entry takes beyond its key and value: a 24-byte entry and its
+# index slots, at the table's load factor.
+DICT_SLOT_BYTES = 32
+_MB = 1 << 20
 # The one ceiling on a graph's vertex count, for every builder and every
 # graph read from JSON; each check reads it here when it runs. On a 2-vCPU
 # Xeon, Q14 builds in 0.5 s at a 91 MB peak RSS and T128,2 in 0.2 s at
@@ -403,6 +411,41 @@ def reach(start: int, allowed: int, nbr: Sequence[int]) -> int:
     return seen
 
 
+# -- the byte ceiling ---------------------------------------------------------
+
+
+def int_bytes(bits: int) -> int:
+    """sys.getsizeof of a nonnegative int of at most `bits` bits, computed
+    without building it."""
+    digits = max(1, -(-bits // sys.int_info.bits_per_digit))
+    return int.__basicsize__ + int.__itemsize__ * digits
+
+
+def entry_bytes(key, value) -> int:
+    """The bytes of one memo entry: its key and its value, an int or a
+    Fraction with its two ints, and a dict slot."""
+    size = sys.getsizeof(key) + sys.getsizeof(value) + DICT_SLOT_BYTES
+    if not isinstance(value, int):
+        size += sys.getsizeof(value.numerator) + sys.getsizeof(value.denominator)
+    return size
+
+
+def charge_bytes(what: str, entries: int, size: int, ceiling: int) -> int:
+    """Refuse (BudgetError) `entries` entries of `size` bytes each when they
+    pass `ceiling` bytes. Otherwise return a memo's next checkpoint, the
+    entry count min(2 entries, ceiling // size) at which it is charged
+    again: a memo that grows by entries of this size reaches the ceiling
+    only at a checkpoint, and is charged O(log) times as it grows."""
+    need = entries * size
+    if need > ceiling:
+        mb = -(-need // _MB)
+        # a 2^n table of a large graph needs more MB than str() writes out
+        about = mb if mb < 1 << 64 else f"2^{mb.bit_length() - 1}"
+        raise BudgetError(f"{what} would need about {about} MB, past the "
+                          f"ceiling of {ceiling / _MB:g} MB")
+    return min(2 * entries, ceiling // size)
+
+
 def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
                           memo: dict | None = None):
     """The memo of F(S), the weighted independent-set sum over S: the sum
@@ -410,8 +453,9 @@ def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
     mask of v's neighbours, with or without v's own bit) of the product of
     weights[v] over v in I, the empty set counting 1; F(allowed) is
     table[allowed]. A `memo` from an earlier call with the same nbr and
-    weights is extended in place. Raises BudgetError once the memo holds
-    more than MEMO_CEILING entries.
+    weights is extended in place. Raises BudgetError once the memo's
+    entries, each charged at the size of the one last stored, pass
+    BYTE_CEILING.
 
     F(S) = F(S - j) + w_j F(S - j - nbr[j]) for the lowest vertex j of S,
     evaluated with an explicit stack over one memo so the depth does not
@@ -419,7 +463,8 @@ def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
     a time, so a child is never pushed twice: the two children coincide
     when j has no neighbour left in S.
     """
-    ceiling = MEMO_CEILING
+    ceiling = BYTE_CEILING
+    checkpoint = 0  # the entry count past which the memo is charged again
     memo = {0: 1} if memo is None else memo
     get = memo.get
     stack = [allowed] if allowed else []
@@ -438,9 +483,9 @@ def independent_set_table(nbr: Sequence[int], weights: Sequence, allowed: int,
             stack.append(within)
             continue
         memo[rem] = f_without + weights[j] * f_within
-        if len(memo) > ceiling:
-            raise BudgetError(f"independent-set memo exceeds {ceiling} "
-                              f"entries")
+        if len(memo) > checkpoint:
+            checkpoint = charge_bytes("the independent-set memo", len(memo),
+                                      entry_bytes(rem, memo[rem]), ceiling)
         stack.pop()
     return memo
 
@@ -586,16 +631,22 @@ def max_codegree(g: BipartiteGraph) -> int:
 # -- serialization ----------------------------------------------------------
 
 
-def graph_to_json(g: BipartiteGraph) -> str:
-    """Canonical JSON: sorted sides, edges sorted as (u, v) pairs with u < v."""
-    payload = {
-        "n": g.n,
-        "d": g.d,
-        "side_O": list(g.side_O),
-        "side_E": list(g.side_E),
-        "edges": [[u, v] for u, v in g.edges()],
-    }
-    return json.dumps(payload)
+def graph_json_chunks(g: BipartiteGraph) -> Iterator[str]:
+    """Canonical JSON in pieces: sorted sides, edges sorted as (u, v) pairs
+    with u < v. Joined, the pieces are json.dumps of {"n", "d", "side_O",
+    "side_E", "edges": [[u, v], ...]}. The edges come one vertex's at a
+    time, so neither the text nor a list per edge is ever held whole: the
+    2^26 edges of K8192,8192 take about 1 GB of text."""
+    head = json.dumps({"n": g.n, "d": g.d, "side_O": list(g.side_O),
+                       "side_E": list(g.side_E)})
+    yield head[:-1] + ', "edges": ['
+    sep = ""
+    for u, nbrs in enumerate(g.adj):
+        row = ", ".join([f"[{u}, {v}]" for v in nbrs if v > u])
+        if row:
+            yield sep + row
+            sep = ", "
+    yield "]}"
 
 
 def _is_int(x) -> bool:

@@ -18,17 +18,22 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import graphs
 from .graphs import (
+    DICT_SLOT_BYTES,
     AuditViolation,
     BipartiteGraph,
     BudgetError,
     DEFAULT_EDGE_SWEEP_CAP,
     DEFAULT_SWEEP_CAP,
     as_mask,
+    charge_bytes,
     independent_set_table,
+    int_bytes,
     iter_bits,
     popcount,
 )
@@ -42,14 +47,6 @@ if TYPE_CHECKING:
 # Monte-Carlo draws are consumed in fixed blocks of this many samples; the
 # block layout is part of the reproducibility contract.
 MC_CHUNK = 4096
-# The measure tables hold one dict entry per outcome; past this many entries
-# (2^20 subsets, 2^19 for the (mask, side) table) they are refused before
-# the sweep starts and before DEFAULT_SWEEP_CAP could bind. TV, Z-hat and
-# the non-polymer weight need no table.
-MEASURE_TABLE_CAP = 1 << 20
-# exact_Z refuses a DP of more states than this: states, not bytes, as each
-# state's int grows with the graph (about 380 B on T10,2 at p = 1/2).
-_STATE_CEILING = 1 << 22
 
 
 class ModelParams:
@@ -130,6 +127,18 @@ def _weight_scale(g: BipartiteGraph, params: ModelParams) -> int:
             * (1 - params.p).denominator ** g.edge_count())
 
 
+def _scaled_entry_bytes(g: BipartiteGraph, params: ModelParams) -> int:
+    """The predicted bytes of a dict entry keyed by a vertex mask, n bits,
+    and holding an integer-scaled weight or sum of them, at most
+    n log2(a+b) + |E| log2(e) bits: (a+b)^n e^|E| bounds the scaled total
+    for lambda = a/b and 1-p = c/e. exact_Z's states and the measure
+    tables' entries are charged at this size."""
+    a, b = params.lam.numerator, params.lam.denominator
+    e = (1 - params.p).denominator
+    value_bits = g.n * math.log2(a + b) + g.edge_count() * math.log2(e)
+    return int_bytes(g.n) + int_bytes(math.ceil(value_bits)) + DICT_SLOT_BYTES
+
+
 def _scaled_weight(g: BipartiteGraph, params: ModelParams, size: int,
                    inside: int) -> int:
     """The ising_weight of a set of `size` vertices with `inside` edges
@@ -161,30 +170,39 @@ def _candidate_orders(g: BipartiteGraph) -> dict[str, list[int]]:
     A candidate u grows the frontier by (u keeps an unplaced neighbour)
     minus closing[u], the placed vertices whose only unplaced neighbour is
     u, which leave it when u is placed. closing is kept up as each vertex
-    is placed, so the key costs O(1) and the greedy order O(n^2 + |E|);
-    the former rescan of each candidate's neighbours is the tests' second
+    is placed, so the key costs O(1). A key only ever falls, so the
+    candidates sit in a heap of (key, u) that gets a new entry each time a
+    key falls: a candidate's current entry is its least, so the first
+    popped entry of an unplaced vertex is current, and entries of placed
+    vertices are skipped. The greedy order takes O((n + |E|) log n); the
+    former rescan of every candidate's neighbours is the tests' second
     route."""
+    # imported on first use, so cold runs that plan nothing do not load it
+    from heapq import heappop, heappush
+
     adj = g.adj
     unplaced_nbrs = [len(nbrs) for nbrs in adj]
     closing = [0] * g.n
     rank: dict[int, int] = {}  # placed vertex -> its greedy position
-    candidates: set[int] = set()
+    heap: list[tuple[int, int]] = []
     lowest = 0
 
-    def growth(u):
-        return (unplaced_nbrs[u] > 0) - closing[u], u
+    def push(u):
+        heappush(heap, ((unplaced_nbrs[u] > 0) - closing[u], u))
 
     def count_closing(w):
         # w is placed with one unplaced neighbour: that one closes w
         for x in adj[w]:
             if x not in rank:
                 closing[x] += 1
+                push(x)
                 return
 
     for _ in range(g.n):
-        if candidates:
-            v = min(candidates, key=growth)
-            candidates.discard(v)
+        while heap:
+            v = heappop(heap)[1]
+            if v not in rank:
+                break
         else:
             while lowest in rank:
                 lowest += 1
@@ -193,7 +211,7 @@ def _candidate_orders(g: BipartiteGraph) -> dict[str, list[int]]:
         for w in adj[v]:
             unplaced_nbrs[w] -= 1
             if w not in rank:
-                candidates.add(w)
+                push(w)
             elif unplaced_nbrs[w] == 1:
                 count_closing(w)
         if unplaced_nbrs[v] == 1:
@@ -236,27 +254,36 @@ def _state_counts(g: BipartiteGraph, steps, hard_core: bool, memo: dict):
         yield memo[frontier] if hard_core else 1 << frontier.bit_count()
 
 
-def _frontier_placement(g: BipartiteGraph, hard_core: bool):
+def _frontier_placement(g: BipartiteGraph, params: ModelParams):
     """exact_Z's plan: the steps of the candidate order of least predicted
     work, a state entering a step costing 2 if the placed vertex stays on
-    the frontier and 1 if it leaves at once. An order is dropped once its
-    cost reaches the best so far or a count passes _STATE_CEILING."""
+    the frontier and 1 if it leaves at once. A step holds the states
+    entering and leaving it at once, each charged _scaled_entry_bytes. An
+    order is dropped once its cost reaches the best so far or a step's
+    states pass graphs.BYTE_CEILING; when every order passes it, the
+    fewest bytes any of them would need are refused before any step."""
+    ceiling = graphs.BYTE_CEILING
+    size = _scaled_entry_bytes(g, params)
+    held = ceiling // size  # the most states the ceiling admits
     memo: dict[int, int] = {0: 1}
     best = None
+    passed = []  # per order dropped at the ceiling, the states it held there
     for order in _candidate_orders(g).values():
         steps = _placement_steps(g, order)
         cost, entering = 0, 1
         for (v, _, frontier), count in zip(
-                steps, _state_counts(g, steps, hard_core, memo)):
+                steps, _state_counts(g, steps, params.p == 1, memo)):
             cost += entering << (frontier >> v & 1)
-            if best and cost >= best[0] or count > _STATE_CEILING:
+            if best and cost >= best[0]:
+                break
+            if entering + count > held:
+                passed.append(entering + count)
                 break
             entering = count
         else:
             best = cost, steps
-    if best is None:
-        raise BudgetError(f"the boundary DP needs more than {_STATE_CEILING} "
-                          "states in every vertex order")
+    if best is None:  # every order passed the ceiling: this refuses
+        charge_bytes("the boundary DP", min(passed), size, ceiling)
     return best[1]
 
 
@@ -279,14 +306,15 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
     counts. Measured peaks: side-major on Q5 at p = 1/2 (8,192 states;
     natural 65,536), greedy on Q5 at p = 1 (1,180) and on the 8x8 torus at
     p = 1/2 (32,768), natural on that torus at p = 1 (3,196; greedy
-    20,480). With every order past 2^22 states, BudgetError comes before
-    the first step: Q6 at p = 9/10 needs 2^23 in its best order."""
+    20,480). With every order's states past graphs.BYTE_CEILING,
+    BudgetError comes before the first step: Q6 at p = 9/10 holds 2^24
+    states at the peak step of its best order, about 3 GB."""
     _check_sweep(g.n, sweep_cap)
     a, b = params.lam.numerator, params.lam.denominator
     surv = 1 - params.p
     c, e = surv.numerator, surv.denominator
     states: dict[int, int] = {0: 1}
-    for v, back, retain in _frontier_placement(g, params.p == 1):
+    for v, back, retain in _frontier_placement(g, params):
         out_w = b * e ** back
         in_w = [a * c ** k * e ** (back - k) for k in range(back + 1)]
         am = g.adj_mask[v]
@@ -316,7 +344,7 @@ def count_independent_sets(g: BipartiteGraph,
     """i(G): graphs.independent_set_table with weight 1 on every vertex,
     the one sum behind Xi; independent of exact_Z's boundary DP. Refuses
     (BudgetError) more than sweep_cap vertices (default DEFAULT_SWEEP_CAP),
-    as exact_Z does, and a memo past graphs.MEMO_CEILING entries."""
+    as exact_Z does, and a memo past graphs.BYTE_CEILING."""
     _check_sweep(g.n, sweep_cap)
     full = (1 << g.n) - 1
     return independent_set_table(g.adj_mask, [1] * g.n, full)[full]
@@ -333,8 +361,8 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
     built at the end as in exact_Z. Its memo, keyed by the vertex set and
     the subgraph's edges inside it, is shared across the subgraphs, and
     dropped once it passes a fixed size, which bounds the sweep's memory
-    (see subgraph_z); a subgraph whose memo passes graphs.MEMO_CEILING
-    entries raises BudgetError. At p = 0 or p = 1 the one subgraph that
+    (see subgraph_z); a subgraph whose memo passes graphs.BYTE_CEILING
+    raises BudgetError. At p = 0 or p = 1 the one subgraph that
     weighs, the empty or the full one, is the whole sum."""
     from .subgraphs import subgraph_z
 
@@ -367,7 +395,7 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     Each distinct sample's Z comes from subgraphs.subgraph_z, the exact
     sweep's subgraph sum, its memo shared across the samples. No 2^n sweep
     is run, so no vertex count is refused: a sample whose memo passes
-    graphs.MEMO_CEILING entries raises BudgetError.
+    graphs.BYTE_CEILING raises BudgetError.
     """
     # numpy is imported by the seeded routes only, so the exact routes and
     # the CLI start without its import cost
@@ -576,16 +604,25 @@ def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     return (*(Fraction(w, scale) for w in sums), count0)
 
 
-def _check_table(g: BipartiteGraph, entries: int) -> None:
-    if entries > MEASURE_TABLE_CAP:
-        raise BudgetError(f"measure table of {entries} entries on {g.n} "
-                          f"vertices exceeds cap {MEASURE_TABLE_CAP}")
+def _charge_table(g: BipartiteGraph, params: ModelParams,
+                  paired: bool = False) -> None:
+    """Refuse (BudgetError), before the sweep starts, a MeasureTable of
+    every subset, or with `paired` of every (subset, side) pair, past
+    graphs.BYTE_CEILING. Each outcome is charged _scaled_entry_bytes for
+    its weight's entry and a slot for its probability's, which shares a
+    Fraction per distinct weight; a pair, its tuple too. TV, Z-hat and the
+    non-polymer weight need no table."""
+    size = _scaled_entry_bytes(g, params) + DICT_SLOT_BYTES
+    if paired:
+        size += sys.getsizeof((0, "O"))
+    charge_bytes("the measure table", 1 << g.n + paired, size,
+                 graphs.BYTE_CEILING)
 
 
 def mu_table(g: BipartiteGraph, params: ModelParams) -> MeasureTable:
     """The Ising measure: P(I) = ising_weight(I) / Z over all subsets.
     Raises AuditViolation unless the sweep's weights sum to exact_Z."""
-    _check_table(g, 1 << g.n)
+    _charge_table(g, params)
     weights = {i_mask: w for i_mask, w, _, _ in subset_sweep(g, params)}
     table = MeasureTable(weights, _weight_scale(g, params))
     if table.normalization != exact_Z(g, params):
@@ -607,7 +644,7 @@ def mu_hat_table(g: BipartiteGraph, params: ModelParams,
     """The polymer-approximation measure on subsets: weight counted once per
     capturing side (a set captured on both sides is deliberately counted
     twice, matching the two-sided normalizer)."""
-    _check_table(g, 1 << g.n)
+    _charge_table(g, params)
     weights = {i_mask: (on_o + on_e) * w for i_mask, w, on_o, on_e in
                subset_sweep(g, params, rho)}
     return MeasureTable(weights, _weight_scale(g, params))
@@ -616,7 +653,7 @@ def mu_hat_table(g: BipartiteGraph, params: ModelParams,
 def mu_hat_star_table(g: BipartiteGraph, params: ModelParams,
                       rho=DEFAULT_RHO) -> MeasureTable:
     """The two-sided measure on pairs (I, side): P = [captured] * weight / Z-hat."""
-    _check_table(g, 2 << g.n)
+    _charge_table(g, params, paired=True)
     weights = {}
     for i_mask, w, on_o, on_e in subset_sweep(g, params, rho):
         weights[(i_mask, "O")] = on_o * w

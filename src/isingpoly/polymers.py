@@ -359,7 +359,8 @@ class PolymerFamily:
         """Xi of sets of polymers, keyed by index mask, as built for Xi of
         all polymers: a polymer gas is the independent-set polynomial of its
         incompatibility graph, so this is graphs.independent_set_table, the
-        sum behind i(G), over the masks, with its ceiling on memo entries."""
+        sum behind i(G), over the masks, its memo charged against
+        graphs.BYTE_CEILING."""
         full = (1 << len(self.polymers)) - 1
         return independent_set_table(self.incompatible, self.weights, full)
 

@@ -5,7 +5,7 @@ model.percolation_expectation_exact sums it over all 2^|E| subgraphs and
 model.percolation_mc over its distinct samples. Both import this module on
 first use, as they do philox, so the package's import and the set-ups that
 do not percolate do not load it. Neither route caps the vertex count: the
-memo's entries are the budget, refused past graphs.MEMO_CEILING.
+memo's bytes are the budget, refused past graphs.BYTE_CEILING.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from . import graphs
-from .graphs import BudgetError, iter_bits
+from .graphs import charge_bytes, entry_bytes, iter_bits
 
 if TYPE_CHECKING:
     from .graphs import BipartiteGraph
@@ -54,8 +54,10 @@ def subgraph_z(g: BipartiteGraph, params: ModelParams) -> Callable[[int], int]:
     and the table are dropped before a subgraph once the memo passes
     _MEMO_CAP states: each never holds more than the cap plus one
     subgraph's states. A subgraph whose states take the memo past
-    graphs.MEMO_CEILING entries raises BudgetError."""
-    ceiling = graphs.MEMO_CEILING
+    graphs.BYTE_CEILING, charged as graphs.independent_set_table charges
+    its memo, raises BudgetError."""
+    ceiling = graphs.BYTE_CEILING
+    checkpoint = 0  # the entry count past which the memo is charged again
     n = g.n
     edges = list(g.edges())
     a, b = params.lam.numerator, params.lam.denominator
@@ -81,7 +83,7 @@ def subgraph_z(g: BipartiteGraph, params: ModelParams) -> Callable[[int], int]:
         return ~dropped, a * b ** nbrs.bit_count()
 
     def scaled_z(sub: int) -> int:
-        nonlocal memo, steps
+        nonlocal memo, steps, checkpoint
         if len(memo) > _MEMO_CAP:
             memo, steps = {0: 1}, {}
         get = memo.get
@@ -106,8 +108,10 @@ def subgraph_z(g: BipartiteGraph, params: ModelParams) -> Callable[[int], int]:
                 stack.append(within)
                 continue
             memo[key] = b * f_without + coef * f_within
-            if len(memo) > ceiling:
-                raise BudgetError(f"subgraph memo exceeds {ceiling} entries")
+            if len(memo) > checkpoint:
+                checkpoint = charge_bytes("the subgraph memo", len(memo),
+                                          entry_bytes(key, memo[key]),
+                                          ceiling)
             stack.pop()
         return memo[top]
     return scaled_z

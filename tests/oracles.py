@@ -11,6 +11,7 @@ route to it.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -133,6 +134,14 @@ def brute_ising_Z(g: BipartiteGraph, lam: Fraction, p: Fraction) -> Fraction:
     return sum((count * lam ** size * q ** inside
                 for (size, inside), count in brute_subset_histogram(g).items()),
                Fraction(0))
+
+
+def graph_to_json(g) -> str:
+    """graphs.graph_json_chunks' text by its former route: json.dumps of
+    the whole payload, built with a two-element list per edge."""
+    return json.dumps({"n": g.n, "d": g.d, "side_O": list(g.side_O),
+                       "side_E": list(g.side_E),
+                       "edges": [[u, v] for u, v in g.edges()]})
 
 
 def greedy_order_rescan(g) -> list[int]:

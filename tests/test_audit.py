@@ -39,7 +39,6 @@ from isingpoly.graphs import (
     build_hypercube,
     build_middle_layer,
     graph_from_json,
-    graph_to_json,
     is_two_linked,
     max_codegree,
     neighborhood,
@@ -48,7 +47,7 @@ from isingpoly.graphs import (
 from isingpoly.model import ModelParams, captured_on_side, exact_Z, ising_weight
 from isingpoly.polymers import enumerate_polymers
 
-from oracles import exhaustive_sets, fraction_z_psi
+from oracles import exhaustive_sets, fraction_z_psi, graph_to_json
 
 
 def naive_sweep(g, size_cap, applies, bound):

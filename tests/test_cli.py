@@ -40,15 +40,14 @@ from isingpoly.clusters import Cluster, KPFunctions, enumerate_clusters
 from isingpoly.formulas import ExpansionEstimate
 from isingpoly.graphs import (AuditViolation, BudgetError,
                               build_complete_bipartite, build_cycle,
-                              build_even_torus, graph_from_json,
-                              graph_to_json)
+                              build_even_torus, graph_from_json)
 from isingpoly.model import (ModelParams, exact_Z, mu_hat_table, mu_table,
                              tv_distance)
 from isingpoly.polymers import DEFAULT_RHO
 from isingpoly.rationals import format_rational, parse_rational
 
-from oracles import (ListMuHatSampler, l2_hypercube, l2_middle_layer,
-                     l2_torus_bracket)
+from oracles import (ListMuHatSampler, graph_to_json, l2_hypercube,
+                     l2_middle_layer, l2_torus_bracket)
 
 
 class TestGraphSpecs:
@@ -476,17 +475,18 @@ class TestExitCodes:
         assert code == 1
         assert "budget" in err
 
-    def test_zexact_past_the_state_ceiling_is_refused_at_once(self, capsys):
+    def test_zexact_past_the_byte_ceiling_is_refused_at_once(self, capsys):
         # every vertex order of Q6 at p < 1 peaks at 2^23 states or more,
-        # which would run out of memory; the plan refuses before any step
+        # which would run out of memory; the plan refuses before any step,
+        # naming the bytes of the first step past the ceiling
         start = time.perf_counter()
         code, out, err = run(capsys, "zexact", "--graph", "hypercube:6",
                              "--lambda", "1", "--p", "9/10", "--budget", "64")
         assert time.perf_counter() - start < 5
         assert code == 1
         assert out == ""
-        assert err == ("isingpoly: budget exceeded: the boundary DP needs "
-                       "more than 4194304 states in every vertex order\n")
+        assert err == ("isingpoly: budget exceeded: the boundary DP would "
+                       "need about 1128 MB, past the ceiling of 1024 MB\n")
 
     def test_audit_z_takes_no_budget(self, capsys):
         # audit-z builds no graph and enumerates nothing: --budget would
@@ -584,18 +584,47 @@ class TestExitCodes:
         assert err == (f"isingpoly: budget exceeded: {2 ** 63} samples do "
                        f"not fit in memory as float64 values\n")
 
-    @pytest.mark.parametrize("argv,memo", [
-        (("isets", "--graph", "hypercube:3"), "independent-set"),
+    @pytest.mark.parametrize("argv,what", [
+        (("isets", "--graph", "hypercube:3"), "the independent-set memo"),
         (("percolate-mc", "--graph", "hypercube:3", "--lambda", "1", "--p",
-          "1/2", "--samples", "10", "--seed", "1"), "subgraph"),
-    ])
-    def test_memo_ceiling_exits_one(self, capsys, monkeypatch, argv, memo):
-        monkeypatch.setattr("isingpoly.graphs.MEMO_CEILING", 4)
+          "1/2", "--samples", "10", "--seed", "1"), "the subgraph memo"),
+        (("percolate-exact", "--graph", "cycle:6", "--lambda", "1", "--p",
+          "1/2"), "the subgraph memo"),
+        (("xi", "--graph", "hypercube:3", "--lambda", "1/20", "--p", "1"),
+         "the independent-set memo"),
+        (("zexact", "--graph", "hypercube:3", "--lambda", "1", "--p", "1/2"),
+         "the boundary DP"),
+    ], ids=["isets", "percolate-mc", "percolate-exact", "xi", "zexact"])
+    def test_byte_ceiling_exits_one(self, capsys, monkeypatch, argv, what):
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 512)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == f"isingpoly: budget exceeded: {memo} memo exceeds 4 " \
-                      f"entries\n"
+        assert err == (f"isingpoly: budget exceeded: {what} would need about "
+                       f"1 MB, past the ceiling of 0.000488281 MB\n")
+
+    def test_percolate_mc_refused_under_an_address_space_limit(self):
+        # torus:72,2's subgraph_z keys have 15,552 bits; before the byte
+        # ceiling its first sample ended in a MemoryError traceback under
+        # this limit. A 64 MB ceiling set in the child keeps the run short.
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = ("import resource\n"
+                  "limit = 2 << 30\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+                  "from isingpoly import graphs\n"
+                  "from isingpoly.cli import main\n"
+                  "graphs.BYTE_CEILING = 64 << 20\n"
+                  "print(main(['percolate-mc', '--graph', 'torus:72,2', "
+                  "'--lambda', '1', '--p', '1/2', '--samples', '3', "
+                  "'--seed', '1']))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=120)
+        assert proc.stdout == "1\n"
+        assert re.fullmatch(r"isingpoly: budget exceeded: the subgraph memo "
+                            r"would need about \d+ MB, past the ceiling of "
+                            r"64 MB\n", proc.stderr), proc.stderr
 
     def test_percolate_mc_reads_no_vertex_proxy(self, capsys):
         # 64 vertices, past the 2^n sweeps' cap of 26, with no --budget

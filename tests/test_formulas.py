@@ -3,6 +3,7 @@ family forms, regime guards on the concrete graphs, and the leading-term
 count estimates."""
 
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -150,6 +151,28 @@ class TestL2Codegree:
             family_l2("hypercube", F(1, 3), t=10 ** 6)
         # q = 1/2 and half = 2^(t-1) cancel to a value that is written out
         assert family_l2("hypercube", 1, t=14000) == l2_hypercube(14000, 1)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_midlayer_refusal_comes_before_the_binomial(self, p):
+        # C(2d-1, d) alone took 38 s at d = 10^6; at p = 1 its factors of 2
+        # and at p = 0 a lower bound on its length refuse the value first
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            family_l2("midlayer", p, d=10 ** 6)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("d", [7000, 7130, 7142, 7143, 7150, 7200, 9000])
+    def test_midlayer_refuses_only_values_too_long_to_write(self, d, p):
+        # at p = 1 the denominator is long, at p = 0 the numerator; around
+        # d = 7142 both pass 4300 digits
+        expected = l2_middle_layer(d, p)
+        longest = max(abs(expected.numerator), expected.denominator)
+        try:
+            assert family_l2("midlayer", p, d=d) == expected
+        except ValueError as exc:
+            assert str(exc) == TOO_MANY_DIGITS
+            assert longest >= 10 ** MAX_DECIMAL_EXPONENT
 
     def test_histogram_guards(self):
         with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):

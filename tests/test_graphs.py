@@ -23,7 +23,7 @@ from isingpoly.graphs import (
     codegree,
     enumerate_two_linked,
     graph_from_json,
-    graph_to_json,
+    graph_json_chunks,
     independent_set_table,
     is_two_linked,
     max_codegree,
@@ -36,6 +36,7 @@ from oracles import (
     brute_is_two_linked,
     brute_neighborhood,
     brute_two_linked_sets,
+    graph_to_json,
     graphs_isomorphic,
     masks_to_tuples,
 )
@@ -353,6 +354,31 @@ class TestSerialization:
             assert again == g
             # canonical form is stable
             assert graph_to_json(again) == graph_to_json(g)
+
+    @pytest.mark.parametrize("g", [
+        build_hypercube(1), build_hypercube(4), build_even_torus(6, 2),
+        build_even_torus(4, 3), build_cycle(4), build_cycle(10),
+        build_complete_bipartite(1), build_complete_bipartite(5),
+        build_middle_layer(1), build_middle_layer(3),
+        build_cartesian_product([build_cycle(4), build_complete_bipartite(3)]),
+    ], ids=lambda g: g.label)
+    def test_chunks_join_to_the_whole_payload(self, g):
+        # byte for byte json.dumps of the payload, one list per edge
+        assert "".join(graph_json_chunks(g)) == graph_to_json(g)
+
+    def test_chunks_never_hold_the_text(self):
+        import tracemalloc
+        g = build_complete_bipartite(512)
+        tracemalloc.start()
+        try:
+            length = sum(map(len, graph_json_chunks(g)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 262,144 edges make about 3.5 MB of text; one vertex's row of
+        # 512 edges is about 7 KB
+        assert length > 3_000_000
+        assert peak < length // 20
 
     def test_loader_rejects_duplicate_edge(self):
         bad = ('{"n": 2, "d": 1, "side_O": [1], "side_E": [0], '

@@ -21,6 +21,7 @@ from isingpoly.graphs import (
     BipartiteGraph,
     AuditViolation,
     BudgetError,
+    entry_bytes,
     build_cartesian_product,
     build_complete_bipartite,
     build_cycle,
@@ -29,7 +30,6 @@ from isingpoly.graphs import (
     build_middle_layer,
 )
 from isingpoly.model import (
-    MEASURE_TABLE_CAP,
     MeasureTable,
     ModelParams,
     MuHatSampler,
@@ -47,7 +47,7 @@ from isingpoly.model import (
     tv_distance,
     z_hat_sweep,
 )
-from isingpoly import model, philox
+from isingpoly import graphs, model, philox, subgraphs
 from isingpoly.philox import philox_key
 from isingpoly.polymers import PolymerFamily, xi_brute
 from oracles import (
@@ -288,7 +288,7 @@ class TestExactZPlan:
     ])
     def test_plan_picks_the_clearly_cheapest_order(self, label, p, name):
         g = PLAN_GRAPHS[label]
-        steps = model._frontier_placement(g, p == 1)
+        steps = model._frontier_placement(g, ModelParams(1, p))
         assert [v for v, _, _ in steps] == model._candidate_orders(g)[name]
 
     @pytest.mark.parametrize("g", BUILDER_GRAPHS, ids=lambda g: g.label)
@@ -300,13 +300,33 @@ class TestExactZPlan:
     def test_greedy_order_equals_the_rescan_on_random_graphs(self, g):
         assert model._candidate_orders(g)["greedy"] == greedy_order_rescan(g)
 
-    def test_plan_past_the_state_ceiling_is_refused(self):
-        # Q6 at p < 1 peaks at 2^23 states in its best order (side-major);
-        # the ceiling applies in every order, forced or planned
+    def test_plan_past_the_byte_ceiling_is_refused(self):
+        # Q6 at p < 1 peaks at 2^23 states in its best order (side-major),
+        # past 1 GiB; the ceiling applies in every order, forced or planned
         q6 = build_hypercube(6)
         for name in ORDER_NAMES:
-            with forced(name), pytest.raises(BudgetError, match="4194304"):
+            with forced(name), pytest.raises(
+                    BudgetError, match="^the boundary DP would need about"):
                 exact_Z(q6, ModelParams(1, Fraction(9, 10)), sweep_cap=64)
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1)])
+    def test_plan_charges_both_dicts_of_its_peak_step(self, monkeypatch, p):
+        # at the bytes of the peak step's states entering and leaving it,
+        # Q5's plan runs; one byte fewer refuses it, before any step
+        q5, params = PLAN_GRAPHS["Q5"], ModelParams(1, p)
+        steps = model._frontier_placement(q5, params)
+        counts = predicted_counts("Q5", p, steps)
+        need = max(map(sum, zip([1] + counts, counts))) * \
+            model._scaled_entry_bytes(q5, params)
+        (name,) = (name for name, order in model._candidate_orders(q5).items()
+                   if order == [v for v, _, _ in steps])
+        value = exact_Z(q5, params, sweep_cap=32)
+        with forced(name):
+            monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need)
+            assert exact_Z(q5, params, sweep_cap=32) == value
+            monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need - 1)
+            with pytest.raises(BudgetError, match="the boundary DP"):
+                exact_Z(q5, params, sweep_cap=32)
 
 
 class TestPercolation:
@@ -453,29 +473,124 @@ class TestPercolation:
         assert mean > 0 and err > 0
 
 
-class TestMemoCeiling:
-    # graphs.MEMO_CEILING bounds the entries each independent-set memo
-    # holds; every recursion reads it when it starts
-    @pytest.mark.parametrize("route,message", [
-        (lambda: count_independent_sets(Q3), "independent-set memo"),
-        (lambda: percolation_mc(Q3, HALF, 10, seed=1), "subgraph memo"),
-        (lambda: percolation_expectation_exact(C6, HALF), "subgraph memo"),
+def xi_table(g):
+    """A route to g's side-E Xi table at HALF, its polymers and their
+    weights and incompatibility built beforehand."""
+    family = PolymerFamily(g, "E", HALF)
+    family.incompatible, family.weights
+    return lambda: family.table
+
+
+def subgraph_samples(g, count: int):
+    """A route to b^n Z of `count` random edge subgraphs of g at HALF, through
+    one subgraph_z memo."""
+    scaled_z = subgraphs.subgraph_z(g, HALF)
+    rng = random.Random(1)
+    return lambda: [scaled_z(rng.getrandbits(g.edge_count()))
+                    for _ in range(count)]
+
+
+def traced(route):
+    """route()'s result, and the bytes it left allocated and its peak, as
+    tracemalloc counts them."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        result = route()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class TestByteCeiling:
+    # graphs.BYTE_CEILING bounds the bytes of the independent-set memos,
+    # the boundary DP and the measure tables; every call reads it when it
+    # starts, and every refusal has one form
+    @pytest.mark.parametrize("route,what", [
+        (lambda: count_independent_sets(Q3), "the independent-set memo"),
+        (lambda: percolation_mc(Q3, HALF, 10, seed=1), "the subgraph memo"),
+        (lambda: percolation_expectation_exact(C6, HALF), "the subgraph memo"),
         # Q3's 4 polymers at lambda = 1/20 give a Xi table of 5 entries
         (lambda: PolymerFamily(Q3, "E", ModelParams(Fraction(1, 20), 1)).xi(),
-         "independent-set memo"),
-    ], ids=["isets", "percolation_mc", "percolation_exact", "xi"])
-    def test_lowered_ceiling_refuses(self, monkeypatch, route, message):
-        monkeypatch.setattr("isingpoly.graphs.MEMO_CEILING", 4)
-        with pytest.raises(BudgetError, match=f"{message} exceeds 4 entries"):
+         "the independent-set memo"),
+        (lambda: exact_Z(Q3, HALF), "the boundary DP"),
+        # the plan counts the hard-core states through an i(G) memo
+        (lambda: exact_Z(Q3, ModelParams(1, 1)), "the independent-set memo"),
+        (lambda: mu_table(C6, HALF), "the measure table"),
+        (lambda: mu_hat_table(C6, HALF), "the measure table"),
+        (lambda: mu_hat_star_table(C6, HALF), "the measure table"),
+    ], ids=["isets", "percolation_mc", "percolation_exact", "xi", "zexact",
+            "zexact_plan_counts", "mu", "mu_hat", "mu_hat_star"])
+    def test_lowered_ceiling_refuses(self, monkeypatch, route, what):
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 512)
+        with pytest.raises(BudgetError) as info:
             route()
+        assert str(info.value) == (f"{what} would need about 1 MB, past the "
+                                   f"ceiling of 0.000488281 MB")
 
-    def test_ceiling_counts_the_entries_held(self, monkeypatch):
-        # Q3's i(G) memo holds 18 entries, the empty set's included
-        monkeypatch.setattr("isingpoly.graphs.MEMO_CEILING", 17)
-        with pytest.raises(BudgetError, match="exceeds 17 entries"):
+    def test_a_memo_at_the_ceiling_is_admitted(self, monkeypatch):
+        # Q3's i(G) memo holds 18 entries of one size, the empty set's
+        # included; a checkpoint falls on the entry that would pass
+        size = entry_bytes(255, 35)
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 18 * size - 1)
+        with pytest.raises(BudgetError, match="independent-set memo"):
             count_independent_sets(Q3)
-        monkeypatch.setattr("isingpoly.graphs.MEMO_CEILING", 18)
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 18 * size)
         assert count_independent_sets(Q3) == 35
+
+    def test_memos_are_charged_at_checkpoints_only(self, monkeypatch):
+        # the entry counts double from the first insert: 2, 5, 11, 23, ...
+        seen = []
+        real = graphs.charge_bytes
+
+        def spy(what, entries, size, ceiling):
+            seen.append(entries)
+            return real(what, entries, size, ceiling)
+
+        monkeypatch.setattr(graphs, "charge_bytes", spy)
+        memo = graphs.independent_set_table(T82.adj_mask, [1] * T82.n,
+                                            (1 << T82.n) - 1)
+        assert seen[0] == 2
+        assert all(b == 2 * a + 1 for a, b in zip(seen, seen[1:]))
+        assert seen[-1] <= len(memo) <= 2 * seen[-1]
+
+    @pytest.mark.parametrize("setup,module", [
+        (lambda: lambda: graphs.independent_set_table(
+            T82.adj_mask, [1] * T82.n, (1 << T82.n) - 1), graphs),
+        (lambda: xi_table(build_hypercube(4)), graphs),
+        (lambda: subgraph_samples(build_hypercube(4), 40), subgraphs),
+    ], ids=["isets-T8,2", "xi-Q4", "subgraph_z-Q4"])
+    def test_memo_charge_is_near_the_traced_bytes(self, monkeypatch, setup,
+                                                  module):
+        # at the last checkpoint, the one nearest a refusal, the bytes
+        # charged lie within 1.5x of what tracemalloc counts: 76 Xi
+        # entries on Q4, 1,535 of 1,784 subgraph_z states and 24,575 of
+        # T8,2's 37,053 i(G) entries
+        import tracemalloc
+        route = setup()
+        ratios = []
+        real = graphs.charge_bytes
+
+        def spy(what, entries, size, ceiling):
+            ratios.append(entries * size / tracemalloc.get_traced_memory()[0])
+            return real(what, entries, size, ceiling)
+
+        monkeypatch.setattr(module, "charge_bytes", spy)
+        traced(route)
+        assert 2 / 3 < ratios[-1] < 3 / 2, ratios
+
+    @pytest.mark.parametrize("g", [PLAN_GRAPHS["Q5"], build_even_torus(6, 2)],
+                             ids=lambda g: g.label)
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1)])
+    def test_plan_charge_is_near_the_traced_peak(self, g, p):
+        params = ModelParams(1, p)
+        steps = model._frontier_placement(g, params)
+        counts = list(model._state_counts(g, steps, p == 1, {0: 1}))
+        charge = max(map(sum, zip([1] + counts, counts))) * \
+            model._scaled_entry_bytes(g, params)
+        _, _, peak = traced(lambda: exact_Z(g, params, sweep_cap=64))
+        assert 2 / 3 < charge / peak < 3 / 2
 
 
 class TestMeasures:
@@ -511,24 +626,40 @@ class TestMeasures:
         assert list(table.probs) == list(table.weights)
         assert len(first) < len(table) // 4
 
-    def test_tables_refuse_past_the_entry_cap(self, monkeypatch):
-        import isingpoly.model as model
-
+    def test_tables_refuse_past_the_byte_ceiling(self, monkeypatch):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(model, "subset_sweep", no_sweep)
-        big = build_cycle(22)
-        assert 1 << big.n > MEASURE_TABLE_CAP
+        # 2^24 entries of about 150 B each
+        big = build_cycle(24)
         for build in (mu_table, mu_hat_table, mu_hat_star_table):
-            with pytest.raises(BudgetError, match="measure table"):
+            with pytest.raises(BudgetError, match="^the measure table would "
+                                                  "need about"):
                 build(big, HALF)
-        # the (mask, side) table has two entries per subset
-        monkeypatch.setattr(model, "MEASURE_TABLE_CAP", 1 << C6.n)
-        with pytest.raises(BudgetError, match="128 entries"):
+        # past 14,000 or so vertices the MB would have over 4,300 digits
+        with pytest.raises(BudgetError, match=r"would need about 2\^\d+ MB"):
+            mu_table(build_cycle(16000), HALF)
+        # the (mask, side) table has two entries per subset, each with a
+        # tuple: a ceiling that admits C6's table of subsets refuses it
+        need = (1 << C6.n) * (model._scaled_entry_bytes(C6, HALF)
+                              + graphs.DICT_SLOT_BYTES)
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need)
+        with pytest.raises(BudgetError, match="measure table"):
             mu_hat_star_table(C6, HALF)
         monkeypatch.undo()
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need)
         assert len(mu_table(C6, HALF)) == 1 << C6.n
+
+    @pytest.mark.parametrize("build,paired", [
+        (mu_table, False), (mu_hat_table, False), (mu_hat_star_table, True)])
+    def test_table_charge_is_near_the_traced_bytes(self, build, paired):
+        g = build_cycle(14)
+        size = model._scaled_entry_bytes(g, HALF) + graphs.DICT_SLOT_BYTES
+        if paired:
+            size += sys.getsizeof((0, "O"))
+        table, current, _ = traced(lambda: build(g, HALF))
+        assert 2 / 3 < (len(table) * size) / current < 3 / 2
 
     def test_tv_distance_edge_cases(self):
         a = MeasureTable({0: 1, 1: 0}, 1)
