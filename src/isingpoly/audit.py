@@ -77,8 +77,7 @@ def _brute_neighborhood_size(g: BipartiteGraph, mask: int) -> int:
     return count
 
 
-def _iterate_sets(g: BipartiteGraph, size_cap: int,
-                  enum_cap: int | None = None):
+def _iterate_sets(g: BipartiteGraph, size_cap: int):
     """(side, mask) for the 2-linked subsets of at most size_cap vertices of
     side E, then of side O, each side size-major and then lexicographic; on
     a vertex-transitive graph only those holding the side's lowest vertex,
@@ -87,13 +86,13 @@ def _iterate_sets(g: BipartiteGraph, size_cap: int,
     bound |N(X)| below by a concave f(|X|) with f(0) = 0 over a size range
     closed downward, and the 2-linked components of X have disjoint
     neighbourhoods, so these sets decide the verdict over every subset of
-    at most size_cap vertices. enum_cap caps each side's walk."""
+    at most size_cap vertices. graphs.WALK_CEILING caps each side's walk."""
     for side in ("E", "O"):
         allowed = g.side_mask(side)
         starts = allowed & -allowed if g.vertex_transitive else allowed
         # the enumeration is lexicographic; a stable sort by size keeps that
-        for mask in sorted(two_linked_sets(g, starts, allowed, size_cap,
-                                           enum_cap), key=popcount):
+        for mask in sorted(two_linked_sets(g, starts, allowed, size_cap),
+                           key=popcount):
             yield side, mask
 
 
@@ -154,15 +153,15 @@ def _run_conditions(g: BipartiteGraph, conditions, checked: dict, sets,
 
 
 def _sweep(g: BipartiteGraph, conditions, size_cap: int,
-           enum_cap: int | None, observe=None) -> tuple[dict, int]:
+           observe=None) -> tuple[dict, int]:
     """_run_conditions over the 2-linked sets, each condition's checked
     being the subsets of at most size_cap vertices it covers."""
     return _run_conditions(g, conditions, _coverage(g, conditions, size_cap),
-                           _iterate_sets(g, size_cap, enum_cap), observe)
+                           _iterate_sets(g, size_cap), observe)
 
 
 def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
-                     size_cap: int = 4, enum_cap: int | None = None) -> dict:
+                     size_cap: int = 4) -> dict:
     """Expansion conditions Ia(1)-(3) on every subset of at most size_cap
     vertices of each side, decided on the 2-linked ones, plus the two size
     ratios of Ib (asymptotic, reported not asserted). swept counts the
@@ -178,7 +177,7 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
         "Ia3": (lambda s: s <= large_range,
                 lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
-    verdicts, swept = _sweep(g, conditions, size_cap, enum_cap)
+    verdicts, swept = _sweep(g, conditions, size_cap)
     report = {
         "size_cap": size_cap,
         "swept": swept,
@@ -194,7 +193,7 @@ def check_property_i(g: BipartiteGraph, constants: PropertyConstants,
 
 
 def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
-                      size_cap: int = 4, enum_cap: int | None = None) -> dict:
+                      size_cap: int = 4) -> dict:
     """Root-d expansion for polynomially small sets, near-half expansion,
     exact maximum codegree, and the n versus d^6 ratio, with the sets swept
     as in check_property_i. Raises ValueError when a condition covers no
@@ -209,7 +208,7 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
         "IIa2": (lambda s: s <= large_range,
                  lambda s: (1 + c.c4 / d ** c.c5) * s),
     }
-    verdicts, swept = _sweep(g, conditions, size_cap, enum_cap)
+    verdicts, swept = _sweep(g, conditions, size_cap)
     codeg = max_codegree(g)
     report = {
         "size_cap": size_cap,
@@ -225,8 +224,7 @@ def check_property_ii(g: BipartiteGraph, constants: PropertyConstants,
 
 
 def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
-                      enum_cap: int | None = None, s: int | None = None,
-                      t: int | None = None) -> dict:
+                      s: int | None = None, t: int | None = None) -> dict:
     """Isoperimetry of a Cartesian product of t factors with at most s
     vertices each: codegree at most s (exact), the reported worst constant
     c in |N(X)| >= t|X|/c, and the near-half expansion factor
@@ -254,8 +252,7 @@ def check_product_iso(g: BipartiteGraph, size_cap: int = 4,
         worst_c = max(worst_c, t * size / nbr)
 
     verdicts, swept = _sweep(
-        g, {"near_half": (lambda size: True, near_half)}, size_cap,
-        enum_cap, track)
+        g, {"near_half": (lambda size: True, near_half)}, size_cap, track)
     codeg = max_codegree(g)
     return {
         "s": s,
@@ -439,15 +436,15 @@ def z_psi_halfell_audit(family: PsiFamily, params: ModelParams,
 # -- container and nonpolymer sums --------------------------------------------
 
 
-def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
-                               enum_cap: int | None = None) -> dict:
+def container_hypothesis_check(g: BipartiteGraph, side: str, c2) -> dict:
     """The neighborhood-expansion hypothesis of the container bound: every
     X inside a single neighborhood N(y), y off the side, with |X| > d/2
     satisfies |N(X)| >= (d/c2)|X|, with the bound an exact Fraction.
-    Exhaustive over all such X, counted once per y. Raises ValueError
+    Exhaustive over all such X, counted once per y, and refused
+    (BudgetError) past graphs.WALK_CEILING of them. Raises ValueError
     unless c2 is positive and finite."""
     require_positive_finite(c2=c2)
-    cap = graphs.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    cap = graphs.WALK_CEILING
     opposite = bits(g.side_mask(g.other_side(side)))
     sizes = range(g.d // 2 + 1, g.d + 1)
     total = len(opposite) * sum(math.comb(g.d, r) for r in sizes)
@@ -464,15 +461,14 @@ def container_hypothesis_check(g: BipartiteGraph, side: str, c2,
 
 
 def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
-                         params: ModelParams,
-                         enum_cap: int | None = None) -> dict:
+                         params: ModelParams) -> dict:
     """Exact sum of weights over the 2-linked sets with closure size a and
     neighborhood size b, with the implied container constant
     C* = -log(LHS/|D|) log d / ((b-a) alpha^2). No pass or fail: the
     container bound's constant is unspecified. Raises ValueError unless
     a >= 1, also when b < a leaves the class empty."""
     half = g.n // 2
-    members = list(enumerate_g_ab(g, side, a, b, enum_cap))
+    members = list(enumerate_g_ab(g, side, a, b))
     lhs = sum((polymer_weight(g, params, m) for m in members), Fraction(0))
     report = {
         "a": a,
@@ -497,12 +493,11 @@ def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
 
 
 def nonpolymer_weight_report(g: BipartiteGraph, params: ModelParams,
-                             rho=DEFAULT_RHO,
-                             sweep_cap: int | None = None) -> dict:
+                             rho=DEFAULT_RHO) -> dict:
     """Exact total weight of the configurations captured on neither side,
     its ratio to the full partition function, and the decay exponent
     -log(ratio) d / n."""
-    total, w1, w2, count = capture_classes(g, params, rho, sweep_cap)
+    total, w1, w2, count = capture_classes(g, params, rho)
     z = total + w1 + w2
     ratio = total / z
     with log_precision():

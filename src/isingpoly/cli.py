@@ -9,7 +9,8 @@ No numerical logic lives here: main parses the inputs several subcommands
 share (the graph, --lambda with --p, --rho and --seed) once, and each
 subcommand calls one or two library functions and formats their output.
 Exit codes: 0 success, 2 when a verification or audit found a mismatch, 1
-for usage, budget, or input errors.
+for usage, budget, or input errors. No option sets a budget: every limit is
+a fixed ceiling in graphs.
 """
 
 from __future__ import annotations
@@ -264,28 +265,27 @@ def cmd_gen(args):
 
 
 def cmd_zexact(args):
-    value = exact_Z(args.graph, args.params, sweep_cap=args.budget)
+    value = exact_Z(args.graph, args.params)
     return [{"value": value}], True
 
 
 def cmd_isets(args):
-    count = count_independent_sets(args.graph, sweep_cap=args.budget)
+    count = count_independent_sets(args.graph)
     record = {"count": count}
     ok = True
     if args.verify:
-        z_count = exact_Z(args.graph, ModelParams(1, 1), sweep_cap=args.budget)
+        z_count = exact_Z(args.graph, ModelParams(1, 1))
         record["z_count"] = z_count
         record["match"] = ok = z_count == count
     return [record], ok
 
 
 def cmd_percolate_exact(args):
-    value = percolation_expectation_exact(args.graph, args.params,
-                                          edge_cap=args.budget)
+    value = percolation_expectation_exact(args.graph, args.params)
     record = {"value": value}
     ok = True
     if args.verify:
-        z = exact_Z(args.graph, args.params, sweep_cap=args.budget)
+        z = exact_Z(args.graph, args.params)
         record["z_value"] = z
         record["match"] = ok = z == value
     return [record], ok
@@ -301,21 +301,18 @@ def cmd_percolate_mc(args):
 def cmd_polymers(args):
     records = [polymer_to_json_dict(args.graph, args.params, poly)
                for poly in enumerate_polymers(args.graph, args.side, args.rho,
-                                              size_max=args.size_max,
-                                              enum_cap=args.budget)]
+                                              size_max=args.size_max)]
     return records, True
 
 
 def cmd_xi(args):
-    value = xi_brute(args.graph, args.side, args.params, args.rho,
-                     enum_cap=args.budget)
+    value = xi_brute(args.graph, args.side, args.params, args.rho)
     return [{"side": args.side, "xi": value}], True
 
 
 def cmd_clusters(args):
     report = log_xi_truncation_report(args.graph, args.side, args.params,
-                                      args.rho, k_max=args.k_max,
-                                      enum_cap=args.budget)
+                                      args.rho, k_max=args.k_max)
     return [dict(term, xi=report["xi"], log_xi=report["log_xi"])
             for term in report["terms"]], True
 
@@ -330,8 +327,7 @@ def cmd_closed_form(args):
         g = oracle_graph(args)
         # l1 is the first term at the given fugacity; main puts the
         # second-order forms at fugacity 1
-        oracle = l_k(g, "E", args.params, k=1 if expected is None else 2,
-                     enum_cap=args.budget)
+        oracle = l_k(g, "E", args.params, k=1 if expected is None else 2)
         record["oracle_value"] = oracle
         record["match"] = ok = record["formula_value"] == oracle
         if expected is None:
@@ -345,8 +341,7 @@ def cmd_closed_form(args):
 
 
 def cmd_tv(args):
-    w0, w1, w2, _ = capture_classes(args.graph, args.params, args.rho,
-                                    sweep_cap=args.budget)
+    w0, w1, w2, _ = capture_classes(args.graph, args.params, args.rho)
     z, z_hat = w0 + w1 + w2, w1 + 2 * w2
     # mu-hat / mu is h * Z / Z-hat on the subsets captured on h sides
     tv = (w0 * z_hat + w1 * abs(z_hat - z) + w2 * abs(z_hat - 2 * z)) / \
@@ -357,8 +352,7 @@ def cmd_tv(args):
 def cmd_sample_muhat(args):
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
-    sampler = MuHatSampler(args.graph, args.params, args.rho,
-                           enum_cap=args.budget)
+    sampler = MuHatSampler(args.graph, args.params, args.rho)
     counts = Counter(sampler.draw(args.seed, k) for k in range(args.samples))
     records = []
     for (mask, side), count in sorted(counts.items()):
@@ -387,20 +381,20 @@ def _condition_rows(report) -> list[dict]:
 
 
 def cmd_audit_iso(args):
-    sweep = dict(size_cap=args.size_cap, enum_cap=args.budget)
     if args.property == "product":
-        report = check_product_iso(args.graph, s=args.s, t=args.t, **sweep)
+        report = check_product_iso(args.graph, args.size_cap, s=args.s,
+                                   t=args.t)
         extra = [{"condition": "codegree", "holds": report["codegree_holds"],
                   "value": report["max_codegree"], "bound": report["s"]},
                  {"condition": "worst_c", "value": report["worst_c"]}]
     elif args.property == "one":
         report = check_property_i(args.graph, _property_constants(args),
-                                  **sweep)
+                                  args.size_cap)
         extra = [{"condition": f"Ib.{key}", "value": value}
                  for key, value in report["Ib"].items()]
     else:
         report = check_property_ii(args.graph, _property_constants(args),
-                                   **sweep)
+                                   args.size_cap)
         extra = [{"condition": "IIb", "holds": report["IIb"]["holds"],
                   "value": report["IIb"]["max_codegree"],
                   "bound": report["IIb"]["bound"]},
@@ -414,8 +408,7 @@ def cmd_audit_kp(args):
         report = kp_sum_audit(args.graph, args.side, args.params, args.c1,
                               args.c2, args.c3, args.c5, args.rho,
                               size_max=args.size_max,
-                              tail_depth=args.tail_depth,
-                              enum_cap=args.budget)
+                              tail_depth=args.tail_depth)
         record = {
             "mode": "sum",
             "target": report["target"],
@@ -439,8 +432,7 @@ def cmd_audit_kp(args):
     report = log_xi_truncation_report(args.graph, args.side, args.params,
                                       args.rho, k_max=args.k_max,
                                       f_of_size=f_of_size,
-                                      g_of_size=g_of_size,
-                                      enum_cap=args.budget)
+                                      g_of_size=g_of_size)
     kp_holds = report["kp"].holds if report["kp"] is not None else None
     records = []
     for i, term in enumerate(report["terms"]):
@@ -521,13 +513,12 @@ def cmd_audit_z(args):
 
 def cmd_audit_container(args):
     report = container_sum_report(args.graph, args.side, args.a, args.b,
-                                  args.params, enum_cap=args.budget)
+                                  args.params)
     record = dict(report)
     ok = True
     if args.hypothesis_c2 is not None:
         hyp = container_hypothesis_check(args.graph, args.side,
-                                         args.hypothesis_c2,
-                                         enum_cap=args.budget)
+                                         args.hypothesis_c2)
         record["hypothesis_holds"] = ok = hyp["holds"]
         record["hypothesis_checked"] = hyp["checked"]
         record["hypothesis_worst_margin"] = hyp["worst"]["margin"]
@@ -535,8 +526,7 @@ def cmd_audit_container(args):
 
 
 def cmd_audit_nonpolymer(args):
-    report = nonpolymer_weight_report(args.graph, args.params, args.rho,
-                                      sweep_cap=args.budget)
+    report = nonpolymer_weight_report(args.graph, args.params, args.rho)
     return [report], True
 
 
@@ -575,14 +565,6 @@ _SPECS = ", ".join(f"{family}:{arg}"
 # flag -> argparse keywords of the options several subcommands share
 OPTIONS = {
     "--out": dict(default=None, help="output file (default stdout)"),
-    # one unit per subcommand; gen, percolate-mc and audit-z sweep and walk
-    # nothing, so they take no --budget. Graph size has a fixed ceiling.
-    "--budget": dict(type=int, default=None,
-                     help="cap on the subcommand's one unit of work: the "
-                          "vertices of a 2^n sweep (zexact, isets, tv, "
-                          "audit-nonpolymer), the edges of a 2^|E| sweep "
-                          "(percolate-exact), or the sets walked (every "
-                          "other); default: the module default"),
     "--graph": dict(required=True,
                     help=f"builder spec ({_SPECS}), a JSON file path, or - "
                          f"for stdin"),
@@ -595,8 +577,7 @@ OPTIONS = {
     "--samples": dict(type=int, required=True),
     "--seed": dict(type=int, required=True),
 }
-_GRAPH = ("--budget", "--graph")
-_MODEL = (*_GRAPH, "--lambda", "--p")
+_MODEL = ("--graph", "--lambda", "--p")
 # subcommand -> (handler, help, options in --help order after --out). An
 # option is a flag of OPTIONS or a (flag, argparse keywords) pair. A
 # subcommand without --format writes its one record as it is.
@@ -604,7 +585,7 @@ COMMANDS = {
     "gen": (cmd_gen, "build a graph and emit its JSON", ("--graph",)),
     "zexact": (cmd_zexact, "exact partition function", (*_MODEL, "--format")),
     "isets": (cmd_isets, "count independent sets by memoised recursion", (
-        *_GRAPH, "--format",
+        "--graph", "--format",
         ("--verify", dict(action="store_true",
                           help="also compare against the hard-core partition "
                                "function; mismatch exits 2")))),
@@ -626,7 +607,7 @@ COMMANDS = {
         ("--k-max", dict(type=int, default=2)))),
     "closed-form": (cmd_closed_form,
                     "closed-form expansion terms, optionally verified", (
-        "--budget", "--format", ("--family", dict(required=True)),
+        "--format", ("--family", dict(required=True)),
         ("--p", dict(required=True)),
         ("--verify", dict(action="store_true",
                           help="compare against the cluster-sum oracle on the "
@@ -638,7 +619,7 @@ COMMANDS = {
                      "aggregated by outcome",
                      (*_MODEL, "--rho", "--format", "--samples", "--seed")),
     "audit-iso": (cmd_audit_iso, "vertex-isoperimetry condition sweeps", (
-        *_GRAPH, "--format", ("--property", dict(default="one")),
+        "--graph", "--format", ("--property", dict(default="one")),
         ("--size-cap", dict(type=int, default=4)))),
     "audit-kp": (cmd_audit_kp, "convergence-condition audits", (
         *_MODEL, "--rho", "--side", "--format",

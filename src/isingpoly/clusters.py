@@ -144,15 +144,14 @@ def _cluster_weight(cluster: Cluster, parts) -> tuple[int, int]:
     return num, den
 
 
-def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
-              emit) -> None:
+def _clusters(family: PolymerFamily, k_max: int, emit) -> None:
     """Call emit(cluster) for every cluster of total size at most k_max over
     the family's polymers. Emission groups clusters by their support
     polymers in the family order. A multiset is a cluster iff its Ursell
     value is nonzero. Each (candidate, multiplicity) step is one visit of
     one multiset, cluster or not, cached or not; the walk raises
-    BudgetError once it has visited more than enum_cap (default
-    DEFAULT_ENUM_CAP), a check made before the Ursell cap.
+    BudgetError once it has visited more than graphs.WALK_CEILING, a check
+    made before the Ursell cap.
 
     Each multiset carries down its expanded incompatibility graph (one
     neighbour mask per polymer copy), the product of its multiplicities'
@@ -167,7 +166,7 @@ def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
     computed once in the whole walk."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    cap = graphs.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    cap = graphs.WALK_CEILING
     polys = family.polymers
     incompatible = family.incompatible
     sizes = [p.size for p in polys]
@@ -239,8 +238,8 @@ def _clusters(family: PolymerFamily, k_max: int, enum_cap: int | None,
         del extend  # a cycle through itself would hold emit until a full GC
 
 
-def _terms_by_size(family: PolymerFamily, k_max: int,
-                   enum_cap: int | None) -> dict[int, Fraction]:
+def _terms_by_size(family: PolymerFamily,
+                   k_max: int) -> dict[int, Fraction]:
     """The exact expansion terms L_1..L_{k_max}: per total size, the sum of
     orderings * ursell * product of the family's polymer weights. The
     clusters' unreduced numerators are added per (size, denominator), so
@@ -254,7 +253,7 @@ def _terms_by_size(family: PolymerFamily, k_max: int,
         key = (cluster.size, den)
         numerators[key] = numerators.get(key, 0) + num
 
-    _clusters(family, k_max, enum_cap, add)
+    _clusters(family, k_max, add)
     by_size = {k: Fraction(0) for k in range(1, k_max + 1)}
     for (size, den), num in numerators.items():
         by_size[size] += Fraction(num, den)
@@ -262,30 +261,28 @@ def _terms_by_size(family: PolymerFamily, k_max: int,
 
 
 def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
-                       k_max: int = 2, enum_cap: int | None = None):
+                       k_max: int = 2):
     """Every cluster of total size at most k_max on the side, as multisets.
 
     Emission groups clusters by their support polymers in the polymer
     enumeration order. The expanded incompatibility graph of every emitted
     cluster is connected; anything disconnected is silently skipped per the
-    definition. enum_cap (default DEFAULT_ENUM_CAP) bounds both the polymer
-    enumeration and the multisets the walk visits; past it, BudgetError.
+    definition. graphs.WALK_CEILING bounds both the polymer enumeration and
+    the multisets the walk visits; past it, BudgetError.
     """
-    family = PolymerFamily(g, side, params, rho, size_max=k_max,
-                           enum_cap=enum_cap)
+    family = PolymerFamily(g, side, params, rho, size_max=k_max)
     clusters: list[Cluster] = []
-    _clusters(family, k_max, enum_cap, clusters.append)
+    _clusters(family, k_max, clusters.append)
     return clusters
 
 
-def l_k(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO, k: int = 1,
-        enum_cap: int | None = None) -> Fraction:
+def l_k(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
+        k: int = 1) -> Fraction:
     """The exact degree-k term of the cluster expansion of log Xi: the sum
     of orderings * ursell * product of polymer weights over all clusters of
-    total size exactly k. enum_cap is as in enumerate_clusters."""
-    family = PolymerFamily(g, side, params, rho, size_max=k,
-                           enum_cap=enum_cap)
-    return _terms_by_size(family, k, enum_cap)[k]
+    total size exactly k. Its walks are bounded as in enumerate_clusters."""
+    family = PolymerFamily(g, side, params, rho, size_max=k)
+    return _terms_by_size(family, k)[k]
 
 
 # -- Kotecky-Preiss condition -------------------------------------------------
@@ -344,8 +341,7 @@ def kp_check(weights, f_values, g_values, incompatible) -> KPReport:
 
 def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
                              rho=DEFAULT_RHO, k_max: int = 2,
-                             f_of_size=None, g_of_size=None,
-                             enum_cap: int | None = None) -> dict:
+                             f_of_size=None, g_of_size=None) -> dict:
     """Compare the truncated cluster expansion against exact log Xi.
 
     Always reports log Xi (128-bit), the exact terms L_1..L_{k_max}, the
@@ -354,11 +350,11 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     on the full polymer family; if it holds (and g is non-decreasing with
     g(l)/l non-increasing over the reported sizes, which the tail bound
     derivation needs), the residual at each truncation depth k is asserted
-    against the tail bound |side| * f(1) * exp(-g(k)). enum_cap bounds the
-    polymer enumeration and the cluster walk as in enumerate_clusters.
+    against the tail bound |side| * f(1) * exp(-g(k)). The polymer
+    enumeration and the cluster walk are bounded as in enumerate_clusters.
     """
-    family = PolymerFamily(g, side, params, rho, enum_cap=enum_cap)
-    by_size = _terms_by_size(family, k_max, enum_cap)
+    family = PolymerFamily(g, side, params, rho)
+    by_size = _terms_by_size(family, k_max)
     xi = family.xi()
     with log_precision() as mpmath:
         log_xi = log_rational(xi)
@@ -459,8 +455,8 @@ def lk_tail_shape(n: int, d: int, alpha_tilde: float, c1: float, c5: float,
 
 
 def kp_sum_audit(g: BipartiteGraph, side: str, params, c1, c2, c3, c5,
-                 rho=DEFAULT_RHO, size_max: int = 3, tail_depth: int = 3,
-                 enum_cap: int | None = None) -> dict:
+                 rho=DEFAULT_RHO, size_max: int = 3,
+                 tail_depth: int = 3) -> dict:
     """Per-vertex audit of the convergence sums: for every v on the side,
     the sum over enumerated polymers containing v of omega(A) e^{f+g},
     with the KPFunctions of (g.d, alpha_tilde, c1, c2, c3, c5), against the
@@ -475,8 +471,7 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, c1, c2, c3, c5,
     kpf = KPFunctions(g.d, alpha_tilde, c1, c2, c3, c5)
     if tail_depth < 0:
         raise ValueError(f"tail depth must be >= 0, got {tail_depth}")
-    family = PolymerFamily(g, side, params, rho, size_max=size_max,
-                           enum_cap=enum_cap)
+    family = PolymerFamily(g, side, params, rho, size_max=size_max)
     with float64_range("a term of the convergence-sum audit"):
         target = g.d ** -(c5 + 3)
         per_vertex: dict[int, float] = {}

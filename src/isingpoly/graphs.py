@@ -10,14 +10,15 @@ builders in this module the "E" side is the even-parity side (even popcount
 for hypercubes, even coordinate sum for tori and products, the smaller layer
 for middle layers), which is the convention the model layer relies on.
 
-No graph holds more than VERTEX_CEILING vertices, a constant no option
-sets. The builders check their vertex count from their parameters before
-they list a vertex, and the constructor checks it again, so graph_from_json
-may raise BudgetError as well as GraphFormatError.
-
-Memory has one ceiling, BYTE_CEILING, also a constant no option sets. The
-independent-set memos, the boundary DP of model.exact_Z and the measure
-tables charge it through charge_bytes, which refuses each the same way.
+Every limit is a constant here that no option sets, read as graphs.NAME
+when a call starts. VERTEX_CEILING bounds every graph: the builders check
+their vertex count from their parameters before they list a vertex, and
+the constructor checks it again, so graph_from_json may raise BudgetError
+as well as GraphFormatError. BYTE_CEILING bounds memory: the memos, the
+boundary DP of model.exact_Z, the measure tables and a walk's sets charge
+it through charge_bytes, which refuses each the same way. WALK_CEILING
+bounds the sets a walk visits, SWEEP_CEILING the vertices of a 2^n subset
+sweep and EDGE_SWEEP_CEILING the edges of a 2^|E| subgraph sweep.
 """
 
 from __future__ import annotations
@@ -29,23 +30,24 @@ from itertools import combinations, repeat
 from typing import Iterable, Iterator, Sequence
 
 # Full 2^n subset sweeps are refused above this many vertices.
-DEFAULT_SWEEP_CAP = 26
-# Exact percolation sums over 2^m edge subsets are refused above this. At
-# the cap, the sweep over C24's 2^24 subgraphs took 45 s with a 19 MB peak
-# RSS on a 2-vCPU Xeon (lambda = 2/3, p = 1/3).
-DEFAULT_EDGE_SWEEP_CAP = 24
-# The one default cap on the sets any walk visits, the audit sweeps' too;
-# each walk reads it here when it starts, never from an imported copy.
-DEFAULT_ENUM_CAP = 1 << 20
-# The one ceiling on the bytes a memo, a boundary DP or a measure table
-# may take (1 GiB); each call reads it here when it starts and charges it
-# through charge_bytes. Torus 12,2's i(G) memo, 4,648,625 entries, runs in
-# 577 MB and T10,2's exact_Z at p = 1/2 in 198 MB, while Q6's plan at
-# p = 9/10 and Q7's memos are refused.
+SWEEP_CEILING = 26
+# Exact percolation sums over 2^m edge subsets at 0 < p < 1 are refused
+# above this. At the ceiling, the sweep over C24's 2^24 subgraphs took 45 s
+# with a 19 MB peak RSS on a 2-vCPU Xeon (lambda = 2/3, p = 1/3).
+EDGE_SWEEP_CEILING = 24
+# The ceiling on the sets any walk visits, the audit sweeps' too.
+WALK_CEILING = 1 << 20
+# The one ceiling on the bytes a memo, a boundary DP, a measure table or
+# a walk's sets may take (1 GiB); each call reads it here when it starts
+# and charges it through charge_bytes. Torus 12,2's i(G) memo, 4,648,625
+# entries, runs in 577 MB and T10,2's exact_Z at p = 1/2 in 198 MB, while
+# Q6's plan at p = 9/10 and Q7's memos are refused.
 BYTE_CEILING = 1 << 30
 # What a dict entry takes beyond its key and value: a 24-byte entry and its
 # index slots, at the table's load factor.
 DICT_SLOT_BYTES = 32
+# What a list entry takes beyond its object: one pointer.
+LIST_SLOT_BYTES = 8
 _MB = 1 << 20
 # The one ceiling on a graph's vertex count, for every builder and every
 # graph read from JSON; each check reads it here when it runs. On a 2-vCPU
@@ -560,17 +562,20 @@ def two_linked_components(g: BipartiteGraph, x) -> list[int]:
 
 
 def two_linked_sets(g: BipartiteGraph, starts: int, allowed: int,
-                    size_max: int, enum_cap: int | None = None) -> list[int]:
+                    size_max: int) -> list[int]:
     """Every 2-linked set of at most size_max vertices inside `allowed` that
     contains a vertex of `starts`, each exactly once, sorted
     lexicographically by vertex tuple.
 
     One extend/ban search runs per start vertex v, in increasing order, and
     never adds v's lower start vertices, so a set is found only from its
-    smallest start vertex. Aborts with BudgetError once more than `enum_cap`
-    sets (default DEFAULT_ENUM_CAP) are found.
+    smallest start vertex. Aborts with BudgetError once more than
+    WALK_CEILING sets are found, or once the sets found pass BYTE_CEILING,
+    each charged with its sort key and two list slots (the list's and the
+    sort's) at the size of the one last found.
     """
-    cap = DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    cap, ceiling = WALK_CEILING, BYTE_CEILING
+    checkpoint = 0  # the set count past which the walk is checked again
     ball = g.two_ball
     found: list[int] = []
     below = 0
@@ -580,9 +585,14 @@ def two_linked_sets(g: BipartiteGraph, starts: int, allowed: int,
         while stack:
             s_mask, size, banned, near = stack.pop()
             found.append(s_mask)
-            if len(found) > cap:
-                raise BudgetError(f"2-linked enumeration exceeded {cap} sets "
-                                  f"(size_max={size_max})")
+            if len(found) > checkpoint:
+                if len(found) > cap:
+                    raise BudgetError(f"2-linked enumeration exceeded {cap} "
+                                      f"sets (size_max={size_max})")
+                held = (sys.getsizeof(s_mask) + sys.getsizeof(_lex_key(s_mask))
+                        + 2 * LIST_SLOT_BYTES)
+                checkpoint = min(cap, charge_bytes(
+                    "the 2-linked enumeration", len(found), held, ceiling))
             if size == size_max:
                 continue
             for u in iter_bits(near & allowed & ~s_mask & ~banned):
@@ -594,16 +604,16 @@ def two_linked_sets(g: BipartiteGraph, starts: int, allowed: int,
     return found
 
 
-def enumerate_two_linked(g: BipartiteGraph, v: int, ell_max: int,
-                         enum_cap: int | None = None) -> Iterator[int]:
+def enumerate_two_linked(g: BipartiteGraph, v: int,
+                         ell_max: int) -> Iterator[int]:
     """All 2-linked sets of size <= ell_max containing v, each exactly once.
 
     Emission order is lexicographic in the sorted vertex tuple. Aborts with
-    BudgetError past `enum_cap` sets (default DEFAULT_ENUM_CAP).
+    BudgetError as two_linked_sets does.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
-    return iter(two_linked_sets(g, 1 << v, (1 << g.n) - 1, ell_max, enum_cap))
+    return iter(two_linked_sets(g, 1 << v, (1 << g.n) - 1, ell_max))
 
 
 def codegree(g: BipartiteGraph, u: int, v: int) -> int:

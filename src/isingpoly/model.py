@@ -28,8 +28,6 @@ from .graphs import (
     AuditViolation,
     BipartiteGraph,
     BudgetError,
-    DEFAULT_EDGE_SWEEP_CAP,
-    DEFAULT_SWEEP_CAP,
     as_mask,
     charge_bytes,
     independent_set_table,
@@ -105,9 +103,8 @@ class ModelParams:
             return -log_rational(1 - self.p)
 
 
-def _check_sweep(n: int, cap: int | None) -> None:
-    limit = DEFAULT_SWEEP_CAP if cap is None else cap
-    if n > limit:
+def _check_sweep(n: int, limit: int | None) -> None:
+    if limit is not None and n > limit:
         raise BudgetError(f"subset sweep over {n} vertices exceeds cap {limit}")
 
 
@@ -261,9 +258,18 @@ def _frontier_placement(g: BipartiteGraph, params: ModelParams):
     entering and leaving it at once, each charged _scaled_entry_bytes. An
     order is dropped once its cost reaches the best so far or a step's
     states pass graphs.BYTE_CEILING; when every order passes it, the
-    fewest bytes any of them would need are refused before any step."""
+    fewest bytes any of them would need are refused before any step.
+
+    Before any order is built, every order's least peak is charged: its
+    widest frontier, its vertex separation, is at least the pathwidth and
+    so the degree d, a step of 2^d states at p < 1 and at p = 1 of
+    2^ceil(d/2), the subsets of the frontier's larger, independent side.
+    That refuses no plan the orders would admit, and K2048,2048 before
+    its O(|E|) ordering."""
     ceiling = graphs.BYTE_CEILING
     size = _scaled_entry_bytes(g, params)
+    least_peak = -(-g.d // 2) if params.p == 1 else g.d
+    charge_bytes("the boundary DP", 1 << least_peak, size, ceiling)
     held = ceiling // size  # the most states the ceiling admits
     memo: dict[int, int] = {0: 1}
     best = None
@@ -292,7 +298,10 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
     """The partition function: the exact sum of ising_weight over all 2^n
     subsets, computed by a boundary dynamic program whose states are keyed
     by the chosen frontier vertices (placed vertices with an unplaced
-    neighbour), so the sweep stays feasible at the budget cap.
+    neighbour). No vertex count is refused: the plan's byte charge decides.
+    An explicit sweep_cap refuses more vertices than it; it stays only
+    because the benchmark's exact_Z and isets jobs pass it, and goes once
+    they stop.
 
     The DP holds integers. With lambda = a/b and 1-p = c/e, a vertex with
     `back` placed neighbours, k of them chosen, multiplies its state by
@@ -343,15 +352,16 @@ def count_independent_sets(g: BipartiteGraph,
                            sweep_cap: int | None = None) -> int:
     """i(G): graphs.independent_set_table with weight 1 on every vertex,
     the one sum behind Xi; independent of exact_Z's boundary DP. Refuses
-    (BudgetError) more than sweep_cap vertices (default DEFAULT_SWEEP_CAP),
-    as exact_Z does, and a memo past graphs.BYTE_CEILING."""
+    (BudgetError) a memo past graphs.BYTE_CEILING, and more vertices than
+    an explicit sweep_cap, which stays only for the benchmark's isets job,
+    as on exact_Z."""
     _check_sweep(g.n, sweep_cap)
     full = (1 << g.n) - 1
     return independent_set_table(g.adj_mask, [1] * g.n, full)[full]
 
 
-def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
-                                  edge_cap: int | None = None) -> Fraction:
+def percolation_expectation_exact(g: BipartiteGraph,
+                                  params: ModelParams) -> Fraction:
     """E[Z_{G_p}(lambda)]: keep each edge independently with probability p,
     average the hard-core partition function of the surviving subgraph.
     Computed as the honest sum over all 2^|E| subgraphs, exact and in
@@ -362,15 +372,15 @@ def percolation_expectation_exact(g: BipartiteGraph, params: ModelParams,
     the subgraph's edges inside it, is shared across the subgraphs, and
     dropped once it passes a fixed size, which bounds the sweep's memory
     (see subgraph_z); a subgraph whose memo passes graphs.BYTE_CEILING
-    raises BudgetError. At p = 0 or p = 1 the one subgraph that
-    weighs, the empty or the full one, is the whole sum."""
+    raises BudgetError. At 0 < p < 1 more than graphs.EDGE_SWEEP_CEILING
+    edges are refused. At p = 0 or p = 1 the one subgraph that weighs, the
+    empty or the full one, is the whole sum, so no edge count is refused."""
     from .subgraphs import subgraph_z
 
-    m = g.edge_count()
-    limit = DEFAULT_EDGE_SWEEP_CAP if edge_cap is None else edge_cap
-    if m > limit:
-        raise BudgetError(f"edge sweep over {m} edges exceeds cap {limit}")
+    m, limit = g.edge_count(), graphs.EDGE_SWEEP_CEILING
     k, e = params.p.numerator, params.p.denominator
+    if 0 < k < e and m > limit:
+        raise BudgetError(f"edge sweep over {m} edges exceeds cap {limit}")
     prob = [k ** j * (e - k) ** (m - j) for j in range(m + 1)]
     # at 0 < p < 1 every subgraph weighs; at p = 0 or 1 only the empty or
     # the full one does, with probability 1
@@ -544,8 +554,7 @@ def _half_edge_counts(adj, first: int, count: int) -> list[int]:
     return counts
 
 
-def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
-                 sweep_cap: int | None = None):
+def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
     """Yield (mask, weight, captured on O, captured on E) for every subset
     mask in increasing order, streaming. The weight is the ising_weight
     times _weight_scale, an int read from a table by (|I|, e(I)).
@@ -557,8 +566,9 @@ def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     (_half_edge_counts); cross_h is built per h by the same recurrence, a
     low vertex v adding popcount(adj[v] & h). Memory is O(2^(n/2)). Capture
     on a side depends only on the subset's trace there, so each trace is
-    tested once and its flag kept in a dict."""
-    _check_sweep(g.n, sweep_cap)
+    tested once and its flag kept in a dict. Refuses (BudgetError) more
+    than graphs.SWEEP_CEILING vertices."""
+    _check_sweep(g.n, graphs.SWEEP_CEILING)
     limit = closure_cutoff(g, rho)
     n, adj = g.n, g.adj_mask
     k = n // 2
@@ -586,8 +596,7 @@ def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
                    captured_e[high_e | (l & e_mask)])
 
 
-def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
-                    sweep_cap: int | None = None):
+def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
     """(W0, W1, W2, count0) from one sweep: W_h is the total ising_weight of
     the subsets captured on h sides and count0 the number captured on
     neither. So Z = W0 + W1 + W2, Z-hat = W1 + 2 W2, and W0 is the
@@ -595,11 +604,11 @@ def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO,
     exact_Z."""
     sums = [0, 0, 0]
     count0 = 0
-    for _, w, on_o, on_e in subset_sweep(g, params, rho, sweep_cap):
+    for _, w, on_o, on_e in subset_sweep(g, params, rho):
         sums[on_o + on_e] += w
         count0 += not (on_o or on_e)
     scale = _weight_scale(g, params)
-    if Fraction(sum(sums), scale) != exact_Z(g, params, sweep_cap=sweep_cap):
+    if Fraction(sum(sums), scale) != exact_Z(g, params):
         raise AuditViolation("capture classes do not sum to exact_Z")
     return (*(Fraction(w, scale) for w in sums), count0)
 
@@ -692,10 +701,9 @@ class MuHatSampler:
     """
 
     def __init__(self, g: BipartiteGraph, params: ModelParams,
-                 rho=DEFAULT_RHO, enum_cap: int | None = None):
+                 rho=DEFAULT_RHO):
         self.g = g
-        self.families = {side: PolymerFamily(g, side, params, rho,
-                                             enum_cap=enum_cap)
+        self.families = {side: PolymerFamily(g, side, params, rho)
                          for side in ("O", "E")}
         self.xi = {side: fam.xi() for side, fam in self.families.items()}
         p_side_o = self.xi["O"] / (self.xi["O"] + self.xi["E"])

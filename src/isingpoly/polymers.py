@@ -108,8 +108,7 @@ def is_polymer_union(g: BipartiteGraph, part: int, side: str,
 
 
 def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
-                       size_max: int | None = None,
-                       enum_cap: int | None = None):
+                       size_max: int | None = None):
     """Yield every polymer on the side with at most size_max vertices.
 
     size_max defaults to floor(rho * |side|), which covers all polymers
@@ -126,7 +125,7 @@ def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
     if size_max < 1:
         raise ValueError(f"size max must be >= 1, got {size_max}")
     side_m = g.side_mask(side)
-    for a in two_linked_sets(g, side_m, side_m, size_max, enum_cap):
+    for a in two_linked_sets(g, side_m, side_m, size_max):
         cl = closure(g, a, side=side)
         if popcount(cl) <= cutoff:
             yield Polymer(side=side, vertices=a, closure=cl,
@@ -291,9 +290,8 @@ class PolymerFamily:
     """
 
     def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
-                 size_max: int | None = None, enum_cap: int | None = None):
-        self.polymers = tuple(enumerate_polymers(g, side, rho, size_max=size_max,
-                                                 enum_cap=enum_cap))
+                 size_max: int | None = None):
+        self.polymers = tuple(enumerate_polymers(g, side, rho, size_max=size_max))
         self.graph = g
         self._params = params
         self._weighings: dict = {}  # params -> weighing_at(params)
@@ -420,26 +418,26 @@ class PolymerFamily:
         return tuple(config)
 
 
-def xi_brute(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
-             enum_cap: int | None = None) -> Fraction:
+def xi_brute(g: BipartiteGraph, side: str, params,
+             rho=DEFAULT_RHO) -> Fraction:
     """Polymer partition function Xi_D: the sum over all sets of pairwise
     compatible polymers of the product of their weights, including the
     empty configuration (contributing 1)."""
-    return PolymerFamily(g, side, params, rho, enum_cap=enum_cap).xi()
+    return PolymerFamily(g, side, params, rho).xi()
 
 
 def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
-                                 rho=DEFAULT_RHO, enum_cap: int | None = None):
+                                 rho=DEFAULT_RHO):
     """All sets of pairwise compatible polymers on the side, with their
     weight products: pairs (tuple of Polymer, Fraction). The empty
     configuration comes first with weight 1. An explicit second route to
     Xi, and the order whose weight intervals tile [0, Xi) in
     PolymerFamily.configuration_at's integer walk.
 
-    enum_cap (default DEFAULT_ENUM_CAP) bounds both the polymer enumeration
-    and the number of configurations stored; past it, BudgetError."""
-    cap = graphs.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
-    family = PolymerFamily(g, side, params, rho, enum_cap=enum_cap)
+    graphs.WALK_CEILING bounds both the polymer enumeration and the number
+    of configurations stored; past it, BudgetError."""
+    cap = graphs.WALK_CEILING
+    family = PolymerFamily(g, side, params, rho)
     polys = family.polymers
     weights = family.weights
     # polymers after j that are compatible with j
@@ -467,8 +465,7 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
     return out
 
 
-def enumerate_g_ab(g: BipartiteGraph, side: str, a: int, b: int,
-                   enum_cap: int | None = None):
+def enumerate_g_ab(g: BipartiteGraph, side: str, a: int, b: int):
     """All 2-linked sets A on the side with |[A]| = a and |N(A)| = b, in
     lexicographic order. No rho cutoff applies here. Empty when b < a."""
     if a < 1:
@@ -476,7 +473,7 @@ def enumerate_g_ab(g: BipartiteGraph, side: str, a: int, b: int,
     side_m = g.side_mask(side)
     if b < a:
         return
-    for s in two_linked_sets(g, side_m, side_m, a, enum_cap):
+    for s in two_linked_sets(g, side_m, side_m, a):
         if popcount(closure(g, s, side=side)) == a and \
                 popcount(neighborhood(g, s)) == b:
             yield s

@@ -396,15 +396,15 @@ def expanded_ursell(family, chosen) -> Fraction:
                     for a, i in enumerate(expanded)])
 
 
-def walk_clusters(family, k_max: int, enum_cap: int | None = None):
+def walk_clusters(family, k_max: int):
     """Yield (chosen, Cluster) for every cluster of total size at most
     k_max, as clusters._clusters emits them, rebuilding each visited
     multiset's expanded graph, Ursell value and orderings from scratch. The
     former library walk, kept as the second route to the one that carries
-    them down the walk."""
+    them down the walk, bounded by graphs.WALK_CEILING as it is."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    cap = graphs.DEFAULT_ENUM_CAP if enum_cap is None else enum_cap
+    cap = graphs.WALK_CEILING
     polys = family.polymers
     sizes = [p.size for p in polys]
     fitting = [[j for j, s in enumerate(sizes) if s <= r]

@@ -183,9 +183,11 @@ class TestPropertyI:
                       if not mask >> u & 1 and g.adj_mask[u] & mask)
         assert recount == worst["neighborhood"]
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            check_property_i(build_hypercube(4), FULL, size_cap=5, enum_cap=10)
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 10)
+        with pytest.raises(BudgetError, match=r"^2-linked enumeration "
+                           r"exceeded 10 sets \(size_max=5\)$"):
+            check_property_i(build_hypercube(4), FULL, size_cap=5)
 
     @pytest.mark.parametrize("g,sweep", [
         (build_cycle(6), {"size_cap": 0}),
@@ -454,16 +456,17 @@ class TestLinkedSweep:
             [(side, mask) for side, mask in linked if mask & lowest[side]]
 
     def test_reaches_past_the_exhaustive_budget(self):
-        # 2 * 11,017,632 subsets of a side, far past the default budget,
+        # 2 * 11,017,632 subsets of a side, far past the walk ceiling,
         # decided by 46,426 rooted 2-linked sets
         report = check_property_i(build_hypercube(8), FULL, size_cap=4)
         assert report["holds"]
         assert report["swept"] == 46426
         assert report["conditions"]["Ia1"]["checked"] == 22035264
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 10)
         with pytest.raises(BudgetError, match="exceeded 10 sets"):
-            check_property_i(build_hypercube(4), FULL, enum_cap=10)
+            check_property_i(build_hypercube(4), FULL)
 
 
 class TestPsiFamilies:
@@ -709,10 +712,11 @@ class TestContainerReports:
         assert report["checked"] == 40  # 8 vertices, C(4,3) + C(4,4) each
         assert report["worst"]["margin"] == pytest.approx(7 - 0.4 * 4)
 
-    def test_hypothesis_budget(self):
-        with pytest.raises(BudgetError):
-            container_hypothesis_check(build_hypercube(4), "E", 10,
-                                       enum_cap=4)
+    def test_hypothesis_budget(self, monkeypatch):
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 4)
+        with pytest.raises(BudgetError, match="^neighborhood subset sweep "
+                           "needs 40 sets, cap is 4$"):
+            container_hypothesis_check(build_hypercube(4), "E", 10)
 
     @pytest.mark.parametrize("c2", [0, -1, math.nan, math.inf])
     def test_hypothesis_rejects_c2_outside_positive_reals(self, c2):
@@ -786,22 +790,28 @@ class TestNonpolymerReport:
         assert 0 < report["ratio"] < F(1, 10 ** 11)
         assert float(report["exponent"]) > 9
 
-    def test_caller_sweep_cap_reaches_exact_z(self, monkeypatch):
-        monkeypatch.setattr("isingpoly.model.DEFAULT_SWEEP_CAP", 6)
+    def test_sweep_ceiling_binds_the_sweep_not_exact_z(self, monkeypatch):
+        # the 2^n sweep reads graphs.SWEEP_CEILING when it starts; exact_Z,
+        # its second route, has no vertex ceiling
         g = build_cycle(8)
         params = ModelParams(1, F(1, 2))
-        report = nonpolymer_weight_report(g, params, sweep_cap=8)
-        assert report["z"] == exact_Z(g, params, sweep_cap=8)
+        monkeypatch.setattr("isingpoly.graphs.SWEEP_CEILING", 8)
+        report = nonpolymer_weight_report(g, params)
+        assert report["z"] == exact_Z(g, params)
+        monkeypatch.setattr("isingpoly.graphs.SWEEP_CEILING", 7)
+        with pytest.raises(BudgetError, match="^subset sweep over 8 vertices "
+                           "exceeds cap 7$"):
+            nonpolymer_weight_report(g, params)
 
 
-def test_one_default_caps_every_set_walk(monkeypatch):
-    # each walk reads graphs.DEFAULT_ENUM_CAP when it starts, so lowering it
+def test_one_ceiling_caps_every_set_walk(monkeypatch):
+    # each walk reads graphs.WALK_CEILING when it starts, so lowering it
     # lowers every walk's cap: on Q4 the 2-linked sets of side E, the 63
     # rooted 2-linked sets of at most 4 vertices of a side and the 40
     # neighbourhood subsets all pass 10; on C6 at k_max 5 the seven
     # 2-linked sets fit under 10 and the 55 multisets of the cluster walk
     # do not
-    monkeypatch.setattr("isingpoly.graphs.DEFAULT_ENUM_CAP", 10)
+    monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 10)
     q4 = build_hypercube(4)
     with pytest.raises(BudgetError, match="exceeded 10 sets"):
         list(enumerate_polymers(q4, "E"))

@@ -2,6 +2,7 @@
 formats, exit codes, and determinism. Numerical values are only spot
 checks here; the library tests own the math."""
 
+import ast
 import collections
 import contextlib
 import io
@@ -127,8 +128,8 @@ class TestVertexCeiling:
         assert CEILING_LINE.fullmatch(err), err
 
     def test_huge_specs_refused_under_an_address_space_limit(self):
-        # before the ceiling, hypercube:17 with a large --budget ended in an
-        # uncaught MemoryError under this limit
+        # before the ceiling, hypercube:17 with a large vertex cap ended in
+        # an uncaught MemoryError under this limit
         src = Path(__file__).resolve().parent.parent / "src"
         script = ("import contextlib, io, resource, sys\n"
                   "limit = 2 << 30\n"
@@ -176,31 +177,20 @@ class TestVertexCeiling:
         assert err == ("isingpoly: budget exceeded: graph would have at "
                        "least 8 vertices, past the ceiling of 6\n")
 
-    def test_budget_caps_the_walk_not_the_graph(self, capsys):
-        # the graph's 6,000 vertices meet only the fixed ceiling, and
-        # --budget 6000 caps the 12,000 sets walked
+    def test_budget_caps_the_walk_not_the_graph(self, capsys, monkeypatch):
+        # the graph's 6,000 vertices meet only the vertex ceiling, and a
+        # walk ceiling lowered to 6,000 caps the 12,000 sets walked
         argv = ("polymers", "--graph", "cycle:6000", "--lambda", "1", "--p",
                 "1", "--size-max", "4")
         code, out, _ = run(capsys, *argv)
         assert code == 0
         # an arc of 1 to 4 consecutive side vertices from each of 3,000
         assert len(json.loads(out)) == 12000
-        code, out, err = run(capsys, *argv, "--budget", "6000")
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 6000)
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
                        "exceeded 6000 sets (size_max=4)\n")
-
-    @pytest.mark.parametrize("argv", [
-        ("gen", "--graph", "cycle:6"),
-        ("percolate-mc", "--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
-         "--samples", "3", "--seed", "1"),
-    ])
-    def test_no_budget_where_nothing_is_swept(self, capsys, argv):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        code, out, err = run(capsys, *argv, "--budget", "100")
-        assert (code, out) == (1, "")
-        assert "unrecognized arguments: --budget 100" in err
 
 
 class TestPsiSpec:
@@ -380,8 +370,7 @@ class TestExitCodes:
         assert parse_rational("1e00004300") == 10 ** 4300
 
     @pytest.mark.parametrize("argv", [
-        ("zexact", "--graph", "cycle:4000", "--lambda", "1/3", "--p", "1/7",
-         "--budget", "4000"),
+        ("zexact", "--graph", "cycle:4000", "--lambda", "1/3", "--p", "1/7"),
         ("closed-form", "--family", "torus", "--m", "6", "--t", "2000",
          "--p", "1/2"),
         ("closed-form", "--family", "torus", "--m", "6", "--t", "2000",
@@ -395,7 +384,7 @@ class TestExitCodes:
         # the values are computed; writing one out needs an int of more
         # digits than Python converts to a string
         monkeypatch.setattr("isingpoly.cli.count_independent_sets",
-                            lambda g, sweep_cap: 10 ** 4300)
+                            lambda g: 10 ** 4300)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -469,11 +458,13 @@ class TestExitCodes:
         assert err == ("isingpoly: budget exceeded: graph would have at "
                        "least 92752 vertices, past the ceiling of 16384\n")
 
-    def test_budget_exceeded(self, capsys):
+    def test_budget_exceeded(self, capsys, monkeypatch):
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 1 << 16)
         code, _, err = run(capsys, "zexact", "--graph", "hypercube:5",
-                           "--lambda", "1", "--p", "1", "--budget", "10")
+                           "--lambda", "1", "--p", "1")
         assert code == 1
-        assert "budget" in err
+        assert err == ("isingpoly: budget exceeded: the boundary DP would "
+                       "need about 1 MB, past the ceiling of 0.0625 MB\n")
 
     def test_zexact_past_the_byte_ceiling_is_refused_at_once(self, capsys):
         # every vertex order of Q6 at p < 1 peaks at 2^23 states or more,
@@ -481,25 +472,12 @@ class TestExitCodes:
         # naming the bytes of the first step past the ceiling
         start = time.perf_counter()
         code, out, err = run(capsys, "zexact", "--graph", "hypercube:6",
-                             "--lambda", "1", "--p", "9/10", "--budget", "64")
+                             "--lambda", "1", "--p", "9/10")
         assert time.perf_counter() - start < 5
         assert code == 1
         assert out == ""
         assert err == ("isingpoly: budget exceeded: the boundary DP would "
                        "need about 1128 MB, past the ceiling of 1024 MB\n")
-
-    def test_audit_z_takes_no_budget(self, capsys):
-        # audit-z builds no graph and enumerates nothing: --budget would
-        # bound nothing, so it is refused
-        argv = ("audit-z", "--d", "4", "--lambda", "1", "--p", "1/2", "--C",
-                "1", "--psi", "0;1")
-        code, out, err = run(capsys, *argv, "--budget", "1")
-        assert code == 1
-        assert out == ""
-        assert "--budget" in err
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert json.loads(out)["mode"] == "halfell"
 
     def test_xi_many_polymers_no_recursion_limit(self, capsys):
         # about 1,200 polymers: deeper than the interpreter's recursion limit
@@ -509,7 +487,7 @@ class TestExitCodes:
         assert json.loads(out)["side"] == "E"
 
     @pytest.mark.parametrize("argv", [
-        ("isets", "--graph", "cycle:2000", "--budget", "5000"),
+        ("isets", "--graph", "cycle:2000"),
         ("percolate-mc", "--graph", "cycle:1200", "--lambda", "1", "--p",
          "1/2", "--samples", "3", "--seed", "1"),
         ("percolate-mc", "--graph", "kss:8", "--lambda", "1", "--p", "1/2",
@@ -530,8 +508,8 @@ class TestExitCodes:
         mean = json.loads(out)["mean"]
         assert isinstance(mean, float) and math.isfinite(mean)
 
-    def test_sample_muhat_budget_bounds_the_polymer_enumeration(self,
-                                                                capsys):
+    def test_sample_muhat_budget_bounds_the_polymer_enumeration(
+            self, capsys, monkeypatch):
         # C48 has 16,776,831 compatible configurations per side, none stored
         code, out, _ = run(capsys, "sample-muhat", "--graph", "cycle:48",
                            "--lambda", "1", "--p", "1/2", "--samples", "1",
@@ -539,12 +517,14 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["count"] == 1
         # C24 has 108 two-linked sets per side
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 50)
         code, out, err = run(capsys, "sample-muhat", "--graph", "cycle:24",
                              "--lambda", "1", "--p", "1/2", "--samples", "1",
-                             "--seed", "1", "--budget", "50")
+                             "--seed", "1")
         assert code == 1
         assert out == ""
-        assert "budget exceeded" in err
+        assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
+                       "exceeded 50 sets (size_max=9)\n")
 
     @pytest.mark.parametrize("cmd", ["sample-muhat", "percolate-mc"])
     def test_negative_seed_is_refused(self, capsys, cmd):
@@ -584,24 +564,31 @@ class TestExitCodes:
         assert err == (f"isingpoly: budget exceeded: {2 ** 63} samples do "
                        f"not fit in memory as float64 values\n")
 
-    @pytest.mark.parametrize("argv,what", [
-        (("isets", "--graph", "hypercube:3"), "the independent-set memo"),
+    @pytest.mark.parametrize("argv,ceiling,what", [
+        (("isets", "--graph", "hypercube:3"), 512, "the independent-set memo"),
         (("percolate-mc", "--graph", "hypercube:3", "--lambda", "1", "--p",
-          "1/2", "--samples", "10", "--seed", "1"), "the subgraph memo"),
+          "1/2", "--samples", "10", "--seed", "1"), 512, "the subgraph memo"),
         (("percolate-exact", "--graph", "cycle:6", "--lambda", "1", "--p",
-          "1/2"), "the subgraph memo"),
+          "1/2"), 512, "the subgraph memo"),
+        # Q3's 14 polymer sets pass 512 bytes before its Xi memo does;
+        # C10's walk fits 2048 bytes and its memo does not
         (("xi", "--graph", "hypercube:3", "--lambda", "1/20", "--p", "1"),
-         "the independent-set memo"),
+         512, "the 2-linked enumeration"),
+        (("xi", "--graph", "cycle:10", "--lambda", "1/20", "--p", "1"),
+         2048, "the independent-set memo"),
         (("zexact", "--graph", "hypercube:3", "--lambda", "1", "--p", "1/2"),
-         "the boundary DP"),
-    ], ids=["isets", "percolate-mc", "percolate-exact", "xi", "zexact"])
-    def test_byte_ceiling_exits_one(self, capsys, monkeypatch, argv, what):
-        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 512)
+         512, "the boundary DP"),
+    ], ids=["isets", "percolate-mc", "percolate-exact", "xi-walk", "xi-memo",
+            "zexact"])
+    def test_byte_ceiling_exits_one(self, capsys, monkeypatch, argv, ceiling,
+                                    what):
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", ceiling)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == (f"isingpoly: budget exceeded: {what} would need about "
-                       f"1 MB, past the ceiling of 0.000488281 MB\n")
+                       f"1 MB, past the ceiling of {ceiling / (1 << 20):g} "
+                       f"MB\n")
 
     def test_percolate_mc_refused_under_an_address_space_limit(self):
         # torus:72,2's subgraph_z keys have 15,552 bits; before the byte
@@ -627,14 +614,13 @@ class TestExitCodes:
                             r"64 MB\n", proc.stderr), proc.stderr
 
     def test_percolate_mc_reads_no_vertex_proxy(self, capsys):
-        # 64 vertices, past the 2^n sweeps' cap of 26, with no --budget
+        # 64 vertices, past the 2^n sweeps' ceiling of 26
         code, out, _ = run(capsys, "percolate-mc", "--graph", "torus:8,2",
                            "--lambda", "1", "--p", "1/2", "--samples", "50",
                            "--seed", "1")
         assert code == 0
         record = json.loads(out)
-        exact = exact_Z(build_even_torus(8, 2), ModelParams(1, F(1, 2)),
-                        sweep_cap=64)
+        exact = exact_Z(build_even_torus(8, 2), ModelParams(1, F(1, 2)))
         assert abs(record["mean"] - float(exact)) < 4 * record["stderr"]
 
     def test_percolate_mc_past_the_float_range(self, capsys):
@@ -749,46 +735,53 @@ class TestExitCodes:
 
     def test_linked_audit_iso_runs_past_the_exhaustive_budget(self, capsys):
         # Q8 at size cap 4 covers 2 * 11,017,632 subsets, over the 2^20
-        # budget, and sweeps 46,426 rooted 2-linked sets under it
+        # walk ceiling, and sweeps 46,426 rooted 2-linked sets under it
         code, out, _ = run(capsys, "audit-iso", "--graph", "hypercube:8",
                            "--size-cap", "4")
         assert code == 0
         assert {row.get("checked") for row in json.loads(out)} == \
             {22035264, None}
 
-    @pytest.mark.parametrize("budget,code", [("40", 2), ("39", 1)])
+    @pytest.mark.parametrize("ceiling,code", [(40, 2), (39, 1)])
     def test_container_hypothesis_budget_counts_the_swept_sets(
-            self, capsys, budget, code):
+            self, capsys, monkeypatch, ceiling, code):
         # Q4 sweeps the 4 + 1 subsets of more than two of the four vertices
         # of each of the 8 neighborhoods N(y): 40 sets, not 8 * 2^4
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", ceiling)
         got, out, err = run(capsys, "audit-container", "--graph",
                             "hypercube:4", "--lambda", "1", "--p", "1/2",
-                            "--a", "1", "--b", "4", "--hypothesis-c2", "2",
-                            "--budget", budget)
+                            "--a", "1", "--b", "4", "--hypothesis-c2", "2")
         assert got == code
         if code == 2:
             assert json.loads(out)["hypothesis_checked"] == 40
         else:
-            assert "needs 40 sets, cap is 39" in err
+            assert out == ""
+            assert err == ("isingpoly: budget exceeded: neighborhood subset "
+                           "sweep needs 40 sets, cap is 39\n")
 
-    @pytest.mark.parametrize("graph,k_max", [("hypercube:3", "3"),
-                                             ("cycle:6", "5")])
-    def test_clusters_budget_exceeded(self, capsys, graph, k_max):
+    @pytest.mark.parametrize("graph,k_max,message", [
+        ("hypercube:3", "3", "2-linked enumeration exceeded 10 sets "
+                             "(size_max=3)"),
+        ("cycle:6", "5", "cluster walk exceeded 10 multisets (k_max=5)")])
+    def test_clusters_budget_exceeded(self, capsys, monkeypatch, graph,
+                                      k_max, message):
         # Q3 refuses in its polymer enumeration, C6 in the cluster walk
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 10)
         code, out, err = run(capsys, "clusters", "--graph", graph,
                              "--lambda", "1/20", "--p", "1", "--k-max",
-                             k_max, "--budget", "10")
+                             k_max)
         assert code == 1
         assert out == ""
-        assert "budget exceeded" in err
+        assert err == f"isingpoly: budget exceeded: {message}\n"
 
-    def test_kp_sum_budget_exceeded(self, capsys):
+    def test_kp_sum_budget_exceeded(self, capsys, monkeypatch):
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 16)
         code, out, err = run(capsys, "audit-kp", "--graph", "hypercube:4",
-                             "--lambda", "1/10", "--p", "1", "--mode", "sum",
-                             "--budget", "16")
+                             "--lambda", "1/10", "--p", "1", "--mode", "sum")
         assert code == 1
         assert out == ""
-        assert "2-linked enumeration exceeded 16 sets" in err
+        assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
+                       "exceeded 16 sets (size_max=3)\n")
 
     @pytest.mark.parametrize("mode,option,value", [
         ("truncation", "--c1", "2"), ("truncation", "--c2", "0"),
@@ -879,10 +872,6 @@ class TestExitCodes:
           "1/2", "--a", "0", "--b", "2"), "closure size a must be >= 1"),
         (("audit-iso", "--graph", "cycle:6", "--size-cap", "0"),
          "size cap must be >= 1, got 0"),
-        # --budget caps xi's sets walked, not the graph's vertices
-        (("xi", "--graph", "cycle:6", "--lambda", "1", "--p", "1",
-          "--budget", "5"), "budget exceeded: 2-linked enumeration exceeded "
-                            "5 sets (size_max=2)\n"),
         (("polymers", "--graph", "cycle:6", "--lambda", "1", "--p", "1/2",
           "--size-max", "0"), "size max must be >= 1, got 0"),
         (("audit-kp", "--graph", "cycle:6", "--lambda", "1/40", "--p", "1",
@@ -894,6 +883,16 @@ class TestExitCodes:
         assert out == ""
         assert message in err
         assert "Traceback" not in err
+
+    def test_walk_ceiling_caps_the_sets_not_the_graph(self, capsys,
+                                                       monkeypatch):
+        # the walk ceiling caps xi's sets walked, not the graph's vertices
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 5)
+        code, out, err = run(capsys, "xi", "--graph", "cycle:6", "--lambda",
+                             "1", "--p", "1")
+        assert (code, out) == (1, "")
+        assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
+                       "exceeded 5 sets (size_max=2)\n")
 
     def test_kp_truncation_refuses_a_sum_constant(self, capsys):
         code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6",
@@ -1008,11 +1007,10 @@ class TestComputeCommands:
 
     def test_torus_8_2_count_by_both_routes(self, capsys):
         code, out, _ = run(capsys, "zexact", "--graph", "torus:8,2",
-                           "--lambda", "1", "--p", "1", "--budget", "64")
+                           "--lambda", "1", "--p", "1")
         assert code == 0
         z = json.loads(out)["value"]
-        code, out, _ = run(capsys, "isets", "--graph", "torus:8,2",
-                           "--budget", "64")
+        code, out, _ = run(capsys, "isets", "--graph", "torus:8,2")
         assert code == 0
         assert z == str(json.loads(out)["count"]) == "213256442503"
 
@@ -1248,8 +1246,7 @@ class TestClosedFormCommand:
     ])
     def test_formula_alone_builds_no_graph(self, capsys, argv, value):
         # the oracle graphs would have 2,704,156 and 216,000 vertices
-        code, out, _ = run(capsys, "closed-form", *argv, "--p", "1/2",
-                           "--budget", "10")
+        code, out, _ = run(capsys, "closed-form", *argv, "--p", "1/2")
         assert code == 0
         assert json.loads(out) == {"family": argv[1],
                                    "formula_value": format_rational(value)}
@@ -1508,15 +1505,11 @@ def with_value(argv, flag, value):
 
 def may_exit_zero(argv, flag, value):
     """The runs at -1 or 0 that are valid: seed 0, audit-container's empty
-    class b < a, no tail shapes, and a --budget on a run that sweeps and
-    walks nothing: closed-form without --verify, and the empty class."""
+    class b < a, and no tail shapes."""
     if flag == "--seed":
         return value == "0"
     empty_class = "--b" in argv and int(argv[argv.index("--b") + 1]) < \
         int(argv[argv.index("--a") + 1])
-    if flag == "--budget":
-        return argv[0] == "closed-form" and "--verify" not in argv \
-            or empty_class
     if flag in ("--a", "--b"):
         return empty_class
     return (argv[0], flag, value) == ("audit-kp", "--tail-depth", "0")
@@ -1543,9 +1536,41 @@ def test_numeric_options_at_minus_one_and_zero():
                         allowed.add(" ".join(argv))
     assert escaped == []
     assert exit_zero == allowed
-    # two seeds of 0, ten formula-only budgets (l1's two among them), two
-    # budgets on an empty class, four empty classes, and one depth of 0
-    assert len(allowed) == 19
+    # two seeds of 0, four empty classes, and one depth of 0
+    assert len(allowed) == 7
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "isingpoly"
+# sweep_cap stays only on the two functions the benchmark's exact_Z and
+# isets jobs pass it to, until they stop passing it
+SWEEP_CAP_TAKERS = {"exact_Z", "count_independent_sets"}
+
+
+def test_no_function_takes_a_cap():
+    # every limit is a constant in graphs, read when a call starts
+    takers = collections.defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                    if arg.arg in ("enum_cap", "edge_cap", "budget",
+                                   "sweep_cap"):
+                        takers[arg.arg].add(getattr(node, "name", "lambda"))
+    assert takers == {"sweep_cap": SWEEP_CAP_TAKERS}
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_every_subcommand_refuses_budget(capsys, cmd):
+    # no option sets a limit: each is a fixed ceiling in graphs
+    argv = (cmd, *FUZZ_BASES[cmd][0])
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)
+    code, out, err = run(capsys, *argv, "--budget", "100")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --budget 100" in err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -173,17 +173,19 @@ class TestClusterEnumeration:
                 b = c.entries[1][0].vertices
                 assert is_two_linked(g, a | b)
 
-    def test_budget_guards(self):
+    def test_budget_guards(self, monkeypatch):
         g = build_cycle(6)
         with pytest.raises(ValueError):
             enumerate_clusters(g, "E", params(1, 1), k_max=0)
         clusters = enumerate_clusters(g, "E", params(1, 1), k_max=5)
         assert max(c.size for c in clusters) == 5
-        # seven 2-linked sets fit the cap; the walk's 55 multisets do not
-        with pytest.raises(BudgetError, match="multisets"):
-            enumerate_clusters(g, "E", params(1, 1), k_max=5, enum_cap=10)
         with pytest.raises(BudgetError, match="Ursell cap"):
             enumerate_clusters(g, "E", params(1, 1), k_max=13)
+        # seven 2-linked sets fit the cap; the walk's 55 multisets do not
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 10)
+        with pytest.raises(BudgetError, match="^cluster walk exceeded 10 "
+                           "multisets \\(k_max=5\\)$"):
+            enumerate_clusters(g, "E", params(1, 1), k_max=5)
 
     @pytest.mark.parametrize("k_max,cap,match", [
         (5, 10, "exceeded 10 multisets"),
@@ -194,27 +196,32 @@ class TestClusterEnumeration:
         (13, 13, "13 polymer copies exceeds the Ursell cap"),
         (13, None, "13 polymer copies exceeds the Ursell cap"),
     ])
-    def test_budget_errors_match_the_oracle_walk(self, k_max, cap, match):
+    def test_budget_errors_match_the_oracle_walk(self, monkeypatch, k_max,
+                                                 cap, match):
         family = PolymerFamily(build_cycle(6), "E", params(1, 1),
                                size_max=k_max)
+        if cap is not None:
+            monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", cap)
         with pytest.raises(BudgetError, match=match) as oracle:
-            list(walk_clusters(family, k_max, cap))
+            list(walk_clusters(family, k_max))
         with pytest.raises(BudgetError, match=match) as walk:
-            _clusters(family, k_max, cap, lambda cluster: None)
+            _clusters(family, k_max, lambda cluster: None)
         assert str(walk.value) == str(oracle.value)
 
-    def test_budget_counts_every_visited_multiset(self):
+    def test_budget_counts_every_visited_multiset(self, monkeypatch):
         # T6,2 at k_max 4: 31,482 multisets visited, 21,318 of them
         # clusters; the budget counts the visits, not the clusters
         g, prm = build_even_torus(6, 2), params(F(1, 2), F(1, 2))
-        clusters = enumerate_clusters(g, "E", prm, k_max=4, enum_cap=31_482)
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 31_482)
+        clusters = enumerate_clusters(g, "E", prm, k_max=4)
         assert len(clusters) == 21_318
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 31_481)
         match = "cluster walk exceeded 31481 multisets \\(k_max=4\\)"
         with pytest.raises(BudgetError, match=match):
-            enumerate_clusters(g, "E", prm, k_max=4, enum_cap=31_481)
+            enumerate_clusters(g, "E", prm, k_max=4)
         family = PolymerFamily(g, "E", prm, size_max=4)
         with pytest.raises(BudgetError, match=match):
-            list(walk_clusters(family, 4, 31_481))
+            list(walk_clusters(family, 4))
 
     def test_one_ursell_evaluation_per_expanded_graph(self, monkeypatch):
         # T6,2 at k_max 4: 31,482 multisets, 73 distinct expanded graphs
@@ -261,7 +268,7 @@ class TestClusterWalk:
         g, prm = WALK_GRAPHS[name], params(lam, p)
         family = PolymerFamily(g, "E", prm, size_max=k_max)
         stream = []
-        _clusters(family, k_max, None, stream.append)
+        _clusters(family, k_max, stream.append)
         expected = list(walk_clusters(family, k_max))
         # cluster equality compares the entries, so the chosen polymers too
         assert stream == [cluster for _, cluster in expected]

@@ -321,10 +321,40 @@ class TestSetOperations:
             for ell, count in by_size.items():
                 assert count <= (math.e * g.d ** 2) ** (ell - 1)
 
-    def test_enumerate_two_linked_budget(self):
+    def test_walk_is_charged_at_checkpoints_only(self, monkeypatch):
+        # the set counts double from the first set found: 1, 3, 7, 15, ...
+        seen = []
+        real = graphs.charge_bytes
+
+        def spy(what, entries, size, ceiling):
+            seen.append((what, entries))
+            return real(what, entries, size, ceiling)
+
+        monkeypatch.setattr(graphs, "charge_bytes", spy)
+        found = list(enumerate_two_linked(build_hypercube(4), 0, 4))
+        counts = [entries for _, entries in seen]
+        assert counts == [2 ** k - 1 for k in range(1, len(counts) + 1)]
+        assert counts[-1] <= len(found) < 2 * counts[-1] + 1
+        assert {what for what, _ in seen} == {"the 2-linked enumeration"}
+
+    def test_walk_holding_long_keys_is_refused(self):
+        # T128,2's side-E sets of at most 3 vertices: 204,800 masks of up
+        # to 16,384 bits, each with a sort key of one char per bit, about
+        # 2 GB in all; the walk is refused long before it ends
+        g = build_even_torus(128, 2)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="^the 2-linked enumeration "
+                           "would need about \\d+ MB, past the ceiling of "
+                           "1024 MB$"):
+            graphs.two_linked_sets(g, g.side_E_mask, g.side_E_mask, 3)
+        assert time.perf_counter() - start < 5
+
+    def test_enumerate_two_linked_budget(self, monkeypatch):
         q4 = build_hypercube(4)
-        with pytest.raises(BudgetError):
-            list(enumerate_two_linked(q4, 0, 8, enum_cap=50))
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 50)
+        with pytest.raises(BudgetError, match=r"^2-linked enumeration "
+                           r"exceeded 50 sets \(size_max=8\)$"):
+            list(enumerate_two_linked(q4, 0, 8))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 2 ** 40 - 1), min_size=1, max_size=30))

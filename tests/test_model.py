@@ -49,7 +49,7 @@ from isingpoly.model import (
 )
 from isingpoly import graphs, model, philox, subgraphs
 from isingpoly.philox import philox_key
-from isingpoly.polymers import PolymerFamily, xi_brute
+from isingpoly.polymers import PolymerFamily, enumerate_polymers, xi_brute
 from oracles import (
     ListMuHatSampler,
     brute_captured,
@@ -119,9 +119,15 @@ class TestWeightsAndZ:
     def test_exact_z_matches_full_sweep_oracle(self, g, lam, p):
         assert exact_Z(g, ModelParams(lam, p)) == brute_ising_Z(g, lam, p)
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
+    def test_explicit_sweep_cap(self):
+        # the one vertex cap left, kept while the benchmark's exact_Z and
+        # isets jobs pass it; no default applies
+        match = "^subset sweep over 4 vertices exceeds cap 3$"
+        with pytest.raises(BudgetError, match=match):
             exact_Z(C4, HALF, sweep_cap=3)
+        with pytest.raises(BudgetError, match=match):
+            count_independent_sets(C4, sweep_cap=3)
+        assert exact_Z(C4, HALF, sweep_cap=4) == exact_Z(C4, HALF)
 
     def test_independent_set_counts(self):
         assert count_independent_sets(build_hypercube(1)) == 3
@@ -136,8 +142,7 @@ class TestWeightsAndZ:
         lucas = [2, 1]
         while len(lucas) <= 2000:
             lucas.append(lucas[-1] + lucas[-2])
-        assert count_independent_sets(build_cycle(2000),
-                                      sweep_cap=2000) == lucas[2000]
+        assert count_independent_sets(build_cycle(2000)) == lucas[2000]
 
 
 Z_GRAPHS = [build_cycle(m) for m in (4, 6, 8, 10, 12)] + [
@@ -180,13 +185,13 @@ class TestExactZRoutes:
         assert exact_Z(relabelled(g, perm), params) == exact_Z(g, params)
 
     def test_torus_8_2_independent_sets(self):
-        count = count_independent_sets(T82, sweep_cap=64)
+        count = count_independent_sets(T82)
         assert count == 213256442503
-        assert exact_Z(T82, ModelParams(1, 1), sweep_cap=64) == count
+        assert exact_Z(T82, ModelParams(1, 1)) == count
 
     def test_torus_8_2_without_interaction(self):
         lam = Fraction(2, 7)
-        assert exact_Z(T82, ModelParams(lam, 0), sweep_cap=64) == \
+        assert exact_Z(T82, ModelParams(lam, 0)) == \
             (1 + lam) ** 64
 
 
@@ -269,8 +274,7 @@ class TestExactZPlan:
         steps = plan_steps(label, name)
         z, measured = fraction_steps_Z(PLAN_GRAPHS[label], lam, p, steps)
         assert measured == predicted_counts(label, p, steps)
-        assert z == exact_Z(PLAN_GRAPHS[label], ModelParams(lam, p),
-                            sweep_cap=64)
+        assert z == exact_Z(PLAN_GRAPHS[label], ModelParams(lam, p))
 
     @pytest.mark.parametrize("name", ORDER_NAMES)
     @settings(max_examples=10, deadline=None)
@@ -300,6 +304,40 @@ class TestExactZPlan:
     def test_greedy_order_equals_the_rescan_on_random_graphs(self, g):
         assert model._candidate_orders(g)["greedy"] == greedy_order_rescan(g)
 
+    @pytest.mark.parametrize("g", BUILDER_GRAPHS, ids=lambda g: g.label)
+    def test_every_order_holds_the_degree_bound(self, g):
+        # an order's widest frontier is at least the degree d, so its peak
+        # step holds 2^d states at p < 1 and, the larger side of the
+        # frontier being independent, 2^ceil(d/2) at p = 1: the bound the
+        # plan charges before it builds any order
+        for order in model._candidate_orders(g).values():
+            frontiers = [f for _, _, f in model._placement_steps(g, order)]
+            assert max(f.bit_count() for f in frontiers) >= g.d
+            assert max(max((f & g.side_E_mask).bit_count(),
+                           (f & g.side_O_mask).bit_count())
+                       for f in frontiers) >= -(-g.d // 2)
+
+    @pytest.mark.parametrize("p,least", [(Fraction(1, 2), 1 << 16),
+                                         (Fraction(1), 1 << 8)])
+    def test_degree_bound_refuses_before_any_order(self, monkeypatch, p,
+                                                   least):
+        # K16,16 holds at least `least` states at some step of every order;
+        # a ceiling one byte short of them refuses before any order is built
+        g, params = build_complete_bipartite(16), ModelParams(1, p)
+        need = least * model._scaled_entry_bytes(g, params)
+
+        def no_orders(g):
+            raise AssertionError("an order was built")
+
+        monkeypatch.setattr(model, "_candidate_orders", no_orders)
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need - 1)
+        with pytest.raises(BudgetError,
+                           match="^the boundary DP would need about"):
+            exact_Z(g, params)
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need)
+        with pytest.raises(AssertionError, match="an order was built"):
+            exact_Z(g, params)
+
     def test_plan_past_the_byte_ceiling_is_refused(self):
         # Q6 at p < 1 peaks at 2^23 states in its best order (side-major),
         # past 1 GiB; the ceiling applies in every order, forced or planned
@@ -307,7 +345,7 @@ class TestExactZPlan:
         for name in ORDER_NAMES:
             with forced(name), pytest.raises(
                     BudgetError, match="^the boundary DP would need about"):
-                exact_Z(q6, ModelParams(1, Fraction(9, 10)), sweep_cap=64)
+                exact_Z(q6, ModelParams(1, Fraction(9, 10)))
 
     @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1)])
     def test_plan_charges_both_dicts_of_its_peak_step(self, monkeypatch, p):
@@ -320,13 +358,13 @@ class TestExactZPlan:
             model._scaled_entry_bytes(q5, params)
         (name,) = (name for name, order in model._candidate_orders(q5).items()
                    if order == [v for v, _, _ in steps])
-        value = exact_Z(q5, params, sweep_cap=32)
+        value = exact_Z(q5, params)
         with forced(name):
             monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need)
-            assert exact_Z(q5, params, sweep_cap=32) == value
+            assert exact_Z(q5, params) == value
             monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need - 1)
             with pytest.raises(BudgetError, match="the boundary DP"):
-                exact_Z(q5, params, sweep_cap=32)
+                exact_Z(q5, params)
 
 
 class TestPercolation:
@@ -404,9 +442,24 @@ class TestPercolation:
         assert value == fraction_percolation_expectation(g, params)
         assert value == exact_Z(g, params)
 
-    def test_edge_budget(self):
-        with pytest.raises(BudgetError):
-            percolation_expectation_exact(Q3, HALF, edge_cap=10)
+    def test_edge_budget(self, monkeypatch):
+        monkeypatch.setattr("isingpoly.graphs.EDGE_SWEEP_CEILING", 10)
+        with pytest.raises(BudgetError, match="^edge sweep over 12 edges "
+                           "exceeds cap 10$"):
+            percolation_expectation_exact(Q3, HALF)
+
+    def test_edge_ceiling_only_at_p_strictly_between(self):
+        # at p = 0 or 1 one subgraph weighs, the empty or the full one, so
+        # Q5's 80 edges are summed past the 24-edge ceiling
+        q5 = build_hypercube(5)
+        assert percolation_expectation_exact(q5, ModelParams(1, 1)) == \
+            254475 == count_independent_sets(q5)
+        lam = Fraction(2, 3)
+        assert percolation_expectation_exact(q5, ModelParams(lam, 0)) == \
+            (1 + lam) ** 32
+        with pytest.raises(BudgetError, match="^edge sweep over 80 edges "
+                           "exceeds cap 24$"):
+            percolation_expectation_exact(q5, HALF)
 
     @pytest.mark.parametrize("g,params,mean,stderr", [
         (build_cycle(8), ModelParams(Fraction(2, 3), Fraction(1, 3)),
@@ -505,23 +558,26 @@ def traced(route):
 
 class TestByteCeiling:
     # graphs.BYTE_CEILING bounds the bytes of the independent-set memos,
-    # the boundary DP and the measure tables; every call reads it when it
-    # starts, and every refusal has one form
+    # the boundary DP, the measure tables and the sets a walk holds; every
+    # call reads it when it starts, and every refusal has one form
     @pytest.mark.parametrize("route,what", [
         (lambda: count_independent_sets(Q3), "the independent-set memo"),
         (lambda: percolation_mc(Q3, HALF, 10, seed=1), "the subgraph memo"),
         (lambda: percolation_expectation_exact(C6, HALF), "the subgraph memo"),
-        # Q3's 4 polymers at lambda = 1/20 give a Xi table of 5 entries
-        (lambda: PolymerFamily(Q3, "E", ModelParams(Fraction(1, 20), 1)).xi(),
+        # Q3's 4 polymers at lambda = 1/20 give a Xi table of 5 entries;
+        # the family is built before the ceiling is lowered, since its walk
+        # charges the sets it holds too
+        (PolymerFamily(Q3, "E", ModelParams(Fraction(1, 20), 1)).xi,
          "the independent-set memo"),
+        (lambda: list(enumerate_polymers(Q3, "E")), "the 2-linked enumeration"),
         (lambda: exact_Z(Q3, HALF), "the boundary DP"),
         # the plan counts the hard-core states through an i(G) memo
         (lambda: exact_Z(Q3, ModelParams(1, 1)), "the independent-set memo"),
         (lambda: mu_table(C6, HALF), "the measure table"),
         (lambda: mu_hat_table(C6, HALF), "the measure table"),
         (lambda: mu_hat_star_table(C6, HALF), "the measure table"),
-    ], ids=["isets", "percolation_mc", "percolation_exact", "xi", "zexact",
-            "zexact_plan_counts", "mu", "mu_hat", "mu_hat_star"])
+    ], ids=["isets", "percolation_mc", "percolation_exact", "xi", "walk",
+            "zexact", "zexact_plan_counts", "mu", "mu_hat", "mu_hat_star"])
     def test_lowered_ceiling_refuses(self, monkeypatch, route, what):
         monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 512)
         with pytest.raises(BudgetError) as info:
@@ -589,7 +645,7 @@ class TestByteCeiling:
         counts = list(model._state_counts(g, steps, p == 1, {0: 1}))
         charge = max(map(sum, zip([1] + counts, counts))) * \
             model._scaled_entry_bytes(g, params)
-        _, _, peak = traced(lambda: exact_Z(g, params, sweep_cap=64))
+        _, _, peak = traced(lambda: exact_Z(g, params))
         assert 2 / 3 < charge / peak < 3 / 2
 
 
@@ -897,7 +953,7 @@ class TestMeasureRoutes:
             polymer_z_hat(MIDLAYER3, params)
         assert w0 + w1 + w2 == exact_Z(MIDLAYER3, params)
 
-    def test_sweep_weights_flags_and_order(self):
+    def test_sweep_weights_flags_and_order(self, monkeypatch):
         params = ModelParams(Fraction(2, 3), Fraction(1, 3))
         rows = list(subset_sweep(Q3, params))
         assert [mask for mask, *_ in rows] == list(range(1 << Q3.n))
@@ -906,8 +962,10 @@ class TestMeasureRoutes:
             assert Fraction(w, scale) == ising_weight(Q3, params, mask)
             assert (on_o, on_e) == (captured_on_side(Q3, mask, "O"),
                                     captured_on_side(Q3, mask, "E"))
-        with pytest.raises(BudgetError):
-            next(subset_sweep(Q3, params, sweep_cap=7))
+        monkeypatch.setattr("isingpoly.graphs.SWEEP_CEILING", 7)
+        with pytest.raises(BudgetError, match="^subset sweep over 8 vertices "
+                           "exceeds cap 7$"):
+            next(subset_sweep(Q3, params))
 
     def test_classes_count_the_nonpolymer_sets(self):
         rho = Fraction(3, 4)

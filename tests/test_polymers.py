@@ -415,13 +415,15 @@ class TestXi:
         finally:
             gc.enable()
 
-    def test_configurations_count_against_the_cap(self):
+    def test_configurations_count_against_the_cap(self, monkeypatch):
         g = build_cycle(12)
         count = len(enumerate_compatible_configs(g, "O", HALF))
-        assert len(enumerate_compatible_configs(g, "O", HALF,
-                                                enum_cap=count)) == count
-        with pytest.raises(BudgetError, match="configurations"):
-            enumerate_compatible_configs(g, "O", HALF, enum_cap=count - 1)
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", count)
+        assert len(enumerate_compatible_configs(g, "O", HALF)) == count
+        monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", count - 1)
+        with pytest.raises(BudgetError, match=f"^compatible configurations "
+                           f"on side O exceed the cap of {count - 1}$"):
+            enumerate_compatible_configs(g, "O", HALF)
 
 
 class TestGab:
