@@ -20,12 +20,12 @@ from . import graphs
 from .graphs import (
     AuditViolation,
     BipartiteGraph,
-    BudgetError,
     as_mask,
     bits,
     max_codegree,
     neighborhood,
     popcount,
+    refuse,
     two_linked_sets,
 )
 from .model import ModelParams, capture_classes
@@ -449,8 +449,7 @@ def container_hypothesis_check(g: BipartiteGraph, side: str, c2) -> dict:
     sizes = range(g.d // 2 + 1, g.d + 1)
     total = len(opposite) * sum(math.comb(g.d, r) for r in sizes)
     if total > cap:
-        raise BudgetError(
-            f"neighborhood subset sweep needs {total} sets, cap is {cap}")
+        refuse("the neighborhood subset sweep", total, cap, "sets")
     ratio = Fraction(g.d) / Fraction(c2)
     sets = ((side, as_mask(combo)) for y in opposite for r in sizes
             for combo in combinations(g.adj[y], r))

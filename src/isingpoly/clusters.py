@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import graphs
-from .graphs import AuditViolation, BipartiteGraph, BudgetError, iter_bits
+from .graphs import AuditViolation, BipartiteGraph, iter_bits, refuse
 from .polymers import DEFAULT_RHO, Polymer, PolymerFamily
 from .rationals import (float64_range, log_precision, log_rational,
                         require_positive_finite, to_mpf)
@@ -24,8 +24,11 @@ from .rationals import (float64_range, log_precision, log_rational,
 if TYPE_CHECKING:
     import mpmath
 
-URSELL_VERTEX_CAP = 12
-_FACTORIALS = [math.factorial(k) for k in range(URSELL_VERTEX_CAP + 1)]
+
+def _check_ursell_size(k: int) -> None:
+    """Refuse an Ursell function of more than graphs.URSELL_CEILING."""
+    if k > graphs.URSELL_CEILING:
+        refuse("the Ursell function", k, graphs.URSELL_CEILING, "vertices")
 
 
 def _ursell(nbr) -> Fraction:
@@ -59,13 +62,10 @@ def ursell(k: int, edges) -> Fraction:
     sum of (-1)^{|E'|} over spanning connected edge subsets, divided by k!.
 
     Exact; nonzero iff the graph is connected. Repeated edges count once.
-    Refuses more than URSELL_VERTEX_CAP vertices (the recursion takes
-    3^(k-1) steps).
     """
     if k < 1:
         raise ValueError(f"graph needs at least one vertex, got {k}")
-    if k > URSELL_VERTEX_CAP:
-        raise BudgetError(f"ursell capped at {URSELL_VERTEX_CAP} vertices, got {k}")
+    _check_ursell_size(k)
     nbr = [0] * k
     for u, v in edges:
         if not (0 <= u < k and 0 <= v < k) or u == v:
@@ -151,7 +151,7 @@ def _clusters(family: PolymerFamily, k_max: int, emit) -> None:
     value is nonzero. Each (candidate, multiplicity) step is one visit of
     one multiset, cluster or not, cached or not; the walk raises
     BudgetError once it has visited more than graphs.WALK_CEILING, a check
-    made before the Ursell cap.
+    made before the Ursell ceiling's.
 
     Each multiset carries down its expanded incompatibility graph (one
     neighbour mask per polymer copy), the product of its multiplicities'
@@ -196,14 +196,11 @@ def _clusters(family: PolymerFamily, k_max: int, emit) -> None:
             while grown <= k_max:
                 visited += 1
                 if visited > cap:
-                    raise BudgetError(f"cluster walk exceeded {cap} "
-                                      f"multisets (k_max={k_max})")
+                    refuse(f"the cluster walk to size {k_max}", visited, cap,
+                           "multisets", "at least")
                 child = children.get((link, mult))
                 if child is None:
-                    if n + mult > URSELL_VERTEX_CAP:
-                        raise BudgetError(f"a cluster of {n + mult} polymer "
-                                          f"copies exceeds the Ursell cap of "
-                                          f"{URSELL_VERTEX_CAP}")
+                    _check_ursell_size(n + mult)
                     copies = ((1 << mult) - 1) << n
                     grew = tuple([near | copies if link >> b & 1 else near
                                   for b, near in enumerate(graph)] +
@@ -212,12 +209,12 @@ def _clusters(family: PolymerFamily, k_max: int, emit) -> None:
                     value = ursells.get(grew)
                     if value is None:
                         value = ursells[grew] = _ursell(grew)
-                    factorials = denom * _FACTORIALS[mult]
+                    factorials = denom * math.factorial(mult)
                     # None marks a disconnected graph, tested without
                     # Fraction.__bool__ on every visit
                     child = children[(link, mult)] = (
                         grew, value or None,
-                        _FACTORIALS[n + mult] // factorials, copies,
+                        math.factorial(n + mult) // factorials, copies,
                         factorials)
                 grew, value, orderings, copies, factorials = child
                 if value is not None or grown < k_max:

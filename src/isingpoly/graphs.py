@@ -10,15 +10,23 @@ builders in this module the "E" side is the even-parity side (even popcount
 for hypercubes, even coordinate sum for tori and products, the smaller layer
 for middle layers), which is the convention the model layer relies on.
 
-Every limit is a constant here that no option sets, read as graphs.NAME
-when a call starts. VERTEX_CEILING bounds every graph: the builders check
-their vertex count from their parameters before they list a vertex, and
-the constructor checks it again, so graph_from_json may raise BudgetError
-as well as GraphFormatError. BYTE_CEILING bounds memory: the memos, the
-boundary DP of model.exact_Z, the measure tables and a walk's sets charge
-it through charge_bytes, which refuses each the same way. WALK_CEILING
-bounds the sets a walk visits, SWEEP_CEILING the vertices of a 2^n subset
-sweep and EDGE_SWEEP_CEILING the edges of a 2^|E| subgraph sweep.
+Every limit is one of eight ceilings here that no option sets, read as
+graphs.NAME when a call starts, and refuse raises every BudgetError in one
+shape: "<what> would need <N> <unit>, past the ceiling of <M> <unit>", N
+written "about N" if estimated and "at least N" if a count stopped there.
+VERTEX_CEILING (vertices) bounds every graph in every subcommand, builders
+counting theirs from their parameters. BYTE_CEILING (MB, through
+charge_bytes) bounds the memos of isets, the Xi tables and the percolate
+routes, zexact's boundary DP, a walk's sets, percolate-mc's samples and
+values, and the measure tables. WALK_CEILING (sets) bounds every 2-linked
+and cluster walk (in polymers, xi, clusters, audit-kp, sample-muhat,
+audit-iso, audit-container and closed-form --verify) and the sweeps of
+audit-container; SWEEP_CEILING (vertices) the 2^n sweeps of tv and
+audit-nonpolymer; EDGE_SWEEP_CEILING (edges) percolate-exact at 0 < p < 1;
+MASK_CEILING (polymers) the masks of xi, clusters, sample-muhat, audit-kp
+--mode truncation and closed-form --verify; DECORATION_CEILING (boundary
+vertices) the library's polymer_weight_literal; and URSELL_CEILING
+(vertices, one per polymer copy) the cluster walks.
 """
 
 from __future__ import annotations
@@ -27,21 +35,16 @@ import json
 import math
 import sys
 from itertools import combinations, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
-# Full 2^n subset sweeps are refused above this many vertices.
 SWEEP_CEILING = 26
-# Exact percolation sums over 2^m edge subsets at 0 < p < 1 are refused
-# above this. At the ceiling, the sweep over C24's 2^24 subgraphs took 45 s
-# with a 19 MB peak RSS on a 2-vCPU Xeon (lambda = 2/3, p = 1/3).
+# At the ceiling, the sweep over C24's 2^24 subgraphs took 45 s with a
+# 19 MB peak RSS on a 2-vCPU Xeon (lambda = 2/3, p = 1/3).
 EDGE_SWEEP_CEILING = 24
-# The ceiling on the sets any walk visits, the audit sweeps' too.
 WALK_CEILING = 1 << 20
-# The one ceiling on the bytes a memo, a boundary DP, a measure table or
-# a walk's sets may take (1 GiB); each call reads it here when it starts
-# and charges it through charge_bytes. Torus 12,2's i(G) memo, 4,648,625
-# entries, runs in 577 MB and T10,2's exact_Z at p = 1/2 in 198 MB, while
-# Q6's plan at p = 9/10 and Q7's memos are refused.
+# 1 GiB: Torus 12,2's i(G) memo, 4,648,625 entries, runs in 577 MB and
+# T10,2's exact_Z at p = 1/2 in 198 MB, while Q6's plan at p = 9/10 and
+# Q7's memos are refused.
 BYTE_CEILING = 1 << 30
 # What a dict entry takes beyond its key and value: a 24-byte entry and its
 # index slots, at the table's load factor.
@@ -49,16 +52,24 @@ DICT_SLOT_BYTES = 32
 # What a list entry takes beyond its object: one pointer.
 LIST_SLOT_BYTES = 8
 _MB = 1 << 20
-# The one ceiling on a graph's vertex count, for every builder and every
-# graph read from JSON; each check reads it here when it runs. On a 2-vCPU
-# Xeon, Q14 builds in 0.5 s at a 91 MB peak RSS and T128,2 in 0.2 s at
-# 59 MB. The densest graph at the ceiling, K8192,8192, took 119 s at
-# 1,103 MB; Q15 would take 289 MB and T256,2 606 MB.
+# On a 2-vCPU Xeon, Q14 builds in 0.5 s at a 91 MB peak RSS and T128,2 in
+# 0.2 s at 59 MB. The densest graph at the ceiling, K8192,8192, took 119 s
+# at 1,103 MB; Q15 would take 289 MB and T256,2 606 MB.
 VERTEX_CEILING = 1 << 14
-
+MASK_CEILING = 1 << 15  # 2^15 polymers' masks can take 128 MiB
+DECORATION_CEILING = 20
+URSELL_CEILING = 12  # the recursion takes 3^(k-1) steps on k vertices
 
 class BudgetError(RuntimeError):
-    """Raised when a construction or enumeration exceeds its size budget."""
+    """Raised, by refuse only, when a computation would pass a ceiling."""
+
+
+def refuse(what: str, need, ceiling, unit: str, bound: str = "") -> NoReturn:
+    """Raise BudgetError("<what> would need <bound> <need> <unit>, past
+    the ceiling of <ceiling> <unit>"), the bound "about" or "at least"."""
+    need = f"{bound} {need}" if bound else need
+    raise BudgetError(f"{what} would need {need} {unit}, past the ceiling "
+                      f"of {ceiling} {unit}")
 
 
 class AuditViolation(AssertionError):
@@ -254,13 +265,11 @@ class BipartiteGraph:
 
 
 def _check_vertex_count(n: int) -> None:
-    """Refuse (BudgetError) a graph of n or more vertices past
-    VERTEX_CEILING. The builders call it on each partial product of their
-    vertex count, so none computes a count much past the ceiling."""
+    """Refuse a graph of n or more vertices past VERTEX_CEILING. Builders
+    call it on each partial product, so none counts far past the ceiling."""
     ceiling = VERTEX_CEILING
     if n > ceiling:
-        raise BudgetError(f"graph would have at least {n} vertices, past "
-                          f"the ceiling of {ceiling}")
+        refuse("the graph", n, ceiling, "vertices", "at least")
 
 
 def _check_product_count(sizes: Iterable[int]) -> None:
@@ -424,10 +433,10 @@ def int_bytes(bits: int) -> int:
 
 
 def entry_bytes(key, value) -> int:
-    """The bytes of one memo entry: its key and its value, an int or a
-    Fraction with its two ints, and a dict slot."""
+    """The bytes of one memo entry: its key and its value, an int, a float
+    or a Fraction with its two ints, and a dict slot."""
     size = sys.getsizeof(key) + sys.getsizeof(value) + DICT_SLOT_BYTES
-    if not isinstance(value, int):
+    if not isinstance(value, (int, float)):
         size += sys.getsizeof(value.numerator) + sys.getsizeof(value.denominator)
     return size
 
@@ -443,8 +452,7 @@ def charge_bytes(what: str, entries: int, size: int, ceiling: int) -> int:
         mb = -(-need // _MB)
         # a 2^n table of a large graph needs more MB than str() writes out
         about = mb if mb < 1 << 64 else f"2^{mb.bit_length() - 1}"
-        raise BudgetError(f"{what} would need about {about} MB, past the "
-                          f"ceiling of {ceiling / _MB:g} MB")
+        refuse(what, about, f"{ceiling / _MB:g}", "MB", "about")
     return min(2 * entries, ceiling // size)
 
 
@@ -587,8 +595,8 @@ def two_linked_sets(g: BipartiteGraph, starts: int, allowed: int,
             found.append(s_mask)
             if len(found) > checkpoint:
                 if len(found) > cap:
-                    raise BudgetError(f"2-linked enumeration exceeded {cap} "
-                                      f"sets (size_max={size_max})")
+                    refuse(f"the 2-linked enumeration to size {size_max}",
+                           len(found), cap, "sets", "at least")
                 held = (sys.getsizeof(s_mask) + sys.getsizeof(_lex_key(s_mask))
                         + 2 * LIST_SLOT_BYTES)
                 checkpoint = min(cap, charge_bytes(

@@ -27,13 +27,14 @@ from .graphs import (
     DICT_SLOT_BYTES,
     AuditViolation,
     BipartiteGraph,
-    BudgetError,
     as_mask,
     charge_bytes,
+    entry_bytes,
     independent_set_table,
     int_bytes,
     iter_bits,
     popcount,
+    refuse,
 )
 from .polymers import (DEFAULT_RHO, PolymerFamily, closure_cutoff,
                        is_polymer_union)
@@ -101,11 +102,6 @@ class ModelParams:
             if self.p == 1:
                 return mpmath.inf
             return -log_rational(1 - self.p)
-
-
-def _check_sweep(n: int, limit: int | None) -> None:
-    if limit is not None and n > limit:
-        raise BudgetError(f"subset sweep over {n} vertices exceeds cap {limit}")
 
 
 def internal_edge_count(g: BipartiteGraph, i_mask: int) -> int:
@@ -318,7 +314,8 @@ def exact_Z(g: BipartiteGraph, params: ModelParams,
     20,480). With every order's states past graphs.BYTE_CEILING,
     BudgetError comes before the first step: Q6 at p = 9/10 holds 2^24
     states at the peak step of its best order, about 3 GB."""
-    _check_sweep(g.n, sweep_cap)
+    if sweep_cap is not None and g.n > sweep_cap:
+        refuse("the boundary DP", g.n, sweep_cap, "vertices")
     a, b = params.lam.numerator, params.lam.denominator
     surv = 1 - params.p
     c, e = surv.numerator, surv.denominator
@@ -355,7 +352,8 @@ def count_independent_sets(g: BipartiteGraph,
     (BudgetError) a memo past graphs.BYTE_CEILING, and more vertices than
     an explicit sweep_cap, which stays only for the benchmark's isets job,
     as on exact_Z."""
-    _check_sweep(g.n, sweep_cap)
+    if sweep_cap is not None and g.n > sweep_cap:
+        refuse("the independent-set count", g.n, sweep_cap, "vertices")
     full = (1 << g.n) - 1
     return independent_set_table(g.adj_mask, [1] * g.n, full)[full]
 
@@ -380,7 +378,7 @@ def percolation_expectation_exact(g: BipartiteGraph,
     m, limit = g.edge_count(), graphs.EDGE_SWEEP_CEILING
     k, e = params.p.numerator, params.p.denominator
     if 0 < k < e and m > limit:
-        raise BudgetError(f"edge sweep over {m} edges exceeds cap {limit}")
+        refuse("the 2^|E| subgraph sweep", m, limit, "edges")
     prob = [k ** j * (e - k) ** (m - j) for j in range(m + 1)]
     # at 0 < p < 1 every subgraph weighs; at p = 0 or 1 only the empty or
     # the full one does, with probability 1
@@ -403,9 +401,9 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     regardless of how blocks are scheduled.
 
     Each distinct sample's Z comes from subgraphs.subgraph_z, the exact
-    sweep's subgraph sum, its memo shared across the samples. No 2^n sweep
-    is run, so no vertex count is refused: a sample whose memo passes
-    graphs.BYTE_CEILING raises BudgetError.
+    sweep's subgraph sum, its memo shared across the samples, and is kept
+    per distinct sample. No vertex count is refused: the float64 samples,
+    the kept values and the memo are charged against graphs.BYTE_CEILING.
     """
     # numpy is imported by the seeded routes only, so the exact routes and
     # the CLI start without its import cost
@@ -416,6 +414,8 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    ceiling = graphs.BYTE_CEILING
+    charge_bytes("the sample array", samples, 8, ceiling)  # float64 values
     m = g.edge_count()
     p_float = params.p.numerator / params.p.denominator
     # each subgraph's Z as an int over b^n (lambda = a/b); int true division
@@ -423,11 +423,13 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
     scaled_z = subgraph_z(g, params)
     denom = params.lam.denominator ** g.n
     cache: dict[int, float] = {}
+    checkpoint = 0  # the entry count past which the cache is charged again
 
     def block_values(raw: bytes, width: int):
         """Each sample's Z, for a block's masks of width >= 1 bytes each
         (every graph has an edge) cut from one bytes object: no numpy row
         view or scalar per sample."""
+        nonlocal checkpoint
         for start in range(0, len(raw), width):
             sub = int.from_bytes(raw[start:start + width], "little")
             val = cache.get(sub)
@@ -435,15 +437,12 @@ def percolation_mc(g: BipartiteGraph, params: ModelParams, samples: int,
                 with float64_range("a sample's Z"):
                     val = scaled_z(sub) / denom
                 cache[sub] = val
+                if len(cache) > checkpoint:
+                    checkpoint = charge_bytes("the sample values", len(cache),
+                                              entry_bytes(sub, val), ceiling)
             yield val
 
-    # numpy refuses counts past its size limits with a ValueError, before
-    # it allocates anything
-    try:
-        values = np.empty(samples, dtype=np.float64)
-    except (MemoryError, ValueError) as exc:
-        raise BudgetError(f"{samples} samples do not fit in memory as "
-                          f"float64 values") from exc
+    values = np.empty(samples, dtype=np.float64)
     pos = 0
     block = 0
     while pos < samples:
@@ -568,7 +567,8 @@ def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
     on a side depends only on the subset's trace there, so each trace is
     tested once and its flag kept in a dict. Refuses (BudgetError) more
     than graphs.SWEEP_CEILING vertices."""
-    _check_sweep(g.n, graphs.SWEEP_CEILING)
+    if g.n > graphs.SWEEP_CEILING:
+        refuse("the 2^n subset sweep", g.n, graphs.SWEEP_CEILING, "vertices")
     limit = closure_cutoff(g, rho)
     n, adj = g.n, g.adj_mask
     k = n // 2

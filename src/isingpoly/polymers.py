@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 from . import graphs
 from .graphs import (
     BipartiteGraph,
-    BudgetError,
     as_mask,
     bits,
     closure,
@@ -26,16 +25,13 @@ from .graphs import (
     iter_bits,
     neighborhood,
     popcount,
+    refuse,
     two_linked_components,
     two_linked_sets,
 )
 from .rationals import format_rational
 
 DEFAULT_RHO = Fraction(3, 4)
-# Polymer families with more members than this get no incompatibility
-# masks: at 2^15 polymers the masks alone can take 128 MiB.
-FAMILY_MASK_CAP = 1 << 15
-LITERAL_BOUNDARY_CAP = 20
 
 
 def closure_cutoff(g: BipartiteGraph, rho) -> int:
@@ -190,13 +186,13 @@ def polymer_weight_literal(g: BipartiteGraph, params, a) -> Fraction:
     Visits all 2^|N(A)| decorations one by one, tallying them by
     (|B|, e(A,B)) so the Fraction arithmetic happens once per tally bucket
     rather than once per decoration. Never uses the product factorization.
+    Refuses a boundary of more than graphs.DECORATION_CEILING vertices.
     """
     a = _vertices_of(a)
     boundary = bits(neighborhood(g, a))
-    nb = len(boundary)
-    if nb > LITERAL_BOUNDARY_CAP:
-        raise BudgetError(f"literal weight sweeps 2^{nb} decorations, "
-                          f"cap is 2^{LITERAL_BOUNDARY_CAP}")
+    nb, ceiling = len(boundary), graphs.DECORATION_CEILING
+    if nb > ceiling:
+        refuse("the literal weight", f"2^{nb}", f"2^{ceiling}", "decorations")
     degs = [popcount(g.adj_mask[v] & a) for v in boundary]
     size = [0] * (1 << nb)
     cross = [0] * (1 << nb)
@@ -286,7 +282,7 @@ class PolymerFamily:
     meet, so each mask ORs, over the polymer's footprint, the polymers whose
     footprint holds that vertex. The weights, masks, Xi table and its
     integer copy are built on first use; the masks take up to k^2/8 bytes
-    for k polymers, so they are refused above FAMILY_MASK_CAP polymers.
+    for k polymers, so graphs.MASK_CEILING bounds k.
     """
 
     def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
@@ -334,10 +330,9 @@ class PolymerFamily:
 
     @cached_property
     def incompatible(self) -> tuple[int, ...]:
-        k = len(self.polymers)
-        if k > FAMILY_MASK_CAP:
-            raise BudgetError(f"incompatibility masks for {k} polymers exceed "
-                              f"the cap of {FAMILY_MASK_CAP} polymers")
+        k, ceiling = len(self.polymers), graphs.MASK_CEILING
+        if k > ceiling:
+            refuse("the incompatibility masks", k, ceiling, "polymers")
         feet = [bits(p.vertices | p.boundary) for p in self.polymers]
         holding = [0] * self.graph.n
         for i, foot in enumerate(feet):
@@ -448,8 +443,8 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
     def extend(chosen: tuple[int, ...], weight: Fraction, allowed: int) -> None:
         out.append((tuple(polys[i] for i in chosen), weight))
         if len(out) > cap:
-            raise BudgetError(f"compatible configurations on side {side} "
-                              f"exceed the cap of {cap}")
+            refuse(f"the compatible configurations on side {side}", len(out),
+                   cap, "configurations", "at least")
         rest = allowed
         while rest:
             low = rest & -rest

@@ -20,8 +20,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from isingpoly import graphs
-from isingpoly.clusters import URSELL_VERTEX_CAP, Cluster, _ursell
-from isingpoly.graphs import (BipartiteGraph, BudgetError, as_mask, bits,
+from isingpoly.clusters import Cluster, _check_ursell_size, _ursell
+from isingpoly.graphs import (BipartiteGraph, as_mask, bits,
                               independent_set_table, is_two_linked,
                               iter_bits, neighborhood, popcount)
 from isingpoly.model import captured_on_side
@@ -388,9 +388,7 @@ def expanded_ursell(family, chosen) -> Fraction:
     of the same polymer always incompatible. `chosen` pairs family indices
     with multiplicities."""
     expanded = [idx for idx, mult in chosen for _ in range(mult)]
-    if len(expanded) > URSELL_VERTEX_CAP:
-        raise BudgetError(f"a cluster of {len(expanded)} polymer copies "
-                          f"exceeds the Ursell cap of {URSELL_VERTEX_CAP}")
+    _check_ursell_size(len(expanded))
     return _ursell([sum(1 << b for b, j in enumerate(expanded)
                         if b != a and family.incompatible[i] >> j & 1)
                     for a, i in enumerate(expanded)])
@@ -416,8 +414,8 @@ def walk_clusters(family, k_max: int):
         if chosen:
             visited += 1
             if visited > cap:
-                raise BudgetError(f"cluster walk exceeded {cap} multisets "
-                                  f"(k_max={k_max})")
+                graphs.refuse(f"the cluster walk to size {k_max}", visited,
+                              cap, "multisets", "at least")
             value = expanded_ursell(family, chosen)
             if value:
                 orderings = math.factorial(sum(m for _, m in chosen)) // \

@@ -36,6 +36,7 @@ from isingpoly.cli import (
     main,
     parse_psi_spec,
 )
+from isingpoly import graphs
 from isingpoly.audit import PropertyConstants, PsiFamily
 from isingpoly.clusters import Cluster, KPFunctions, enumerate_clusters
 from isingpoly.formulas import ExpansionEstimate
@@ -97,8 +98,9 @@ class TestGraphSpecs:
 HUGE_SPECS = ("hypercube:17", "hypercube:1000000000", "torus:4,1000000",
               "torus:4,100000000", "midlayer:100000", "midlayer:1000000",
               "kss:9000", "product:hypercube:10+hypercube:5")
-CEILING_LINE = re.compile(r"isingpoly: budget exceeded: graph would have at "
-                          r"least \d+ vertices, past the ceiling of 16384\n")
+CEILING_LINE = re.compile(r"isingpoly: budget exceeded: the graph would need "
+                          r"at least \d+ vertices, past the ceiling of 16384 "
+                          r"vertices\n")
 
 
 def huge_argument(template: str) -> str:
@@ -169,13 +171,15 @@ class TestVertexCeiling:
         path = tmp_path / "c8.json"
         path.write_text(graph_to_json(build_cycle(8)))
         monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", 6)
-        with pytest.raises(BudgetError, match="past the ceiling of 6"):
+        message = ("the graph would need at least 8 vertices, past the "
+                   "ceiling of 6 vertices")
+        with pytest.raises(BudgetError) as info:
             graph_from_json(path.read_text())
+        assert str(info.value) == message
         code, out, err = run(capsys, "xi", "--graph", str(path), "--lambda",
                              "1", "--p", "1")
         assert (code, out) == (1, "")
-        assert err == ("isingpoly: budget exceeded: graph would have at "
-                       "least 8 vertices, past the ceiling of 6\n")
+        assert err == f"isingpoly: budget exceeded: {message}\n"
 
     def test_budget_caps_the_walk_not_the_graph(self, capsys, monkeypatch):
         # the graph's 6,000 vertices meet only the vertex ceiling, and a
@@ -189,8 +193,9 @@ class TestVertexCeiling:
         monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 6000)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
-                       "exceeded 6000 sets (size_max=4)\n")
+        assert err == ("isingpoly: budget exceeded: the 2-linked enumeration "
+                       "to size 4 would need at least 6001 sets, past the "
+                       "ceiling of 6000 sets\n")
 
 
 class TestPsiSpec:
@@ -455,8 +460,9 @@ class TestExitCodes:
         # count is refused at 2 C(34, 4)
         code, out, err = run(capsys, "gen", "--graph", "midlayer:30")
         assert (code, out) == (1, "")
-        assert err == ("isingpoly: budget exceeded: graph would have at "
-                       "least 92752 vertices, past the ceiling of 16384\n")
+        assert err == ("isingpoly: budget exceeded: the graph would need at "
+                       "least 92752 vertices, past the ceiling of 16384 "
+                       "vertices\n")
 
     def test_budget_exceeded(self, capsys, monkeypatch):
         monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 1 << 16)
@@ -523,8 +529,9 @@ class TestExitCodes:
                              "--seed", "1")
         assert code == 1
         assert out == ""
-        assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
-                       "exceeded 50 sets (size_max=9)\n")
+        assert err == ("isingpoly: budget exceeded: the 2-linked enumeration "
+                       "to size 9 would need at least 51 sets, past the "
+                       "ceiling of 50 sets\n")
 
     @pytest.mark.parametrize("cmd", ["sample-muhat", "percolate-mc"])
     def test_negative_seed_is_refused(self, capsys, cmd):
@@ -547,22 +554,27 @@ class TestExitCodes:
         assert "samples must be >= 1" in err
 
     def test_percolate_mc_samples_past_memory(self, capsys):
+        # 8 bytes a sample: 10^17 samples need 8 * 10^17 / 2^20 MB
         code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:4",
                              "--lambda", "1", "--p", "1/2", "--samples",
                              str(10 ** 17), "--seed", "1")
         assert code == 1
         assert out == ""
-        assert "budget exceeded" in err and str(10 ** 17) in err
+        assert err == ("isingpoly: budget exceeded: the sample array would "
+                       "need about 762939453125 MB, past the ceiling of "
+                       "1024 MB\n")
 
     def test_percolate_mc_samples_past_numpy_dimension_limit(self, capsys):
-        # numpy refuses this count with its own ValueError, not MemoryError
+        # a count numpy would refuse with its own ValueError is refused by
+        # the byte ceiling first: 2^63 samples need 2^46 MB
         code, out, err = run(capsys, "percolate-mc", "--graph", "cycle:6",
                              "--lambda", "1", "--p", "1/2", "--samples",
                              str(2 ** 63), "--seed", "1")
         assert code == 1
         assert out == ""
-        assert err == (f"isingpoly: budget exceeded: {2 ** 63} samples do "
-                       f"not fit in memory as float64 values\n")
+        assert err == (f"isingpoly: budget exceeded: the sample array would "
+                       f"need about {2 ** 46} MB, past the ceiling of 1024 "
+                       f"MB\n")
 
     @pytest.mark.parametrize("argv,ceiling,what", [
         (("isets", "--graph", "hypercube:3"), 512, "the independent-set memo"),
@@ -756,13 +768,16 @@ class TestExitCodes:
             assert json.loads(out)["hypothesis_checked"] == 40
         else:
             assert out == ""
-            assert err == ("isingpoly: budget exceeded: neighborhood subset "
-                           "sweep needs 40 sets, cap is 39\n")
+            assert err == ("isingpoly: budget exceeded: the neighborhood "
+                           "subset sweep would need 40 sets, past the "
+                           "ceiling of 39 sets\n")
 
     @pytest.mark.parametrize("graph,k_max,message", [
-        ("hypercube:3", "3", "2-linked enumeration exceeded 10 sets "
-                             "(size_max=3)"),
-        ("cycle:6", "5", "cluster walk exceeded 10 multisets (k_max=5)")])
+        ("hypercube:3", "3", "the 2-linked enumeration to size 3 would "
+                             "need at least 11 sets, past the ceiling of 10 "
+                             "sets"),
+        ("cycle:6", "5", "the cluster walk to size 5 would need at least 11 "
+                         "multisets, past the ceiling of 10 multisets")])
     def test_clusters_budget_exceeded(self, capsys, monkeypatch, graph,
                                       k_max, message):
         # Q3 refuses in its polymer enumeration, C6 in the cluster walk
@@ -780,8 +795,9 @@ class TestExitCodes:
                              "--lambda", "1/10", "--p", "1", "--mode", "sum")
         assert code == 1
         assert out == ""
-        assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
-                       "exceeded 16 sets (size_max=3)\n")
+        assert err == ("isingpoly: budget exceeded: the 2-linked enumeration "
+                       "to size 3 would need at least 17 sets, past the "
+                       "ceiling of 16 sets\n")
 
     @pytest.mark.parametrize("mode,option,value", [
         ("truncation", "--c1", "2"), ("truncation", "--c2", "0"),
@@ -891,8 +907,9 @@ class TestExitCodes:
         code, out, err = run(capsys, "xi", "--graph", "cycle:6", "--lambda",
                              "1", "--p", "1")
         assert (code, out) == (1, "")
-        assert err == ("isingpoly: budget exceeded: 2-linked enumeration "
-                       "exceeded 5 sets (size_max=2)\n")
+        assert err == ("isingpoly: budget exceeded: the 2-linked enumeration "
+                       "to size 2 would need at least 6 sets, past the "
+                       "ceiling of 5 sets\n")
 
     def test_kp_truncation_refuses_a_sum_constant(self, capsys):
         code, out, err = run(capsys, "audit-kp", "--graph", "cycle:6",
@@ -1559,6 +1576,109 @@ def test_no_function_takes_a_cap():
                                    "sweep_cap"):
                         takers[arg.arg].add(getattr(node, "name", "lambda"))
     assert takers == {"sweep_cap": SWEEP_CAP_TAKERS}
+
+
+CEILINGS = {"VERTEX_CEILING", "BYTE_CEILING", "WALK_CEILING", "SWEEP_CEILING",
+            "EDGE_SWEEP_CEILING", "MASK_CEILING", "DECORATION_CEILING",
+            "URSELL_CEILING"}
+
+
+class RefusalScan(ast.NodeVisitor):
+    """Per module: the functions that build or raise a BudgetError, and
+    the names compared in the functions that refuse, through graphs.refuse
+    or graphs.charge_bytes, each under its innermost enclosing function."""
+
+    def __init__(self):
+        self.stack = ["<module>"]
+        self.raisers = set()
+        self.compared = collections.defaultdict(set)
+        self.refusers = set()
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "BudgetError":
+            self.raisers.add(self.stack[-1])
+        if name in ("refuse", "charge_bytes"):
+            self.refusers.add(self.stack[-1])
+        self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        if node.exc is not None and "BudgetError" in ast.unparse(node.exc):
+            self.raisers.add(self.stack[-1])
+        self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        for part in ast.walk(node):
+            if isinstance(part, ast.Name):
+                self.compared[self.stack[-1]].add(part.id)
+            elif isinstance(part, ast.Attribute):
+                self.compared[self.stack[-1]].add(ast.unparse(part))
+        self.generic_visit(node)
+
+
+def module_limits(tree) -> tuple[set, dict]:
+    """A module's own constants (upper-case names assigned at top level or
+    imported from a module other than graphs) and its aliases, each local
+    name assigned straight from a name or from a tuple of names."""
+    constants = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            constants |= {t.id for t in node.targets
+                          if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ImportFrom) and node.module != "graphs":
+            constants |= {a.asname or a.name for a in node.names}
+    constants = {c for c in constants if c.lstrip("_").isupper()}
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = ([(target, value)] if not isinstance(target, ast.Tuple)
+                     else zip(target.elts, getattr(value, "elts", ())))
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and isinstance(
+                        v, (ast.Name, ast.Attribute)):
+                    aliases.setdefault(t.id, set()).add(ast.unparse(v))
+    return constants, aliases
+
+
+def test_every_refusal_goes_through_graphs():
+    # graphs.refuse raises every BudgetError, and every constant a refusal
+    # compares against is a ceiling defined in graphs. subgraphs._MEMO_CAP
+    # is the one exception: past it subgraph_z drops its memo, which
+    # bounds memory and refuses nothing.
+    assert {name for name in vars(graphs) if name.endswith("_CEILING")} \
+        == CEILINGS
+    raisers, limits, refusing = set(), set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scan = RefusalScan()
+        scan.visit(tree)
+        raisers |= {(path.name, f) for f in scan.raisers}
+        if scan.refusers:
+            refusing.add(path.name)
+        if path.name == "graphs.py":
+            continue
+        constants, aliases = module_limits(tree)
+        for func in scan.refusers:
+            names = set(scan.compared[func])
+            while True:  # follow local names to what they were set from
+                grown = names.union(*(aliases.get(n, ()) for n in names))
+                if grown == names:
+                    break
+                names = grown
+            for name in names:
+                head, _, attr = name.partition(".")
+                if name in constants or (attr.isupper() and head != "graphs"):
+                    limits.add((path.name, name))
+    assert raisers == {("graphs.py", "refuse")}
+    assert limits == {("subgraphs.py", "_MEMO_CAP")}
+    assert refusing == {"audit.py", "clusters.py", "graphs.py", "model.py",
+                        "polymers.py", "subgraphs.py"}
 
 
 @pytest.mark.parametrize("cmd", COMMANDS)

@@ -110,8 +110,10 @@ class TestUrsell:
             ursell(0, [])
         # the complete graph K_k has Ursell value (-1)^(k-1) / k
         assert ursell(12, list(combinations(range(12), 2))) == F(-1, 12)
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as info:
             ursell(13, [])
+        assert str(info.value) == ("the Ursell function would need 13 "
+                                   "vertices, past the ceiling of 12 vertices")
 
     def test_bad_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -179,34 +181,57 @@ class TestClusterEnumeration:
             enumerate_clusters(g, "E", params(1, 1), k_max=0)
         clusters = enumerate_clusters(g, "E", params(1, 1), k_max=5)
         assert max(c.size for c in clusters) == 5
-        with pytest.raises(BudgetError, match="Ursell cap"):
+        with pytest.raises(BudgetError) as info:
             enumerate_clusters(g, "E", params(1, 1), k_max=13)
+        assert str(info.value) == ("the Ursell function would need 13 "
+                                   "vertices, past the ceiling of 12 vertices")
         # seven 2-linked sets fit the cap; the walk's 55 multisets do not
         monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 10)
-        with pytest.raises(BudgetError, match="^cluster walk exceeded 10 "
-                           "multisets \\(k_max=5\\)$"):
+        with pytest.raises(BudgetError) as info:
             enumerate_clusters(g, "E", params(1, 1), k_max=5)
+        assert str(info.value) == ("the cluster walk to size 5 would need at "
+                                   "least 11 multisets, past the ceiling of "
+                                   "10 multisets")
 
-    @pytest.mark.parametrize("k_max,cap,match", [
-        (5, 10, "exceeded 10 multisets"),
+    def test_ursell_ceiling_read_when_the_walk_runs(self, monkeypatch):
+        # C6's side E has three singleton polymers, pairwise incompatible;
+        # a ceiling raised to 13 lets the walk build graphs of 13 copies
+        family = PolymerFamily(build_cycle(6), "E", params(1, 1),
+                               size_max=14)
+        monkeypatch.setattr("isingpoly.graphs.URSELL_CEILING", 13)
+        found = []
+        _clusters(family, 13, found.append)
+        assert len(found) == 559
+        assert max(c.size for c in found) == 13
+        with pytest.raises(BudgetError) as info:
+            _clusters(family, 14, found.append)
+        assert str(info.value) == ("the Ursell function would need 14 "
+                                   "vertices, past the ceiling of 13 vertices")
+
+    @pytest.mark.parametrize("k_max,cap,message", [
+        (5, 10, "the cluster walk to size 5 would need at least 11 "
+                "multisets, past the ceiling of 10 multisets"),
         # at k_max 13 the 13th multiset, {0, 2, 4 x 11}, is the first with
         # 13 copies: at a cap of 12 both caps bind there and the multiset
         # count, checked first, decides; at 13 only the Ursell cap binds
-        (13, 12, "exceeded 12 multisets"),
-        (13, 13, "13 polymer copies exceeds the Ursell cap"),
-        (13, None, "13 polymer copies exceeds the Ursell cap"),
+        (13, 12, "the cluster walk to size 13 would need at least 13 "
+                 "multisets, past the ceiling of 12 multisets"),
+        (13, 13, "the Ursell function would need 13 vertices, past the "
+                 "ceiling of 12 vertices"),
+        (13, None, "the Ursell function would need 13 vertices, past the "
+                   "ceiling of 12 vertices"),
     ])
     def test_budget_errors_match_the_oracle_walk(self, monkeypatch, k_max,
-                                                 cap, match):
+                                                 cap, message):
         family = PolymerFamily(build_cycle(6), "E", params(1, 1),
                                size_max=k_max)
         if cap is not None:
             monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", cap)
-        with pytest.raises(BudgetError, match=match) as oracle:
+        with pytest.raises(BudgetError) as oracle:
             list(walk_clusters(family, k_max))
-        with pytest.raises(BudgetError, match=match) as walk:
+        with pytest.raises(BudgetError) as walk:
             _clusters(family, k_max, lambda cluster: None)
-        assert str(walk.value) == str(oracle.value)
+        assert str(walk.value) == str(oracle.value) == message
 
     def test_budget_counts_every_visited_multiset(self, monkeypatch):
         # T6,2 at k_max 4: 31,482 multisets visited, 21,318 of them
@@ -216,12 +241,14 @@ class TestClusterEnumeration:
         clusters = enumerate_clusters(g, "E", prm, k_max=4)
         assert len(clusters) == 21_318
         monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 31_481)
-        match = "cluster walk exceeded 31481 multisets \\(k_max=4\\)"
-        with pytest.raises(BudgetError, match=match):
+        message = ("the cluster walk to size 4 would need at least 31482 "
+                   "multisets, past the ceiling of 31481 multisets")
+        with pytest.raises(BudgetError) as walk:
             enumerate_clusters(g, "E", prm, k_max=4)
         family = PolymerFamily(g, "E", prm, size_max=4)
-        with pytest.raises(BudgetError, match=match):
+        with pytest.raises(BudgetError) as oracle:
             list(walk_clusters(family, 4))
+        assert str(walk.value) == str(oracle.value) == message
 
     def test_one_ursell_evaluation_per_expanded_graph(self, monkeypatch):
         # T6,2 at k_max 4: 31,482 multisets, 73 distinct expanded graphs

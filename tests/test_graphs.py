@@ -198,9 +198,10 @@ class TestBuilders:
             build_middle_layer(10 ** 6)
         assert time.perf_counter() - start < 1
         monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", 19)
-        with pytest.raises(BudgetError, match="at least 20 vertices, past "
-                                              "the ceiling of 19"):
+        with pytest.raises(BudgetError) as info:
             build_middle_layer(3)
+        assert str(info.value) == ("the graph would need at least 20 "
+                                   "vertices, past the ceiling of 19 vertices")
         monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", 20)
         assert build_middle_layer(3).n == 20
 
@@ -352,9 +353,11 @@ class TestSetOperations:
     def test_enumerate_two_linked_budget(self, monkeypatch):
         q4 = build_hypercube(4)
         monkeypatch.setattr("isingpoly.graphs.WALK_CEILING", 50)
-        with pytest.raises(BudgetError, match=r"^2-linked enumeration "
-                           r"exceeded 50 sets \(size_max=8\)$"):
+        with pytest.raises(BudgetError) as info:
             list(enumerate_two_linked(q4, 0, 8))
+        assert str(info.value) == ("the 2-linked enumeration to size 8 would "
+                                   "need at least 51 sets, past the ceiling "
+                                   "of 50 sets")
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 2 ** 40 - 1), min_size=1, max_size=30))
@@ -490,8 +493,11 @@ class TestVertexCeiling:
     def test_lowered_ceiling_refuses(self, monkeypatch, build, n):
         assert build().n == n
         monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", n - 1)
-        with pytest.raises(BudgetError, match=f"past the ceiling of {n - 1}"):
+        with pytest.raises(BudgetError) as info:
             build()
+        assert str(info.value) == (f"the graph would need at least {n} "
+                                   f"vertices, past the ceiling of {n - 1} "
+                                   f"vertices")
         monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", n)
         assert build().n == n
 
@@ -507,9 +513,10 @@ class TestVertexCeiling:
         text = graph_to_json(build_cycle(8))
         monkeypatch.setattr("isingpoly.graphs.VERTEX_CEILING", 6)
         monkeypatch.setattr("isingpoly.graphs.as_mask", None)
-        with pytest.raises(BudgetError, match="at least 8 vertices, past "
-                                              "the ceiling of 6"):
+        with pytest.raises(BudgetError) as info:
             graph_from_json(text)
+        assert str(info.value) == ("the graph would need at least 8 "
+                                   "vertices, past the ceiling of 6 vertices")
 
 
 @settings(max_examples=300, deadline=None)

@@ -122,11 +122,14 @@ class TestWeightsAndZ:
     def test_explicit_sweep_cap(self):
         # the one vertex cap left, kept while the benchmark's exact_Z and
         # isets jobs pass it; no default applies
-        match = "^subset sweep over 4 vertices exceeds cap 3$"
-        with pytest.raises(BudgetError, match=match):
-            exact_Z(C4, HALF, sweep_cap=3)
-        with pytest.raises(BudgetError, match=match):
-            count_independent_sets(C4, sweep_cap=3)
+        for route, what in [(lambda: exact_Z(C4, HALF, sweep_cap=3),
+                             "the boundary DP"),
+                            (lambda: count_independent_sets(C4, sweep_cap=3),
+                             "the independent-set count")]:
+            with pytest.raises(BudgetError) as info:
+                route()
+            assert str(info.value) == (f"{what} would need 4 vertices, past "
+                                       f"the ceiling of 3 vertices")
         assert exact_Z(C4, HALF, sweep_cap=4) == exact_Z(C4, HALF)
 
     def test_independent_set_counts(self):
@@ -444,9 +447,10 @@ class TestPercolation:
 
     def test_edge_budget(self, monkeypatch):
         monkeypatch.setattr("isingpoly.graphs.EDGE_SWEEP_CEILING", 10)
-        with pytest.raises(BudgetError, match="^edge sweep over 12 edges "
-                           "exceeds cap 10$"):
+        with pytest.raises(BudgetError) as info:
             percolation_expectation_exact(Q3, HALF)
+        assert str(info.value) == ("the 2^|E| subgraph sweep would need 12 "
+                                   "edges, past the ceiling of 10 edges")
 
     def test_edge_ceiling_only_at_p_strictly_between(self):
         # at p = 0 or 1 one subgraph weighs, the empty or the full one, so
@@ -457,9 +461,10 @@ class TestPercolation:
         lam = Fraction(2, 3)
         assert percolation_expectation_exact(q5, ModelParams(lam, 0)) == \
             (1 + lam) ** 32
-        with pytest.raises(BudgetError, match="^edge sweep over 80 edges "
-                           "exceeds cap 24$"):
+        with pytest.raises(BudgetError) as info:
             percolation_expectation_exact(q5, HALF)
+        assert str(info.value) == ("the 2^|E| subgraph sweep would need 80 "
+                                   "edges, past the ceiling of 24 edges")
 
     @pytest.mark.parametrize("g,params,mean,stderr", [
         (build_cycle(8), ModelParams(Fraction(2, 3), Fraction(1, 3)),
@@ -563,6 +568,8 @@ class TestByteCeiling:
     @pytest.mark.parametrize("route,what", [
         (lambda: count_independent_sets(Q3), "the independent-set memo"),
         (lambda: percolation_mc(Q3, HALF, 10, seed=1), "the subgraph memo"),
+        # 100 float64 samples take 800 bytes
+        (lambda: percolation_mc(Q3, HALF, 100, seed=1), "the sample array"),
         (lambda: percolation_expectation_exact(C6, HALF), "the subgraph memo"),
         # Q3's 4 polymers at lambda = 1/20 give a Xi table of 5 entries;
         # the family is built before the ceiling is lowered, since its walk
@@ -576,7 +583,8 @@ class TestByteCeiling:
         (lambda: mu_table(C6, HALF), "the measure table"),
         (lambda: mu_hat_table(C6, HALF), "the measure table"),
         (lambda: mu_hat_star_table(C6, HALF), "the measure table"),
-    ], ids=["isets", "percolation_mc", "percolation_exact", "xi", "walk",
+    ], ids=["isets", "percolation_mc", "percolation_mc_samples",
+            "percolation_exact", "xi", "walk",
             "zexact", "zexact_plan_counts", "mu", "mu_hat", "mu_hat_star"])
     def test_lowered_ceiling_refuses(self, monkeypatch, route, what):
         monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 512)
@@ -594,6 +602,24 @@ class TestByteCeiling:
             count_independent_sets(Q3)
         monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", 18 * size)
         assert count_independent_sets(Q3) == 35
+
+    def test_mc_values_are_charged(self, monkeypatch):
+        # C8 has 256 subgraphs, and 2,000 samples meet each; a subgraph
+        # memo dropped before every sample leaves the values kept per
+        # distinct sample the largest holder
+        params = ModelParams(1, Fraction(1, 2))
+        expected = percolation_mc(build_cycle(8), params, 2000, seed=1)
+        monkeypatch.setattr(subgraphs, "_MEMO_CAP", 4)
+        need = 256 * entry_bytes(255, 1.0)
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need - 1)
+        with pytest.raises(BudgetError) as info:
+            percolation_mc(build_cycle(8), params, 2000, seed=1)
+        assert str(info.value) == (f"the sample values would need about 1 "
+                                   f"MB, past the ceiling of "
+                                   f"{(need - 1) / (1 << 20):g} MB")
+        monkeypatch.setattr("isingpoly.graphs.BYTE_CEILING", need)
+        assert percolation_mc(build_cycle(8), params, 2000,
+                              seed=1) == expected
 
     def test_memos_are_charged_at_checkpoints_only(self, monkeypatch):
         # the entry counts double from the first insert: 2, 5, 11, 23, ...
@@ -963,9 +989,10 @@ class TestMeasureRoutes:
             assert (on_o, on_e) == (captured_on_side(Q3, mask, "O"),
                                     captured_on_side(Q3, mask, "E"))
         monkeypatch.setattr("isingpoly.graphs.SWEEP_CEILING", 7)
-        with pytest.raises(BudgetError, match="^subset sweep over 8 vertices "
-                           "exceeds cap 7$"):
+        with pytest.raises(BudgetError) as info:
             next(subset_sweep(Q3, params))
+        assert str(info.value) == ("the 2^n subset sweep would need 8 "
+                                   "vertices, past the ceiling of 7 vertices")
 
     def test_classes_count_the_nonpolymer_sets(self):
         rho = Fraction(3, 4)
