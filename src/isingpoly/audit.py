@@ -29,7 +29,7 @@ from .graphs import (
     two_linked_sets,
 )
 from .model import ModelParams, capture_classes
-from .polymers import DEFAULT_RHO, enumerate_g_ab, polymer_weight
+from .polymers import enumerate_g_ab, polymer_weight
 from .rationals import (log_precision, log_rational, require_positive_finite,
                         to_mpf)
 
@@ -491,12 +491,11 @@ def container_sum_report(g: BipartiteGraph, side: str, a: int, b: int,
     return report
 
 
-def nonpolymer_weight_report(g: BipartiteGraph, params: ModelParams,
-                             rho=DEFAULT_RHO) -> dict:
+def nonpolymer_weight_report(g: BipartiteGraph, params: ModelParams) -> dict:
     """Exact total weight of the configurations captured on neither side,
     its ratio to the full partition function, and the decay exponent
     -log(ratio) d / n."""
-    total, w1, w2, count = capture_classes(g, params, rho)
+    total, w1, w2, count = capture_classes(g, params)
     z = total + w1 + w2
     ratio = total / z
     with log_precision():

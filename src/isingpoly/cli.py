@@ -6,11 +6,12 @@ array when a run produces several records); CSV is a flat row-per-record
 rendering for plotting pipelines. Rationals travel as "p/q" strings.
 
 No numerical logic lives here: main parses the inputs several subcommands
-share (the graph, --lambda with --p, --rho and --seed) once, and each
-subcommand calls one or two library functions and formats their output.
-Exit codes: 0 success, 2 when a verification or audit found a mismatch, 1
-for usage, budget, or input errors. No option sets a budget: every limit is
-a fixed ceiling in graphs.
+share (the graph, --lambda with --p, and --seed) once, and each subcommand
+calls one or two library functions and formats their output. Exit codes: 0
+success, 2 when a verification or audit found a mismatch, 1 for usage,
+budget, or input errors. No option sets a budget or the polymer closure
+cutoff: every limit is a fixed ceiling in graphs, and a polymer's closure
+holds at most floor(3|side|/4) vertices (polymers.closure_cutoff).
 """
 
 from __future__ import annotations
@@ -256,8 +257,8 @@ def _render(records: list, args) -> Iterable[str]:
 
 # -- subcommand handlers; each returns (records, ok) --------------------------
 # main has already replaced the shared inputs: args.graph is the graph,
-# args.params holds --lambda and --p, and args.rho is a Fraction. gen's one
-# record is the graph, which _render writes as JSON.
+# args.params holds --lambda and --p. gen's one record is the graph, which
+# _render writes as JSON.
 
 
 def cmd_gen(args):
@@ -300,19 +301,19 @@ def cmd_percolate_mc(args):
 
 def cmd_polymers(args):
     records = [polymer_to_json_dict(args.graph, args.params, poly)
-               for poly in enumerate_polymers(args.graph, args.side, args.rho,
+               for poly in enumerate_polymers(args.graph, args.side,
                                               size_max=args.size_max)]
     return records, True
 
 
 def cmd_xi(args):
-    value = xi_brute(args.graph, args.side, args.params, args.rho)
+    value = xi_brute(args.graph, args.side, args.params)
     return [{"side": args.side, "xi": value}], True
 
 
 def cmd_clusters(args):
     report = log_xi_truncation_report(args.graph, args.side, args.params,
-                                      args.rho, k_max=args.k_max)
+                                      k_max=args.k_max)
     return [dict(term, xi=report["xi"], log_xi=report["log_xi"])
             for term in report["terms"]], True
 
@@ -341,7 +342,7 @@ def cmd_closed_form(args):
 
 
 def cmd_tv(args):
-    w0, w1, w2, _ = capture_classes(args.graph, args.params, args.rho)
+    w0, w1, w2, _ = capture_classes(args.graph, args.params)
     z, z_hat = w0 + w1 + w2, w1 + 2 * w2
     # mu-hat / mu is h * Z / Z-hat on the subsets captured on h sides
     tv = (w0 * z_hat + w1 * abs(z_hat - z) + w2 * abs(z_hat - 2 * z)) / \
@@ -352,7 +353,7 @@ def cmd_tv(args):
 def cmd_sample_muhat(args):
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
-    sampler = MuHatSampler(args.graph, args.params, args.rho)
+    sampler = MuHatSampler(args.graph, args.params)
     counts = Counter(sampler.draw(args.seed, k) for k in range(args.samples))
     records = []
     for (mask, side), count in sorted(counts.items()):
@@ -406,7 +407,7 @@ def cmd_audit_iso(args):
 def cmd_audit_kp(args):
     if args.mode == "sum":
         report = kp_sum_audit(args.graph, args.side, args.params, args.c1,
-                              args.c2, args.c3, args.c5, args.rho,
+                              args.c2, args.c3, args.c5,
                               size_max=args.size_max,
                               tail_depth=args.tail_depth)
         record = {
@@ -430,8 +431,7 @@ def cmd_audit_kp(args):
             return Fraction(size, denom)
         g_of_size = f_of_size
     report = log_xi_truncation_report(args.graph, args.side, args.params,
-                                      args.rho, k_max=args.k_max,
-                                      f_of_size=f_of_size,
+                                      k_max=args.k_max, f_of_size=f_of_size,
                                       g_of_size=g_of_size)
     kp_holds = report["kp"].holds if report["kp"] is not None else None
     records = []
@@ -526,7 +526,7 @@ def cmd_audit_container(args):
 
 
 def cmd_audit_nonpolymer(args):
-    report = nonpolymer_weight_report(args.graph, args.params, args.rho)
+    report = nonpolymer_weight_report(args.graph, args.params)
     return [report], True
 
 
@@ -570,8 +570,6 @@ OPTIONS = {
                          f"for stdin"),
     "--lambda": dict(dest="lam", required=True, help="fugacity as p/q"),
     "--p": dict(required=True, help="percolation parameter as p/q in [0, 1]"),
-    "--rho": dict(default="3/4",
-                  help="closure-size cutoff as a fraction of a side"),
     "--side": dict(choices=("E", "O"), default="E"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--samples": dict(type=int, required=True),
@@ -598,12 +596,12 @@ COMMANDS = {
                      ("--graph", "--lambda", "--p", "--format", "--samples",
                       "--seed")),
     "polymers": (cmd_polymers, "enumerate one side's polymers with weights", (
-        *_MODEL, "--rho", "--side", "--format",
+        *_MODEL, "--side", "--format",
         ("--size-max", dict(type=int, default=None)))),
     "xi": (cmd_xi, "polymer partition function by memoised recursion",
-           (*_MODEL, "--rho", "--side", "--format")),
+           (*_MODEL, "--side", "--format")),
     "clusters": (cmd_clusters, "cluster expansion terms and residuals", (
-        *_MODEL, "--rho", "--side", "--format",
+        *_MODEL, "--side", "--format",
         ("--k-max", dict(type=int, default=2)))),
     "closed-form": (cmd_closed_form,
                     "closed-form expansion terms, optionally verified", (
@@ -613,16 +611,16 @@ COMMANDS = {
                           help="compare against the cluster-sum oracle on the "
                                "matching graph; in-regime mismatch exits 2")))),
     "tv": (cmd_tv, "total variation between the model measure and the polymer "
-                   "approximation", (*_MODEL, "--rho", "--format")),
+                   "approximation", (*_MODEL, "--format")),
     "sample-muhat": (cmd_sample_muhat,
                      "seeded draws from the two-sided polymer measure, "
                      "aggregated by outcome",
-                     (*_MODEL, "--rho", "--format", "--samples", "--seed")),
+                     (*_MODEL, "--format", "--samples", "--seed")),
     "audit-iso": (cmd_audit_iso, "vertex-isoperimetry condition sweeps", (
         "--graph", "--format", ("--property", dict(default="one")),
         ("--size-cap", dict(type=int, default=4)))),
     "audit-kp": (cmd_audit_kp, "convergence-condition audits", (
-        *_MODEL, "--rho", "--side", "--format",
+        *_MODEL, "--side", "--format",
         ("--mode", dict(default="sum")))),
     "audit-z": (cmd_audit_z, "coordinate-family partition sum bounds", (
         "--format", ("--d", dict(type=int, required=True)), "--lambda", "--p",
@@ -646,7 +644,7 @@ COMMANDS = {
                  "this constant; failure exits 2")))),
     "audit-nonpolymer": (cmd_audit_nonpolymer,
                          "weight of configurations captured on neither side",
-                         (*_MODEL, "--rho", "--format")),
+                         (*_MODEL, "--format")),
 }
 
 
@@ -704,8 +702,6 @@ def main(argv=None) -> int:
             lam = "1" if args.lam is None else args.lam
             args.params = ModelParams(parse_rational(lam),
                                       parse_rational(args.p))
-        if hasattr(args, "rho"):
-            args.rho = parse_rational(args.rho)
         records, ok = args.handler(args)
         chunks = _render(records, args)
         if args.out is None:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import graphs
 from .graphs import AuditViolation, BipartiteGraph, iter_bits, refuse
-from .polymers import DEFAULT_RHO, Polymer, PolymerFamily
+from .polymers import Polymer, PolymerFamily
 from .rationals import (float64_range, log_precision, log_rational,
                         require_positive_finite, to_mpf)
 
@@ -257,8 +257,7 @@ def _terms_by_size(family: PolymerFamily,
     return by_size
 
 
-def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
-                       k_max: int = 2):
+def enumerate_clusters(g: BipartiteGraph, side: str, params, k_max: int = 2):
     """Every cluster of total size at most k_max on the side, as multisets.
 
     Emission groups clusters by their support polymers in the polymer
@@ -267,18 +266,17 @@ def enumerate_clusters(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
     definition. graphs.WALK_CEILING bounds both the polymer enumeration and
     the multisets the walk visits; past it, BudgetError.
     """
-    family = PolymerFamily(g, side, params, rho, size_max=k_max)
+    family = PolymerFamily(g, side, params, size_max=k_max)
     clusters: list[Cluster] = []
     _clusters(family, k_max, clusters.append)
     return clusters
 
 
-def l_k(g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
-        k: int = 1) -> Fraction:
+def l_k(g: BipartiteGraph, side: str, params, k: int = 1) -> Fraction:
     """The exact degree-k term of the cluster expansion of log Xi: the sum
     of orderings * ursell * product of polymer weights over all clusters of
     total size exactly k. Its walks are bounded as in enumerate_clusters."""
-    family = PolymerFamily(g, side, params, rho, size_max=k)
+    family = PolymerFamily(g, side, params, size_max=k)
     return _terms_by_size(family, k)[k]
 
 
@@ -337,8 +335,8 @@ def kp_check(weights, f_values, g_values, incompatible) -> KPReport:
 
 
 def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
-                             rho=DEFAULT_RHO, k_max: int = 2,
-                             f_of_size=None, g_of_size=None) -> dict:
+                             k_max: int = 2, f_of_size=None,
+                             g_of_size=None) -> dict:
     """Compare the truncated cluster expansion against exact log Xi.
 
     Always reports log Xi (128-bit), the exact terms L_1..L_{k_max}, the
@@ -350,7 +348,7 @@ def log_xi_truncation_report(g: BipartiteGraph, side: str, params,
     against the tail bound |side| * f(1) * exp(-g(k)). The polymer
     enumeration and the cluster walk are bounded as in enumerate_clusters.
     """
-    family = PolymerFamily(g, side, params, rho)
+    family = PolymerFamily(g, side, params)
     by_size = _terms_by_size(family, k_max)
     xi = family.xi()
     with log_precision() as mpmath:
@@ -452,8 +450,7 @@ def lk_tail_shape(n: int, d: int, alpha_tilde: float, c1: float, c5: float,
 
 
 def kp_sum_audit(g: BipartiteGraph, side: str, params, c1, c2, c3, c5,
-                 rho=DEFAULT_RHO, size_max: int = 3,
-                 tail_depth: int = 3) -> dict:
+                 size_max: int = 3, tail_depth: int = 3) -> dict:
     """Per-vertex audit of the convergence sums: for every v on the side,
     the sum over enumerated polymers containing v of omega(A) e^{f+g},
     with the KPFunctions of (g.d, alpha_tilde, c1, c2, c3, c5), against the
@@ -468,7 +465,7 @@ def kp_sum_audit(g: BipartiteGraph, side: str, params, c1, c2, c3, c5,
     kpf = KPFunctions(g.d, alpha_tilde, c1, c2, c3, c5)
     if tail_depth < 0:
         raise ValueError(f"tail depth must be >= 0, got {tail_depth}")
-    family = PolymerFamily(g, side, params, rho, size_max=size_max)
+    family = PolymerFamily(g, side, params, size_max=size_max)
     with float64_range("a term of the convergence-sum audit"):
         target = g.d ** -(c5 + 3)
         per_vertex: dict[int, float] = {}

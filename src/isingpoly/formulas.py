@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .graphs import BipartiteGraph, codegree, iter_bits
 from .model import ModelParams
-from .polymers import DEFAULT_RHO, closure_cutoff, is_polymer_union
+from .polymers import is_polymer_union
 from .rationals import (MAX_DECIMAL_EXPONENT, TOO_MANY_DIGITS, log_precision,
                         to_mpf)
 
@@ -203,29 +203,26 @@ class ExpansionEstimate:
         return out
 
 
-def singletons_are_polymers(g: BipartiteGraph, side: str,
-                            rho=DEFAULT_RHO) -> bool:
+def singletons_are_polymers(g: BipartiteGraph, side: str) -> bool:
     """True iff every vertex of the side is a valid polymer on its own, the
     regime of l1_closed and part of l2_regime_report's. A singleton is its
     own only 2-linked component, so is_polymer_union tests it."""
-    limit = closure_cutoff(g, rho)
-    return all(is_polymer_union(g, 1 << u, side, limit)
+    return all(is_polymer_union(g, 1 << u, side)
                for u in iter_bits(g.side_mask(side)))
 
 
-def l2_regime_report(g: BipartiteGraph, side: str, expected_histogram,
-                     rho=DEFAULT_RHO) -> dict:
+def l2_regime_report(g: BipartiteGraph, side: str,
+                     expected_histogram) -> dict:
     """Check the two structural hypotheses behind the L2 derivations on a
     concrete graph: every same-side vertex sees exactly the expected
     multiset of codegrees among its 2-linked partners, and every vertex and
     every 2-linked pair on the side is a valid polymer (on K_{1,1} no single
     vertex is, and the formulas do not apply). A 2-linked pair is its own
     only 2-linked component, so is_polymer_union tests it."""
-    limit = closure_cutoff(g, rho)
     side_mask = g.side_mask(side)
     expected = {k: v for k, v in expected_histogram.items() if v}
     histogram_ok = True
-    singletons_ok = singletons_are_polymers(g, side, rho)
+    singletons_ok = singletons_are_polymers(g, side)
     pairs_ok = True
     for u in iter_bits(side_mask):
         hist: dict[int, int] = {}
@@ -233,8 +230,7 @@ def l2_regime_report(g: BipartiteGraph, side: str, expected_histogram,
         for v in iter_bits(partners):
             c = codegree(g, u, v)
             hist[c] = hist.get(c, 0) + 1
-            if v > u and not is_polymer_union(g, (1 << u) | (1 << v), side,
-                                              limit):
+            if v > u and not is_polymer_union(g, (1 << u) | (1 << v), side):
                 pairs_ok = False
         if hist != expected:
             histogram_ok = False

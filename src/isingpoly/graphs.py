@@ -517,19 +517,13 @@ def neighborhood(g: BipartiteGraph, x) -> int:
     return m & ~x
 
 
-def closure(g: BipartiteGraph, a, side: str | None = None) -> int:
-    """Closure [A] on A's side: all same-side vertices v with N(v) a subset of N(A).
-
-    A must be nonempty and contained in one side; `side` may be given
-    explicitly ("E" or "O") or inferred from A's membership.
+def closure(g: BipartiteGraph, a, side: str) -> int:
+    """Closure [A] on side ("E" or "O"): all vertices v of that side with
+    N(v) a subset of N(A). A must be nonempty and contained in the side.
     """
     a = as_mask(a)
     if a == 0:
         raise ValueError("closure of the empty set is undefined")
-    if side is None:
-        if a & g.side_E_mask and a & g.side_O_mask:
-            raise ValueError("closure argument straddles both sides")
-        side = "E" if a & g.side_E_mask else "O"
     side_m = g.side_mask(side)
     if a & ~side_m:
         bad = bits(a & ~side_m)[0]

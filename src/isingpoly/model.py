@@ -36,8 +36,7 @@ from .graphs import (
     popcount,
     refuse,
 )
-from .polymers import (DEFAULT_RHO, PolymerFamily, closure_cutoff,
-                       is_polymer_union)
+from .polymers import PolymerFamily, is_polymer_union
 from .rationals import float64_range, log_precision, log_rational
 
 if TYPE_CHECKING:
@@ -521,21 +520,19 @@ def tv_distance(a: MeasureTable, b: MeasureTable) -> Fraction:
                     2 * ta * tb)
 
 
-def captured_on_side(g: BipartiteGraph, i, side: str, rho=DEFAULT_RHO) -> bool:
+def captured_on_side(g: BipartiteGraph, i, side: str) -> bool:
     """True iff every maximal 2-linked component of I on the side has a
-    closure of size at most rho * |side|, i.e. the side's polymer model can
-    represent I's trace there."""
-    return is_polymer_union(g, as_mask(i) & g.side_mask(side), side,
-                            closure_cutoff(g, rho))
+    closure of size at most closure_cutoff(g), i.e. the side's polymer model
+    can represent I's trace there."""
+    return is_polymer_union(g, as_mask(i) & g.side_mask(side), side)
 
 
 class _CaptureFlags(dict):
     """The capture flag of each trace on one side, tested on first lookup."""
 
-    def __init__(self, g: BipartiteGraph, side: str, limit: int):
+    def __init__(self, g: BipartiteGraph, side: str):
         super().__init__()
-        self.test = functools.partial(is_polymer_union, g, side=side,
-                                      limit=limit)
+        self.test = functools.partial(is_polymer_union, g, side=side)
 
     def __missing__(self, trace: int) -> bool:
         flag = self[trace] = self.test(trace)
@@ -553,7 +550,7 @@ def _half_edge_counts(adj, first: int, count: int) -> list[int]:
     return counts
 
 
-def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
+def subset_sweep(g: BipartiteGraph, params: ModelParams):
     """Yield (mask, weight, captured on O, captured on E) for every subset
     mask in increasing order, streaming. The weight is the ising_weight
     times _weight_scale, an int read from a table by (|I|, e(I)).
@@ -569,7 +566,6 @@ def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
     than graphs.SWEEP_CEILING vertices."""
     if g.n > graphs.SWEEP_CEILING:
         refuse("the 2^n subset sweep", g.n, graphs.SWEEP_CEILING, "vertices")
-    limit = closure_cutoff(g, rho)
     n, adj = g.n, g.adj_mask
     k = n // 2
     row = g.edge_count() + 1
@@ -579,8 +575,8 @@ def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
     low_index = [s.bit_count() * row + e
                  for s, e in enumerate(_half_edge_counts(adj, 0, k))]
     high_edges = _half_edge_counts(adj, k, n - k)
-    captured_o = _CaptureFlags(g, "O", limit)
-    captured_e = _CaptureFlags(g, "E", limit)
+    captured_o = _CaptureFlags(g, "O")
+    captured_e = _CaptureFlags(g, "E")
     o_mask, e_mask = g.side_O_mask, g.side_E_mask
     for h, e_high in enumerate(high_edges):
         high = h << k
@@ -596,7 +592,7 @@ def subset_sweep(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
                    captured_e[high_e | (l & e_mask)])
 
 
-def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
+def capture_classes(g: BipartiteGraph, params: ModelParams):
     """(W0, W1, W2, count0) from one sweep: W_h is the total ising_weight of
     the subsets captured on h sides and count0 the number captured on
     neither. So Z = W0 + W1 + W2, Z-hat = W1 + 2 W2, and W0 is the
@@ -604,7 +600,7 @@ def capture_classes(g: BipartiteGraph, params: ModelParams, rho=DEFAULT_RHO):
     exact_Z."""
     sums = [0, 0, 0]
     count0 = 0
-    for _, w, on_o, on_e in subset_sweep(g, params, rho):
+    for _, w, on_o, on_e in subset_sweep(g, params):
         sums[on_o + on_e] += w
         count0 += not (on_o or on_e)
     scale = _weight_scale(g, params)
@@ -639,32 +635,30 @@ def mu_table(g: BipartiteGraph, params: ModelParams) -> MeasureTable:
     return table
 
 
-def z_hat_sweep(g: BipartiteGraph, params: ModelParams,
-                rho=DEFAULT_RHO) -> Fraction:
+def z_hat_sweep(g: BipartiteGraph, params: ModelParams) -> Fraction:
     """The polymer-approximation normalizer by direct sweep: each subset
     contributes its weight once per side whose capture test it passes."""
     return Fraction(sum((on_o + on_e) * w for _, w, on_o, on_e in
-                        subset_sweep(g, params, rho)),
+                        subset_sweep(g, params)),
                     _weight_scale(g, params))
 
 
-def mu_hat_table(g: BipartiteGraph, params: ModelParams,
-                 rho=DEFAULT_RHO) -> MeasureTable:
+def mu_hat_table(g: BipartiteGraph, params: ModelParams) -> MeasureTable:
     """The polymer-approximation measure on subsets: weight counted once per
     capturing side (a set captured on both sides is deliberately counted
     twice, matching the two-sided normalizer)."""
     _charge_table(g, params)
     weights = {i_mask: (on_o + on_e) * w for i_mask, w, on_o, on_e in
-               subset_sweep(g, params, rho)}
+               subset_sweep(g, params)}
     return MeasureTable(weights, _weight_scale(g, params))
 
 
-def mu_hat_star_table(g: BipartiteGraph, params: ModelParams,
-                      rho=DEFAULT_RHO) -> MeasureTable:
+def mu_hat_star_table(g: BipartiteGraph,
+                      params: ModelParams) -> MeasureTable:
     """The two-sided measure on pairs (I, side): P = [captured] * weight / Z-hat."""
     _charge_table(g, params, paired=True)
     weights = {}
-    for i_mask, w, on_o, on_e in subset_sweep(g, params, rho):
+    for i_mask, w, on_o, on_e in subset_sweep(g, params):
         weights[(i_mask, "O")] = on_o * w
         weights[(i_mask, "E")] = on_e * w
     return MeasureTable(weights, _weight_scale(g, params))
@@ -700,10 +694,9 @@ class MuHatSampler:
     event of probability num/den iff word * den < num * 2^128.
     """
 
-    def __init__(self, g: BipartiteGraph, params: ModelParams,
-                 rho=DEFAULT_RHO):
+    def __init__(self, g: BipartiteGraph, params: ModelParams):
         self.g = g
-        self.families = {side: PolymerFamily(g, side, params, rho)
+        self.families = {side: PolymerFamily(g, side, params)
                          for side in ("O", "E")}
         self.xi = {side: fam.xi() for side, fam in self.families.items()}
         p_side_o = self.xi["O"] / (self.xi["O"] + self.xi["E"])

@@ -2,8 +2,9 @@
 brute-force polymer partition function, and container-style set families.
 
 A polymer on side D is a 2-linked subset A of D whose closure [A] (the
-same-side vertices whose whole neighborhood lies inside N(A)) occupies at
-most a rho fraction of D. Weights depend on the model parameters through
+same-side vertices whose whole neighborhood lies inside N(A)) has at most
+floor(3|D|/4) vertices, the fraction DEFAULT_RHO = 3/4 fixed as in the
+paper's polymer model. Weights depend on the model parameters through
 lambda and the edge-survival factor 1-p; everything here is an exact
 Fraction.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import graphs
 from .graphs import (
@@ -34,22 +35,11 @@ from .rationals import format_rational
 DEFAULT_RHO = Fraction(3, 4)
 
 
-def closure_cutoff(g: BipartiteGraph, rho) -> int:
-    """floor(rho * |side|), the largest closure a polymer may have. Closure
-    sizes are ints, so comparing them with this int decides exactly what
-    comparing them with rho * |side| does. rho is validated first, once per
-    (|side|, rho): the capture test calls this on every set it tests."""
-    if not isinstance(rho, Fraction):
-        rho = Fraction(rho)
-    return _closure_limit(g.n // 2, rho.numerator, rho.denominator)
-
-
-@lru_cache(maxsize=256)
-def _closure_limit(half: int, num: int, den: int) -> int:
-    if not Fraction(1, 2) < Fraction(num, den) < 1:
-        raise ValueError(f"rho must lie strictly between 1/2 and 1, "
-                         f"got {Fraction(num, den)}")
-    return num * half // den
+def closure_cutoff(g: BipartiteGraph) -> int:
+    """floor(DEFAULT_RHO * |side|), the largest closure a polymer may have.
+    Closure sizes are ints, so comparing them with this int decides exactly
+    what comparing them with DEFAULT_RHO * |side| does."""
+    return DEFAULT_RHO.numerator * (g.n // 2) // DEFAULT_RHO.denominator
 
 
 class Polymer:
@@ -92,28 +82,28 @@ _set_side, _set_vertices, _set_closure, _set_boundary = [
     vars(Polymer)[name].__set__ for name in Polymer.__slots__]
 
 
-def is_polymer_union(g: BipartiteGraph, part: int, side: str,
-                     limit: int) -> bool:
+def is_polymer_union(g: BipartiteGraph, part: int, side: str) -> bool:
     """The one polymer test: True iff every maximal 2-linked component of
-    the side's vertex mask `part` has at most `limit` (closure_cutoff)
-    closure vertices, i.e. part is a union of compatible polymers."""
+    the side's vertex mask `part` has at most closure_cutoff(g) closure
+    vertices, i.e. part is a union of compatible polymers."""
+    limit = closure_cutoff(g)
     for comp in two_linked_components(g, part):
         if popcount(closure(g, comp, side=side)) > limit:
             return False
     return True
 
 
-def enumerate_polymers(g: BipartiteGraph, side: str, rho=DEFAULT_RHO,
+def enumerate_polymers(g: BipartiteGraph, side: str,
                        size_max: int | None = None):
     """Yield every polymer on the side with at most size_max vertices.
 
-    size_max defaults to floor(rho * |side|), which covers all polymers
+    size_max defaults to closure_cutoff(g), which covers all polymers
     since |A| <= |[A]|. A default of 0 leaves no polymer at all (a polymer's
     closure holds at least A), so nothing is yielded; an explicit size_max
     below 1 is refused. Emission follows the lexicographic order of the
     sorted vertex tuples.
     """
-    cutoff = closure_cutoff(g, rho)
+    cutoff = closure_cutoff(g)
     if size_max is None:
         if cutoff < 1:
             return
@@ -285,9 +275,9 @@ class PolymerFamily:
     for k polymers, so graphs.MASK_CEILING bounds k.
     """
 
-    def __init__(self, g: BipartiteGraph, side: str, params, rho=DEFAULT_RHO,
+    def __init__(self, g: BipartiteGraph, side: str, params,
                  size_max: int | None = None):
-        self.polymers = tuple(enumerate_polymers(g, side, rho, size_max=size_max))
+        self.polymers = tuple(enumerate_polymers(g, side, size_max=size_max))
         self.graph = g
         self._params = params
         self._weighings: dict = {}  # params -> weighing_at(params)
@@ -413,16 +403,14 @@ class PolymerFamily:
         return tuple(config)
 
 
-def xi_brute(g: BipartiteGraph, side: str, params,
-             rho=DEFAULT_RHO) -> Fraction:
+def xi_brute(g: BipartiteGraph, side: str, params) -> Fraction:
     """Polymer partition function Xi_D: the sum over all sets of pairwise
     compatible polymers of the product of their weights, including the
     empty configuration (contributing 1)."""
-    return PolymerFamily(g, side, params, rho).xi()
+    return PolymerFamily(g, side, params).xi()
 
 
-def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
-                                 rho=DEFAULT_RHO):
+def enumerate_compatible_configs(g: BipartiteGraph, side: str, params):
     """All sets of pairwise compatible polymers on the side, with their
     weight products: pairs (tuple of Polymer, Fraction). The empty
     configuration comes first with weight 1. An explicit second route to
@@ -432,7 +420,7 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
     graphs.WALK_CEILING bounds both the polymer enumeration and the number
     of configurations stored; past it, BudgetError."""
     cap = graphs.WALK_CEILING
-    family = PolymerFamily(g, side, params, rho)
+    family = PolymerFamily(g, side, params)
     polys = family.polymers
     weights = family.weights
     # polymers after j that are compatible with j
@@ -462,7 +450,7 @@ def enumerate_compatible_configs(g: BipartiteGraph, side: str, params,
 
 def enumerate_g_ab(g: BipartiteGraph, side: str, a: int, b: int):
     """All 2-linked sets A on the side with |[A]| = a and |N(A)| = b, in
-    lexicographic order. No rho cutoff applies here. Empty when b < a."""
+    lexicographic order. No closure cutoff applies here. Empty when b < a."""
     if a < 1:
         raise ValueError(f"closure size a must be >= 1, got {a}")
     side_m = g.side_mask(side)

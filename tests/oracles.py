@@ -246,7 +246,7 @@ def fraction_percolation_expectation(g: BipartiteGraph, params) -> Fraction:
     return total
 
 
-def fraction_sweep(g: BipartiteGraph, params, rho, masks=None):
+def fraction_sweep(g: BipartiteGraph, params, masks=None):
     """Yield (mask, weight, captured on O, captured on E) for the given
     masks (default: every subset, in increasing order): one Fraction weight
     lam^|I| (1-p)^{e(I)} per subset, e(I) counted over every vertex's
@@ -254,7 +254,7 @@ def fraction_sweep(g: BipartiteGraph, params, rho, masks=None):
     model.subset_sweep."""
     lam, surv = params.lam, 1 - params.p
     captured = functools.cache(
-        lambda trace, side: captured_on_side(g, trace, side, rho))
+        lambda trace, side: captured_on_side(g, trace, side))
     for mask in range(1 << g.n) if masks is None else masks:
         inside = sum(popcount(g.adj_mask[v] & mask)
                      for v in iter_bits(mask)) // 2
@@ -263,13 +263,13 @@ def fraction_sweep(g: BipartiteGraph, params, rho, masks=None):
                captured(mask & g.side_E_mask, "E"))
 
 
-def fraction_measure(g: BipartiteGraph, params, rho, kind: str):
+def fraction_measure(g: BipartiteGraph, params, kind: str):
     """The measure table `kind` ("mu", "mu_hat" or "mu_hat_star") as an
     {outcome: probability} dict in increasing mask order, with its
     normalizer: fraction_sweep's weights added up as Fractions; the second
     route to the measure tables."""
     weights = {}
-    for mask, w, on_o, on_e in fraction_sweep(g, params, rho):
+    for mask, w, on_o, on_e in fraction_sweep(g, params):
         if kind == "mu":
             weights[mask] = w
         elif kind == "mu_hat":
@@ -345,13 +345,14 @@ def brute_two_linked_components(g: BipartiteGraph, xs) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(grp)) for grp in groups.values())
 
 
-def brute_captured(g: BipartiteGraph, i_verts, side_vertices, rho: Fraction) -> bool:
+def brute_captured(g: BipartiteGraph, i_verts, side_vertices) -> bool:
     """Capture test from the definitions: every maximal 2-linked component of
-    the side trace must have closure at most rho * |side|."""
+    the side trace must have closure at most (3/4) * |side|, compared as
+    Fractions rather than through closure_cutoff's floor."""
     trace = [v for v in i_verts if v in set(side_vertices)]
     for comp in brute_two_linked_components(g, trace):
         cl = brute_closure(g, comp, side_vertices)
-        if Fraction(len(cl)) > rho * len(side_vertices):
+        if Fraction(len(cl)) > Fraction(3, 4) * len(side_vertices):
             return False
     return True
 
@@ -521,14 +522,14 @@ class ListMuHatSampler:
     the lcm of the denominators, picked by a linear scan, with each 128-bit
     word taken as two Generator.integers outputs, low half first."""
 
-    def __init__(self, g: BipartiteGraph, params, rho):
+    def __init__(self, g: BipartiteGraph, params):
         self.g = g
         self.params = params
         self.configs = {}
         self.config_weights = {}
         xi = {}
         for side in ("O", "E"):
-            configs = enumerate_compatible_configs(g, side, params, rho)
+            configs = enumerate_compatible_configs(g, side, params)
             denom = math.lcm(*(w.denominator for _, w in configs))
             self.configs[side] = configs
             self.config_weights[side] = [int(w * denom) for _, w in configs]

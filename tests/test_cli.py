@@ -45,7 +45,6 @@ from isingpoly.graphs import (AuditViolation, BudgetError,
                               build_even_torus, graph_from_json)
 from isingpoly.model import (ModelParams, exact_Z, mu_hat_table, mu_table,
                              tv_distance)
-from isingpoly.polymers import DEFAULT_RHO
 from isingpoly.rationals import format_rational, parse_rational
 
 from oracles import (ListMuHatSampler, graph_to_json, l2_hypercube,
@@ -1142,7 +1141,7 @@ class TestComputeCommands:
         assert sum(r["count"] for r in rows) == 300
         assert all(r["side"] in ("E", "O") for r in rows)
 
-    # K1,1 has a closure cutoff of floor(rho * 1) = 0, so no polymer: the
+    # K1,1 has a closure cutoff of floor(3/4 * 1) = 0, so no polymer: the
     # default size max leaves every family empty and Xi = 1
     @pytest.mark.parametrize("argv", [
         ("xi",), ("polymers",), ("clusters",),
@@ -1164,7 +1163,7 @@ class TestComputeCommands:
                            "--seed", "9")
         assert code == 0
         oracle = ListMuHatSampler(build_complete_bipartite(1),
-                                  ModelParams(1, F(1, 2)), DEFAULT_RHO)
+                                  ModelParams(1, F(1, 2)))
         drawn = collections.Counter(oracle.draw(9, k) for k in range(200))
         assert {(r["mask"], r["side"]): r["count"]
                 for r in json.loads(out)} == drawn
@@ -1564,7 +1563,8 @@ SWEEP_CAP_TAKERS = {"exact_Z", "count_independent_sets"}
 
 
 def test_no_function_takes_a_cap():
-    # every limit is a constant in graphs, read when a call starts
+    # every limit is a constant in graphs, read when a call starts, and the
+    # closure cutoff is polymers.closure_cutoff's alone
     takers = collections.defaultdict(set)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -1573,7 +1573,7 @@ def test_no_function_takes_a_cap():
                 args = node.args
                 for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
                     if arg.arg in ("enum_cap", "edge_cap", "budget",
-                                   "sweep_cap"):
+                                   "sweep_cap", "rho", "limit"):
                         takers[arg.arg].add(getattr(node, "name", "lambda"))
     assert takers == {"sweep_cap": SWEEP_CAP_TAKERS}
 
@@ -1683,14 +1683,16 @@ def test_every_refusal_goes_through_graphs():
 
 @pytest.mark.parametrize("cmd", COMMANDS)
 def test_every_subcommand_refuses_budget(capsys, cmd):
-    # no option sets a limit: each is a fixed ceiling in graphs
+    # no option sets a limit or the closure cutoff: each limit is a fixed
+    # ceiling in graphs, and the cutoff is fixed at 3/4 of a side
     argv = (cmd, *FUZZ_BASES[cmd][0])
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert json.loads(out)
-    code, out, err = run(capsys, *argv, "--budget", "100")
-    assert (code, out) == (1, "")
-    assert "unrecognized arguments: --budget 100" in err
+    for extra in (("--budget", "100"), ("--rho", "3/4")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

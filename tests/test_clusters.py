@@ -397,7 +397,7 @@ class TestExpansionTerms:
 
 
 class TestClusterWeightParams:
-    # a cluster depends on (g, rho) only, so clusters enumerated at one
+    # a cluster depends on the graph only, so clusters enumerated at one
     # (lambda, p) weigh, at any other, what l_k sums there
     @pytest.mark.parametrize("g", [build_even_torus(4, 2), build_hypercube(4)])
     @pytest.mark.parametrize("lam,p", [(F(2, 3), F(1, 3)), (F(1, 20), 1)])

@@ -247,32 +247,34 @@ class TestSetOperations:
 
     def test_closure_c6_singleton(self):
         c6 = build_cycle(6)
-        assert bits(closure(c6, {0})) == (0,)
+        assert bits(closure(c6, {0}, side="E")) == (0,)
 
     def test_closure_c4_twins(self):
         c4 = build_even_torus(4, 1)
         # N(0) = N(2) = {1,3}, so the closure of {0} picks up its twin
-        assert bits(closure(c4, {0})) == (0, 2)
+        assert bits(closure(c4, {0}, side="E")) == (0, 2)
 
     def test_closure_matches_oracle(self):
         q3 = build_hypercube(3)
         for a in ({0}, {0, 3}, {0, 3, 5}, set(q3.side_E)):
-            assert bits(closure(q3, a)) == brute_closure(q3, a, q3.side_E)
+            assert bits(closure(q3, a, side="E")) == \
+                brute_closure(q3, a, q3.side_E)
 
     def test_closure_idempotent_and_neighborhood_preserving(self):
         q4 = build_hypercube(4)
         for a in ({0}, {0, 3}, {0, 3, 5, 6}, {0, 15}):
-            cl = closure(q4, a)
-            assert closure(q4, cl) == cl
+            cl = closure(q4, a, side="E")
+            assert closure(q4, cl, side="E") == cl
             assert neighborhood(q4, cl) == neighborhood(q4, a)
 
     def test_closure_errors(self):
         q3 = build_hypercube(3)
-        with pytest.raises(ValueError):
-            closure(q3, set())
-        with pytest.raises(ValueError, match="straddles"):
-            closure(q3, {0, 1})
-        with pytest.raises(ValueError, match="not on side"):
+        with pytest.raises(ValueError, match="empty set"):
+            closure(q3, set(), side="E")
+        # a set straddling both sides is refused by its first stray vertex
+        with pytest.raises(ValueError, match="vertex 1 is not on side E"):
+            closure(q3, {0, 1}, side="E")
+        with pytest.raises(ValueError, match="vertex 0 is not on side O"):
             closure(q3, {0}, side="O")
 
     def test_is_two_linked(self):
@@ -557,9 +559,9 @@ class TestIndependentSetSum:
     lambda ix: {build_hypercube(4).side_E[i] for i in ix}))
 def test_closure_properties_hold_on_q4(a):
     q4 = build_hypercube(4)
-    cl = closure(q4, a)
+    cl = closure(q4, a, side="E")
     assert cl & as_mask_of(a) == as_mask_of(a)  # A subset of [A]
-    assert closure(q4, cl) == cl
+    assert closure(q4, cl, side="E") == cl
     assert neighborhood(q4, cl) == neighborhood(q4, a)
 
 

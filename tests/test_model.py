@@ -1,5 +1,4 @@
 import collections
-import functools
 import math
 import os
 import random
@@ -774,7 +773,7 @@ class TestMeasures:
             direct += abs(mu.probs[i_mask] - hat.probs[i_mask])
         assert tv_distance(mu, hat) == direct / 2
 
-    # K1,1's closure cutoff floor(rho * 1) is 0: no polymer, Xi = 1 a side
+    # K1,1's closure cutoff floor(3/4 * 1) is 0: no polymer, Xi = 1 a side
     @pytest.mark.parametrize("g", [C6, Q3, build_complete_bipartite(1)])
     @pytest.mark.parametrize("params", [
         HALF, ModelParams(Fraction(1, 3), 1), ModelParams(2, Fraction(1, 5)),
@@ -785,46 +784,27 @@ class TestMeasures:
         assert z_hat_sweep(g, params) == poly_route
 
     @pytest.mark.parametrize("g", [C4, C6, Q3])
-    @pytest.mark.parametrize("rho", [Fraction(3, 4), Fraction(2, 3)])
-    def test_decomposition_identity(self, g, rho):
+    def test_decomposition_identity(self, g):
         params = ModelParams(Fraction(4, 5), Fraction(2, 7))
         z = exact_Z(g, params)
-        z_hat = z_hat_sweep(g, params, rho=rho)
+        z_hat = z_hat_sweep(g, params)
         both = Fraction(0)
         for i_mask in range(1 << g.n):
-            if captured_on_side(g, i_mask, "O", rho) and \
-                    captured_on_side(g, i_mask, "E", rho):
+            if captured_on_side(g, i_mask, "O") and \
+                    captured_on_side(g, i_mask, "E"):
                 both += ising_weight(g, params, i_mask)
         neither = sum((ising_weight(g, params, i)
-                       for i in nonpolymer_sets(g, rho)), Fraction(0))
+                       for i in nonpolymer_sets(g)), Fraction(0))
         assert z == z_hat - both + neither
 
     def test_capture_matches_definition_oracle(self):
-        rho = Fraction(3, 4)
         for g in (C4, C6, Q3):
             side_sets = {"O": g.side_O, "E": g.side_E}
             for i_mask in range(1 << g.n):
                 verts = [v for v in range(g.n) if (i_mask >> v) & 1]
                 for side in ("O", "E"):
-                    assert captured_on_side(g, i_mask, side, rho) == \
-                        brute_captured(g, verts, side_sets[side], rho)
-
-    def test_capture_at_the_rho_boundary(self):
-        # {0,2,4,6} on C12 closes to itself: 4 vertices of a 6-vertex side
-        g = build_cycle(12)
-        a = 0b1010101
-        assert g.side_mask("E") & a == a
-        for rho, captured in ((Fraction(2, 3), True),   # 4 = rho * 6
-                              (Fraction(2, 3) - Fraction(1, 10 ** 9), False),
-                              (Fraction(7, 12), False),  # 3.5
-                              (Fraction(3, 4), True)):   # 4.5
-            assert captured_on_side(g, a, "E", rho) is captured
-            assert brute_captured(g, [0, 2, 4, 6], g.side_E, rho) is captured
-        for bad in (Fraction(1, 2), 1, "9/10000", 0.5):
-            with pytest.raises(ValueError, match="strictly between"):
-                captured_on_side(g, a, "E", bad)
-        with pytest.raises(ValueError):
-            captured_on_side(g, a, "E", "x")
+                    assert captured_on_side(g, i_mask, side) == \
+                        brute_captured(g, verts, side_sets[side])
 
     def test_mu_hat_star_marginal_is_mu_hat(self):
         star = mu_hat_star_table(C6, HALF)
@@ -839,16 +819,15 @@ class TestMeasures:
         assert 0 not in nonpolymer_sets(C6)
 
     def test_nonpolymer_weight_sum_matches_oracle(self):
-        rho = Fraction(3, 4)
         got = sum((ising_weight(C6, HALF, i)
-                   for i in nonpolymer_sets(C6, rho)), Fraction(0))
+                   for i in nonpolymer_sets(C6)), Fraction(0))
         want = Fraction(0)
         for i_mask in range(1 << C6.n):
             verts = [v for v in range(C6.n) if (i_mask >> v) & 1]
-            if not brute_captured(C6, verts, C6.side_O, rho) and \
-                    not brute_captured(C6, verts, C6.side_E, rho):
+            if not brute_captured(C6, verts, C6.side_O) and \
+                    not brute_captured(C6, verts, C6.side_E):
                 want += ising_weight(C6, HALF, i_mask)
-        assert got == want == capture_classes(C6, HALF, rho)[0]
+        assert got == want == capture_classes(C6, HALF)[0]
 
     def test_mu_hat_tiny_lambda_prefers_empty(self):
         table = mu_hat_table(C6, ModelParams(Fraction(1, 100), 1))
@@ -857,9 +836,9 @@ class TestMeasures:
 
 
 
-def nonpolymer_sets(g, rho=Fraction(3, 4)) -> set[int]:
+def nonpolymer_sets(g) -> set[int]:
     """The subsets the sweep flags as captured on neither side."""
-    return {mask for mask, _, on_o, on_e in subset_sweep(g, HALF, rho)
+    return {mask for mask, _, on_o, on_e in subset_sweep(g, HALF)
             if not (on_o or on_e)}
 
 
@@ -878,18 +857,16 @@ def weight_scale(g, params) -> int:
             * (1 - params.p).denominator ** g.edge_count())
 
 
-def assert_tables_equal_the_fraction_route(g, params, rho=Fraction(3, 4)):
-    for kind, build in (("mu", mu_table),
-                        ("mu_hat", functools.partial(mu_hat_table, rho=rho)),
-                        ("mu_hat_star",
-                         functools.partial(mu_hat_star_table, rho=rho))):
-        probs, norm = fraction_measure(g, params, rho, kind)
+def assert_tables_equal_the_fraction_route(g, params):
+    for kind, build in (("mu", mu_table), ("mu_hat", mu_hat_table),
+                        ("mu_hat_star", mu_hat_star_table)):
+        probs, norm = fraction_measure(g, params, kind)
         table = build(g, params)
         assert list(table.probs.items()) == list(probs.items())
         assert table.normalization == norm
 
 
-def brute_w0(g, params, rho=Fraction(3, 4)) -> Fraction:
+def brute_w0(g, params) -> Fraction:
     """The weight of the subsets captured on neither side: the unions of an
     O-trace and an E-trace that each fail brute_captured."""
     bad = {}
@@ -897,7 +874,7 @@ def brute_w0(g, params, rho=Fraction(3, 4)) -> Fraction:
         bad[side] = [sum(1 << v for v in trace)
                      for size in range(len(verts) + 1)
                      for trace in combinations(verts, size)
-                     if not brute_captured(g, trace, verts, rho)]
+                     if not brute_captured(g, trace, verts)]
     return sum((ising_weight(g, params, o | e)
                 for o in bad["O"] for e in bad["E"]), Fraction(0))
 
@@ -943,7 +920,7 @@ class TestMeasureRoutes:
             scale = weight_scale(g, params)
             assert [(mask, Fraction(w, scale), on_o, on_e)
                     for mask, w, on_o, on_e in subset_sweep(g, params)] == \
-                list(fraction_sweep(g, params, Fraction(3, 4)))
+                list(fraction_sweep(g, params))
 
     def test_middle_layer_3_sweep_on_sampled_masks(self):
         # 2^20 subsets: the sweep streams all of them, the Fraction route
@@ -951,7 +928,7 @@ class TestMeasureRoutes:
         params = ModelParams(Fraction(2, 3), Fraction(1, 3))
         sample = sorted(random.Random(3).sample(range(1 << MIDLAYER3.n), 2000))
         want = {mask: row for mask, *row in
-                fraction_sweep(MIDLAYER3, params, Fraction(3, 4), sample)}
+                fraction_sweep(MIDLAYER3, params, sample)}
         scale = weight_scale(MIDLAYER3, params)
         expected = 0
         for mask, w, on_o, on_e in subset_sweep(MIDLAYER3, params):
@@ -995,10 +972,8 @@ class TestMeasureRoutes:
                                    "vertices, past the ceiling of 7 vertices")
 
     def test_classes_count_the_nonpolymer_sets(self):
-        rho = Fraction(3, 4)
         for g in MEASURE_GRAPHS:
-            assert capture_classes(g, HALF, rho)[3] == \
-                len(nonpolymer_sets(g, rho))
+            assert capture_classes(g, HALF)[3] == len(nonpolymer_sets(g))
 
     def test_classes_refuse_a_sweep_that_misses_z(self, monkeypatch):
         import isingpoly.model as model
@@ -1020,25 +995,22 @@ class TestSampler:
         assert sam.draw(55, 3) == sam.draw(55, 3)
         assert len({sam.draw(55, k) for k in range(64)}) > 1
 
-    @pytest.mark.parametrize("g,params,rho", [
-        (Q3, HALF, Fraction(3, 4)),
-        (Q3, HALF, Fraction(5, 8)),
-        (C6, HALF, Fraction(5, 8)),
-        (build_cycle(8), HALF, Fraction(5, 8)),
-        (build_cycle(12), HALF, Fraction(5, 8)),
-        (build_cycle(16), ModelParams(Fraction(2, 3), Fraction(1, 3)),
-         Fraction(5, 8)),
-        (build_hypercube(4), HALF, Fraction(3, 4)),
-        (build_hypercube(4), ModelParams(1, 0), Fraction(3, 4)),
-        (build_complete_bipartite(3), ModelParams(Fraction(3, 2), 1),
-         Fraction(3, 4)),
-        (build_middle_layer(3), HALF, Fraction(3, 4)),
-        (build_cycle(24), HALF, Fraction(3, 4)),
-        (build_complete_bipartite(1), HALF, Fraction(3, 4)),
+    @pytest.mark.parametrize("g,params", [
+        (Q3, HALF),
+        (C6, HALF),
+        (build_cycle(8), HALF),
+        (build_cycle(12), HALF),
+        (build_cycle(16), ModelParams(Fraction(2, 3), Fraction(1, 3))),
+        (build_hypercube(4), HALF),
+        (build_hypercube(4), ModelParams(1, 0)),
+        (build_complete_bipartite(3), ModelParams(Fraction(3, 2), 1)),
+        (build_middle_layer(3), HALF),
+        (build_cycle(24), HALF),
+        (build_complete_bipartite(1), HALF),
     ])
-    def test_draws_equal_the_configuration_list_sampler(self, g, params, rho):
-        sam = MuHatSampler(g, params, rho)
-        oracle = ListMuHatSampler(g, params, rho)
+    def test_draws_equal_the_configuration_list_sampler(self, g, params):
+        sam = MuHatSampler(g, params)
+        oracle = ListMuHatSampler(g, params)
         # a seed past the 4-word pool, and spawn keys of two words
         for seed, ks in ((0, range(500)), (987654321987654321, range(500)),
                          ((1 << 130) + 3, range((1 << 32) - 50,

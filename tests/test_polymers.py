@@ -23,7 +23,7 @@ from isingpoly.graphs import (
     popcount,
     two_linked_sets,
 )
-from isingpoly.model import ModelParams
+from isingpoly.model import ModelParams, captured_on_side
 from isingpoly.polymers import (
     Polymer,
     PolymerFamily,
@@ -41,7 +41,7 @@ from isingpoly.polymers import (
     weight_bound_check,
     xi_brute,
 )
-from oracles import (brute_is_two_linked, decorated_weight,
+from oracles import (brute_captured, brute_is_two_linked, decorated_weight,
                      fraction_configuration_at, fraction_polymer_weight,
                      union_compatible)
 
@@ -76,7 +76,7 @@ class TestEnumeration:
         assert verts(enumerate_polymers(C4, "E")) == []
 
     def test_k11_default_size_max_is_an_empty_family(self):
-        # the closure cutoff floor(rho * 1) = 0 leaves no polymer; only an
+        # the closure cutoff floor(3/4 * 1) = 0 leaves no polymer; only an
         # explicit size max below 1 is refused
         k11 = build_complete_bipartite(1)
         for side in ("O", "E"):
@@ -91,25 +91,25 @@ class TestEnumeration:
         # every larger 2-linked set closes up to the full side
         assert verts(enumerate_polymers(Q3, "E")) == [(0,), (3,), (5,), (6,)]
 
-    def test_rho_is_validated(self):
-        with pytest.raises(ValueError):
-            list(enumerate_polymers(C6, "E", rho=Fraction(1, 2)))
-        with pytest.raises(ValueError):
-            list(enumerate_polymers(C6, "E", rho=1))
-
-    def test_alternative_rho_changes_the_family(self):
-        # {0,2,4,6} on C12 closes to itself (size 4): inside the 3/4 cutoff
-        # (4.5) but outside a 7/12 cutoff (3.5)
-        c12 = build_cycle(12)
-        a = as_mask({0, 2, 4, 6})
-        assert is_polymer_union(c12, a, "E",
-                                closure_cutoff(c12, Fraction(3, 4)))
-        assert not is_polymer_union(c12, a, "E",
-                                    closure_cutoff(c12, Fraction(7, 12)))
-        wide = verts(enumerate_polymers(c12, "E"))
-        tight = verts(enumerate_polymers(c12, "E", rho=Fraction(7, 12)))
-        assert (0, 2, 4, 6) in wide and (0, 2, 4, 6) not in tight
-        assert set(tight) < set(wide)
+    @pytest.mark.parametrize("n,cutoff", [(12, 4), (16, 6)])
+    def test_fixed_cutoff_at_its_boundary(self, n, cutoff):
+        # side E of C_n holds the n/2 even vertices, so the cutoff is
+        # floor(3n/8): 4.5 rounded down on C12, exactly 6 on C16. The first
+        # `cutoff` even vertices close to themselves; one more closes to
+        # the whole side
+        g = build_cycle(n)
+        assert closure_cutoff(g) == cutoff
+        at = tuple(range(0, 2 * cutoff, 2))
+        past = tuple(range(0, 2 * cutoff + 2, 2))
+        assert closure(g, at, side="E") == as_mask(at)
+        assert popcount(closure(g, past, side="E")) == n // 2
+        # a size max past the cutoff walks `past`, so the closure test drops it
+        family = verts(enumerate_polymers(g, "E", size_max=cutoff + 1))
+        for vs, inside in ((at, True), (past, False)):
+            assert is_polymer_union(g, as_mask(vs), "E") is inside
+            assert captured_on_side(g, vs, "E") is inside
+            assert brute_captured(g, vs, g.side_E) is inside
+            assert (vs in family) is inside
 
 
 
@@ -453,7 +453,6 @@ class TestGab:
             (0,), (0, 2), (2,)]
 
     def test_matches_subset_filter_oracle(self):
-        from isingpoly.graphs import closure as cl, neighborhood as nb
         side = Q3.side_E
         for a_size, b_size in ((1, 3), (2, 4), (4, 4)):
             got = [bits(s) for s in enumerate_g_ab(Q3, "E", a_size, b_size)]
@@ -462,7 +461,8 @@ class TestGab:
                 s = [side[i] for i in range(len(side)) if (mask >> i) & 1]
                 if len(s) > a_size or not brute_is_two_linked(Q3, s):
                     continue
-                if popcount(cl(Q3, s)) == a_size and popcount(nb(Q3, s)) == b_size:
+                if popcount(closure(Q3, s, side="E")) == a_size and \
+                        popcount(neighborhood(Q3, s)) == b_size:
                     want.append(tuple(s))
             assert got == sorted(want)
 
