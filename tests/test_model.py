@@ -783,7 +783,10 @@ class TestMeasures:
             xi_brute(g, "O", params) + xi_brute(g, "E", params))
         assert z_hat_sweep(g, params) == poly_route
 
-    @pytest.mark.parametrize("g", [C4, C6, Q3])
+    @pytest.mark.parametrize("g", [
+        C4, C6, Q3, build_cycle(8), build_complete_bipartite(3),
+        build_complete_bipartite(1),
+    ])
     def test_decomposition_identity(self, g):
         params = ModelParams(Fraction(4, 5), Fraction(2, 7))
         z = exact_Z(g, params)

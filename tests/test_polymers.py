@@ -91,10 +91,12 @@ class TestEnumeration:
         # every larger 2-linked set closes up to the full side
         assert verts(enumerate_polymers(Q3, "E")) == [(0,), (3,), (5,), (6,)]
 
-    @pytest.mark.parametrize("n,cutoff", [(12, 4), (16, 6)])
+    @pytest.mark.parametrize("n,cutoff", [(10, 3), (12, 4), (14, 5), (16, 6)])
     def test_fixed_cutoff_at_its_boundary(self, n, cutoff):
         # side E of C_n holds the n/2 even vertices, so the cutoff is
-        # floor(3n/8): 4.5 rounded down on C12, exactly 6 on C16. The first
+        # floor(3n/8): 3.75, 4.5 and 5.25 rounded down on C10, C12 and C14,
+        # exactly 6 on C16. These are the cycles where the cutoff is n/2 - 2,
+        # so one vertex past it covers every odd vertex. The first
         # `cutoff` even vertices close to themselves; one more closes to
         # the whole side
         g = build_cycle(n)
